@@ -398,6 +398,8 @@ def build_digest(report: Dict[str, Any]) -> Dict[str, Any]:
     and ``run_chaos`` print and persist next to their verdict: per-verb
     p50/p99, retry/resend/breaker counts, and (when a chaos section is
     present) the per-node fault-gate verdict counts and sweep outcome.
+    ``nodes`` carries each memory node's frame/wake-up/send counts, from
+    which frames per wake-up — how well the load coalesced — is printed.
     """
     counters = report.get("counters", {}) or {}
     digest: Dict[str, Any] = {
@@ -413,6 +415,7 @@ def build_digest(report: Dict[str, Any]) -> Dict[str, Any]:
         "retries": {
             key: counters.get(key, 0) for key in RETRY_COUNTER_KEYS
         },
+        "nodes": list(report.get("nodes") or ()),
     }
     chaos = report.get("chaos")
     if isinstance(chaos, dict):
@@ -444,6 +447,12 @@ def format_digest(digest: Dict[str, Any]) -> str:
     retries = digest.get("retries", {})
     busy = {key: val for key, val in retries.items() if val}
     lines.append(f"retries: {busy if busy else 'none'}")
+    for node in digest.get("nodes", ()):
+        lines.append(
+            f"mn{node['node_id']}: frames={node['frames']} "
+            f"wakeups={node['wakeups']} sends={node['sends']} "
+            f"frames/wakeup={node['frames'] / max(1, node['wakeups']):.2f}"
+        )
     chaos = digest.get("chaos")
     if chaos:
         verdicts = chaos.get("verdicts")

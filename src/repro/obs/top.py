@@ -97,11 +97,13 @@ def render_table(
 
     Rates are deltas of the servers' per-verb counters against the
     previous poll (absolute totals on the first poll, marked ``Σ``);
-    p50/p99 come from the cumulative service-time histograms.
+    ``f/wake`` is frames served per socket wake-up over the same span —
+    how well the node's frames batch; p50/p99 come from the cumulative
+    service-time histograms.
     """
     header = (
         f"{'node':>5} {'pid':>7} {'up_s':>7} {'conns':>5} {'ops':>9} "
-        f"{'ops/s':>9} {'jrnl':>5} {'gate':>16} "
+        f"{'ops/s':>9} {'f/wake':>6} {'jrnl':>5} {'gate':>16} "
         f"{'verb':>5} {'rate/s':>9} {'p50_us':>8} {'p99_us':>8}"
     )
     lines = [header]
@@ -116,6 +118,9 @@ def render_table(
         delta_ops = now_stats["ops_served"] - (
             prev_stats["ops_served"] if prev_stats else 0
         )
+        delta_wakeups = now_stats["wakeups"] - (
+            prev_stats["wakeups"] if prev_stats else 0
+        )
         rate_mark = "" if prev_stats else "Σ"
         verdicts = now_stats.get("chaos_verdicts") or {}
         gate = (
@@ -128,6 +133,7 @@ def render_table(
             f"{now_stats['connections']:>5} "
             f"{now_stats['ops_served']:>9} "
             f"{rate_mark + str(round(delta_ops / interval_s)):>9} "
+            f"{delta_ops / max(1, delta_wakeups):>6.2f} "
             f"{now_stats['journal_entries']:>5} {gate[:16]:>16}"
         )
         verb_lines = []

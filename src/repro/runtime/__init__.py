@@ -4,10 +4,10 @@ Runs the *same* :class:`~repro.core.client.DittoClient`, allocator,
 controller, and memory-node code as the simulator, but on live operating-
 system processes: each memory node is a separate process whose heap is a
 ``multiprocessing.shared_memory`` segment, verbs travel as length-prefixed
-frames over loopback sockets served by a single-threaded asyncio loop (so
-CAS/FAA linearize by construction, like the NIC serialization point in the
-sim), and clients drive their verb generators with an asyncio driver that
-maps sim commands onto awaitables.
+frames over loopback sockets served by one single-threaded readiness loop
+(so CAS/FAA linearize by construction, like the NIC serialization point in
+the sim), and clients drive their verb generators with an asyncio driver
+that maps sim commands onto awaitables.
 
 Layout:
 

@@ -12,6 +12,16 @@ the yield point as the very same exception types the sim raises
 (:class:`~repro.rdma.verbs.VerbTimeout`,
 :class:`~repro.rdma.verbs.NodeUnavailable`, ...), so the client's retry
 machinery cannot tell the substrates apart.
+
+The socket path is kept thin.  A :class:`Connection` is an
+``asyncio.Protocol``: a request writes its frame and returns a future,
+and ``data_received`` resolves futures straight from the bytes the
+transport delivers — there is no stream reader, no reader task and no
+flow-control wait per request.  Timeouts are one timer per connection
+that watches the nearest of its requests' own deadlines.  Concurrent
+first verbs share one in-progress connect.  ``post_write``/``post_faa``
+put their frame on the connection and count a drop in the future's
+done-callback, so a posted verb costs a future, not a task.
 """
 
 from __future__ import annotations
@@ -28,7 +38,12 @@ from ..memory.controller import OutOfMemoryError
 from ..memory.node import MemoryAccessError
 from ..obs import runtime as obs_runtime
 from ..rdma.transport import VerbTransport
-from ..rdma.verbs import NodeUnavailable, StaleEpoch, VerbTimeout
+from ..rdma.verbs import (
+    NodeUnavailable,
+    RdmaFaultError,
+    StaleEpoch,
+    VerbTimeout,
+)
 from ..sim import CounterSet, Timeout
 from . import wire
 from .journal import unregister_shm
@@ -57,13 +72,14 @@ class RequestNotSent(ConnectionError):
 
 
 class WallClockRuntime:
-    """The real substrate's 'engine': wall-clock time + asyncio tasks.
+    """The real substrate's 'engine': wall-clock time + background posts.
 
     Presents the engine facets portable code actually touches — ``now`` /
-    ``_now`` in microseconds and ``spawn(generator)`` — so
-    :class:`~repro.core.client.DittoClient` timestamps and fire-and-forget
-    posts work unchanged.  Time is wall-clock microseconds since runtime
-    construction (the sim measures microseconds since engine start).
+    ``_now`` in microseconds — so :class:`~repro.core.client.DittoClient`
+    timestamps work unchanged, and keeps the futures of fire-and-forget
+    posts so a caller can wait for them.  Time is wall-clock microseconds
+    since runtime construction (the sim measures microseconds since
+    engine start).
     """
 
     def __init__(self):
@@ -77,16 +93,15 @@ class WallClockRuntime:
     # The hot paths read engine._now directly; same clock here.
     _now = now
 
-    def spawn(self, gen: Generator, name: str = "") -> asyncio.Task:
-        """Run a verb generator as a background task (unsignalled posts)."""
-        task = asyncio.get_running_loop().create_task(drive(gen), name=name)
-        self._background.add(task)
-        task.add_done_callback(self._background.discard)
-        return task
+    def track(self, future: asyncio.Future) -> None:
+        """Hold a posted verb's future until it completes."""
+        self._background.add(future)
+        future.add_done_callback(self._background.discard)
 
     async def drain_background(self, timeout_s: float = 10.0) -> int:
-        """Await outstanding background posts; returns how many remained."""
-        pending = [t for t in self._background if not t.done()]
+        """Await outstanding background posts; returns how many were
+        still pending when called."""
+        pending = [f for f in self._background if not f.done()]
         if pending:
             await asyncio.wait(pending, timeout=timeout_s)
         return len(pending)
@@ -185,98 +200,122 @@ class NodeHandle:
                    data["host"], data["port"], data.get("shm", ""))
 
 
-class Connection:
-    """One multiplexed stream to a memory node.
+class Connection(asyncio.Protocol):
+    """One multiplexed connection to a memory node.
 
-    Requests carry per-connection ids; a single reader task resolves
-    response futures in arrival order, so a client's foreground op and its
-    fire-and-forget posts can share the stream with requests in flight
-    concurrently.
+    Requests carry per-connection ids and :meth:`data_received` resolves
+    their futures straight from the bytes the transport hands over, in
+    arrival order — so a client's foreground op and its fire-and-forget
+    posts share the socket with requests in flight concurrently, and a
+    request costs one future: no reader task, no per-request timer.  One
+    timer per connection watches the nearest deadline; ``_pending`` holds
+    each request's own deadline next to its future, so nothing outlives
+    the request it belongs to.
     """
 
-    def __init__(self, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter):
-        self._reader = reader
-        self._writer = writer
-        self._pending: Dict[int, asyncio.Future] = {}
+    def __init__(self, loop: asyncio.AbstractEventLoop):
+        self._loop = loop
+        self._transport: Optional[asyncio.Transport] = None
+        self._decoder = wire.FrameDecoder(wire.RESP.size)
+        #: req_id -> (future, deadline on the loop's clock)
+        self._pending: Dict[int, tuple] = {}
+        self._timer: Optional[asyncio.TimerHandle] = None
         self._next_id = 0
-        self._broken: Optional[BaseException] = None
-        self._reader_task = asyncio.get_running_loop().create_task(
-            self._read_loop()
-        )
+        self._closed: asyncio.Future = loop.create_future()
+        #: False once the connection broke or began closing: a request
+        #: then raises :class:`RequestNotSent` without touching the socket.
+        self.alive = False
 
-    async def _read_loop(self) -> None:
+    # -- asyncio.Protocol ---------------------------------------------------
+
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+        self.alive = True
+
+    def data_received(self, data: bytes) -> None:
         try:
-            while True:
-                frame = await wire.read_frame(self._reader)
-                req_id, status = wire.RESP.unpack_from(frame)
-                future = self._pending.pop(req_id, None)
-                if future is not None and not future.done():
-                    future.set_result((status, frame[wire.RESP.size :]))
-        except (
-            wire.IncompleteReadError,  # peer closed mid-frame / clean EOF
-            ConnectionError,
-            OSError,
-            ValueError,  # oversized/garbled frame header
-        ) as exc:
+            frames = self._decoder.feed(data)
+        except ValueError as exc:  # bad length prefix: stream is garbage
             self._fail(exc)
-        except asyncio.CancelledError:
-            self._fail(ConnectionResetError("connection closed"))
-            raise
+            self._transport.close()
+            return
+        pending = self._pending
+        for frame in frames:
+            req_id, status = wire.RESP.unpack_from(frame)
+            entry = pending.pop(req_id, None)
+            if entry is not None and not entry[0].done():
+                entry[0].set_result((status, frame[wire.RESP.size :]))
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._fail(exc if exc is not None else
+                   ConnectionResetError("connection closed"))
+        self._closed.set_result(None)
 
     def _fail(self, exc: BaseException) -> None:
-        self._broken = exc
-        for future in self._pending.values():
+        self.alive = False
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        pending, self._pending = self._pending, {}
+        for future, _deadline in pending.values():
             if not future.done():
                 future.set_exception(ConnectionResetError(str(exc)))
-        self._pending.clear()
 
-    async def request(self, op: int, body: bytes, timeout_s: float):
-        """Send one request; returns ``(status, payload)``.
+    # -- requests -----------------------------------------------------------
+
+    def request(self, op: int, body: bytes,
+                timeout_s: float) -> asyncio.Future:
+        """Send one request; the future resolves to ``(status, payload)``.
 
         Raises :class:`RequestNotSent` when the connection was already
         dead before the request bytes were handed to the transport (safe
-        to retry on a fresh connection, any opcode), TimeoutError on
-        expiry (the late response, if any, is dropped by the reader), and
-        plain ConnectionResetError when the peer died *after* the send —
-        the ambiguous "response lost" case where the server may or may
-        not have executed the request.
+        to retry on a fresh connection, any opcode).  The future fails
+        with asyncio.TimeoutError at this request's own deadline (the late
+        response, if any, is dropped on arrival), and with plain
+        ConnectionResetError when the peer died *after* the send — the
+        ambiguous "response lost" case where the server may or may not
+        have executed the request.
         """
-        if self._broken is not None:
-            raise RequestNotSent(str(self._broken))
-        if self._writer.is_closing():
-            raise RequestNotSent("connection is closing")
+        if not self.alive:
+            raise RequestNotSent("connection is closed")
         self._next_id += 1
         req_id = self._next_id
-        future = asyncio.get_running_loop().create_future()
-        self._pending[req_id] = future
-        # From the write() call on, bytes may have reached the peer even
-        # if drain() or the response wait fails — everything after this
-        # point is "response lost", never "not sent".
-        self._writer.write(wire.request_frame(op, req_id, body))
-        try:
-            await self._writer.drain()
-            return await asyncio.wait_for(future, timeout_s)
-        except asyncio.TimeoutError:
-            self._pending.pop(req_id, None)
-            raise
-        except (ConnectionError, OSError) as exc:
-            self._pending.pop(req_id, None)
-            raise ConnectionResetError(str(exc)) from exc
+        future = self._loop.create_future()
+        deadline = self._loop.time() + timeout_s
+        self._pending[req_id] = (future, deadline)
+        if self._timer is None or deadline < self._timer.when():
+            self._watch(deadline)
+        # From here on bytes may have reached the peer: every later
+        # failure is "response lost", never "not sent".
+        self._transport.write(wire.request_frame(op, req_id, body))
+        return future
+
+    def _watch(self, deadline: float) -> None:
+        if self._timer is not None:
+            self._timer.cancel()
+        self._timer = self._loop.call_at(deadline, self._on_deadline)
+
+    def _on_deadline(self) -> None:
+        """Expire every request whose own deadline has passed, then watch
+        the nearest one left.  In steady state this runs once per
+        ``timeout_s`` per connection and finds nothing to do."""
+        self._timer = None
+        now = self._loop.time()
+        nearest = None
+        for req_id, (future, deadline) in list(self._pending.items()):
+            if deadline <= now:
+                del self._pending[req_id]
+                if not future.done():
+                    future.set_exception(asyncio.TimeoutError())
+            elif nearest is None or deadline < nearest:
+                nearest = deadline
+        if nearest is not None:
+            self._watch(nearest)
 
     async def close(self) -> None:
-        self._reader_task.cancel()
-        try:
-            await self._reader_task
-        except asyncio.CancelledError:
-            pass
-        except (wire.IncompleteReadError, ConnectionError, OSError, ValueError):
-            pass  # the loop's own failure surfaced through cancellation
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+        self.alive = False
+        self._transport.close()
+        await self._closed
 
 
 class NodeHealth:
@@ -357,8 +396,9 @@ class RealEndpoint(VerbTransport):
 
     __slots__ = (
         "engine", "nodes", "counters", "tracer", "fence", "consensus",
-        "timeout_s", "shm_reads", "health", "_conns", "_single_node",
-        "_rng", "_rpc_salt", "_rpc_seq", "_obs_proc", "_obs_hist",
+        "timeout_s", "shm_reads", "health", "_conns", "_opening",
+        "_single_node", "_rng", "_rpc_salt", "_rpc_seq", "_obs_proc",
+        "_obs_hist",
     )
 
     def __init__(
@@ -380,6 +420,8 @@ class RealEndpoint(VerbTransport):
         self.shm_reads = shm_reads
         self.health = health
         self._conns: Dict[int, Connection] = {}
+        #: node_id -> future of the connect in progress (single flight).
+        self._opening: Dict[int, asyncio.Future] = {}
         self._single_node = nodes[0] if len(nodes) == 1 else None
         self._rng = random.Random()
         # RPC dedup tokens: unique per endpoint lifetime (random salt)
@@ -412,24 +454,45 @@ class RealEndpoint(VerbTransport):
     # -- the socket round trip --------------------------------------------
 
     async def _connect(self, node: NodeHandle) -> Connection:
-        conn = self._conns.get(node.node_id)
-        if conn is not None and conn._broken is None:
-            return conn
+        """Open the connection to ``node``, or join the open in progress.
+
+        Single flight: verbs that arrive while a connect is under way —
+        a Get-only client's first posts, say — wait for that one instead
+        of each opening (and all but the last orphaning) its own.
+        """
+        opening = self._opening.get(node.node_id)
+        if opening is not None:
+            # Shielded: cancelling one waiter must not cancel the rest.
+            return await asyncio.shield(opening)
+        loop = asyncio.get_running_loop()
+        opening = self._opening[node.node_id] = loop.create_future()
         try:
-            reader, writer = await asyncio.open_connection(
-                node.host, node.port
+            _transport, conn = await loop.create_connection(
+                lambda: Connection(loop), node.host, node.port
             )
         except (ConnectionError, OSError) as exc:
             if self.health is not None:
                 self.health.report_down(node.node_id)
             self.counters.add("fault_node_unavailable")
-            raise NodeUnavailable(
+            unreachable = NodeUnavailable(
                 f"node {node.node_id} is unreachable ({exc})",
                 node_id=node.node_id,
-            ) from exc
-        conn = Connection(reader, writer)
-        self._conns[node.node_id] = conn
-        return conn
+            )
+            opening.set_exception(unreachable)
+            raise unreachable from exc
+        else:
+            self._conns[node.node_id] = conn
+            opening.set_result(conn)
+            return conn
+        finally:
+            del self._opening[node.node_id]
+            if not opening.done():
+                # Cancelled mid-connect: waiters must not inherit that.
+                opening.set_exception(NodeUnavailable(
+                    f"connect to node {node.node_id} was abandoned",
+                    node_id=node.node_id,
+                ))
+            opening.exception()  # mark retrieved: there may be no waiter
 
     def _decode(self, node: NodeHandle, verb: str, status: int,
                 payload: bytes) -> bytes:
@@ -482,7 +545,9 @@ class RealEndpoint(VerbTransport):
             probing = True
         last_exc: Optional[BaseException] = None
         for attempt in range(1, RESEND_ATTEMPTS + 1):
-            conn = await self._connect(node)
+            conn = self._conns.get(node.node_id)
+            if conn is None or not conn.alive:
+                conn = await self._connect(node)
             try:
                 status, payload = await conn.request(
                     op, body, self.timeout_s
@@ -583,15 +648,23 @@ class RealEndpoint(VerbTransport):
         )
         return payload
 
-    def write(self, addr: int, data: bytes) -> Generator:
+    def _write_request(self, addr: int, data: bytes):
         if self.fence is not None:
             self.fence.check_write(addr, "write", -1)
         node = self._node_for(addr, len(data))
         self.counters.add("rdma_write")
-        yield self._roundtrip(
-            node, "write", wire.OP_WRITE,
-            wire.WRITE_HDR.pack(addr) + bytes(data),
-        )
+        return node, wire.WRITE_HDR.pack(addr) + bytes(data)
+
+    def _faa_request(self, addr: int, delta: int):
+        if self.fence is not None:
+            self.fence.check_write(addr, "faa", -1)
+        node = self._node_for(addr, 8)
+        self.counters.add("rdma_faa")
+        return node, wire.FAA_BODY.pack(addr, delta)
+
+    def write(self, addr: int, data: bytes) -> Generator:
+        node, body = self._write_request(addr, data)
+        yield self._roundtrip(node, "write", wire.OP_WRITE, body)
 
     def cas(self, addr: int, expected: int, new: int) -> Generator:
         if self.fence is not None:
@@ -607,13 +680,8 @@ class RealEndpoint(VerbTransport):
         return wire.U64.unpack(payload)[0]
 
     def faa(self, addr: int, delta: int) -> Generator:
-        if self.fence is not None:
-            self.fence.check_write(addr, "faa", -1)
-        node = self._node_for(addr, 8)
-        self.counters.add("rdma_faa")
-        payload = yield self._roundtrip(
-            node, "faa", wire.OP_FAA, wire.FAA_BODY.pack(addr, delta)
-        )
+        node, body = self._faa_request(addr, delta)
+        payload = yield self._roundtrip(node, "faa", wire.OP_FAA, body)
         return wire.U64.unpack(payload)[0]
 
     def read_burst(self, addr: int, length: int, count: int) -> Generator:
@@ -641,25 +709,53 @@ class RealEndpoint(VerbTransport):
 
     # -- asynchronous (unsignalled) posts ---------------------------------
 
-    def _post_safely(self, gen: Generator) -> Generator:
-        from ..rdma.verbs import RdmaFaultError
-
-        try:
-            yield from gen
-        except StaleEpoch:
-            self.counters.add("fenced_post_dropped")
-        except RdmaFaultError:
-            self.counters.add("fault_post_dropped")
-
     def post_write(self, addr: int, data: bytes):
-        return self.engine.spawn(
-            self._post_safely(self.write(addr, data)), name="post_write"
+        return self._post(
+            "write", wire.OP_WRITE, self._write_request, addr, data
         )
 
     def post_faa(self, addr: int, delta: int):
-        return self.engine.spawn(
-            self._post_safely(self.faa(addr, delta)), name="post_faa"
-        )
+        return self._post("faa", wire.OP_FAA, self._faa_request, addr, delta)
+
+    def _post(self, verb: str, op: int, request,
+              *args) -> Optional[asyncio.Future]:
+        """Fire-and-forget: the frame goes out on the node's connection
+        now and the post costs one future; a vanished post costs nothing
+        but the update it carried, so it is counted, never resent.  Only
+        a post that finds no live connection takes the verb path (connect,
+        health view, resends) in a task of its own."""
+        try:
+            node, body = request(*args)
+        except StaleEpoch:
+            self.counters.add("fenced_post_dropped")
+            return None
+        conn = self._conns.get(node.node_id)
+        if conn is not None and conn.alive:
+            future = conn.request(op, body, self.timeout_s)
+        else:
+            future = asyncio.ensure_future(
+                self._post_unconnected(node, verb, op, body)
+            )
+        future.add_done_callback(self._post_done)
+        self.engine.track(future)
+        return future
+
+    async def _post_unconnected(self, node: NodeHandle, verb: str, op: int,
+                                body: bytes):
+        return wire.ST_OK, await self._roundtrip(node, verb, op, body)
+
+    def _post_done(self, future: asyncio.Future) -> None:
+        if future.cancelled():
+            return
+        try:
+            status, _payload = future.result()
+        except (RdmaFaultError, OSError, asyncio.TimeoutError):
+            self.counters.add("fault_post_dropped")
+            return
+        if status != wire.ST_OK:
+            raise RuntimeError(
+                f"a posted verb came back with status {status}"
+            )
 
     # -- lifecycle ---------------------------------------------------------
 

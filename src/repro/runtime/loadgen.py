@@ -11,9 +11,12 @@ histograms (the same ``op.latency`` metric the sim records, here in
 wall-clock microseconds) plus exact
 :class:`~repro.sim.stats.LatencyStats` for the report percentiles.
 
-Scales to thousands of clients in one process: connections are plain
-asyncio streams (two file descriptors per client per touched node) and
-the fd soft limit is raised toward the hard limit on entry.
+Scales to thousands of clients in one process: a connection is one
+``asyncio.Protocol`` on one socket per client per touched node (no
+stream objects, no reader task), a verb in flight is one future, and
+the fd soft limit is raised toward the hard limit on entry.  The report
+ends with how well each memory node batched what it was sent (frames,
+wake-ups and sends from ``__stats__``).
 
 CLI::
 
@@ -58,6 +61,29 @@ def raise_fd_limit(want: int) -> int:
 
 class LoadReport(dict):
     """A plain dict with a stable schema; see :func:`run_load`."""
+
+
+def node_batching(descriptor: Dict) -> list:
+    """Frames, wake-ups and sends of every reachable memory node, read
+    over the out-of-band control channel (so no endpoint counter moves).
+    Frames per wake-up says how well the load's frames coalesced."""
+    from .harness import control_rpc  # harness -> server -> chaos -> here
+
+    rows = []
+    for entry in descriptor["nodes"]:
+        try:
+            stats = control_rpc(
+                entry["host"], entry["port"], "__stats__", None, timeout_s=2.0
+            )
+        except (OSError, RuntimeError):
+            continue  # a killed or restarting node has nothing to say
+        rows.append({
+            "node_id": stats["node_id"],
+            "frames": stats["ops_served"],
+            "wakeups": stats["wakeups"],
+            "sends": stats["sends"],
+        })
+    return rows
 
 
 async def _client_loop(
@@ -198,6 +224,7 @@ async def run_load(
             "load", "phase", load_start_us,
             args={"clients": clients, "ops": ops},
         )
+    nodes = node_batching(descriptor)
     if owns_cluster:
         await cluster.aclose()
 
@@ -219,6 +246,7 @@ async def run_load(
         evictions=sum(c.evictions for c in cluster.clients),
         regrets=sum(c.regrets for c in cluster.clients),
         counters={key: counters[key] for key in sorted(counters)},
+        nodes=nodes,
     )
 
 

@@ -9,10 +9,26 @@ back the sim substrate execute them.  Segment management runs on
 grant into a write-through journal at the tail of the same shared-memory
 segment — so a SIGKILLed node can be restarted with ``--adopt`` against
 the surviving heap and resume with its grant log (and alloc-dedup
-tokens) intact.  The server loop is single-threaded asyncio and memory
-operations contain no await points, so CAS/FAA from any number of
-connections linearize by construction — the same serialization point the
-sim models with the NIC pipe.
+tokens) intact.
+
+The serving loop is one thread on a plain ``selectors`` readiness loop —
+no event loop runs in this process.  A wake-up reads whatever the socket
+holds, cuts it into frames (:class:`~repro.runtime.wire.FrameDecoder`),
+runs gate → execute → response for each, and answers the whole batch
+with one ``send``; bytes the socket will not take wait for writability.
+Everything that must happen *later* — a latency spike's delayed
+execution, the ``__sleep__`` debug handler, the shutdown grace — is an
+entry in one timer heap, and SIGTERM/SIGINT arrive as bytes on a wake-up
+socket.  A memory operation runs to completion inside one frame's turn,
+so CAS/FAA from any number of connections linearize by construction —
+the same serialization point the sim models with the NIC pipe.  Because
+that one loop serves every connection it is *total* on what a socket can
+deliver: a length prefix above ``MAX_FRAME`` or too short to hold a
+request header closes that connection; an unknown opcode, a truncated
+verb body or a garbled RPC is answered with ``ST_ERROR``; none of them
+reaches the loop as an exception.  ``__stats__`` reports how well frames
+batch: ``ops_served`` (frames), ``wakeups`` (reads that yielded at least
+one frame) and ``sends``.
 
 Node 0 additionally hosts the cluster-level metadata handlers (the
 adaptive ``update_weights`` fold and ``get_membership``), mirroring the
@@ -25,8 +41,9 @@ equivalent of the sim's drop-at-the-NIC semantics.
 
 Lifecycle: the parent (``repro.runtime.harness``) spawns this module,
 reads the ``DITTO-NODE ...`` ready line for the bound port and shared-
-memory name, and later sends ``OP_SHUTDOWN`` (or SIGTERM/SIGINT, which
-drain in-flight requests and close listeners first).  The shared-memory
+memory name, and later sends ``OP_SHUTDOWN`` (or SIGTERM/SIGINT); either
+closes the listener, lets delayed answers and unsent responses finish
+within ``DRAIN_GRACE_S``, and flushes the trace shard.  The shared-memory
 segment is unlinked only on an *owned, clean* shutdown: a SIGKILL leaves
 it behind on purpose (that is what restart-and-adopt rides on), and the
 harness force-unlinks any survivor at teardown so nothing leaks.  The
@@ -38,15 +55,17 @@ attached for direct reads) would unlink a heap that is still live.
 from __future__ import annotations
 
 import argparse
-import asyncio
+import heapq
 import os
 import pickle
+import selectors
 import signal
+import socket
 import sys
 import time
 from collections import OrderedDict
 from multiprocessing import shared_memory
-from typing import Optional, Set
+from typing import List, Optional, Set
 
 from ..core.adaptive import GlobalWeights
 from ..core.elasticity import ACTIVE
@@ -65,9 +84,15 @@ from .journal import (
     unregister_shm,
 )
 
-#: Seconds granted to in-flight requests (and spiked delayed responses)
-#: on a graceful shutdown before connections are force-closed.
+#: Seconds granted to delayed answers (spikes, ``__sleep__``) and unsent
+#: responses on a graceful shutdown before connections are force-closed.
 DRAIN_GRACE_S = 0.5
+
+#: Most bytes taken from a socket per wake-up: bounds how long one
+#: connection's pipelined train can keep the loop from the others.
+RECV_BYTES = 64 * 1024
+
+LISTEN_BACKLOG = 1024
 
 #: Memoized (status, body) results kept per node for RPC dedup tokens.
 RPC_MEMO_LIMIT = 1024
@@ -118,6 +143,24 @@ class _ServerObs:
         self.verdict_spike = registry.counter("gate.verdicts",
                                               verdict="spike")
         self.journal_writes = registry.counter("journal.writes")
+
+
+class _Down(Exception):
+    """The chaos gate's outage verdict: reset this connection."""
+
+
+class _Conn:
+    """One accepted connection: its socket, the decoder holding a frame
+    that has not fully arrived, and responses the socket would not take."""
+
+    __slots__ = ("sock", "conn_id", "decoder", "out", "lane")
+
+    def __init__(self, sock: socket.socket, conn_id: int):
+        self.sock: Optional[socket.socket] = sock  # None once closed
+        self.conn_id = conn_id
+        self.decoder = wire.FrameDecoder(wire.REQ.size)
+        self.out = bytearray()
+        self.lane: Optional[int] = None
 
 
 class NodeServer:
@@ -184,12 +227,22 @@ class NodeServer:
         self.membership = tuple(membership)
         self.gate: Optional[ChaosGate] = None
         self._rpc_memo: "OrderedDict[int, tuple]" = OrderedDict()
-        self._stop = asyncio.Event()
-        self._server = None
-        self._conn_tasks: Set[asyncio.Task] = set()
-        self._writers: Set[asyncio.StreamWriter] = set()
-        self._delayed: Set[asyncio.Task] = set()
+        self._selector: Optional[selectors.BaseSelector] = None
+        self._listener: Optional[socket.socket] = None
+        self._conns: Set[_Conn] = set()
+        #: (due, seq, callback) heap: spike delays, ``__sleep__`` answers
+        #: and the shutdown grace all wait here, on the monotonic clock.
+        self._timers: List[tuple] = []
+        self._timer_seq = 0
+        #: Delayed answers not yet sent (a shutdown waits for them).
+        self._delayed = 0
+        self._stopping = False
+        self._grace_over = False
+        #: Request frames parsed; reads that yielded at least one frame;
+        #: ``send`` calls.  ops_served / wakeups is how well frames batch.
         self.ops_served = 0
+        self.wakeups = 0
+        self.sends = 0
         self.started_epoch = time.time()
         #: None until armed (launch-time via REPRO_TRACE, or runtime via
         #: the __stats_arm__ RPC).  Hot paths guard on this being None.
@@ -236,8 +289,10 @@ class NodeServer:
             "pid": os.getpid(),
             "uptime_s": time.time() - self.started_epoch,
             "ops_served": self.ops_served,
-            "connections": len(self._conn_tasks),
-            "inflight_delayed": len(self._delayed),
+            "wakeups": self.wakeups,
+            "sends": self.sends,
+            "connections": len(self._conns),
+            "inflight_delayed": self._delayed,
             "journal_entries": self.segments.journal.count,
             "grants": sum(
                 len(pairs) for pairs in self.segments.grants.values()
@@ -344,7 +399,7 @@ class NodeServer:
             return wire.ST_OK, b""
         raise ValueError(f"unknown opcode {op}")
 
-    async def _serve_rpc(self, body: bytes):
+    def _serve_rpc(self, body: bytes):
         op_name, payload, token = wire.unpack_rpc(body)
         if token:
             memo = self._rpc_memo.get(token)
@@ -354,8 +409,8 @@ class NodeServer:
                 return memo
         if op_name == "__sleep__":
             # Debug/test handler: a stalled controller (timeout surfacing).
-            await asyncio.sleep(float(payload))
-            return wire.ST_OK, pickle.dumps(None)
+            # Status None asks the caller to answer after the delay.
+            return None, float(payload)
         try:
             result = self._rpc(op_name, payload, token)
         except OutOfMemoryError as err:
@@ -372,10 +427,13 @@ class NodeServer:
                 self._rpc_memo.popitem(last=False)
         return out
 
-    async def _execute(self, op: int, body: bytes):
+    def _execute(self, op: int, body: bytes):
+        """Run one verb; every failure becomes a status, never an
+        exception — one loop serves every connection, so a hostile or
+        truncated body must cost its sender a reply, not the node."""
         try:
             if op == wire.OP_RPC:
-                return await self._serve_rpc(body)
+                return self._serve_rpc(body)
             return self._serve_data(op, body)
         except MemoryAccessError as err:
             return wire.ST_ACCESS, pickle.dumps(str(err))
@@ -393,169 +451,302 @@ class NodeServer:
         gate = self.gate
         if gate is None or op == wire.OP_SHUTDOWN:
             return None, 0.0
-        if op == wire.OP_RPC and wire.peek_rpc_name(body).startswith("__"):
-            # Control RPCs (chaos arm/disarm, __stats__ polling, debug
-            # handlers) must keep working while faults are injected.
-            return None, 0.0
+        if op == wire.OP_RPC:
+            try:
+                control = wire.peek_rpc_name(body).startswith("__")
+            except (IndexError, UnicodeDecodeError):
+                control = False  # garbled name: _execute answers ST_ERROR
+            if control:
+                # Control RPCs (chaos arm/disarm, __stats__ polling, debug
+                # handlers) must keep working while faults are injected.
+                return None, 0.0
         return gate.verb_outcome(_VERB_BY_OP.get(op, "rpc"))
 
-    def _spawn_delayed(self, writer, op: int, req_id: int, body: bytes,
-                       delay_s: float) -> None:
-        """Latency spike: execute + respond after the delay, off the main
-        per-connection loop so other multiplexed requests keep flowing —
-        the sim's extra-lead-latency semantics (the verb executes at its
-        delayed completion time)."""
+    def _answer_later(self, conn: "_Conn", req_id: int, delay_s: float,
+                      execute) -> None:
+        """Timer entry: run ``execute`` and send its response after
+        ``delay_s``, while the loop keeps serving every connection —
+        latency spikes (the sim's extra-lead-latency semantics: the verb
+        executes at its delayed completion time) and ``__sleep__``."""
+        self._delayed += 1
 
-        async def _later():
-            await asyncio.sleep(delay_s)
-            status, out = await self._execute(op, body)
-            if not writer.is_closing():
-                writer.write(wire.response_frame(req_id, status, out))
-                try:
-                    await writer.drain()
-                except (ConnectionError, OSError):
-                    pass
+        def fire():
+            self._delayed -= 1
+            status, out = execute()
+            if conn.sock is not None:
+                self._send(conn, wire.response_frame(req_id, status, out))
 
-        task = asyncio.create_task(_later())
-        self._delayed.add(task)
-        task.add_done_callback(self._delayed.discard)
+        self._call_later(delay_s, fire)
 
-    async def _handle(self, reader, writer):
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
-        self._writers.add(writer)
-        self._conn_seq += 1
-        conn_id = self._conn_seq
-        # Trace lane for this connection, allocated on the first observed
-        # frame.  Frames on one connection are handled sequentially, so
-        # their spans nest properly within the lane; concurrent
-        # connections get distinct lanes.
-        lane: Optional[int] = None
+    def _call_later(self, delay_s: float, callback) -> None:
+        self._timer_seq += 1
+        heapq.heappush(
+            self._timers,
+            (time.monotonic() + delay_s, self._timer_seq, callback),
+        )
+
+    def _serve_frame(self, conn: "_Conn", frame: bytes) -> Optional[bytes]:
+        """Gate, execute and answer one request frame.
+
+        Returns the response frame, or None when nothing is sent now (a
+        dropped verb, a delayed one); raises :class:`_Down` when the gate
+        says this connection must be reset.
+        """
+        op, req_id = wire.REQ.unpack_from(frame)
+        body = frame[wire.REQ.size :]
+        self.ops_served += 1
+        obs = self._obs
+        if obs is not None:
+            obs.frame_bytes.record(len(frame))
+        kind, extra_us = self._gate_outcome(op, body)
+        if kind == DROP:
+            if obs is not None:
+                obs.verdict_drop.add()
+            return None  # swallowed before execution: client times out
+        if kind == DOWN:
+            if obs is not None:
+                obs.verdict_down.add()
+            raise _Down  # outage window: reset, client sees NodeUnavailable
+        if op == wire.OP_SHUTDOWN:
+            self._stop()
+            return wire.response_frame(req_id, wire.ST_OK)
+        if extra_us > 0.0:
+            if obs is not None:
+                obs.verdict_spike.add()
+                if obs.proc is not None:
+                    # The delayed execution overlaps whatever runs next on
+                    # this connection: an instant, not a span, keeps the
+                    # lane properly nested.
+                    obs.proc.tracer.instant_at(
+                        f"{_VERB_BY_OP.get(op, 'rpc')}.delayed",
+                        "verb", obs.proc.now_us(), tid=self._lane(conn),
+                        args={"extra_us": extra_us},
+                    )
+            self._answer_later(
+                conn, req_id, extra_us / 1e6,
+                lambda: self._execute(op, body),
+            )
+            return None
+        if obs is None:
+            status, out = self._execute(op, body)
+        else:
+            start_us = obs.proc.now_us() if obs.proc is not None else 0.0
+            t0 = time.perf_counter()
+            status, out = self._execute(op, body)
+            service_us = (time.perf_counter() - t0) * 1e6
+            counter = obs.verb_count.get(op)
+            if counter is not None:
+                counter.add()
+                obs.verb_us[op].record(service_us)
+            if obs.proc is not None:
+                obs.proc.tracer.complete(
+                    _VERB_BY_OP.get(op, "rpc"), "verb", start_us,
+                    tid=self._lane(conn), args={"status": status},
+                )
+        if status is None:  # __sleep__: ``out`` is the delay in seconds
+            self._answer_later(
+                conn, req_id, out, lambda: (wire.ST_OK, pickle.dumps(None))
+            )
+            return None
+        return wire.response_frame(req_id, status, out)
+
+    def _lane(self, conn: "_Conn") -> int:
+        """This connection's trace lane, allocated on its first observed
+        frame.  One thread serves frames one after another, so spans nest
+        trivially within a lane; each connection gets its own."""
+        if conn.lane is None:
+            conn.lane = self._obs.proc.lane(f"conn-{conn.conn_id}")
+        return conn.lane
+
+    # -- the readiness loop ------------------------------------------------
+
+    def _accept(self, listener: socket.socket) -> None:
+        while True:
+            try:
+                sock, _addr = listener.accept()
+            except OSError:
+                # Backlog empty (BlockingIOError), or e.g. EMFILE: what is
+                # still queued waits for the next turn.
+                return
+            sock.setblocking(False)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._conn_seq += 1
+            conn = _Conn(sock, self._conn_seq)
+            self._conns.add(conn)
+            self._selector.register(sock, selectors.EVENT_READ, conn)
+
+    def _on_readable(self, conn: "_Conn") -> None:
+        """Read what the socket holds, serve every complete frame in it,
+        and answer the whole batch with one send."""
         try:
-            while True:
-                frame = await wire.read_frame(reader)
-                op, req_id = wire.REQ.unpack_from(frame)
-                body = frame[wire.REQ.size :]
-                self.ops_served += 1
-                obs = self._obs
-                if obs is not None:
-                    obs.frame_bytes.record(len(frame))
-                kind, extra_us = self._gate_outcome(op, body)
-                if kind == DROP:
-                    if obs is not None:
-                        obs.verdict_drop.add()
-                    continue  # swallowed before execution: client times out
-                if kind == DOWN:
-                    if obs is not None:
-                        obs.verdict_down.add()
-                    break  # outage window: reset, client sees NodeUnavailable
-                if op == wire.OP_SHUTDOWN:
-                    writer.write(wire.response_frame(req_id, wire.ST_OK))
-                    await writer.drain()
-                    self._stop.set()
-                    break
-                if extra_us > 0.0:
-                    if obs is not None:
-                        obs.verdict_spike.add()
-                        if obs.proc is not None:
-                            if lane is None:
-                                lane = obs.proc.lane(f"conn-{conn_id}")
-                            # The delayed execution overlaps whatever runs
-                            # next on this connection: an instant, not a
-                            # span, keeps the lane properly nested.
-                            obs.proc.tracer.instant_at(
-                                f"{_VERB_BY_OP.get(op, 'rpc')}.delayed",
-                                "verb", obs.proc.now_us(), tid=lane,
-                                args={"extra_us": extra_us},
-                            )
-                    self._spawn_delayed(
-                        writer, op, req_id, bytes(body), extra_us / 1e6
-                    )
-                    continue
-                if obs is None:
-                    status, out = await self._execute(op, body)
-                else:
-                    start_us = (
-                        obs.proc.now_us() if obs.proc is not None else 0.0
-                    )
-                    t0 = time.perf_counter()
-                    status, out = await self._execute(op, body)
-                    service_us = (time.perf_counter() - t0) * 1e6
-                    counter = obs.verb_count.get(op)
-                    if counter is not None:
-                        counter.add()
-                        obs.verb_us[op].record(service_us)
-                    if obs.proc is not None:
-                        if lane is None:
-                            lane = obs.proc.lane(f"conn-{conn_id}")
-                        obs.proc.tracer.complete(
-                            _VERB_BY_OP.get(op, "rpc"), "verb", start_us,
-                            tid=lane, args={"status": status},
-                        )
-                writer.write(wire.response_frame(req_id, status, out))
-                await writer.drain()
-        except (wire.IncompleteReadError, ConnectionResetError, OSError):
-            pass  # client went away; nothing to clean up per-connection
-        finally:
-            self._conn_tasks.discard(task)
-            self._writers.discard(writer)
-            writer.close()
+            data = conn.sock.recv(RECV_BYTES)
+        except BlockingIOError:
+            return
+        except OSError:
+            data = b""
+        if not data:
+            self._close(conn)  # client went away
+            return
+        try:
+            frames = conn.decoder.feed(data)
+        except ValueError:
+            self._close(conn)  # bad length prefix: cannot resynchronise
+            return
+        if not frames:
+            return
+        self.wakeups += 1
+        responses = []
+        down = False
+        try:
+            for frame in frames:
+                response = self._serve_frame(conn, frame)
+                if response is not None:
+                    responses.append(response)
+        except _Down:
+            down = True  # frames behind the verdict are never served
+        if responses:
+            self._send(conn, b"".join(responses))
+        if down and conn.sock is not None:
+            self._close(conn)
+
+    def _send(self, conn: "_Conn", data: bytes) -> None:
+        """One ``send``; what the socket will not take now waits in
+        ``conn.out`` for writability, and the connection is not read
+        again until it has drained (a peer that does not read its
+        responses stalls itself, not the node)."""
+        if conn.out:
+            conn.out += data
+            return
+        self.sends += 1
+        try:
+            sent = conn.sock.send(data)
+        except BlockingIOError:
+            sent = 0
+        except OSError:
+            self._close(conn)
+            return
+        if sent < len(data):
+            conn.out += data[sent:]
+            self._selector.modify(conn.sock, selectors.EVENT_WRITE, conn)
+
+    def _on_writable(self, conn: "_Conn") -> None:
+        self.sends += 1
+        try:
+            sent = conn.sock.send(conn.out)
+        except BlockingIOError:
+            return
+        except OSError:
+            self._close(conn)
+            return
+        del conn.out[:sent]
+        if not conn.out:
+            self._selector.modify(conn.sock, selectors.EVENT_READ, conn)
+
+    def _close(self, conn: "_Conn") -> None:
+        self._conns.discard(conn)
+        self._selector.unregister(conn.sock)
+        conn.sock.close()
+        conn.sock = None
 
     # -- lifecycle ---------------------------------------------------------
 
-    async def _drain(self, grace: float = DRAIN_GRACE_S) -> None:
-        """Let in-flight work finish, then tear connections down.
+    def _stop(self) -> None:
+        """Begin a graceful shutdown (OP_SHUTDOWN, SIGTERM or SIGINT).
 
-        Data verbs execute without awaiting, so by the time this
-        coroutine runs none is mid-execution; what can be in flight are
-        spiked delayed responses and slow RPCs.  Give them the grace
-        period, then cancel stragglers and close every connection (which
-        pops the per-connection loops out of ``read_frame``).
+        Data verbs execute without yielding, so none is ever mid-flight;
+        what can be are delayed answers (spikes, ``__sleep__``) and
+        responses a socket has not taken yet.  The loop keeps turning
+        until those finish or ``DRAIN_GRACE_S`` runs out.
         """
-        pending = {t for t in self._delayed if not t.done()}
-        if pending:
-            await asyncio.wait(pending, timeout=grace)
-            for task in pending:
-                task.cancel()
-        for writer in list(self._writers):
-            writer.close()
-        handlers = {
-            t for t in self._conn_tasks
-            if not t.done() and t is not asyncio.current_task()
-        }
-        if handlers:
-            _done, rest = await asyncio.wait(handlers, timeout=grace)
-            for task in rest:
-                task.cancel()
+        if not self._stopping:
+            self._stopping = True
+            self._selector.unregister(self._listener)
+            self._listener.close()
+            self._call_later(DRAIN_GRACE_S, self._end_grace)
 
-    async def run(self, announce=print) -> None:
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(sig, self._stop.set)
-            except (NotImplementedError, RuntimeError):
-                pass
-        self._server = await asyncio.start_server(
-            self._handle, "127.0.0.1", self.port
+    def _end_grace(self) -> None:
+        self._grace_over = True
+
+    def _drained(self) -> bool:
+        return self._grace_over or (
+            self._delayed == 0 and not any(c.out for c in self._conns)
         )
-        port = self._server.sockets[0].getsockname()[1]
-        announce(
-            f"DITTO-NODE node_id={self.node_id} port={port} "
-            f"shm={self.shm.name} base={self.node.base} size={self.node.size}"
-        )
+
+    def serve(self, announce=print) -> None:
+        """Bind, announce the ready line, and serve until stopped."""
         try:
-            await self._stop.wait()
+            with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as \
+                    listener, selectors.DefaultSelector() as selector:
+                listener.setsockopt(
+                    socket.SOL_SOCKET, socket.SO_REUSEADDR, 1
+                )
+                listener.bind(("127.0.0.1", self.port))
+                listener.listen(LISTEN_BACKLOG)
+                listener.setblocking(False)
+                selector.register(listener, selectors.EVENT_READ, listener)
+                self._listener, self._selector = listener, selector
+                announce(
+                    f"DITTO-NODE node_id={self.node_id} "
+                    f"port={listener.getsockname()[1]} shm={self.shm.name} "
+                    f"base={self.node.base} size={self.node.size}"
+                )
+                try:
+                    self._loop()
+                finally:
+                    for conn in list(self._conns):
+                        self._close(conn)
         finally:
-            self._server.close()
-            await self._server.wait_closed()
-            await self._drain()
             self._flush_obs()
             self.close()
+
+    def _loop(self) -> None:
+        # Signals reach the loop as bytes on a wake-up socket, so select()
+        # returns at once instead of being retried around a handler.
+        wake_r, wake_w = socket.socketpair()
+        with wake_r, wake_w:
+            wake_r.setblocking(False)
+            wake_w.setblocking(False)
+            self._selector.register(wake_r, selectors.EVENT_READ, wake_r)
+            old_wakeup = signal.set_wakeup_fd(wake_w.fileno())
+            old_handlers = {
+                sig: signal.signal(sig, lambda _signum, _frame: None)
+                for sig in (signal.SIGTERM, signal.SIGINT)
+            }
+            try:
+                self._turn_until_stopped(wake_r)
+            finally:
+                signal.set_wakeup_fd(old_wakeup)
+                for sig, handler in old_handlers.items():
+                    signal.signal(sig, handler)
+
+    def _turn_until_stopped(self, wake_r: socket.socket) -> None:
+        select = self._selector.select
+        listener = self._listener
+        timers = self._timers
+        while not (self._stopping and self._drained()):
+            timeout = None
+            if timers:
+                timeout = max(0.0, timers[0][0] - time.monotonic())
+            for key, mask in select(timeout):
+                target = key.data
+                if target is listener:
+                    self._accept(listener)
+                elif target is wake_r:
+                    wake_r.recv(64)
+                    self._stop()
+                else:
+                    if mask & selectors.EVENT_WRITE:
+                        self._on_writable(target)
+                    if mask & selectors.EVENT_READ \
+                            and target.sock is not None:
+                        self._on_readable(target)
+            while timers and timers[0][0] <= time.monotonic():
+                heapq.heappop(timers)[2]()
 
     def _flush_obs(self) -> None:
         """Write the trace shard now, before the heap is unlinked.
 
-        The SIGTERM path sets ``_stop`` and tears down through ``run``'s
+        The SIGTERM path stops the loop and tears down through ``serve``'s
         ``finally`` without ever raising through ``main`` — on some
         interpreter/exit combinations atexit hooks are skipped, so the
         shard is committed here where shutdown is already serialized.
@@ -632,7 +823,7 @@ def main(argv=None) -> int:
         print(line, flush=True)
 
     try:
-        asyncio.run(server.run(announce=announce))
+        server.serve(announce=announce)
     finally:
         server.close()
     return 0

@@ -33,6 +33,7 @@ from __future__ import annotations
 import pickle
 import struct
 from asyncio import IncompleteReadError, StreamReader
+from typing import List
 
 # -- opcodes ---------------------------------------------------------------
 
@@ -109,8 +110,53 @@ def peek_rpc_name(body: bytes) -> str:
     return body[1 : 1 + body[0]].decode("utf-8")
 
 
+class FrameDecoder:
+    """Cuts a byte stream into frames, however TCP segmented it.
+
+    Both ends of a connection feed whatever one ``recv`` returned and get
+    back every frame it completed, in order, without the length prefix —
+    so a train of pipelined frames costs one call, and a frame split
+    across segments waits in the decoder until its tail arrives.  A length
+    prefix outside ``[min_frame, MAX_FRAME]`` raises :class:`ValueError`:
+    the stream cannot be resynchronised, so the caller closes the
+    connection.  At most one frame's bytes are ever held back.
+    """
+
+    __slots__ = ("_tail", "_min_frame")
+
+    def __init__(self, min_frame: int):
+        self._tail = bytearray()
+        self._min_frame = min_frame
+
+    def feed(self, data: bytes) -> List[bytes]:
+        tail = self._tail
+        if tail:
+            tail += data
+            buf = tail
+        else:
+            buf = data
+        frames = []
+        pos, end_of_data = 0, len(buf)
+        while end_of_data - pos >= HEADER.size:
+            (length,) = HEADER.unpack_from(buf, pos)
+            if not self._min_frame <= length <= MAX_FRAME:
+                raise ValueError(f"bad frame length: {length} bytes")
+            start = pos + HEADER.size
+            if start + length > end_of_data:
+                break
+            pos = start + length
+            frames.append(bytes(buf[start:pos]))
+        if buf is tail:
+            del tail[:pos]
+        elif pos < end_of_data:
+            tail += buf[pos:]
+        return frames
+
+
 async def read_frame(reader: StreamReader) -> bytes:
-    """Read one frame; raises IncompleteReadError on a clean/ dirty EOF."""
+    """Read one frame from an asyncio stream (tools and probes; the
+    client and server decode with :class:`FrameDecoder`).  Raises
+    IncompleteReadError on a clean/dirty EOF."""
     header = await reader.readexactly(HEADER.size)
     (length,) = HEADER.unpack(header)
     if length > MAX_FRAME:
@@ -126,5 +172,5 @@ __all__ = [
     "READ_BODY", "WRITE_HDR", "CAS_BODY", "FAA_BODY", "U64",
     "RESEND_SAFE_OPS",
     "request_frame", "response_frame", "pack_rpc", "unpack_rpc",
-    "peek_rpc_name", "read_frame", "IncompleteReadError",
+    "peek_rpc_name", "FrameDecoder", "read_frame", "IncompleteReadError",
 ]

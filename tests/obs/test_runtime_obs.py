@@ -264,6 +264,10 @@ class TestDigest:
         "get_p50_us": 80.0, "get_p99_us": 950.0,
         "set_p50_us": 95.0, "set_p99_us": 1100.0,
         "counters": {"conn_resend": 12, "breaker_trip": 1, "rdma_read": 99},
+        "nodes": [
+            {"node_id": 0, "frames": 9300, "wakeups": 3000, "sends": 3010},
+            {"node_id": 1, "frames": 0, "wakeups": 0, "sends": 0},
+        ],
         "chaos": {
             "verdicts": {"ok": 4800, "drop": 120, "down": 60, "spike": 20},
             "adopted_grants": 5, "repaired_slots": 2,
@@ -291,6 +295,17 @@ class TestDigest:
         assert "get  p50=80.0" in text
         assert "conn_resend" in text and "rdma_read" not in text
         assert "drop" in text
+
+    def test_digest_shows_frames_per_wakeup_per_node(self):
+        digest = build_digest(self.REPORT)
+        assert digest["nodes"][0]["wakeups"] == 3000
+        text = format_digest(digest)
+        assert "mn0: frames=9300 wakeups=3000 sends=3010" in text
+        assert "frames/wakeup=3.10" in text
+        assert "mn1: frames=0" in text and "frames/wakeup=0.00" in text
+        # a report from before the counters existed still formats
+        bare = {k: v for k, v in self.REPORT.items() if k != "nodes"}
+        assert "frames/wakeup" not in format_digest(build_digest(bare))
 
     def test_persist_digest_round_trips(self, tmp_path):
         path = str(tmp_path / "digest.json")

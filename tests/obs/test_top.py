@@ -18,7 +18,7 @@ NODES = [
 
 
 def stats(ops=100, reads=80, writes=20, pid=42, armed=True,
-          verdicts=None, read_p50=50.0, read_p99=200.0):
+          verdicts=None, read_p50=50.0, read_p99=200.0, wakeups=40):
     metrics = None
     if armed:
         metrics = {
@@ -37,7 +37,8 @@ def stats(ops=100, reads=80, writes=20, pid=42, armed=True,
         }
     return {
         "node_id": 0, "role": "mn0", "pid": pid, "uptime_s": 12.5,
-        "ops_served": ops, "connections": 4, "inflight_delayed": 0,
+        "ops_served": ops, "wakeups": wakeups, "sends": wakeups,
+        "connections": 4, "inflight_delayed": 0,
         "journal_entries": 3, "grants": 1, "chaos_armed": False,
         "chaos_verdicts": verdicts or {}, "obs_armed": armed,
         "metrics": metrics,
@@ -69,6 +70,17 @@ class TestRenderTable:
         assert "Σ" not in text
         assert " 30 " in text          # (160-100)/2 ops/s
         assert " 25 " in text          # (130-80)/2 read rate
+
+    def test_frames_per_wakeup_column(self):
+        first = render_table(NODES[:1], [stats(ops=100, wakeups=40)],
+                             [None], interval_s=1.0)
+        assert "f/wake" in first and " 2.50 " in first
+        # later polls: the ratio of the deltas, not of the totals
+        later = render_table(
+            NODES[:1], [stats(ops=400, wakeups=100)],
+            [stats(ops=100, wakeups=40)], interval_s=1.0,
+        )
+        assert " 5.00 " in later
 
     def test_down_node_row(self):
         text = render_table(NODES, [stats(), None], [None, None], 1.0)

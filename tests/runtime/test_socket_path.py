@@ -1,0 +1,597 @@
+"""The socket path on both ends, against live nodes and real sockets.
+
+What the thin path promises and the older suites do not pin down:
+
+- **single-flight connect** — concurrent first verbs share one connect;
+- **the server loop is total** — hostile bytes cost their sender a status
+  reply or its connection, never the node;
+- **one deadline timer per connection** — every request still times out at
+  its own deadline, and nothing outlives the request it belongs to;
+- **framing** — frames decode in order however TCP segments them, and a
+  pipelined train is served in one wake-up;
+- **posts without tasks** — drops are counted in the future's callback and
+  ``drain_background`` still waits for what is in flight.
+
+Every memory node here is a real ``repro.runtime.server`` process launched
+by the harness; the only fake is a tiny in-test server used to *choose*
+how a response is segmented.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import gc
+import logging
+import pickle
+import socket
+import time
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.elasticity import EpochFence
+from repro.rdma.verbs import VerbTimeout
+from repro.runtime import wire
+from repro.runtime.client import (
+    Connection,
+    NodeHandle,
+    RealEndpoint,
+    WallClockRuntime,
+    drive,
+)
+from repro.runtime.cluster import RealCluster
+from repro.runtime.harness import RealClusterHarness
+from repro.runtime.loadgen import run_load
+from repro.sim.faults import DropWindow, FaultPlan, LatencySpike
+
+
+@pytest.fixture
+def harness():
+    with RealClusterHarness(
+        capacity_objects=512, num_clients=4, num_memory_nodes=1, seed=3
+    ) as launched:
+        yield launched
+    assert launched.leak_report()["clean"]
+
+
+def _node(harness) -> NodeHandle:
+    return NodeHandle.from_dict(harness.descriptor()["nodes"][0])
+
+
+def _scratch(node: NodeHandle) -> int:
+    return node.base + node.size // 2  # heap past the fixed structures
+
+
+def _recv_frame(sock: socket.socket) -> bytes:
+    """One response frame off a blocking socket; b"" if the peer closed."""
+    data = b""
+    while len(data) < wire.HEADER.size:
+        chunk = sock.recv(wire.HEADER.size - len(data))
+        if not chunk:
+            return b""
+        data += chunk
+    (length,) = wire.HEADER.unpack(data)
+    frame = b""
+    while len(frame) < length:
+        chunk = sock.recv(length - len(frame))
+        assert chunk, "peer closed mid-frame"
+        frame += chunk
+    return frame
+
+
+def _raw(harness) -> socket.socket:
+    entry = harness.descriptor()["nodes"][0]
+    sock = socket.create_connection((entry["host"], entry["port"]), 5.0)
+    sock.settimeout(5.0)
+    return sock
+
+
+def _stats(harness) -> dict:
+    return harness.raw_rpc(harness.descriptor()["nodes"][0], "__stats__", None)
+
+
+class _AsyncioLog(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.lines = []
+
+    def emit(self, record):
+        self.lines.append(record.getMessage())
+
+
+# -- single-flight connect ----------------------------------------------------
+
+
+def test_concurrent_first_posts_share_one_connection(harness):
+    """Get-only clients under ``shm_reads``: their posted metadata writes
+    are the first socket users, many at once.  Each client must end up
+    with exactly one server connection, and no reader is orphaned."""
+    watcher = _AsyncioLog()
+    log = logging.getLogger("asyncio")
+    log.addHandler(watcher)
+    getters = 3
+
+    async def scenario():
+        cluster = RealCluster(harness.descriptor(), shm_reads=True)
+        loader, *readers = cluster.add_clients(1 + getters)
+        try:
+            for key_id in range(50):
+                await drive(loader.set(b"key-%d" % key_id, b"v" * 64))
+
+            async def gets(client):
+                for key_id in range(50):
+                    assert await drive(client.get(b"key-%d" % key_id))
+
+            await asyncio.gather(*(gets(client) for client in readers))
+            await cluster.engine.drain_background()
+            assert cluster.counters.get("shm_direct_read") > 0
+            return _stats(harness)["connections"] - 1  # minus this poll
+        finally:
+            await cluster.aclose()
+
+    try:
+        connections = asyncio.run(scenario())
+        gc.collect()  # destroyed-task reports are made at collection time
+    finally:
+        log.removeHandler(watcher)
+    assert connections == 1 + getters
+    assert not [line for line in watcher.lines if "Task was destroyed" in line]
+
+
+# -- the server loop is total -------------------------------------------------
+
+
+def _garbled_rpc() -> bytes:
+    # name length 200 but only two bytes follow, and they are not UTF-8
+    return wire.request_frame(wire.OP_RPC, 9, b"\xc8\xff\xfe")
+
+
+HOSTILE_CLOSES = {
+    "length prefix above MAX_FRAME":
+        wire.HEADER.pack(wire.MAX_FRAME + 1) + b"x" * 32,
+    "frame shorter than a request header":
+        wire.HEADER.pack(3) + b"\x01\x02\x03",
+}
+
+HOSTILE_ANSWERED = {
+    "unknown opcode": wire.request_frame(99, 9),
+    "truncated READ body": wire.request_frame(wire.OP_READ, 9, b"\x00" * 5),
+    "truncated CAS body": wire.request_frame(wire.OP_CAS, 9, b"\x00" * 9),
+    "empty WRITE body": wire.request_frame(wire.OP_WRITE, 9),
+    "garbled RPC name": _garbled_rpc(),
+    "empty RPC body": wire.request_frame(wire.OP_RPC, 9),
+    "RPC payload is not a pickle": wire.request_frame(
+        wire.OP_RPC, 9, b"\x04list" + wire.U64.pack(0) + b"\x00garbage"),
+}
+
+
+def _assert_still_serving(harness):
+    """A well-behaved client on its own connection gets correct results."""
+    node = _node(harness)
+    addr = _scratch(node)
+    endpoint = RealEndpoint(WallClockRuntime(), [node], timeout_s=5.0)
+
+    def flow():
+        yield from endpoint.write(addr, (41).to_bytes(8, "little"))
+        old = yield from endpoint.cas(addr, 41, 42)
+        lost = yield from endpoint.cas(addr, 41, 43)
+        raw = yield from endpoint.read(addr, 8)
+        return old, lost, int.from_bytes(raw, "little")
+
+    async def scenario():
+        try:
+            return await drive(flow())
+        finally:
+            await endpoint.aclose()
+
+    assert asyncio.run(scenario()) == (41, 42, 42)
+    assert harness.procs[0].poll() is None
+
+
+@pytest.mark.parametrize("armed", [False, True], ids=["dark", "gate-armed"])
+def test_hostile_bytes_cost_a_reply_or_the_connection_never_the_node(
+    harness, armed
+):
+    if armed:
+        # A gate with nothing to inject still inspects every frame.
+        harness.raw_rpc(
+            harness.descriptor()["nodes"][0], "__chaos_load__",
+            (FaultPlan().to_dict(), time.time()),
+        )
+    for name, payload in HOSTILE_CLOSES.items():
+        with _raw(harness) as sock:
+            sock.sendall(payload)
+            assert _recv_frame(sock) == b"", name
+    for name, payload in HOSTILE_ANSWERED.items():
+        with _raw(harness) as sock:
+            # A good frame behind the bad one shows the stream stayed in
+            # step: the connection is still usable after the error reply.
+            sock.sendall(payload + wire.request_frame(wire.OP_PING, 10))
+            req_id, status = wire.RESP.unpack_from(_recv_frame(sock))
+            assert (req_id, status) == (9, wire.ST_ERROR), name
+            req_id, status = wire.RESP.unpack_from(_recv_frame(sock))
+            assert (req_id, status) == (10, wire.ST_OK), name
+    # Half a frame, then the sender walks away.
+    with _raw(harness) as sock:
+        sock.sendall(wire.request_frame(wire.OP_READ, 1, b"\x00" * 12)[:9])
+    _assert_still_serving(harness)
+
+
+def test_sigterm_drains_flushes_and_unlinks():
+    launched = RealClusterHarness(capacity_objects=256, num_clients=1)
+    launched.launch()
+    try:
+        _assert_still_serving(launched)
+        proc = launched.procs[0]
+        proc.terminate()
+        assert proc.wait(timeout=10) == 0
+        assert launched.leak_report()["clean"]
+    finally:
+        launched.shutdown()
+
+
+def test_spiked_verb_waits_in_the_timer_heap_not_the_loop(harness):
+    entry = harness.descriptor()["nodes"][0]
+    spike = FaultPlan(spikes=(
+        LatencySpike(0.0, 1e12, extra_us=300_000.0, verbs=("write",)),
+    ))
+    harness.raw_rpc(entry, "__chaos_load__", (spike.to_dict(), time.time()))
+    addr = _scratch(_node(harness))
+    with _raw(harness) as slow, _raw(harness) as fast:
+        start = time.monotonic()
+        slow.sendall(wire.request_frame(
+            wire.OP_WRITE, 1, wire.WRITE_HDR.pack(addr) + b"late"))
+        fast.sendall(wire.request_frame(
+            wire.OP_READ, 2, wire.READ_BODY.pack(addr, 4)))
+        # The READ overtakes the delayed WRITE and sees the old bytes.
+        frame = _recv_frame(fast)
+        assert frame[wire.RESP.size:] == bytes(4)
+        assert time.monotonic() - start < 0.25
+        assert _stats(harness)["inflight_delayed"] == 1
+        req_id, status = wire.RESP.unpack_from(_recv_frame(slow))
+        assert (req_id, status) == (1, wire.ST_OK)
+        assert time.monotonic() - start >= 0.3
+        fast.sendall(wire.request_frame(
+            wire.OP_READ, 3, wire.READ_BODY.pack(addr, 4)))
+        assert _recv_frame(fast)[wire.RESP.size:] == b"late"
+    harness.raw_rpc(entry, "__chaos_stop__", None)
+
+
+# -- the per-connection deadline timer ----------------------------------------
+
+
+def test_each_request_times_out_at_its_own_deadline(harness):
+    node = _node(harness)
+    stall = wire.pack_rpc("__sleep__", 1.5)
+
+    async def scenario():
+        endpoint = RealEndpoint(WallClockRuntime(), [node], timeout_s=0.2)
+        try:
+            # Through the endpoint: N verbs in flight, one shared timeout.
+            async def stalled_verb():
+                start = time.monotonic()
+                with pytest.raises(VerbTimeout):
+                    await drive(endpoint.rpc(node, "__sleep__", 1.5))
+                return time.monotonic() - start
+
+            for elapsed in await asyncio.gather(
+                *(stalled_verb() for _ in range(8))
+            ):
+                assert 0.2 <= elapsed < 0.6
+            assert endpoint.counters.get("fault_verb_timeout") == 8
+
+            # On the connection: each request its own deadline, issued so
+            # that the timer must move earlier as well as later.
+            conn = endpoint._conns[node.node_id]
+            assert conn._pending == {} and conn._timer is None
+
+            async def stalled_request(timeout_s):
+                start = time.monotonic()
+                with pytest.raises(asyncio.TimeoutError):
+                    await conn.request(wire.OP_RPC, stall, timeout_s)
+                return time.monotonic() - start
+
+            timeouts = [0.4, 0.15, 0.3, 0.15, 0.25, 0.1]
+            elapsed = await asyncio.gather(
+                *(stalled_request(t) for t in timeouts)
+            )
+            for timeout_s, took in zip(timeouts, elapsed):
+                assert timeout_s <= took < timeout_s + 0.3
+            assert conn._pending == {} and conn._timer is None
+            # The stalled node answers a live request meanwhile, and late
+            # answers to expired requests are dropped on arrival.
+            status, _payload = await conn.request(wire.OP_PING, b"", 1.0)
+            assert status == wire.ST_OK
+        finally:
+            await endpoint.aclose()
+
+    asyncio.run(scenario())
+
+
+def test_deadline_bookkeeping_stays_bounded_by_requests_in_flight(harness):
+    """50 k completed requests leave nothing behind: a per-request entry
+    reaped only every ``timeout_s`` would grow with throughput."""
+    node = _node(harness)
+    in_flight, rounds = 100, 500
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        endpoint = RealEndpoint(WallClockRuntime(), [node])
+        try:
+            conn = await endpoint._connect(node)
+            scheduled_before = len(loop._scheduled)
+            most_pending = 0
+            for _ in range(rounds):
+                futures = [
+                    conn.request(wire.OP_PING, b"", 10.0)
+                    for _ in range(in_flight)
+                ]
+                most_pending = max(most_pending, len(conn._pending))
+                for status, _payload in await asyncio.gather(*futures):
+                    assert status == wire.ST_OK
+            assert conn._next_id == in_flight * rounds
+            assert most_pending <= in_flight
+            assert conn._pending == {}
+            # one timer for the connection, not one per request
+            assert len(loop._scheduled) <= scheduled_before + 1
+        finally:
+            await endpoint.aclose()
+
+    asyncio.run(scenario())
+
+
+# -- framing: split and pipelined frames --------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    bodies=st.lists(st.binary(max_size=40), max_size=12),
+    cuts=st.lists(st.integers(min_value=0, max_value=600), max_size=8),
+)
+def test_decoder_yields_the_same_frames_however_the_stream_is_cut(
+    bodies, cuts
+):
+    frames = [wire.REQ.pack(wire.OP_PING, i) + b for i, b in enumerate(bodies)]
+    stream = b"".join(wire.HEADER.pack(len(f)) + f for f in frames)
+    decoder = wire.FrameDecoder(wire.REQ.size)
+    edges = sorted({min(cut, len(stream)) for cut in cuts} | {len(stream)})
+    got, start = [], 0
+    for edge in edges:
+        got.extend(decoder.feed(stream[start:edge]))
+        start = edge
+    assert got == frames
+    assert decoder.feed(b"") == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(noise=st.binary(max_size=64))
+def test_decoder_is_total_on_arbitrary_bytes(noise):
+    decoder = wire.FrameDecoder(wire.REQ.size)
+    try:
+        frames = decoder.feed(noise)
+    except ValueError:
+        return  # a clean protocol error: the caller closes the connection
+    assert sum(wire.HEADER.size + len(f) for f in frames) <= len(noise)
+    assert all(wire.REQ.size <= len(f) <= wire.MAX_FRAME for f in frames)
+
+
+async def _segmenting_server(segments_for):
+    """A server that answers each request with the READ payload
+    ``b"r%07d" % req_id``, written as the segments ``segments_for(frame)``
+    yields, with a pause between them so TCP cannot merge them."""
+
+    async def handle(reader, writer):
+        try:
+            while True:
+                frame = await wire.read_frame(reader)
+                _op, req_id = wire.REQ.unpack_from(frame)
+                response = wire.response_frame(
+                    req_id, wire.ST_OK, b"r%07d" % req_id
+                )
+                for segment in segments_for(response):
+                    writer.write(segment)
+                    await writer.drain()
+                    await asyncio.sleep(0.02)
+        except (wire.IncompleteReadError, ConnectionError):
+            pass
+        finally:
+            writer.close()
+
+    return await asyncio.start_server(handle, "127.0.0.1", 0)
+
+
+def test_client_decodes_a_response_split_across_segments():
+    async def scenario():
+        # header | id+status | payload halves: every boundary is crossed
+        server = await _segmenting_server(
+            lambda r: (r[:2], r[2:4], r[4:13], r[13:17], r[17:])
+        )
+        port = server.sockets[0].getsockname()[1]
+        node = NodeHandle(0, 0, 1 << 16, "127.0.0.1", port)
+        endpoint = RealEndpoint(WallClockRuntime(), [node], timeout_s=5.0)
+        try:
+            first = await drive(endpoint.read(0, 8))
+            second = await drive(endpoint.read(8, 8))
+            return first, second
+        finally:
+            await endpoint.aclose()
+            server.close()
+            await server.wait_closed()
+
+    assert asyncio.run(scenario()) == (b"r0000001", b"r0000002")
+
+
+def test_client_decodes_a_pipelined_train_in_one_segment():
+    class Wire:  # the transport facet Connection uses
+        def __init__(self):
+            self.written = []
+
+        def write(self, data):
+            self.written.append(data)
+
+        def close(self):
+            pass
+
+    async def scenario():
+        conn = Connection(asyncio.get_running_loop())
+        transport = Wire()
+        conn.connection_made(transport)
+        body = wire.READ_BODY.pack(0, 8)
+        futures = [conn.request(wire.OP_READ, body, 5.0) for _ in range(64)]
+        assert len(transport.written) == 64
+        train = b"".join(
+            wire.response_frame(req_id, wire.ST_OK, b"r%07d" % req_id)
+            for req_id in range(1, 65)
+        )
+        conn.data_received(train[:-3])  # 63 whole frames and a torn one
+        assert [f.done() for f in futures] == [True] * 63 + [False]
+        conn.data_received(train[-3:])
+        results = [f.result() for f in futures]
+        conn.connection_lost(None)
+        return results
+
+    assert asyncio.run(scenario()) == [
+        (wire.ST_OK, b"r%07d" % req_id) for req_id in range(1, 65)
+    ]
+
+
+def test_server_serves_a_pipelined_train_in_order_in_one_wakeup(harness):
+    addr = _scratch(_node(harness))
+    with _raw(harness) as sock:
+        for index in range(64):
+            sock.sendall(wire.request_frame(
+                wire.OP_WRITE, 1000 + index,
+                wire.WRITE_HDR.pack(addr + 8 * index)
+                + index.to_bytes(8, "little"),
+            ))
+            assert _recv_frame(sock)
+        before = _stats(harness)
+        sock.sendall(b"".join(
+            wire.request_frame(
+                wire.OP_READ, index, wire.READ_BODY.pack(addr + 8 * index, 8)
+            )
+            for index in range(64)
+        ))
+        for index in range(64):
+            frame = _recv_frame(sock)
+            assert wire.RESP.unpack_from(frame) == (index, wire.ST_OK)
+            assert frame[wire.RESP.size:] == index.to_bytes(8, "little")
+        after = _stats(harness)
+    # 64 READs and the two polls' own frames, in a handful of wake-ups
+    # and sends (loopback delivers the train whole; allow it to be split).
+    assert after["ops_served"] - before["ops_served"] == 64 + 1
+    assert after["wakeups"] - before["wakeups"] <= 4 + 1
+    assert after["sends"] - before["sends"] <= 4 + 1
+
+
+def test_server_decodes_a_request_split_across_segments(harness):
+    addr = _scratch(_node(harness))
+    write = wire.request_frame(
+        wire.OP_WRITE, 1, wire.WRITE_HDR.pack(addr) + b"segment!")
+    read = wire.request_frame(wire.OP_READ, 2, wire.READ_BODY.pack(addr, 8))
+    stream = write + read
+    with _raw(harness) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        for cut in (2, 9, 20, len(write) + 3):  # in header, body, next frame
+            sock.sendall(stream[:cut])
+            time.sleep(0.02)
+            sock.sendall(stream[cut:])
+            assert wire.RESP.unpack_from(_recv_frame(sock)) == (1, wire.ST_OK)
+            frame = _recv_frame(sock)
+            assert frame[wire.RESP.size:] == b"segment!"
+
+
+# -- posts without tasks ------------------------------------------------------
+
+
+def test_posts_cost_a_future_and_count_their_drops(harness):
+    node = _node(harness)
+    addr = _scratch(node)
+
+    async def scenario():
+        runtime = WallClockRuntime()
+        endpoint = RealEndpoint(runtime, [node], timeout_s=5.0)
+        counters = endpoint.counters
+        try:
+            # No connection yet: the first posts share one connect.
+            for index in range(5):
+                endpoint.post_write(addr + 8 * index, b"posted!!")
+            assert await runtime.drain_background() == 5
+            assert await runtime.drain_background() == 0
+            assert await drive(endpoint.read(addr + 32, 8)) == b"posted!!"
+            assert _stats(harness)["connections"] - 1 == 1
+
+            # Connected: a post is a future on the connection, not a task.
+            tasks_before = len(asyncio.all_tasks())
+            posted = endpoint.post_faa(addr + 64, 5)
+            assert isinstance(posted, asyncio.Future)
+            assert not isinstance(posted, asyncio.Task)
+            assert len(asyncio.all_tasks()) == tasks_before
+            assert await runtime.drain_background() == 1
+            assert await drive(endpoint.faa(addr + 64, 0)) == 5
+
+            # A fenced post is dropped before it reaches the socket.
+            fence = EpochFence()
+            fence.fence_writes(node.base, node.end, 0)
+            endpoint.fence = fence
+            assert endpoint.post_write(addr, b"doomed") is None
+            assert endpoint.post_faa(addr, 1) is None
+            endpoint.fence = None
+            assert counters.get("fenced_post_dropped") == 2
+            assert await runtime.drain_background() == 0
+
+            # A post the node swallows expires on the connection's timer.
+            entry = harness.descriptor()["nodes"][0]
+            drop = FaultPlan(drops=(DropWindow(0.0, 1e12, verbs=("write",)),))
+            harness.raw_rpc(
+                entry, "__chaos_load__", (drop.to_dict(), time.time()))
+            endpoint.timeout_s = 0.2
+            endpoint.post_write(addr, b"swallowed")
+            assert await runtime.drain_background(timeout_s=2.0) == 1
+            assert counters.get("fault_post_dropped") == 1
+            harness.raw_rpc(entry, "__chaos_stop__", None)
+
+            # A post on a dying connection: the node is gone but this
+            # loop has not seen the reset yet.
+            assert harness.kill_node(0)
+            assert endpoint._conns[node.node_id].alive
+            endpoint.post_write(addr, b"too late")
+            assert await runtime.drain_background(timeout_s=2.0) == 1
+            assert counters.get("fault_post_dropped") == 2
+            # ... and one that finds the connection already dead.
+            assert not endpoint._conns[node.node_id].alive
+            endpoint.post_write(addr, b"later still")
+            await runtime.drain_background(timeout_s=5.0)
+            assert counters.get("fault_post_dropped") == 3
+        finally:
+            await endpoint.aclose()
+
+    try:
+        asyncio.run(scenario())
+    finally:
+        harness.shutdown()
+        harness.unlink_leaked()  # the killed node's heap, kept for adoption
+
+
+# -- observability: how well frames batch -------------------------------------
+
+
+def test_stats_and_load_report_say_how_frames_batch(harness):
+    report = asyncio.run(run_load(
+        harness.descriptor(), clients=2, ops=200, n_keys=100, preload=20,
+        seed=3,
+    ))
+    assert report["failed_ops"] == 0
+    stats = _stats(harness)
+    assert stats["obs_armed"] is False and stats["metrics"] is None
+    for key in ("ops_served", "wakeups", "sends"):
+        assert isinstance(stats[key], int)
+    # every wake-up yielded at least one frame; every answer needed a send
+    assert 0 < stats["wakeups"] <= stats["ops_served"]
+    assert 0 < stats["sends"] <= stats["ops_served"]
+    (row,) = report["nodes"]
+    assert row["node_id"] == 0
+    assert 0 < row["wakeups"] <= row["frames"] <= stats["ops_served"]
+    # pickled like every RPC result: plain integers only
+    assert pickle.loads(pickle.dumps(row)) == row
