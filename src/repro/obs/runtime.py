@@ -399,7 +399,8 @@ def build_digest(report: Dict[str, Any]) -> Dict[str, Any]:
     p50/p99, retry/resend/breaker counts, and (when a chaos section is
     present) the per-node fault-gate verdict counts and sweep outcome.
     ``nodes`` carries each memory node's frame/wake-up/send counts, from
-    which frames per wake-up — how well the load coalesced — is printed.
+    which frames per wake-up — how well the load coalesced — is printed,
+    and ``links`` the frames and flushes of the load generator's links.
     """
     counters = report.get("counters", {}) or {}
     digest: Dict[str, Any] = {
@@ -416,6 +417,7 @@ def build_digest(report: Dict[str, Any]) -> Dict[str, Any]:
             key: counters.get(key, 0) for key in RETRY_COUNTER_KEYS
         },
         "nodes": list(report.get("nodes") or ()),
+        "links": report.get("links"),
     }
     chaos = report.get("chaos")
     if isinstance(chaos, dict):
@@ -447,6 +449,12 @@ def format_digest(digest: Dict[str, Any]) -> str:
     retries = digest.get("retries", {})
     busy = {key: val for key, val in retries.items() if val}
     lines.append(f"retries: {busy if busy else 'none'}")
+    links = digest.get("links")
+    if links:
+        lines.append(
+            f"client: frames={links['frames']} flushes={links['flushes']} "
+            f"frames/flush={links['frames'] / max(1, links['flushes']):.2f}"
+        )
     for node in digest.get("nodes", ()):
         lines.append(
             f"mn{node['node_id']}: frames={node['frames']} "

@@ -35,8 +35,10 @@ The contract every implementation must honour (DESIGN §3.7):
 * The ``consensus`` slot holds a
   :class:`~repro.core.consensus.GroupClient` (or None) for routing
   metadata commands through a replicated controller group.
-* ``post_write``/``post_faa`` are fire-and-forget: spawned on the
-  substrate's engine, with injected faults and fence NACKs swallowed.
+* ``post_write``/``post_faa`` are fire-and-forget: the verb runs off the
+  caller's critical path (an engine process on the sim substrate, a frame
+  on the process's link to the memory node on the real one), with
+  injected faults and fence NACKs swallowed and counted.
 
 ``charge`` (timing-only NIC accounting for cost-modelled baselines) and
 ``read_burst`` doorbell batching are sim-substrate extras, not part of the
@@ -55,7 +57,7 @@ class VerbTransport:
     """Abstract verb surface; see the module docstring for the contract.
 
     Implementations also expose ``engine`` (an object with ``now``/``_now``
-    in microseconds and ``spawn(generator)``), ``counters`` (a
+    in microseconds), ``counters`` (a
     :class:`~repro.sim.CounterSet`), and the mutable ``fence``/``tracer``/
     ``consensus`` slots.
     """
@@ -83,9 +85,10 @@ class VerbTransport:
         raise NotImplementedError
 
     def post_write(self, addr: int, data: bytes):
-        """Fire-and-forget WRITE; returns the spawned background handle."""
+        """Fire-and-forget WRITE; returns the substrate's handle on the
+        verb in flight, or None when a fence dropped it unsent."""
         raise NotImplementedError
 
     def post_faa(self, addr: int, delta: int):
-        """Fire-and-forget FAA; returns the spawned background handle."""
+        """Fire-and-forget FAA; returns what :meth:`post_write` does."""
         raise NotImplementedError

@@ -14,8 +14,9 @@ Layout:
 - :mod:`.wire` — framed wire protocol (opcodes, request-id multiplexing);
 - :mod:`.server` — the memory-node server process
   (``python -m repro.runtime.server``);
-- :mod:`.client` — :class:`WallClockRuntime`, :class:`RealEndpoint`, and
-  the :func:`drive` generator driver;
+- :mod:`.client` — :class:`WallClockRuntime` (clock, posts and the
+  process's one link per memory node), :class:`RealEndpoint`, and the
+  :func:`drive` generator driver;
 - :mod:`.cluster` — :class:`RealCluster`, the client-side deployment
   façade that :class:`~repro.core.client.DittoClient` plugs into;
 - :mod:`.harness` — :class:`RealClusterHarness`, spawning and reaping

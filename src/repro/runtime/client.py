@@ -13,15 +13,27 @@ the yield point as the very same exception types the sim raises
 :class:`~repro.rdma.verbs.NodeUnavailable`, ...), so the client's retry
 machinery cannot tell the substrates apart.
 
-The socket path is kept thin.  A :class:`Connection` is an
-``asyncio.Protocol``: a request writes its frame and returns a future,
-and ``data_received`` resolves futures straight from the bytes the
-transport delivers — there is no stream reader, no reader task and no
-flow-control wait per request.  Timeouts are one timer per connection
-that watches the nearest of its requests' own deadlines.  Concurrent
-first verbs share one in-progress connect.  ``post_write``/``post_faa``
-put their frame on the connection and count a drop in the future's
-done-callback, so a posted verb costs a future, not a task.
+The socket path is kept thin, and there is one of it per memory node
+per process.  Ditto's clients are threads of one compute node that share
+a NIC; here they are endpoints that share a :class:`WallClockRuntime`,
+and the runtime owns one :class:`Connection` — the *link* — to each
+memory node.  Every endpoint's requests and posts are multiplexed over
+it by ``req_id`` (the work-request id).  A request does not write: it
+appends its frame to the link's cork buffer, and one flush per loop turn
+(the doorbell) ships what every client that woke in that turn has
+queued — a Get's posted WRITE rides with the next READ, the READs of all
+woken clients ride together — with a single ``transport.write``.  The
+memory node serves whatever one ``recv`` holds and answers it with one
+``send``, so a batch out comes back as a batch in.
+
+A :class:`Connection` is an ``asyncio.Protocol``: ``data_received``
+resolves futures straight from the bytes the transport delivers — there
+is no stream reader, no reader task and no flow-control wait per
+request.  Timeouts are one timer per link that watches the nearest of
+its requests' own deadlines.  Concurrent first verbs share one
+in-progress connect.  ``post_write``/``post_faa`` put their frame on the
+link and count a drop in the future's done-callback, so a posted verb
+costs a future, not a task.
 """
 
 from __future__ import annotations
@@ -59,9 +71,14 @@ RESEND_ATTEMPTS = 4
 RESEND_BACKOFF_S = 0.005
 RESEND_BACKOFF_MAX_S = 0.04
 
+#: A link's cork buffer is flushed inline once it holds this much — what
+#: the memory node takes with one ``recv`` (``server.RECV_BYTES``).
+CORK_BYTES = 64 * 1024
+
 
 class RequestNotSent(ConnectionError):
-    """The connection died before the request hit the socket.
+    """The connection died before the request hit the socket — it found
+    the link dead, or was still in the cork buffer when the link died.
 
     The server cannot have executed the verb, so a resend is safe for
     *every* opcode — unlike the ambiguous "response lost" case
@@ -72,7 +89,8 @@ class RequestNotSent(ConnectionError):
 
 
 class WallClockRuntime:
-    """The real substrate's 'engine': wall-clock time + background posts.
+    """The real substrate's 'engine': wall-clock time, background posts
+    and the process's links to the memory nodes.
 
     Presents the engine facets portable code actually touches — ``now`` /
     ``_now`` in microseconds — so :class:`~repro.core.client.DittoClient`
@@ -80,11 +98,19 @@ class WallClockRuntime:
     posts so a caller can wait for them.  Time is wall-clock microseconds
     since runtime construction (the sim measures microseconds since
     engine start).
+
+    The runtime is the compute node's NIC: it owns one
+    :class:`Connection` per memory node, and every
+    :class:`RealEndpoint` built on this runtime sends through it.
     """
 
     def __init__(self):
         self._t0 = time.perf_counter()
         self._background = set()
+        #: (host, port) -> the one link this process has to that node.
+        self.links: Dict[tuple, "Connection"] = {}
+        #: (host, port) -> future of the connect in progress.
+        self._opening: Dict[tuple, asyncio.Future] = {}
 
     @property
     def now(self) -> float:
@@ -105,6 +131,68 @@ class WallClockRuntime:
         if pending:
             await asyncio.wait(pending, timeout=timeout_s)
         return len(pending)
+
+    def live_link(self, node: "NodeHandle") -> Optional["Connection"]:
+        """The link to ``node`` if it is up; never connects."""
+        conn = self.links.get((node.host, node.port))
+        return conn if conn is not None and conn.alive else None
+
+    async def connect(self, node: "NodeHandle") -> "Connection":
+        """Open the link to ``node``, or join the open in progress.
+
+        Single flight: verbs that arrive while a connect is under way —
+        every client's first verb, a Get-only client's first posts — wait
+        for that one instead of each opening (and all but the last
+        orphaning) its own.  Raises the ``OSError`` of a failed connect to
+        the opener and to every waiter.
+        """
+        key = (node.host, node.port)
+        opening = self._opening.get(key)
+        if opening is not None:
+            # Shielded: cancelling one waiter must not cancel the rest.
+            return await asyncio.shield(opening)
+        loop = asyncio.get_running_loop()
+        opening = self._opening[key] = loop.create_future()
+        try:
+            _transport, conn = await loop.create_connection(
+                lambda: Connection(loop), node.host, node.port
+            )
+        except OSError as exc:
+            opening.set_exception(exc)
+            raise
+        else:
+            old = self.links.get(key)
+            if old is not None:  # a reset link's tallies carry on
+                conn.frames, conn.flushes = old.frames, old.flushes
+            self.links[key] = conn
+            opening.set_result(conn)
+            return conn
+        finally:
+            del self._opening[key]
+            if not opening.done():
+                # Cancelled mid-connect: waiters must not inherit that.
+                opening.set_exception(
+                    ConnectionAbortedError("connect was abandoned")
+                )
+            opening.exception()  # mark retrieved: there may be no waiter
+
+    def link_stats(self) -> Dict[str, int]:
+        """Frames queued and flushes made, summed over the links:
+        frames per flush says how many verbs shared one ``send``."""
+        links = self.links.values()
+        return {
+            "frames": sum(conn.frames for conn in links),
+            "flushes": sum(conn.flushes for conn in links),
+        }
+
+    async def aclose(self) -> None:
+        """Wait for outstanding posts, then close every link that is up
+        (so each is closed once however many endpoints share it).  A
+        verb issued afterwards reconnects."""
+        await self.drain_background()
+        for conn in list(self.links.values()):
+            if conn.alive:
+                await conn.close()
 
 
 async def drive(gen: Generator, runtime: Optional[WallClockRuntime] = None):
@@ -201,16 +289,22 @@ class NodeHandle:
 
 
 class Connection(asyncio.Protocol):
-    """One multiplexed connection to a memory node.
+    """One multiplexed connection to a memory node: the process's link.
 
     Requests carry per-connection ids and :meth:`data_received` resolves
     their futures straight from the bytes the transport hands over, in
-    arrival order — so a client's foreground op and its fire-and-forget
+    arrival order — so every client's foreground op and fire-and-forget
     posts share the socket with requests in flight concurrently, and a
     request costs one future: no reader task, no per-request timer.  One
     timer per connection watches the nearest deadline; ``_pending`` holds
     each request's own deadline next to its future, so nothing outlives
     the request it belongs to.
+
+    Frames leave corked: :meth:`request` appends to ``_cork`` and
+    :meth:`_flush` — once per loop turn — writes the lot.  Ids grow in
+    cork order, so ``_sent_id`` (the last id flushed) splits ``_pending``
+    into frames that may have reached the peer and frames that cannot
+    have.
     """
 
     def __init__(self, loop: asyncio.AbstractEventLoop):
@@ -221,10 +315,17 @@ class Connection(asyncio.Protocol):
         self._pending: Dict[int, tuple] = {}
         self._timer: Optional[asyncio.TimerHandle] = None
         self._next_id = 0
+        self._cork: List[bytes] = []
+        self._cork_bytes = 0
+        self._flush_queued = False
+        self._sent_id = 0
         self._closed: asyncio.Future = loop.create_future()
         #: False once the connection broke or began closing: a request
         #: then raises :class:`RequestNotSent` without touching the socket.
         self.alive = False
+        #: Always-on tallies, plain ints like the server's wakeups/sends.
+        self.frames = 0
+        self.flushes = 0
 
     # -- asyncio.Protocol ---------------------------------------------------
 
@@ -245,6 +346,12 @@ class Connection(asyncio.Protocol):
             entry = pending.pop(req_id, None)
             if entry is not None and not entry[0].done():
                 entry[0].set_result((status, frame[wire.RESP.size :]))
+        # Queued behind the wake-ups just scheduled: the clients these
+        # responses resume issue their next verbs first, and all of them
+        # leave in this one flush, in the same loop turn.
+        if not self._flush_queued:
+            self._flush_queued = True
+            self._loop.call_soon(self._flush)
 
     def connection_lost(self, exc: Optional[Exception]) -> None:
         self._fail(exc if exc is not None else
@@ -257,24 +364,33 @@ class Connection(asyncio.Protocol):
             self._timer.cancel()
             self._timer = None
         pending, self._pending = self._pending, {}
-        for future, _deadline in pending.values():
+        self._cork.clear()
+        for req_id, (future, _deadline) in pending.items():
             if not future.done():
-                future.set_exception(ConnectionResetError(str(exc)))
+                future.set_exception(
+                    ConnectionResetError(str(exc))
+                    if req_id <= self._sent_id else
+                    RequestNotSent(f"link died before the flush: {exc}")
+                )
 
     # -- requests -----------------------------------------------------------
 
     def request(self, op: int, body: bytes,
                 timeout_s: float) -> asyncio.Future:
-        """Send one request; the future resolves to ``(status, payload)``.
+        """Queue one request; the future resolves to ``(status, payload)``.
+
+        The frame leaves with the link's next flush: this loop turn's if
+        responses were delivered in it, the next turn's otherwise, now if
+        the cork buffer is full.
 
         Raises :class:`RequestNotSent` when the connection was already
-        dead before the request bytes were handed to the transport (safe
-        to retry on a fresh connection, any opcode).  The future fails
-        with asyncio.TimeoutError at this request's own deadline (the late
-        response, if any, is dropped on arrival), and with plain
-        ConnectionResetError when the peer died *after* the send — the
-        ambiguous "response lost" case where the server may or may not
-        have executed the request.
+        dead, and fails the future with it when the link dies with the
+        frame still corked (both safe to retry on a fresh connection, any
+        opcode).  The future fails with asyncio.TimeoutError at this
+        request's own deadline (the late response, if any, is dropped on
+        arrival), and with plain ConnectionResetError when the peer died
+        *after* the flush — the ambiguous "response lost" case where the
+        server may or may not have executed the request.
         """
         if not self.alive:
             raise RequestNotSent("connection is closed")
@@ -285,10 +401,30 @@ class Connection(asyncio.Protocol):
         self._pending[req_id] = (future, deadline)
         if self._timer is None or deadline < self._timer.when():
             self._watch(deadline)
-        # From here on bytes may have reached the peer: every later
-        # failure is "response lost", never "not sent".
-        self._transport.write(wire.request_frame(op, req_id, body))
+        frame = wire.request_frame(op, req_id, body)
+        self._cork.append(frame)
+        self._cork_bytes += len(frame)
+        self.frames += 1
+        if self._cork_bytes >= CORK_BYTES:
+            self._flush()  # a flush still queued will find the cork empty
+        elif not self._flush_queued:
+            self._flush_queued = True
+            self._loop.call_soon(self._flush)
         return future
+
+    def _flush(self) -> None:
+        """Ring the doorbell: one ``write`` for everything corked."""
+        self._flush_queued = False
+        if not self._cork or not self.alive:
+            return  # a dead link's corked frames fail in _fail()
+        data = b"".join(self._cork)
+        self._cork.clear()
+        self._cork_bytes = 0
+        self.flushes += 1
+        # From here on bytes may have reached the peer: every later
+        # failure of these requests is "response lost", never "not sent".
+        self._sent_id = self._next_id
+        self._transport.write(data)
 
     def _watch(self, deadline: float) -> None:
         if self._timer is not None:
@@ -383,6 +519,11 @@ class NodeHealth:
 class RealEndpoint(VerbTransport):
     """Verb transport over sockets + shared memory (one per client).
 
+    The sockets are the runtime's: every endpoint built on one
+    :class:`WallClockRuntime` sends over that runtime's one link per
+    memory node.  An endpoint with a runtime of its own has a private
+    link.
+
     Mirrors :class:`~repro.rdma.verbs.RdmaEndpoint` behind the
     :class:`~repro.rdma.transport.VerbTransport` contract: verbs are
     generators, fence checks happen client-side before the request is
@@ -396,9 +537,8 @@ class RealEndpoint(VerbTransport):
 
     __slots__ = (
         "engine", "nodes", "counters", "tracer", "fence", "consensus",
-        "timeout_s", "shm_reads", "health", "_conns", "_opening",
-        "_single_node", "_rng", "_rpc_salt", "_rpc_seq", "_obs_proc",
-        "_obs_hist",
+        "timeout_s", "shm_reads", "health", "_single_node", "_rng",
+        "_rpc_salt", "_rpc_seq", "_obs_proc", "_obs_hist",
     )
 
     def __init__(
@@ -419,9 +559,6 @@ class RealEndpoint(VerbTransport):
         self.timeout_s = timeout_s
         self.shm_reads = shm_reads
         self.health = health
-        self._conns: Dict[int, Connection] = {}
-        #: node_id -> future of the connect in progress (single flight).
-        self._opening: Dict[int, asyncio.Future] = {}
         self._single_node = nodes[0] if len(nodes) == 1 else None
         self._rng = random.Random()
         # RPC dedup tokens: unique per endpoint lifetime (random salt)
@@ -453,46 +590,19 @@ class RealEndpoint(VerbTransport):
 
     # -- the socket round trip --------------------------------------------
 
-    async def _connect(self, node: NodeHandle) -> Connection:
-        """Open the connection to ``node``, or join the open in progress.
-
-        Single flight: verbs that arrive while a connect is under way —
-        a Get-only client's first posts, say — wait for that one instead
-        of each opening (and all but the last orphaning) its own.
-        """
-        opening = self._opening.get(node.node_id)
-        if opening is not None:
-            # Shielded: cancelling one waiter must not cancel the rest.
-            return await asyncio.shield(opening)
-        loop = asyncio.get_running_loop()
-        opening = self._opening[node.node_id] = loop.create_future()
+    async def _open_link(self, node: NodeHandle) -> Connection:
+        """Have the runtime connect to ``node``; a failure marks the node
+        down in the health view and surfaces as the sim's outage."""
         try:
-            _transport, conn = await loop.create_connection(
-                lambda: Connection(loop), node.host, node.port
-            )
-        except (ConnectionError, OSError) as exc:
+            return await self.engine.connect(node)
+        except OSError as exc:
             if self.health is not None:
                 self.health.report_down(node.node_id)
             self.counters.add("fault_node_unavailable")
-            unreachable = NodeUnavailable(
+            raise NodeUnavailable(
                 f"node {node.node_id} is unreachable ({exc})",
                 node_id=node.node_id,
-            )
-            opening.set_exception(unreachable)
-            raise unreachable from exc
-        else:
-            self._conns[node.node_id] = conn
-            opening.set_result(conn)
-            return conn
-        finally:
-            del self._opening[node.node_id]
-            if not opening.done():
-                # Cancelled mid-connect: waiters must not inherit that.
-                opening.set_exception(NodeUnavailable(
-                    f"connect to node {node.node_id} was abandoned",
-                    node_id=node.node_id,
-                ))
-            opening.exception()  # mark retrieved: there may be no waiter
+            ) from exc
 
     def _decode(self, node: NodeHandle, verb: str, status: int,
                 payload: bytes) -> bytes:
@@ -545,9 +655,9 @@ class RealEndpoint(VerbTransport):
             probing = True
         last_exc: Optional[BaseException] = None
         for attempt in range(1, RESEND_ATTEMPTS + 1):
-            conn = self._conns.get(node.node_id)
-            if conn is None or not conn.alive:
-                conn = await self._connect(node)
+            conn = self.engine.live_link(node)
+            if conn is None:
+                conn = await self._open_link(node)
             try:
                 status, payload = await conn.request(
                     op, body, self.timeout_s
@@ -719,18 +829,19 @@ class RealEndpoint(VerbTransport):
 
     def _post(self, verb: str, op: int, request,
               *args) -> Optional[asyncio.Future]:
-        """Fire-and-forget: the frame goes out on the node's connection
-        now and the post costs one future; a vanished post costs nothing
-        but the update it carried, so it is counted, never resent.  Only
-        a post that finds no live connection takes the verb path (connect,
-        health view, resends) in a task of its own."""
+        """Fire-and-forget: the frame joins the node's link now — ahead of
+        this client's next verb, and in the same flush — and the post
+        costs one future; a vanished post costs nothing but the update it
+        carried, so it is counted, never resent.  Only a post that finds
+        no live link takes the verb path (connect, health view, resends)
+        in a task of its own, unordered against the verbs that follow."""
         try:
             node, body = request(*args)
         except StaleEpoch:
             self.counters.add("fenced_post_dropped")
             return None
-        conn = self._conns.get(node.node_id)
-        if conn is not None and conn.alive:
+        conn = self.engine.live_link(node)
+        if conn is not None:
             future = conn.request(op, body, self.timeout_s)
         else:
             future = asyncio.ensure_future(
@@ -760,9 +871,10 @@ class RealEndpoint(VerbTransport):
     # -- lifecycle ---------------------------------------------------------
 
     async def aclose(self) -> None:
-        for conn in self._conns.values():
-            await conn.close()
-        self._conns.clear()
+        """Drain the runtime's posts and close its links — shared with
+        every endpoint on that runtime, each closed once — then unmap
+        this endpoint's heaps."""
+        await self.engine.aclose()
         if self.shm_reads:
             for node in self.nodes:
                 node.detach()

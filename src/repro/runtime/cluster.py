@@ -147,8 +147,8 @@ class RealCluster:
             client.alloc.set_active(active)
 
     def add_clients(self, n: int) -> List[DittoClient]:
-        """Join ``n`` client threads, each with its own endpoint (and
-        therefore its own socket per memory node it touches)."""
+        """Join ``n`` client threads, each with its own endpoint; all of
+        them send over the runtime's one link per memory node."""
         new = []
         for _ in range(n):
             client = DittoClient(
@@ -160,8 +160,9 @@ class RealCluster:
         return new
 
     async def aclose(self) -> None:
-        """Drain background posts and close every client connection."""
-        await self.engine.drain_background()
+        """Close every client's endpoint: the first drains the runtime's
+        posts and closes its links (once each), and every one unmaps its
+        heaps."""
         for client in self.clients:
             await client.ep.aclose()
 
@@ -190,5 +191,6 @@ class RealCluster:
             "used_bytes": self.budget.used_bytes,
             "limit_bytes": self.budget.limit_bytes,
             "wall_time_us": self.engine.now,
+            **{f"link_{k}": v for k, v in self.engine.link_stats().items()},
             **{k: float(v) for k, v in self.counters.as_dict().items()},
         }

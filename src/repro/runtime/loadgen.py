@@ -2,21 +2,21 @@
 
 Drives a live cluster (launched by ``python -m repro.serve`` or
 :class:`~repro.runtime.harness.RealClusterHarness`) with any number of
-concurrent client connections: every logical client is a full
+concurrent clients: every logical client is a full
 :class:`~repro.core.client.DittoClient` with its own
-:class:`~repro.runtime.client.RealEndpoint` (and therefore its own socket
-per memory node), running as one asyncio task in a closed loop over a
-Zipfian key stream.  Per-op latencies land in ``repro.obs`` streaming
+:class:`~repro.runtime.client.RealEndpoint`, running as one asyncio task
+in a closed loop over a Zipfian key stream; all of them send over the
+process's one link per memory node.  Per-op latencies land in ``repro.obs`` streaming
 histograms (the same ``op.latency`` metric the sim records, here in
 wall-clock microseconds) plus exact
 :class:`~repro.sim.stats.LatencyStats` for the report percentiles.
 
-Scales to thousands of clients in one process: a connection is one
-``asyncio.Protocol`` on one socket per client per touched node (no
-stream objects, no reader task), a verb in flight is one future, and
-the fd soft limit is raised toward the hard limit on entry.  The report
-ends with how well each memory node batched what it was sent (frames,
-wake-ups and sends from ``__stats__``).
+Scales to thousands of clients in one process: the link is one
+``asyncio.Protocol`` on one socket per memory node (no stream objects,
+no reader task) and a verb in flight is one future.  The report ends
+with how well the frames batched on both ends: frames per flush on the
+client's links, and frames, wake-ups and sends of each memory node
+(from ``__stats__``).
 
 CLI::
 
@@ -41,22 +41,6 @@ from ..sim.stats import LatencyStats
 from ..workloads import ZipfianGenerator
 from .client import WallClockRuntime, drive
 from .cluster import RealCluster
-
-
-def raise_fd_limit(want: int) -> int:
-    """Best-effort bump of the fd soft limit (thousands of sockets)."""
-    try:
-        import resource
-    except ImportError:  # non-POSIX
-        return want
-    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
-    target = min(max(want, soft), hard)
-    if target > soft:
-        try:
-            resource.setrlimit(resource.RLIMIT_NOFILE, (target, hard))
-        except (ValueError, OSError):
-            return soft
-    return target
 
 
 class LoadReport(dict):
@@ -168,7 +152,6 @@ async def run_load(
     start gate opens (chaos uses it to arm fault gates and schedule the
     kill task on the running loop).
     """
-    raise_fd_limit(4 * clients + 64)
     obs = obs_runtime.current()
     if obs is not None and registry is None:
         # Armed process: client-side metrics land in the trace shard.
@@ -225,6 +208,7 @@ async def run_load(
             args={"clients": clients, "ops": ops},
         )
     nodes = node_batching(descriptor)
+    links = cluster.engine.link_stats()
     if owns_cluster:
         await cluster.aclose()
 
@@ -247,6 +231,7 @@ async def run_load(
         regrets=sum(c.regrets for c in cluster.clients),
         counters={key: counters[key] for key in sorted(counters)},
         nodes=nodes,
+        links=links,
     )
 
 

@@ -268,6 +268,7 @@ class TestDigest:
             {"node_id": 0, "frames": 9300, "wakeups": 3000, "sends": 3010},
             {"node_id": 1, "frames": 0, "wakeups": 0, "sends": 0},
         ],
+        "links": {"frames": 9300, "flushes": 3000},
         "chaos": {
             "verdicts": {"ok": 4800, "drop": 120, "down": 60, "spike": 20},
             "adopted_grants": 5, "repaired_slots": 2,
@@ -303,9 +304,12 @@ class TestDigest:
         assert "mn0: frames=9300 wakeups=3000 sends=3010" in text
         assert "frames/wakeup=3.10" in text
         assert "mn1: frames=0" in text and "frames/wakeup=0.00" in text
+        assert "client: frames=9300 flushes=3000 frames/flush=3.10" in text
         # a report from before the counters existed still formats
-        bare = {k: v for k, v in self.REPORT.items() if k != "nodes"}
-        assert "frames/wakeup" not in format_digest(build_digest(bare))
+        bare = {k: v for k, v in self.REPORT.items()
+                if k not in ("nodes", "links")}
+        text = format_digest(build_digest(bare))
+        assert "frames/wakeup" not in text and "frames/flush" not in text
 
     def test_persist_digest_round_trips(self, tmp_path):
         path = str(tmp_path / "digest.json")

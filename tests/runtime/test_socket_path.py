@@ -2,7 +2,11 @@
 
 What the thin path promises and the older suites do not pin down:
 
-- **single-flight connect** — concurrent first verbs share one connect;
+- **one link per memory node per process** — every client on a runtime
+  shares it, concurrent first verbs share one connect;
+- **one flush per loop turn** — requests cork, the turn's frames leave in
+  one ``write`` in the order they were issued, and a frame the flush never
+  reached is known not to have been sent;
 - **the server loop is total** — hostile bytes cost their sender a status
   reply or its connection, never the node;
 - **one deadline timer per connection** — every request still times out at
@@ -27,23 +31,25 @@ import socket
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.elasticity import EpochFence
 from repro.rdma.verbs import VerbTimeout
 from repro.runtime import wire
 from repro.runtime.client import (
+    CORK_BYTES,
     Connection,
     NodeHandle,
     RealEndpoint,
+    RequestNotSent,
     WallClockRuntime,
     drive,
 )
 from repro.runtime.cluster import RealCluster
 from repro.runtime.harness import RealClusterHarness
 from repro.runtime.loadgen import run_load
-from repro.sim.faults import DropWindow, FaultPlan, LatencySpike
+from repro.sim.faults import DropWindow, FaultPlan, LatencySpike, NodeOutage
 
 
 @pytest.fixture
@@ -87,8 +93,27 @@ def _raw(harness) -> socket.socket:
     return sock
 
 
-def _stats(harness) -> dict:
-    return harness.raw_rpc(harness.descriptor()["nodes"][0], "__stats__", None)
+def _stats(harness, index: int = 0) -> dict:
+    entry = harness.descriptor()["nodes"][index]
+    return harness.raw_rpc(entry, "__stats__", None)
+
+
+class _Tap:
+    """The transport facet Connection uses.  Keeps what was written and
+    passes it on to ``transport``, if there is one behind it."""
+
+    def __init__(self, transport=None):
+        self.inner = transport
+        self.written = []
+
+    def write(self, data):
+        self.written.append(data)
+        if self.inner is not None:
+            self.inner.write(data)
+
+    def close(self):
+        if self.inner is not None:
+            self.inner.close()
 
 
 class _AsyncioLog(logging.Handler):
@@ -100,13 +125,13 @@ class _AsyncioLog(logging.Handler):
         self.lines.append(record.getMessage())
 
 
-# -- single-flight connect ----------------------------------------------------
+# -- one link per memory node, single-flight connect --------------------------
 
 
 def test_concurrent_first_posts_share_one_connection(harness):
     """Get-only clients under ``shm_reads``: their posted metadata writes
-    are the first socket users, many at once.  Each client must end up
-    with exactly one server connection, and no reader is orphaned."""
+    are the first socket users, many at once.  The loader and all of them
+    must end up on one server connection, and no reader is orphaned."""
     watcher = _AsyncioLog()
     log = logging.getLogger("asyncio")
     log.addHandler(watcher)
@@ -135,8 +160,47 @@ def test_concurrent_first_posts_share_one_connection(harness):
         gc.collect()  # destroyed-task reports are made at collection time
     finally:
         log.removeHandler(watcher)
-    assert connections == 1 + getters
+    assert connections == 1
     assert not [line for line in watcher.lines if "Task was destroyed" in line]
+
+
+def test_clients_of_a_two_node_cluster_open_two_connections():
+    clients = 6
+    with RealClusterHarness(
+        capacity_objects=512, num_clients=clients, num_memory_nodes=2, seed=3
+    ) as launched:
+
+        async def scenario():
+            cluster = RealCluster(launched.descriptor())
+            try:
+                # Concurrent from the first verb: the connects race too.
+                async def mix(client):
+                    for key_id in range(40):
+                        key = b"key-%d-%d" % (client.client_id, key_id)
+                        await drive(client.set(key, b"v" * 64))
+                        assert await drive(client.get(key))
+
+                await asyncio.gather(
+                    *(mix(client) for client in cluster.add_clients(clients))
+                )
+                await cluster.engine.drain_background()
+                stats = cluster.stats()
+                assert len(cluster.engine.links) == 2
+                return [
+                    _stats(launched, index)["connections"] - 1  # this poll
+                    for index in range(2)
+                ], stats
+            finally:
+                await cluster.aclose()
+                assert not any(
+                    link.alive for link in cluster.engine.links.values()
+                )
+
+        connections, stats = asyncio.run(scenario())
+    assert launched.leak_report()["clean"]
+    assert connections == [1, 1]
+    # Six clients' frames shared the flushes of two links.
+    assert stats["link_frames"] > stats["link_flushes"] > 0
 
 
 # -- the server loop is total -------------------------------------------------
@@ -283,7 +347,7 @@ def test_each_request_times_out_at_its_own_deadline(harness):
 
             # On the connection: each request its own deadline, issued so
             # that the timer must move earlier as well as later.
-            conn = endpoint._conns[node.node_id]
+            conn = endpoint.engine.live_link(node)
             assert conn._pending == {} and conn._timer is None
 
             async def stalled_request(timeout_s):
@@ -319,7 +383,7 @@ def test_deadline_bookkeeping_stays_bounded_by_requests_in_flight(harness):
         loop = asyncio.get_running_loop()
         endpoint = RealEndpoint(WallClockRuntime(), [node])
         try:
-            conn = await endpoint._connect(node)
+            conn = await endpoint.engine.connect(node)
             scheduled_before = len(loop._scheduled)
             most_pending = 0
             for _ in range(rounds):
@@ -423,23 +487,20 @@ def test_client_decodes_a_response_split_across_segments():
 
 
 def test_client_decodes_a_pipelined_train_in_one_segment():
-    class Wire:  # the transport facet Connection uses
-        def __init__(self):
-            self.written = []
-
-        def write(self, data):
-            self.written.append(data)
-
-        def close(self):
-            pass
-
     async def scenario():
         conn = Connection(asyncio.get_running_loop())
-        transport = Wire()
+        transport = _Tap()
         conn.connection_made(transport)
         body = wire.READ_BODY.pack(0, 8)
         futures = [conn.request(wire.OP_READ, body, 5.0) for _ in range(64)]
-        assert len(transport.written) == 64
+        # Corked: nothing leaves until the turn's one flush.
+        assert transport.written == []
+        await asyncio.sleep(0)
+        assert transport.written == [b"".join(
+            wire.request_frame(wire.OP_READ, req_id, body)
+            for req_id in range(1, 65)
+        )]
+        assert (conn.frames, conn.flushes) == (64, 1)
         train = b"".join(
             wire.response_frame(req_id, wire.ST_OK, b"r%07d" % req_id)
             for req_id in range(1, 65)
@@ -454,6 +515,58 @@ def test_client_decodes_a_pipelined_train_in_one_segment():
     assert asyncio.run(scenario()) == [
         (wire.ST_OK, b"r%07d" % req_id) for req_id in range(1, 65)
     ]
+
+
+def test_a_full_cork_buffer_flushes_inline():
+    async def scenario():
+        conn = Connection(asyncio.get_running_loop())
+        transport = _Tap()
+        conn.connection_made(transport)
+        body = wire.WRITE_HDR.pack(0) + bytes(8 * 1024 - 64)
+        frame_bytes = len(wire.request_frame(wire.OP_WRITE, 1, body))
+        to_fill = -(-CORK_BYTES // frame_bytes)
+        for _ in range(to_fill - 1):
+            conn.request(wire.OP_WRITE, body, 5.0)
+        assert transport.written == []
+        conn.request(wire.OP_WRITE, body, 5.0)  # reaches the cap: goes now
+        assert [len(data) for data in transport.written] == [
+            to_fill * frame_bytes
+        ]
+        conn.request(wire.OP_PING, b"", 5.0)  # the next turn's flush
+        assert len(transport.written) == 1
+        await asyncio.sleep(0)
+        assert transport.written[1] == wire.request_frame(
+            wire.OP_PING, to_fill + 1)
+        assert (conn.frames, conn.flushes) == (to_fill + 1, 2)
+        conn.connection_lost(None)
+
+    asyncio.run(scenario())
+
+
+def test_frames_the_flush_never_reached_fail_as_not_sent():
+    async def scenario():
+        conn = Connection(asyncio.get_running_loop())
+        conn.connection_made(_Tap())
+        flushed = conn.request(wire.OP_CAS, wire.CAS_BODY.pack(0, 1, 2), 5.0)
+        await asyncio.sleep(0)
+        corked = [
+            conn.request(wire.OP_CAS, wire.CAS_BODY.pack(0, 1, 2), 5.0),
+            conn.request(wire.OP_SHUTDOWN, b"", 5.0),
+        ]
+        conn.connection_lost(ConnectionResetError("peer reset"))
+        # The written frame may have run: ambiguous.  The corked ones
+        # cannot have: safe to resend, whatever the opcode.
+        with pytest.raises(ConnectionResetError) as lost:
+            flushed.result()
+        assert not isinstance(lost.value, RequestNotSent)
+        for future in corked:
+            with pytest.raises(RequestNotSent):
+                future.result()
+        with pytest.raises(RequestNotSent):
+            conn.request(wire.OP_PING, b"", 5.0)
+        await asyncio.sleep(0)  # the queued flush finds a dead link
+
+    asyncio.run(scenario())
 
 
 def test_server_serves_a_pipelined_train_in_order_in_one_wakeup(harness):
@@ -500,6 +613,132 @@ def test_server_decodes_a_request_split_across_segments(harness):
             assert wire.RESP.unpack_from(_recv_frame(sock)) == (1, wire.ST_OK)
             frame = _recv_frame(sock)
             assert frame[wire.RESP.size:] == b"segment!"
+
+
+# -- the shared link keeps every client's program order ------------------------
+
+
+_STEP = st.tuples(
+    st.sampled_from(["get", "set", "post"]), st.integers(0, 7)
+)
+
+
+@settings(
+    max_examples=30, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(programs=st.lists(
+    st.lists(_STEP, max_size=12), min_size=3, max_size=3
+))
+def test_interleaved_clients_keep_their_program_order_on_the_link(
+    harness, programs
+):
+    """Three clients run random Get/Set/post programs at once over one
+    link.  On the wire, request ids never go backwards (the cork is FIFO
+    across queued and inline flushes), each client's posted WRITE is
+    ahead of the READ it issued next, and that READ sees the write."""
+    node = _node(harness)
+
+    def word(client_index, slot):  # heap tail: no segment reaches it
+        return node.end - 4096 + 512 * client_index + 8 * slot
+
+    async def run_program(index, client, program, expected):
+        posts = 0
+        for step, arg in program:
+            if step == "get":
+                await drive(client.get(b"prop-%d" % arg))
+            elif step == "set":
+                await drive(client.set(b"prop-%d" % arg, b"v" * 64))
+            else:
+                posts += 1
+                value = (index << 32 | posts).to_bytes(8, "little")
+                client.ep.post_write(word(index, arg), value)
+                assert await drive(
+                    client.ep.read(word(index, arg), 8)) == value
+                expected += [("write", arg, value), ("read", arg)]
+
+    async def scenario():
+        cluster = RealCluster(harness.descriptor())
+        clients = cluster.add_clients(3)
+        expected = [[], [], []]
+        try:
+            link = await cluster.engine.connect(node)
+            tap = link._transport = _Tap(link._transport)
+            first_id = link._next_id + 1
+            await asyncio.gather(*(
+                run_program(index, client, program, expected[index])
+                for index, (client, program)
+                in enumerate(zip(clients, programs))
+            ))
+            await cluster.engine.drain_background()
+            assert cluster.engine.live_link(node) is link
+            return tap.written, first_id, expected
+        finally:
+            await cluster.aclose()
+
+    written, first_id, expected = asyncio.run(scenario())
+    frames = wire.FrameDecoder(wire.REQ.size).feed(b"".join(written))
+    assert [wire.REQ.unpack_from(f)[1] for f in frames] == list(
+        range(first_id, first_id + len(frames))
+    )
+    seen = [[], [], []]
+    for frame in frames:
+        op, _req_id = wire.REQ.unpack_from(frame)
+        body = frame[wire.REQ.size:]
+        if op not in (wire.OP_READ, wire.OP_WRITE):
+            continue
+        (addr,) = wire.WRITE_HDR.unpack_from(body)
+        index, offset = divmod(addr - word(0, 0), 512)
+        if not 0 <= index < 3:
+            continue  # a Get's or Set's own traffic
+        if op == wire.OP_WRITE:
+            seen[index].append(
+                ("write", offset // 8, body[wire.WRITE_HDR.size:]))
+        else:
+            seen[index].append(("read", offset // 8))
+    assert seen == expected
+
+
+def test_an_outage_verdict_resets_the_shared_link_and_every_client_recovers(
+    harness
+):
+    """The node resets the connection at the first frame inside an outage
+    window, with the other clients' frames behind it in the batch or in
+    flight.  One reset now hits every client at once; all of them ride it
+    out through the resend path on one replacement link, and no op fails."""
+    entry = harness.descriptor()["nodes"][0]
+    outage = FaultPlan(outages=(NodeOutage(0, 40_000.0, 48_000.0),))
+
+    async def arm():
+        harness.raw_rpc(
+            entry, "__chaos_load__", (outage.to_dict(), time.time()))
+
+    async def scenario():
+        cluster = RealCluster(harness.descriptor())
+        try:
+            report = await run_load(
+                harness.descriptor(), clients=8, ops=4000, n_keys=200,
+                preload=50, seed=5, cluster=cluster, on_start=arm,
+            )
+            await cluster.engine.drain_background()
+            return (report, cluster.engine.link_stats(),
+                    len(cluster.engine.links), _stats(harness))
+        finally:
+            await cluster.aclose()
+
+    report, link_stats, links, stats = asyncio.run(scenario())
+    harness.raw_rpc(entry, "__chaos_stop__", None)
+    counters = report["counters"]
+    assert stats["chaos_verdicts"]["down"] >= 1
+    assert report["failed_ops"] == 0
+    # More than one client's verb was on the link when it was reset.
+    assert counters["conn_resend"] + counters.get("cas_fate_resolved", 0) >= 2
+    # One replacement link, and it carries on the tallies of the first.
+    assert links == 1 and stats["connections"] - 1 == 1
+    verbs = sum(counters.get(f"rdma_{verb}", 0)
+                for verb in ("read", "write", "cas", "faa", "rpc"))
+    assert link_stats["frames"] >= verbs
+    assert 0 < link_stats["flushes"] < link_stats["frames"]
 
 
 # -- posts without tasks ------------------------------------------------------
@@ -555,12 +794,12 @@ def test_posts_cost_a_future_and_count_their_drops(harness):
             # A post on a dying connection: the node is gone but this
             # loop has not seen the reset yet.
             assert harness.kill_node(0)
-            assert endpoint._conns[node.node_id].alive
+            assert runtime.live_link(node) is not None
             endpoint.post_write(addr, b"too late")
             assert await runtime.drain_background(timeout_s=2.0) == 1
             assert counters.get("fault_post_dropped") == 2
             # ... and one that finds the connection already dead.
-            assert not endpoint._conns[node.node_id].alive
+            assert runtime.live_link(node) is None
             endpoint.post_write(addr, b"later still")
             await runtime.drain_background(timeout_s=5.0)
             assert counters.get("fault_post_dropped") == 3
@@ -595,3 +834,8 @@ def test_stats_and_load_report_say_how_frames_batch(harness):
     assert 0 < row["wakeups"] <= row["frames"] <= stats["ops_served"]
     # pickled like every RPC result: plain integers only
     assert pickle.loads(pickle.dumps(row)) == row
+    # ... and the client's end: every frame the node counted for this
+    # load left in one of the link's flushes.
+    links = report["links"]
+    assert 0 < links["flushes"] <= links["frames"] <= row["frames"]
+    assert all(type(value) is int for value in links.values())
