@@ -233,7 +233,7 @@ class DittoClient:
             )
 
     def _read_bucket(self, bucket: int) -> Generator:
-        """Fetch and parse all slots of a bucket.
+        """Fetch all slots of a bucket (as a :class:`~repro.core.layout.Bucket`).
 
         With the sample-friendly hash table this is one READ.  Without it
         (Figure 24 ablation) the index holds only atomic fields and the
@@ -249,7 +249,9 @@ class DittoClient:
             # atomic fields only; metadata arrives via per-slot reads below.
             yield from self.ep.read(addr, lay.slots_per_bucket * 8)
             raw = self.node.read_bytes(addr, span)
-        return L.parse_slots(bucket * lay.slots_per_bucket, addr, raw, lay.slots_per_bucket)
+        return L.Bucket(
+            bucket * lay.slots_per_bucket, addr, raw, lay.slots_per_bucket
+        )
 
     def _metadata_of(self, slot: L.Slot, ext: Optional[Dict[str, float]] = None) -> Metadata:
         return Metadata(
@@ -356,11 +358,9 @@ class DittoClient:
     def _get_once(self, key: bytes) -> Generator:
         key_hash = L.stable_hash64(key)
         fp = L.fingerprint(key_hash)
-        bucket = self.layout.bucket_index(key_hash)
-        slots = yield from self._read_bucket(bucket)
-        for slot in slots:
-            if not (slot.is_object and slot.fp == fp):
-                continue
+        slots = yield from self._read_bucket(self.layout.bucket_index(key_hash))
+        for i in slots.matches(fp):
+            slot = slots.slot(i)
             raw = yield from self.ep.read(slot.pointer, slot.object_bytes)
             try:
                 found_key, value, ext_raw = L.decode_object(raw)
@@ -376,7 +376,7 @@ class DittoClient:
         self.misses += 1
         return None
 
-    def _handle_miss(self, slots: List[L.Slot], key_hash: int) -> Generator:
+    def _handle_miss(self, slots: L.Bucket, key_hash: int) -> Generator:
         """Regret collection on the miss path (paper §4.3.1)."""
         if not self.config.adaptive:
             return
@@ -388,9 +388,8 @@ class DittoClient:
                 raw = yield from self.ep.read(self.layout.history_counter_addr, 8)
                 self._counter_cache = _U64.unpack(raw)[0] % HISTORY_WRAP
                 self._counter_fresh = True
-            for slot in slots:
-                if not slot.is_history or slot.key_hash != key_hash:
-                    continue
+            for i in slots.histories(key_hash):
+                slot = slots.slot(i)
                 if is_expired(
                     self._counter_cache, slot.history_id, self.cluster.history_size
                 ):
@@ -432,7 +431,7 @@ class DittoClient:
     # Lease repair (fault injection only)
     # ------------------------------------------------------------------
 
-    def _repair_suspects(self, slots: List[L.Slot]) -> Generator:
+    def _repair_suspects(self, slots: L.Bucket) -> Generator:
         """Reclaim half-installed slots whose metadata write was lost.
 
         A dropped unsignalled metadata WRITE leaves an object slot with
@@ -443,15 +442,16 @@ class DittoClient:
         out of suspicion (a hit re-posts ``last_ts``), and a concurrent
         legitimate rewrite changes the atomic word, which resets the lease.
         """
+        half_installed = slots.half_installed()
+        if not half_installed and not self._suspects:
+            return
         now = self.engine.now
         lease = self.config.repair_lease_us
-        for slot in slots:
-            if not slot.is_object:
-                self._suspects.pop(slot.addr, None)
+        for i in range(slots.count):
+            if i not in half_installed:
+                self._suspects.pop(slots.addr(i), None)
                 continue
-            if slot.key_hash != 0 or slot.insert_ts != 0 or slot.last_ts != 0:
-                self._suspects.pop(slot.addr, None)
-                continue
+            slot = slots.slot(i)
             seen = self._suspects.get(slot.addr)
             if seen is None or seen[0] != slot.atomic:
                 self._suspects[slot.addr] = (slot.atomic, now)
@@ -482,8 +482,7 @@ class DittoClient:
             count = min(chunk, lay.total_slots - index)
             addr = lay.slot_addr(index)
             raw = yield from self.ep.read(addr, count * L.SLOT_SIZE)
-            slots = L.parse_slots(index, addr, raw, count)
-            yield from self._repair_suspects(slots)
+            yield from self._repair_suspects(L.Bucket(index, addr, raw, count))
             index += count
 
     # ------------------------------------------------------------------
@@ -624,9 +623,8 @@ class DittoClient:
         # keeping Sets at the paper's three RTTs (READ, WRITE, CAS); a zero
         # hash means the insert's metadata write has not landed yet, so fall
         # back to reading the object.
-        for slot in slots:
-            if not (slot.is_object and slot.fp == fp):
-                continue
+        for i in slots.matches(fp):
+            slot = slots.slot(i)
             if slot.key_hash != key_hash:
                 if slot.key_hash != 0:
                     continue
@@ -652,8 +650,9 @@ class DittoClient:
         # markers exactly capture what a crash at any instant would leak and
         # crash recovery can undo them.
         span = L.object_span(len(key), len(value), self.ext_bytes)
-        block_bytes = ClientAllocator.blocks_for(span) * BLOCK_SIZE
-        if ClientAllocator.blocks_for(span) > L.MAX_SIZE_BLOCKS:
+        blocks = ClientAllocator.blocks_for(span)
+        block_bytes = blocks * BLOCK_SIZE
+        if blocks > L.MAX_SIZE_BLOCKS:
             raise ValueError(f"object too large for the slot size field: {span}B")
         yield from self._ensure_space(block_bytes)
         self._pending_budget = block_bytes
@@ -667,8 +666,8 @@ class DittoClient:
         ext = self._initial_ext(block_bytes, now)
         try:
             yield from self.ep.write(addr, L.encode_object(key, value, ext))
-            new_atomic = L.pack_atomic(addr, fp, ClientAllocator.blocks_for(span))
-            done = yield from self._claim_slot(bucket, slots, new_atomic, key_hash, now)
+            new_atomic = L.pack_atomic(addr, fp, blocks)
+            done = yield from self._claim_slot(slots, new_atomic, key_hash, now)
         except RdmaFaultError:
             self.alloc.free(addr, span)
             self.budget.release(block_bytes)
@@ -687,7 +686,8 @@ class DittoClient:
     ) -> Generator:
         """Replace the value of an existing key (out-of-place + CAS)."""
         span = L.object_span(len(key), len(value), self.ext_bytes)
-        block_bytes = ClientAllocator.blocks_for(span) * BLOCK_SIZE
+        blocks = ClientAllocator.blocks_for(span)
+        block_bytes = blocks * BLOCK_SIZE
         yield from self._ensure_space(block_bytes)
         self._pending_budget = block_bytes
         try:
@@ -699,7 +699,7 @@ class DittoClient:
         self._pending_block = (addr, span)
         try:
             yield from self.ep.write(addr, L.encode_object(key, value, ext_raw))
-            new_atomic = L.pack_atomic(addr, slot.fp, ClientAllocator.blocks_for(span))
+            new_atomic = L.pack_atomic(addr, slot.fp, blocks)
             old = yield from self.ep.cas(slot.addr, slot.atomic, new_atomic)
         except RdmaFaultError:
             self.alloc.free(addr, span)
@@ -719,18 +719,14 @@ class DittoClient:
         return True
 
     def _claim_slot(
-        self,
-        bucket: int,
-        slots: List[L.Slot],
-        new_atomic: int,
-        key_hash: int,
-        now: int,
+        self, slots: L.Bucket, new_atomic: int, key_hash: int, now: int
     ) -> Generator:
         """Install ``new_atomic`` into a free/expired/evictable bucket slot."""
-        target = self._pick_insert_slot(slots)
-        if target is None:
+        position = slots.insert_position(self._counter_cache)
+        if position is None:
             done = yield from self._forced_bucket_eviction(slots, new_atomic, key_hash, now)
             return done
+        target = slots.slot(position)
         old = yield from self.ep.cas(target.addr, target.atomic, new_atomic)
         if old != target.atomic:
             return False
@@ -740,25 +736,8 @@ class DittoClient:
         self.cluster.object_count += 1
         return True
 
-    def _pick_insert_slot(self, slots: List[L.Slot]) -> Optional[L.Slot]:
-        """Empty slot, else the most-expired history entry, else oldest one."""
-        empty = next((s for s in slots if s.is_empty), None)
-        if empty is not None:
-            return empty
-        histories = [s for s in slots if s.is_history]
-        if not histories:
-            return None
-        counter = self._counter_cache
-        expired = [
-            s
-            for s in histories
-            if is_expired(counter, s.history_id, self.cluster.history_size)
-        ]
-        pool = expired or histories
-        return max(pool, key=lambda s: history_age(counter, s.history_id))
-
     def _forced_bucket_eviction(
-        self, slots: List[L.Slot], new_atomic: int, key_hash: int, now: int
+        self, slots: L.Bucket, new_atomic: int, key_hash: int, now: int
     ) -> Generator:
         """All slots hold live objects: evict within the bucket, replace directly.
 
@@ -766,10 +745,10 @@ class DittoClient:
         this is rare with the default slot factor and is counted for
         observability.
         """
-        objects = [s for s in slots if s.is_object]
+        objects = slots.objects()
         if not objects:
             return False
-        victim, _bitmap, meta = yield from self._choose_victim(objects)
+        victim, _bitmap, meta = yield from self._choose_victim(slots, objects)
         old = yield from self.ep.cas(victim.addr, victim.atomic, new_atomic)
         if old != victim.atomic:
             return False
@@ -813,39 +792,39 @@ class DittoClient:
         if self.config.use_sfht:
             start = self.rng.randrange(lay.total_slots - k + 1)
             raw = yield from self.ep.read(lay.slot_addr(start), k * L.SLOT_SIZE)
-            return L.parse_slots(start, lay.slot_addr(start), raw, k)
-        slots = []
+            return L.Bucket(start, lay.slot_addr(start), raw, k)
+        indices, raws = [], []
         for _ in range(k):
             index = self.rng.randrange(lay.total_slots)
             addr = lay.slot_addr(index)
             yield from self.ep.read(addr, 8)  # atomic field
             yield from self.ep.read(addr + 8, L.SLOT_SIZE - 8)  # scattered metadata
-            raw = self.node.read_bytes(addr, L.SLOT_SIZE)
-            slots.append(L.parse_slot(index, addr, raw))
-        return slots
+            indices.append(index)
+            raws.append(self.node.read_bytes(addr, L.SLOT_SIZE))
+        return L.Bucket(0, lay.table_addr, b"".join(raws), k, indices)
 
-    def _choose_victim(self, objects: List[L.Slot]) -> Generator:
-        """Run every expert's priority function; pick by expert weights.
+    def _choose_victim(self, slots: L.Bucket, objects: List[int]) -> Generator:
+        """Run every expert's priority function over the object slots at
+        positions ``objects``; pick by expert weights.
 
         Returns (victim_slot, expert_bitmap, victim_metadata).
         """
         now = self._now()
         metas: Dict[int, Metadata] = {}
-        for slot in objects:
+        for i in objects:
             if self.ext_fields:
-                ext = yield from self._read_ext(slot)
+                ext = yield from self._read_ext(slots.slot(i))
             else:
                 ext = {}
-            metas[slot.index] = self._metadata_of(slot, ext)
+            metas[i] = Metadata(*slots.access_info(i), ext=ext)
         candidates = []
         for policy in self.policies:
-            best = min(objects, key=lambda s: policy.priority(metas[s.index], now))
-            candidates.append(best.index)
+            priority = policy.priority
+            candidates.append(min(objects, key=lambda i: priority(metas[i], now)))
         choice = self.weights.choose() if self.config.adaptive else 0
-        victim_index = candidates[choice]
-        victim = next(s for s in objects if s.index == victim_index)
-        bitmap = bitmap_of(candidates, victim_index)
-        return victim, bitmap, metas[victim_index]
+        victim = candidates[choice]
+        bitmap = bitmap_of(candidates, victim)
+        return slots.slot(victim), bitmap, metas[victim]
 
     def _evict_once(self) -> Generator:
         """One sampled eviction; True on success."""
@@ -853,10 +832,10 @@ class DittoClient:
         t0 = self.engine._now if tracer is not None else 0.0
         for _attempt in range(self.config.max_retries):
             slots = yield from self._sample_slots()
-            objects = [s for s in slots if s.is_object]
+            objects = slots.objects()
             if not objects:
                 continue
-            victim, bitmap, meta = yield from self._choose_victim(objects)
+            victim, bitmap, meta = yield from self._choose_victim(slots, objects)
             done = yield from self._retire(victim, bitmap, meta)
             if done:
                 if tracer is not None:
@@ -959,9 +938,8 @@ class DittoClient:
         """One delete attempt: True/False on a decision, None on a CAS race."""
         slots = yield from self._read_bucket(bucket)
         match = None
-        for slot in slots:
-            if not (slot.is_object and slot.fp == fp):
-                continue
+        for i in slots.matches(fp):
+            slot = slots.slot(i)
             raw = yield from self.ep.read(slot.pointer, slot.object_bytes)
             try:
                 found_key, _value, _ext = L.decode_object(raw)

@@ -453,8 +453,10 @@ class Migrator:
             raw = yield from self._with_retries(
                 lambda a=addr, c=count: self.ep.read(a, c * L.SLOT_SIZE)
             )
-            for slot in L.parse_slots(index, addr, raw, count):
-                if slot.is_object and base <= slot.pointer < end:
+            slots = L.Bucket(index, addr, raw, count)
+            for i in slots.objects():
+                slot = slots.slot(i)
+                if base <= slot.pointer < end:
                     candidates.append(slot)
             index += count
         candidates.sort(key=lambda s: (-s.freq, -s.last_ts))

@@ -74,9 +74,10 @@ def _live_objects(cluster, chunk: int = 128) -> List[Tuple[int, int]]:
         count = min(chunk, total - index)
         addr = lay.slot_addr(index)
         raw = cluster.node.read_bytes(addr, count * L.SLOT_SIZE)
-        for slot in L.parse_slots(index, addr, raw, count):
-            if slot.is_object:
-                live.append((slot.pointer, slot.object_bytes))
+        slots = L.Bucket(index, addr, raw, count)
+        for i in slots.objects():
+            slot = slots.slot(i)
+            live.append((slot.pointer, slot.object_bytes))
         index += count
     return live
 

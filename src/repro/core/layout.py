@@ -29,11 +29,14 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
+from functools import lru_cache
+from typing import List, Optional, Sequence, Tuple
 
 from ..memory.node import BLOCK_SIZE
+from .history import history_age
 
 SLOT_SIZE = 40
+WORDS_PER_SLOT = 5
 ATOMIC_OFF = 0
 INSERT_TS_OFF = 8
 LAST_TS_OFF = 16
@@ -51,6 +54,7 @@ MAX_SIZE_BLOCKS = 0xFE
 _HEADER = struct.Struct("<HIH")  # key length, value length, extension length
 OBJECT_HEADER_SIZE = _HEADER.size
 _U64 = struct.Struct("<Q")
+_SLOT_WORDS = struct.Struct("<5Q")
 
 
 def stable_hash64(key: bytes) -> int:
@@ -83,9 +87,18 @@ def pack_history_atomic(history_id: int) -> int:
 
 
 class Slot:
-    """A parsed hash-table slot (either a cached object or a history entry)."""
+    """A parsed hash-table slot (either a cached object or a history entry).
 
-    __slots__ = ("index", "addr", "atomic", "insert_ts", "last_ts", "freq", "key_hash")
+    The fields derived from the atomic word are computed once here: a slot
+    is built only for a candidate the client acts on, and every one of them
+    is then read several times (READ the object, CAS, free, release).
+    """
+
+    __slots__ = (
+        "index", "addr", "atomic", "insert_ts", "last_ts", "freq", "key_hash",
+        "pointer", "fp", "size_blocks", "object_bytes",
+        "is_empty", "is_history", "is_object",
+    )
 
     def __init__(
         self,
@@ -104,34 +117,17 @@ class Slot:
         self.last_ts = last_ts
         self.freq = freq
         self.key_hash = key_hash
+        self.pointer = atomic & POINTER_MASK
+        self.fp = (atomic >> 48) & 0xFF
+        size_blocks = self.size_blocks = (atomic >> 56) & 0xFF
+        self.object_bytes = size_blocks * BLOCK_SIZE
+        self.is_empty = atomic == 0
+        self.is_history = size_blocks == HISTORY_SIZE_TAG
+        self.is_object = atomic != 0 and size_blocks != HISTORY_SIZE_TAG
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "empty" if self.is_empty else ("history" if self.is_history else "object")
         return f"Slot(index={self.index}, kind={kind}, atomic={self.atomic:#x})"
-
-    @property
-    def pointer(self) -> int:
-        return self.atomic & POINTER_MASK
-
-    @property
-    def fp(self) -> int:
-        return (self.atomic >> 48) & 0xFF
-
-    @property
-    def size_blocks(self) -> int:
-        return (self.atomic >> 56) & 0xFF
-
-    @property
-    def is_empty(self) -> bool:
-        return self.atomic == 0
-
-    @property
-    def is_history(self) -> bool:
-        return self.size_blocks == HISTORY_SIZE_TAG
-
-    @property
-    def is_object(self) -> bool:
-        return not self.is_empty and not self.is_history
 
     @property
     def history_id(self) -> int:
@@ -142,33 +138,116 @@ class Slot:
         """History entries reuse the insert_ts word for the expert bitmap."""
         return self.insert_ts
 
-    @property
-    def object_bytes(self) -> int:
-        return self.size_blocks * BLOCK_SIZE
-
 
 def parse_slot(index: int, addr: int, raw: bytes, offset: int = 0) -> Slot:
-    atomic, insert_ts, last_ts, freq, key_hash = struct.unpack_from(
-        "<QQQQQ", raw, offset
-    )
-    return Slot(index, addr, atomic, insert_ts, last_ts, freq, key_hash)
+    return Slot(index, addr, *_SLOT_WORDS.unpack_from(raw, offset))
 
 
-def parse_slots(base_index: int, base_addr: int, raw: bytes, count: int) -> list:
-    """Parse ``count`` consecutive slots with one struct call (hot path)."""
-    words = struct.unpack_from("<%dQ" % (count * 5), raw)
-    return [
-        Slot(
-            base_index + i,
-            base_addr + i * SLOT_SIZE,
-            words[j],
-            words[j + 1],
-            words[j + 2],
-            words[j + 3],
-            words[j + 4],
-        )
-        for i, j in zip(range(count), range(0, count * 5, 5))
-    ]
+@lru_cache(maxsize=None)
+def _unpacker(count: int):
+    """``unpack_from`` of the five u64 words of ``count`` slots."""
+    return struct.Struct("<%dQ" % (count * WORDS_PER_SLOT)).unpack_from
+
+
+class Bucket:
+    """The slots one READ brought back, kept as a flat tuple of u64 words.
+
+    A bucket READ or an eviction sample delivers 8 or K slots of which the
+    client acts on one or two, so the scans below classify slots straight
+    from ``words`` (five per slot, in the order of the table at the top of
+    this module) and answer with *positions*; :meth:`slot` builds the one
+    :class:`Slot` a candidate needs.  Position ``i`` is table slot ``base_index + i`` at
+    ``base_addr + i * SLOT_SIZE``, unless ``indices`` names scattered table
+    slots (the no-SFHT sampler), which then lie relative to the same base.
+    """
+
+    __slots__ = ("base_index", "base_addr", "count", "words", "indices")
+
+    def __init__(
+        self,
+        base_index: int,
+        base_addr: int,
+        raw: bytes,
+        count: int,
+        indices: Optional[Sequence[int]] = None,
+    ):
+        self.base_index = base_index
+        self.base_addr = base_addr
+        self.count = count
+        self.words = _unpacker(count)(raw)
+        self.indices = indices
+
+    def addr(self, i: int) -> int:
+        if self.indices is not None:
+            i = self.indices[i] - self.base_index
+        return self.base_addr + i * SLOT_SIZE
+
+    def slot(self, i: int) -> Slot:
+        index = self.base_index + i if self.indices is None else self.indices[i]
+        j = i * WORDS_PER_SLOT
+        return Slot(index, self.addr(i), *self.words[j : j + WORDS_PER_SLOT])
+
+    def matches(self, fp: int) -> List[int]:
+        """Positions of object slots whose fingerprint is ``fp``."""
+        return [
+            i
+            for i, atomic in enumerate(self.words[::WORDS_PER_SLOT])
+            if (atomic >> 48) & 0xFF == fp
+            and atomic >> 56 != HISTORY_SIZE_TAG
+            and atomic
+        ]
+
+    def objects(self) -> List[int]:
+        """Positions of slots that hold a cached object."""
+        return [
+            i
+            for i, atomic in enumerate(self.words[::WORDS_PER_SLOT])
+            if atomic and atomic >> 56 != HISTORY_SIZE_TAG
+        ]
+
+    def insert_position(self, counter: int) -> Optional[int]:
+        """Where a fresh insert goes: the first empty slot, else the oldest
+        history entry against the history ``counter``, else None.
+
+        "Oldest" is also the paper's "most expired first": expiry is an age
+        threshold, so when any entry has expired the oldest one has too.
+        """
+        best, best_age = None, -1
+        for i, atomic in enumerate(self.words[::WORDS_PER_SLOT]):
+            if atomic == 0:
+                return i
+            if atomic >> 56 == HISTORY_SIZE_TAG:
+                age = history_age(counter, atomic & POINTER_MASK)
+                if age > best_age:
+                    best, best_age = i, age
+        return best
+
+    def histories(self, key_hash: int) -> List[int]:
+        """Positions of history entries recorded for ``key_hash``."""
+        words = self.words
+        return [
+            i
+            for i, hashed in enumerate(words[4::WORDS_PER_SLOT])
+            if hashed == key_hash
+            and words[i * WORDS_PER_SLOT] >> 56 == HISTORY_SIZE_TAG
+        ]
+
+    def half_installed(self) -> List[int]:
+        """Positions of object slots whose ``insert_ts``, ``last_ts`` and key
+        hash are all zero: the insert's metadata WRITE has not landed."""
+        words = self.words
+        half = []
+        for i in self.objects():
+            j = i * WORDS_PER_SLOT
+            if not (words[j + 1] or words[j + 2] or words[j + 4]):
+                half.append(i)
+        return half
+
+    def access_info(self, i: int) -> Tuple[int, int, int, int]:
+        """``(object_bytes, insert_ts, last_ts, freq)`` of position ``i``."""
+        j = i * WORDS_PER_SLOT
+        words = self.words
+        return (words[j] >> 56) * BLOCK_SIZE, words[j + 1], words[j + 2], words[j + 3]
 
 
 def pack_metadata(insert_ts: int, last_ts: int, freq: int, key_hash: int) -> bytes:

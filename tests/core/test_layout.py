@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import layout as L
+from repro.core.history import history_age, is_expired
 
 
 class TestAtomicField:
@@ -93,18 +94,99 @@ class TestSlot:
         assert (slot.index, slot.addr) == (5, 1000)
         assert (slot.insert_ts, slot.last_ts, slot.freq, slot.key_hash) == (10, 20, 30, 40)
 
-    def test_parse_slots_matches_parse_slot(self):
-        raws = [
-            struct.pack("<QQQQQ", L.pack_atomic(64 * (i + 1), i + 1, 1), i, i, i, i)
-            for i in range(4)
+
+U64 = st.integers(0, (1 << 64) - 1)
+#: Few distinct values, so fingerprints and key hashes collide within a bucket.
+SMALL = st.sampled_from([0, 1, 2, 0xFF])
+#: History IDs on both sides of the 48-bit wrap.
+HISTORY_IDS = st.sampled_from([0, 1, 5, 40, L.POINTER_MASK - 3, L.POINTER_MASK])
+ATOMICS = st.one_of(
+    st.just(0),
+    HISTORY_IDS.map(L.pack_history_atomic),
+    st.builds(L.pack_atomic, st.integers(0, L.POINTER_MASK), SMALL, st.integers(0, 255)),
+    U64,
+)
+SLOT_WORDS = st.tuples(ATOMICS, st.one_of(SMALL, U64), st.one_of(SMALL, U64), U64, st.one_of(SMALL, U64))
+
+
+class TestBucket:
+    """``Bucket`` scans flat words; the oracle classifies every slot through
+    ``parse_slot`` the way the client did when it built a Slot per slot."""
+
+    @given(
+        st.lists(SLOT_WORDS, min_size=1, max_size=12),
+        SMALL,
+        SMALL,
+        st.sampled_from([0, 3, 50, L.POINTER_MASK]),
+        st.integers(1, 64),
+    )
+    def test_scans_agree_with_parse_slot(self, rows, fp, key_hash, counter, history_size):
+        raw = b"".join(struct.pack("<5Q", *row) for row in rows)
+        bucket = L.Bucket(10, 4000, raw, len(rows))
+        slots = [
+            L.parse_slot(10 + i, 4000 + i * L.SLOT_SIZE, raw, i * L.SLOT_SIZE)
+            for i in range(len(rows))
         ]
-        blob = b"".join(raws)
-        many = L.parse_slots(10, 4000, blob, 4)
-        for i, slot in enumerate(many):
-            single = L.parse_slot(10 + i, 4000 + i * L.SLOT_SIZE, raws[i])
-            assert slot.atomic == single.atomic
-            assert slot.addr == single.addr
-            assert slot.index == single.index
+
+        def same(a, b):
+            return all(
+                getattr(a, name) == getattr(b, name) for name in L.Slot.__slots__
+            )
+
+        assert bucket.count == len(rows)
+        for i, slot in enumerate(slots):
+            assert same(bucket.slot(i), slot)
+            assert bucket.addr(i) == slot.addr
+            assert bucket.access_info(i) == (
+                slot.object_bytes, slot.insert_ts, slot.last_ts, slot.freq
+            )
+            assert slot.is_object == (not slot.is_empty and not slot.is_history)
+        assert bucket.matches(fp) == [
+            i for i, s in enumerate(slots) if s.is_object and s.fp == fp
+        ]
+        assert bucket.objects() == [i for i, s in enumerate(slots) if s.is_object]
+        assert bucket.histories(key_hash) == [
+            i for i, s in enumerate(slots) if s.is_history and s.key_hash == key_hash
+        ]
+        assert bucket.half_installed() == [
+            i
+            for i, s in enumerate(slots)
+            if s.is_object and s.key_hash == 0 and s.insert_ts == 0 and s.last_ts == 0
+        ]
+
+        # The insert pick as the client wrote it: an empty slot, else the
+        # most-expired history entry, else the oldest one.
+        def pick():
+            empty = next((s for s in slots if s.is_empty), None)
+            if empty is not None:
+                return empty
+            histories = [s for s in slots if s.is_history]
+            if not histories:
+                return None
+            expired = [
+                s for s in histories if is_expired(counter, s.history_id, history_size)
+            ]
+            return max(
+                expired or histories, key=lambda s: history_age(counter, s.history_id)
+            )
+
+        expected = pick()
+        position = bucket.insert_position(counter)
+        if expected is None:
+            assert position is None
+        else:
+            assert position == expected.index - 10
+
+    @given(st.lists(st.tuples(st.integers(0, 999), SLOT_WORDS), min_size=1, max_size=6))
+    def test_scattered_slots_keep_their_own_index_and_address(self, picks):
+        raw = b"".join(struct.pack("<5Q", *row) for _index, row in picks)
+        indices = [index for index, _row in picks]
+        bucket = L.Bucket(0, 640, raw, len(picks), indices)
+        for i, (index, row) in enumerate(picks):
+            slot = bucket.slot(i)
+            assert (slot.index, slot.addr) == (index, 640 + index * L.SLOT_SIZE)
+            assert bucket.addr(i) == slot.addr
+            assert (slot.atomic, slot.key_hash) == (row[0], row[4])
 
 
 class TestObjectCodec:
