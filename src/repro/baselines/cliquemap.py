@@ -109,7 +109,7 @@ class CliqueMapCluster:
             self.controller.tracer = self.tracer
         self.counters = CounterSet()
         if obs is not None:
-            obs.bridge_counters(
+            obs.registry.bridge(
                 self.counters, component="cliquemap",
                 cluster=str(self.tracer.pid) if self.tracer is not None else "0",
             )

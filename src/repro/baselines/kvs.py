@@ -74,7 +74,7 @@ class DmKvsCluster:
             self.controller.tracer = self.tracer
         self.counters = CounterSet()
         if obs is not None:
-            obs.bridge_counters(
+            obs.registry.bridge(
                 self.counters, component="kvs",
                 cluster=str(self.tracer.pid) if self.tracer is not None else "0",
             )

@@ -85,7 +85,7 @@ class ShardLruCluster:
             self.controller.tracer = self.tracer
         self.counters = CounterSet()
         if obs is not None:
-            obs.bridge_counters(
+            obs.registry.bridge(
                 self.counters, component="shard-lru",
                 cluster=str(self.tracer.pid) if self.tracer is not None else "0",
             )

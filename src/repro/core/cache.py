@@ -42,7 +42,7 @@ from .elasticity import (
     MigrationRecord,
     Migrator,
 )
-from .geometry import ext_schema, plan_cluster
+from .geometry import plan_cluster
 from .history import RemoteFifoHistory
 
 
@@ -95,10 +95,9 @@ class DittoCluster:
         self.tracer = obs.bind(self.engine, label="ditto") if obs is not None else None
         if self.fault_injector is not None and self.tracer is not None:
             self.fault_injector.tracer = self.tracer
-            if not self.fault_injector.plan.empty:
-                # A plan passed at construction armed before the tracer
-                # existed; annotate its windows retroactively.
-                self.fault_injector._annotate_plan(self.fault_injector.plan)
+            # A plan passed at construction armed before the tracer
+            # existed; annotate its windows retroactively.
+            self.tracer.fault_windows(self.fault_injector.plan.to_dict())
         self.seed = seed
         self.segment_bytes = segment_bytes
         self.capacity_objects = capacity_objects
@@ -186,7 +185,7 @@ class DittoCluster:
 
         self.counters = CounterSet()
         if self.obs is not None:
-            self.obs.bridge_counters(self.counters, component="cluster",
+            self.obs.registry.bridge(self.counters, component="cluster",
                                      cluster=obs_id)
         self.object_count = 0
         self.clients: List[DittoClient] = []
@@ -227,9 +226,6 @@ class DittoCluster:
                 )
 
         self.global_weights.on_update = on_update
-
-    #: Back-compat alias; the schema lives in :mod:`repro.core.geometry`.
-    _ext_schema = staticmethod(ext_schema)
 
     def make_endpoint(self, client) -> "RdmaEndpoint":
         """Build the verb transport for one client — the substrate seam.
@@ -441,7 +437,7 @@ class DittoCluster:
         """Make a new membership epoch visible to fences and controllers."""
         self.fence.advance(epoch)
         for node in self.nodes:
-            node.controller.epoch = epoch
+            node.controller.state.epoch = epoch
         self.counters.add("epoch_bump")
         if self._epoch_gauge is not None:
             self._epoch_gauge.set(epoch)
@@ -559,7 +555,7 @@ class DittoCluster:
             epoch = self.membership.set_state(node_id, DRAINING)
             self.fence.fence_writes(node.base, node.end, node_id)
             self._publish_epoch(epoch)
-            node.controller.draining = True
+            node.controller.state.draining = True
         else:
             # Controller HA: the DRAINING flip must replicate before the
             # drain proceeds, and commits need sim time — the migrator
@@ -616,7 +612,7 @@ class DittoCluster:
             epoch = self.membership.set_state(node.node_id, ACTIVE)
         self.fence.lift_writes(node.node_id)
         self._publish_epoch(epoch)
-        node.controller.draining = False
+        node.controller.state.draining = False
         migrator.record.epoch_end = epoch
         migrator.record.phase = "aborted"
         self._active_migrators.remove(migrator)

@@ -22,7 +22,7 @@ cost.  It is a test oracle, not a runtime mechanism.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import layout as L
 
@@ -58,7 +58,7 @@ def _client_regions(cluster) -> Tuple[List, List, List]:
     return free, bump, spare
 
 
-def _live_objects(cluster, chunk: int = 128) -> List[Tuple[int, int]]:
+def _live_objects(lay, read_bytes, chunk: int = 128) -> List[Tuple[int, int]]:
     """Blocks referenced by object slots of the hash table (node 0).
 
     Reads the table in ``chunk``-slot runs rather than slot-by-slot: on
@@ -66,14 +66,13 @@ def _live_objects(cluster, chunk: int = 128) -> List[Tuple[int, int]]:
     substrate's sweep reads a live shared-memory heap (or sockets), where
     per-slot round trips would dominate the chaos drill's teardown.
     """
-    lay = cluster.layout
     live: List[Tuple[int, int]] = []
     total = lay.total_slots
     index = 0
     while index < total:
         count = min(chunk, total - index)
         addr = lay.slot_addr(index)
-        raw = cluster.node.read_bytes(addr, count * L.SLOT_SIZE)
+        raw = read_bytes(addr, count * L.SLOT_SIZE)
         slots = L.Bucket(index, addr, raw, count)
         for i in slots.objects():
             slot = slots.slot(i)
@@ -82,16 +81,19 @@ def _live_objects(cluster, chunk: int = 128) -> List[Tuple[int, int]]:
     return live
 
 
-def _granted(cluster) -> List[Tuple[int, int]]:
-    granted: List[Tuple[int, int]] = []
-    for node in cluster.nodes:
-        for segs in node.controller.granted_segments().values():
-            granted.extend(segs)
-    return granted
-
-
-def sweep(cluster) -> Dict[str, int]:
+def sweep(
+    cluster,
+    granted: Optional[List[Tuple[int, int]]] = None,
+    read_bytes: Optional[Callable[[int, int], bytes]] = None,
+) -> Dict[str, int]:
     """Check the memory-accounting invariants of a quiesced Ditto cluster.
+
+    ``cluster`` supplies ``clients``, ``budget``, ``layout`` and ``nodes``
+    (each with ``base``/``end``) — what either substrate's cluster carries.
+    ``granted`` is every ``(addr, size)`` the controllers hold granted and
+    ``read_bytes(addr, length)`` reads node 0; they default to the sim
+    cluster's own controllers and memory, and the real substrate passes its
+    RPC-fetched grant logs and a shared-memory read.
 
     Returns a summary dict on success; raises :class:`InvariantViolation`
     with a precise description of the first inconsistency otherwise.
@@ -105,8 +107,14 @@ def sweep(cluster) -> Dict[str, int]:
                 "crash was never recovered"
             )
 
-    granted = _granted(cluster)
-    live = _live_objects(cluster)
+    if granted is None:
+        granted = [
+            seg
+            for node in cluster.nodes
+            for segs in node.controller.granted_segments().values()
+            for seg in segs
+        ]
+    live = _live_objects(cluster.layout, read_bytes or cluster.node.read_bytes)
     free, bump, spare = _client_regions(cluster)
 
     tagged = (

@@ -17,6 +17,7 @@ and the CliqueMap baseline register their own handlers on top.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, Generator, List, Optional, Tuple, Union
 
 from ..rdma.verbs import StaleEpoch
@@ -60,6 +61,42 @@ class SegmentState:
         self.draining = False
         self.epoch = 0
 
+    #: The RPC operations :meth:`serve` answers.
+    RPC_OPS = (
+        "alloc_segment", "free_segment", "list_segments", "reassign_grants",
+        "granted_segments",
+    )
+
+    def serve(self, op: str, payload, token: int = 0):
+        """Answer one segment-management RPC: the dispatch the sim
+        :class:`Controller` registers and the real memory-node server calls.
+
+        An ``alloc_segment`` payload is a plain size or ``(size, owner)``
+        (anonymous callers share owner ``-1``); ``token`` is the caller's
+        resend-dedup key.
+        """
+        if op == "alloc_segment":
+            if self.draining:
+                raise StaleEpoch(
+                    f"node {self.node_id} is draining at epoch {self.epoch}: "
+                    "no new segment grants",
+                    verb="rpc", node_id=self.node_id, epoch=self.epoch,
+                )
+            if isinstance(payload, tuple):
+                size, owner = payload
+            else:
+                size, owner = payload, -1
+            return self.alloc(size, owner, token)
+        if op == "free_segment":
+            return self.free(*payload)
+        if op == "list_segments":
+            return self.list_owner(payload)
+        if op == "reassign_grants":
+            return self.reassign(*payload)
+        if op == "granted_segments":
+            return self.granted_segments()
+        raise KeyError(f"not a segment-management RPC: {op!r}")
+
     def clone(self) -> "SegmentState":
         new = SegmentState(self.node_id, self.next_free, self.end)
         new.free_segments = {
@@ -72,8 +109,12 @@ class SegmentState:
 
     # -- commands -----------------------------------------------------------
 
-    def alloc(self, size: int, owner: int) -> int:
-        """Hand out a contiguous segment; raises when the node is exhausted."""
+    def alloc(self, size: int, owner: int, token: int = 0) -> int:
+        """Hand out a contiguous segment; raises when the node is exhausted.
+
+        ``token`` is remembered only by durable state
+        (:class:`~repro.runtime.journal.DurableSegmentState`).
+        """
         size = _round_up(size, BLOCK_SIZE)
         bucket = self.free_segments.get(size)
         if bucket:
@@ -142,10 +183,8 @@ class Controller:
         #: Span tracer (repro.obs); None keeps serve() span-free.
         self.tracer = None
         node.controller = self
-        self.register("alloc_segment", self._alloc_segment)
-        self.register("free_segment", self._free_segment)
-        self.register("list_segments", self._list_segments)
-        self.register("reassign_grants", self._reassign_grants)
+        for op in SegmentState.RPC_OPS:
+            self.register(op, partial(self.state.serve, op))
 
     @property
     def cores(self) -> int:
@@ -183,78 +222,12 @@ class Controller:
             )
         return result
 
-    # -- built-in segment management (thin RPC shims over SegmentState) ----
-
-    def _alloc_segment(self, payload) -> int:
-        """Hand out a contiguous segment; raises when the node is exhausted.
-
-        ``payload`` is either a plain size or ``(size, owner)``; grants are
-        logged under the owner (anonymous callers share owner ``-1``).
-        """
-        state = self.state
-        if state.draining:
-            raise StaleEpoch(
-                f"node {self.node.node_id} is draining at epoch "
-                f"{state.epoch}: no new segment grants",
-                verb="rpc", node_id=self.node.node_id, epoch=state.epoch,
-            )
-        if isinstance(payload, tuple):
-            size, owner = payload
-        else:
-            size, owner = payload, -1
-        return state.alloc(size, owner)
-
-    def _free_segment(self, payload: Tuple[int, int]) -> None:
-        addr, size = payload
-        self.state.free(addr, size)
-
-    def _list_segments(self, owner: int) -> list:
-        return self.state.list_owner(owner)
-
-    def _reassign_grants(self, payload: Tuple[int, int]) -> int:
-        from_owner, to_owner = payload
-        return self.state.reassign(from_owner, to_owner)
-
     def granted_segments(self) -> Dict[int, list]:
         return self.state.granted_segments()
 
     @property
     def bytes_remaining(self) -> int:
         return self.state.bytes_remaining
-
-    # -- back-compat accessors (tests and callers poke these directly) -----
-
-    @property
-    def draining(self) -> bool:
-        return self.state.draining
-
-    @draining.setter
-    def draining(self, value: bool) -> None:
-        self.state.draining = value
-
-    @property
-    def epoch(self) -> int:
-        return self.state.epoch
-
-    @epoch.setter
-    def epoch(self, value: int) -> None:
-        self.state.epoch = value
-
-    @property
-    def _next_free(self) -> int:
-        return self.state.next_free
-
-    @_next_free.setter
-    def _next_free(self, value: int) -> None:
-        self.state.next_free = value
-
-    @property
-    def _free_segments(self) -> Dict[int, List[int]]:
-        return self.state.free_segments
-
-    @property
-    def _grants(self) -> Dict[int, List[Tuple[int, int]]]:
-        return self.state.grants
 
 
 def _round_up(value: int, granule: int) -> int:

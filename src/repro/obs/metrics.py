@@ -101,6 +101,16 @@ class MetricsRegistry:
         self._counters: Dict[Tuple[str, LabelSet], Counter] = {}
         self._gauges: Dict[Tuple[str, LabelSet], Gauge] = {}
         self._histograms: Dict[Tuple[str, LabelSet], Histogram] = {}
+        self._bridges: List[Tuple[object, Dict[str, str]]] = []
+
+    def bridge(self, counters, **labels: str) -> None:
+        """Fold a ``CounterSet``'s totals into every :meth:`snapshot`.
+
+        The RDMA/cache layers keep their hot-path ``CounterSet`` tallies (one
+        dict op per event); bridging copies the totals into counters at dump
+        time instead of double-counting on the hot path.
+        """
+        self._bridges.append((counters, labels))
 
     def counter(self, name: str, **labels: str) -> Counter:
         key = (name, _labelset(labels))
@@ -134,6 +144,9 @@ class MetricsRegistry:
 
     def snapshot(self) -> Dict[str, List[Dict]]:
         """JSON-safe dump of every instrument, deterministically ordered."""
+        for counters, labels in self._bridges:
+            for name, value in counters.as_dict().items():
+                self.counter(name, **labels).value = value
         return {
             "counters": self._rows(
                 self._counters.values(), lambda c: {"value": c.value}

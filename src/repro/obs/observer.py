@@ -54,7 +54,6 @@ class Observability:
         self._budget = EventBudget(max_events)
         self._tracers: List[SpanTracer] = []
         self._watched: List[WatchedResource] = []
-        self._bridges: List = []  # (CounterSet, labels) folded into snapshots
 
     # -- tracer management -------------------------------------------------
 
@@ -63,7 +62,7 @@ class Observability:
         if not self.tracing:
             return None
         for tracer in self._tracers:
-            if tracer.engine is engine:
+            if tracer.clock is engine:
                 return tracer
         tracer = SpanTracer(
             engine,
@@ -82,7 +81,7 @@ class Observability:
     def tracer_for(self, engine: Any) -> Optional[SpanTracer]:
         """The tracer already bound to ``engine``, if any (no creation)."""
         for tracer in reversed(self._tracers):
-            if tracer.engine is engine:
+            if tracer.clock is engine:
                 return tracer
         return None
 
@@ -125,23 +124,6 @@ class Observability:
             engine.call_at(when, self._sample_all, engine)
         return len(times)
 
-    # -- legacy-counter bridge ---------------------------------------------
-
-    def bridge_counters(self, counters: Any, **labels: str) -> None:
-        """Fold a ``CounterSet``'s totals into metric snapshots at dump time.
-
-        The RDMA/cache layers keep their hot-path ``CounterSet`` tallies (one
-        dict op per event); bridging copies the end-of-run totals into the
-        registry instead of double-counting on the hot path.
-        """
-        self._bridges.append((counters, labels))
-
-    def _drain_bridges(self) -> None:
-        for counters, labels in self._bridges:
-            for name, value in sorted(counters.as_dict().items()):
-                instrument = self.registry.counter(name, **labels)
-                instrument.value = value
-
     # -- export --------------------------------------------------------------
 
     def chrome_document(self) -> Dict[str, Any]:
@@ -153,7 +135,6 @@ class Observability:
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-safe end-of-run dump: metrics, timelines, trace stats."""
-        self._drain_bridges()
         return {
             "metrics": self.registry.snapshot(),
             "timelines": [w.summary() for w in self._watched],

@@ -5,17 +5,16 @@ one discrete-event engine in one process.  The real substrate is many
 processes — the ``repro.serve`` launcher, one ``repro.runtime.server``
 per memory node, loadgen clients — each with its own wall clock and its
 own exit path (clean return, SIGTERM drain, SIGKILL).  This module is
-their per-process twin:
+their per-process hub, built from the same tracer and registry:
 
-- :class:`WallTracer` — a :class:`~repro.obs.trace.SpanTracer` stamped
-  from ``time.perf_counter()`` instead of engine sim-time, with explicit
-  lane (``tid``) selection because there is no engine-active process to
-  infer a lane from.  Concurrent asyncio actors (loadgen clients, server
-  connections) each get their own lane so per-lane spans stay properly
-  nested and the existing validator/flamegraph machinery applies as-is.
-
-- :class:`ProcessObs` — one per process: a WallTracer plus a
-  :class:`~repro.obs.metrics.MetricsRegistry`, exported as a *shard*
+- :class:`ProcessObs` — one per process: a
+  :class:`~repro.obs.trace.SpanTracer` clocked by ``time.perf_counter()``
+  (the hub itself is the tracer's clock) plus a
+  :class:`~repro.obs.metrics.MetricsRegistry`.  There is no engine-active
+  process to infer a lane from, so concurrent asyncio actors (loadgen
+  clients, server connections) each allocate their own lane and pass it
+  as ``tid`` — per-lane spans stay properly nested and the validator/
+  flamegraph machinery applies as-is.  The hub is exported as a *shard*
   file ``shard-<role>-<pid>.json`` in the ``REPRO_TRACE`` directory.
   Shard writes are atomic (tmp + rename) and idempotent, so flushing
   from a SIGTERM drain path and again from atexit is safe, and a
@@ -50,7 +49,7 @@ from glob import glob
 from typing import Any, Dict, List, Optional, Tuple
 
 from .metrics import MetricsRegistry
-from .trace import FAULT_TID_BASE, EventBudget, SpanTracer
+from .trace import SpanTracer
 
 #: Default per-process event budget; override with REPRO_TRACE_EVENTS.
 DEFAULT_MAX_EVENTS = 300_000
@@ -61,55 +60,9 @@ SHARD_SCHEMA = 1
 _SHARD_GLOB = "shard-*.json"
 
 
-class _WallClock:
-    """The engine facets :class:`~repro.obs.trace.SpanTracer` reads,
-    backed by the wall clock: ``_now`` in microseconds since construction
-    and no active process (lanes are chosen explicitly)."""
-
-    __slots__ = ("_t0",)
-
-    _active = None
-
-    def __init__(self) -> None:
-        self._t0 = time.perf_counter()
-
-    @property
-    def _now(self) -> float:
-        return (time.perf_counter() - self._t0) * 1e6
-
-
-class WallTracer(SpanTracer):
-    """A SpanTracer on the wall clock with caller-chosen lanes.
-
-    ``complete`` gains an explicit ``tid``: wall-clock processes run
-    concurrent actors (asyncio tasks, connections), so the lane cannot
-    be inferred — each actor records onto its own lane to preserve the
-    per-lane nesting invariant the validator checks.
-    """
-
-    def __init__(self, label: str = "", max_events: int = DEFAULT_MAX_EVENTS,
-                 budget: Optional[EventBudget] = None):
-        super().__init__(_WallClock(), pid=0, label=label,
-                         max_events=max_events, budget=budget)
-
-    def now_us(self) -> float:
-        return self.engine._now
-
-    # Same name/shape as SpanTracer.complete plus the lane; wall-clock
-    # call sites always pass their lane explicitly.
-    def complete(self, name: str, cat: str, start_us: float,  # type: ignore[override]
-                 tid: int = 0, args: Optional[Dict[str, Any]] = None) -> None:
-        if self._admit():
-            self.events.append(
-                (
-                    "X", name, cat, start_us,
-                    max(self.engine._now - start_us, 0.0), tid, args,
-                )
-            )
-
-
 class ProcessObs:
-    """Per-process observability: wall tracer + metrics + shard export."""
+    """Per-process observability: tracer + metrics + shard export, on the
+    wall clock (``_now``: microseconds since construction)."""
 
     def __init__(
         self,
@@ -123,17 +76,20 @@ class ProcessObs:
         self.pid = os.getpid()
         #: CLOCK_REALTIME at tracer start: the shard's alignment anchor.
         self.t0_epoch_s = time.time()
+        self._t0 = time.perf_counter()
         self.common_epoch_s = common_epoch_s
         self.registry = MetricsRegistry()
-        self.tracer = WallTracer(label=role, max_events=max_events)
+        self.tracer = SpanTracer(self, label=role, max_events=max_events)
         self._next_lane = 0
         self._lane_by_name: Dict[str, int] = {}
-        self._bridges: List[Tuple[Any, Dict[str, str]]] = []
 
     # -- clocks ------------------------------------------------------------
 
     def now_us(self) -> float:
-        return self.tracer.now_us()
+        return (time.perf_counter() - self._t0) * 1e6
+
+    #: The clock facet :class:`~repro.obs.trace.SpanTracer` reads.
+    _now = property(now_us)
 
     def ts_from_epoch(self, epoch_s: float) -> float:
         """Map a ``time.time()`` instant onto this tracer's timeline.
@@ -168,22 +124,11 @@ class ProcessObs:
     @contextmanager
     def span(self, name: str, cat: str = "runtime", tid: int = 0,
              args: Optional[Dict[str, Any]] = None):
-        t0 = self.tracer.now_us()
+        t0 = self.now_us()
         try:
             yield self
         finally:
             self.tracer.complete(name, cat, t0, tid=tid, args=args)
-
-    # -- legacy-counter bridge ---------------------------------------------
-
-    def bridge_counters(self, counters: Any, **labels: str) -> None:
-        """Fold a ``CounterSet``'s totals into the shard metrics at flush."""
-        self._bridges.append((counters, labels))
-
-    def _drain_bridges(self) -> None:
-        for counters, labels in self._bridges:
-            for name, value in sorted(counters.as_dict().items()):
-                self.registry.counter(name, **labels).value = value
 
     # -- export ------------------------------------------------------------
 
@@ -196,7 +141,6 @@ class ProcessObs:
         )
 
     def shard_document(self) -> Dict[str, Any]:
-        self._drain_bridges()
         return {
             "schema": SHARD_SCHEMA,
             "role": self.role,
@@ -222,47 +166,6 @@ class ProcessObs:
             json.dump(self.shard_document(), fh, separators=(",", ":"))
         os.replace(tmp, path)
         return path
-
-
-# -- fault-window overlay ----------------------------------------------------
-
-
-def record_fault_windows(proc: ProcessObs, plan: Any,
-                         t0_epoch_s: float) -> int:
-    """Overlay a (wall-compiled) FaultPlan's windows onto fault lanes.
-
-    One lane per window, starting at :data:`FAULT_TID_BASE` — windows may
-    legitimately overlap each other, so they never share a lane.  ``plan``
-    only needs ``to_dict()`` (any :class:`~repro.sim.faults.FaultPlan`);
-    entries without a window (instant kinds) are skipped.  Returns the
-    number of windows recorded.
-    """
-    tracer = proc.tracer
-    recorded = 0
-    base_ts = proc.ts_from_epoch(t0_epoch_s)
-    for kind, items in sorted(plan.to_dict().items()):
-        if kind == "seed" or not isinstance(items, list):
-            continue
-        for item in items:
-            if not isinstance(item, dict) or "start_us" not in item:
-                continue
-            start = base_ts + float(item["start_us"])
-            dur = float(item.get("end_us", item["start_us"])) - float(
-                item["start_us"]
-            )
-            tid = FAULT_TID_BASE + recorded
-            label = kind.rstrip("s")
-            node = item.get("node_id")
-            lane_name = f"fault:{label}" + (
-                f"@mn{node}" if node is not None else ""
-            )
-            tracer.name_lane(tid, lane_name)
-            tracer.complete_at(
-                f"fault.{label}", "fault", start, max(dur, 0.0), tid=tid,
-                args={k: v for k, v in item.items() if v is not None},
-            )
-            recorded += 1
-    return recorded
 
 
 # -- shard merge -------------------------------------------------------------
@@ -584,7 +487,6 @@ __all__ = [
     "DEFAULT_MAX_EVENTS",
     "ProcessObs",
     "SHARD_SCHEMA",
-    "WallTracer",
     "build_digest",
     "current",
     "format_digest",
@@ -593,6 +495,5 @@ __all__ = [
     "maybe_span",
     "merge_shards",
     "persist_digest",
-    "record_fault_windows",
     "RETRY_COUNTER_KEYS",
 ]

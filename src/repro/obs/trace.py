@@ -1,16 +1,20 @@
-"""Sim-time span tracing with Chrome/Perfetto ``trace_event`` export.
+"""Span tracing with Chrome/Perfetto ``trace_event`` export.
 
-A :class:`SpanTracer` is bound to one engine (one cluster) and collects
-*complete* spans — ``(name, category, start, duration)`` — plus instant and
-counter events, all stamped in **simulated microseconds**.  Because the
-Chrome trace format's ``ts`` unit is also microseconds, a run opens directly
-in ``chrome://tracing`` / Perfetto with no unit conversion.
+A :class:`SpanTracer` is bound to one clock and collects *complete* spans —
+``(name, category, start, duration)`` — plus instant and counter events, all
+stamped in the clock's **microseconds**: simulated ones when the clock is an
+engine (one tracer per cluster), wall-clock ones when it is a real-substrate
+process's :class:`~repro.obs.runtime.ProcessObs`.  Because the Chrome trace
+format's ``ts`` unit is also microseconds, a run opens directly in
+``chrome://tracing`` / Perfetto with no unit conversion.
 
 Lane discipline: every simulation :class:`~repro.sim.engine.Process` carries
 an engine-unique ``tid``; spans emitted while a process is active land on
 that lane.  A process executes strictly sequentially, so spans within a lane
 are properly nested by construction — the invariant the validator and the
-flamegraph builder rely on.  Lane 0 is for code running outside any process
+flamegraph builder rely on.  A wall clock has no active process to infer a
+lane from: its concurrent actors (asyncio tasks, server connections) each
+pass their own ``tid``.  Lane 0 is for code running outside any process
 (harness measurement windows); fault-plan windows, which may legitimately
 overlap each other, each get their own lane above :data:`FAULT_TID_BASE`.
 
@@ -31,6 +35,17 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 #: Fault-plan windows may overlap; each gets its own lane starting here.
 FAULT_TID_BASE = 1_000_000
 
+#: FaultPlan kind -> span name of its entries, in overlay order.
+FAULT_SPAN_NAMES = {
+    "drops": "fault.drop",
+    "rpc_failures": "fault.rpc_failure",
+    "spikes": "fault.spike",
+    "outages": "fault.outage",
+    "controller_crashes": "fault.controller_crash",
+    "partitions": "fault.partition",
+    "client_crashes": "fault.client_crash",
+}
+
 #: Event kinds stored in the buffer (subset of trace_event phases).
 _COMPLETE, _INSTANT, _COUNTER = "X", "i", "C"
 
@@ -50,15 +65,19 @@ class EventBudget:
 
 
 class SpanTracer:
-    """Collects trace events for one engine; zero-cost when not installed."""
+    """Collects trace events against one clock; zero-cost when not installed.
 
-    __slots__ = ("engine", "pid", "label", "budget", "events", "dropped",
-                 "_lane_names")
+    ``clock`` supplies ``_now`` in microseconds and, optionally, ``_active``
+    (the running sim process, from which the lane is inferred).
+    """
 
-    def __init__(self, engine, pid: int = 0, label: str = "",
+    __slots__ = ("clock", "pid", "label", "budget", "events", "dropped",
+                 "_lane_names", "_fault_lanes")
+
+    def __init__(self, clock, pid: int = 0, label: str = "",
                  max_events: int = 1_000_000,
                  budget: Optional[EventBudget] = None):
-        self.engine = engine
+        self.clock = clock
         self.pid = pid
         self.label = label or f"engine-{pid}"
         self.budget = budget if budget is not None else EventBudget(max_events)
@@ -66,6 +85,7 @@ class SpanTracer:
         self.events: List[Tuple] = []
         self.dropped = 0
         self._lane_names: Dict[int, str] = {0: "main"}
+        self._fault_lanes = 0  # lanes consumed by earlier fault_windows()
 
     # -- recording ---------------------------------------------------------
 
@@ -78,7 +98,7 @@ class SpanTracer:
         return False
 
     def _tid(self) -> int:
-        active = self.engine._active
+        active = getattr(self.clock, "_active", None)
         if active is None:
             return 0
         tid = active.tid
@@ -87,12 +107,15 @@ class SpanTracer:
         return tid
 
     def complete(self, name: str, cat: str, start_us: float,
-                 args: Optional[Dict[str, Any]] = None) -> None:
-        """Emit a span from ``start_us`` to *now* on the active lane."""
+                 args: Optional[Dict[str, Any]] = None,
+                 tid: Optional[int] = None) -> None:
+        """Emit a span from ``start_us`` to *now*, on lane ``tid`` or, when
+        None, the active process's."""
         if self._admit():
             self.events.append(
                 (_COMPLETE, name, cat, start_us,
-                 self.engine._now - start_us, self._tid(), args)
+                 max(self.clock._now - start_us, 0.0),
+                 self._tid() if tid is None else tid, args)
             )
 
     def complete_at(self, name: str, cat: str, start_us: float, dur_us: float,
@@ -108,7 +131,7 @@ class SpanTracer:
         """Emit a zero-duration marker at *now* on the active lane."""
         if self._admit():
             self.events.append(
-                (_INSTANT, name, cat, self.engine._now, 0.0, self._tid(), args)
+                (_INSTANT, name, cat, self.clock._now, 0.0, self._tid(), args)
             )
 
     def instant_at(self, name: str, cat: str, ts_us: float, tid: int = 0,
@@ -127,6 +150,39 @@ class SpanTracer:
     def name_lane(self, tid: int, name: str) -> None:
         """Label a lane that never emits through a process (windows etc.)."""
         self._lane_names.setdefault(tid, name)
+
+    def _fault_lane(self, name: str) -> int:
+        tid = FAULT_TID_BASE + self._fault_lanes
+        self._fault_lanes += 1
+        self.name_lane(tid, name)
+        return tid
+
+    def fault_windows(self, plan_dict: Dict[str, Any],
+                      base_ts: float = 0.0) -> None:
+        """Overlay an armed plan (``FaultPlan.to_dict()``) on fault lanes.
+
+        Windows may overlap in time, so each gets a private lane above
+        :data:`FAULT_TID_BASE` — lanes are cheap and keep the per-lane
+        nesting invariant intact.  Instants (client crashes) share one marker
+        lane per kind.
+        ``base_ts`` is where the plan's t=0 falls on this tracer's clock.
+        """
+        for kind, name in FAULT_SPAN_NAMES.items():
+            marker_lane = None
+            for item in plan_dict.get(kind, ()):
+                if "at_us" in item:
+                    if marker_lane is None:
+                        marker_lane = self._fault_lane(name)
+                    self.instant_at(
+                        name, "fault", base_ts + item["at_us"],
+                        tid=marker_lane, args=item,
+                    )
+                else:
+                    self.complete_at(
+                        name, "fault", base_ts + item["start_us"],
+                        max(item["end_us"] - item["start_us"], 0.0),
+                        tid=self._fault_lane(name), args=item,
+                    )
 
     # -- export ------------------------------------------------------------
 

@@ -6,9 +6,9 @@ spikes, and node outages, and the engine's fault injector answers point
 queries at verb-issue time.  This module brings the *same plans* to the
 real substrate:
 
-- :class:`ChaosGate` — the wall-clock twin of
-  :class:`~repro.sim.faults.FaultInjector`, armed inside each memory-node
-  server.  Plans are compiled from sim-time to wall-clock with
+- the gate is :class:`~repro.sim.faults.FaultInjector` itself, armed
+  inside each memory-node server on a wall clock that counts from the
+  common arm instant.  Plans are compiled from sim-time to wall-clock with
   :func:`repro.sim.faults.compile_wall` and consulted per request frame:
   a DROP swallows the request *before it executes* (the client times out
   — the sim's drop semantics exactly), a node-outage window closes the
@@ -30,27 +30,16 @@ documented in DESIGN §3.8.
 from __future__ import annotations
 
 import asyncio
-import random
 import time
 from typing import Dict, List, Optional, Tuple
 
 from ..core import invariants
 from ..obs import runtime as obs_runtime
 from ..obs.runtime import maybe_span
-from ..sim.faults import (
-    DOWN,
-    DROP,
-    OK,
-    DropWindow,
-    FaultPlan,
-    NodeOutage,
-    compile_wall,
-)
-from .client import NodeHandle, drive
+from ..sim.faults import DropWindow, FaultPlan, NodeOutage, compile_wall
+from .client import drive
 from .cluster import RealCluster
 from .loadgen import run_load
-
-_INF = float("inf")
 
 #: Retry knobs the chaos loadgen overlays on the cluster config: wall-clock
 #: backoff (the sim defaults are microsecond-scale) with enough budget that
@@ -77,95 +66,6 @@ CANNED_PLAN = FaultPlan(
 )
 
 DEFAULT_TIME_SCALE = 50.0
-
-
-class ChaosGate:
-    """A wall-clock :class:`~repro.sim.faults.FaultInjector` for one node.
-
-    Lives inside the memory-node server and is consulted once per request
-    frame, before the operation executes — so a dropped verb *never ran*,
-    exactly like a sim drop that never reached the NIC.  Time is wall-
-    clock microseconds since :meth:`arm`; the arm instant is broadcast as
-    an epoch timestamp so every node (including one restarted mid-run)
-    measures windows from the same origin.
-
-    Divergence from the sim, by necessity: the sim draws probabilistic
-    drops from one global RNG in verb-issue order; separate server
-    processes cannot share that stream, so each gate seeds its own RNG
-    from ``(plan seed, node id)``.  Drop *rates* and windows match; the
-    exact per-verb coin flips do not.
-    """
-
-    def __init__(self, plan: FaultPlan, node_id: int):
-        self.node_id = node_id
-        self.rng = random.Random(plan.seed * 1_000_003 + node_id)
-        # Controller RPC failures are verb drops scoped to "rpc", the same
-        # folding FaultInjector.load performs.
-        self._drops = plan.drops + tuple(
-            DropWindow(r.start_us, r.end_us, r.prob, r.node_id, ("rpc",))
-            for r in plan.rpc_failures
-        )
-        self._spikes = plan.spikes
-        self._outages = tuple(
-            o for o in plan.outages if o.node_id == node_id
-        )
-        windows = [
-            (w.start_us, w.end_us)
-            for w in (*self._drops, *self._spikes, *self._outages)
-        ]
-        self._active_from = min((s for s, _ in windows), default=_INF)
-        self._active_until = max((e for _, e in windows), default=-_INF)
-        self.t0: Optional[float] = None
-        #: Always-on fate tally, reported by the server's ``__stats__``
-        #: RPC and folded into the chaos digest (plain dict increments;
-        #: cheap enough to keep unconditioned).
-        self.verdicts: Dict[str, int] = {
-            "ok": 0, "drop": 0, "down": 0, "spike": 0,
-        }
-
-    def arm(self, t0_epoch: Optional[float] = None) -> float:
-        """Start the clock; returns the epoch origin actually used."""
-        self.t0 = time.time() if t0_epoch is None else float(t0_epoch)
-        return self.t0
-
-    def now_us(self) -> float:
-        return (time.time() - self.t0) * 1e6
-
-    def verb_outcome(self, verb: str) -> Tuple[int, float]:
-        """Fate of one verb arriving *now*: ``(OK|DROP|DOWN, extra_us)``.
-
-        Mirrors :meth:`FaultInjector.verb_outcome`, including the RNG
-        discipline (one draw per matching probabilistic verb).
-        """
-        if self.t0 is None:
-            return OK, 0.0
-        now = self.now_us()
-        if not self._active_from <= now < self._active_until:
-            self.verdicts["ok"] += 1
-            return OK, 0.0
-        for outage in self._outages:
-            if outage.start_us <= now < outage.end_us:
-                self.verdicts["down"] += 1
-                return DOWN, 0.0
-        for w in self._drops:
-            if (
-                w.start_us <= now < w.end_us
-                and (w.node_id is None or w.node_id == self.node_id)
-                and (w.verbs is None or verb in w.verbs)
-                and (w.prob >= 1.0 or self.rng.random() < w.prob)
-            ):
-                self.verdicts["drop"] += 1
-                return DROP, 0.0
-        extra = 0.0
-        for s in self._spikes:
-            if (
-                s.start_us <= now < s.end_us
-                and (s.node_id is None or s.node_id == self.node_id)
-                and (s.verbs is None or verb in s.verbs)
-            ):
-                extra += s.extra_us
-        self.verdicts["spike" if extra > 0.0 else "ok"] += 1
-        return OK, extra
 
 
 # -- post-run reconciliation and the real-heap sweep -----------------------
@@ -215,45 +115,6 @@ async def repair_sweep(cluster: RealCluster, passes: int = 2) -> int:
     return cluster.counters.get("lease_repair") - before
 
 
-class _SweepController:
-    def __init__(self, grants: Dict[int, list]):
-        self._grants = grants
-
-    def granted_segments(self) -> Dict[int, list]:
-        return self._grants
-
-
-class _SweepNode:
-    """Duck-typed memory node for the offline sweep: address range, the
-    grant log fetched over RPC, and (node 0 only) ``read_bytes`` served
-    straight from the attached shared-memory heap."""
-
-    def __init__(self, handle: NodeHandle, grants: Dict[int, list]):
-        self._handle = handle
-        self.node_id = handle.node_id
-        self.base = handle.base
-        self.end = handle.end
-        self.controller = _SweepController(grants)
-
-    def read_bytes(self, addr: int, length: int) -> bytes:
-        return self._handle.read_direct(addr, length)
-
-
-class _SweepView:
-    """The cluster facets :func:`repro.core.invariants.sweep` reads."""
-
-    def __init__(self, cluster: RealCluster,
-                 grants_by_node: Dict[int, Dict[int, list]]):
-        self.clients = cluster.clients
-        self.budget = cluster.budget
-        self.layout = cluster.layout
-        self.nodes = [
-            _SweepNode(handle, grants_by_node[handle.node_id])
-            for handle in cluster.nodes
-        ]
-        self.node = self.nodes[0]
-
-
 async def sweep_real(cluster: RealCluster) -> Dict[str, int]:
     """Run the memory-accounting sweep over the live cluster's real heaps.
 
@@ -266,16 +127,16 @@ async def sweep_real(cluster: RealCluster) -> Dict[str, int]:
     leaked block, or budget drift.
     """
     ep = cluster.clients[0].ep
-    grants_by_node: Dict[int, Dict[int, list]] = {}
+    granted: List[Tuple[int, int]] = []
     for node in cluster.nodes:
-        grants_by_node[node.node_id] = await drive(
-            ep.rpc(node, "granted_segments", None)
-        )
+        by_owner = await drive(ep.rpc(node, "granted_segments", None))
+        for segs in by_owner.values():
+            granted.extend(segs)
     node0 = cluster.node
     attached_here = node0._seg is None
     node0.attach()
     try:
-        return invariants.sweep(_SweepView(cluster, grants_by_node))
+        return invariants.sweep(cluster, granted, node0.read_direct)
     finally:
         if attached_here:
             node0.detach()
@@ -378,9 +239,10 @@ async def run_chaos(
             # Overlay the plan's fault windows on the launcher's trace
             # (each armed server shard overlays its own copy too) and
             # mark the common arm origin.
-            obs_runtime.record_fault_windows(obs, wall_plan, t0)
+            base_ts = obs.ts_from_epoch(t0)
+            obs.tracer.fault_windows(wall_plan.to_dict(), base_ts)
             obs.tracer.instant_at(
-                "chaos.armed", "chaos", obs.ts_from_epoch(t0), tid=0,
+                "chaos.armed", "chaos", base_ts, tid=0,
                 args={"time_scale": time_scale},
             )
         tasks.append(asyncio.create_task(_watchdog(), name="chaos-watchdog"))
@@ -463,7 +325,6 @@ __all__ = [
     "CANNED_PLAN",
     "CHAOS_CLIENT_CONFIG",
     "CHAOS_TIMEOUT_S",
-    "ChaosGate",
     "DEFAULT_TIME_SCALE",
     "reconcile_grants",
     "repair_sweep",

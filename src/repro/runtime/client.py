@@ -794,13 +794,6 @@ class RealEndpoint(VerbTransport):
         payload = yield self._roundtrip(node, "faa", wire.OP_FAA, body)
         return wire.U64.unpack(payload)[0]
 
-    def read_burst(self, addr: int, length: int, count: int) -> Generator:
-        """No doorbell batching over sockets; serve the burst as reads."""
-        data = b""
-        for _ in range(max(count, 1)):
-            data = yield from self.read(addr, length)
-        return data
-
     def rpc(self, node: NodeHandle, op: str, payload=None,
             size: int = 64) -> Generator:
         """Controller RPC; ``size`` (a sim cost-model hint) is ignored."""

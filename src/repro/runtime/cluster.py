@@ -25,17 +25,9 @@ from ..core.client import DittoClient
 from ..core.config import DittoConfig
 from ..core.geometry import plan_cluster
 from ..memory.allocator import MemoryBudget
-from ..obs.metrics import MetricsRegistry
+from ..obs import runtime as obs_runtime
 from ..sim import CounterSet
 from .client import NodeHandle, NodeHealth, RealEndpoint, WallClockRuntime
-
-
-class _RegistryShim:
-    """Quacks like an Observability hub for the one facet clients use
-    (``obs.registry``); histograms fill with wall-clock microseconds."""
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None):
-        self.registry = registry if registry is not None else MetricsRegistry()
 
 
 class RealCluster:
@@ -45,7 +37,6 @@ class RealCluster:
         self,
         descriptor: Dict,
         runtime: Optional[WallClockRuntime] = None,
-        registry: Optional[MetricsRegistry] = None,
         timeout_s: float = 10.0,
         shm_reads: bool = False,
     ):
@@ -84,7 +75,9 @@ class RealCluster:
 
         self.engine = runtime if runtime is not None else WallClockRuntime()
         self.counters = CounterSet()
-        self.obs = _RegistryShim(registry)
+        #: The armed per-process hub, or None: a dark cluster's clients
+        #: bind no latency histograms and time nothing.
+        self.obs = obs_runtime.current()
         self.tracer = None
         self.fence = None
         self.consensus = None

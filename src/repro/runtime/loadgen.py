@@ -6,10 +6,11 @@ concurrent clients: every logical client is a full
 :class:`~repro.core.client.DittoClient` with its own
 :class:`~repro.runtime.client.RealEndpoint`, running as one asyncio task
 in a closed loop over a Zipfian key stream; all of them send over the
-process's one link per memory node.  Per-op latencies land in ``repro.obs`` streaming
-histograms (the same ``op.latency`` metric the sim records, here in
-wall-clock microseconds) plus exact
-:class:`~repro.sim.stats.LatencyStats` for the report percentiles.
+process's one link per memory node.  Per-op latencies land in exact
+:class:`~repro.sim.stats.LatencyStats` for the report percentiles; under
+``REPRO_TRACE`` the clients additionally record the ``op.latency``
+histograms the sim records (here in wall-clock microseconds) into the
+process's trace shard.
 
 Scales to thousands of clients in one process: the link is one
 ``asyncio.Protocol`` on one socket per memory node (no stream objects,
@@ -35,12 +36,12 @@ from typing import Dict, Optional
 
 from ..core.client import CacheOperationError
 from ..obs import runtime as obs_runtime
-from ..obs.metrics import MetricsRegistry
 from ..rdma.verbs import RdmaFaultError
 from ..sim.stats import LatencyStats
 from ..workloads import ZipfianGenerator
-from .client import WallClockRuntime, drive
+from .client import drive
 from .cluster import RealCluster
+from .harness import control_rpc
 
 
 class LoadReport(dict):
@@ -51,8 +52,6 @@ def node_batching(descriptor: Dict) -> list:
     """Frames, wake-ups and sends of every reachable memory node, read
     over the out-of-band control channel (so no endpoint counter moves).
     Frames per wake-up says how well the load's frames coalesced."""
-    from .harness import control_rpc  # harness -> server -> chaos -> here
-
     rows = []
     for entry in descriptor["nodes"]:
         try:
@@ -136,7 +135,6 @@ async def run_load(
     seed: int = 7,
     shm_reads: bool = False,
     timeout_s: float = 10.0,
-    registry: Optional[MetricsRegistry] = None,
     cluster: Optional[RealCluster] = None,
     on_start=None,
 ) -> LoadReport:
@@ -153,21 +151,16 @@ async def run_load(
     kill task on the running loop).
     """
     obs = obs_runtime.current()
-    if obs is not None and registry is None:
-        # Armed process: client-side metrics land in the trace shard.
-        registry = obs.registry
     owns_cluster = cluster is None
     if owns_cluster:
-        runtime = WallClockRuntime()
         cluster = RealCluster(
-            descriptor, runtime=runtime, registry=registry,
-            timeout_s=timeout_s, shm_reads=shm_reads,
+            descriptor, timeout_s=timeout_s, shm_reads=shm_reads
         )
     elif cluster.clients:
         raise ValueError("a caller-provided cluster must have no clients")
     cluster.add_clients(clients)
     if obs is not None:
-        obs.bridge_counters(cluster.counters, component="client")
+        obs.registry.bridge(cluster.counters, component="client")
     stats = {
         "ops_done": 0,
         "failed_ops": 0,

@@ -34,10 +34,11 @@ Node 0 additionally hosts the cluster-level metadata handlers (the
 adaptive ``update_weights`` fold and ``get_membership``), mirroring the
 sim cluster where node 0 carries the hash table and global structures.
 
-Fault injection: a :class:`~repro.runtime.chaos.ChaosGate` can be armed
-over RPC (``__chaos_load__``); it is consulted once per request frame,
-*before* execution, so a dropped verb never ran — the wall-clock
-equivalent of the sim's drop-at-the-NIC semantics.
+Fault injection: a :class:`~repro.sim.faults.FaultInjector` — the class the
+sim's endpoints consult — can be armed over RPC (``__chaos_load__``) on a
+clock counting from the cluster-wide arm instant; it is consulted once per
+request frame, *before* execution, so a dropped verb never ran — the
+wall-clock equivalent of the sim's drop-at-the-NIC semantics.
 
 Lifecycle: the parent (``repro.runtime.harness``) spawns this module,
 reads the ``DITTO-NODE ...`` ready line for the bound port and shared-
@@ -74,9 +75,8 @@ from ..memory.node import MemoryAccessError, MemoryNode
 from ..obs import runtime as obs_runtime
 from ..obs.metrics import MetricsRegistry
 from ..rdma.verbs import StaleEpoch
-from ..sim.faults import DOWN, DROP, FaultPlan
+from ..sim.faults import DOWN, DROP, FaultInjector, FaultPlan
 from . import wire
-from .chaos import ChaosGate
 from .journal import (
     DurableSegmentState,
     GrantJournal,
@@ -145,8 +145,23 @@ class _ServerObs:
         self.journal_writes = registry.counter("journal.writes")
 
 
+class _EpochClock:
+    """The fault gate's clock: wall-clock microseconds since the arm
+    instant, an epoch timestamp broadcast to every node (including one
+    restarted mid-run) so all measure windows from the same origin."""
+
+    __slots__ = ("t0",)
+
+    def __init__(self, t0: float):
+        self.t0 = t0
+
+    @property
+    def now(self) -> float:
+        return (time.time() - self.t0) * 1e6
+
+
 class _Down(Exception):
-    """The chaos gate's outage verdict: reset this connection."""
+    """The fault gate's outage verdict: reset this connection."""
 
 
 class _Conn:
@@ -225,7 +240,7 @@ class NodeServer:
         #: Static membership advertised by get_membership (node 0 only);
         #: the real substrate does not yet run elastic node changes.
         self.membership = tuple(membership)
-        self.gate: Optional[ChaosGate] = None
+        self.gate: Optional[FaultInjector] = None
         self._rpc_memo: "OrderedDict[int, tuple]" = OrderedDict()
         self._selector: Optional[selectors.BaseSelector] = None
         self._listener: Optional[socket.socket] = None
@@ -268,21 +283,17 @@ class NodeServer:
         self._obs = _ServerObs(registry, proc)
         self.segments.journal.on_record = self._obs.journal_writes.add
 
-    def _fold_gate_verdicts(self) -> None:
-        if self.gate is not None:
-            for kind, count in self.gate.verdicts.items():
-                if count:
-                    self._chaos_verdicts[kind] = (
-                        self._chaos_verdicts.get(kind, 0) + count
-                    )
-
-    def _stats(self) -> dict:
-        """The ``__stats__`` control-RPC payload: health + metrics."""
+    def _gate_verdicts(self) -> dict:
+        """Verdict totals: disarmed gates' folded counts plus the live one's."""
         verdicts = dict(self._chaos_verdicts)
         if self.gate is not None:
             for kind, count in self.gate.verdicts.items():
                 if count:
                     verdicts[kind] = verdicts.get(kind, 0) + count
+        return verdicts
+
+    def _stats(self) -> dict:
+        """The ``__stats__`` control-RPC payload: health + metrics."""
         out = {
             "node_id": self.node_id,
             "role": f"mn{self.node_id}",
@@ -298,7 +309,7 @@ class NodeServer:
                 len(pairs) for pairs in self.segments.grants.values()
             ),
             "chaos_armed": self.gate is not None,
-            "chaos_verdicts": verdicts,
+            "chaos_verdicts": self._gate_verdicts(),
             "obs_armed": self._obs is not None,
             "metrics": (
                 self._obs.registry.snapshot()
@@ -307,35 +318,11 @@ class NodeServer:
         }
         return out
 
-    # -- RPC handlers (mirror Controller's registered operations) ---------
+    # -- RPC handlers -------------------------------------------------------
 
     def _rpc(self, op: str, payload, token: int = 0):
-        seg = self.segments
-        if op == "alloc_segment":
-            if seg.draining:
-                raise StaleEpoch(
-                    f"node {self.node_id} is draining at epoch {seg.epoch}: "
-                    "no new segment grants",
-                    verb="rpc", node_id=self.node_id, epoch=seg.epoch,
-                )
-            if isinstance(payload, tuple):
-                size, owner = payload
-            else:
-                size, owner = payload, -1
-            return seg.alloc(size, owner, token)
-        if op == "free_segment":
-            addr, size = payload
-            return seg.free(addr, size)
-        if op == "list_segments":
-            return seg.list_owner(payload)
-        if op == "reassign_grants":
-            from_owner, to_owner = payload
-            return seg.reassign(from_owner, to_owner)
-        if op == "granted_segments":
-            return {
-                owner: list(pairs)
-                for owner, pairs in seg.grants.items() if pairs
-            }
+        if op in self.segments.RPC_OPS:
+            return self.segments.serve(op, payload, token)
         if op == "update_weights":
             if self.weights is None:
                 raise KeyError(
@@ -350,23 +337,25 @@ class NodeServer:
             return (0, tuple((nid, ACTIVE) for nid in self.membership))
         if op == "__chaos_load__":
             plan_dict, t0 = payload
-            self._fold_gate_verdicts()
+            t0 = float(t0)
             plan = FaultPlan.from_dict(plan_dict)
-            gate = ChaosGate(plan, self.node_id)
-            gate.arm(t0)
+            gate = FaultInjector(
+                _EpochClock(t0), plan, node_scope=self.node_id
+            )
+            self._chaos_verdicts = self._gate_verdicts()
             self.gate = gate
             obs = self._obs
             if obs is not None and obs.proc is not None:
                 # Overlay the armed windows on this node's trace shard so
                 # the merged view shows faults against served verbs.
-                obs_runtime.record_fault_windows(obs.proc, plan, gate.t0)
+                base_ts = obs.proc.ts_from_epoch(t0)
+                obs.proc.tracer.fault_windows(plan.to_dict(), base_ts)
                 obs.proc.tracer.instant_at(
-                    "chaos.armed", "chaos", obs.proc.ts_from_epoch(gate.t0),
-                    tid=0,
+                    "chaos.armed", "chaos", base_ts, tid=0
                 )
             return t0
         if op == "__chaos_stop__":
-            self._fold_gate_verdicts()
+            self._chaos_verdicts = self._gate_verdicts()
             self.gate = None
             return None
         if op == "__stats__":
@@ -443,7 +432,7 @@ class NodeServer:
             )
 
     def _gate_outcome(self, op: int, body: bytes):
-        """Consult the chaos gate for this frame; (kind, extra_us).
+        """Consult the fault gate for this frame; (kind, extra_us).
 
         Shutdown frames and the chaos control RPCs themselves are exempt
         — the harness must always be able to disarm or stop a node.
@@ -460,7 +449,7 @@ class NodeServer:
                 # Control RPCs (chaos arm/disarm, __stats__ polling, debug
                 # handlers) must keep working while faults are injected.
                 return None, 0.0
-        return gate.verb_outcome(_VERB_BY_OP.get(op, "rpc"))
+        return gate.verb_outcome(self.node_id, _VERB_BY_OP.get(op, "rpc"))
 
     def _answer_later(self, conn: "_Conn", req_id: int, delay_s: float,
                       execute) -> None:

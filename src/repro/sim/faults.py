@@ -1,11 +1,12 @@
-"""Deterministic, seed-driven fault injection for the discrete-event engine.
+"""Deterministic, seed-driven fault injection, shared by both substrates.
 
 A :class:`FaultPlan` is a declarative, JSON-serializable description of every
 failure a simulation should suffer: verb drops and latency spikes at the RDMA
 endpoint, memory-node outage windows, controller RPC failures, and
-client-crash instants.  A :class:`FaultInjector` binds a plan to an engine and
-answers point queries from the instrumented layers ("does this verb, issued
-now against this node, fail?").
+client-crash instants.  A :class:`FaultInjector` binds a plan to a clock — the
+engine, or a memory-node server's wall clock — and answers point queries from
+the instrumented layers ("does this verb, issued now against this node,
+fail?").
 
 Determinism: probabilistic faults draw from a private ``random.Random`` seeded
 by the plan, and draws happen only for verbs that match an active window — so
@@ -24,10 +25,8 @@ healthy path.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
-
-from .engine import Engine
 
 #: Outcome kinds returned by :meth:`FaultInjector.verb_outcome`.
 OK, DROP, DOWN = 0, 1, 2
@@ -233,41 +232,33 @@ class FaultPlan:
         Experiments build plans relative to t=0 and shift them to "now" once
         warmup is done, so plan contents stay independent of warmup length.
         """
+        return self._retimed(1.0, offset_us)
+
+    def _retimed(self, scale: float, offset_us: float,
+                 kinds: Sequence[str] = tuple(_KINDS)) -> "FaultPlan":
+        """The plan under the affine time map ``t -> t * scale + offset_us``.
+
+        Instants (``start_us``/``end_us``/``at_us``) take the whole map; the
+        one duration, a spike's ``extra_us``, only scales.  Exact for
+        ``scale == 1.0`` and for ``offset_us == 0.0``, the two uses.  Kinds
+        outside ``kinds`` come out empty.
+        """
+        def moved(item):
+            fields = vars(item)
+            changes = {
+                name: fields[name] * scale + offset_us
+                for name in ("start_us", "end_us", "at_us") if name in fields
+            }
+            if "extra_us" in fields:
+                changes["extra_us"] = fields["extra_us"] * scale
+            return replace(item, **changes)
+
         return FaultPlan(
-            drops=tuple(
-                DropWindow(w.start_us + offset_us, w.end_us + offset_us, w.prob,
-                           w.node_id, w.verbs)
-                for w in self.drops
-            ),
-            spikes=tuple(
-                LatencySpike(s.start_us + offset_us, s.end_us + offset_us,
-                             s.extra_us, s.node_id, s.verbs)
-                for s in self.spikes
-            ),
-            outages=tuple(
-                NodeOutage(o.node_id, o.start_us + offset_us, o.end_us + offset_us)
-                for o in self.outages
-            ),
-            rpc_failures=tuple(
-                RpcFailure(r.start_us + offset_us, r.end_us + offset_us, r.prob,
-                           r.node_id)
-                for r in self.rpc_failures
-            ),
-            client_crashes=tuple(
-                ClientCrash(c.client_index, c.at_us + offset_us)
-                for c in self.client_crashes
-            ),
-            controller_crashes=tuple(
-                ControllerCrash(
-                    c.replica_id, c.start_us + offset_us, c.end_us + offset_us
-                )
-                for c in self.controller_crashes
-            ),
-            partitions=tuple(
-                Partition(p.start_us + offset_us, p.end_us + offset_us, p.groups)
-                for p in self.partitions
-            ),
             seed=self.seed,
+            **{
+                kind: tuple(moved(item) for item in getattr(self, kind))
+                for kind in kinds
+            },
         )
 
 
@@ -287,7 +278,7 @@ def compile_wall(
     The compilation rule is a single multiplication: every time quantity
     (window starts/ends *and* spike ``extra_us``) is scaled by
     ``time_scale``, turning simulated microseconds into wall-clock
-    microseconds relative to the instant the chaos gates are armed.  A
+    microseconds relative to the instant the fault gates are armed.  A
     sim plan authored against a ~30 ms simulated run replays against a
     ~1.5 s wall-clock loadgen with ``time_scale=50`` — same windows,
     same seed, same relative ordering.
@@ -304,48 +295,36 @@ def compile_wall(
         name for name in _KINDS
         if name not in WALL_KINDS and getattr(plan, name)
     )
-    scale = time_scale
-    wall = FaultPlan(
-        drops=tuple(
-            DropWindow(w.start_us * scale, w.end_us * scale, w.prob,
-                       w.node_id, w.verbs)
-            for w in plan.drops
-        ),
-        spikes=tuple(
-            LatencySpike(s.start_us * scale, s.end_us * scale,
-                         s.extra_us * scale, s.node_id, s.verbs)
-            for s in plan.spikes
-        ),
-        outages=tuple(
-            NodeOutage(o.node_id, o.start_us * scale, o.end_us * scale)
-            for o in plan.outages
-        ),
-        rpc_failures=tuple(
-            RpcFailure(r.start_us * scale, r.end_us * scale, r.prob,
-                       r.node_id)
-            for r in plan.rpc_failures
-        ),
-        seed=plan.seed,
-    )
-    return wall, dropped
+    return plan._retimed(time_scale, 0.0, WALL_KINDS), dropped
 
 
 class FaultInjector:
-    """A :class:`FaultPlan` armed against a live engine.
+    """A :class:`FaultPlan` armed against a clock: the one fault gate.
+
+    ``clock`` is anything with ``.now`` in microseconds.  On the sim it is
+    the :class:`~repro.sim.engine.Engine` and one injector serves every
+    node; on the real substrate each memory-node server arms its own
+    against wall-clock microseconds since the common arm instant, and
+    consults it once per request frame *before* the operation executes —
+    so a dropped verb never ran, exactly like a sim drop that never
+    reached the NIC.
 
     Construct with ``plan=None`` (or an empty plan) for an inert injector that
     layers can hold without any fault firing; :meth:`load` arms a plan later
-    (optionally shifted to the current simulated time), which is how
-    experiments inject failures only after warmup.
+    (optionally shifted to the current time), which is how experiments
+    inject failures only after warmup.
+
+    ``node_scope`` only derives the RNG seed.  Unscoped, probabilistic drops
+    draw from one stream in verb-issue order; separate server processes
+    cannot share that stream, so a scoped injector seeds its own from
+    ``(plan seed, node id)``.  Drop *rates* and windows match across the
+    substrates; the exact per-verb coin flips do not.
     """
 
-    #: Trace lanes for fault windows start here; windows may overlap, so each
-    #: gets its own lane (mirrors ``repro.obs.trace.FAULT_TID_BASE`` — sim
-    #: never imports obs, so the constant is stated on both sides).
-    TRACE_TID_BASE = 1_000_000
-
-    def __init__(self, engine: Engine, plan: Optional[FaultPlan] = None):
-        self.engine = engine
+    def __init__(self, clock, plan: Optional[FaultPlan] = None,
+                 node_scope: Optional[int] = None):
+        self.clock = clock
+        self.node_scope = node_scope
         self.plan = FaultPlan()
         self.rng = random.Random(0)
         self._drops: Tuple[DropWindow, ...] = ()
@@ -357,7 +336,11 @@ class FaultInjector:
         self._active_from = _INF
         #: Span tracer (repro.obs); None keeps load() annotation-free.
         self.tracer = None
-        self._trace_lanes = 0  # lanes consumed by earlier load() calls
+        #: Always-on fate tally of :meth:`verb_outcome` (plain dict
+        #: increments; cheap enough to keep unconditioned).
+        self.verdicts: Dict[str, int] = {
+            "ok": 0, "drop": 0, "down": 0, "spike": 0,
+        }
         if plan is not None:
             self.load(plan)
 
@@ -366,7 +349,10 @@ class FaultInjector:
         if offset_us:
             plan = plan.shifted(offset_us)
         self.plan = plan
-        self.rng = random.Random(plan.seed)
+        self.rng = random.Random(
+            plan.seed if self.node_scope is None
+            else plan.seed * 1_000_003 + self.node_scope
+        )
         # Controller RPC failures are verb drops scoped to the "rpc" verb:
         # the request (or its response) vanishes and the client times out.
         self._drops = plan.drops + tuple(
@@ -386,64 +372,22 @@ class FaultInjector:
         ]
         self._active_from = min((s for s, _ in windows), default=_INF)
         self._active_until = max((e for _, e in windows), default=-_INF)
-        if not plan.empty:
+        if plan.empty:
+            return
+        disable_batch = getattr(self.clock, "disable_batch", None)
+        if disable_batch is not None:
             # Fault outcomes are consulted per verb at resume time; keep
             # the whole run on the scalar event loop (an inert injector
             # leaves storm mode available).
-            self.engine.disable_batch("faults")
-        if self.tracer is not None and not plan.empty:
-            self._annotate_plan(plan)
-
-    def _annotate_plan(self, plan: FaultPlan) -> None:
-        """Emit the armed plan's windows as trace spans (repro.obs).
-
-        Windows may overlap in time, so each gets a private lane above
-        :attr:`TRACE_TID_BASE` — lanes are cheap and keep the per-lane
-        nesting invariant intact.  Crash instants share one marker lane.
-        """
-        tracer = self.tracer
-        windows = [
-            ("fault.drop", {"prob": w.prob, "node": w.node_id}, w)
-            for w in plan.drops
-        ] + [
-            ("fault.rpc_failure", {"prob": r.prob, "node": r.node_id}, r)
-            for r in plan.rpc_failures
-        ] + [
-            ("fault.spike", {"extra_us": s.extra_us, "node": s.node_id}, s)
-            for s in plan.spikes
-        ] + [
-            ("fault.outage", {"node": o.node_id}, o)
-            for o in plan.outages
-        ] + [
-            ("fault.controller_crash", {"replica": c.replica_id}, c)
-            for c in plan.controller_crashes
-        ] + [
-            ("fault.partition", {"groups": [list(g) for g in p.groups]}, p)
-            for p in plan.partitions
-        ]
-        for name, args, window in windows:
-            tid = self.TRACE_TID_BASE + self._trace_lanes
-            self._trace_lanes += 1
-            tracer.name_lane(tid, name)
-            tracer.complete_at(
-                name, "fault", window.start_us,
-                window.end_us - window.start_us, tid=tid, args=args,
-            )
-        if plan.client_crashes:
-            tid = self.TRACE_TID_BASE + self._trace_lanes
-            self._trace_lanes += 1
-            tracer.name_lane(tid, "fault.client_crash")
-            for crash in plan.client_crashes:
-                tracer.instant_at(
-                    "fault.client_crash", "fault", crash.at_us, tid=tid,
-                    args={"client": crash.client_index},
-                )
+            disable_batch("faults")
+        if self.tracer is not None:
+            self.tracer.fault_windows(plan.to_dict())
 
     # -- point queries ------------------------------------------------------
 
     def node_down(self, node_id: int, now: Optional[float] = None) -> bool:
         if now is None:
-            now = self.engine.now
+            now = self.clock.now
         for outage in self._outages:
             if outage.node_id == node_id and outage.start_us <= now < outage.end_us:
                 return True
@@ -452,7 +396,7 @@ class FaultInjector:
     def controller_down(self, replica_id: int, now: Optional[float] = None) -> bool:
         """Is consensus replica ``replica_id`` inside a crash window *now*?"""
         if now is None:
-            now = self.engine.now
+            now = self.clock.now
         for crash in self._controller_crashes:
             if (
                 crash.replica_id == replica_id
@@ -466,7 +410,7 @@ class FaultInjector:
         if not self._partitions:
             return False
         if now is None:
-            now = self.engine.now
+            now = self.clock.now
         for p in self._partitions:
             if p.start_us <= now < p.end_us and p.group_of(a) != p.group_of(b):
                 return True
@@ -479,11 +423,14 @@ class FaultInjector:
         draw per *matching* verb, so plans that never match a verb leave the
         fault RNG untouched.
         """
-        now = self.engine.now
+        now = self.clock.now
+        verdicts = self.verdicts
         if not self._active_from <= now < self._active_until:
+            verdicts["ok"] += 1
             return OK, 0.0
         for outage in self._outages:
             if outage.node_id == node_id and outage.start_us <= now < outage.end_us:
+                verdicts["down"] += 1
                 return DOWN, 0.0
         for w in self._drops:
             if (
@@ -492,6 +439,7 @@ class FaultInjector:
                 and (w.verbs is None or verb in w.verbs)
                 and (w.prob >= 1.0 or self.rng.random() < w.prob)
             ):
+                verdicts["drop"] += 1
                 return DROP, 0.0
         extra = 0.0
         for s in self._spikes:
@@ -501,6 +449,7 @@ class FaultInjector:
                 and (s.verbs is None or verb in s.verbs)
             ):
                 extra += s.extra_us
+        verdicts["spike" if extra > 0.0 else "ok"] += 1
         return OK, extra
 
 

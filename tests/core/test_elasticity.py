@@ -173,7 +173,7 @@ class TestRemoveMemoryNode:
         cluster = cache.cluster
         cluster._ensure_elastic()
         node = cluster.nodes[1]
-        node.controller.draining = True
+        node.controller.state.draining = True
         client = cluster.clients[0]
         with pytest.raises(StaleEpoch):
             cluster.engine.run_process(

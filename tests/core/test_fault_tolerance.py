@@ -114,8 +114,8 @@ class TestOutOfMemoryRecovery:
     def _exhaust_pool(self, cluster):
         """Make every future segment RPC fail and every bump cursor dry."""
         for node in cluster.nodes:
-            node.controller._next_free = node.end
-            node.controller._free_segments.clear()
+            node.controller.state.next_free = node.end
+            node.controller.state.free_segments.clear()
         for client in cluster.clients:
             for alloc in client.alloc.allocators:
                 if alloc._bump_addr is not None:

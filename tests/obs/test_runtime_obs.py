@@ -12,19 +12,31 @@ import os
 
 import pytest
 
+from repro.obs import Observability
 from repro.obs import runtime as obs_runtime
 from repro.obs.metrics import render_prometheus
 from repro.obs.runtime import (
     ProcessObs,
-    WallTracer,
     build_digest,
     format_digest,
     load_shard,
     merge_shards,
     persist_digest,
-    record_fault_windows,
 )
 from repro.obs.trace import FAULT_TID_BASE, validate_trace
+from repro.runtime.chaos import CANNED_PLAN
+from repro.sim import Engine
+from repro.sim.faults import (
+    ClientCrash,
+    ControllerCrash,
+    DropWindow,
+    FaultInjector,
+    FaultPlan,
+    LatencySpike,
+    NodeOutage,
+    Partition,
+    RpcFailure,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -38,26 +50,29 @@ def _isolated_obs(monkeypatch):
 
 
 class TestWallTracer:
-    def test_complete_records_lane_and_nonnegative_dur(self):
-        tracer = WallTracer(label="t")
-        start = tracer.now_us()
-        tracer.complete("op", "cat", start, tid=3, args={"k": 1})
-        (event,) = [e for e in tracer.chrome_events() if e["ph"] == "X"]
+    """The one SpanTracer, clocked by a ProcessObs instead of an engine."""
+
+    def test_complete_records_lane_and_nonnegative_dur(self, tmp_path):
+        proc = ProcessObs(str(tmp_path), "t")
+        start = proc.now_us()
+        proc.tracer.complete("op", "cat", start, tid=3, args={"k": 1})
+        (event,) = [e for e in proc.tracer.chrome_events() if e["ph"] == "X"]
         assert event["tid"] == 3
         assert event["dur"] >= 0.0
         assert event["args"] == {"k": 1}
 
-    def test_now_us_is_monotonic(self):
-        tracer = WallTracer()
-        a = tracer.now_us()
-        b = tracer.now_us()
+    def test_now_us_is_monotonic(self, tmp_path):
+        proc = ProcessObs(str(tmp_path), "t")
+        a = proc.now_us()
+        b = proc.now_us()
         assert b >= a
 
-    def test_future_start_clamps_to_zero_dur(self):
-        tracer = WallTracer()
-        tracer.complete("op", "cat", tracer.now_us() + 1e9)
-        (event,) = [e for e in tracer.chrome_events() if e["ph"] == "X"]
+    def test_future_start_clamps_to_zero_dur(self, tmp_path):
+        proc = ProcessObs(str(tmp_path), "t")
+        proc.tracer.complete("op", "cat", proc.now_us() + 1e9)
+        (event,) = [e for e in proc.tracer.chrome_events() if e["ph"] == "X"]
         assert event["dur"] == 0.0
+        assert event["tid"] == 0  # no active process to infer a lane from
 
 
 class TestProcessObs:
@@ -115,7 +130,7 @@ class TestProcessObs:
                 return {"conn_resend": 4, "rdma_read": 9}
 
         proc = ProcessObs(str(tmp_path), "launcher")
-        proc.bridge_counters(FakeCounters(), component="client")
+        proc.registry.bridge(FakeCounters(), component="client")
         doc = proc.shard_document()
         rows = {
             (r["name"], tuple(sorted(r["labels"].items()))): r["value"]
@@ -125,29 +140,89 @@ class TestProcessObs:
         assert rows[("rdma_read", (("component", "client"),))] == 9
 
 
-class FakePlan:
-    def __init__(self, d):
-        self._d = d
+def _sim_tracer(plan):
+    """The tracer of a sim injector armed with ``plan`` after binding."""
+    obs = Observability()
+    engine = Engine()
+    injector = FaultInjector(engine)
+    injector.tracer = obs.bind(engine, "sim")
+    injector.load(plan)
+    return injector.tracer
 
-    def to_dict(self):
-        return self._d
+
+def _wall_tracer(plan, tmp_path):
+    """A wall-clock process's tracer with ``plan`` overlaid mid-run."""
+    proc = ProcessObs(str(tmp_path), "mn1")
+    proc.tracer.fault_windows(plan.to_dict(), base_ts=5e5)
+    return proc.tracer
+
+
+def _fault_events(tracer):
+    return [e for e in tracer.chrome_events() if e.get("cat") == "fault"]
+
+
+def _fault_lane_names(tracer):
+    return sorted(
+        e["args"]["name"] for e in tracer.chrome_events()
+        if e["name"] == "thread_name" and e["tid"] >= FAULT_TID_BASE
+    )
 
 
 class TestFaultWindows:
     def test_windows_land_on_dedicated_lanes(self, tmp_path):
         proc = ProcessObs(str(tmp_path), "mn0")
-        plan = FakePlan({
-            "seed": 7,
-            "drops": [{"node_id": 0, "start_us": 10.0, "end_us": 30.0}],
-            "outages": [{"node_id": 1, "start_us": 5.0, "end_us": 50.0}],
-            "spikes": [{"node_id": 0, "extra_us": 3.0}],  # no window
-        })
-        n = record_fault_windows(proc, plan, proc.t0_epoch_s)
-        assert n == 2
+        plan = FaultPlan(
+            drops=(DropWindow(10.0, 30.0, node_id=0),),
+            outages=(NodeOutage(1, 5.0, 50.0),),
+            seed=7,
+        )
+        proc.tracer.fault_windows(plan.to_dict(), base_ts=1000.0)
         spans = [e for e in proc.tracer.chrome_events() if e["ph"] == "X"]
-        assert {s["name"] for s in spans} == {"fault.drop", "fault.outage"}
+        assert {s["name"]: s["ts"] for s in spans} == {
+            "fault.drop": 1010.0, "fault.outage": 1005.0,
+        }
         tids = {s["tid"] for s in spans}
         assert len(tids) == 2 and all(t >= FAULT_TID_BASE for t in tids)
+        # A re-arm never reuses a lane an earlier overlay took.
+        proc.tracer.fault_windows(plan.to_dict())
+        spans = [e for e in proc.tracer.chrome_events() if e["ph"] == "X"]
+        assert len({s["tid"] for s in spans}) == 4
+
+    def test_both_substrates_name_the_canned_plan_alike(self, tmp_path):
+        """One overlay, one kind -> span-name table: the sim tracer and a
+        wall ProcessObs emit the same names, one lane per window."""
+        sim = _sim_tracer(CANNED_PLAN)
+        wall = _wall_tracer(CANNED_PLAN, tmp_path)
+        windows = len(CANNED_PLAN.drops) + len(CANNED_PLAN.outages)
+        for tracer in (sim, wall):
+            events = _fault_events(tracer)
+            assert {e["name"] for e in events} == {
+                "fault.drop", "fault.outage",
+            }
+            assert len(events) == windows
+            assert len({e["tid"] for e in events}) == windows
+        assert _fault_lane_names(sim) == _fault_lane_names(wall)
+
+    def test_every_kind_has_one_span_name(self, tmp_path):
+        plan = FaultPlan(
+            drops=(DropWindow(0.0, 1.0),),
+            spikes=(LatencySpike(0.0, 1.0, extra_us=2.0),),
+            outages=(NodeOutage(0, 0.0, 1.0),),
+            rpc_failures=(RpcFailure(0.0, 1.0),),
+            client_crashes=(ClientCrash(0, 0.5), ClientCrash(1, 0.7)),
+            controller_crashes=(ControllerCrash(0, 0.0, 1.0),),
+            partitions=(Partition(0.0, 1.0, groups=((0,), (1, 2))),),
+        )
+        for tracer in (_sim_tracer(plan), _wall_tracer(plan, tmp_path)):
+            events = _fault_events(tracer)
+            assert sorted(e["name"] for e in events) == [
+                "fault.client_crash", "fault.client_crash",
+                "fault.controller_crash", "fault.drop", "fault.outage",
+                "fault.partition", "fault.rpc_failure", "fault.spike",
+            ]
+            # Windows get a lane each; the crash instants share one.
+            assert len({e["tid"] for e in events}) == 7
+            json.dumps(events)
 
 
 class TestShardMerge:

@@ -1,9 +1,10 @@
 """Wall-clock chaos layer: gates, journals, kill/restart, and the drill.
 
 Unit tests cover the pure pieces — sim-to-wall plan compilation, the
-per-node :class:`~repro.runtime.chaos.ChaosGate`, the durable grant
-journal, and the :class:`~repro.runtime.client.NodeHealth` circuit
-breaker — against plain buffers and fake clocks.  The integration tests
+durable grant journal, and the :class:`~repro.runtime.client.NodeHealth`
+circuit breaker — against plain buffers and fake clocks (the per-node
+fault gate is the sim's ``FaultInjector``; its cases, on both clocks, are
+in ``tests/sim/test_faults.py``).  The integration tests
 spawn real ``repro.runtime.server`` processes: SIGKILL mid-run, restart
 against the surviving shared-memory heap, fail-fast via the reaper, and
 a scaled-down end-to-end chaos drill finishing with the invariant sweep.
@@ -18,7 +19,7 @@ import time
 import pytest
 
 from repro.rdma.verbs import NodeUnavailable
-from repro.runtime.chaos import ChaosGate, run_chaos
+from repro.runtime.chaos import run_chaos
 from repro.runtime.client import NodeHealth, drive
 from repro.runtime.cluster import RealCluster
 from repro.runtime.harness import RealClusterHarness
@@ -29,9 +30,6 @@ from repro.runtime.journal import (
 )
 from repro.runtime.server import shm_name
 from repro.sim.faults import (
-    DOWN,
-    DROP,
-    OK,
     ClientCrash,
     DropWindow,
     FaultPlan,
@@ -77,68 +75,6 @@ def test_compile_wall_reports_sim_only_kinds_and_rejects_bad_scale():
     assert dropped == ("client_crashes",)
     with pytest.raises(ValueError):
         compile_wall(plan, time_scale=0.0)
-
-
-# -- the per-node fault gate ------------------------------------------------
-
-
-def _gate_at(plan: FaultPlan, node_id: int, now_us: float) -> ChaosGate:
-    """A gate whose clock currently reads ``now_us`` (wide-window tests
-    tolerate the microseconds that elapse before the outcome call)."""
-    gate = ChaosGate(plan, node_id)
-    gate.arm(time.time() - now_us / 1e6)
-    return gate
-
-
-def test_gate_drops_matching_verbs_inside_the_window_only():
-    plan = FaultPlan(drops=(DropWindow(1e6, 2e6, verbs=("read",)),))
-    inside = _gate_at(plan, 0, 1.5e6)
-    assert inside.verb_outcome("read") == (DROP, 0.0)
-    assert inside.verb_outcome("write") == (OK, 0.0)
-    assert _gate_at(plan, 0, 0.5e6).verb_outcome("read") == (OK, 0.0)
-    assert _gate_at(plan, 0, 2.5e6).verb_outcome("read") == (OK, 0.0)
-
-
-def test_gate_unarmed_or_wrong_node_passes_everything():
-    plan = FaultPlan(drops=(DropWindow(0.0, 1e12, node_id=1),))
-    unarmed = ChaosGate(plan, 1)
-    assert unarmed.verb_outcome("read") == (OK, 0.0)
-    other_node = _gate_at(plan, 2, 1e6)
-    assert other_node.verb_outcome("read") == (OK, 0.0)
-
-
-def test_gate_outage_downs_only_its_node():
-    plan = FaultPlan(outages=(NodeOutage(1, 1e6, 2e6),))
-    assert _gate_at(plan, 1, 1.5e6).verb_outcome("read") == (DOWN, 0.0)
-    assert _gate_at(plan, 0, 1.5e6).verb_outcome("read") == (OK, 0.0)
-    assert _gate_at(plan, 1, 2.5e6).verb_outcome("read") == (OK, 0.0)
-
-
-def test_gate_spikes_accumulate_extra_latency():
-    plan = FaultPlan(spikes=(
-        LatencySpike(1e6, 2e6, extra_us=300.0),
-        LatencySpike(1e6, 3e6, extra_us=200.0),
-    ))
-    assert _gate_at(plan, 0, 1.5e6).verb_outcome("write") == (OK, 500.0)
-    assert _gate_at(plan, 0, 2.5e6).verb_outcome("write") == (OK, 200.0)
-
-
-def test_gate_folds_rpc_failures_into_rpc_scoped_drops():
-    plan = FaultPlan(rpc_failures=(RpcFailure(1e6, 2e6),))
-    gate = _gate_at(plan, 0, 1.5e6)
-    assert gate.verb_outcome("rpc") == (DROP, 0.0)
-    assert gate.verb_outcome("read") == (OK, 0.0)
-
-
-def test_gate_rng_is_per_node_and_deterministic():
-    plan = FaultPlan(drops=(DropWindow(0.0, 1e12, prob=0.5),), seed=7)
-    first = _gate_at(plan, 1, 1e6)
-    second = _gate_at(plan, 1, 1e6)
-    seq = [first.verb_outcome("read")[0] for _ in range(64)]
-    assert seq == [second.verb_outcome("read")[0] for _ in range(64)]
-    assert DROP in seq and OK in seq  # actually probabilistic
-    other = _gate_at(plan, 2, 1e6)
-    assert seq != [other.verb_outcome("read")[0] for _ in range(64)]
 
 
 # -- the durable grant journal ----------------------------------------------

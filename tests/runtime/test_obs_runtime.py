@@ -80,6 +80,18 @@ def test_traced_load_merges_into_valid_trace(tmp_path, monkeypatch):
     assert {"op.get", "op.set", "read", "write", "load",
             "harness.launch"} <= names
 
+    # The armed counterpart of the dark-path check: the loadgen's clients
+    # record the sim's op.latency metric into the launcher's shard.
+    (launcher,) = [n for n in shards if n.startswith("shard-launcher-")]
+    with open(os.path.join(trace_dir, launcher), encoding="utf-8") as fh:
+        metrics = json.load(fh)["metrics"]
+    latency = {
+        row["labels"]["verb"]: row["count"] for row in metrics["histograms"]
+        if row["name"] == "op.latency"
+        and row["labels"].get("component") == "client"
+    }
+    assert latency["get"] > 0 and latency["set"] > 0
+
 
 def test_traced_chaos_drill_records_faults_and_kill_cycle(
     tmp_path, monkeypatch
@@ -167,18 +179,22 @@ def test_disarmed_runs_hold_no_obs_state(tmp_path):
     """The zero-cost conformance check (satellite S6).
 
     Without REPRO_TRACE nothing may allocate observability state: the
-    endpoint handle is None, the servers report dark, and no shard file
-    appears anywhere the run touches.
+    cluster holds no hub or registry, its clients bind no ``op.latency``
+    histogram (so a Get/Set reads no clock for one), the endpoint handle
+    is None, the servers report dark, and no shard file appears anywhere
+    the run touches.
     """
     assert "REPRO_TRACE" not in os.environ
     harness = _mini_harness()
     try:
         descriptor = harness.launch()
         cluster = RealCluster(descriptor)
-        endpoint = cluster.make_endpoint(None)
-        assert endpoint._obs_proc is None
-        assert endpoint._obs_hist == {}
-        asyncio.run(endpoint.aclose())
+        assert cluster.obs is None
+        (client,) = cluster.add_clients(1)
+        assert client._hist_get is None and client._hist_set is None
+        assert client.ep._obs_proc is None
+        assert client.ep._obs_hist == {}
+        asyncio.run(cluster.aclose())
 
         report = asyncio.run(run_load(
             descriptor, clients=2, ops=200, n_keys=100, preload=20, seed=3

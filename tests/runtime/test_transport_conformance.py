@@ -231,17 +231,6 @@ def test_faa_returns_old_and_wraps_mod_2_64(substrate):
     assert substrate.run(flow()) == (0, 5, (1 << 64) - 1, 1)
 
 
-def test_read_burst_equals_repeated_reads(substrate):
-    ep = substrate.ep
-    addr = SCRATCH + 1536
-
-    def flow():
-        yield from ep.write(addr, b"burstburst")
-        return (yield from ep.read_burst(addr, 10, 3))
-
-    assert substrate.run(flow()) == b"burstburst"
-
-
 def test_rpc_alloc_list_free_semantics(substrate):
     ep, node = substrate.ep, substrate.rpc_node
 
@@ -334,7 +323,7 @@ def test_timeouts_surface_as_verb_timeout(substrate):
 def test_same_plan_drop_surfaces_as_verb_timeout(substrate):
     # One FaultPlan, two substrates: a dropped verb never executes, so the
     # client observes silence and times out — on the sim via the injector,
-    # on the real substrate via the server's ChaosGate swallowing the
+    # on the real substrate via the server's fault gate swallowing the
     # request frame mid-verb.
     plan = FaultPlan(drops=(DropWindow(0.0, 1e12, verbs=("read",)),))
     substrate.arm_plan(plan)

@@ -1,5 +1,7 @@
 """Unit tests for the fault-injection framework (plans and injector)."""
 
+import random
+
 import pytest
 
 from repro.sim import (
@@ -62,35 +64,59 @@ class TestFaultPlan:
             LatencySpike(0.0, 1.0, extra_us=-2.0)
 
 
-class TestFaultInjector:
-    def advance(self, engine, t):
-        def proc():
-            yield Timeout(t - engine.now)
+class FakeEpochClock:
+    """A memory-node server's gate clock with time under test control:
+    ``now`` is microseconds since the arm instant."""
 
-        engine.run_process(proc())
+    def __init__(self):
+        self.now = 0.0
+
+
+class TestFaultInjector:
+    """The gate cases, on the sim's configuration: the engine is the clock
+    and one unscoped injector serves every node."""
+
+    node_scope = None
+
+    def make(self, plan=None):
+        clock = Engine()
+        return FaultInjector(clock, plan, node_scope=self.node_scope), clock
+
+    def advance(self, clock, t):
+        def proc():
+            yield Timeout(t - clock.now)
+
+        clock.run_process(proc())
 
     def test_inert_without_plan(self):
-        injector = FaultInjector(Engine())
+        injector, _ = self.make()
         assert injector.verb_outcome(0, "read") == (OK, 0.0)
         assert not injector.node_down(0)
 
     def test_outage_window(self):
-        engine = Engine()
-        injector = FaultInjector(
-            engine, FaultPlan(outages=(NodeOutage(0, 10.0, 20.0),))
+        injector, clock = self.make(
+            FaultPlan(outages=(NodeOutage(0, 10.0, 20.0),))
         )
         assert injector.verb_outcome(0, "read") == (OK, 0.0)
-        self.advance(engine, 10.0)
+        self.advance(clock, 10.0)
         assert injector.verb_outcome(0, "read")[0] == DOWN
+        assert injector.verb_outcome(1, "read") == (OK, 0.0)
         assert injector.node_down(0)
         assert not injector.node_down(1)
-        self.advance(engine, 20.0)
+        self.advance(clock, 20.0)
         assert injector.verb_outcome(0, "read") == (OK, 0.0)
 
+    def test_drop_window_edges(self):
+        injector, clock = self.make(
+            FaultPlan(drops=(DropWindow(10.0, 20.0, verbs=("read",)),))
+        )
+        for now, kind in ((9.5, OK), (10.0, DROP), (19.5, DROP), (20.0, OK)):
+            self.advance(clock, now)
+            assert injector.verb_outcome(0, "read") == (kind, 0.0)
+            assert injector.verb_outcome(0, "write") == (OK, 0.0)
+
     def test_drop_scoping_by_node_and_verb(self):
-        engine = Engine()
-        injector = FaultInjector(
-            engine,
+        injector, _ = self.make(
             FaultPlan(drops=(DropWindow(0.0, 10.0, node_id=1, verbs=("cas",)),)),
         )
         assert injector.verb_outcome(1, "cas")[0] == DROP
@@ -98,41 +124,53 @@ class TestFaultInjector:
         assert injector.verb_outcome(0, "cas")[0] == OK
 
     def test_latency_spikes_accumulate(self):
-        engine = Engine()
-        injector = FaultInjector(
-            engine,
+        injector, clock = self.make(
             FaultPlan(
                 spikes=(
                     LatencySpike(0.0, 10.0, extra_us=3.0),
-                    LatencySpike(0.0, 10.0, extra_us=4.0),
+                    LatencySpike(0.0, 20.0, extra_us=4.0),
                 )
             ),
         )
         assert injector.verb_outcome(0, "read") == (OK, 7.0)
+        self.advance(clock, 15.0)
+        assert injector.verb_outcome(0, "read") == (OK, 4.0)
 
     def test_rpc_failures_compile_to_rpc_drops(self):
-        engine = Engine()
-        injector = FaultInjector(
-            engine, FaultPlan(rpc_failures=(RpcFailure(0.0, 10.0),))
-        )
+        injector, _ = self.make(FaultPlan(rpc_failures=(RpcFailure(0.0, 10.0),)))
         assert injector.verb_outcome(0, "rpc")[0] == DROP
         assert injector.verb_outcome(0, "read")[0] == OK
 
     def test_probabilistic_drops_are_seed_deterministic(self):
         def outcomes(seed):
-            engine = Engine()
-            injector = FaultInjector(
-                engine, FaultPlan(drops=(DropWindow(0.0, 10.0, prob=0.5),), seed=seed)
+            injector, _ = self.make(
+                FaultPlan(drops=(DropWindow(0.0, 10.0, prob=0.5),), seed=seed)
             )
             return [injector.verb_outcome(0, "read")[0] for _ in range(64)]
 
         assert outcomes(1) == outcomes(1)
         assert outcomes(1) != outcomes(2)  # astronomically unlikely to match
+        assert DROP in outcomes(1) and OK in outcomes(1)
+
+    def test_rng_stream_is_the_plan_seed_scoped_by_node(self):
+        """The substrates' one divergence: an unscoped injector draws from
+        ``Random(seed)``, a node's own from ``Random(seed * 1_000_003 + id)``."""
+        plan = FaultPlan(drops=(DropWindow(0.0, 10.0, prob=0.5),), seed=7)
+
+        def flips(scope):
+            injector = FaultInjector(self.make()[1], plan, node_scope=scope)
+            return [injector.verb_outcome(0, "read")[0] for _ in range(64)]
+
+        def reference(seed):
+            rng = random.Random(seed)
+            return [DROP if rng.random() < 0.5 else OK for _ in range(64)]
+
+        assert flips(None) == reference(7)
+        assert flips(1) == flips(1) == reference(7 * 1_000_003 + 1)
+        assert flips(2) == reference(7 * 1_000_003 + 2) != flips(1)
 
     def test_non_matching_verbs_leave_rng_untouched(self):
-        engine = Engine()
-        injector = FaultInjector(
-            engine,
+        injector, _ = self.make(
             FaultPlan(drops=(DropWindow(0.0, 10.0, prob=0.5, verbs=("cas",)),), seed=3),
         )
         state = injector.rng.getstate()
@@ -142,9 +180,43 @@ class TestFaultInjector:
         assert injector.rng.getstate() != state
 
     def test_load_with_offset(self):
-        engine = Engine()
-        injector = FaultInjector(engine)
+        injector, clock = self.make()
         injector.load(FaultPlan(outages=(NodeOutage(0, 0.0, 5.0),)), offset_us=50.0)
         assert injector.verb_outcome(0, "read")[0] == OK
-        self.advance(engine, 51.0)
+        self.advance(clock, 51.0)
         assert injector.verb_outcome(0, "read")[0] == DOWN
+
+    def test_verdicts_tally_every_fate(self):
+        injector, clock = self.make(FaultPlan(
+            drops=(DropWindow(10.0, 20.0),),
+            spikes=(LatencySpike(20.0, 30.0, extra_us=5.0),),
+            outages=(NodeOutage(0, 30.0, 40.0),),
+        ))
+        for now in (0.0, 10.0, 20.0, 30.0, 40.0):
+            self.advance(clock, now)
+            injector.verb_outcome(0, "read")
+        assert injector.verdicts == {"ok": 2, "drop": 1, "down": 1, "spike": 1}
+
+
+class TestFaultInjectorNodeScoped(TestFaultInjector):
+    """The same cases on a memory-node server's configuration: an epoch
+    clock (here a fake one) and the RNG stream scoped to the node."""
+
+    node_scope = 1
+
+    def make(self, plan=None):
+        clock = FakeEpochClock()
+        return FaultInjector(clock, plan, node_scope=self.node_scope), clock
+
+    def advance(self, clock, t):
+        clock.now = t
+
+
+def test_only_an_engine_clock_is_pinned_to_the_scalar_loop():
+    plan = FaultPlan(drops=(DropWindow(0.0, 1.0),))
+    engine = Engine()
+    FaultInjector(engine, FaultPlan())
+    assert engine.batch_enabled  # an inert injector leaves storm mode on
+    FaultInjector(engine, plan)
+    assert not engine.batch_enabled
+    FaultInjector(FakeEpochClock(), plan)  # nothing to disable: no error

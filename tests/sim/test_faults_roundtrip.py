@@ -4,7 +4,8 @@ Fault plans are cache-key material and travel through JSON (experiment
 manifests, the CI chaos job); ``from_dict(json(to_dict(plan)))`` must be the
 identity for every constructible plan — including the controller-HA fault
 types, whose nested partition groups JSON turns into lists.  ``shifted``
-must compose additively and preserve window lengths.
+must compose additively and preserve window lengths, and it and
+``compile_wall`` are two uses of one affine retime, checked field by field.
 """
 
 import json
@@ -23,6 +24,8 @@ from repro.sim.faults import (
     NodeOutage,
     Partition,
     RpcFailure,
+    WALL_KINDS,
+    compile_wall,
 )
 
 # Times as non-negative multiples of 0.5 us: exact in binary floating point,
@@ -142,3 +145,43 @@ def test_shifted_preserves_window_lengths_and_empty(plan, offset):
     for before, after in zip(plan.client_crashes, moved.client_crashes):
         assert after.at_us == before.at_us + offset
         assert after.client_index == before.client_index
+
+
+# Scales as multiples of 0.25: products with the half-microsecond times
+# above stay exact, so the field-by-field comparison needs no tolerance.
+scales = st.integers(min_value=1, max_value=400).map(lambda n: n / 4.0)
+
+INSTANTS = ("start_us", "end_us", "at_us")
+SIM_ONLY = ("client_crashes", "controller_crashes", "partitions")
+
+
+def assert_affine(before_plan, after_plan, scale, offset, kinds):
+    """``after_plan`` is ``before_plan`` under ``t -> t * scale + offset``."""
+    assert after_plan.seed == before_plan.seed
+    for kind in kinds:
+        before_items = before_plan.to_dict()[kind]
+        after_items = after_plan.to_dict()[kind]
+        assert len(after_items) == len(before_items)
+        for before, after in zip(before_items, after_items):
+            for name, value in before.items():
+                if name in INSTANTS:
+                    assert after[name] == value * scale + offset
+                elif name == "extra_us":  # a duration: scales, never shifts
+                    assert after[name] == value * scale
+                else:  # prob / node_id / verbs / groups / ids: not times
+                    assert after[name] == value
+
+
+@settings(max_examples=100, deadline=None)
+@given(plan=fault_plans(), scale=scales, offset=times)
+def test_retime_is_one_affine_map_over_every_time_field(plan, scale, offset):
+    assert_affine(plan, plan._retimed(scale, offset), scale, offset,
+                  WALL_KINDS + SIM_ONLY)
+    # Its two uses: a pure shift, and a pure scale that refuses (names and
+    # leaves out) the kinds only the simulator can execute.
+    assert_affine(plan, plan.shifted(offset), 1.0, offset,
+                  WALL_KINDS + SIM_ONLY)
+    wall, dropped = compile_wall(plan, scale)
+    assert_affine(plan, wall, scale, 0.0, WALL_KINDS)
+    assert dropped == tuple(k for k in SIM_ONLY if getattr(plan, k))
+    assert not any(getattr(wall, kind) for kind in SIM_ONLY)
