@@ -303,7 +303,8 @@ def build_digest(report: Dict[str, Any]) -> Dict[str, Any]:
     present) the per-node fault-gate verdict counts and sweep outcome.
     ``nodes`` carries each memory node's frame/wake-up/send counts, from
     which frames per wake-up — how well the load coalesced — is printed,
-    and ``links`` the frames and flushes of the load generator's links.
+    and ``links`` the frames and flushes of the load generator's links
+    and the verbs of its that needed the recovery coroutine.
     """
     counters = report.get("counters", {}) or {}
     digest: Dict[str, Any] = {
@@ -356,7 +357,8 @@ def format_digest(digest: Dict[str, Any]) -> str:
     if links:
         lines.append(
             f"client: frames={links['frames']} flushes={links['flushes']} "
-            f"frames/flush={links['frames'] / max(1, links['flushes']):.2f}"
+            f"frames/flush={links['frames'] / max(1, links['flushes']):.2f} "
+            f"recovered={links.get('recovered', 0)}"
         )
     for node in digest.get("nodes", ()):
         lines.append(

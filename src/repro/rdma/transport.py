@@ -12,8 +12,10 @@ two substrates:
   :class:`~repro.sim.Timeout` commands against the discrete-event engine,
   with NIC queueing and verb latency fully cost-modelled;
 * the **real substrate** (:class:`~repro.runtime.client.RealEndpoint`)
-  yields awaitables that an asyncio driver executes against live
-  memory-node processes over sockets and ``multiprocessing.shared_memory``.
+  yields plain verb requests that :func:`~repro.runtime.client.drive` puts
+  on the process's link to a live memory-node process (sockets and
+  ``multiprocessing.shared_memory``); the generator is resumed from the
+  link when the response arrives, as the engine resumes it from an event.
 
 The contract every implementation must honour (DESIGN §3.7):
 
@@ -85,10 +87,11 @@ class VerbTransport:
         raise NotImplementedError
 
     def post_write(self, addr: int, data: bytes):
-        """Fire-and-forget WRITE; returns the substrate's handle on the
-        verb in flight, or None when a fence dropped it unsent."""
+        """Fire-and-forget WRITE; returns None.  Portable code cannot
+        wait for a post, learn its fate or cancel it (the engine process
+        the sim's implementation hands back is not part of the contract)."""
         raise NotImplementedError
 
     def post_faa(self, addr: int, delta: int):
-        """Fire-and-forget FAA; returns what :meth:`post_write` does."""
+        """Fire-and-forget FAA; returns None, like :meth:`post_write`."""
         raise NotImplementedError

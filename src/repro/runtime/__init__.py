@@ -6,8 +6,8 @@ system processes: each memory node is a separate process whose heap is a
 ``multiprocessing.shared_memory`` segment, verbs travel as length-prefixed
 frames over loopback sockets served by one single-threaded readiness loop
 (so CAS/FAA linearize by construction, like the NIC serialization point in
-the sim), and clients drive their verb generators with an asyncio driver
-that maps sim commands onto awaitables.
+the sim), and clients' verb generators are stepped by a runner that puts
+each verb's frame on the process's link and resumes from its response.
 
 Layout:
 
@@ -15,8 +15,8 @@ Layout:
 - :mod:`.server` — the memory-node server process
   (``python -m repro.runtime.server``);
 - :mod:`.client` — :class:`WallClockRuntime` (clock, posts and the
-  process's one link per memory node), :class:`RealEndpoint`, and the
-  :func:`drive` generator driver;
+  process's one link per memory node), :class:`RealEndpoint`, and
+  :func:`drive`, which runs a verb generator from the link;
 - :mod:`.cluster` — :class:`RealCluster`, the client-side deployment
   façade that :class:`~repro.core.client.DittoClient` plugs into;
 - :mod:`.harness` — :class:`RealClusterHarness`, spawning and reaping

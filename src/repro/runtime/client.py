@@ -1,15 +1,20 @@
-"""Client side of the real substrate: endpoint, connections, and driver.
+"""Client side of the real substrate: endpoint, links, and runner.
 
 The portable layers (:class:`~repro.core.client.DittoClient`, allocators,
 recovery) are written as generators that ``yield`` commands to their
 substrate.  On the sim substrate every command is a
-:class:`~repro.sim.Timeout` executed by the discrete-event engine; here
-the commands are either Timeouts (client backoff — mapped onto
-``asyncio.sleep``) or *coroutine objects* produced by
-:class:`RealEndpoint` verbs, awaited by :func:`drive` against live
-memory-node processes.  Failures are thrown back *into* the generator at
-the yield point as the very same exception types the sim raises
-(:class:`~repro.rdma.verbs.VerbTimeout`,
+:class:`~repro.sim.Timeout` and the discrete-event engine resumes the
+generator straight from the event that completes it; here the commands are
+either Timeouts (client backoff — a loop timer) or *verb requests*, plain
+``(endpoint, node, verb, opcode, body)`` tuples yielded by
+:class:`RealEndpoint` verbs, and :func:`drive` does what the engine does:
+it puts the request's frame on the live link to the memory node and the
+generator is resumed *from the link*, inline in ``data_received``, with
+the payload.  An op costs one asyncio future and one task wake-up — when
+it finishes — however many verbs it issues; a verb on a live, healthy link
+creates no coroutine, task or future at all.  Failures are thrown back
+*into* the generator at the yield point as the very same exception types
+the sim raises (:class:`~repro.rdma.verbs.VerbTimeout`,
 :class:`~repro.rdma.verbs.NodeUnavailable`, ...), so the client's retry
 machinery cannot tell the substrates apart.
 
@@ -18,22 +23,30 @@ per process.  Ditto's clients are threads of one compute node that share
 a NIC; here they are endpoints that share a :class:`WallClockRuntime`,
 and the runtime owns one :class:`Connection` — the *link* — to each
 memory node.  Every endpoint's requests and posts are multiplexed over
-it by ``req_id`` (the work-request id).  A request does not write: it
-appends its frame to the link's cork buffer, and one flush per loop turn
-(the doorbell) ships what every client that woke in that turn has
-queued — a Get's posted WRITE rides with the next READ, the READs of all
-woken clients ride together — with a single ``transport.write``.  The
-memory node serves whatever one ``recv`` holds and answers it with one
-``send``, so a batch out comes back as a batch in.
+it by ``req_id`` (the work-request id), and each is answered into a
+*sink*: the op's runner, the endpoint's post counter, or a future.  A
+request does not write: it appends its frame to the link's cork buffer,
+and one flush (the doorbell) ships what every client has queued — a
+Get's posted WRITE rides with the next READ, the READs of all resumed
+clients ride together — with a single ``transport.write``.  The doorbell
+follows the resumes: while a batch of responses is being dispatched the
+flush is held; if the batch finished no op, every resumed client has
+already corked its next verb and the link flushes inline (one loop turn
+per round trip), otherwise the flush is queued behind the wake-ups of the
+ops that finished, whose next verbs then leave with it.  The memory node
+serves whatever one ``recv`` holds and answers it with one ``send``, so a
+batch out comes back as a batch in.
 
-A :class:`Connection` is an ``asyncio.Protocol``: ``data_received``
-resolves futures straight from the bytes the transport delivers — there
-is no stream reader, no reader task and no flow-control wait per
-request.  Timeouts are one timer per link that watches the nearest of
-its requests' own deadlines.  Concurrent first verbs share one
-in-progress connect.  ``post_write``/``post_faa`` put their frame on the
-link and count a drop in the future's done-callback, so a posted verb
-costs a future, not a task.
+A :class:`Connection` is an ``asyncio.Protocol``: there is no stream
+reader, no reader task and no flow-control wait per request.  Timeouts
+are one timer per link that watches the nearest of its requests' own
+deadlines.  Everything that is not "frame on a live, healthy link →
+answer" — the health view's probe gate, the single-flight connect,
+resends and their backoff, a CAS's fate, ``NodeUnavailable`` — is one
+coroutine, :meth:`RealEndpoint._recover`, run as a task only for the verb
+that needs it.  ``post_write``/``post_faa`` put their frame on the link
+and are a count on the runtime, not a future; a vanished post is counted,
+never resent.
 """
 
 from __future__ import annotations
@@ -50,12 +63,7 @@ from ..memory.controller import OutOfMemoryError
 from ..memory.node import MemoryAccessError
 from ..obs import runtime as obs_runtime
 from ..rdma.transport import VerbTransport
-from ..rdma.verbs import (
-    NodeUnavailable,
-    RdmaFaultError,
-    StaleEpoch,
-    VerbTimeout,
-)
+from ..rdma.verbs import NodeUnavailable, StaleEpoch, VerbTimeout
 from ..sim import CounterSet, Timeout
 from . import wire
 from .journal import unregister_shm
@@ -94,8 +102,8 @@ class WallClockRuntime:
 
     Presents the engine facets portable code actually touches — ``now`` /
     ``_now`` in microseconds — so :class:`~repro.core.client.DittoClient`
-    timestamps work unchanged, and keeps the futures of fire-and-forget
-    posts so a caller can wait for them.  Time is wall-clock microseconds
+    timestamps work unchanged, and counts the fire-and-forget posts in
+    flight so a caller can wait for them.  Time is wall-clock microseconds
     since runtime construction (the sim measures microseconds since
     engine start).
 
@@ -106,11 +114,17 @@ class WallClockRuntime:
 
     def __init__(self):
         self._t0 = time.perf_counter()
-        self._background = set()
+        #: Posts submitted, or waiting for a connect, and not yet settled.
+        self.posts_in_flight = 0
+        #: What :meth:`drain_background` callers wait on, while there is one.
+        self._drained: Optional[asyncio.Future] = None
         #: (host, port) -> the one link this process has to that node.
         self.links: Dict[tuple, "Connection"] = {}
-        #: (host, port) -> future of the connect in progress.
+        #: (host, port) -> the connect in progress.
         self._opening: Dict[tuple, asyncio.Future] = {}
+        #: Always-on tally, a plain int like the links' frames/flushes:
+        #: verbs that left the inline path for the recovery coroutine.
+        self.recovered = 0
 
     @property
     def now(self) -> float:
@@ -119,70 +133,75 @@ class WallClockRuntime:
     # The hot paths read engine._now directly; same clock here.
     _now = now
 
-    def track(self, future: asyncio.Future) -> None:
-        """Hold a posted verb's future until it completes."""
-        self._background.add(future)
-        future.add_done_callback(self._background.discard)
+    def post_settled(self) -> None:
+        """One post fewer in flight: answered, expired, or lost with its
+        link or its connect."""
+        self.posts_in_flight -= 1
+        if not self.posts_in_flight and self._drained is not None:
+            self._drained.set_result(None)
+            self._drained = None
 
     async def drain_background(self, timeout_s: float = 10.0) -> int:
-        """Await outstanding background posts; returns how many were
-        still pending when called."""
-        pending = [f for f in self._background if not f.done()]
+        """Wait until no post is in flight; returns how many were when
+        called."""
+        pending = self.posts_in_flight
         if pending:
-            await asyncio.wait(pending, timeout=timeout_s)
-        return len(pending)
+            if self._drained is None:
+                self._drained = asyncio.get_running_loop().create_future()
+            await asyncio.wait([self._drained], timeout=timeout_s)
+        return pending
 
     def live_link(self, node: "NodeHandle") -> Optional["Connection"]:
         """The link to ``node`` if it is up; never connects."""
         conn = self.links.get((node.host, node.port))
         return conn if conn is not None and conn.alive else None
 
-    async def connect(self, node: "NodeHandle") -> "Connection":
-        """Open the link to ``node``, or join the open in progress.
+    def opening(self, node: "NodeHandle") -> asyncio.Future:
+        """The connect to ``node`` in progress, started if there is none;
+        resolves to the link, or fails with the connect's ``OSError``.
 
-        Single flight: verbs that arrive while a connect is under way —
-        every client's first verb, a Get-only client's first posts — wait
-        for that one instead of each opening (and all but the last
-        orphaning) its own.  Raises the ``OSError`` of a failed connect to
-        the opener and to every waiter.
+        Single flight: whatever arrives while a connect is under way —
+        every client's first verb, a Get-only client's first posts — joins
+        that one instead of each opening (and all but the last orphaning)
+        its own.  Done-callbacks run in the order they were added, so what
+        joined first is first on the link.
         """
         key = (node.host, node.port)
         opening = self._opening.get(key)
-        if opening is not None:
-            # Shielded: cancelling one waiter must not cancel the rest.
-            return await asyncio.shield(opening)
+        if opening is None:
+            opening = self._opening[key] = asyncio.ensure_future(
+                self._open(key)
+            )
+        return opening
+
+    async def _open(self, key: tuple) -> "Connection":
         loop = asyncio.get_running_loop()
-        opening = self._opening[key] = loop.create_future()
         try:
             _transport, conn = await loop.create_connection(
-                lambda: Connection(loop), node.host, node.port
+                lambda: Connection(loop), *key
             )
-        except OSError as exc:
-            opening.set_exception(exc)
-            raise
-        else:
-            old = self.links.get(key)
-            if old is not None:  # a reset link's tallies carry on
-                conn.frames, conn.flushes = old.frames, old.flushes
-            self.links[key] = conn
-            opening.set_result(conn)
-            return conn
         finally:
             del self._opening[key]
-            if not opening.done():
-                # Cancelled mid-connect: waiters must not inherit that.
-                opening.set_exception(
-                    ConnectionAbortedError("connect was abandoned")
-                )
-            opening.exception()  # mark retrieved: there may be no waiter
+        old = self.links.get(key)
+        if old is not None:  # a reset link's tallies carry on
+            conn.frames, conn.flushes = old.frames, old.flushes
+        self.links[key] = conn
+        return conn
+
+    async def connect(self, node: "NodeHandle") -> "Connection":
+        """Open the link to ``node``, or join the open in progress."""
+        # Shielded: cancelling one waiter must not cancel the connect.
+        return await asyncio.shield(self.opening(node))
 
     def link_stats(self) -> Dict[str, int]:
-        """Frames queued and flushes made, summed over the links:
-        frames per flush says how many verbs shared one ``send``."""
+        """Frames queued and flushes made, summed over the links — frames
+        per flush says how many verbs shared one ``send`` — and the verbs
+        that needed the recovery coroutine."""
         links = self.links.values()
         return {
             "frames": sum(conn.frames for conn in links),
             "flushes": sum(conn.flushes for conn in links),
+            "recovered": self.recovered,
         }
 
     async def aclose(self) -> None:
@@ -195,37 +214,145 @@ class WallClockRuntime:
                 await conn.close()
 
 
-async def drive(gen: Generator, runtime: Optional[WallClockRuntime] = None):
+class _Runner:
+    """One op in flight: its generator, stepped by whatever completes the
+    command it is blocked on — the link (this is the verb's sink), a loop
+    timer, or the recovery task.  The real-substrate counterpart of the
+    sim's ``Process``."""
+
+    __slots__ = ("gen", "future", "request", "started", "blocker")
+
+    def __init__(self, gen: Generator, future: asyncio.Future):
+        self.gen = gen
+        #: Resolved with the generator's result: the op's one future.
+        self.future = future
+        #: The verb request in flight.
+        self.request: Optional[tuple] = None
+        self.started = 0.0
+        #: The timer or recovery task the op waits on, if it is not the link.
+        self.blocker = None
+
+    def step(self, value=None, error: Optional[BaseException] = None) -> bool:
+        """Resume the generator and carry out the command it yields.
+
+        True when that finished the op or started a task, i.e. something
+        was queued on the loop that may issue a verb this turn; False when
+        the next verb is already corked (or the op sleeps).  Total: what
+        the generator raises goes to the op's future, never to the caller
+        — which may be ``data_received``, where an exception would reset
+        the link under every client.
+        """
+        future = self.future
+        if future.done():  # abandoned: a late completion is dropped
+            return False
+        try:
+            if error is None:
+                command = self.gen.send(value)
+            else:
+                command = self.gen.throw(error)
+        except StopIteration as stop:
+            future.set_result(stop.value)
+            return True
+        except BaseException as exc:
+            future.set_exception(exc)
+            if isinstance(exc, (KeyboardInterrupt, SystemExit)):
+                raise
+            return True
+        return self.carry_out(command)
+
+    def carry_out(self, command) -> bool:
+        """Start what the generator yielded; :meth:`step` says what the
+        result means."""
+        if type(command) is tuple:
+            endpoint, node, _verb, op, body = self.request = command
+            if endpoint._obs_proc is not None:
+                self.started = time.perf_counter()
+            health = endpoint.health
+            conn = endpoint.engine.live_link(node)
+            if conn is not None and (
+                health is None or not health.is_down(node.node_id)
+            ):
+                conn.submit(op, body, endpoint.timeout_s, self)
+                return False
+            self._recover(None)
+            return True
+        if isinstance(command, Timeout):
+            self.blocker = self.future.get_loop().call_later(
+                command.delay / 1e6, self.step
+            )
+            return False
+        return self.step(None, RuntimeError(
+            f"the real substrate cannot execute {command!r}; only Timeout "
+            "and endpoint verb requests are portable (DESIGN §3.7)"
+        ))
+
+    # -- the link's sink ----------------------------------------------------
+
+    def answered(self, status: int, payload: bytes) -> bool:
+        endpoint, node, verb, _op, _body = self.request
+        if endpoint._obs_proc is not None:
+            endpoint._obs_record(
+                verb, (time.perf_counter() - self.started) * 1e6
+            )
+        try:
+            payload = endpoint._decode(node, verb, status, payload)
+        except Exception as exc:  # surfaced inside the generator
+            return self.step(None, exc)
+        return self.step(payload)
+
+    def failed(self, exc: BaseException) -> None:
+        if not self.future.done():
+            self._recover(exc)
+
+    # -- off the inline path ------------------------------------------------
+
+    def _recover(self, failure: Optional[BaseException]) -> None:
+        endpoint, node, verb, op, body = self.request
+        endpoint.engine.recovered += 1
+        self.blocker = task = self.future.get_loop().create_task(
+            endpoint._recover(node, verb, op, body, failure)
+        )
+        task.add_done_callback(self._recovered)
+
+    def _recovered(self, task: asyncio.Task) -> None:
+        if task.cancelled():
+            return  # with the op, or with the loop
+        exc = task.exception()
+        if exc is not None:
+            self.step(None, exc)
+        else:
+            self.answered(wire.ST_OK, task.result())
+
+    def abandon(self) -> None:
+        """The awaiting task was cancelled: unwind the generator now.  A
+        response still to come is dropped on arrival."""
+        self.gen.close()
+        if self.blocker is not None:
+            self.blocker.cancel()
+
+
+async def drive(gen: Generator):
     """Drive one verb-layer generator to completion on asyncio.
 
-    The real-substrate counterpart of ``Engine.run_process``: Timeouts
-    sleep on the wall clock, endpoint coroutines are awaited, and any
-    failure is thrown into the generator at its yield point.
+    The real-substrate counterpart of ``Engine.run_process``: the
+    generator runs in the caller up to its first command, then in whatever
+    completes each command — Timeouts sleep on the wall clock, verb
+    requests go out on the link and are resumed from it — and any failure
+    is thrown into the generator at its yield point.  The caller sleeps on
+    one future until the generator returns; a generator that never yields
+    (a Get served from shared memory) costs none.
     """
-    value = None
-    error: Optional[BaseException] = None
-    while True:
-        try:
-            if error is not None:
-                exc, error = error, None
-                command = gen.throw(exc)
-            else:
-                command = gen.send(value)
-        except StopIteration as stop:
-            return stop.value
-        value = None
-        if isinstance(command, Timeout):
-            await asyncio.sleep(command.delay / 1e6)
-        elif asyncio.iscoroutine(command):
-            try:
-                value = await command
-            except Exception as exc:  # surfaced inside the generator
-                error = exc
-        else:
-            raise RuntimeError(
-                f"the real substrate cannot execute {command!r}; only "
-                "Timeout and endpoint awaitables are portable (DESIGN §3.7)"
-            )
+    try:
+        command = gen.send(None)
+    except StopIteration as stop:
+        return stop.value
+    runner = _Runner(gen, asyncio.get_running_loop().create_future())
+    runner.carry_out(command)
+    try:
+        return await runner.future
+    except asyncio.CancelledError:
+        runner.abandon()
+        raise
 
 
 class NodeHandle:
@@ -288,36 +415,60 @@ class NodeHandle:
                    data["host"], data["port"], data.get("shm", ""))
 
 
+class _Awaited:
+    """The sink of a request somebody awaits: resolves a future with
+    ``(status, payload)``, or fails it."""
+
+    __slots__ = ("future",)
+
+    def __init__(self, future: asyncio.Future):
+        self.future = future
+
+    def answered(self, status: int, payload: bytes) -> bool:
+        if not self.future.done():
+            self.future.set_result((status, payload))
+        return True  # its waiter wakes, and may issue the next verb
+
+    def failed(self, exc: BaseException) -> None:
+        if not self.future.done():
+            self.future.set_exception(exc)
+
+
 class Connection(asyncio.Protocol):
     """One multiplexed connection to a memory node: the process's link.
 
-    Requests carry per-connection ids and :meth:`data_received` resolves
-    their futures straight from the bytes the transport hands over, in
-    arrival order — so every client's foreground op and fire-and-forget
-    posts share the socket with requests in flight concurrently, and a
-    request costs one future: no reader task, no per-request timer.  One
-    timer per connection watches the nearest deadline; ``_pending`` holds
-    each request's own deadline next to its future, so nothing outlives
-    the request it belongs to.
+    Requests carry per-connection ids and :meth:`data_received` hands each
+    response to its request's *sink*, straight from the bytes the transport
+    delivers, in arrival order — so every client's foreground op and
+    fire-and-forget posts share the socket with requests in flight
+    concurrently, and a request costs a ``_pending`` entry: no future, no
+    reader task, no per-request timer.  A sink has two methods, neither of
+    which may raise: ``answered(status, payload)``, true if it queued
+    something on the loop that may issue a verb this turn, and
+    ``failed(exc)``.  One timer per connection watches the nearest
+    deadline; ``_pending`` holds each request's own deadline next to its
+    sink, so nothing outlives the request it belongs to.
 
-    Frames leave corked: :meth:`request` appends to ``_cork`` and
-    :meth:`_flush` — once per loop turn — writes the lot.  Ids grow in
-    cork order, so ``_sent_id`` (the last id flushed) splits ``_pending``
-    into frames that may have reached the peer and frames that cannot
-    have.
+    Frames leave corked: :meth:`submit` appends to ``_cork`` and
+    :meth:`_flush` writes the lot.  Ids grow in cork order, so ``_sent_id``
+    (the last id flushed) splits ``_pending`` into frames that may have
+    reached the peer and frames that cannot have.
     """
 
     def __init__(self, loop: asyncio.AbstractEventLoop):
         self._loop = loop
         self._transport: Optional[asyncio.Transport] = None
-        self._decoder = wire.FrameDecoder(wire.RESP.size)
-        #: req_id -> (future, deadline on the loop's clock)
+        self._decoder = wire.FrameDecoder(wire.RESP)
+        #: req_id -> (sink, deadline on the loop's clock)
         self._pending: Dict[int, tuple] = {}
         self._timer: Optional[asyncio.TimerHandle] = None
         self._next_id = 0
         self._cork: List[bytes] = []
         self._cork_bytes = 0
         self._flush_queued = False
+        #: True while a batch of responses is dispatched: the doorbell
+        #: waits for every client the batch resumes.
+        self._flush_held = False
         self._sent_id = 0
         self._closed: asyncio.Future = loop.create_future()
         #: False once the connection broke or began closing: a request
@@ -341,15 +492,25 @@ class Connection(asyncio.Protocol):
             self._transport.close()
             return
         pending = self._pending
-        for frame in frames:
-            req_id, status = wire.RESP.unpack_from(frame)
+        # Sinks resume their clients inline and those cork their next
+        # verbs.  Ringing for the first of them would leave the rest — and
+        # the ops this batch finishes, whose tasks wake after it — a
+        # flush behind, and the clients out of step for good.
+        self._flush_held = True
+        woke = False
+        for req_id, status, payload in frames:
             entry = pending.pop(req_id, None)
-            if entry is not None and not entry[0].done():
-                entry[0].set_result((status, frame[wire.RESP.size :]))
-        # Queued behind the wake-ups just scheduled: the clients these
-        # responses resume issue their next verbs first, and all of them
-        # leave in this one flush, in the same loop turn.
-        if not self._flush_queued:
+            if entry is not None and entry[0].answered(status, payload):
+                woke = True
+        self._flush_held = False
+        if not woke:
+            # Every client this batch resumed has corked its next verb
+            # and nothing else is about to: one loop turn per round trip.
+            self._flush()
+        elif not self._flush_queued:
+            # Queued behind the wake-ups just scheduled: the ops these
+            # responses finished start their next ones first, and all of
+            # it leaves in this one flush.
             self._flush_queued = True
             self._loop.call_soon(self._flush)
 
@@ -365,30 +526,29 @@ class Connection(asyncio.Protocol):
             self._timer = None
         pending, self._pending = self._pending, {}
         self._cork.clear()
-        for req_id, (future, _deadline) in pending.items():
-            if not future.done():
-                future.set_exception(
-                    ConnectionResetError(str(exc))
-                    if req_id <= self._sent_id else
-                    RequestNotSent(f"link died before the flush: {exc}")
-                )
+        for req_id, (sink, _deadline) in pending.items():
+            sink.failed(
+                ConnectionResetError(str(exc))
+                if req_id <= self._sent_id else
+                RequestNotSent(f"link died before the flush: {exc}")
+            )
 
     # -- requests -----------------------------------------------------------
 
-    def request(self, op: int, body: bytes,
-                timeout_s: float) -> asyncio.Future:
-        """Queue one request; the future resolves to ``(status, payload)``.
+    def submit(self, op: int, body: bytes, timeout_s: float, sink) -> None:
+        """Queue one request; its response goes to ``sink.answered``.
 
-        The frame leaves with the link's next flush: this loop turn's if
-        responses were delivered in it, the next turn's otherwise, now if
-        the cork buffer is full.
+        The frame leaves with the link's next flush: the one that closes
+        the batch of responses being dispatched, if this is a client that
+        batch resumed; the next loop turn's otherwise; now if the cork
+        buffer is full.
 
         Raises :class:`RequestNotSent` when the connection was already
-        dead, and fails the future with it when the link dies with the
+        dead, and hands it to ``sink.failed`` when the link dies with the
         frame still corked (both safe to retry on a fresh connection, any
-        opcode).  The future fails with asyncio.TimeoutError at this
+        opcode).  ``sink.failed`` gets asyncio.TimeoutError at this
         request's own deadline (the late response, if any, is dropped on
-        arrival), and with plain ConnectionResetError when the peer died
+        arrival), and plain ConnectionResetError when the peer died
         *after* the flush — the ambiguous "response lost" case where the
         server may or may not have executed the request.
         """
@@ -396,9 +556,8 @@ class Connection(asyncio.Protocol):
             raise RequestNotSent("connection is closed")
         self._next_id += 1
         req_id = self._next_id
-        future = self._loop.create_future()
         deadline = self._loop.time() + timeout_s
-        self._pending[req_id] = (future, deadline)
+        self._pending[req_id] = (sink, deadline)
         if self._timer is None or deadline < self._timer.when():
             self._watch(deadline)
         frame = wire.request_frame(op, req_id, body)
@@ -407,9 +566,17 @@ class Connection(asyncio.Protocol):
         self.frames += 1
         if self._cork_bytes >= CORK_BYTES:
             self._flush()  # a flush still queued will find the cork empty
-        elif not self._flush_queued:
+        elif not (self._flush_queued or self._flush_held):
             self._flush_queued = True
             self._loop.call_soon(self._flush)
+
+    def request(self, op: int, body: bytes,
+                timeout_s: float) -> asyncio.Future:
+        """:meth:`submit` for a caller that awaits the answer: the future
+        resolves to ``(status, payload)`` or fails with what ``submit``
+        hands a sink."""
+        future = self._loop.create_future()
+        self.submit(op, body, timeout_s, _Awaited(future))
         return future
 
     def _flush(self) -> None:
@@ -438,11 +605,10 @@ class Connection(asyncio.Protocol):
         self._timer = None
         now = self._loop.time()
         nearest = None
-        for req_id, (future, deadline) in list(self._pending.items()):
+        for req_id, (sink, deadline) in list(self._pending.items()):
             if deadline <= now:
                 del self._pending[req_id]
-                if not future.done():
-                    future.set_exception(asyncio.TimeoutError())
+                sink.failed(asyncio.TimeoutError())
             elif nearest is None or deadline < nearest:
                 nearest = deadline
         if nearest is not None:
@@ -516,6 +682,32 @@ class NodeHealth:
         return False
 
 
+class _PostSink:
+    """Where every post of one endpoint ends: a drop is a count, an
+    answer is nothing but one post fewer in flight."""
+
+    __slots__ = ("runtime", "counters")
+
+    def __init__(self, runtime: WallClockRuntime, counters: CounterSet):
+        self.runtime = runtime
+        self.counters = counters
+
+    def answered(self, status: int, payload: bytes) -> bool:
+        self.runtime.post_settled()
+        if status != wire.ST_OK:
+            # The node refused it: a bug in what was posted.  Reported,
+            # not raised — this runs inside the link's data_received.
+            self.counters.add("fault_post_dropped")
+            asyncio.get_running_loop().call_exception_handler({
+                "message": f"a posted verb came back with status {status}",
+            })
+        return False
+
+    def failed(self, exc: BaseException) -> None:
+        self.counters.add("fault_post_dropped")
+        self.runtime.post_settled()
+
+
 class RealEndpoint(VerbTransport):
     """Verb transport over sockets + shared memory (one per client).
 
@@ -527,7 +719,9 @@ class RealEndpoint(VerbTransport):
     Mirrors :class:`~repro.rdma.verbs.RdmaEndpoint` behind the
     :class:`~repro.rdma.transport.VerbTransport` contract: verbs are
     generators, fence checks happen client-side before the request is
-    issued, and failures surface as the sim's exception types.  With
+    issued, and failures surface as the sim's exception types.  What a
+    verb yields is its request, ``(endpoint, node, verb, opcode, body)``,
+    for :func:`drive`'s runner to put on the link.  With
     ``shm_reads`` enabled, READs that hit an attached node bypass the
     socket and copy straight out of the shared-memory heap ("direct
     shared-memory access where safe": reads tolerate the benign torn-read
@@ -538,7 +732,7 @@ class RealEndpoint(VerbTransport):
     __slots__ = (
         "engine", "nodes", "counters", "tracer", "fence", "consensus",
         "timeout_s", "shm_reads", "health", "_single_node", "_rng",
-        "_rpc_salt", "_rpc_seq", "_obs_proc", "_obs_hist",
+        "_rpc_salt", "_rpc_seq", "_obs_proc", "_obs_hist", "_posts",
     )
 
     def __init__(
@@ -567,10 +761,12 @@ class RealEndpoint(VerbTransport):
         self._rpc_salt = random.getrandbits(31) << 32
         self._rpc_seq = 0
         # Bound once at construction: None when observability is disarmed,
-        # so the roundtrip hot path pays exactly one identity test and
-        # never touches a registry (the zero-cost conformance contract).
+        # so the runner pays an identity test where an armed one reads the
+        # clock and never touches a registry (the zero-cost conformance
+        # contract).
         self._obs_proc = obs_runtime.current()
         self._obs_hist: Dict[str, object] = {}
+        self._posts = _PostSink(engine, self.counters)
         if shm_reads:
             for node in self.nodes:
                 node.attach()
@@ -619,9 +815,16 @@ class RealEndpoint(VerbTransport):
         raise RuntimeError(f"node {node.node_id} {verb} failed: "
                            f"{name}: {message}")
 
-    async def _roundtrip(self, node: NodeHandle, verb: str, op: int,
-                         body: bytes) -> bytes:
-        """One verb against one node, riding through connection churn.
+    async def _recover(self, node: NodeHandle, verb: str, op: int,
+                       body: bytes,
+                       failure: Optional[BaseException] = None) -> bytes:
+        """One verb against one node, riding through connection churn:
+        everything that is not "frame on a live, healthy link → answer".
+
+        The runner enters with the ``failure`` its inline attempt met, or
+        with None when there was no such attempt: the link is not up, or
+        the health view has the node down and lets one probe through per
+        interval.
 
         A verb that *times out* surfaces as :class:`VerbTimeout`
         immediately — on this substrate a timeout means the request was
@@ -641,11 +844,10 @@ class RealEndpoint(VerbTransport):
         view and surfaces as :class:`NodeUnavailable`, exactly like a
         sim outage window.
         """
-        obs = self._obs_proc
-        start_pc = time.perf_counter() if obs is not None else 0.0
         health = self.health
         probing = False
-        if health is not None and health.is_down(node.node_id):
+        if failure is None and health is not None \
+                and health.is_down(node.node_id):
             if not health.allow_probe(node.node_id):
                 self.counters.add("fault_node_unavailable")
                 raise NodeUnavailable(
@@ -653,54 +855,52 @@ class RealEndpoint(VerbTransport):
                     verb=verb, node_id=node.node_id,
                 )
             probing = True
-        last_exc: Optional[BaseException] = None
-        for attempt in range(1, RESEND_ATTEMPTS + 1):
+        attempts = 0 if failure is None else 1
+        while True:
+            if failure is not None:
+                if isinstance(failure, asyncio.TimeoutError):
+                    self.counters.add("fault_verb_timeout")
+                    raise VerbTimeout(
+                        f"{verb} to node {node.node_id} timed out after "
+                        f"{self.timeout_s}s",
+                        verb=verb, node_id=node.node_id,
+                    ) from None
+                if not isinstance(failure, RequestNotSent):
+                    if op == wire.OP_CAS:
+                        return await self._resolve_cas(node, verb, body)
+                    if op not in wire.RESEND_SAFE_OPS and op not in (
+                        wire.OP_RPC, wire.OP_FAA
+                    ):
+                        break  # no safe replay for this opcode (OP_SHUTDOWN)
+                if attempts == RESEND_ATTEMPTS:
+                    break
+                self.counters.add("conn_resend")
+                await asyncio.sleep(backoff_s(
+                    attempts, base_s=RESEND_BACKOFF_S,
+                    ceiling_s=RESEND_BACKOFF_MAX_S,
+                    jitter=0.25, rng=self._rng,
+                ))
             conn = self.engine.live_link(node)
             if conn is None:
                 conn = await self._open_link(node)
+            attempts += 1
             try:
                 status, payload = await conn.request(
                     op, body, self.timeout_s
                 )
-            except asyncio.TimeoutError:
-                self.counters.add("fault_verb_timeout")
-                raise VerbTimeout(
-                    f"{verb} to node {node.node_id} timed out after "
-                    f"{self.timeout_s}s",
-                    verb=verb, node_id=node.node_id,
-                ) from None
-            except RequestNotSent as exc:
-                last_exc = exc
-            except (ConnectionError, OSError) as exc:
-                if op == wire.OP_CAS:
-                    return await self._resolve_cas(node, verb, body)
-                last_exc = exc
-                if op not in wire.RESEND_SAFE_OPS and op not in (
-                    wire.OP_RPC, wire.OP_FAA
-                ):
-                    break  # no safe replay for this opcode (OP_SHUTDOWN)
+            except (asyncio.TimeoutError, OSError) as exc:
+                failure = exc
             else:
                 if probing:
                     health.mark_up(node.node_id)
-                if obs is not None:
-                    self._obs_record(
-                        verb, (time.perf_counter() - start_pc) * 1e6
-                    )
                 return self._decode(node, verb, status, payload)
-            if attempt < RESEND_ATTEMPTS:
-                self.counters.add("conn_resend")
-                await asyncio.sleep(backoff_s(
-                    attempt, base_s=RESEND_BACKOFF_S,
-                    ceiling_s=RESEND_BACKOFF_MAX_S,
-                    jitter=0.25, rng=self._rng,
-                ))
         if health is not None:
             health.report_down(node.node_id)
         self.counters.add("fault_node_unavailable")
         raise NodeUnavailable(
-            f"node {node.node_id} is unreachable ({verb}: {last_exc})",
+            f"node {node.node_id} is unreachable ({verb}: {failure})",
             verb=verb, node_id=node.node_id,
-        ) from last_exc
+        ) from failure
 
     def _obs_record(self, verb: str, roundtrip_us: float) -> None:
         """Record one successful roundtrip (armed processes only).
@@ -733,12 +933,12 @@ class RealEndpoint(VerbTransport):
         """
         self.counters.add("cas_fate_resolved")
         addr, expected, new = wire.CAS_BODY.unpack(body)
-        raw = await self._roundtrip(
+        raw = await self._recover(
             node, f"{verb}:fate", wire.OP_READ, wire.READ_BODY.pack(addr, 8)
         )
         (observed,) = wire.U64.unpack(raw)
         if observed == expected and expected != new:
-            return await self._roundtrip(node, verb, wire.OP_CAS, body)
+            return await self._recover(node, verb, wire.OP_CAS, body)
         if observed == new:
             return wire.U64.pack(expected)
         return wire.U64.pack(observed)
@@ -753,8 +953,9 @@ class RealEndpoint(VerbTransport):
         if self.shm_reads and node._seg is not None:
             self.counters.add("shm_direct_read")
             return node.read_direct(addr, length)
-        payload = yield self._roundtrip(
-            node, "read", wire.OP_READ, wire.READ_BODY.pack(addr, length)
+        payload = yield (
+            self, node, "read", wire.OP_READ,
+            wire.READ_BODY.pack(addr, length),
         )
         return payload
 
@@ -774,15 +975,15 @@ class RealEndpoint(VerbTransport):
 
     def write(self, addr: int, data: bytes) -> Generator:
         node, body = self._write_request(addr, data)
-        yield self._roundtrip(node, "write", wire.OP_WRITE, body)
+        yield self, node, "write", wire.OP_WRITE, body
 
     def cas(self, addr: int, expected: int, new: int) -> Generator:
         if self.fence is not None:
             self.fence.check_write(addr, "cas", -1)
         node = self._node_for(addr, 8)
         self.counters.add("rdma_cas")
-        payload = yield self._roundtrip(
-            node, "cas", wire.OP_CAS,
+        payload = yield (
+            self, node, "cas", wire.OP_CAS,
             wire.CAS_BODY.pack(
                 addr, expected & 0xFFFFFFFFFFFFFFFF, new & 0xFFFFFFFFFFFFFFFF
             ),
@@ -791,7 +992,7 @@ class RealEndpoint(VerbTransport):
 
     def faa(self, addr: int, delta: int) -> Generator:
         node, body = self._faa_request(addr, delta)
-        payload = yield self._roundtrip(node, "faa", wire.OP_FAA, body)
+        payload = yield self, node, "faa", wire.OP_FAA, body
         return wire.U64.unpack(payload)[0]
 
     def rpc(self, node: NodeHandle, op: str, payload=None,
@@ -805,61 +1006,56 @@ class RealEndpoint(VerbTransport):
         # token, so the server replays the memoized first result instead
         # of executing twice.
         token = 0 if op.startswith("__") else self._next_token()
-        raw = yield self._roundtrip(
-            node, f"rpc:{op}", wire.OP_RPC, wire.pack_rpc(op, payload, token)
+        raw = yield (
+            self, node, f"rpc:{op}", wire.OP_RPC,
+            wire.pack_rpc(op, payload, token),
         )
         return pickle.loads(raw)
 
     # -- asynchronous (unsignalled) posts ---------------------------------
 
-    def post_write(self, addr: int, data: bytes):
-        return self._post(
-            "write", wire.OP_WRITE, self._write_request, addr, data
-        )
+    def post_write(self, addr: int, data: bytes) -> None:
+        self._post(wire.OP_WRITE, self._write_request, addr, data)
 
-    def post_faa(self, addr: int, delta: int):
-        return self._post("faa", wire.OP_FAA, self._faa_request, addr, delta)
+    def post_faa(self, addr: int, delta: int) -> None:
+        self._post(wire.OP_FAA, self._faa_request, addr, delta)
 
-    def _post(self, verb: str, op: int, request,
-              *args) -> Optional[asyncio.Future]:
+    def _post(self, op: int, request, *args) -> None:
         """Fire-and-forget: the frame joins the node's link now — ahead of
-        this client's next verb, and in the same flush — and the post
-        costs one future; a vanished post costs nothing but the update it
-        carried, so it is counted, never resent.  Only a post that finds
-        no live link takes the verb path (connect, health view, resends)
-        in a task of its own, unordered against the verbs that follow."""
+        this client's next verb, and in the same flush — and the post is a
+        count on the runtime until it settles; a vanished post costs
+        nothing but the update it carried, so it is counted, never resent.
+        A post that finds no live link joins the connect to the node and
+        goes out when that completes, still ahead of the verb that follows
+        it (which joins the same connect, behind it); if the connect
+        fails, or the health view has the node down, it is dropped."""
         try:
             node, body = request(*args)
         except StaleEpoch:
             self.counters.add("fenced_post_dropped")
-            return None
-        conn = self.engine.live_link(node)
-        if conn is not None:
-            future = conn.request(op, body, self.timeout_s)
-        else:
-            future = asyncio.ensure_future(
-                self._post_unconnected(node, verb, op, body)
-            )
-        future.add_done_callback(self._post_done)
-        self.engine.track(future)
-        return future
-
-    async def _post_unconnected(self, node: NodeHandle, verb: str, op: int,
-                                body: bytes):
-        return wire.ST_OK, await self._roundtrip(node, verb, op, body)
-
-    def _post_done(self, future: asyncio.Future) -> None:
-        if future.cancelled():
             return
-        try:
-            status, _payload = future.result()
-        except (RdmaFaultError, OSError, asyncio.TimeoutError):
+        engine = self.engine
+        conn = engine.live_link(node)
+        if conn is None and self.health is not None \
+                and self.health.is_down(node.node_id):
             self.counters.add("fault_post_dropped")
             return
-        if status != wire.ST_OK:
-            raise RuntimeError(
-                f"a posted verb came back with status {status}"
+        engine.posts_in_flight += 1
+        if conn is not None:
+            conn.submit(op, body, self.timeout_s, self._posts)
+        else:
+            engine.opening(node).add_done_callback(
+                lambda opened: self._post_when_open(opened, op, body)
             )
+
+    def _post_when_open(self, opened: asyncio.Future, op: int,
+                        body: bytes) -> None:
+        try:
+            opened.result().submit(op, body, self.timeout_s, self._posts)
+        except (OSError, asyncio.CancelledError) as exc:
+            # The connect failed, was cancelled with the loop, or its link
+            # is already dead again.
+            self._posts.failed(exc)
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -14,10 +14,11 @@ process's trace shard.
 
 Scales to thousands of clients in one process: the link is one
 ``asyncio.Protocol`` on one socket per memory node (no stream objects,
-no reader task) and a verb in flight is one future.  The report ends
-with how well the frames batched on both ends: frames per flush on the
-client's links, and frames, wake-ups and sends of each memory node
-(from ``__stats__``).
+no reader task) and an op in flight is one future, whatever verbs it
+issues.  The report ends with how well the frames batched on both ends:
+frames per flush on the client's links (with the verbs that left the
+inline path for the recovery coroutine), and frames, wake-ups and sends
+of each memory node (from ``__stats__``).
 
 CLI::
 

@@ -173,7 +173,7 @@ class _Conn:
     def __init__(self, sock: socket.socket, conn_id: int):
         self.sock: Optional[socket.socket] = sock  # None once closed
         self.conn_id = conn_id
-        self.decoder = wire.FrameDecoder(wire.REQ.size)
+        self.decoder = wire.FrameDecoder(wire.REQ)
         self.out = bytearray()
         self.lane: Optional[int] = None
 
@@ -474,19 +474,19 @@ class NodeServer:
             (time.monotonic() + delay_s, self._timer_seq, callback),
         )
 
-    def _serve_frame(self, conn: "_Conn", frame: bytes) -> Optional[bytes]:
-        """Gate, execute and answer one request frame.
+    def _serve_frame(self, conn: "_Conn", op: int, req_id: int,
+                     body: bytes) -> Optional[bytes]:
+        """Gate, execute and answer one request frame, as the decoder
+        parsed it.
 
         Returns the response frame, or None when nothing is sent now (a
         dropped verb, a delayed one); raises :class:`_Down` when the gate
         says this connection must be reset.
         """
-        op, req_id = wire.REQ.unpack_from(frame)
-        body = frame[wire.REQ.size :]
         self.ops_served += 1
         obs = self._obs
         if obs is not None:
-            obs.frame_bytes.record(len(frame))
+            obs.frame_bytes.record(wire.REQ.size + len(body))
         kind, extra_us = self._gate_outcome(op, body)
         if kind == DROP:
             if obs is not None:
@@ -587,8 +587,8 @@ class NodeServer:
         responses = []
         down = False
         try:
-            for frame in frames:
-                response = self._serve_frame(conn, frame)
+            for op, req_id, body in frames:
+                response = self._serve_frame(conn, op, req_id, body)
                 if response is not None:
                     responses.append(response)
         except _Down:

@@ -33,7 +33,7 @@ from __future__ import annotations
 import pickle
 import struct
 from asyncio import IncompleteReadError, StreamReader
-from typing import List
+from typing import List, Tuple
 
 # -- opcodes ---------------------------------------------------------------
 
@@ -61,6 +61,16 @@ HEADER = struct.Struct("<I")
 REQ = struct.Struct("<BQ")
 RESP = struct.Struct("<QB")
 
+
+def _head(fixed: struct.Struct) -> struct.Struct:
+    """Length prefix and a direction's fixed fields as one struct, so a
+    frame's head is packed, and parsed, with a single call."""
+    return struct.Struct(HEADER.format + fixed.format.lstrip("<"))
+
+
+_REQ_HEAD = _head(REQ)
+_RESP_HEAD = _head(RESP)
+
 READ_BODY = struct.Struct("<QI")     # addr, length
 WRITE_HDR = struct.Struct("<Q")      # addr (data follows)
 CAS_BODY = struct.Struct("<QQQ")     # addr, expected, new
@@ -81,13 +91,11 @@ RESEND_SAFE_OPS = frozenset({OP_READ, OP_WRITE, OP_PING})
 
 
 def request_frame(op: int, req_id: int, body: bytes = b"") -> bytes:
-    frame = REQ.pack(op, req_id) + body
-    return HEADER.pack(len(frame)) + frame
+    return _REQ_HEAD.pack(REQ.size + len(body), op, req_id) + body
 
 
 def response_frame(req_id: int, status: int, body: bytes = b"") -> bytes:
-    frame = RESP.pack(req_id, status) + body
-    return HEADER.pack(len(frame)) + frame
+    return _RESP_HEAD.pack(RESP.size + len(body), req_id, status) + body
 
 
 def pack_rpc(op_name: str, payload, token: int = 0) -> bytes:
@@ -113,22 +121,27 @@ def peek_rpc_name(body: bytes) -> str:
 class FrameDecoder:
     """Cuts a byte stream into frames, however TCP segmented it.
 
-    Both ends of a connection feed whatever one ``recv`` returned and get
-    back every frame it completed, in order, without the length prefix —
-    so a train of pipelined frames costs one call, and a frame split
-    across segments waits in the decoder until its tail arrives.  A length
-    prefix outside ``[min_frame, MAX_FRAME]`` raises :class:`ValueError`:
-    the stream cannot be resynchronised, so the caller closes the
-    connection.  At most one frame's bytes are ever held back.
+    Each end of a connection builds one over the fixed struct of the
+    frames it receives (:data:`REQ` or :data:`RESP`), feeds it whatever one
+    ``recv`` returned and gets back every frame that completed, in order,
+    already parsed: ``(opcode, request id, body)`` triples from requests,
+    ``(request id, status, body)`` from responses — one unpack over length
+    prefix and fixed fields, one slice for the body.  A train of pipelined
+    frames costs one call, and a frame split across segments waits in the
+    decoder until its tail arrives.  A length prefix outside
+    ``[fixed.size, MAX_FRAME]`` raises :class:`ValueError` as soon as its
+    four bytes are in: the stream cannot be resynchronised, so the caller
+    closes the connection.  At most one frame's bytes are ever held back.
     """
 
-    __slots__ = ("_tail", "_min_frame")
+    __slots__ = ("_tail", "_min_frame", "_head")
 
-    def __init__(self, min_frame: int):
+    def __init__(self, fixed: struct.Struct):
         self._tail = bytearray()
-        self._min_frame = min_frame
+        self._min_frame = fixed.size
+        self._head = _head(fixed)
 
-    def feed(self, data: bytes) -> List[bytes]:
+    def feed(self, data: bytes) -> List[Tuple[int, int, bytes]]:
         tail = self._tail
         if tail:
             tail += data
@@ -136,18 +149,25 @@ class FrameDecoder:
         else:
             buf = data
         frames = []
+        unpack_head, head_size = self._head.unpack_from, self._head.size
         pos, end_of_data = 0, len(buf)
         while end_of_data - pos >= HEADER.size:
-            (length,) = HEADER.unpack_from(buf, pos)
+            if end_of_data - pos >= head_size:
+                length, first, second = unpack_head(buf, pos)
+            else:  # a torn head: only its length prefix can be judged yet
+                (length,) = HEADER.unpack_from(buf, pos)
             if not self._min_frame <= length <= MAX_FRAME:
                 raise ValueError(f"bad frame length: {length} bytes")
-            start = pos + HEADER.size
-            if start + length > end_of_data:
+            frame_end = pos + HEADER.size + length
+            if frame_end > end_of_data:
                 break
-            pos = start + length
-            frames.append(bytes(buf[start:pos]))
+            frames.append((first, second, buf[pos + head_size : frame_end]))
+            pos = frame_end
         if buf is tail:
             del tail[:pos]
+            # Slices of the held-back bytearray: hand out bytes like the
+            # common path, where ``buf`` is what ``recv`` returned.
+            frames = [(a, b, bytes(body)) for a, b, body in frames]
         elif pos < end_of_data:
             tail += buf[pos:]
         return frames

@@ -343,7 +343,7 @@ class TestDigest:
             {"node_id": 0, "frames": 9300, "wakeups": 3000, "sends": 3010},
             {"node_id": 1, "frames": 0, "wakeups": 0, "sends": 0},
         ],
-        "links": {"frames": 9300, "flushes": 3000},
+        "links": {"frames": 9300, "flushes": 3000, "recovered": 7},
         "chaos": {
             "verdicts": {"ok": 4800, "drop": 120, "down": 60, "spike": 20},
             "adopted_grants": 5, "repaired_slots": 2,
@@ -380,6 +380,7 @@ class TestDigest:
         assert "frames/wakeup=3.10" in text
         assert "mn1: frames=0" in text and "frames/wakeup=0.00" in text
         assert "client: frames=9300 flushes=3000 frames/flush=3.10" in text
+        assert "frames/flush=3.10 recovered=7" in text
         # a report from before the counters existed still formats
         bare = {k: v for k, v in self.REPORT.items()
                 if k not in ("nodes", "links")}

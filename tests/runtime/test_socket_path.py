@@ -7,14 +7,22 @@ What the thin path promises and the older suites do not pin down:
 - **one flush per loop turn** — requests cork, the turn's frames leave in
   one ``write`` in the order they were issued, and a frame the flush never
   reached is known not to have been sent;
+- **verbs resume from the link** — an op's generator is stepped inline by
+  the response that completes its verb, so a verb on a live link costs no
+  future, coroutine or task; the flush is held while a batch of responses
+  is dispatched, so the clients it resumes leave together; a deadline, a
+  cancellation, a raising generator or a refused post costs its own op,
+  never the link;
 - **the server loop is total** — hostile bytes cost their sender a status
   reply or its connection, never the node;
 - **one deadline timer per connection** — every request still times out at
   its own deadline, and nothing outlives the request it belongs to;
 - **framing** — frames decode in order however TCP segments them, and a
   pipelined train is served in one wake-up;
-- **posts without tasks** — drops are counted in the future's callback and
-  ``drain_background`` still waits for what is in flight.
+- **posts are a count** — no future, no task; drops are counted in the
+  endpoint's sink and ``drain_background`` still waits for what is in
+  flight, one that finds no link joins the connect ahead of the verb
+  behind it.
 
 Every memory node here is a real ``repro.runtime.server`` process launched
 by the harness; the only fake is a tiny in-test server used to *choose*
@@ -24,17 +32,20 @@ how a response is segmented.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import gc
 import logging
 import pickle
 import socket
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.elasticity import EpochFence
+from repro.memory.node import MemoryAccessError
 from repro.rdma.verbs import VerbTimeout
 from repro.runtime import wire
 from repro.runtime.client import (
@@ -105,6 +116,7 @@ class _Tap:
     def __init__(self, transport=None):
         self.inner = transport
         self.written = []
+        self.closed = False
 
     def write(self, data):
         self.written.append(data)
@@ -112,8 +124,43 @@ class _Tap:
             self.inner.write(data)
 
     def close(self):
+        self.closed = True
         if self.inner is not None:
             self.inner.close()
+
+
+#: A memory node nobody listens at, for links the test itself answers.
+_NOWHERE = NodeHandle(0, 0, 1 << 16, "nowhere", 0)
+
+
+def _link_to_nowhere(runtime: WallClockRuntime):
+    """Install a live link to ``_NOWHERE`` on ``runtime``: what it sends
+    stays in the tap, and the test plays the memory node by calling
+    ``data_received``."""
+    conn = Connection(asyncio.get_running_loop())
+    tap = _Tap()
+    conn.connection_made(tap)
+    runtime.links[(_NOWHERE.host, _NOWHERE.port)] = conn
+    return conn, tap
+
+
+def _answers(req_ids, payload=bytes(8), status=wire.ST_OK) -> bytes:
+    return b"".join(
+        wire.response_frame(req_id, status, payload) for req_id in req_ids
+    )
+
+
+@contextlib.contextmanager
+def _loop_objects_counted():
+    """Mocks whose ``call_count`` says how many futures and tasks were
+    made on the running loop inside the block."""
+    loop = asyncio.get_running_loop()
+    with mock.patch.object(
+        loop, "create_future", wraps=loop.create_future
+    ) as futures, mock.patch.object(
+        loop, "create_task", wraps=loop.create_task
+    ) as tasks:
+        yield futures, tasks
 
 
 class _AsyncioLog(logging.Handler):
@@ -416,28 +463,35 @@ def test_deadline_bookkeeping_stays_bounded_by_requests_in_flight(harness):
 def test_decoder_yields_the_same_frames_however_the_stream_is_cut(
     bodies, cuts
 ):
-    frames = [wire.REQ.pack(wire.OP_PING, i) + b for i, b in enumerate(bodies)]
-    stream = b"".join(wire.HEADER.pack(len(f)) + f for f in frames)
-    decoder = wire.FrameDecoder(wire.REQ.size)
+    frames = [(wire.OP_PING, i, body) for i, body in enumerate(bodies)]
+    stream = b"".join(
+        wire.HEADER.pack(wire.REQ.size + len(body))
+        + wire.REQ.pack(op, req_id) + body
+        for op, req_id, body in frames
+    )
+    assert stream == b"".join(wire.request_frame(*f) for f in frames)
+    decoder = wire.FrameDecoder(wire.REQ)
     edges = sorted({min(cut, len(stream)) for cut in cuts} | {len(stream)})
     got, start = [], 0
     for edge in edges:
         got.extend(decoder.feed(stream[start:edge]))
         start = edge
     assert got == frames
+    assert all(type(body) is bytes for _op, _req_id, body in got)
     assert decoder.feed(b"") == []
 
 
 @settings(max_examples=200, deadline=None)
 @given(noise=st.binary(max_size=64))
 def test_decoder_is_total_on_arbitrary_bytes(noise):
-    decoder = wire.FrameDecoder(wire.REQ.size)
+    decoder = wire.FrameDecoder(wire.REQ)
     try:
         frames = decoder.feed(noise)
     except ValueError:
         return  # a clean protocol error: the caller closes the connection
-    assert sum(wire.HEADER.size + len(f) for f in frames) <= len(noise)
-    assert all(wire.REQ.size <= len(f) <= wire.MAX_FRAME for f in frames)
+    sizes = [wire.REQ.size + len(body) for _op, _req_id, body in frames]
+    assert sum(wire.HEADER.size + size for size in sizes) <= len(noise)
+    assert all(wire.REQ.size <= size <= wire.MAX_FRAME for size in sizes)
 
 
 async def _segmenting_server(segments_for):
@@ -623,20 +677,16 @@ _STEP = st.tuples(
 )
 
 
-@settings(
-    max_examples=30, deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-@given(programs=st.lists(
-    st.lists(_STEP, max_size=12), min_size=3, max_size=3
-))
-def test_interleaved_clients_keep_their_program_order_on_the_link(
-    harness, programs
-):
+_PROGRAMS = st.lists(st.lists(_STEP, max_size=12), min_size=3, max_size=3)
+
+
+def _assert_program_order_on_the_link(harness, programs, cold):
     """Three clients run random Get/Set/post programs at once over one
     link.  On the wire, request ids never go backwards (the cork is FIFO
     across queued and inline flushes), each client's posted WRITE is
-    ahead of the READ it issued next, and that READ sees the write."""
+    ahead of the READ it issued next, and that READ sees the write.
+    ``cold``: nothing connects before the programs start, so their first
+    posts and verbs race to open the link."""
     node = _node(harness)
 
     def word(client_index, slot):  # heap tail: no segment reaches it
@@ -657,34 +707,41 @@ def test_interleaved_clients_keep_their_program_order_on_the_link(
                     client.ep.read(word(index, arg), 8)) == value
                 expected += [("write", arg, value), ("read", arg)]
 
+    taps = []
+    connection_made = Connection.connection_made
+
+    def tapped_from_birth(link, transport):
+        taps.append(_Tap(transport))
+        connection_made(link, taps[-1])
+
     async def scenario():
         cluster = RealCluster(harness.descriptor())
         clients = cluster.add_clients(3)
         expected = [[], [], []]
         try:
-            link = await cluster.engine.connect(node)
-            tap = link._transport = _Tap(link._transport)
-            first_id = link._next_id + 1
+            if not cold:
+                await cluster.engine.connect(node)
             await asyncio.gather(*(
                 run_program(index, client, program, expected[index])
                 for index, (client, program)
                 in enumerate(zip(clients, programs))
             ))
             await cluster.engine.drain_background()
-            assert cluster.engine.live_link(node) is link
-            return tap.written, first_id, expected
+            assert cluster.engine.live_link(node) or not any(programs)
+            return expected
         finally:
             await cluster.aclose()
 
-    written, first_id, expected = asyncio.run(scenario())
-    frames = wire.FrameDecoder(wire.REQ.size).feed(b"".join(written))
-    assert [wire.REQ.unpack_from(f)[1] for f in frames] == list(
-        range(first_id, first_id + len(frames))
+    with mock.patch.object(Connection, "connection_made", tapped_from_birth):
+        expected = asyncio.run(scenario())
+    assert len(taps) <= 1  # one link, never replaced
+    frames = wire.FrameDecoder(wire.REQ).feed(
+        b"".join(written for tap in taps for written in tap.written))
+    assert [req_id for _op, req_id, _body in frames] == list(
+        range(1, 1 + len(frames))
     )
     seen = [[], [], []]
-    for frame in frames:
-        op, _req_id = wire.REQ.unpack_from(frame)
-        body = frame[wire.REQ.size:]
+    for op, _req_id, body in frames:
         if op not in (wire.OP_READ, wire.OP_WRITE):
             continue
         (addr,) = wire.WRITE_HDR.unpack_from(body)
@@ -697,6 +754,30 @@ def test_interleaved_clients_keep_their_program_order_on_the_link(
         else:
             seen[index].append(("read", offset // 8))
     assert seen == expected
+
+
+@settings(
+    max_examples=30, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(programs=_PROGRAMS)
+def test_interleaved_clients_keep_their_program_order_on_the_link(
+    harness, programs
+):
+    _assert_program_order_on_the_link(harness, programs, cold=False)
+
+
+@settings(
+    max_examples=30, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(programs=_PROGRAMS)
+def test_first_posts_and_verbs_race_to_a_cold_link_in_program_order(
+    harness, programs
+):
+    """A post that finds no link joins the connect and leaves ahead of the
+    verb behind it: the property above, with no ``connect`` first."""
+    _assert_program_order_on_the_link(harness, programs, cold=True)
 
 
 def test_an_outage_verdict_resets_the_shared_link_and_every_client_recovers(
@@ -741,10 +822,219 @@ def test_an_outage_verdict_resets_the_shared_link_and_every_client_recovers(
     assert 0 < link_stats["flushes"] < link_stats["frames"]
 
 
-# -- posts without tasks ------------------------------------------------------
+# -- verbs resume from the link -----------------------------------------------
 
 
-def test_posts_cost_a_future_and_count_their_drops(harness):
+def test_a_hit_get_costs_one_future_and_no_task(harness):
+    verbs = ("rdma_read", "rdma_write", "rdma_cas", "rdma_faa", "rdma_rpc")
+
+    async def scenario():
+        cluster = RealCluster(harness.descriptor())
+        (client,) = cluster.add_clients(1)
+        try:
+            await drive(client.set(b"key", b"v" * 64))
+            await cluster.engine.drain_background()
+            # Only the cluster's very first verb, which found no link,
+            # took the recovery coroutine (to connect).
+            assert cluster.engine.link_stats()["recovered"] == 1
+            before = cluster.counters.as_dict()
+            with _loop_objects_counted() as (futures, tasks):
+                assert await drive(client.get(b"key")) == b"v" * 64
+            after = cluster.counters.as_dict()
+            # Two READs and the posted metadata WRITE, all on the link ...
+            assert [after.get(v, 0) - before.get(v, 0) for v in verbs] == [
+                2, 1, 0, 0, 0]
+            assert cluster.engine.link_stats()["recovered"] == 1
+            # ... for the one future its caller sleeps on.
+            assert (futures.call_count, tasks.call_count) == (1, 0)
+        finally:
+            await cluster.aclose()
+
+    asyncio.run(scenario())
+
+
+def test_clients_answered_in_one_batch_leave_in_one_flush():
+    """The doorbell follows the resumes.  Ringing it for the first client
+    a batch resumes would put the others a flush behind and the clients
+    out of step for good (-11 % on ``real-read-hot`` when it did)."""
+    body = wire.READ_BODY.pack(0, 8)
+
+    def reads(endpoint, count):
+        for _ in range(count):
+            yield from endpoint.read(0, 8)
+
+    async def one_read_ops(endpoint, count):
+        for _ in range(count):
+            await drive(reads(endpoint, 1))
+
+    def frames_in(written):
+        return [req_id for _op, req_id, _body
+                in wire.FrameDecoder(wire.REQ).feed(written)]
+
+    async def scenario():
+        runtime = WallClockRuntime()
+        conn, tap = _link_to_nowhere(runtime)
+        endpoints = [RealEndpoint(runtime, [_NOWHERE]) for _ in range(8)]
+
+        # Eight clients mid-op, answered in one recv: every generator is
+        # resumed inline, nothing else is about to issue a verb, and their
+        # next READs leave before data_received returns, in one send.
+        ops = [asyncio.ensure_future(drive(reads(endpoint, 2)))
+               for endpoint in endpoints]
+        await asyncio.sleep(0.01)
+        assert [frames_in(w) for w in tap.written] == [list(range(1, 9))]
+        conn.data_received(_answers(range(1, 9)))
+        assert tap.written[1:] == [b"".join(
+            wire.request_frame(wire.OP_READ, req_id, body)
+            for req_id in range(9, 17)
+        )]
+        conn.data_received(_answers(range(9, 17)))
+        await asyncio.gather(*ops)
+        assert (conn.frames, conn.flushes) == (16, 2)
+
+        # Four ops finish in the batch — their tasks wake a turn later
+        # and start the next op — and four go on inline: the flush waits
+        # behind the wake-ups and ships all eight.
+        ops = [asyncio.ensure_future(one_read_ops(endpoint, 2))
+               for endpoint in endpoints[:4]]
+        ops += [asyncio.ensure_future(drive(reads(endpoint, 2)))
+                for endpoint in endpoints[4:]]
+        await asyncio.sleep(0.01)
+        assert len(tap.written) == 3
+        conn.data_received(_answers(range(17, 25)))
+        assert len(tap.written) == 3
+        await asyncio.sleep(0.01)
+        assert sorted(frames_in(tap.written[3])) == list(range(25, 33))
+        conn.data_received(_answers(range(25, 33)))
+        await asyncio.gather(*ops)
+        assert (conn.frames, conn.flushes) == (32, 4)
+        assert runtime.link_stats() == {
+            "frames": 32, "flushes": 4, "recovered": 0}
+        conn.connection_lost(None)
+
+    asyncio.run(scenario())
+
+
+def test_a_deadline_fires_verb_timeout_at_the_yield_point():
+    async def scenario():
+        runtime = WallClockRuntime()
+        conn, _tap = _link_to_nowhere(runtime)
+        endpoint = RealEndpoint(runtime, [_NOWHERE], timeout_s=0.05)
+
+        def flow():
+            try:
+                yield from endpoint.read(0, 8)
+            except VerbTimeout as exc:
+                caught = exc
+            endpoint.timeout_s = 5.0
+            raw = yield from endpoint.read(8, 8)  # the op goes on from there
+            return caught.verb, raw
+
+        op = asyncio.ensure_future(drive(flow()))
+        await asyncio.sleep(0.2)
+        assert endpoint.counters.get("fault_verb_timeout") == 1
+        assert list(conn._pending) == [2]
+        conn.data_received(
+            _answers([1], b"too late") + _answers([2], b"in time!"))
+        assert await op == ("read", b"in time!")
+        assert conn._pending == {} and conn.alive
+        conn.connection_lost(None)
+
+    asyncio.run(scenario())
+
+
+def test_cancelling_an_op_closes_its_generator_and_spares_the_link():
+    async def scenario():
+        runtime = WallClockRuntime()
+        conn, tap = _link_to_nowhere(runtime)
+        endpoint = RealEndpoint(runtime, [_NOWHERE])
+        unwound = []
+
+        def flow():
+            try:
+                yield from endpoint.read(0, 8)
+                yield from endpoint.read(8, 8)
+            finally:
+                unwound.append(True)
+
+        op = asyncio.ensure_future(drive(flow()))
+        await asyncio.sleep(0.01)
+        op.cancel()
+        with pytest.raises(asyncio.CancelledError):
+            await op
+        assert unwound == [True]
+        # The response is still owed; when it comes it is dropped, not
+        # fed to a generator that is gone.
+        assert list(conn._pending) == [1]
+        conn.data_received(_answers([1]))
+        assert conn._pending == {} and conn.frames == 1
+        # The link carries the next op as if nothing had happened.
+        op = asyncio.ensure_future(drive(endpoint.read(0, 8)))
+        await asyncio.sleep(0.01)
+        conn.data_received(_answers([2], b"next one"))
+        assert await op == b"next one"
+        assert conn.alive and not tap.closed
+        conn.connection_lost(None)
+
+    asyncio.run(scenario())
+
+
+def test_a_refused_post_or_a_raising_generator_costs_its_op_not_the_link():
+    """Sinks run inside ``data_received``, where an exception would make
+    asyncio close the transport: one client's bug would reset the link
+    under every client."""
+    async def scenario():
+        reported = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda _loop, context: reported.append(context["message"]))
+        runtime = WallClockRuntime()
+        conn, tap = _link_to_nowhere(runtime)
+        buggy, poster, refused, polite = (
+            RealEndpoint(runtime, [_NOWHERE]) for _ in range(4))
+
+        def raises():
+            yield from buggy.read(0, 8)
+            raise ValueError("a client's bug")
+
+        poster.post_write(16, b"refused!")
+        ops = [asyncio.ensure_future(drive(raises())),
+               asyncio.ensure_future(drive(refused.write(1 << 15, b"x"))),
+               asyncio.ensure_future(drive(polite.read(0, 8)))]
+        await asyncio.sleep(0.01)
+        assert runtime.posts_in_flight == 1 and list(conn._pending) == [
+            1, 2, 3, 4]
+        out_of_range = pickle.dumps("out of range")
+        conn.data_received(
+            _answers([1], out_of_range, wire.ST_ACCESS)  # the post
+            + _answers([2])
+            + _answers([3], out_of_range, wire.ST_ACCESS)
+            + _answers([4], b"all good")
+        )
+        with pytest.raises(ValueError, match="a client's bug"):
+            await ops[0]
+        assert reported == ["a posted verb came back with status 2"]
+        assert poster.counters.get("fault_post_dropped") == 1
+        assert runtime.posts_in_flight == 0
+        with pytest.raises(MemoryAccessError, match="out of range"):
+            await ops[1]
+        assert await ops[2] == b"all good"
+        assert conn.alive and not tap.closed and conn._pending == {}
+        # A command no substrate-portable generator yields fails its op
+        # at the yield point, like any other failure.
+        def confused():
+            yield asyncio.sleep
+
+        with pytest.raises(RuntimeError, match="cannot execute"):
+            await drive(confused())
+        conn.connection_lost(None)
+
+    asyncio.run(scenario())
+
+
+# -- posts are a count --------------------------------------------------------
+
+
+def test_posts_are_a_count_and_count_their_drops(harness):
     node = _node(harness)
     addr = _scratch(node)
 
@@ -755,19 +1045,21 @@ def test_posts_cost_a_future_and_count_their_drops(harness):
         try:
             # No connection yet: the first posts share one connect.
             for index in range(5):
-                endpoint.post_write(addr + 8 * index, b"posted!!")
+                assert endpoint.post_write(
+                    addr + 8 * index, b"posted!!") is None
             assert await runtime.drain_background() == 5
             assert await runtime.drain_background() == 0
             assert await drive(endpoint.read(addr + 32, 8)) == b"posted!!"
             assert _stats(harness)["connections"] - 1 == 1
 
-            # Connected: a post is a future on the connection, not a task.
-            tasks_before = len(asyncio.all_tasks())
-            posted = endpoint.post_faa(addr + 64, 5)
-            assert isinstance(posted, asyncio.Future)
-            assert not isinstance(posted, asyncio.Task)
-            assert len(asyncio.all_tasks()) == tasks_before
-            assert await runtime.drain_background() == 1
+            # Connected: a post is an entry on the link and a count on
+            # the runtime, not a future and not a task.
+            with _loop_objects_counted() as (futures, tasks):
+                assert endpoint.post_faa(addr + 64, 5) is None
+                assert endpoint.post_write(addr + 72, b"x") is None
+                assert runtime.posts_in_flight == 2
+            assert (futures.call_count, tasks.call_count) == (0, 0)
+            assert await runtime.drain_background() == 2
             assert await drive(endpoint.faa(addr + 64, 0)) == 5
 
             # A fenced post is dropped before it reaches the socket.
@@ -780,14 +1072,21 @@ def test_posts_cost_a_future_and_count_their_drops(harness):
             assert counters.get("fenced_post_dropped") == 2
             assert await runtime.drain_background() == 0
 
-            # A post the node swallows expires on the connection's timer.
+            # A post the node swallows expires on the connection's timer;
+            # a drain gives up at its own timeout and leaves it in flight.
             entry = harness.descriptor()["nodes"][0]
             drop = FaultPlan(drops=(DropWindow(0.0, 1e12, verbs=("write",)),))
             harness.raw_rpc(
                 entry, "__chaos_load__", (drop.to_dict(), time.time()))
-            endpoint.timeout_s = 0.2
+            endpoint.timeout_s = 0.4
             endpoint.post_write(addr, b"swallowed")
+            start = time.monotonic()
+            assert await runtime.drain_background(timeout_s=0.1) == 1
+            assert time.monotonic() - start < 0.3
+            assert runtime.posts_in_flight == 1
             assert await runtime.drain_background(timeout_s=2.0) == 1
+            assert time.monotonic() - start < 1.0
+            assert runtime.posts_in_flight == 0
             assert counters.get("fault_post_dropped") == 1
             harness.raw_rpc(entry, "__chaos_stop__", None)
 
@@ -798,11 +1097,14 @@ def test_posts_cost_a_future_and_count_their_drops(harness):
             endpoint.post_write(addr, b"too late")
             assert await runtime.drain_background(timeout_s=2.0) == 1
             assert counters.get("fault_post_dropped") == 2
-            # ... and one that finds the connection already dead.
+            # ... and one that finds the connection already dead joins a
+            # connect that is refused: dropped, and not tried again.
             assert runtime.live_link(node) is None
             endpoint.post_write(addr, b"later still")
-            await runtime.drain_background(timeout_s=5.0)
+            assert await runtime.drain_background(timeout_s=5.0) == 1
             assert counters.get("fault_post_dropped") == 3
+            assert counters.get("conn_resend") == 0
+            assert runtime.link_stats()["recovered"] == 0
         finally:
             await endpoint.aclose()
 
