@@ -7,7 +7,6 @@ data structures eat into — the motivation for Ditto's client-centric design.
 
 from __future__ import annotations
 
-import struct
 from typing import Generator, List, Optional
 
 from ..memory import ClientAllocator, Controller, MemoryNode, MemoryPool
@@ -17,27 +16,24 @@ from ..rdma.params import NetworkParams
 from ..rdma.verbs import RdmaEndpoint
 from ..sim import CounterSet, Engine
 from ..core import layout as L
-
-_SLOT = 8  # atomic field only: pointer | fp | size
+from . import race_table as T
 
 
 class KvsLayout:
     """Bucketed table of bare 8-byte atomic slots."""
 
-    SLOTS_PER_BUCKET = 8
-
     def __init__(self, base: int, num_buckets: int):
         self.base = base
         self.num_buckets = num_buckets
         self.table_addr = (base + 63) // 64 * 64
-        self.total_slots = num_buckets * self.SLOTS_PER_BUCKET
+        self.total_slots = num_buckets * T.SLOTS_PER_BUCKET
 
     @property
     def reserved_bytes(self) -> int:
-        return (self.table_addr + self.total_slots * _SLOT) - self.base
+        return (self.table_addr + self.total_slots * T.SLOT) - self.base
 
     def bucket_addr(self, bucket: int) -> int:
-        return self.table_addr + bucket * self.SLOTS_PER_BUCKET * _SLOT
+        return self.table_addr + bucket * T.BUCKET_BYTES
 
 
 class DmKvsCluster:
@@ -55,7 +51,7 @@ class DmKvsCluster:
     ):
         self.engine = engine or Engine()
         self.params = params or NetworkParams()
-        num_buckets = -(-2 * capacity_objects // KvsLayout.SLOTS_PER_BUCKET)
+        num_buckets = -(-2 * capacity_objects // T.SLOTS_PER_BUCKET)
         self.layout = KvsLayout(0, num_buckets)
         span = L.object_span(8, object_bytes)
         heap = 2 * capacity_objects * ClientAllocator.blocks_for(span) * BLOCK_SIZE
@@ -102,44 +98,13 @@ class DmKvsClient:
         self.hits = 0
         self.misses = 0
 
-    def _scan_bucket(self, bucket_raw: bytes, fp: int):
-        for i in range(KvsLayout.SLOTS_PER_BUCKET):
-            (atomic,) = struct.unpack_from("<Q", bucket_raw, i * _SLOT)
-            if atomic == 0:
-                continue
-            pointer, slot_fp, size = L.unpack_atomic(atomic)
-            if slot_fp == fp:
-                yield i, atomic, pointer, size * BLOCK_SIZE
-
-    def _buckets_of(self, key_hash: int):
-        """RACE-style two-choice hashing: a key lives in one of two buckets."""
-        nb = self.cluster.layout.num_buckets
-        first = key_hash % nb
-        second = (key_hash >> 24) % nb
-        if second == first:
-            second = (first + 1) % nb
-        return first, second
-
-    def _find_in_bucket(self, raw: bytes, fp: int, key: bytes) -> Generator:
-        """Returns (slot_index, atomic, pointer, nbytes, value) or None."""
-        for i, atomic, pointer, nbytes in self._scan_bucket(raw, fp):
-            obj = yield from self.ep.read(pointer, nbytes)
-            try:
-                found, value, _ext = L.decode_object(obj)
-            except (ValueError, struct.error):
-                continue
-            if found == key:
-                return i, atomic, pointer, nbytes, value
-        return None
-
     def get(self, key: bytes) -> Generator:
         lay = self.cluster.layout
         key_hash = L.stable_hash64(key)
         fp = L.fingerprint(key_hash)
-        for bucket in self._buckets_of(key_hash):
-            addr = lay.bucket_addr(bucket)
-            raw = yield from self.ep.read(addr, lay.SLOTS_PER_BUCKET * _SLOT)
-            match = yield from self._find_in_bucket(raw, fp, key)
+        for bucket in T.buckets_of(key_hash, lay.num_buckets):
+            raw = yield from self.ep.read(lay.bucket_addr(bucket), T.BUCKET_BYTES)
+            match = yield from T.find_in_bucket(self.ep, raw, fp, key)
             if match is not None:
                 self.hits += 1
                 return match[4]
@@ -156,22 +121,20 @@ class DmKvsClient:
             target_atomic = 0
             old_pointer = old_bytes = 0
             empty_addr: Optional[int] = None
-            for bucket in self._buckets_of(key_hash):
+            for bucket in T.buckets_of(key_hash, lay.num_buckets):
                 bucket_addr = lay.bucket_addr(bucket)
-                raw = yield from self.ep.read(bucket_addr, lay.SLOTS_PER_BUCKET * _SLOT)
-                match = yield from self._find_in_bucket(raw, fp, key)
+                raw = yield from self.ep.read(bucket_addr, T.BUCKET_BYTES)
+                match = yield from T.find_in_bucket(self.ep, raw, fp, key)
                 if match is not None:
                     i, atomic, pointer, nbytes, _old = match
-                    target_addr = bucket_addr + i * _SLOT
+                    target_addr = bucket_addr + i * T.SLOT
                     target_atomic = atomic
                     old_pointer, old_bytes = pointer, nbytes
                     break
                 if empty_addr is None:
-                    for i in range(lay.SLOTS_PER_BUCKET):
-                        (atomic,) = struct.unpack_from("<Q", raw, i * _SLOT)
-                        if atomic == 0:
-                            empty_addr = bucket_addr + i * _SLOT
-                            break
+                    i = T.first_empty(raw)
+                    if i is not None:
+                        empty_addr = bucket_addr + i * T.SLOT
             if target_addr is None:
                 target_addr = empty_addr
             if target_addr is None:

@@ -32,9 +32,8 @@ from ..obs.observer import current as obs_current
 from ..rdma.params import NetworkParams
 from ..rdma.verbs import RdmaEndpoint
 from ..sim import CounterSet, Engine, Timeout
+from . import race_table as T
 
-_SLOT = 8
-SLOTS_PER_BUCKET = 8
 _NODE_BYTES = 16  # prev + next pointers of a list node
 
 
@@ -65,10 +64,10 @@ class ShardLruCluster:
         self.locks_addr = 0
         heads_addr = shards * 8
         table_start = heads_addr + shards * _NODE_BYTES
-        self.num_buckets = -(-2 * capacity_objects // SLOTS_PER_BUCKET)
+        self.num_buckets = -(-2 * capacity_objects // T.SLOTS_PER_BUCKET)
         self.table_addr = (table_start + 63) // 64 * 64
-        self.total_slots = self.num_buckets * SLOTS_PER_BUCKET
-        reserved = self.table_addr + self.total_slots * _SLOT
+        self.total_slots = self.num_buckets * T.SLOTS_PER_BUCKET
+        reserved = self.table_addr + self.total_slots * T.SLOT
 
         span = L.object_span(8, object_bytes)
         heap = 2 * capacity_objects * ClientAllocator.blocks_for(span) * BLOCK_SIZE
@@ -103,7 +102,7 @@ class ShardLruCluster:
         return self.locks_addr + shard * 8
 
     def bucket_addr(self, bucket: int) -> int:
-        return self.table_addr + bucket * SLOTS_PER_BUCKET * _SLOT
+        return self.table_addr + bucket * T.BUCKET_BYTES
 
     def shard_of(self, key_hash: int) -> int:
         return (key_hash >> 16) % self.shards
@@ -165,38 +164,15 @@ class ShardLruClient:
 
     # -- hash-table helpers --------------------------------------------------
 
-    def _scan_bucket(self, raw: bytes, fp: int):
-        for i in range(SLOTS_PER_BUCKET):
-            (atomic,) = struct.unpack_from("<Q", raw, i * _SLOT)
-            if atomic == 0:
-                continue
-            pointer, slot_fp, size = L.unpack_atomic(atomic)
-            if slot_fp == fp:
-                yield i, atomic, pointer, size * BLOCK_SIZE
-
-    def _buckets_of(self, key_hash: int):
-        """RACE-style two-choice hashing."""
-        nb = self.cluster.num_buckets
-        first = key_hash % nb
-        second = (key_hash >> 24) % nb
-        if second == first:
-            second = (first + 1) % nb
-        return first, second
-
     def _find(self, key_hash: int, fp: int, key: bytes) -> Generator:
         """Locate the key: (slot_addr, atomic, pointer, nbytes, value) or None."""
         cl = self.cluster
-        for bucket in self._buckets_of(key_hash):
+        for bucket in T.buckets_of(key_hash, cl.num_buckets):
             bucket_addr = cl.bucket_addr(bucket)
-            raw = yield from self.ep.read(bucket_addr, SLOTS_PER_BUCKET * _SLOT)
-            for i, atomic, pointer, nbytes in self._scan_bucket(raw, fp):
-                obj = yield from self.ep.read(pointer, nbytes)
-                try:
-                    found, value, _ext = L.decode_object(obj)
-                except (ValueError, struct.error):
-                    continue
-                if found == key:
-                    return bucket_addr + i * _SLOT, atomic, pointer, nbytes, value
+            raw = yield from self.ep.read(bucket_addr, T.BUCKET_BYTES)
+            match = yield from T.find_in_bucket(self.ep, raw, fp, key)
+            if match is not None:
+                return (bucket_addr + match[0] * T.SLOT,) + match[1:]
         return None
 
     # -- operations ------------------------------------------------------------
@@ -217,15 +193,19 @@ class ShardLruClient:
         return None
 
     def _find_empty(self, key_hash: int) -> Generator:
-        """An empty slot address in either candidate bucket, or None."""
+        """An empty slot address in either candidate bucket, or None.
+
+        Re-reads both buckets — a lock-based port does not carry the
+        lookup's snapshot across the shard lock; these READs are part of
+        its cost model.
+        """
         cl = self.cluster
-        for bucket in self._buckets_of(key_hash):
+        for bucket in T.buckets_of(key_hash, cl.num_buckets):
             bucket_addr = cl.bucket_addr(bucket)
-            raw = yield from self.ep.read(bucket_addr, SLOTS_PER_BUCKET * _SLOT)
-            for i in range(SLOTS_PER_BUCKET):
-                (atomic,) = struct.unpack_from("<Q", raw, i * _SLOT)
-                if atomic == 0:
-                    return bucket_addr + i * _SLOT
+            raw = yield from self.ep.read(bucket_addr, T.BUCKET_BYTES)
+            i = T.first_empty(raw)
+            if i is not None:
+                return bucket_addr + i * T.SLOT
         return None
 
     def set(self, key: bytes, value: bytes) -> Generator:

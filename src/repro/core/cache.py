@@ -158,20 +158,13 @@ class DittoCluster:
         self._active_migrators: List[Migrator] = []
         self._shrink_proc = None
 
+        #: This cluster's label in metric names and watch timelines.
+        self._obs_id = str(self.tracer.pid) if self.tracer is not None else "0"
+        self._obs_prefix = f"c{self._obs_id}." if self._obs_id != "0" else ""
+        for node in self.nodes:
+            self._watch_node(node)
         if self.obs is not None:
-            obs_id = str(self.tracer.pid) if self.tracer is not None else "0"
-            prefix = f"c{obs_id}." if obs_id != "0" else ""
-            for node in self.nodes:
-                if self.tracer is not None:
-                    node.controller.tracer = self.tracer
-                self.obs.watch(
-                    f"{prefix}mn{node.node_id}.nic", node.nic, self.engine
-                )
-                self.obs.watch(
-                    f"{prefix}mn{node.node_id}.cpu", node.controller.cpu,
-                    self.engine,
-                )
-            self.obs.watch(f"{prefix}budget", self.budget, self.engine)
+            self.obs.watch(f"{self._obs_prefix}budget", self.budget, self.engine)
 
         self.global_weights = GlobalWeights(
             num_experts=self.config.num_experts,
@@ -181,12 +174,12 @@ class DittoCluster:
             "update_weights", self.global_weights.handle_update, cpu_us=0.5
         )
         if self.obs is not None:
-            self._wire_weight_metrics(obs_id)
+            self._wire_weight_metrics()
 
         self.counters = CounterSet()
         if self.obs is not None:
             self.obs.registry.bridge(self.counters, component="cluster",
-                                     cluster=obs_id)
+                                     cluster=self._obs_id)
         self.object_count = 0
         self.clients: List[DittoClient] = []
         # Client ids are monotonic so a departed client's id (and its grant
@@ -203,9 +196,21 @@ class DittoCluster:
             self.enable_controller_ha(controller_replicas, params=raft_params)
         self.add_clients(num_clients)
 
-    def _wire_weight_metrics(self, obs_id: str) -> None:
+    def _watch_node(self, node) -> None:
+        """Put one memory node's controller spans and NIC/CPU timelines on
+        the observability hub (inert without one)."""
+        if self.obs is None:
+            return
+        if self.tracer is not None:
+            node.controller.tracer = self.tracer
+        name = f"{self._obs_prefix}mn{node.node_id}"
+        self.obs.watch(f"{name}.nic", node.nic, self.engine)
+        self.obs.watch(f"{name}.cpu", node.controller.cpu, self.engine)
+
+    def _wire_weight_metrics(self) -> None:
         """Publish global expert-weight updates to the metrics/trace layer."""
         registry = self.obs.registry
+        obs_id = self._obs_id
         updates = registry.counter(
             "adaptive.updates", component="controller", cluster=obs_id
         )
@@ -385,9 +390,8 @@ class DittoCluster:
         for client in self.clients:
             client.ep.fence = self.fence
         if self.obs is not None:
-            obs_id = str(self.tracer.pid) if self.tracer is not None else "0"
             self._epoch_gauge = self.obs.registry.gauge(
-                "elastic.epoch", cluster=obs_id
+                "elastic.epoch", cluster=self._obs_id
             )
 
     def enable_controller_ha(
@@ -480,15 +484,7 @@ class DittoCluster:
         else:
             epoch = self.membership.add(node_id)
         self._publish_epoch(epoch)
-        if self.obs is not None:
-            obs_id = str(self.tracer.pid) if self.tracer is not None else "0"
-            prefix = f"c{obs_id}." if obs_id != "0" else ""
-            if self.tracer is not None:
-                node.controller.tracer = self.tracer
-            self.obs.watch(f"{prefix}mn{node_id}.nic", node.nic, self.engine)
-            self.obs.watch(
-                f"{prefix}mn{node_id}.cpu", node.controller.cpu, self.engine
-            )
+        self._watch_node(node)
         self.counters.add("mn_added")
         return node
 
@@ -704,13 +700,7 @@ class DittoCluster:
         attempt = 0
         while True:
             try:
-                if survivor.ep.consensus is not None:
-                    command = (op, node.node_id) + (
-                        payload if isinstance(payload, tuple) else (payload,)
-                    )
-                    result = yield from survivor.ep.consensus.submit(command)
-                else:
-                    result = yield from survivor.ep.rpc(node, op, payload)
+                result = yield from survivor.ep.metadata(node, op, payload)
                 return result
             except RdmaFaultError:
                 attempt += 1

@@ -51,6 +51,10 @@ _U64 = struct.Struct("<Q")
 #: Refresh the cached global history counter every this many misses.
 COUNTER_REFRESH_PERIOD = 64
 
+#: What one attempt returns when it lost its CAS to a concurrent writer: the
+#: attempt did nothing and the operation may be retried lock-free (§4.2).
+_RACED = object()
+
 
 class CacheOperationError(RuntimeError):
     """An operation failed permanently (retry budget or deadline exhausted).
@@ -208,20 +212,15 @@ class DittoClient:
     def _refresh_membership(self) -> Generator:
         """Fetch the current membership table after a StaleEpoch NACK.
 
-        One RPC to the metadata service on node 0; the striped allocator
+        One call to the metadata service on node 0; the striped allocator
         then stops placing fresh data on draining/retired nodes.  Reads are
         unaffected (they keep hitting the source copy until handoff), so
         refreshing only reroutes *writes* — the documented degraded mode of
         a drain.
         """
-        if self.ep.consensus is not None:
-            epoch, entries = yield from self.ep.consensus.submit(
-                ("get_membership",)
-            )
-        else:
-            epoch, entries = yield from self.ep.rpc(
-                self.node, "get_membership", None
-            )
+        epoch, entries = yield from self.ep.metadata(
+            self.node, "get_membership"
+        )
         self.alloc.set_active(
             [nid for nid, state in entries if state == ACTIVE]
         )
@@ -253,22 +252,6 @@ class DittoClient:
             bucket * lay.slots_per_bucket, addr, raw, lay.slots_per_bucket
         )
 
-    def _metadata_of(self, slot: L.Slot, ext: Optional[Dict[str, float]] = None) -> Metadata:
-        return Metadata(
-            size=slot.object_bytes,
-            insert_ts=slot.insert_ts,
-            last_ts=slot.last_ts,
-            freq=slot.freq,
-            ext=ext if ext is not None else {},
-        )
-
-    def _read_ext(self, slot: L.Slot) -> Generator:
-        """Fetch extension metadata stored ahead of the object (§4.4)."""
-        raw = yield from self.ep.read(
-            slot.pointer + L.OBJECT_HEADER_SIZE, self.ext_bytes
-        )
-        return decode_ext(self.ext_fields, raw)
-
     def _touch(self, key: bytes, slot: L.Slot, ext_raw: bytes) -> None:
         """Asynchronous metadata updates after a hit (off the critical path)."""
         now = self._now()
@@ -279,9 +262,10 @@ class DittoClient:
         for addr, delta in self.fc.record(key, slot.addr + L.FREQ_OFF, self.engine.now):
             self.ep.post_faa(addr, delta)
         if self.ext_fields:
-            ext = decode_ext(self.ext_fields, ext_raw) if ext_raw else {}
-            meta = self._metadata_of(slot, ext)
-            meta.freq += 1
+            meta = Metadata(
+                slot.object_bytes, slot.insert_ts, slot.last_ts, slot.freq + 1,
+                ext=decode_ext(self.ext_fields, ext_raw) if ext_raw else {},
+            )
             for policy in self.policies:
                 policy.update(meta, now)
             self.ep.post_write(
@@ -290,75 +274,128 @@ class DittoClient:
             )
 
     # ------------------------------------------------------------------
+    # The attempt loop
+    # ------------------------------------------------------------------
+
+    def _attempts(self, op: str, once, args: tuple, hist, degrade: bool) -> Generator:
+        """Run ``once(*args)`` until it decides: the client's one retry loop.
+
+        An attempt returns the operation's result, returns :data:`_RACED`
+        (it lost a CAS), or raises.  Each way to fail has its own budget —
+        the "op budgets" table of DESIGN §3.2 — and running out of any
+        raises :class:`CacheOperationError`, or with ``degrade`` (Get)
+        counts ``fault_miss_through`` and returns a miss.
+        """
+        config = self.config
+        engine = self.engine
+        tracer = self.tracer
+        start = engine._now
+        deadline = start + config.op_deadline_us if config.op_deadline_us > 0.0 else None
+        attempts = cas_attempts = fault_attempts = stale_refreshes = 0
+        reason = cause = None
+        while True:
+            attempts += 1
+            fault = None
+            try:
+                result = yield from once(*args)
+            except StaleEpoch as err:
+                # A membership change fenced one of our verbs.  Refresh the
+                # cached view so the allocator reroutes, bounded separately
+                # from fault retries: churn is not packet loss.
+                stale_refreshes += 1
+                if stale_refreshes > config.epoch_retries:
+                    reason, cause = "membership refresh budget exhausted", err
+                    break
+                self.counters.add("stale_epoch_retry")
+                try:
+                    yield from self._refresh_membership()
+                except RdmaFaultError:
+                    pass  # not charged: the next attempt fences again
+            except OutOfMemoryError as err:
+                # Structured failure from the controller's alloc_segment RPC:
+                # reclaim space and retry rather than unwinding the run.
+                self.counters.add("alloc_oom")
+                try:
+                    evicted = yield from self._evict_once()
+                except RdmaFaultError as exc:
+                    fault = exc  # a fault or a fence; the retry finds out
+                else:
+                    if not evicted:
+                        reason = "memory nodes exhausted and nothing evictable"
+                        cause = err
+                        break
+            except RdmaFaultError as err:
+                if degrade and isinstance(err, NodeUnavailable):
+                    # Down for a whole outage window: retrying within one
+                    # op is pointless.
+                    reason, cause = "memory node unavailable", err
+                    break
+                fault = err
+            else:
+                if result is not _RACED:
+                    break
+                cas_attempts += 1
+                if cas_attempts >= config.max_retries:
+                    reason = "exhausted retries (extreme contention)"
+                    break
+            if fault is not None:
+                fault_attempts += 1
+                if fault_attempts > config.fault_retries:
+                    reason, cause = "fault retries exhausted", fault
+                    break
+                self.counters.add("fault_retry")
+                if tracer is not None:
+                    tracer.instant(
+                        "op.retry", "client",
+                        {"op": op, "attempt": fault_attempts},
+                    )
+                delay = self._backoff_us(fault_attempts)
+                if delay > 0.0:
+                    yield Timeout(delay)
+            if deadline is not None and engine._now >= deadline:
+                reason = f"op deadline ({config.op_deadline_us:.0f}us) exceeded"
+                break
+        if reason is not None:
+            if not degrade:
+                raise CacheOperationError(
+                    op, args[0], reason, attempts=attempts,
+                    fault_attempts=fault_attempts,
+                    elapsed_us=engine._now - start, cause=cause,
+                )
+            self.counters.add("fault_miss_through")
+            self.misses += 1
+            result = None
+        if tracer is not None:
+            tracer.complete(
+                "op." + op, "client", start,
+                {"attempts": attempts, "hit": result not in (None, False),
+                 "gave_up": reason},
+            )
+        if hist is not None:
+            hist.record(engine._now - start)
+        return result
+
+    # ------------------------------------------------------------------
     # Get
     # ------------------------------------------------------------------
 
     def get(self, key: bytes) -> Generator:
         """Look up ``key``; returns the value bytes or None on a miss.
 
-        Degrades instead of failing: a verb lost to fault injection is
-        retried with backoff, and an unreachable memory node (or exhausted
-        retry budget) turns the lookup into a miss — the caller refills the
-        cache from the backing store rather than aborting the run.
+        Degrades instead of failing: an unreachable memory node or an
+        exhausted budget (see :meth:`_attempts`) turns the lookup into a
+        miss — the caller refills the cache from the backing store rather
+        than aborting the run.
         """
-        fault_attempts = 0
-        stale_refreshes = 0
-        need_refresh = False
-        tracer = self.tracer
-        hist = self._hist_get
-        t0 = self.engine._now if tracer is not None or hist is not None else 0.0
-        while True:
-            try:
-                if need_refresh:
-                    # Inside the try so a faulted refresh RPC routes through
-                    # the same handlers as any other verb of this Get.
-                    need_refresh = False
-                    yield from self._refresh_membership()
-                result = yield from self._get_once(key)
-                if tracer is not None:
-                    tracer.complete(
-                        "op.get", "client", t0, {"hit": result is not None}
-                    )
-                if hist is not None:
-                    hist.record(self.engine._now - t0)
-                return result
-            except StaleEpoch:
-                stale_refreshes += 1
-                if stale_refreshes > self.config.epoch_retries:
-                    break  # membership churning faster than we can follow
-                self.counters.add("stale_epoch_retry")
-                need_refresh = True
-            except NodeUnavailable:
-                # The MN is down for a whole outage window; retrying within
-                # one op is pointless.  Miss through and move on.
-                break
-            except RdmaFaultError:
-                fault_attempts += 1
-                if fault_attempts > self.config.fault_retries:
-                    break
-                self.counters.add("fault_retry")
-                if tracer is not None:
-                    tracer.instant(
-                        "op.retry", "client",
-                        {"op": "get", "attempt": fault_attempts},
-                    )
-                delay = self._backoff_us(fault_attempts)
-                if delay > 0.0:
-                    yield Timeout(delay)
-        self.counters.add("fault_miss_through")
-        self.misses += 1
-        if tracer is not None:
-            tracer.complete(
-                "op.get", "client", t0, {"hit": False, "faulted": True}
-            )
-        if hist is not None:
-            hist.record(self.engine._now - t0)
-        return None
+        return self._attempts("get", self._get_once, (key,), self._hist_get, True)
 
     def _get_once(self, key: bytes) -> Generator:
         key_hash = L.stable_hash64(key)
         fp = L.fingerprint(key_hash)
         slots = yield from self._read_bucket(self.layout.bucket_index(key_hash))
+        # The lookup walk, inline: the one copy besides ``_find``.  Every
+        # verb resume walks the whole ``yield from`` chain, and a generator
+        # frame more under each Get's object READ is measurable.
         for i in slots.matches(fp):
             slot = slots.slot(i)
             raw = yield from self.ep.read(slot.pointer, slot.object_bytes)
@@ -414,17 +451,12 @@ class DittoClient:
         self.regrets += 1
         if self.weights.apply_regret(expert_bitmap, age):
             sums = self.weights.take_pending()
-            if self.ep.consensus is not None:
-                # Controller HA: fold the penalty sums through the
-                # replicated log so the learned weights survive a leader
-                # crash (the session memo keeps retried folds exactly-once).
-                new_weights = yield from self.ep.consensus.submit(
-                    ("update_weights", tuple(sums))
-                )
-            else:
-                new_weights = yield from self.ep.rpc(
-                    self.node, "update_weights", sums, size=8 * len(sums)
-                )
+            # Under controller HA the fold goes through the replicated log,
+            # so the learned weights survive a leader crash (the session
+            # memo keeps a retried fold exactly-once).
+            new_weights = yield from self.ep.metadata(
+                self.node, "update_weights", sums, size=8 * len(sums)
+            )
             self.weights.set_weights(new_weights)
 
     # ------------------------------------------------------------------
@@ -492,116 +524,12 @@ class DittoClient:
     def set(self, key: bytes, value: bytes) -> Generator:
         """Insert or update ``key``; evicts as needed to make room.
 
-        CAS races retry up to ``max_retries`` (unchanged from the paper's
-        lock-free protocol); injected faults get their own bounded budget
-        with exponential backoff + jitter; ``op_deadline_us`` (if set) caps
-        the whole operation.  A controller OOM forces an eviction and a
-        retry instead of escaping the engine loop.
+        Returns True, or raises :class:`CacheOperationError` once a budget
+        of :meth:`_attempts` runs out.
         """
-        start = self.engine.now
-        deadline = (
-            start + self.config.op_deadline_us
-            if self.config.op_deadline_us > 0.0
-            else None
+        return self._attempts(
+            "set", self._try_set, (key, value), self._hist_set, False
         )
-        cas_attempts = 0
-        fault_attempts = 0
-        stale_refreshes = 0
-        attempts = 0
-        tracer = self.tracer
-        hist = self._hist_set
-        while True:
-            attempts += 1
-            try:
-                done = yield from self._try_set(key, value)
-            except StaleEpoch as err:
-                # A membership change fenced one of our verbs (pending block
-                # and budget were already rolled back inside _try_set).
-                # Refresh the cached view so the allocator reroutes, bounded
-                # separately from fault retries: churn is not packet loss.
-                stale_refreshes += 1
-                if stale_refreshes > self.config.epoch_retries:
-                    raise CacheOperationError(
-                        "set", key, "membership refresh budget exhausted",
-                        attempts=attempts, fault_attempts=fault_attempts,
-                        elapsed_us=self.engine.now - start, cause=err,
-                    )
-                self.counters.add("stale_epoch_retry")
-                try:
-                    yield from self._refresh_membership()
-                except RdmaFaultError:
-                    pass  # next attempt fences again; retry budgets still bound us
-                done = False
-            except OutOfMemoryError as err:
-                # Structured failure from the controller's alloc_segment RPC:
-                # reclaim space and retry rather than unwinding the run.
-                self.counters.add("alloc_oom")
-                try:
-                    evicted = yield from self._evict_once()
-                except RdmaFaultError as fault:
-                    # The reclaim itself hit a fault window or a membership
-                    # fence; charge the fault budget and retry the op instead
-                    # of escaping the handler (nothing would catch it).
-                    fault_attempts += 1
-                    if fault_attempts > self.config.fault_retries:
-                        raise CacheOperationError(
-                            "set", key, "fault retries exhausted",
-                            attempts=attempts, fault_attempts=fault_attempts,
-                            elapsed_us=self.engine.now - start, cause=fault,
-                        )
-                    self.counters.add("fault_retry")
-                    delay = self._backoff_us(fault_attempts)
-                    if delay > 0.0:
-                        yield Timeout(delay)
-                    evicted = True  # outcome unknown; let the retry find out
-                if not evicted:
-                    raise CacheOperationError(
-                        "set", key, "memory nodes exhausted and nothing evictable",
-                        attempts=attempts, fault_attempts=fault_attempts,
-                        elapsed_us=self.engine.now - start, cause=err,
-                    )
-                done = False
-            except RdmaFaultError as err:
-                fault_attempts += 1
-                if fault_attempts > self.config.fault_retries:
-                    raise CacheOperationError(
-                        "set", key, "fault retries exhausted",
-                        attempts=attempts, fault_attempts=fault_attempts,
-                        elapsed_us=self.engine.now - start, cause=err,
-                    )
-                self.counters.add("fault_retry")
-                if tracer is not None:
-                    tracer.instant(
-                        "op.retry", "client",
-                        {"op": "set", "attempt": fault_attempts},
-                    )
-                delay = self._backoff_us(fault_attempts)
-                if delay > 0.0:
-                    yield Timeout(delay)
-                done = False
-            else:
-                if done:
-                    if tracer is not None:
-                        tracer.complete(
-                            "op.set", "client", start, {"attempts": attempts}
-                        )
-                    if hist is not None:
-                        hist.record(self.engine._now - start)
-                    return True
-                cas_attempts += 1
-                if cas_attempts >= self.config.max_retries:
-                    raise CacheOperationError(
-                        "set", key, "exhausted retries (extreme contention)",
-                        attempts=attempts, fault_attempts=fault_attempts,
-                        elapsed_us=self.engine.now - start,
-                    )
-            if deadline is not None and self.engine.now >= deadline:
-                raise CacheOperationError(
-                    "set", key,
-                    f"op deadline ({self.config.op_deadline_us:.0f}us) exceeded",
-                    attempts=attempts, fault_attempts=fault_attempts,
-                    elapsed_us=self.engine.now - start,
-                )
 
     def _initial_ext(self, size_bytes: int, now: int) -> bytes:
         if not self.ext_fields:
@@ -612,150 +540,125 @@ class DittoClient:
         return encode_ext(self.ext_fields, meta.ext)
 
     def _try_set(self, key: bytes, value: bytes) -> Generator:
-        key_hash = L.stable_hash64(key)
-        fp = L.fingerprint(key_hash)
-        bucket = self.layout.bucket_index(key_hash)
-        now = self._now()
-        slots = yield from self._read_bucket(bucket)
+        """One Set attempt: True once installed, :data:`_RACED` on a lost CAS.
 
-        # Update in place if the key is already cached.  The 64-bit key hash
-        # in the slot metadata identifies the key without fetching the object,
-        # keeping Sets at the paper's three RTTs (READ, WRITE, CAS); a zero
-        # hash means the insert's metadata write has not landed yet, so fall
-        # back to reading the object.
-        for i in slots.matches(fp):
-            slot = slots.slot(i)
-            if slot.key_hash != key_hash:
-                if slot.key_hash != 0:
-                    continue
-                raw = yield from self.ep.read(slot.pointer, slot.object_bytes)
-                try:
-                    found_key, _old_value, _ext = L.decode_object(raw)
-                except (ValueError, struct.error):
-                    continue
-                if found_key != key:
-                    continue
-            ext_raw = b""
-            if self.ext_fields:
-                raw = yield from self.ep.read(
-                    slot.pointer + L.OBJECT_HEADER_SIZE, self.ext_bytes
-                )
-                ext_raw = raw
-            done = yield from self._update_object(key, value, slot, ext_raw)
-            return done
-
-        # Fresh insert.  The budget consumption and the freshly allocated
-        # block are recorded as *pending* until the CAS commits; there is no
-        # yield between any verb resume and the matching bookkeeping, so the
-        # markers exactly capture what a crash at any instant would leak and
-        # crash recovery can undo them.
+        An insert and an update are the same out-of-place sequence — size
+        check, budget, block, WRITE, CAS — and differ only in which word the
+        CAS targets and in what happens to the block it replaced.
+        """
         span = L.object_span(len(key), len(value), self.ext_bytes)
         blocks = ClientAllocator.blocks_for(span)
         block_bytes = blocks * BLOCK_SIZE
         if blocks > L.MAX_SIZE_BLOCKS:
             raise ValueError(f"object too large for the slot size field: {span}B")
+        key_hash = L.stable_hash64(key)
+        fp = L.fingerprint(key_hash)
+        now = self._now()
+        slots = yield from self._read_bucket(self.layout.bucket_index(key_hash))
+
+        # Is the key already cached?  The 64-bit key hash in the slot
+        # metadata identifies it without fetching the object, keeping Sets
+        # at the paper's three RTTs (READ, WRITE, CAS); a zero hash means
+        # the insert's metadata write has not landed yet, so fall back to
+        # reading the object.
+        for i in slots.matches(fp):
+            current = slots.slot(i)
+            if current.key_hash == key_hash:
+                break
+            if current.key_hash == 0:
+                current = yield from self._find((current,), key)
+                if current is not None:
+                    break
+        else:
+            current = None
+        ext = b""
+        if current is not None and self.ext_fields:
+            ext = yield from self.ep.read(
+                current.pointer + L.OBJECT_HEADER_SIZE, self.ext_bytes
+            )
+
+        # The budget consumption and the freshly allocated block are
+        # recorded as *pending* until the CAS commits; there is no yield
+        # between any verb resume and the matching bookkeeping, so the
+        # markers exactly capture what a crash at any instant would leak and
+        # crash recovery can undo them.  Hence ``except``, not ``finally``:
+        # killing the process closes this generator, and a dead client must
+        # keep its markers for ``recover_client``.
         yield from self._ensure_space(block_bytes)
         self._pending_budget = block_bytes
         try:
             addr = yield from self.alloc.alloc(span)
-        except (OutOfMemoryError, RdmaFaultError):
-            self.budget.release(block_bytes)
-            self._pending_budget = 0
-            raise
-        self._pending_block = (addr, span)
-        ext = self._initial_ext(block_bytes, now)
-        try:
+            self._pending_block = (addr, span)
+            if current is None:
+                ext = self._initial_ext(block_bytes, now)
             yield from self.ep.write(addr, L.encode_object(key, value, ext))
             new_atomic = L.pack_atomic(addr, fp, blocks)
-            done = yield from self._claim_slot(slots, new_atomic, key_hash, now)
-        except RdmaFaultError:
-            self.alloc.free(addr, span)
-            self.budget.release(block_bytes)
-            self._pending_block = None
-            self._pending_budget = 0
-            raise
-        self._pending_block = None
-        self._pending_budget = 0
-        if not done:
-            self.alloc.free(addr, span)
-            self.budget.release(block_bytes)
-        return done
-
-    def _update_object(
-        self, key: bytes, value: bytes, slot: L.Slot, ext_raw: bytes
-    ) -> Generator:
-        """Replace the value of an existing key (out-of-place + CAS)."""
-        span = L.object_span(len(key), len(value), self.ext_bytes)
-        blocks = ClientAllocator.blocks_for(span)
-        block_bytes = blocks * BLOCK_SIZE
-        yield from self._ensure_space(block_bytes)
-        self._pending_budget = block_bytes
-        try:
-            addr = yield from self.alloc.alloc(span)
+            if current is None:
+                done = yield from self._claim_slot(slots, new_atomic, key_hash, now)
+            else:
+                old = yield from self.ep.cas(current.addr, current.atomic, new_atomic)
+                done = old == current.atomic
         except (OutOfMemoryError, RdmaFaultError):
-            self.budget.release(block_bytes)
-            self._pending_budget = 0
+            self._roll_back()
             raise
-        self._pending_block = (addr, span)
-        try:
-            yield from self.ep.write(addr, L.encode_object(key, value, ext_raw))
-            new_atomic = L.pack_atomic(addr, slot.fp, blocks)
-            old = yield from self.ep.cas(slot.addr, slot.atomic, new_atomic)
-        except RdmaFaultError:
-            self.alloc.free(addr, span)
-            self.budget.release(block_bytes)
-            self._pending_block = None
-            self._pending_budget = 0
-            raise
+        if not done:
+            self._roll_back()
+            return _RACED
         self._pending_block = None
         self._pending_budget = 0
-        if old != slot.atomic:
-            self.alloc.free(addr, span)
-            self.budget.release(block_bytes)
-            return False
-        self.alloc.free(slot.pointer, slot.object_bytes)
-        self.budget.release(slot.object_bytes)
-        self._touch(key, slot, ext_raw)
+        if current is not None:
+            self.alloc.free(current.pointer, current.object_bytes)
+            self.budget.release(current.object_bytes)
+            self._touch(key, current, ext)
         return True
+
+    def _roll_back(self) -> None:
+        """Return the in-flight install's block (if it got one) and budget."""
+        if self._pending_block is not None:
+            self.alloc.free(*self._pending_block)
+            self._pending_block = None
+        self.budget.release(self._pending_budget)
+        self._pending_budget = 0
+
+    def _find(self, candidates, key: bytes) -> Generator:
+        """The first of ``candidates`` (object slots) whose object holds
+        ``key``, or None: one object READ each."""
+        for slot in candidates:
+            raw = yield from self.ep.read(slot.pointer, slot.object_bytes)
+            try:
+                found_key, _value, _ext = L.decode_object(raw)
+            except (ValueError, struct.error):
+                continue  # lost a race with a concurrent rewrite of the block
+            if found_key == key:
+                return slot
+        return None
 
     def _claim_slot(
         self, slots: L.Bucket, new_atomic: int, key_hash: int, now: int
     ) -> Generator:
-        """Install ``new_atomic`` into a free/expired/evictable bucket slot."""
+        """Install ``new_atomic`` into a free/expired/evictable bucket slot.
+
+        When every slot holds a live object the victim is evicted within the
+        bucket and replaced directly, its history entry skipped (there is
+        nowhere to put it); rare with the default slot factor, and counted.
+        """
         position = slots.insert_position(self._counter_cache)
-        if position is None:
-            done = yield from self._forced_bucket_eviction(slots, new_atomic, key_hash, now)
-            return done
-        target = slots.slot(position)
+        evicted = None
+        if position is not None:
+            target = slots.slot(position)
+        else:
+            objects = slots.objects()
+            if not objects:
+                return False
+            target, _bitmap, evicted = yield from self._choose_victim(slots, objects)
         old = yield from self.ep.cas(target.addr, target.atomic, new_atomic)
         if old != target.atomic:
             return False
+        if evicted is not None:
+            self.forced_bucket_evictions += 1
+            self._account_eviction(target, evicted, now)
         self.ep.post_write(
             target.addr + L.INSERT_TS_OFF, L.pack_metadata(now, now, 1, key_hash)
-        )
-        self.cluster.object_count += 1
-        return True
-
-    def _forced_bucket_eviction(
-        self, slots: L.Bucket, new_atomic: int, key_hash: int, now: int
-    ) -> Generator:
-        """All slots hold live objects: evict within the bucket, replace directly.
-
-        The victim's history entry is skipped (there is nowhere to put it);
-        this is rare with the default slot factor and is counted for
-        observability.
-        """
-        objects = slots.objects()
-        if not objects:
-            return False
-        victim, _bitmap, meta = yield from self._choose_victim(slots, objects)
-        old = yield from self.ep.cas(victim.addr, victim.atomic, new_atomic)
-        if old != victim.atomic:
-            return False
-        self.forced_bucket_evictions += 1
-        self._account_eviction(victim, meta, now)
-        self.ep.post_write(
-            victim.addr + L.INSERT_TS_OFF, L.pack_metadata(now, now, 1, key_hash)
         )
         self.cluster.object_count += 1
         return True
@@ -812,10 +715,13 @@ class DittoClient:
         now = self._now()
         metas: Dict[int, Metadata] = {}
         for i in objects:
+            ext = {}
             if self.ext_fields:
-                ext = yield from self._read_ext(slots.slot(i))
-            else:
-                ext = {}
+                # Extension metadata is stored ahead of the object (§4.4).
+                raw = yield from self.ep.read(
+                    slots.slot(i).pointer + L.OBJECT_HEADER_SIZE, self.ext_bytes
+                )
+                ext = decode_ext(self.ext_fields, raw)
             metas[i] = Metadata(*slots.access_info(i), ext=ext)
         candidates = []
         for policy in self.policies:
@@ -830,20 +736,19 @@ class DittoClient:
         """One sampled eviction; True on success."""
         tracer = self.tracer
         t0 = self.engine._now if tracer is not None else 0.0
+        evicted = False
         for _attempt in range(self.config.max_retries):
             slots = yield from self._sample_slots()
             objects = slots.objects()
             if not objects:
                 continue
             victim, bitmap, meta = yield from self._choose_victim(slots, objects)
-            done = yield from self._retire(victim, bitmap, meta)
-            if done:
-                if tracer is not None:
-                    tracer.complete("op.evict", "client", t0, {"evicted": True})
-                return True
+            evicted = yield from self._retire(victim, bitmap, meta)
+            if evicted:
+                break
         if tracer is not None:
-            tracer.complete("op.evict", "client", t0, {"evicted": False})
-        return False
+            tracer.complete("op.evict", "client", t0, {"evicted": evicted})
+        return evicted
 
     def _retire(self, victim: L.Slot, bitmap: int, meta: Metadata) -> Generator:
         """Turn the victim's slot into a history entry and free its block."""
@@ -885,74 +790,21 @@ class DittoClient:
 
     def delete(self, key: bytes) -> Generator:
         """Remove ``key``; returns True if it was cached."""
-        start = self.engine.now
-        key_hash = L.stable_hash64(key)
-        fp = L.fingerprint(key_hash)
-        bucket = self.layout.bucket_index(key_hash)
-        cas_attempts = 0
-        fault_attempts = 0
-        stale_refreshes = 0
-        attempts = 0
-        while True:
-            attempts += 1
-            try:
-                outcome = yield from self._delete_once(key, fp, bucket)
-            except StaleEpoch as err:
-                stale_refreshes += 1
-                if stale_refreshes > self.config.epoch_retries:
-                    raise CacheOperationError(
-                        "delete", key, "membership refresh budget exhausted",
-                        attempts=attempts, fault_attempts=fault_attempts,
-                        elapsed_us=self.engine.now - start, cause=err,
-                    )
-                self.counters.add("stale_epoch_retry")
-                try:
-                    yield from self._refresh_membership()
-                except RdmaFaultError:
-                    pass
-                continue
-            except RdmaFaultError as err:
-                fault_attempts += 1
-                if fault_attempts > self.config.fault_retries:
-                    raise CacheOperationError(
-                        "delete", key, "fault retries exhausted",
-                        attempts=attempts, fault_attempts=fault_attempts,
-                        elapsed_us=self.engine.now - start, cause=err,
-                    )
-                self.counters.add("fault_retry")
-                delay = self._backoff_us(fault_attempts)
-                if delay > 0.0:
-                    yield Timeout(delay)
-                continue
-            if outcome is not None:
-                return outcome
-            cas_attempts += 1
-            if cas_attempts >= self.config.max_retries:
-                raise CacheOperationError(
-                    "delete", key, "exhausted retries (extreme contention)",
-                    attempts=attempts, fault_attempts=fault_attempts,
-                    elapsed_us=self.engine.now - start,
-                )
+        return self._attempts("delete", self._delete_once, (key,), None, False)
 
-    def _delete_once(self, key: bytes, fp: int, bucket: int) -> Generator:
-        """One delete attempt: True/False on a decision, None on a CAS race."""
-        slots = yield from self._read_bucket(bucket)
-        match = None
-        for i in slots.matches(fp):
-            slot = slots.slot(i)
-            raw = yield from self.ep.read(slot.pointer, slot.object_bytes)
-            try:
-                found_key, _value, _ext = L.decode_object(raw)
-            except (ValueError, struct.error):
-                continue
-            if found_key == key:
-                match = slot
-                break
+    def _delete_once(self, key: bytes) -> Generator:
+        """One Delete attempt: True/False on a decision, :data:`_RACED` on a
+        lost CAS."""
+        key_hash = L.stable_hash64(key)
+        slots = yield from self._read_bucket(self.layout.bucket_index(key_hash))
+        match = yield from self._find(
+            map(slots.slot, slots.matches(L.fingerprint(key_hash))), key
+        )
         if match is None:
             return False
         old = yield from self.ep.cas(match.addr, match.atomic, 0)
         if old != match.atomic:
-            return None
+            return _RACED
         self.alloc.free(match.pointer, match.object_bytes)
         self.budget.release(match.object_bytes)
         self.cluster.object_count -= 1

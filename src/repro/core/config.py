@@ -48,7 +48,9 @@ class DittoConfig:
     #: Jitter fraction: each backoff is stretched by up to this much, drawn
     #: from the client's deterministic RNG (decorrelates retry storms).
     retry_jitter: float = 0.5
-    #: Wall-clock budget (simulated us) for one Set/Delete; 0 disables.
+    #: Budget (us on the substrate's clock) for one operation, checked after
+    #: every failed attempt: a Set/Delete past it raises, a Get degrades to
+    #: a miss; 0 disables.
     op_deadline_us: float = 0.0
     #: Lease age after which a half-installed slot (its metadata write was
     #: lost) may be reclaimed by any reader.

@@ -176,25 +176,19 @@ class MetadataState:
         kind = command[0]
         if kind == "noop":
             return None
-        if kind == "alloc_segment":
-            _, node_id, size, owner = command
-            state = self.nodes[node_id]
-            if state.draining:
-                return ("__stale__", state.epoch, node_id)
+        if kind in SegmentState.RPC_OPS:
+            # The flat command ``VerbTransport.metadata`` encodes, answered
+            # by the dispatch the controller RPC path uses.  Errors are
+            # results too: every replica must record the same outcome.
+            node_id, args = command[1], command[2:]
             try:
-                return state.alloc(size, owner)
+                return self.nodes[node_id].serve(
+                    kind, args[0] if len(args) == 1 else args
+                )
+            except StaleEpoch as err:
+                return ("__stale__", err.epoch, node_id)
             except OutOfMemoryError as err:
                 return ("__oom__", str(err))
-        if kind == "free_segment":
-            _, node_id, addr, size = command
-            self.nodes[node_id].free(addr, size)
-            return None
-        if kind == "list_segments":
-            _, node_id, owner = command
-            return self.nodes[node_id].list_owner(owner)
-        if kind == "reassign_grants":
-            _, node_id, from_owner, to_owner = command
-            return self.nodes[node_id].reassign(from_owner, to_owner)
         if kind == "get_membership":
             return self.membership.snapshot()
         if kind == "update_weights":
@@ -202,7 +196,7 @@ class MetadataState:
                 raise ValueError(
                     "update_weights committed but no GlobalWeights adopted"
                 )
-            return list(self.weights.handle_update(list(command[1])))
+            return list(self.weights.handle_update(list(command[2:])))
         if kind == "add_node":
             _, node_id, start, end = command
             if node_id not in self.nodes:

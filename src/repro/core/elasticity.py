@@ -319,16 +319,7 @@ class Migrator:
             # Phase 1 — copy: hot-first passes until a pass moves nothing.
             self._notify("copy")
             t_copy = cluster.engine.now
-            while True:
-                moved = yield from self._pass()
-                rec.passes += 1
-                if moved == 0:
-                    break
-                if rec.passes >= MAX_DRAIN_PASSES:
-                    raise MigrationError(
-                        f"drain of node {self.node.node_id} did not converge "
-                        f"after {rec.passes} passes"
-                    )
+            yield from self._passes_until_clean("drain")
             if self.tracer is not None:
                 self.tracer.complete_at(
                     "migrate.copy", "migrate", t_copy,
@@ -343,16 +334,7 @@ class Migrator:
             # close the race.
             self._notify("handoff")
             t_handoff = cluster.engine.now
-            while True:
-                moved = yield from self._pass()
-                rec.passes += 1
-                if moved == 0:
-                    break
-                if rec.passes >= MAX_DRAIN_PASSES:
-                    raise MigrationError(
-                        f"handoff of node {self.node.node_id} kept finding "
-                        f"stragglers after {rec.passes} passes"
-                    )
+            yield from self._passes_until_clean("handoff")
             epoch_end = None
             if self.ep.consensus is not None:
                 # The RETIRED flip, too, must commit before the node leaves
@@ -421,19 +403,29 @@ class Migrator:
             return
         owner = self.alloc.owner
         for target in list(self.cluster.nodes):
-            if self.ep.consensus is not None:
-                call = lambda n=target: self.ep.consensus.submit(
-                    ("reassign_grants", n.node_id, owner, survivor.client_id)
-                )
-            else:
-                call = lambda n=target: self.ep.rpc(
-                    n, "reassign_grants", (owner, survivor.client_id)
-                )
             try:
-                yield from self._with_retries(call)
+                yield from self._with_retries(
+                    lambda n=target: self.ep.metadata(
+                        n, "reassign_grants", (owner, survivor.client_id)
+                    )
+                )
             except MigrationError:
                 self.counters.add("migration_reassign_failed")
                 break
+
+    def _passes_until_clean(self, phase: str):
+        """Full table scans until one moves nothing."""
+        rec = self.record
+        while True:
+            moved = yield from self._pass()
+            rec.passes += 1
+            if moved == 0:
+                return
+            if rec.passes >= MAX_DRAIN_PASSES:
+                raise MigrationError(
+                    f"{phase} of node {self.node.node_id} still found "
+                    f"objects to move after {rec.passes} passes"
+                )
 
     def _pass(self):
         """One full table scan; moves every object still on the node.

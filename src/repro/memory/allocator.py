@@ -122,14 +122,9 @@ class ClientAllocator:
             want = max(self.segment_bytes, size)
             tracer = self.endpoint.tracer
             t0 = self.endpoint.engine._now if tracer is not None else 0.0
-            if self.endpoint.consensus is not None:
-                addr = yield from self.endpoint.consensus.submit(
-                    ("alloc_segment", self.node.node_id, want, self.owner)
-                )
-            else:
-                addr = yield from self.endpoint.rpc(
-                    self.node, "alloc_segment", (want, self.owner)
-                )
+            addr = yield from self.endpoint.metadata(
+                self.node, "alloc_segment", (want, self.owner)
+            )
             if tracer is not None:
                 tracer.complete(
                     "alloc.segment", "allocator", t0,
@@ -152,10 +147,7 @@ class ClientAllocator:
 
     def free(self, addr: int, nbytes: int) -> None:
         """Return a block run to the local free list (no network traffic)."""
-        self._free[self.blocks_for(nbytes)] = self._free.get(
-            self.blocks_for(nbytes), []
-        )
-        self._free[self.blocks_for(nbytes)].append(addr)
+        self._free.setdefault(self.blocks_for(nbytes), []).append(addr)
 
     @property
     def free_blocks(self) -> int:

@@ -37,6 +37,11 @@ The contract every implementation must honour (DESIGN §3.7):
 * The ``consensus`` slot holds a
   :class:`~repro.core.consensus.GroupClient` (or None) for routing
   metadata commands through a replicated controller group.
+* ``metadata(node, op, payload)`` is the one route to controller *state*
+  (segment grants, the membership table, the expert weights): the RPC
+  above while ``consensus`` is None, else the same operation committed
+  through the replicated log.  Callers never test ``consensus``
+  themselves.  Built here from ``rpc`` and the slot, not per substrate.
 * ``post_write``/``post_faa`` are fire-and-forget: the verb runs off the
   caller's critical path (an engine process on the sim substrate, a frame
   on the process's link to the memory node on the real one), with
@@ -85,6 +90,21 @@ class VerbTransport:
     def rpc(self, node, op: str, payload=None, size: int = 64) -> Generator:
         """Invoke controller operation ``op`` on ``node``; returns its result."""
         raise NotImplementedError
+
+    def metadata(self, node, op: str, payload=None, size: int = 64) -> Generator:
+        """Run metadata operation ``op`` on ``node``'s controller state,
+        through the replicated controller group when one is armed.
+
+        The log's command is flat, ``(op, node_id, *payload)``: a tuple or
+        list payload is spliced in, any other is one field, None is none.
+        """
+        if self.consensus is None:
+            return self.rpc(node, op, payload, size=size)
+        if payload is None:
+            payload = ()
+        elif not isinstance(payload, (tuple, list)):
+            payload = (payload,)
+        return self.consensus.submit((op, node.node_id, *payload))
 
     def post_write(self, addr: int, data: bytes):
         """Fire-and-forget WRITE; returns None.  Portable code cannot

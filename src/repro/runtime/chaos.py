@@ -36,6 +36,7 @@ from typing import Dict, List, Optional, Tuple
 from ..core import invariants
 from ..obs import runtime as obs_runtime
 from ..obs.runtime import maybe_span
+from ..rdma.verbs import NodeUnavailable
 from ..sim.faults import DropWindow, FaultPlan, NodeOutage, compile_wall
 from .client import drive
 from .cluster import RealCluster
@@ -154,9 +155,23 @@ async def _arm_gates(cluster: RealCluster, wall_plan: FaultPlan,
 
 
 async def _disarm_gates(cluster: RealCluster) -> None:
+    """Stop every node's gate; the sweep must not run against an armed one.
+
+    A node restarted moments ago may still be marked down, and the breaker
+    refuses all but one probe per interval — so a refused stop is retried
+    until the node answers, for at most :data:`CHAOS_TIMEOUT_S` per node.
+    """
     ep = cluster.clients[0].ep
     for node in cluster.nodes:
-        await drive(ep.rpc(node, "__chaos_stop__", None))
+        give_up = time.monotonic() + CHAOS_TIMEOUT_S
+        while True:
+            try:
+                await drive(ep.rpc(node, "__chaos_stop__", None))
+                break
+            except NodeUnavailable:
+                if time.monotonic() >= give_up:
+                    raise
+                await asyncio.sleep(0.01)
 
 
 async def run_chaos(

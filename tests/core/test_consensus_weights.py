@@ -39,7 +39,7 @@ def test_update_weights_commits_and_folds_into_live_weights():
     engine, group, weights = build_group()
     client = group.make_client()
     before = list(weights.weights)
-    result = submit(engine, client, ("update_weights", (4.0, 0.0)))
+    result = submit(engine, client, ("update_weights", 0, 4.0, 0.0))
     # The committed fold penalized expert 0 and is visible both in the
     # submit result and in the live (physical) weights object.
     assert result == weights.weights
@@ -51,7 +51,7 @@ def test_every_replica_converges_to_the_same_weights():
     engine, group, weights = build_group()
     client = group.make_client()
     for sums in ((3.0, 0.5), (0.0, 2.0), (1.5, 1.5)):
-        submit(engine, client, ("update_weights", sums))
+        submit(engine, client, ("update_weights", 0, *sums))
     engine.run()  # quiesce: followers apply the full committed log
     for replica in group.replicas:
         assert replica.state.weights is not None
@@ -83,7 +83,7 @@ def test_learned_weights_survive_leader_crash():
     group = ControllerGroup(engine, physical, 3, 7, faults=injector)
     engine.run(until=5_000)
     client = group.make_client()
-    submit(engine, client, ("update_weights", (5.0, 0.0)))
+    submit(engine, client, ("update_weights", 0, 5.0, 0.0))
     learned = list(weights.weights)
     assert learned[0] < learned[1]  # learning happened before the crash
 
@@ -94,7 +94,7 @@ def test_learned_weights_survive_leader_crash():
     )
     # Submitting through the outage forces the election; the fold still
     # applies exactly once despite any timed-out retries.
-    submit(engine, client, ("update_weights", (0.0, 1.0)))
+    submit(engine, client, ("update_weights", 0, 0.0, 1.0))
     new_leader = group.leader_id()
     assert new_leader != old
     engine.run(until=engine.now + 20_000)

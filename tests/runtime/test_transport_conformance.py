@@ -257,6 +257,34 @@ def test_rpc_exhaustion_surfaces_oom(substrate):
         substrate.run(flow())
 
 
+def test_metadata_is_the_rpc_without_a_consensus_client(substrate):
+    """``metadata()`` is concrete on :class:`VerbTransport`: with no
+    replicated controller group bound it is the plain RPC — same results,
+    same errors, same count — on both substrates."""
+    ep, node = substrate.ep, substrate.rpc_node
+    assert ep.consensus is None
+
+    def flow():
+        addr = yield from ep.metadata(node, "alloc_segment", (4096, 5))
+        via_metadata = yield from ep.metadata(node, "list_segments", 5)
+        via_rpc = yield from ep.rpc(node, "list_segments", 5)
+        yield from ep.metadata(node, "free_segment", (addr, 4096))
+        after = yield from ep.metadata(node, "list_segments", 5)
+        return addr, list(via_metadata), list(via_rpc), list(after)
+
+    before = ep.counters.as_dict().get("rdma_rpc", 0)
+    addr, via_metadata, via_rpc, after = substrate.run(flow())
+    assert via_metadata == via_rpc == [(addr, 4096)]
+    assert after == []
+    assert ep.counters.as_dict()["rdma_rpc"] == before + 5
+
+    def too_much():
+        yield from ep.metadata(node, "alloc_segment", (2 * HEAP_SIZE, 5))
+
+    with pytest.raises(OutOfMemoryError):
+        substrate.run(too_much())
+
+
 def test_fence_nacks_mutations_with_stale_epoch(substrate):
     ep = substrate.ep
     fence = EpochFence()
