@@ -8,9 +8,12 @@ client-centric framework requires:
 - *Get*: one READ for the bucket, one READ for the object, then asynchronous
   metadata updates (a WRITE for the stateless timestamps, an FAA for ``freq``
   — usually absorbed by the frequency-counter cache).
-- *Set*: bucket READ, object WRITE into a freshly allocated block, and a CAS
-  on the slot's atomic field; the 32-byte metadata field follows with one
-  WRITE.
+- *Set*: bucket READ, then WRITE and CAS as one chain — the object WRITE
+  into a freshly allocated block and the CAS on the slot's atomic field need
+  each other's order, not each other's result, so they leave as one
+  work-request chain (``write_then_cas``: two round trips booked on the
+  simulator, one frame on a real link); the 32-byte metadata field follows
+  with one WRITE.
 - *Eviction*: one READ samples ``K`` consecutive slots of the
   sample-friendly hash table; every expert computes priorities locally; the
   victim of the weight-chosen expert is retired into an embedded history
@@ -543,8 +546,9 @@ class DittoClient:
         """One Set attempt: True once installed, :data:`_RACED` on a lost CAS.
 
         An insert and an update are the same out-of-place sequence — size
-        check, budget, block, WRITE, CAS — and differ only in which word the
-        CAS targets and in what happens to the block it replaced.
+        check, budget, block, then WRITE and CAS as one chain — and differ
+        only in which word the CAS targets and in what happens to the block
+        it replaced.
         """
         span = L.object_span(len(key), len(value), self.ext_bytes)
         blocks = ClientAllocator.blocks_for(span)
@@ -591,12 +595,16 @@ class DittoClient:
             self._pending_block = (addr, span)
             if current is None:
                 ext = self._initial_ext(block_bytes, now)
-            yield from self.ep.write(addr, L.encode_object(key, value, ext))
+            data = L.encode_object(key, value, ext)
             new_atomic = L.pack_atomic(addr, fp, blocks)
             if current is None:
-                done = yield from self._claim_slot(slots, new_atomic, key_hash, now)
+                done = yield from self._claim_slot(
+                    slots, addr, data, new_atomic, key_hash, now
+                )
             else:
-                old = yield from self.ep.cas(current.addr, current.atomic, new_atomic)
+                old = yield from self.ep.write_then_cas(
+                    addr, data, current.addr, current.atomic, new_atomic
+                )
                 done = old == current.atomic
         except (OutOfMemoryError, RdmaFaultError):
             self._roll_back()
@@ -634,24 +642,33 @@ class DittoClient:
         return None
 
     def _claim_slot(
-        self, slots: L.Bucket, new_atomic: int, key_hash: int, now: int
+        self, slots: L.Bucket, addr: int, data: bytes, new_atomic: int,
+        key_hash: int, now: int,
     ) -> Generator:
-        """Install ``new_atomic`` into a free/expired/evictable bucket slot.
+        """WRITE ``data`` to the block at ``addr`` and install ``new_atomic``
+        into a free/expired/evictable bucket slot.
 
-        When every slot holds a live object the victim is evicted within the
-        bucket and replaced directly, its history entry skipped (there is
-        nowhere to put it); rare with the default slot factor, and counted.
+        The slot to claim is a pure function of the bucket already read, so
+        WRITE and CAS leave as one chain.  When every slot holds a live
+        object the victim is evicted within the bucket and replaced directly,
+        its history entry skipped (there is nowhere to put it); rare with the
+        default slot factor, and counted — and the victim is chosen between
+        WRITE and CAS, where its clock reading and RNG draws always were.
         """
         position = slots.insert_position(self._counter_cache)
         evicted = None
         if position is not None:
             target = slots.slot(position)
+            old = yield from self.ep.write_then_cas(
+                addr, data, target.addr, target.atomic, new_atomic
+            )
         else:
+            yield from self.ep.write(addr, data)
             objects = slots.objects()
             if not objects:
                 return False
             target, _bitmap, evicted = yield from self._choose_victim(slots, objects)
-        old = yield from self.ep.cas(target.addr, target.atomic, new_atomic)
+            old = yield from self.ep.cas(target.addr, target.atomic, new_atomic)
         if old != target.atomic:
             return False
         if evicted is not None:

@@ -358,7 +358,8 @@ def format_digest(digest: Dict[str, Any]) -> str:
         lines.append(
             f"client: frames={links['frames']} flushes={links['flushes']} "
             f"frames/flush={links['frames'] / max(1, links['flushes']):.2f} "
-            f"recovered={links.get('recovered', 0)}"
+            f"recovered={links.get('recovered', 0)} "
+            f"chained={links.get('chained', 0)}"
         )
     for node in digest.get("nodes", ()):
         lines.append(

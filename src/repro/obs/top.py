@@ -28,7 +28,7 @@ from typing import Any, Dict, List, Optional
 from .metrics import render_prometheus
 
 #: Verb columns in display order (matches the server's _VERB_BY_OP names).
-_VERBS = ("read", "write", "cas", "faa", "rpc", "ping")
+_VERBS = ("read", "write", "cas", "write_cas", "faa", "rpc", "ping")
 
 
 def fetch_stats(nodes: List[Dict[str, Any]],
@@ -104,7 +104,7 @@ def render_table(
     header = (
         f"{'node':>5} {'pid':>7} {'up_s':>7} {'conns':>5} {'ops':>9} "
         f"{'ops/s':>9} {'f/wake':>6} {'jrnl':>5} {'gate':>16} "
-        f"{'verb':>5} {'rate/s':>9} {'p50_us':>8} {'p99_us':>8}"
+        f"{'verb':>9} {'rate/s':>9} {'p50_us':>8} {'p99_us':>8}"
     )
     lines = [header]
     for node, now_stats, prev_stats in zip(nodes, stats, prev):
@@ -144,7 +144,7 @@ def render_table(
             delta = total - prev_counts.get(verb, 0 if prev_stats else 0)
             hist = latency.get(verb, {})
             verb_lines.append(
-                f"{verb:>5} "
+                f"{verb:>9} "
                 f"{rate_mark + str(round(delta / interval_s)):>9} "
                 f"{hist.get('p50', 0):>8.0f} {hist.get('p99', 0):>8.0f}"
             )

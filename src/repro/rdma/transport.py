@@ -22,6 +22,14 @@ The contract every implementation must honour (DESIGN §3.7):
 * ``read``/``write``/``cas``/``faa`` address one global byte-addressable
   space; CAS/FAA act on little-endian 8-byte words and return the *old*
   value (CAS succeeded iff old == expected; FAA wraps mod 2^64).
+* ``write_then_cas(addr, data, cas_addr, expected, new)`` is a two-verb
+  work-request chain: the WRITE, then the CAS, in that order, returning
+  the CAS's old value.  The CAS needs the WRITE to have *landed*, not its
+  result, so a substrate may ship both with one doorbell; each verb is
+  still fenced, counted and fault-judged as itself, in order, and a
+  failed WRITE takes the CAS behind it down with it.  Built here from
+  ``write`` and ``cas``; the real substrate overrides it with one frame
+  when both addresses live on one memory node.
 * ``rpc(node, op, payload)`` invokes a named controller operation on one
   memory node and returns its result; controller-side errors surface as
   the same exception types on both substrates
@@ -86,6 +94,12 @@ class VerbTransport:
     def faa(self, addr: int, delta: int) -> Generator:
         """FAA on an 8-byte word (mod 2^64); returns the old value."""
         raise NotImplementedError
+
+    def write_then_cas(self, addr: int, data: bytes, cas_addr: int,
+                       expected: int, new: int) -> Generator:
+        """WRITE, then CAS, in that order; returns the CAS's old value."""
+        yield from self.write(addr, data)
+        return (yield from self.cas(cas_addr, expected, new))
 
     def rpc(self, node, op: str, payload=None, size: int = 64) -> Generator:
         """Invoke controller operation ``op`` on ``node``; returns its result."""

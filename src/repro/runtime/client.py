@@ -35,16 +35,20 @@ already corked its next verb and the link flushes inline (one loop turn
 per round trip), otherwise the flush is queued behind the wake-ups of the
 ops that finished, whose next verbs then leave with it.  The memory node
 serves whatever one ``recv`` holds and answers it with one ``send``, so a
-batch out comes back as a batch in.
+batch out comes back as a batch in.  A Set's WRITE and CAS go further and
+share a *frame*: :meth:`RealEndpoint.write_then_cas` sends the pair as one
+``OP_WRITE_CAS`` work-request chain when both addresses are on one node —
+the link is a FIFO, so the node WRITEs, then swaps — and the runtime counts
+the chains (``chained``).
 
 A :class:`Connection` is an ``asyncio.Protocol``: there is no stream
 reader, no reader task and no flow-control wait per request.  Timeouts
 are one timer per link that watches the nearest of its requests' own
 deadlines.  Everything that is not "frame on a live, healthy link →
 answer" — the health view's probe gate, the single-flight connect,
-resends and their backoff, a CAS's fate, ``NodeUnavailable`` — is one
-coroutine, :meth:`RealEndpoint._recover`, run as a task only for the verb
-that needs it.  ``post_write``/``post_faa`` put their frame on the link
+resends and their backoff, a CAS's or a chain's fate,
+``NodeUnavailable`` — is one coroutine, :meth:`RealEndpoint._recover`, run
+as a task only for the verb that needs it.  ``post_write``/``post_faa`` put their frame on the link
 and are a count on the runtime, not a future; a vanished post is counted,
 never resent.
 """
@@ -125,6 +129,9 @@ class WallClockRuntime:
         #: Always-on tally, a plain int like the links' frames/flushes:
         #: verbs that left the inline path for the recovery coroutine.
         self.recovered = 0
+        #: ... and WRITE→CAS chains that left as one frame: verbs counted
+        #: minus frames queued, on a run that resent nothing.
+        self.chained = 0
 
     @property
     def now(self) -> float:
@@ -195,13 +202,15 @@ class WallClockRuntime:
 
     def link_stats(self) -> Dict[str, int]:
         """Frames queued and flushes made, summed over the links — frames
-        per flush says how many verbs shared one ``send`` — and the verbs
-        that needed the recovery coroutine."""
+        per flush says how many verbs shared one ``send`` — the verbs
+        that needed the recovery coroutine, and the chains that put two
+        verbs in one frame."""
         links = self.links.values()
         return {
             "frames": sum(conn.frames for conn in links),
             "flushes": sum(conn.flushes for conn in links),
             "recovered": self.recovered,
+            "chained": self.chained,
         }
 
     async def aclose(self) -> None:
@@ -839,10 +848,10 @@ class RealEndpoint(VerbTransport):
         (:data:`~repro.runtime.wire.RESEND_SAFE_OPS`), RPCs replay
         deduplicated under their token, FAA's only target is the history
         clock (a rare double increment shifts a heuristic, not
-        correctness), and CAS resolves its fate by re-reading the target
-        word.  Persistent churn marks the node down in the shared health
-        view and surfaces as :class:`NodeUnavailable`, exactly like a
-        sim outage window.
+        correctness), and CAS — bare, or closing a WRITE→CAS chain —
+        resolves its fate by re-reading the target word.  Persistent
+        churn marks the node down in the shared health view and surfaces
+        as :class:`NodeUnavailable`, exactly like a sim outage window.
         """
         health = self.health
         probing = False
@@ -866,8 +875,8 @@ class RealEndpoint(VerbTransport):
                         verb=verb, node_id=node.node_id,
                     ) from None
                 if not isinstance(failure, RequestNotSent):
-                    if op == wire.OP_CAS:
-                        return await self._resolve_cas(node, verb, body)
+                    if op in (wire.OP_CAS, wire.OP_WRITE_CAS):
+                        return await self._resolve_cas(node, verb, op, body)
                     if op not in wire.RESEND_SAFE_OPS and op not in (
                         wire.OP_RPC, wire.OP_FAA
                     ):
@@ -917,9 +926,12 @@ class RealEndpoint(VerbTransport):
             self._obs_hist[verb] = hist
         hist.record(roundtrip_us)
 
-    async def _resolve_cas(self, node: NodeHandle, verb: str,
+    async def _resolve_cas(self, node: NodeHandle, verb: str, op: int,
                            body: bytes) -> bytes:
-        """Disambiguate a CAS whose response was lost by reading the word.
+        """Disambiguate a CAS whose response was lost by reading the word
+        — a bare CAS, or the one that closes a WRITE→CAS chain (the chain's
+        body opens with its CAS's, and a resend repeats the whole chain:
+        its WRITE is idempotent on a private fresh block).
 
         If the word now holds ``new``, the CAS (or an equivalent one)
         applied — report success by returning ``expected`` (a CAS's
@@ -932,13 +944,13 @@ class RealEndpoint(VerbTransport):
         of never-reused fresh blocks.
         """
         self.counters.add("cas_fate_resolved")
-        addr, expected, new = wire.CAS_BODY.unpack(body)
+        addr, expected, new = wire.CAS_BODY.unpack_from(body)
         raw = await self._recover(
             node, f"{verb}:fate", wire.OP_READ, wire.READ_BODY.pack(addr, 8)
         )
         (observed,) = wire.U64.unpack(raw)
         if observed == expected and expected != new:
-            return await self._recover(node, verb, wire.OP_CAS, body)
+            return await self._recover(node, verb, op, body)
         if observed == new:
             return wire.U64.pack(expected)
         return wire.U64.pack(observed)
@@ -966,6 +978,15 @@ class RealEndpoint(VerbTransport):
         self.counters.add("rdma_write")
         return node, wire.WRITE_HDR.pack(addr) + bytes(data)
 
+    def _cas_request(self, addr: int, expected: int, new: int):
+        if self.fence is not None:
+            self.fence.check_write(addr, "cas", -1)
+        node = self._node_for(addr, 8)
+        self.counters.add("rdma_cas")
+        return node, wire.CAS_BODY.pack(
+            addr, expected & 0xFFFFFFFFFFFFFFFF, new & 0xFFFFFFFFFFFFFFFF
+        )
+
     def _faa_request(self, addr: int, delta: int):
         if self.fence is not None:
             self.fence.check_write(addr, "faa", -1)
@@ -978,21 +999,33 @@ class RealEndpoint(VerbTransport):
         yield self, node, "write", wire.OP_WRITE, body
 
     def cas(self, addr: int, expected: int, new: int) -> Generator:
-        if self.fence is not None:
-            self.fence.check_write(addr, "cas", -1)
-        node = self._node_for(addr, 8)
-        self.counters.add("rdma_cas")
-        payload = yield (
-            self, node, "cas", wire.OP_CAS,
-            wire.CAS_BODY.pack(
-                addr, expected & 0xFFFFFFFFFFFFFFFF, new & 0xFFFFFFFFFFFFFFFF
-            ),
-        )
+        node, body = self._cas_request(addr, expected, new)
+        payload = yield self, node, "cas", wire.OP_CAS, body
         return wire.U64.unpack(payload)[0]
 
     def faa(self, addr: int, delta: int) -> Generator:
         node, body = self._faa_request(addr, delta)
         payload = yield self, node, "faa", wire.OP_FAA, body
+        return wire.U64.unpack(payload)[0]
+
+    def write_then_cas(self, addr: int, data: bytes, cas_addr: int,
+                       expected: int, new: int) -> Generator:
+        """One frame when one link carries both verbs — it is a FIFO, so
+        the node WRITEs, then swaps; two links order nothing between
+        them, so addresses on different nodes are two frames, the CAS
+        sent once the WRITE is answered.  Either way both verbs pass the
+        fence, and count, before anything is sent."""
+        node, write_body = self._write_request(addr, data)
+        cas_node, cas_body = self._cas_request(cas_addr, expected, new)
+        if cas_node is node:
+            self.engine.chained += 1
+            payload = yield (
+                self, node, "write_cas", wire.OP_WRITE_CAS,
+                cas_body + write_body,
+            )
+        else:
+            yield self, node, "write", wire.OP_WRITE, write_body
+            payload = yield self, cas_node, "cas", wire.OP_CAS, cas_body
         return wire.U64.unpack(payload)[0]
 
     def rpc(self, node: NodeHandle, op: str, payload=None,

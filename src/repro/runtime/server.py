@@ -37,8 +37,12 @@ sim cluster where node 0 carries the hash table and global structures.
 Fault injection: a :class:`~repro.sim.faults.FaultInjector` — the class the
 sim's endpoints consult — can be armed over RPC (``__chaos_load__``) on a
 clock counting from the cluster-wide arm instant; it is consulted once per
-request frame, *before* execution, so a dropped verb never ran — the
-wall-clock equivalent of the sim's drop-at-the-NIC semantics.
+verb, *before* the frame executes, so a dropped verb never ran — the
+wall-clock equivalent of the sim's drop-at-the-NIC semantics.  A WRITE→CAS
+chain (``OP_WRITE_CAS``, named ``write_cas`` in the node's metrics) meets
+the gate as its verbs would, in order, and runs whole or not at all: the
+first verdict that is not OK is the chain's, and both ranges are validated
+before either side effect.
 
 Lifecycle: the parent (``repro.runtime.harness``) spawns this module,
 reads the ``DITTO-NODE ...`` ready line for the bound port and shared-
@@ -75,7 +79,7 @@ from ..memory.node import MemoryAccessError, MemoryNode
 from ..obs import runtime as obs_runtime
 from ..obs.metrics import MetricsRegistry
 from ..rdma.verbs import StaleEpoch
-from ..sim.faults import DOWN, DROP, FaultInjector, FaultPlan
+from ..sim.faults import DOWN, DROP, OK, FaultInjector, FaultPlan
 from . import wire
 from .journal import (
     DurableSegmentState,
@@ -104,6 +108,7 @@ _VERB_BY_OP = {
     wire.OP_FAA: "faa",
     wire.OP_RPC: "rpc",
     wire.OP_PING: "ping",
+    wire.OP_WRITE_CAS: "write_cas",
 }
 
 
@@ -384,6 +389,27 @@ class NodeServer:
         if op == wire.OP_FAA:
             addr, delta = wire.FAA_BODY.unpack(body)
             return wire.ST_OK, wire.U64.pack(node.fetch_and_add(addr, delta))
+        if op == wire.OP_WRITE_CAS:
+            # All or nothing: both ranges are judged before either effect.
+            addr, expected, new, write_addr = wire.WRITE_CAS_HDR.unpack_from(
+                body
+            )
+            data = body[wire.WRITE_CAS_HDR.size :]
+            if not data:
+                raise ValueError("a chain's WRITE carries no data")
+            if addr % 8 or not (
+                node.contains(addr, 8)
+                and node.contains(write_addr, len(data))
+            ):
+                raise MemoryAccessError(
+                    f"chain of WRITE [{write_addr}, {write_addr + len(data)})"
+                    f" and CAS on word {addr}: misaligned word, or outside "
+                    f"node {node.node_id} range [{node.base}, {node.end})"
+                )
+            node.write_bytes(write_addr, data)
+            return wire.ST_OK, wire.U64.pack(
+                node.compare_and_swap(addr, expected, new)
+            )
         if op == wire.OP_PING:
             return wire.ST_OK, b""
         raise ValueError(f"unknown opcode {op}")
@@ -449,6 +475,15 @@ class NodeServer:
                 # Control RPCs (chaos arm/disarm, __stats__ polling, debug
                 # handlers) must keep working while faults are injected.
                 return None, 0.0
+        if op == wire.OP_WRITE_CAS:
+            # A chain meets the gate as its verbs would, in order; the
+            # first verdict that is not OK is the chain's and nothing of it
+            # runs (a failed work request flushes the ones behind it).
+            kind, extra_us = gate.verb_outcome(self.node_id, "write")
+            if kind != OK:
+                return kind, extra_us
+            kind, cas_extra_us = gate.verb_outcome(self.node_id, "cas")
+            return kind, extra_us + cas_extra_us
         return gate.verb_outcome(self.node_id, _VERB_BY_OP.get(op, "rpc"))
 
     def _answer_later(self, conn: "_Conn", req_id: int, delay_s: float,

@@ -11,7 +11,12 @@ multiplex one stream (a client's background posts share its connection
 with the foreground op) and responses may return in any order.
 
 Verb bodies are fixed little-endian structs mirroring the RDMA verb
-shapes; RPC payloads/results are pickled (clients and servers are
+shapes.  ``OP_WRITE_CAS`` is a two-verb work-request chain in one frame —
+``<cas addr, expected, new> <write addr> <data>``, answered with the CAS's
+old value: the node WRITEs, then swaps, in that order, and does neither
+unless both ranges are valid.  Its body opens like a bare CAS's, so
+``CAS_BODY.unpack_from`` reads the CAS of either opcode.  RPC
+payloads/results are pickled (clients and servers are
 processes of the same trusted launcher — this is a test/deployment
 substrate, not an untrusted network service).
 
@@ -44,6 +49,7 @@ OP_FAA = 4
 OP_RPC = 5
 OP_PING = 6
 OP_SHUTDOWN = 7
+OP_WRITE_CAS = 8
 
 # -- response statuses -----------------------------------------------------
 
@@ -75,6 +81,9 @@ READ_BODY = struct.Struct("<QI")     # addr, length
 WRITE_HDR = struct.Struct("<Q")      # addr (data follows)
 CAS_BODY = struct.Struct("<QQQ")     # addr, expected, new
 FAA_BODY = struct.Struct("<Qq")      # addr, signed delta
+#: A chain's body is its CAS's body, then its WRITE's: cas addr, expected,
+#: new, write addr (data follows).
+WRITE_CAS_HDR = struct.Struct(CAS_BODY.format + WRITE_HDR.format.lstrip("<"))
 U64 = struct.Struct("<Q")
 
 MAX_FRAME = 64 * (1 << 20)
@@ -84,7 +93,8 @@ MAX_FRAME = 64 * (1 << 20)
 #: pure, WRITE is idempotent (object writes target private fresh blocks;
 #: metadata writes rewrite the same bytes).  CAS is *not* here — a
 #: resend could apply twice — the client resolves its fate by re-reading
-#: the target word.  FAA is not here either: the client special-cases it
+#: the target word; a WRITE→CAS chain resolves like its CAS, and resends
+#: whole.  FAA is not here either: the client special-cases it
 #: (the only FAA target is the history clock, where a rare double
 #: increment is benign).  RPCs resend under their dedup token.
 RESEND_SAFE_OPS = frozenset({OP_READ, OP_WRITE, OP_PING})
@@ -186,10 +196,11 @@ async def read_frame(reader: StreamReader) -> bytes:
 
 __all__ = [
     "OP_READ", "OP_WRITE", "OP_CAS", "OP_FAA", "OP_RPC", "OP_PING",
-    "OP_SHUTDOWN",
+    "OP_SHUTDOWN", "OP_WRITE_CAS",
     "ST_OK", "ST_ERROR", "ST_ACCESS", "ST_OOM", "ST_STALE",
     "HEADER", "REQ", "RESP",
-    "READ_BODY", "WRITE_HDR", "CAS_BODY", "FAA_BODY", "U64",
+    "READ_BODY", "WRITE_HDR", "CAS_BODY", "FAA_BODY", "WRITE_CAS_HDR",
+    "U64",
     "RESEND_SAFE_OPS",
     "request_frame", "response_frame", "pack_rpc", "unpack_rpc",
     "peek_rpc_name", "FrameDecoder", "read_frame", "IncompleteReadError",

@@ -17,6 +17,7 @@ from repro.core import CacheOperationError, invariant_sweep
 from repro.core.layout import MAX_SIZE_BLOCKS
 from repro.memory import OutOfMemoryError
 from repro.rdma import NodeUnavailable, StaleEpoch, VerbTimeout
+from repro.rdma.transport import VerbTransport
 from repro.sim import DropWindow, FaultPlan, NodeOutage
 
 KEY = b"k"
@@ -25,7 +26,8 @@ FAULT_RETRIES, EPOCH_RETRIES, MAX_RETRIES = 3, 2, 4
 
 
 class LosesEveryCas:
-    """A transport whose CAS always finds the word changed under it."""
+    """A transport whose CAS always finds the word changed under it — a
+    bare one, or the one that closes a ``write_then_cas`` chain."""
 
     def __init__(self, ep):
         self._ep = ep
@@ -36,6 +38,9 @@ class LosesEveryCas:
     def cas(self, addr, expected, new):
         yield from self._ep.read(addr, 8)  # the round trip, with no effect
         return expected ^ 1
+
+    # The contract's default: this wrapper's WRITE, then this ``cas``.
+    write_then_cas = VerbTransport.write_then_cas
 
 
 def exhaust_pool(cluster):

@@ -161,7 +161,8 @@ def test_stats_rpc_and_runtime_arming():
             for row in stats["metrics"]["histograms"]
             if row["name"] == "verb.service_us" and row["count"] > 0
         }
-        assert {"read", "write"} <= set(hist_rows)
+        # A Set's chained WRITE and CAS are served, and named, as one.
+        assert {"read", "write", "write_cas"} <= set(hist_rows)
         assert all(
             r["mean"] > 0 and r["max"] > 0 for r in hist_rows.values()
         )

@@ -46,7 +46,7 @@ from hypothesis import strategies as st
 
 from repro.core.elasticity import EpochFence
 from repro.memory.node import MemoryAccessError
-from repro.rdma.verbs import VerbTimeout
+from repro.rdma.verbs import NodeUnavailable, VerbTimeout
 from repro.runtime import wire
 from repro.runtime.client import (
     CORK_BYTES,
@@ -274,7 +274,37 @@ HOSTILE_ANSWERED = {
     "empty RPC body": wire.request_frame(wire.OP_RPC, 9),
     "RPC payload is not a pickle": wire.request_frame(
         wire.OP_RPC, 9, b"\x04list" + wire.U64.pack(0) + b"\x00garbage"),
+    "truncated chain header": wire.request_frame(
+        wire.OP_WRITE_CAS, 9, b"\x00" * 25),
+    "chain with no data to WRITE": wire.request_frame(
+        wire.OP_WRITE_CAS, 9, wire.WRITE_CAS_HDR.pack(0, 0, 1, 64)),
 }
+
+
+def _assert_a_refused_chain_does_nothing(harness):
+    """A WRITE→CAS chain with one bad half is refused whole: neither the
+    valid WRITE nor the valid CAS of it happens."""
+    node = _node(harness)
+    word, block = _scratch(node), _scratch(node) + 64
+    refused = {
+        "CAS word out of range": (node.end, block, b"chained!"),
+        "CAS word misaligned": (word + 4, block, b"chained!"),
+        "WRITE range out of bounds": (word, node.end - 4, b"chained!"),
+    }
+    for name, (cas_addr, write_addr, data) in refused.items():
+        with _raw(harness) as sock:
+            chain = wire.WRITE_CAS_HDR.pack(cas_addr, 0, 7, write_addr) + data
+            sock.sendall(
+                wire.request_frame(wire.OP_WRITE_CAS, 9, chain)
+                + wire.request_frame(
+                    wire.OP_READ, 10, wire.READ_BODY.pack(word, 72))
+            )
+            req_id, status = wire.RESP.unpack_from(_recv_frame(sock))
+            assert (req_id, status) == (9, wire.ST_ACCESS), name
+            after = _recv_frame(sock)
+            assert wire.RESP.unpack_from(after) == (10, wire.ST_OK), name
+            # word still 0 (the CAS expected 0), block still blank
+            assert after[wire.RESP.size:] == bytes(72), name
 
 
 def _assert_still_serving(harness):
@@ -323,6 +353,7 @@ def test_hostile_bytes_cost_a_reply_or_the_connection_never_the_node(
             assert (req_id, status) == (9, wire.ST_ERROR), name
             req_id, status = wire.RESP.unpack_from(_recv_frame(sock))
             assert (req_id, status) == (10, wire.ST_OK), name
+    _assert_a_refused_chain_does_nothing(harness)
     # Half a frame, then the sender walks away.
     with _raw(harness) as sock:
         sock.sendall(wire.request_frame(wire.OP_READ, 1, b"\x00" * 12)[:9])
@@ -818,7 +849,9 @@ def test_an_outage_verdict_resets_the_shared_link_and_every_client_recovers(
     assert links == 1 and stats["connections"] - 1 == 1
     verbs = sum(counters.get(f"rdma_{verb}", 0)
                 for verb in ("read", "write", "cas", "faa", "rpc"))
-    assert link_stats["frames"] >= verbs
+    # Every verb left in a frame of its own, or as the second of a chain.
+    assert link_stats["chained"] > 0
+    assert link_stats["frames"] + link_stats["chained"] >= verbs
     assert 0 < link_stats["flushes"] < link_stats["frames"]
 
 
@@ -909,7 +942,7 @@ def test_clients_answered_in_one_batch_leave_in_one_flush():
         await asyncio.gather(*ops)
         assert (conn.frames, conn.flushes) == (32, 4)
         assert runtime.link_stats() == {
-            "frames": 32, "flushes": 4, "recovered": 0}
+            "frames": 32, "flushes": 4, "recovered": 0, "chained": 0}
         conn.connection_lost(None)
 
     asyncio.run(scenario())
@@ -1031,6 +1064,136 @@ def test_a_refused_post_or_a_raising_generator_costs_its_op_not_the_link():
     asyncio.run(scenario())
 
 
+# -- a WRITE→CAS chain: its lost response, and the fault gate -------------------
+
+
+@pytest.mark.parametrize("ran", [False, True], ids=["not-run", "ran"])
+def test_a_chain_whose_response_is_lost_resolves_like_its_cas(harness, ran):
+    """The link dies after the chain's frame was flushed.  The client
+    reads the CAS word: still ``expected`` → the node never ran the chain,
+    and the whole of it is resent, once, and applied once; already ``new``
+    → it ran, success is reported and nothing is resent."""
+    node = _node(harness)
+    word, block = _scratch(node), _scratch(node) + 64
+
+    def chain(endpoint):
+        return endpoint.write_then_cas(block, b"chained!", word, 0, 7)
+
+    async def scenario():
+        runtime = WallClockRuntime()
+        endpoint = RealEndpoint(runtime, [node], timeout_s=5.0)
+        # The first link's flushes stay in the tap: the node sees the chain
+        # only if the test sends it there by other means.
+        doomed = Connection(asyncio.get_running_loop())
+        tap = _Tap()
+        doomed.connection_made(tap)
+        runtime.links[(node.host, node.port)] = doomed
+        try:
+            op = asyncio.ensure_future(drive(chain(endpoint)))
+            await asyncio.sleep(0.01)
+            assert len(tap.written) == 1 and doomed.frames == 1
+            if ran:
+                other = RealEndpoint(WallClockRuntime(), [node], timeout_s=5.0)
+                assert await drive(chain(other)) == 0
+                await other.aclose()
+            doomed.connection_lost(ConnectionResetError("peer reset"))
+            old = await op
+            raw = await drive(endpoint.read(word, 72))
+            return (old, raw, endpoint.counters.as_dict(),
+                    runtime.link_stats())
+        finally:
+            await endpoint.aclose()
+
+    old, raw, counters, link_stats = asyncio.run(scenario())
+    assert old == 0  # the CAS's result, whichever frame carried it
+    assert raw == (7).to_bytes(8, "little") + bytes(56) + b"chained!"
+    assert counters["cas_fate_resolved"] == 1
+    assert counters.get("conn_resend", 0) == 0
+    assert (counters["rdma_write"], counters["rdma_cas"]) == (1, 1)
+    # The lost frame, the fate READ, the resent chain if the node had not
+    # run the first, and this test's closing READ.
+    assert link_stats["frames"] == (3 if ran else 4)
+    assert link_stats["chained"] == 1
+
+
+@pytest.mark.parametrize("verb", ["write", "cas"])
+def test_a_drop_window_on_either_verb_swallows_the_chain_whole(harness, verb):
+    """The gate judges a chain as its verbs, in order: a window on the
+    WRITE or on the CAS drops the frame, and with it both effects."""
+    entry = harness.descriptor()["nodes"][0]
+    node = _node(harness)
+    word, block = _scratch(node), _scratch(node) + 64
+    plan = FaultPlan(drops=(DropWindow(0.0, 1e12, verbs=(verb,)),))
+
+    async def scenario():
+        cluster = RealCluster(harness.descriptor(), timeout_s=0.3)
+        (client,) = cluster.add_clients(1)
+        endpoint = client.ep
+        try:
+            await cluster.engine.connect(node)
+            harness.raw_rpc(
+                entry, "__chaos_load__", (plan.to_dict(), time.time()))
+            with pytest.raises(VerbTimeout):
+                await drive(
+                    endpoint.write_then_cas(block, b"dropped!", word, 0, 7))
+            # One Set attempt: it got its block and budget, lost its chain,
+            # and gave both back.
+            used = cluster.budget.used_bytes
+            with pytest.raises(VerbTimeout):
+                await drive(client._try_set(b"key", b"v" * 64))
+            assert client._pending_block is None
+            assert client._pending_budget == 0
+            assert cluster.budget.used_bytes == used
+            verdicts = _stats(harness)["chaos_verdicts"]
+            harness.raw_rpc(entry, "__chaos_stop__", None)
+            assert await drive(endpoint.read(word, 72)) == bytes(72)
+            assert await drive(client.get(b"key")) is None
+            assert await drive(client.set(b"key", b"v" * 64)) is True
+            assert await drive(client.get(b"key")) == b"v" * 64
+            return verdicts, cluster.counters.as_dict()
+        finally:
+            await cluster.aclose()
+
+    verdicts, counters = asyncio.run(scenario())
+    assert verdicts["drop"] == 2
+    assert counters["fault_verb_timeout"] == 2
+
+
+def test_an_outage_verdict_on_a_chain_resets_the_link_and_runs_none_of_it(
+    harness
+):
+    entry = harness.descriptor()["nodes"][0]
+    node = _node(harness)
+    word, block = _scratch(node), _scratch(node) + 64
+    outage = FaultPlan(outages=(NodeOutage(0, 0.0, 1e12),))
+
+    async def scenario():
+        runtime = WallClockRuntime()
+        endpoint = RealEndpoint(runtime, [node], timeout_s=5.0)
+        try:
+            first = await runtime.connect(node)
+            harness.raw_rpc(
+                entry, "__chaos_load__", (outage.to_dict(), time.time()))
+            with pytest.raises(NodeUnavailable):
+                await drive(
+                    endpoint.write_then_cas(block, b"chained!", word, 0, 7))
+            assert not first.alive and runtime.live_link(node) is None
+            down = _stats(harness)["chaos_verdicts"]["down"]
+            harness.raw_rpc(entry, "__chaos_stop__", None)
+            assert await drive(endpoint.read(word, 72)) == bytes(72)
+            assert await drive(
+                endpoint.write_then_cas(block, b"chained!", word, 0, 7)) == 0
+            return down, endpoint.counters.as_dict()
+        finally:
+            await endpoint.aclose()
+
+    down, counters = asyncio.run(scenario())
+    # The chain's own verdict, then one per resend of its fate READ.
+    assert down >= 2
+    assert counters["cas_fate_resolved"] == 1
+    assert counters["fault_node_unavailable"] == 1
+
+
 # -- posts are a count --------------------------------------------------------
 
 
@@ -1141,3 +1304,11 @@ def test_stats_and_load_report_say_how_frames_batch(harness):
     links = report["links"]
     assert 0 < links["flushes"] <= links["frames"] <= row["frames"]
     assert all(type(value) is int for value in links.values())
+    # ... and how many verbs shared a frame: each install's WRITE and CAS
+    # left as one chain, so on this quiet run (nothing resent) the frames
+    # are exactly the verbs counted less the chains.
+    counters = report["counters"]
+    verbs = sum(counters.get(f"rdma_{verb}", 0)
+                for verb in ("read", "write", "cas", "faa", "rpc"))
+    assert 0 < links["chained"] <= counters["rdma_cas"]
+    assert links["frames"] + links["chained"] == verbs

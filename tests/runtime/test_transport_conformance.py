@@ -32,6 +32,7 @@ from repro.runtime.client import (
     WallClockRuntime,
     drive,
 )
+from repro.runtime.harness import RealClusterHarness
 from repro.sim import Engine
 from repro.sim.faults import (
     DropWindow,
@@ -216,6 +217,48 @@ def test_cas_returns_old_value_and_applies_once(substrate):
     assert substrate.run(flow()) == (0, 7, 7)
 
 
+def test_write_then_cas_is_the_write_then_the_cas(substrate):
+    """The chain returns what ``cas`` returns, leaves the bytes ``write``
+    leaves, and counts one of each — however the substrate ships it.  A
+    chain that loses its CAS has still made its WRITE: the order is
+    WRITE, then CAS, and the CAS does not gate the WRITE."""
+    ep = substrate.ep
+    word, block = SCRATCH + 1536, SCRATCH + 1600
+
+    def flow():
+        bare = yield from ep.cas(word + 8, 0, 7)
+        won = yield from ep.write_then_cas(block, b"chained!", word, 0, 7)
+        lost = yield from ep.write_then_cas(block, b"replaced", word, 0, 9)
+        raw = yield from ep.read(word, 8)
+        data = yield from ep.read(block, 8)
+        return bare, won, lost, int.from_bytes(raw, "little"), data
+
+    before = ep.counters.as_dict()
+    assert substrate.run(flow()) == (0, 0, 7, 7, b"replaced")
+    after = ep.counters.as_dict()
+    assert after["rdma_write"] - before.get("rdma_write", 0) == 2
+    assert after["rdma_cas"] - before.get("rdma_cas", 0) == 2 + 1
+
+
+def test_a_write_fence_nacks_the_whole_chain(substrate):
+    ep = substrate.ep
+    word, block = SCRATCH + 1664, SCRATCH + 1728
+    fence = EpochFence()
+    fence.fence_writes(0, HEAP_SIZE, 0)
+    ep.fence = fence
+
+    def chain():
+        yield from ep.write_then_cas(block, b"fenced!!", word, 0, 7)
+
+    def look():
+        return (yield from ep.read(word, 72))
+
+    with pytest.raises(StaleEpoch):
+        substrate.run(chain())
+    ep.fence = None
+    assert substrate.run(look()) == bytes(72)  # neither verb applied
+
+
 def test_faa_returns_old_and_wraps_mod_2_64(substrate):
     ep = substrate.ep
     addr = SCRATCH + 1024
@@ -365,6 +408,24 @@ def test_same_plan_drop_surfaces_as_verb_timeout(substrate):
     substrate.disarm_plan()
     assert substrate.run(flow()) == bytes(8)
 
+    # The chain is one more verb to the plan: a window on its CAS times
+    # the chain out, and the word is not swapped.
+    word, block = SCRATCH + 1792, SCRATCH + 1856
+    substrate.arm_plan(FaultPlan(drops=(DropWindow(0.0, 1e12, verbs=("cas",)),)))
+
+    def chain():
+        return (yield from ep.write_then_cas(block, b"dropped!", word, 0, 7))
+
+    def look():
+        return (yield from ep.read(word, 8))
+
+    with pytest.raises(VerbTimeout):
+        substrate.run(chain())
+    substrate.disarm_plan()
+    assert substrate.run(look()) == bytes(8)
+    assert substrate.run(chain()) == 0
+    assert substrate.run(look()) == (7).to_bytes(8, "little")
+
 
 def test_same_plan_outage_surfaces_as_node_unavailable(substrate):
     # The same outage window downs the node on both substrates.  On the
@@ -415,3 +476,50 @@ def test_unreachable_node_surfaces_as_node_unavailable(substrate):
         substrate.run(flow())
     with pytest.raises(NodeUnavailable):
         substrate.run(rpc_flow())
+
+
+def test_a_chain_is_one_frame_on_one_node_and_two_verbs_across_two():
+    """The real substrate's one override: a link is a FIFO, so a chain
+    whose addresses share a memory node is one frame there; two links
+    order nothing between them, so a straddling chain is the default's
+    two verbs.  Same results either way."""
+    with RealClusterHarness(
+        capacity_objects=256, num_clients=1, num_memory_nodes=2, seed=3
+    ) as launched:
+        first, second = (
+            NodeHandle.from_dict(entry)
+            for entry in launched.descriptor()["nodes"]
+        )
+        runtime = WallClockRuntime()
+        ep = RealEndpoint(runtime, [first, second], timeout_s=5.0)
+        word = first.base + first.size // 2
+        near, far = word + 64, second.base + second.size // 2
+
+        def chain(block, expected, new):
+            old = yield from ep.write_then_cas(
+                block, b"chained!", word, expected, new)
+            return old, (yield from ep.read(block, 8))
+
+        async def scenario():
+            try:
+                await runtime.connect(first)
+                await runtime.connect(second)
+                tallies = [runtime.link_stats()]
+                results = []
+                for block, expected, new in ((near, 0, 7), (far, 7, 9)):
+                    results.append(await drive(chain(block, expected, new)))
+                    tallies.append(runtime.link_stats())
+                return results, tallies
+            finally:
+                await ep.aclose()
+
+        results, (start, same_node, straddling) = asyncio.run(scenario())
+    assert launched.leak_report()["clean"]
+    assert results == [(0, b"chained!"), (7, b"chained!")]
+    # the chain and the READ that checks it; then WRITE, CAS and the READ
+    assert same_node["frames"] - start["frames"] == 1 + 1
+    assert same_node["chained"] - start["chained"] == 1
+    assert straddling["frames"] - same_node["frames"] == 2 + 1
+    assert straddling["chained"] == same_node["chained"]
+    counters = ep.counters.as_dict()
+    assert (counters["rdma_write"], counters["rdma_cas"]) == (2, 2)
