@@ -1,60 +1,24 @@
-"""Self-benchmark of the simulation substrate (``BENCH_sim_speed.json``).
+"""Micro-benchmarks of the simulation substrate's hot loops.
 
-The benchmark suite's wall-clock is bounded by two hot loops: the
-discrete-event engine (timed-tier experiments) and the trace-replay cache
-simulator (hit-rate-tier experiments).  Both now have a batched fast path
-next to the scalar one, so every micro-benchmark here reports **pairs**:
+Three functions, each timing one layer with nothing else running:
 
-- **engine events/sec** — N processes ping-ponging Timeouts through one
-  engine.  ``scalar`` pins the engine to the classic pop-dispatch loop;
-  ``storm`` lets the uniform-delay storm mode engage.  The storm variant
-  hoists one immutable ``Timeout`` out of the loop (``Timeout`` carries only
-  its delay, so reuse is safe) — that is the idiomatic shape for pure
-  delay loops and what the fast path is built for.
-- **rdma verbs/sec** — READs through the full verb layer (endpoint → NIC
-  booking → memory node).  ``scalar`` awaits each verb; ``burst`` issues
-  doorbell-batched ``read_burst`` trains of 64.
-- **cachesim accesses/sec** — Zipfian traces replayed through
-  ``SampledAdaptiveCache`` with the adaptive (lru, lfu) configuration, over
-  a basket of regimes (``churn``: cap ≪ keys, mostly misses; ``balanced``:
-  cap = keys/2; ``hot``: θ=1.1 skew).  Each runs the scalar loop and the
-  numpy-vectorized replay — byte-identical results, different speed.
+- :func:`bench_engine` — events/sec of N processes ping-ponging Timeouts
+  through one engine;
+- :func:`bench_rdma` — READ verbs/sec through the full verb layer
+  (endpoint → NIC booking → memory node);
+- :func:`bench_cachesim` — accesses/sec of a Zipfian trace replayed through
+  ``SampledAdaptiveCache`` with the adaptive (lru, lfu) configuration, on
+  the numpy-vectorized replay or the scalar loop.
 
-The report (schema 2) keeps a bounded history of past headline rows so the
-substrate's performance trajectory is tracked from PR to PR.  Two gates turn
-a run into a pass/fail check:
-
-- ``--check`` compares against the committed headline file: a fresh run must
-  stay within ``REPRO_PERF_THRESHOLD`` (default 0.30 = 30%).  Meaningful on
-  the machine the committed numbers came from (a dev box tracking drift) —
-  a shared CI runner can legitimately be several times slower, so absolute
-  rates are not comparable there.
-- ``--check-ratio`` is machine-independent: it gates on fast-vs-scalar
-  *speedups measured entirely within this run* (storm vs scalar engine,
-  burst vs scalar rdma, vectorized vs scalar cachesim).  A fast path that
-  silently disengages collapses its ratio to ~1x no matter how fast or slow
-  the machine is, which is exactly what CI needs to catch.
-
-Usage::
-
-    python -m repro.bench.meta                 # writes BENCH_sim_speed.json
-    python -m repro.bench.meta out.json        # custom output path
-    python -m repro.bench.meta --check         # compare vs committed file
-    REPRO_PERF_THRESHOLD=0.5 python -m repro.bench.meta --check
-    python -m repro.bench.meta --check-ratio   # within-run speedup floors
-    REPRO_PERF_RATIO_FLOORS="engine=1.5,cachesim=1.1" \
-        python -m repro.bench.meta --check-ratio
+``perf/probes.py`` reports their rates as the ``sim`` and ``cachesim``
+per-layer rows of the layered benchmark (``perf/run.py``).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
-import platform
 import time
-from datetime import datetime, timezone
-from typing import Any, Dict, List, Optional
+from typing import Dict
 
 from ..cachesim import SampledAdaptiveCache
 from ..memory import MemoryNode, MemoryPool
@@ -62,65 +26,16 @@ from ..rdma import RdmaEndpoint
 from ..sim import Engine, Timeout
 from ..workloads import ZipfianGenerator
 
-DEFAULT_OUTPUT = "BENCH_sim_speed.json"
-
-#: Past headline rows retained in the report (newest first).
-HISTORY_LIMIT = 20
-
-#: Allowed fractional slowdown vs the committed headline before ``--check``
-#: fails; override with ``REPRO_PERF_THRESHOLD`` (CI runners are noisy —
-#: set it generously there).
-DEFAULT_THRESHOLD = 0.30
-
-#: Headline metrics ``--check`` gates on.
-CHECKED_METRICS = (
-    "engine_events_per_sec",
-    "rdma_verbs_per_sec",
-    "cachesim_accesses_per_sec",
-)
-
-#: Fast-vs-scalar speedup floors ``--check-ratio`` gates on, measured within
-#: one run on one machine.  Committed dev-box speedups are ~6.8x (engine
-#: storm), ~56x (rdma burst), and ~2.6x (cachesim vectorized); the floors sit
-#: far below those so only a fast path silently disengaging (ratio ~1x)
-#: trips them, never runner speed or noise.  Override per-pair with
-#: ``REPRO_PERF_RATIO_FLOORS="engine=1.5,rdma=2,cachesim=1.1"``.
-DEFAULT_RATIO_FLOORS = {
-    "engine": 2.0,
-    "rdma": 4.0,
-    "cachesim": 1.3,
-}
-
-#: fast/scalar headline-key pairs behind each ``--check-ratio`` gate.
-RATIO_PAIRS = {
-    "engine": ("engine_events_per_sec", "engine_scalar_events_per_sec"),
-    "rdma": ("rdma_verbs_per_sec", "rdma_scalar_verbs_per_sec"),
-    "cachesim": ("cachesim_accesses_per_sec",
-                 "cachesim_scalar_accesses_per_sec"),
-}
-
-#: The cachesim basket: regime name → trace/cache parameters.
-CACHESIM_CONFIGS: Dict[str, Dict[str, Any]] = {
-    "churn": {"n_accesses": 400_000, "n_keys": 16384, "capacity": 2048,
-              "theta": 0.99},
-    "balanced": {"n_accesses": 400_000, "n_keys": 16384, "capacity": 8192,
-                 "theta": 0.99},
-    "hot": {"n_accesses": 400_000, "n_keys": 16384, "capacity": 8192,
-            "theta": 1.1},
-}
-
 
 def bench_engine(
     processes: int = 100, events_per_process: int = 2000, batch: bool = True
 ) -> Dict:
     """Pure event-loop throughput: Timeout-only processes.
 
-    ``batch=False`` pins the engine to the scalar pop-dispatch loop;
-    ``batch=True`` measures the uniform-delay storm fast path.
+    ``batch`` selects nothing: the engine has one event loop.  The keyword
+    stays because ``perf/probes.py`` passes it.
     """
     engine = Engine()
-    if not batch:
-        engine.disable_batch("benchmark-scalar")
     pause = Timeout(1.0)  # immutable; hoisting it keeps the loop allocation-free
 
     def ping(n):
@@ -146,8 +61,8 @@ def bench_rdma(
 ) -> Dict:
     """The timed tier's per-op path: READ verbs through NIC booking.
 
-    ``burst=N`` (N > 1) issues doorbell-batched trains of N via
-    ``read_burst`` instead of awaiting each verb individually.
+    ``burst`` selects nothing: every READ is one NIC booking and one engine
+    event.  The keyword stays because ``perf/probes.py`` passes it.
     """
     engine = Engine()
     node = MemoryNode(engine, size=1 << 20)
@@ -157,17 +72,8 @@ def bench_rdma(
         for i in range(n):
             yield from endpoint.read((i * 64) % 65536, 64)
 
-    def burst_client(endpoint, n, train):
-        for i in range(0, n, train):
-            yield from endpoint.read_burst((i * 64) % 65536, 64,
-                                           min(train, n - i))
-
     for _ in range(clients):
-        endpoint = RdmaEndpoint(engine, pool)
-        if burst > 1:
-            engine.spawn(burst_client(endpoint, verbs_per_client, burst))
-        else:
-            engine.spawn(client(endpoint, verbs_per_client))
+        engine.spawn(client(RdmaEndpoint(engine, pool), verbs_per_client))
     verbs = clients * verbs_per_client
     started = time.perf_counter()
     engine.run()
@@ -216,229 +122,3 @@ def bench_cachesim(
         "hit_rate": cache.hit_rate(),
         "evictions": cache.evictions,
     }
-
-
-def _best(rounds: List[Dict], rate_key: str) -> Dict:
-    return max(rounds, key=lambda r: r[rate_key])
-
-
-def _round_rates(record: Dict) -> Dict:
-    out = {}
-    for k, v in record.items():
-        if k in ("elapsed_s", "hit_rate"):
-            out[k] = round(v, 4)
-        elif isinstance(v, float):
-            out[k] = round(v, 1)
-        else:
-            out[k] = v
-    return out
-
-
-def run(repeats: int = 3) -> Dict:
-    """Run every micro-benchmark pair; keep the best of ``repeats`` rounds."""
-    engine_scalar = _best(
-        [bench_engine(batch=False) for _ in range(repeats)], "events_per_sec")
-    engine_storm = _best(
-        [bench_engine(batch=True) for _ in range(repeats)], "events_per_sec")
-    rdma_scalar = _best(
-        [bench_rdma() for _ in range(repeats)], "verbs_per_sec")
-    rdma_burst = _best(
-        [bench_rdma(burst=64) for _ in range(repeats)], "verbs_per_sec")
-
-    cachesim: Dict[str, Dict] = {}
-    for name, config in CACHESIM_CONFIGS.items():
-        cachesim[name] = {
-            "config": dict(config),
-            "scalar": _round_rates(_best(
-                [bench_cachesim(vectorized=False, **config)
-                 for _ in range(repeats)],
-                "accesses_per_sec")),
-            "vectorized": _round_rates(_best(
-                [bench_cachesim(vectorized=True, **config)
-                 for _ in range(repeats)],
-                "accesses_per_sec")),
-        }
-
-    # Headline cachesim number: the fastest vectorized regime (the substrate's
-    # peak replay rate); its scalar counterpart rides along for the speedup.
-    peak_name = max(
-        cachesim, key=lambda n: cachesim[n]["vectorized"]["accesses_per_sec"])
-    peak = cachesim[peak_name]
-
-    return {
-        "schema": 2,
-        "generated_utc": datetime.now(timezone.utc).strftime(
-            "%Y-%m-%dT%H:%M:%SZ"),
-        "python": platform.python_version(),
-        "engine": {
-            "scalar": _round_rates(engine_scalar),
-            "storm": _round_rates(engine_storm),
-        },
-        "rdma": {
-            "scalar": _round_rates(rdma_scalar),
-            "burst": _round_rates(rdma_burst),
-        },
-        "cachesim": cachesim,
-        "headline": {
-            "engine_events_per_sec": round(engine_storm["events_per_sec"], 1),
-            "engine_scalar_events_per_sec": round(
-                engine_scalar["events_per_sec"], 1),
-            "rdma_verbs_per_sec": round(rdma_burst["verbs_per_sec"], 1),
-            "rdma_scalar_verbs_per_sec": round(
-                rdma_scalar["verbs_per_sec"], 1),
-            "cachesim_accesses_per_sec":
-                peak["vectorized"]["accesses_per_sec"],
-            "cachesim_scalar_accesses_per_sec":
-                peak["scalar"]["accesses_per_sec"],
-            "cachesim_peak_config": peak_name,
-        },
-    }
-
-
-def _load_report(path: str) -> Optional[Dict]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return None
-
-
-def _carry_history(fresh: Dict, previous: Optional[Dict]) -> Dict:
-    """Attach the bounded run history: prior headline rows, newest first."""
-    history: List[Dict] = []
-    if previous is not None:
-        if previous.get("schema", 1) >= 2:
-            if "headline" in previous:
-                history.append({
-                    "generated_utc": previous.get("generated_utc"),
-                    "headline": previous["headline"],
-                })
-            history.extend(previous.get("history", []))
-        elif "headline" in previous:  # schema-1 file: keep its one row
-            history.append({
-                "generated_utc": previous.get("generated_utc"),
-                "headline": previous["headline"],
-            })
-    fresh["history"] = history[:HISTORY_LIMIT]
-    return fresh
-
-
-def check(baseline: Dict, fresh: Dict, threshold: float) -> List[str]:
-    """Headline metrics of ``fresh`` that regressed > ``threshold`` vs
-    ``baseline``; empty list means the gate passes."""
-    failures = []
-    base_head = baseline.get("headline", {})
-    fresh_head = fresh.get("headline", {})
-    for metric in CHECKED_METRICS:
-        base = base_head.get(metric)
-        now = fresh_head.get(metric)
-        if not base or now is None:
-            continue  # metric absent (older schema) — nothing to gate on
-        if now < base * (1.0 - threshold):
-            failures.append(
-                f"{metric}: {now:,.0f}/s is {1 - now / base:.0%} below the "
-                f"committed {base:,.0f}/s (threshold {threshold:.0%})"
-            )
-    return failures
-
-
-def ratio_floors_from_env() -> Dict[str, float]:
-    """``DEFAULT_RATIO_FLOORS`` overlaid with ``REPRO_PERF_RATIO_FLOORS``."""
-    floors = dict(DEFAULT_RATIO_FLOORS)
-    setting = os.environ.get("REPRO_PERF_RATIO_FLOORS", "")
-    for part in filter(None, (p.strip() for p in setting.split(","))):
-        name, sep, value = part.partition("=")
-        if not sep or name not in floors:
-            raise ValueError(
-                f"bad REPRO_PERF_RATIO_FLOORS entry {part!r}; expected "
-                f"name=floor with name in {sorted(floors)}"
-            )
-        floors[name] = float(value)
-    return floors
-
-
-def check_ratios(report: Dict, floors: Dict[str, float]) -> List[str]:
-    """Fast-path speedups of ``report`` that fall below their floor; empty
-    list means every fast path is genuinely engaged."""
-    failures = []
-    headline = report.get("headline", {})
-    for name, (fast_key, scalar_key) in RATIO_PAIRS.items():
-        fast = headline.get(fast_key)
-        scalar = headline.get(scalar_key)
-        if not fast or not scalar:
-            continue  # pair absent (older schema) — nothing to gate on
-        ratio = fast / scalar
-        if ratio < floors[name]:
-            failures.append(
-                f"{name}: fast path is only {ratio:.2f}x its scalar twin "
-                f"in this run (floor {floors[name]:.1f}x) — is the fast "
-                f"path silently disengaging?"
-            )
-    return failures
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.meta",
-        description="Benchmark the simulation substrate itself.",
-    )
-    parser.add_argument("output", nargs="?", default=DEFAULT_OUTPUT,
-                        help=f"report path (default {DEFAULT_OUTPUT})")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="rounds per benchmark, best kept (default 3)")
-    parser.add_argument("--check", action="store_true",
-                        help="don't rewrite the report; fail if this run "
-                             "regresses the committed headline by more than "
-                             "REPRO_PERF_THRESHOLD (default "
-                             f"{DEFAULT_THRESHOLD:.0%})")
-    parser.add_argument("--check-ratio", action="store_true",
-                        help="don't rewrite the report; fail if a fast path's "
-                             "within-run speedup over its scalar twin falls "
-                             "below its floor (machine-independent; override "
-                             "floors via REPRO_PERF_RATIO_FLOORS)")
-    args = parser.parse_args(argv)
-
-    previous = _load_report(args.output)
-    report = run(repeats=args.repeats)
-
-    h = report["headline"]
-    print(
-        f"engine: {h['engine_events_per_sec']:,.0f} events/s storm "
-        f"({h['engine_scalar_events_per_sec']:,.0f} scalar) | "
-        f"rdma: {h['rdma_verbs_per_sec']:,.0f} verbs/s burst "
-        f"({h['rdma_scalar_verbs_per_sec']:,.0f} scalar) | "
-        f"cachesim[{h['cachesim_peak_config']}]: "
-        f"{h['cachesim_accesses_per_sec']:,.0f} accesses/s vectorized "
-        f"({h['cachesim_scalar_accesses_per_sec']:,.0f} scalar)"
-    )
-
-    if args.check or args.check_ratio:
-        failures: List[str] = []
-        if args.check_ratio:
-            floors = ratio_floors_from_env()
-            failures += check_ratios(report, floors)
-        if args.check:
-            if previous is None:
-                print(f"no committed report at {args.output}; "
-                      "nothing to check")
-            else:
-                threshold = float(
-                    os.environ.get("REPRO_PERF_THRESHOLD", DEFAULT_THRESHOLD))
-                failures += check(previous, report, threshold)
-        for failure in failures:
-            print(f"PERF REGRESSION: {failure}")
-        if failures:
-            return 1
-        print("perf check passed")
-        return 0
-
-    report = _carry_history(report, previous)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {args.output}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

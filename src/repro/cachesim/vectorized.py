@@ -8,7 +8,7 @@ The split is only sound because the two paths are **byte-identical**: same
 rng draws in the same order, same eviction victims, same history/regret
 sequence, same final metadata.  Identity is regression-tested (property
 tests over random traces plus full-experiment comparisons), and
-``REPRO_VECTORIZE=0`` forces the scalar path everywhere.
+``REPRO_VECTORIZE=0`` forces the scalar replay.
 
 How the speed happens:
 

@@ -378,9 +378,6 @@ class DittoCluster:
             return
         self.membership = MembershipTable(n.node_id for n in self.nodes)
         self.fence = EpochFence()
-        # Fenced verbs are checked at issue time per verb; once elasticity
-        # arms, the engine stays on the scalar event loop.
-        self.engine.disable_batch("epoch-fence")
         # Clients learn the table from the metadata service on node 0; a
         # fenced verb NACKs with StaleEpoch and the client refreshes.
         self.controller.register(

@@ -541,9 +541,6 @@ class ControllerGroup:
         #: (time_us, position) for each physical commit (availability metric).
         self.commit_times: List[Tuple[float, int]] = []
         self._client_count = 0
-        # Message reordering across replicas would break determinism if the
-        # engine ever batched same-time callbacks; consensus runs strict.
-        engine.disable_batch("consensus")
         self.replicas = [
             RaftReplica(
                 i, self, physical.clone(),

@@ -71,11 +71,6 @@ class Observability:
             budget=self._budget,
         )
         self._tracers.append(tracer)
-        # Tracing lanes are per-process bookkeeping the engine's storm-mode
-        # fast path does not model; pin the engine to the scalar loop.
-        disable = getattr(engine, "disable_batch", None)
-        if disable is not None:
-            disable("tracing")
         return tracer
 
     def tracer_for(self, engine: Any) -> Optional[SpanTracer]:

@@ -55,9 +55,9 @@ The contract every implementation must honour (DESIGN §3.7):
   on the process's link to the memory node on the real one), with
   injected faults and fence NACKs swallowed and counted.
 
-``charge`` (timing-only NIC accounting for cost-modelled baselines) and
-``read_burst`` doorbell batching are sim-substrate extras, not part of the
-portable contract — portable code must not rely on them.
+``charge`` (timing-only NIC accounting for cost-modelled baselines) is a
+sim-substrate extra, not part of the portable contract — portable code must
+not rely on it.
 
 Clusters hand out transports via ``cluster.make_endpoint(client)``, the
 single seam where the substrate is chosen.

@@ -276,36 +276,6 @@ class RdmaEndpoint(VerbTransport):
             tracer.complete("rdma.faa", "rdma", t0)
         return node.fetch_and_add(addr, delta)
 
-    def read_burst(self, addr: int, length: int, count: int) -> Generator:
-        """``count`` doorbell-batched READs of one region; returns the bytes
-        of the final read.
-
-        Models posting a chain of work requests with a single signalled
-        completion: the NIC serves all ``count`` messages back-to-back
-        (:meth:`RateLimiter.book_burst`) and the client resumes once, so a
-        whole burst costs one engine event.  Falls back to ``count``
-        individually awaited READs whenever faults, tracing, or an epoch
-        fence are armed — those paths gate on per-verb state the batched
-        booking skips.
-        """
-        if count <= 1 or self.faults is not None or self.tracer is not None \
-                or self.fence is not None or not self.engine.batch_enabled:
-            data = b""
-            for _ in range(max(count, 1)):
-                data = yield from self.read(addr, length)
-            return data
-        node = self._node_for(addr, length)
-        self.counters.add("rdma_read", count)
-        yield Timeout(
-            node.nic.book_burst(
-                self._base_read + length * self._inv_bw,
-                count,
-                self._lead,
-                self._lag,
-            )
-        )
-        return node.read_bytes(addr, length)
-
     def charge(self, node: MemoryNode, verb: str, payload: int = 8) -> Generator:
         """Timing-only verb: full latency/NIC accounting, no memory access.
 

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import os
-from collections import deque
 from typing import Any, Callable, Generator, Optional
 
 
@@ -43,32 +41,9 @@ class Timeout:
     def _apply(self, engine: "Engine", process: "Process") -> None:
         # Inlined call_later: Timeout is the dominant event source (one per
         # simulated verb), so the extra call frame is worth shaving.
-        delay = self.delay
-        storm = engine._storm
-        if storm is not None:
-            # Mid-storm resume: a uniform delay stays in the drain deque; any
-            # other delay ends the storm before the generic push below.
-            if delay == engine._uniform:
-                storm.append((engine._now + delay, process._send, process))
-                return
-            engine._flush_storm()
-        uniform = engine._uniform
-        if delay == uniform:
-            tag = True
-        elif uniform is None or not engine._heap:
-            # First Timeout ever, or an empty heap: this delay anchors the
-            # (new) uniform cohort.  Pending non-Timeout entries are already
-            # counted in _mixed, so anchoring mid-heap is safe.
-            engine._uniform = delay
-            tag = True
-        else:
-            # A second delay value is in flight: this entry is "mixed" and
-            # storm mode stays off until every mixed entry has been popped.
-            engine._mixed += 1
-            tag = False
         heapq.heappush(
             engine._heap,
-            (engine._now + delay, next(engine._sequence), process._step, (), tag),
+            (engine._now + self.delay, next(engine._sequence), process._step, ()),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -208,32 +183,15 @@ class Process:
 _INFINITY = float("inf")
 
 
-#: Storm mode needs at least this many pending uniform resumes to be worth
-#: the sorted-drain setup cost (heaps this small pop cheaply anyway).
-_STORM_MIN = 8
-
-
 class Engine:
-    """The event loop: a time-ordered heap of callbacks.
+    """The event loop: a time-ordered heap of ``(when, seq, fn, args)``
+    callbacks, popped and dispatched one at a time.
 
-    **Storm mode** (the event-batch fast path): verb storms schedule long
-    homogeneous runs of ``Timeout`` resumes with one shared delay — N clients
-    ping-ponging the same precomputed verb cost.  A binary heap is overkill
-    for that shape: if *every* pending entry is a Timeout resume with delay
-    ``d``, then resumes appended at ``now + d`` can never overtake pending
-    entries (which were scheduled no later than ``now``), so a plain FIFO
-    deque preserves exact time order and the whole run retires in one heap
-    drain with no ``heappush``/``heappop`` at all.  The engine tracks the
-    uniform-delay invariant cheaply at push time (``_uniform``/``_mixed``)
-    and falls back to the scalar pop-dispatch loop the moment any other
-    command shape appears — or unconditionally once :meth:`disable_batch`
-    has been called (faults, tracing lanes, or epoch fences armed).
+    ``seq`` breaks ties between same-time entries in scheduling order, so a
+    run's event order depends only on what the processes yield.
     """
 
-    __slots__ = (
-        "_now", "_heap", "_sequence", "_active", "_tids",
-        "_uniform", "_mixed", "_storm", "_batch_ok", "batch_off_reasons",
-    )
+    __slots__ = ("_now", "_heap", "_sequence", "_active", "_tids")
 
     def __init__(self) -> None:
         self._now = 0.0
@@ -243,61 +201,22 @@ class Engine:
         self._active: Optional[Process] = None
         #: Trace-lane ids handed to processes (tid 0 = outside any process).
         self._tids = itertools.count(1)
-        #: The delay shared by every "uniform" heap entry (Timeout resumes
-        #: pushed while no other delay was in flight).
-        self._uniform: Optional[float] = None
-        #: How many pending entries do NOT match ``_uniform`` (non-Timeout
-        #: callbacks and Timeouts of a different delay).  Storm mode may only
-        #: engage while this is zero.
-        self._mixed = 0
-        #: The live storm deque of ``(when, process)`` resumes, or None when
-        #: no storm is draining.
-        self._storm: Optional[deque] = None
-        self._batch_ok = True
-        #: Why batching is off (e.g. {"faults", "tracing"}); empty when on.
-        self.batch_off_reasons: set = set()
-        if os.environ.get("REPRO_VECTORIZE") == "0":
-            self.disable_batch("REPRO_VECTORIZE=0")
 
     @property
     def now(self) -> float:
         """Current simulated time in microseconds."""
         return self._now
 
-    @property
-    def batch_enabled(self) -> bool:
-        """Whether the storm-mode fast path may engage."""
-        return self._batch_ok
-
-    def disable_batch(self, reason: str) -> None:
-        """Permanently pin this engine to the scalar event loop.
-
-        Called when a subsystem arms state the fast path does not model
-        per-event: fault injection (verb outcomes consult windows at resume
-        time), span tracing (lane bookkeeping), and epoch fences.  The scalar
-        and batched loops retire identical schedules, so this is belt *and*
-        braces — but it keeps every fault/tracing/fence code path off the
-        fast loop entirely, which is the easy thing to reason about.
-        """
-        self._batch_ok = False
-        self.batch_off_reasons.add(reason)
-
     def call_at(self, when: float, fn: Callable, *args: Any) -> None:
         if when < self._now:
             raise SimulationError(f"scheduling into the past: {when} < {self._now}")
-        if self._storm is not None:
-            self._flush_storm()
-        self._mixed += 1
-        heapq.heappush(self._heap, (when, next(self._sequence), fn, args, False))
+        heapq.heappush(self._heap, (when, next(self._sequence), fn, args))
 
     def call_later(self, delay: float, fn: Callable, *args: Any) -> None:
         # Hot path: delays are non-negative by construction (Timeout checks),
         # so skip call_at's past-scheduling validation.
-        if self._storm is not None:
-            self._flush_storm()
-        self._mixed += 1
         heapq.heappush(
-            self._heap, (self._now + delay, next(self._sequence), fn, args, False)
+            self._heap, (self._now + delay, next(self._sequence), fn, args)
         )
 
     def spawn(self, gen: Generator, name: str = "") -> Process:
@@ -318,113 +237,11 @@ class Engine:
         while heap:
             if stop is not None and stop._triggered:
                 return
-            entry = heap[0]
-            if entry[0] > until:
+            if heap[0][0] > until:
                 return
-            if not self._mixed and self._batch_ok and stop is None \
-                    and len(heap) >= _STORM_MIN:
-                self._run_storm(until)
-                heap = self._heap  # _flush_storm rebuilds the heap list
-                continue
-            when, _seq, fn, args, tag = pop(heap)
-            if not tag:
-                self._mixed -= 1
+            when, _seq, fn, args = pop(heap)
             self._now = when
             fn(*args)
-
-    def _flush_storm(self) -> None:
-        """Rebuild a valid heap from the remaining storm deque.
-
-        The deque is time-ordered (FIFO append order equals time order under
-        the uniform-delay invariant), so reassigning fresh sequence numbers
-        in deque order yields an ascending list — already a valid heap.  All
-        rebuilt entries carry the uniform delay, so ``_mixed`` stays zero.
-        """
-        dq = self._storm
-        if dq is None:
-            return  # already flushed by a side effect inside send()
-        self._storm = None
-        sequence = self._sequence
-        self._heap = [
-            (when, next(sequence), process._step, (), True)
-            for when, _send, process in dq
-            if not process._killed
-        ]
-
-    def _run_storm(self, until: float) -> None:
-        """Drain a homogeneous run of uniform-delay Timeout resumes.
-
-        This is ``Process._step`` + the pop loop fused and stripped: no heap
-        discipline, no command dispatch for the dominant shape.  Any other
-        command (a different delay, an event wait that triggers, a spawn, a
-        completion with joiners) flushes the remaining deque back into the
-        heap and returns control to the scalar loop.
-        """
-        heap = self._heap
-        entries = sorted(heap)
-        del heap[:]
-        dq = deque(
-            (entry[0], process._send, process)
-            for entry in entries
-            for process in (entry[2].__self__,)
-            if not process._killed
-        )
-        self._storm = dq
-        uniform = self._uniform
-        popleft = dq.popleft
-        append = dq.append
-        while dq:
-            when, send, process = popleft()
-            if process._killed:
-                continue  # a stale resume for a crashed process: drop it
-            if when > until:
-                dq.appendleft((when, send, process))
-                self._flush_storm()
-                return
-            self._now = when
-            self._active = process
-            try:
-                command = send(None)
-            except StopIteration as stop:
-                process.result = stop.value
-                process.done.trigger(stop.value)
-                if self._storm is None:
-                    return  # a joiner resumed via call_later: storm flushed
-                continue
-            except SimulationError as err:
-                self._flush_storm()
-                raise SimulationError(
-                    f"{err} (at t={self._now:.3f}us in process "
-                    f"{process.name!r})"
-                ) from err
-            except BaseException:
-                # Raw process exceptions propagate unwrapped (matching the
-                # scalar loop), but the pending deque must survive as a heap.
-                self._flush_storm()
-                raise
-            # The fast path is only valid while THIS storm is still live:
-            # send() side effects (call_later/call_at/spawn, an event trigger
-            # with waiters) flush the storm, copying the remaining deque into
-            # the rebuilt heap — appending to the dead deque and draining it
-            # further would execute every remaining resume twice.
-            if self._storm is dq and type(command) is Timeout \
-                    and command.delay == uniform:
-                append((when + uniform, send, process))
-                continue
-            try:
-                apply = command._apply
-            except AttributeError:
-                self._flush_storm()
-                raise SimulationError(
-                    f"process {process.name!r} yielded a non-command: "
-                    f"{command!r}; did you forget 'yield from'?"
-                ) from None
-            # Timeout._apply / Event._apply / call_later are storm-aware:
-            # they flush the deque themselves when they break the invariant.
-            apply(self, process)
-            if self._storm is None:
-                return
-        self._storm = None
 
     def run(self, until: Optional[float] = None) -> float:
         """Run queued events, optionally stopping once time would pass ``until``.

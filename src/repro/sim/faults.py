@@ -372,15 +372,7 @@ class FaultInjector:
         ]
         self._active_from = min((s for s, _ in windows), default=_INF)
         self._active_until = max((e for _, e in windows), default=-_INF)
-        if plan.empty:
-            return
-        disable_batch = getattr(self.clock, "disable_batch", None)
-        if disable_batch is not None:
-            # Fault outcomes are consulted per verb at resume time; keep
-            # the whole run on the scalar event loop (an inert injector
-            # leaves storm mode available).
-            disable_batch("faults")
-        if self.tracer is not None:
+        if self.tracer is not None and not plan.empty:
             self.tracer.fault_windows(plan.to_dict())
 
     # -- point queries ------------------------------------------------------

@@ -193,40 +193,6 @@ class RateLimiter:
         free_at[slot] = finish
         return finish + lag_us - now
 
-    def book_burst(
-        self,
-        service_time: float,
-        count: int,
-        lead_us: float = 0.0,
-        lag_us: float = 0.0,
-    ) -> float:
-        """Book ``count`` back-to-back jobs of one cost; returns the delay
-        from *now* until the last job's service is done.
-
-        Models doorbell batching: all jobs arrive at the pipe together
-        (one lead), occupy it for ``count * service_time``, and signal one
-        completion after the last (one lag).  For a single-slot pipe this is
-        closed-form — one booking, one engine event, regardless of
-        ``count``; multi-slot pipes fall back to ``count`` sequential
-        bookings (still a single Timeout for the caller).
-        """
-        if count <= 0:
-            raise SimulationError(f"burst count must be >= 1, got {count}")
-        free_at = self._free_at
-        if len(free_at) > 1:
-            delay = 0.0
-            for _ in range(count):
-                delay = self.book(service_time, lead_us, lag_us)
-            return delay
-        self.messages += count
-        now = self.engine._now
-        arrival = now + lead_us
-        earliest = free_at[0]
-        start = earliest if earliest > arrival else arrival
-        finish = start + service_time * count
-        free_at[0] = finish
-        return finish + lag_us - now
-
     def serve(
         self, service_time: float, lead_us: float = 0.0, lag_us: float = 0.0
     ) -> Generator:

@@ -15,8 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench import hitrate
 from repro.cachesim import SampledAdaptiveCache
 from repro.cachesim import vectorized
+from repro.workloads.traces import phase_switch_trace
 
 
 def snapshot(cache):
@@ -179,6 +181,29 @@ def test_env_switch_forces_scalar(monkeypatch):
         lambda *a: pytest.fail("REPRO_VECTORIZE=0 must force scalar"))
     cache.access_many(keys)
     assert cache.hits + cache.misses == 2048
+
+
+@pytest.mark.parametrize("system", ["ditto", "ditto-lru", "ditto-lfu"])
+def test_hit_rate_tier_caches_engage_the_vectorized_replay(monkeypatch, system):
+    # The hit-rate figures' caches over the Figure 19 trace must take the
+    # vectorized replay; a silent fallback to scalar shows here as no call.
+    calls = []
+    original = vectorized.replay
+
+    def spy(cache, keys):
+        calls.append(len(keys))
+        return original(cache, keys)
+
+    monkeypatch.setattr(vectorized, "replay", spy)
+    trace = phase_switch_trace(8000, 1024, seed=1)
+    monkeypatch.delenv("REPRO_VECTORIZE", raising=False)
+    fast = hitrate.replay(hitrate.make_hit_cache(system, 128), trace)
+    assert calls, f"{system} replayed scalar"
+    calls.clear()
+    monkeypatch.setenv("REPRO_VECTORIZE", "0")
+    scalar = hitrate.replay(hitrate.make_hit_cache(system, 128), trace)
+    assert not calls, "REPRO_VECTORIZE=0 must force scalar"
+    assert fast == scalar
 
 
 def test_unsupported_policy_not_eligible():

@@ -216,7 +216,7 @@ class TestCrashStorm:
     N_CLIENTS = 26
     N_CRASHES = 20
 
-    def _run_storm(self, seed=11):
+    def _run_crash_storm(self, seed=11):
         cluster = build_ditto(
             256,
             self.N_CLIENTS,
@@ -242,7 +242,7 @@ class TestCrashStorm:
         return cluster, harness
 
     def test_storm_leaves_no_leaks(self):
-        cluster, _ = self._run_storm()
+        cluster, _ = self._run_crash_storm()
         counters = cluster.counters.as_dict()
         assert counters["client_crash"] == self.N_CRASHES
         assert counters["crash_recovery"] == self.N_CRASHES
@@ -252,14 +252,14 @@ class TestCrashStorm:
         assert report["live_bytes"] == cluster.budget.used_bytes
 
     def test_storm_reclaims_interrupted_blocks(self):
-        cluster, _ = self._run_storm()
+        cluster, _ = self._run_crash_storm()
         counters = cluster.counters.as_dict()
         # With 20 kills inside Set-heavy loops, at least some must have died
         # holding an uncommitted block or budget.
         assert counters.get("crash_block_reclaimed", 0) >= 1
 
     def test_survivors_keep_working_after_storm(self):
-        cluster, _ = self._run_storm()
+        cluster, _ = self._run_crash_storm()
         survivor = next(c for c in cluster.clients if not c.dead)
         drive(cluster, survivor.set(b"post-storm", VALUE))
         assert drive(cluster, survivor.get(b"post-storm")) == VALUE

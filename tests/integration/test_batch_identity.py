@@ -1,41 +1,39 @@
-"""End-to-end identity: batched fast paths vs ``REPRO_VECTORIZE=0``.
+"""End-to-end identity: the vectorized cachesim replay vs ``REPRO_VECTORIZE=0``.
 
-The storm-mode engine and the vectorized cachesim replay are optimizations,
-so whole experiments must produce byte-identical results with the fast
-paths enabled (default) and force-disabled.  Two representative
-experiments: fig02 (timed tier, verb storms through the full cluster) and
-the extra fault-recovery experiment (fault plans must pin the engine to the
-scalar loop anyway — disabling batching twice must change nothing).
+The vectorized replay is an optimization, so a whole hit-rate-tier figure
+must produce byte-identical results with it enabled (default) and
+force-disabled.  A spy on ``vectorized.replay`` checks that the default run
+really took the fast path and the forced run really did not, so the
+comparison can never silently become scalar against scalar.
 """
 
 import json
 
-from repro.bench.experiments import extra_fault_recovery, fig02_caching_structure_cost
+from repro.bench.experiments import fig04_cache_size
 from repro.bench.parallel import jsonify
+from repro.cachesim import vectorized
 
 
 def canonical(result) -> str:
     return json.dumps(jsonify(result), sort_keys=True)
 
 
-def run_both(monkeypatch, run, **params):
+def test_fig04_identical_with_and_without_vectorized_replay(monkeypatch):
+    calls = []
+    original = vectorized.replay
+
+    def spy(cache, keys):
+        calls.append(len(keys))
+        return original(cache, keys)
+
+    monkeypatch.setattr(vectorized, "replay", spy)
+    params = dict(n_requests=8000, n_keys=1024, size_fracs=(0.05, 0.2))
+
     monkeypatch.delenv("REPRO_VECTORIZE", raising=False)
-    fast = canonical(run(**params))
+    fast = canonical(fig04_cache_size.run(**params))
+    assert calls, "the default run never took the vectorized replay"
+    calls.clear()
     monkeypatch.setenv("REPRO_VECTORIZE", "0")
-    scalar = canonical(run(**params))
-    return fast, scalar
-
-
-def test_fig02_identical_with_and_without_batching(monkeypatch):
-    fast, scalar = run_both(
-        monkeypatch, fig02_caching_structure_cost.run,
-        n_keys=500, client_counts=(1, 4), window_us=2000.0)
-    assert fast == scalar
-
-
-def test_fault_recovery_identical_with_and_without_batching(monkeypatch):
-    fast, scalar = run_both(
-        monkeypatch, extra_fault_recovery.run,
-        n_keys=500, num_clients=2, phase_us=5000.0, window_us=1000.0,
-        requests_per_client=800)
+    scalar = canonical(fig04_cache_size.run(**params))
+    assert not calls, "REPRO_VECTORIZE=0 must force the scalar replay"
     assert fast == scalar

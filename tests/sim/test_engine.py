@@ -180,3 +180,50 @@ def test_spawn_returns_process_with_result():
     engine.run()
     assert p.finished
     assert p.result == 99
+
+
+def test_process_error_escapes_run_unwrapped_and_engine_resumes():
+    # A raw process exception reaches the caller as itself (only
+    # SimulationErrors get a where-and-when stamp), and the events still
+    # pending stay queued, so the simulation can be run on.
+    engine = Engine()
+    pause = Timeout(1.0)
+
+    def ping():
+        for _ in range(40):
+            yield pause
+
+    def bad():
+        for _ in range(10):
+            yield pause
+        raise ValueError("boom")
+
+    for _ in range(10):
+        engine.spawn(ping())
+    engine.spawn(bad())
+    with pytest.raises(ValueError, match="boom"):
+        engine.run()
+    assert engine.now == 10.0
+    engine.run()  # the surviving processes finish
+    assert engine.now == 40.0
+
+
+def test_run_until_then_run_continues_cleanly():
+    engine = Engine()
+    trace = []
+    pause = Timeout(1.0)
+
+    def ping(pid):
+        for i in range(10):
+            yield pause
+            trace.append((pid, i, engine.now))
+
+    for pid in range(10):
+        engine.spawn(ping(pid))
+    engine.run(until=5.0)
+    assert engine.now == 5.0
+    assert len(trace) == 10 * 5
+    engine.run()  # resume past the horizon
+    assert trace[-1][2] == 10.0
+    assert engine.now == 10.0
+    assert len(trace) == 10 * 10

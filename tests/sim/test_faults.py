@@ -210,13 +210,3 @@ class TestFaultInjectorNodeScoped(TestFaultInjector):
 
     def advance(self, clock, t):
         clock.now = t
-
-
-def test_only_an_engine_clock_is_pinned_to_the_scalar_loop():
-    plan = FaultPlan(drops=(DropWindow(0.0, 1.0),))
-    engine = Engine()
-    FaultInjector(engine, FaultPlan())
-    assert engine.batch_enabled  # an inert injector leaves storm mode on
-    FaultInjector(engine, plan)
-    assert not engine.batch_enabled
-    FaultInjector(FakeEpochClock(), plan)  # nothing to disable: no error
