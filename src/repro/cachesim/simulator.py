@@ -43,7 +43,6 @@ class SampledAdaptiveCache:
         learning_rate: float = 0.1,
         seed: int = 0,
         policy_objects: Optional[Sequence[CachePolicy]] = None,
-        selection: str = "proportional",
     ):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
@@ -62,7 +61,6 @@ class SampledAdaptiveCache:
             learning_rate=learning_rate,
             batch_size=1 << 30,  # local-only updates; no RPC in this tier
             rng=self.rng,
-            selection=selection,
         )
         self._store: Dict[object, Metadata] = {}
         self._keys: List[object] = []

@@ -30,8 +30,8 @@ How the speed happens:
 
 Eligibility is conservative: integer keys in a bounded range, supported
 priority functions (LRU/LFU/FIFO/MRU — priorities that are a signed
-metadata column), no live policy hooks, and one expert or two experts under
-proportional selection.  Anything else silently replays scalar.
+metadata column), no live policy hooks, and one or two experts.  Anything
+else silently replays scalar.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ def eligible(cache, keys: np.ndarray) -> bool:
     if len(policies) == 2:
         # Two experts: proportional choice + regret math are inlined, and
         # the choice draws must come from the cache's own rng stream.
-        if weights.selection != "proportional" or weights.num_experts != 2:
+        if weights.num_experts != 2:
             return False
         if weights._rng is not cache.rng:
             return False

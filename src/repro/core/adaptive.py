@@ -37,13 +37,6 @@ def _normalized(weights: Sequence[float]) -> List[float]:
 class ExpertWeights:
     """Client-local expert weights with a compressed penalty buffer."""
 
-    #: Supported eviction-decision strategies.  ``proportional`` is the
-    #: paper's scheme (candidates of higher-weight experts are more likely to
-    #: be evicted); ``greedy`` is an extension that follows the top-weight
-    #: expert except for an ε exploration, which converges harder toward the
-    #: best expert on strongly one-sided workloads (CACHEUS-style).
-    SELECTION_MODES = ("proportional", "greedy")
-
     def __init__(
         self,
         num_experts: int,
@@ -51,18 +44,12 @@ class ExpertWeights:
         learning_rate: float = 0.1,
         batch_size: int = 100,
         rng: random.Random = None,
-        selection: str = "proportional",
-        epsilon: float = 0.05,
     ):
         if num_experts < 1:
             raise ValueError("need at least one expert")
-        if selection not in self.SELECTION_MODES:
-            raise ValueError(f"unknown selection mode {selection!r}")
         self.num_experts = num_experts
         self.learning_rate = learning_rate
         self.batch_size = batch_size
-        self.selection = selection
-        self.epsilon = epsilon
         self.discount = 0.005 ** (1.0 / max(history_size, 1))
         self.weights = [1.0 / num_experts] * num_experts
         self._pending = [0.0] * num_experts
@@ -70,14 +57,12 @@ class ExpertWeights:
         self._rng = rng or random.Random(0)
 
     def choose(self) -> int:
-        """Pick the expert whose candidate gets evicted."""
+        """Pick the expert whose candidate gets evicted: the paper's
+        weight-proportional choice, so a higher-weight expert's candidate
+        is more likely to go."""
         if self.num_experts == 1:
             return 0
-        if self.selection == "greedy":
-            if self._rng.random() < self.epsilon:
-                return self._rng.randrange(self.num_experts)
-            return max(range(self.num_experts), key=self.weights.__getitem__)
-        x = self._rng.random() * sum(self.weights)
+        x =self._rng.random() * sum(self.weights)
         acc = 0.0
         for i, w in enumerate(self.weights):
             acc += w

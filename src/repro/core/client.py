@@ -167,7 +167,6 @@ class DittoClient:
             learning_rate=self.config.learning_rate,
             batch_size=self.config.weight_update_batch if self.config.use_lwu else 1,
             rng=self.rng,
-            selection=self.config.selection,
         )
         self.fc = FrequencyCounterCache(
             capacity_bytes=self.config.fc_capacity_bytes,

@@ -27,10 +27,6 @@ class DittoConfig:
     fc_capacity_bytes: int = 10 * 1024 * 1024
     #: Regret-minimization learning rate λ.
     learning_rate: float = 0.1
-    #: Eviction-decision strategy: "proportional" (the paper's weight-
-    #: proportional choice) or "greedy" (ε-greedy extension, see
-    #: ExpertWeights.SELECTION_MODES).
-    selection: str = "proportional"
     #: Local regrets buffered before a lazy global weight update RPC.
     weight_update_batch: int = 100
     #: Retry cap for CAS races and empty samples before an operation fails.

@@ -7,12 +7,14 @@ Works on the Chrome ``trace_event`` JSON written by
 goes; that is what the paper's latency-breakdown figures reason about.
 
 The same machinery works on **wall-clock** traces from the real
-substrate: ``--merge DIR`` aligns the per-process shards that
-``repro.obs.runtime`` exports (one per launcher / memory node / loadgen
-process, see ``REPRO_TRACE``) onto a common epoch origin and emits a
-single Chrome trace with one lane group per process, chaos fault
-windows included.  ``--validate``, ``--top``, and ``--flamegraph`` then
-apply to the merged document.
+substrate: ``--merge DIR`` aligns the per-process shards that each
+armed hub flushes (one per launcher / memory node process, see
+``REPRO_TRACE``) onto a common epoch origin and emits a single Chrome
+trace with one lane group per tracer of each process, chaos fault
+windows included.  A launcher's shard also carries the engines it
+replayed on the sim, each on its own lane group in simulated µs.
+``--validate``, ``--top``, and ``--flamegraph`` then apply to the merged
+document.
 
 Usage::
 

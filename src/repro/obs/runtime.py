@@ -1,174 +1,33 @@
-"""Wall-clock observability for real-substrate processes.
+"""Reading what armed processes left behind: shard merge and run digests.
 
-The sim observability stack (:mod:`repro.obs.observer`) is built around
-one discrete-event engine in one process.  The real substrate is many
-processes — the ``repro.serve`` launcher, one ``repro.runtime.server``
-per memory node, loadgen clients — each with its own wall clock and its
-own exit path (clean return, SIGTERM drain, SIGKILL).  This module is
-their per-process hub, built from the same tracer and registry:
+Every armed process — the ``repro.serve`` or ``repro.runtime.validate``
+launcher, one ``repro.runtime.server`` per memory node — writes its
+:class:`~repro.obs.observer.Observability` hub as one shard
+``shard-<role>-<pid>.json`` in the ``REPRO_TRACE`` directory.  This module
+reads them back:
 
-- :class:`ProcessObs` — one per process: a
-  :class:`~repro.obs.trace.SpanTracer` clocked by ``time.perf_counter()``
-  (the hub itself is the tracer's clock) plus a
-  :class:`~repro.obs.metrics.MetricsRegistry`.  There is no engine-active
-  process to infer a lane from, so concurrent asyncio actors (loadgen
-  clients, server connections) each allocate their own lane and pass it
-  as ``tid`` — per-lane spans stay properly nested and the validator/
-  flamegraph machinery applies as-is.  The hub is exported as a *shard*
-  file ``shard-<role>-<pid>.json`` in the ``REPRO_TRACE`` directory.
-  Shard writes are atomic (tmp + rename) and idempotent, so flushing
-  from a SIGTERM drain path and again from atexit is safe, and a
-  SIGKILLed process leaves either its last complete shard or nothing —
-  never a torn file that poisons the merge.
-
-- :func:`merge_shards` — aligns every shard in a directory onto one
-  clock and emits a single Chrome trace with one ``pid`` lane per
-  process.  Alignment: the first process to arm observability (the
+- :func:`merge_shards` aligns every shard in a directory onto one clock
+  and emits a single Chrome trace.  Each (shard, tracer) pair gets its own
+  ``pid``, so a launcher's wall-clock lanes and the lanes of a sim engine
+  it replayed never share one.  Alignment: the first process to arm (the
   launcher) publishes its start instant as ``REPRO_TRACE_EPOCH``;
   children inherit it through the environment and record it in their
-  shards, so offsets are exact differences of ``CLOCK_REALTIME``
-  captures on one host.  Shards lacking a common epoch fall back to
-  aligning on the earliest shard's origin.  Cross-host NTP-class skew is
-  out of scope (DESIGN §3.9).
-
-Activation mirrors the sim contract: everything is inert unless
-``REPRO_TRACE=<dir>`` is set (or :func:`init` is called explicitly with
-a directory).  With no hub, :func:`current` returns ``None`` and
-instrumented components hold ``None`` handles — zero observability code
-runs on hot frames, which a conformance test asserts.
+  shards, so offsets are exact differences of ``CLOCK_REALTIME`` captures
+  on one host.  Shards lacking a common epoch fall back to aligning on
+  the earliest shard's origin.  Cross-host NTP-class skew is out of
+  scope (DESIGN §3.9).
+- :func:`build_digest`, :func:`format_digest` and :func:`persist_digest`
+  condense a loadgen or chaos report into the post-run health readout.
 """
 
 from __future__ import annotations
 
-import atexit
 import json
 import os
-import time
-from contextlib import contextmanager
 from glob import glob
 from typing import Any, Dict, List, Optional, Tuple
 
-from .metrics import MetricsRegistry
-from .trace import SpanTracer
-
-#: Default per-process event budget; override with REPRO_TRACE_EVENTS.
-DEFAULT_MAX_EVENTS = 300_000
-
-#: Shard schema version (bumped on incompatible layout changes).
-SHARD_SCHEMA = 1
-
 _SHARD_GLOB = "shard-*.json"
-
-
-class ProcessObs:
-    """Per-process observability: tracer + metrics + shard export, on the
-    wall clock (``_now``: microseconds since construction)."""
-
-    def __init__(
-        self,
-        directory: str,
-        role: str,
-        common_epoch_s: Optional[float] = None,
-        max_events: int = DEFAULT_MAX_EVENTS,
-    ):
-        self.directory = directory
-        self.role = role
-        self.pid = os.getpid()
-        #: CLOCK_REALTIME at tracer start: the shard's alignment anchor.
-        self.t0_epoch_s = time.time()
-        self._t0 = time.perf_counter()
-        self.common_epoch_s = common_epoch_s
-        self.registry = MetricsRegistry()
-        self.tracer = SpanTracer(self, label=role, max_events=max_events)
-        self._next_lane = 0
-        self._lane_by_name: Dict[str, int] = {}
-
-    # -- clocks ------------------------------------------------------------
-
-    def now_us(self) -> float:
-        return (time.perf_counter() - self._t0) * 1e6
-
-    #: The clock facet :class:`~repro.obs.trace.SpanTracer` reads.
-    _now = property(now_us)
-
-    def ts_from_epoch(self, epoch_s: float) -> float:
-        """Map a ``time.time()`` instant onto this tracer's timeline.
-
-        Used for schedules expressed in absolute time (the chaos gate's
-        common arm origin): windows land where they actually fall on this
-        process's lane, modulo sub-millisecond realtime/monotonic drift.
-        """
-        return (epoch_s - self.t0_epoch_s) * 1e6
-
-    # -- lanes -------------------------------------------------------------
-
-    def lane(self, name: str) -> int:
-        """Allocate (and label) a fresh lane for one sequential actor."""
-        self._next_lane += 1
-        self.tracer.name_lane(self._next_lane, name)
-        return self._next_lane
-
-    def lane_named(self, name: str) -> int:
-        """The memoized lane for ``name`` (one shared lane per actor name).
-
-        Used by components whose spans must not share lane 0 with phase
-        spans they can overlap — e.g. the harness's kill/restart spans
-        run concurrently with the loadgen's ``load`` phase span.
-        """
-        tid = self._lane_by_name.get(name)
-        if tid is None:
-            tid = self.lane(name)
-            self._lane_by_name[name] = tid
-        return tid
-
-    @contextmanager
-    def span(self, name: str, cat: str = "runtime", tid: int = 0,
-             args: Optional[Dict[str, Any]] = None):
-        t0 = self.now_us()
-        try:
-            yield self
-        finally:
-            self.tracer.complete(name, cat, t0, tid=tid, args=args)
-
-    # -- export ------------------------------------------------------------
-
-    def shard_path(self) -> str:
-        safe_role = "".join(
-            ch if ch.isalnum() or ch in "._" else "-" for ch in self.role
-        )
-        return os.path.join(
-            self.directory, f"shard-{safe_role}-{self.pid}.json"
-        )
-
-    def shard_document(self) -> Dict[str, Any]:
-        return {
-            "schema": SHARD_SCHEMA,
-            "role": self.role,
-            "pid": self.pid,
-            "origin_epoch_s": self.t0_epoch_s,
-            "common_epoch_s": self.common_epoch_s,
-            "clock": "wall-us",
-            "traceEvents": list(self.tracer.chrome_events()),
-            "dropped": self.tracer.dropped,
-            "metrics": self.registry.snapshot(),
-        }
-
-    def flush(self) -> str:
-        """Write the shard atomically; safe to call repeatedly.
-
-        The rename is the commit point: a crash mid-write leaves the old
-        complete shard (or nothing) in place, never a truncated JSON.
-        """
-        os.makedirs(self.directory, exist_ok=True)
-        path = self.shard_path()
-        tmp = f"{path}.tmp.{self.pid}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(self.shard_document(), fh, separators=(",", ":"))
-        os.replace(tmp, path)
-        return path
-
-
-# -- shard merge -------------------------------------------------------------
 
 
 def load_shard(path: str) -> Optional[Dict[str, Any]]:
@@ -191,10 +50,11 @@ def merge_shards(directory: str) -> Tuple[Dict[str, Any], Dict[str, Any]]:
     """Merge every shard in ``directory`` into one Chrome trace document.
 
     Returns ``(doc, info)``: the merged ``trace_event`` document (one
-    ``pid`` per shard, timestamps realigned onto the common origin) and a
-    summary — per-shard roles/pids/event counts/offsets plus the files
-    that were skipped as unparsable (e.g. a partial write surviving a
-    SIGKILL outside the atomic-rename window, or a stray file).
+    ``pid`` per tracer of each shard, timestamps realigned onto the common
+    origin) and a summary — per-shard roles/pids/event counts/offsets and
+    the first merged pid, plus the files that were skipped as unparsable
+    (e.g. a partial write surviving a SIGKILL outside the atomic-rename
+    window, or a stray file).
     """
     paths = sorted(glob(os.path.join(directory, _SHARD_GLOB)))
     shards: List[Tuple[str, Dict[str, Any]]] = []
@@ -220,7 +80,8 @@ def merge_shards(directory: str) -> Tuple[Dict[str, Any], Dict[str, Any]]:
             (shard["origin_epoch_s"] for _n, shard in shards), default=0.0
         )
 
-    # Deterministic pid assignment: sort by (role, start instant, pid).
+    # Deterministic pid assignment: sort by (role, start instant, pid),
+    # then number each shard's tracers in the order they appear.
     shards.sort(key=lambda item: (
         str(item[1].get("role", "")),
         float(item[1]["origin_epoch_s"]),
@@ -230,19 +91,26 @@ def merge_shards(directory: str) -> Tuple[Dict[str, Any], Dict[str, Any]]:
     events: List[Dict[str, Any]] = []
     info_shards: List[Dict[str, Any]] = []
     dropped = 0
-    for pid, (name, shard) in enumerate(shards):
+    next_pid = 0
+    for name, shard in shards:
         offset_us = (float(shard["origin_epoch_s"]) - base) * 1e6
+        role = shard.get("role", name)
+        merged: Dict[Any, int] = {}
         count = 0
         for event in shard["traceEvents"]:
             if not isinstance(event, dict):
                 continue
             out = dict(event)
+            pid = merged.get(event.get("pid"))
+            if pid is None:
+                pid = merged[event.get("pid")] = next_pid + len(merged)
             out["pid"] = pid
             if out.get("ph") == "M":
                 if out.get("name") == "process_name":
+                    label = (out.get("args") or {}).get("name", role)
+                    title = f"{role} [pid {shard.get('pid', '?')}]"
                     out["args"] = {
-                        "name": f"{shard.get('role', name)} "
-                                f"[pid {shard.get('pid', '?')}]"
+                        "name": title if label == role else f"{title} {label}"
                     }
             else:
                 ts = out.get("ts")
@@ -250,15 +118,17 @@ def merge_shards(directory: str) -> Tuple[Dict[str, Any], Dict[str, Any]]:
                     out["ts"] = ts + offset_us
                 count += 1
             events.append(out)
-        dropped += int(shard.get("dropped", 0) or 0)
+        dropped += int((shard.get("trace") or {}).get("dropped", 0))
         info_shards.append({
             "file": name,
             "role": shard.get("role"),
             "pid": shard.get("pid"),
-            "merged_pid": pid,
+            "merged_pid": next_pid,
+            "tracers": len(merged),
             "events": count,
             "offset_us": offset_us,
         })
+        next_pid += max(len(merged), 1)
 
     doc = {
         "traceEvents": events,
@@ -390,113 +260,3 @@ def persist_digest(digest: Dict[str, Any], path: str) -> str:
         json.dump(digest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
-
-
-# -- process-wide runtime ----------------------------------------------------
-
-_proc: Optional[ProcessObs] = None
-_checked = False
-_atexit_registered = False
-
-
-def _flush_at_exit() -> None:
-    if _proc is not None:
-        try:
-            _proc.flush()
-        except OSError:  # pragma: no cover - best effort at teardown
-            pass
-
-
-def init(role: Optional[str] = None,
-         directory: Optional[str] = None) -> Optional[ProcessObs]:
-    """Arm per-process observability if ``REPRO_TRACE`` (or ``directory``)
-    names a shard directory; inert (returns None) otherwise.
-
-    The first armed process in a deployment publishes its start instant
-    as ``REPRO_TRACE_EPOCH`` so every child it spawns measures from the
-    same origin — that is what lets :func:`merge_shards` align lanes
-    exactly instead of trusting per-process clocks.  Idempotent: a
-    second call returns the existing hub.
-    """
-    global _proc, _checked, _atexit_registered
-    _checked = True
-    if _proc is not None:
-        return _proc
-    directory = directory or os.environ.get("REPRO_TRACE")
-    if not directory:
-        return None
-    common_raw = os.environ.get("REPRO_TRACE_EPOCH")
-    try:
-        common = float(common_raw) if common_raw else None
-    except ValueError:
-        common = None
-    max_events = DEFAULT_MAX_EVENTS
-    try:
-        max_events = int(os.environ.get("REPRO_TRACE_EVENTS", max_events))
-    except ValueError:
-        pass
-    proc = ProcessObs(
-        directory,
-        role or os.environ.get("REPRO_OBS_ROLE") or f"py-{os.getpid()}",
-        common_epoch_s=common,
-        max_events=max_events,
-    )
-    if common is None:
-        # This process is the deployment's origin; children inherit it.
-        proc.common_epoch_s = proc.t0_epoch_s
-        os.environ["REPRO_TRACE_EPOCH"] = repr(proc.t0_epoch_s)
-    _proc = proc
-    if not _atexit_registered:
-        _atexit_registered = True
-        atexit.register(_flush_at_exit)
-    return proc
-
-
-def current() -> Optional[ProcessObs]:
-    """The armed per-process hub, or None (the inert default)."""
-    if _proc is None and not _checked:
-        return init()
-    return _proc
-
-
-def _reset() -> None:
-    """Drop the process-wide hub (tests only; atexit stays registered)."""
-    global _proc, _checked
-    _proc = None
-    _checked = False
-
-
-@contextmanager
-def maybe_span(name: str, cat: str = "runtime", tid: int = 0,
-               args: Optional[Dict[str, Any]] = None,
-               lane: Optional[str] = None):
-    """Span when observability is armed; free pass-through otherwise.
-
-    For control paths (launch, kill, restart, drain) — hot frames use
-    pre-bound handles and explicit ``is not None`` guards instead.
-    ``lane`` selects a memoized named lane instead of the numeric ``tid``.
-    """
-    proc = current()
-    if proc is None:
-        yield None
-        return
-    if lane is not None:
-        tid = proc.lane_named(lane)
-    with proc.span(name, cat=cat, tid=tid, args=args):
-        yield proc
-
-
-__all__ = [
-    "DEFAULT_MAX_EVENTS",
-    "ProcessObs",
-    "SHARD_SCHEMA",
-    "build_digest",
-    "current",
-    "format_digest",
-    "init",
-    "load_shard",
-    "maybe_span",
-    "merge_shards",
-    "persist_digest",
-    "RETRY_COUNTER_KEYS",
-]

@@ -3,8 +3,8 @@
 A :class:`SpanTracer` is bound to one clock and collects *complete* spans —
 ``(name, category, start, duration)`` — plus instant and counter events, all
 stamped in the clock's **microseconds**: simulated ones when the clock is an
-engine (one tracer per cluster), wall-clock ones when it is a real-substrate
-process's :class:`~repro.obs.runtime.ProcessObs`.  Because the Chrome trace
+engine (one tracer per cluster), wall-clock ones when it is the process's
+:class:`~repro.obs.observer.Observability` hub.  Because the Chrome trace
 format's ``ts`` unit is also microseconds, a run opens directly in
 ``chrome://tracing`` / Perfetto with no unit conversion.
 

@@ -34,8 +34,9 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from ..core import invariants
-from ..obs import runtime as obs_runtime
-from ..obs.runtime import maybe_span
+from ..obs.observer import current as obs_current
+from ..obs.observer import maybe_span
+from ..obs.runtime import build_digest
 from ..rdma.verbs import NodeUnavailable
 from ..sim.faults import DropWindow, FaultPlan, NodeOutage, compile_wall
 from .client import drive
@@ -244,7 +245,7 @@ async def run_chaos(
         )
         killed["restarted_at_s"] = time.time() - t0
 
-    obs = obs_runtime.current()
+    obs = obs_current()
 
     async def _on_start() -> None:
         t0 = time.time()
@@ -317,7 +318,7 @@ async def run_chaos(
         "sweep": summary,
         **killed,
     }
-    report["digest"] = obs_runtime.build_digest(report)
+    report["digest"] = build_digest(report)
     return report
 
 

@@ -65,7 +65,7 @@ from typing import Callable, Dict, FrozenSet, Generator, List, Optional
 from ..core.retry import backoff_s
 from ..memory.controller import OutOfMemoryError
 from ..memory.node import MemoryAccessError
-from ..obs import runtime as obs_runtime
+from ..obs import observer
 from ..rdma.transport import VerbTransport
 from ..rdma.verbs import NodeUnavailable, StaleEpoch, VerbTimeout
 from ..sim import CounterSet, Timeout
@@ -773,7 +773,7 @@ class RealEndpoint(VerbTransport):
         # so the runner pays an identity test where an armed one reads the
         # clock and never touches a registry (the zero-cost conformance
         # contract).
-        self._obs_proc = obs_runtime.current()
+        self._obs_proc = observer.current()
         self._obs_hist: Dict[str, object] = {}
         self._posts = _PostSink(engine, self.counters)
         if shm_reads:

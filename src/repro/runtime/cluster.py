@@ -25,7 +25,7 @@ from ..core.client import DittoClient
 from ..core.config import DittoConfig
 from ..core.geometry import plan_cluster
 from ..memory.allocator import MemoryBudget
-from ..obs import runtime as obs_runtime
+from ..obs import observer
 from ..sim import CounterSet
 from .client import NodeHandle, NodeHealth, RealEndpoint, WallClockRuntime
 
@@ -75,9 +75,9 @@ class RealCluster:
 
         self.engine = runtime if runtime is not None else WallClockRuntime()
         self.counters = CounterSet()
-        #: The armed per-process hub, or None: a dark cluster's clients
-        #: bind no latency histograms and time nothing.
-        self.obs = obs_runtime.current()
+        #: The process's hub, or None: a dark cluster's clients bind no
+        #: latency histograms and time nothing.
+        self.obs = observer.current()
         self.tracer = None
         self.fence = None
         self.consensus = None

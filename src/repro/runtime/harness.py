@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.config import DittoConfig
 from ..core.geometry import plan_cluster
-from ..obs.runtime import maybe_span
+from ..obs.observer import maybe_span
 from . import wire
 from .server import shm_name
 

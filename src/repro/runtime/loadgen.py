@@ -36,7 +36,7 @@ import time
 from typing import Dict, Optional
 
 from ..core.client import CacheOperationError
-from ..obs import runtime as obs_runtime
+from ..obs import observer
 from ..rdma.verbs import RdmaFaultError
 from ..sim.stats import LatencyStats
 from ..workloads import ZipfianGenerator
@@ -81,7 +81,7 @@ async def _client_loop(
     seed: int,
     stats: Dict,
     start_gate: asyncio.Event,
-    obs: Optional["obs_runtime.ProcessObs"] = None,
+    obs: Optional[observer.Observability] = None,
     lane: int = 0,
 ) -> None:
     keys = ZipfianGenerator(n_keys, theta=theta, seed=seed).sample(ops)
@@ -151,7 +151,7 @@ async def run_load(
     start gate opens (chaos uses it to arm fault gates and schedule the
     kill task on the running loop).
     """
-    obs = obs_runtime.current()
+    obs = observer.current()
     owns_cluster = cluster is None
     if owns_cluster:
         cluster = RealCluster(
@@ -248,6 +248,7 @@ def main(argv=None) -> int:
     parser.add_argument("--json", default="",
                         help="also write the report to this path")
     args = parser.parse_args(argv)
+    observer.init("loadgen")
     with open(args.descriptor, "r", encoding="utf-8") as fh:
         descriptor = json.load(fh)
     report = asyncio.run(run_load(

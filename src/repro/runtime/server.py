@@ -76,7 +76,7 @@ from ..core.adaptive import GlobalWeights
 from ..core.elasticity import ACTIVE
 from ..memory.controller import OutOfMemoryError
 from ..memory.node import MemoryAccessError, MemoryNode
-from ..obs import runtime as obs_runtime
+from ..obs import observer
 from ..obs.metrics import MetricsRegistry
 from ..rdma.verbs import StaleEpoch
 from ..sim.faults import DOWN, DROP, OK, FaultInjector, FaultPlan
@@ -121,19 +121,20 @@ class _ServerObs:
 
     Built once when observability arms, so a hot frame performs only
     counter adds and histogram records — never a registry lookup or
-    allocation.  ``proc`` (the trace-shard exporter) is optional:
-    ``__stats_arm__`` can arm metrics-only introspection at runtime on a
-    node that was launched without ``REPRO_TRACE``.
+    allocation.  ``hub`` (the process's observability hub, whose wall
+    tracer takes the spans) is optional: ``__stats_arm__`` can arm
+    metrics-only introspection at runtime on a node that was launched
+    without ``REPRO_TRACE``.
     """
 
-    __slots__ = ("registry", "proc", "verb_count", "verb_us",
+    __slots__ = ("registry", "hub", "verb_count", "verb_us",
                  "frame_bytes", "verdict_drop", "verdict_down",
                  "verdict_spike", "journal_writes")
 
     def __init__(self, registry: MetricsRegistry,
-                 proc: Optional["obs_runtime.ProcessObs"] = None):
+                 hub: Optional[observer.Observability] = None):
         self.registry = registry
-        self.proc = proc
+        self.hub = hub
         self.verb_count = {
             op: registry.counter("verbs", verb=verb)
             for op, verb in _VERB_BY_OP.items()
@@ -274,18 +275,18 @@ class NodeServer:
 
     # -- observability -----------------------------------------------------
 
-    def arm_obs(self, proc: Optional["obs_runtime.ProcessObs"]) -> None:
+    def arm_obs(self, hub: Optional[observer.Observability]) -> None:
         """Arm per-frame instrumentation; idempotent.
 
-        With a :class:`~repro.obs.runtime.ProcessObs` (``REPRO_TRACE``
-        set at launch) spans land in its trace shard; without one (the
-        ``__stats_arm__`` RPC on a dark node) a standalone registry
-        collects metrics for ``__stats__`` to report.
+        With the process's hub (``REPRO_TRACE`` set at launch) spans land
+        in its trace shard; without one (the ``__stats_arm__`` RPC on a
+        dark node) a standalone registry collects metrics for
+        ``__stats__`` to report.
         """
         if self._obs is not None:
             return
-        registry = proc.registry if proc is not None else MetricsRegistry()
-        self._obs = _ServerObs(registry, proc)
+        registry = hub.registry if hub is not None else MetricsRegistry()
+        self._obs = _ServerObs(registry, hub)
         self.segments.journal.on_record = self._obs.journal_writes.add
 
     def _gate_verdicts(self) -> dict:
@@ -350,12 +351,12 @@ class NodeServer:
             self._chaos_verdicts = self._gate_verdicts()
             self.gate = gate
             obs = self._obs
-            if obs is not None and obs.proc is not None:
+            if obs is not None and obs.hub is not None:
                 # Overlay the armed windows on this node's trace shard so
                 # the merged view shows faults against served verbs.
-                base_ts = obs.proc.ts_from_epoch(t0)
-                obs.proc.tracer.fault_windows(plan.to_dict(), base_ts)
-                obs.proc.tracer.instant_at(
+                base_ts = obs.hub.ts_from_epoch(t0)
+                obs.hub.tracer.fault_windows(plan.to_dict(), base_ts)
+                obs.hub.tracer.instant_at(
                     "chaos.armed", "chaos", base_ts, tid=0
                 )
             return t0
@@ -366,7 +367,7 @@ class NodeServer:
         if op == "__stats__":
             return self._stats()
         if op == "__stats_arm__":
-            self.arm_obs(obs_runtime.current())
+            self.arm_obs(observer.current())
             return True
         raise KeyError(f"no RPC handler registered for {op!r}")
 
@@ -537,13 +538,13 @@ class NodeServer:
         if extra_us > 0.0:
             if obs is not None:
                 obs.verdict_spike.add()
-                if obs.proc is not None:
+                if obs.hub is not None:
                     # The delayed execution overlaps whatever runs next on
                     # this connection: an instant, not a span, keeps the
                     # lane properly nested.
-                    obs.proc.tracer.instant_at(
+                    obs.hub.tracer.instant_at(
                         f"{_VERB_BY_OP.get(op, 'rpc')}.delayed",
-                        "verb", obs.proc.now_us(), tid=self._lane(conn),
+                        "verb", obs.hub.now_us(), tid=self._lane(conn),
                         args={"extra_us": extra_us},
                     )
             self._answer_later(
@@ -554,7 +555,7 @@ class NodeServer:
         if obs is None:
             status, out = self._execute(op, body)
         else:
-            start_us = obs.proc.now_us() if obs.proc is not None else 0.0
+            start_us = obs.hub.now_us() if obs.hub is not None else 0.0
             t0 = time.perf_counter()
             status, out = self._execute(op, body)
             service_us = (time.perf_counter() - t0) * 1e6
@@ -562,8 +563,8 @@ class NodeServer:
             if counter is not None:
                 counter.add()
                 obs.verb_us[op].record(service_us)
-            if obs.proc is not None:
-                obs.proc.tracer.complete(
+            if obs.hub is not None:
+                obs.hub.tracer.complete(
                     _VERB_BY_OP.get(op, "rpc"), "verb", start_us,
                     tid=self._lane(conn), args={"status": status},
                 )
@@ -579,7 +580,7 @@ class NodeServer:
         frame.  One thread serves frames one after another, so spans nest
         trivially within a lane; each connection gets its own."""
         if conn.lane is None:
-            conn.lane = self._obs.proc.lane(f"conn-{conn.conn_id}")
+            conn.lane = self._obs.hub.lane(f"conn-{conn.conn_id}")
         return conn.lane
 
     # -- the readiness loop ------------------------------------------------
@@ -775,10 +776,10 @@ class NodeServer:
         interpreter/exit combinations atexit hooks are skipped, so the
         shard is committed here where shutdown is already serialized.
         """
-        proc = obs_runtime.current()
-        if proc is not None:
+        hub = observer.current()
+        if hub is not None:
             try:
-                proc.flush()
+                hub.flush()
             except OSError:
                 pass
 
@@ -839,9 +840,9 @@ def main(argv=None) -> int:
         print(f"DITTO-NODE-ERROR node_id={args.node_id} {err}",
               file=sys.stderr, flush=True)
         return 1
-    proc = obs_runtime.init(f"mn{args.node_id}")
-    if proc is not None:
-        server.arm_obs(proc)
+    hub = observer.init(f"mn{args.node_id}")
+    if hub is not None:
+        server.arm_obs(hub)
 
     def announce(line: str) -> None:
         print(line, flush=True)

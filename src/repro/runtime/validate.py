@@ -44,6 +44,7 @@ import numpy as np
 
 from ..bench.runner import READ, UPDATE, Feed, Harness, preload
 from ..bench.systems import build_ditto
+from ..obs import observer
 from ..obs import runtime as obs_runtime
 from ..sim.faults import FaultPlan
 from ..workloads import ZipfianGenerator
@@ -291,23 +292,17 @@ def run_validation(
 def _digest_path(override: str, default_name: str) -> str:
     """Where the post-run digest JSON lands, "next to the verdict".
 
-    ``--digest PATH`` wins; with ``REPRO_TRACE`` armed the digest joins
-    the trace shards in the same directory; otherwise the cwd.
+    ``--digest PATH`` wins; with a hub armed by ``REPRO_TRACE`` the
+    digest joins the trace shards in its directory; otherwise the cwd.
     """
     import os
 
     if override:
         return override
-    trace_dir = os.environ.get("REPRO_TRACE")
-    if trace_dir:
-        return os.path.join(trace_dir, default_name)
+    hub = observer.current()
+    if hub is not None and hub.directory:
+        return os.path.join(hub.directory, default_name)
     return default_name
-
-
-def _flush_obs() -> None:
-    proc = obs_runtime.current()
-    if proc is not None:
-        proc.flush()
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -335,24 +330,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--time-scale", type=float, default=None,
                         help="with --chaos: sim-µs → wall-µs multiplier")
     args = parser.parse_args(argv)
-    obs_runtime.init("launcher")
+    observer.init("launcher")
 
     if args.chaos:
         plan = None
         if args.chaos_plan:
             with open(args.chaos_plan, "r", encoding="utf-8") as fh:
                 plan = FaultPlan.from_dict(json.load(fh))
-        try:
-            result = run_chaos_validation(
-                ops=args.ops if args.ops != 6000 else 5000,
-                clients=args.clients,
-                plan=plan,
-                time_scale=args.time_scale,
-                kill=args.kill,
-                progress=print,
-            )
-        finally:
-            _flush_obs()
+        result = run_chaos_validation(
+            ops=args.ops if args.ops != 6000 else 5000,
+            clients=args.clients,
+            plan=plan,
+            time_scale=args.time_scale,
+            kill=args.kill,
+            progress=print,
+        )
         text = json.dumps(result, indent=2, sort_keys=True, default=str)
         print(text)
         if args.json:
@@ -370,10 +362,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"chaos drill {verdict}")
         return 0 if result["clean"] else 1
 
-    try:
-        result = run_validation(ops=args.ops, progress=print)
-    finally:
-        _flush_obs()
+    result = run_validation(ops=args.ops, progress=print)
     print()
     print(f"{'config':<10} {'sim Mops':>10} {'real ops/s':>12}")
     for config in result["configs"]:

@@ -44,6 +44,7 @@ import sys
 import threading
 from typing import List, Optional
 
+from .obs import observer
 from .obs import runtime as obs_runtime
 from .runtime.harness import RealClusterHarness
 from .runtime.loadgen import run_load
@@ -85,7 +86,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="with --chaos-plan: SIGKILL node 1 mid-load "
                              "and restart-and-adopt it")
     args = parser.parse_args(argv)
-    obs_runtime.init("launcher")
+    observer.init("launcher")
 
     harness = RealClusterHarness(
         capacity_objects=args.capacity,
@@ -169,12 +170,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("interrupted; shutting down cleanly", flush=True)
         exit_code = 130
     finally:
-        # Flush the launcher's own trace shard before tearing the cluster
-        # down: an interrupted run must not lose its observability export
-        # (the node servers flush theirs inside their drain paths).
-        proc = obs_runtime.current()
-        if proc is not None:
-            proc.flush()
+        # An interrupt unwinds to here and the process exits normally, so
+        # the launcher's shard is written by the hub's atexit flush (the
+        # node servers flush theirs inside their drain paths).
         harness.shutdown()
     leak = harness.leak_report()
     harness.unlink_leaked()

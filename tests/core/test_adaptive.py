@@ -103,32 +103,12 @@ class TestExpertWeights:
 
 
 class TestSelectionModes:
-    def test_greedy_follows_top_weight(self):
-        w = make_weights(seed=3)
-        w.selection = "greedy"
-        w.epsilon = 0.0
-        w.weights = [0.3, 0.7]
-        assert all(w.choose() == 1 for _ in range(50))
-
-    def test_greedy_explores_with_epsilon(self):
-        w = ExpertWeights(
-            2, history_size=100, rng=random.Random(4),
-            selection="greedy", epsilon=0.5,
-        )
-        w.weights = [0.99, 0.01]
-        picks = [w.choose() for _ in range(400)]
-        assert picks.count(1) > 50  # exploration reaches the underdog
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="selection"):
-            ExpertWeights(2, history_size=10, selection="thompson")
-
     def test_modes_share_regret_machinery(self):
-        for mode in ExpertWeights.SELECTION_MODES:
-            w = ExpertWeights(2, history_size=100, selection=mode,
-                              rng=random.Random(1))
-            w.apply_regret(0b01, age=0)
-            assert w.weights[0] < w.weights[1]
+        """The proportional choice, the one mode, penalizes through the
+        regret update."""
+        w = ExpertWeights(2, history_size=100, rng=random.Random(1))
+        w.apply_regret(0b01, age=0)
+        assert w.weights[0] < w.weights[1]
 
 
 class TestGlobalWeights:

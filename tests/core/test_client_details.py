@@ -121,10 +121,3 @@ class TestStats:
         cache.set("k", "v")
         assert cache.get("k") == b"v"
         assert len(cache.cluster.nodes) == 2
-
-    def test_selection_mode_via_facade(self):
-        cache = DittoCache(capacity_objects=64, selection="greedy", seed=1)
-        assert cache.cluster.config.selection == "greedy"
-        for i in range(200):
-            cache.set(f"k{i}", "v")
-        assert len(cache) > 0

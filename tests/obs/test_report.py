@@ -134,18 +134,18 @@ class TestCli:
 
 
 class TestMergeCli:
-    """``--merge DIR`` over wall-clock shards from repro.obs.runtime."""
+    """``--merge DIR`` over the wall-clock shards hubs flush."""
 
     def _populate(self, tmp_path):
-        from repro.obs.runtime import ProcessObs
+        from repro.obs import Observability
 
-        launcher = ProcessObs(str(tmp_path), "launcher")
+        launcher = Observability(directory=str(tmp_path), role="launcher")
         with launcher.span("load", "phase"):
             pass
         launcher.flush()
         for node_id in range(2):
-            proc = ProcessObs(
-                str(tmp_path), f"mn{node_id}",
+            proc = Observability(
+                directory=str(tmp_path), role=f"mn{node_id}",
                 common_epoch_s=launcher.t0_epoch_s,
             )
             lane = proc.lane("conn-0")

@@ -1,22 +1,26 @@
-"""Unit tests for the wall-clock observability layer (repro.obs.runtime).
+"""Unit tests for the hub's wall clock, its shard, and repro.obs.runtime.
 
 Covers the real-substrate failure shapes the merge must survive: shards
 whose origins disagree (cross-process clock offsets), empty directories,
-and the partial file a SIGKILL can leave outside the atomic-rename
-window.  All tests run in one process with fabricated shards — the
-multi-process path is exercised by tests/runtime/test_obs_runtime.py.
+the partial file a SIGKILL can leave outside the atomic-rename window,
+and one shard holding several tracers.  All but one test run in one
+process — the multi-process path is exercised by
+tests/runtime/test_obs_runtime.py.
 """
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
+
 from repro.obs import Observability
-from repro.obs import runtime as obs_runtime
+from repro.obs import observer
 from repro.obs.metrics import render_prometheus
 from repro.obs.runtime import (
-    ProcessObs,
     build_digest,
     format_digest,
     load_shard,
@@ -44,16 +48,15 @@ def _isolated_obs(monkeypatch):
     """Each test starts disarmed with a clean environment."""
     monkeypatch.delenv("REPRO_TRACE", raising=False)
     monkeypatch.delenv("REPRO_TRACE_EPOCH", raising=False)
-    obs_runtime._reset()
-    yield
-    obs_runtime._reset()
+    monkeypatch.setattr(observer, "_current", None)
+    monkeypatch.setattr(observer, "_env_checked", False)
 
 
 class TestWallTracer:
-    """The one SpanTracer, clocked by a ProcessObs instead of an engine."""
+    """The one SpanTracer, clocked by the hub instead of an engine."""
 
     def test_complete_records_lane_and_nonnegative_dur(self, tmp_path):
-        proc = ProcessObs(str(tmp_path), "t")
+        proc = Observability(directory=str(tmp_path), role="t")
         start = proc.now_us()
         proc.tracer.complete("op", "cat", start, tid=3, args={"k": 1})
         (event,) = [e for e in proc.tracer.chrome_events() if e["ph"] == "X"]
@@ -62,22 +65,24 @@ class TestWallTracer:
         assert event["args"] == {"k": 1}
 
     def test_now_us_is_monotonic(self, tmp_path):
-        proc = ProcessObs(str(tmp_path), "t")
+        proc = Observability(directory=str(tmp_path), role="t")
         a = proc.now_us()
         b = proc.now_us()
         assert b >= a
 
     def test_future_start_clamps_to_zero_dur(self, tmp_path):
-        proc = ProcessObs(str(tmp_path), "t")
+        proc = Observability(directory=str(tmp_path), role="t")
         proc.tracer.complete("op", "cat", proc.now_us() + 1e9)
         (event,) = [e for e in proc.tracer.chrome_events() if e["ph"] == "X"]
         assert event["dur"] == 0.0
         assert event["tid"] == 0  # no active process to infer a lane from
 
 
-class TestProcessObs:
+class TestHub:
+    """The hub's lanes and shard export."""
+
     def test_lanes_are_sequential_and_named_lane_memoized(self, tmp_path):
-        proc = ProcessObs(str(tmp_path), "mn0")
+        proc = Observability(directory=str(tmp_path), role="mn0")
         a = proc.lane("conn-0")
         b = proc.lane("conn-1")
         assert b == a + 1
@@ -87,14 +92,14 @@ class TestProcessObs:
         assert proc.lane("conn-2") > h1
 
     def test_span_context_manager_records(self, tmp_path):
-        proc = ProcessObs(str(tmp_path), "mn0")
+        proc = Observability(directory=str(tmp_path), role="mn0")
         with proc.span("launch", "phase", tid=0, args={"nodes": 2}):
             pass
         spans = [e for e in proc.tracer.chrome_events() if e["ph"] == "X"]
         assert [s["name"] for s in spans] == ["launch"]
 
     def test_flush_is_atomic_and_idempotent(self, tmp_path):
-        proc = ProcessObs(str(tmp_path), "mn0")
+        proc = Observability(directory=str(tmp_path), role="mn0")
         with proc.span("a"):
             pass
         path = proc.flush()
@@ -109,10 +114,11 @@ class TestProcessObs:
         )
 
     def test_shard_document_schema(self, tmp_path):
-        proc = ProcessObs(str(tmp_path), "mn1", common_epoch_s=123.0)
+        proc = Observability(directory=str(tmp_path), role="mn1",
+                             common_epoch_s=123.0)
         proc.registry.counter("verbs", verb="read").add(2)
         doc = proc.shard_document()
-        assert doc["schema"] == obs_runtime.SHARD_SCHEMA
+        assert doc["schema"] == observer.SHARD_SCHEMA
         assert doc["role"] == "mn1"
         assert doc["pid"] == os.getpid()
         assert doc["common_epoch_s"] == 123.0
@@ -120,7 +126,7 @@ class TestProcessObs:
         assert doc["metrics"]["counters"][0]["value"] == 2
 
     def test_role_is_sanitized_in_shard_path(self, tmp_path):
-        proc = ProcessObs(str(tmp_path), "mn0/evil role")
+        proc = Observability(directory=str(tmp_path), role="mn0/evil role")
         assert "/" not in os.path.basename(proc.shard_path())
         assert " " not in os.path.basename(proc.shard_path())
 
@@ -129,7 +135,7 @@ class TestProcessObs:
             def as_dict(self):
                 return {"conn_resend": 4, "rdma_read": 9}
 
-        proc = ProcessObs(str(tmp_path), "launcher")
+        proc = Observability(directory=str(tmp_path), role="launcher")
         proc.registry.bridge(FakeCounters(), component="client")
         doc = proc.shard_document()
         rows = {
@@ -152,7 +158,7 @@ def _sim_tracer(plan):
 
 def _wall_tracer(plan, tmp_path):
     """A wall-clock process's tracer with ``plan`` overlaid mid-run."""
-    proc = ProcessObs(str(tmp_path), "mn1")
+    proc = Observability(directory=str(tmp_path), role="mn1")
     proc.tracer.fault_windows(plan.to_dict(), base_ts=5e5)
     return proc.tracer
 
@@ -170,7 +176,7 @@ def _fault_lane_names(tracer):
 
 class TestFaultWindows:
     def test_windows_land_on_dedicated_lanes(self, tmp_path):
-        proc = ProcessObs(str(tmp_path), "mn0")
+        proc = Observability(directory=str(tmp_path), role="mn0")
         plan = FaultPlan(
             drops=(DropWindow(10.0, 30.0, node_id=0),),
             outages=(NodeOutage(1, 5.0, 50.0),),
@@ -190,7 +196,7 @@ class TestFaultWindows:
 
     def test_both_substrates_name_the_canned_plan_alike(self, tmp_path):
         """One overlay, one kind -> span-name table: the sim tracer and a
-        wall ProcessObs emit the same names, one lane per window."""
+        wall hub's tracer emit the same names, one lane per window."""
         sim = _sim_tracer(CANNED_PLAN)
         wall = _wall_tracer(CANNED_PLAN, tmp_path)
         windows = len(CANNED_PLAN.drops) + len(CANNED_PLAN.outages)
@@ -312,7 +318,7 @@ class TestShardMerge:
         assert [s["merged_pid"] for s in info["shards"]] == [0, 1, 2]
 
     def test_process_names_carry_role_and_original_pid(self, tmp_path):
-        proc = ProcessObs(str(tmp_path), "mn0")
+        proc = Observability(directory=str(tmp_path), role="mn0")
         with proc.span("a"):
             pass
         proc.flush()
@@ -395,7 +401,7 @@ class TestDigest:
 
 class TestPrometheus:
     def test_render_counters_gauges_histograms(self, tmp_path):
-        proc = ProcessObs(str(tmp_path), "mn0")
+        proc = Observability(directory=str(tmp_path), role="mn0")
         proc.registry.counter("verbs", verb="read").add(7)
         proc.registry.gauge("inflight").set(3)
         hist = proc.registry.histogram("verb.service_us", verb="read")
@@ -424,34 +430,34 @@ class TestPrometheus:
 
 class TestRuntimeGating:
     def test_disarmed_without_env(self):
-        assert obs_runtime.init() is None
-        assert obs_runtime.current() is None
+        assert observer.init() is None
+        assert observer.current() is None
 
     def test_maybe_span_is_passthrough_when_disarmed(self):
-        with obs_runtime.maybe_span("x") as proc:
+        with observer.maybe_span("x") as proc:
             assert proc is None
 
     def test_init_publishes_epoch_for_children(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE", str(tmp_path))
-        proc = obs_runtime.init("launcher")
+        proc = observer.init("launcher")
         assert proc is not None
         assert proc.common_epoch_s == proc.t0_epoch_s
         assert float(os.environ["REPRO_TRACE_EPOCH"]) == proc.t0_epoch_s
         # idempotent: second init returns the same hub
-        assert obs_runtime.init("other") is proc
+        assert observer.init("other") is proc
 
     def test_child_inherits_common_epoch(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE", str(tmp_path))
         monkeypatch.setenv("REPRO_TRACE_EPOCH", "123.5")
-        proc = obs_runtime.init("mn0")
+        proc = observer.init("mn0")
         assert proc.common_epoch_s == 123.5
 
     def test_maybe_span_uses_named_lane(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE", str(tmp_path))
-        proc = obs_runtime.init("launcher")
-        with obs_runtime.maybe_span("harness.kill", lane="harness"):
+        proc = observer.init("launcher")
+        with observer.maybe_span("harness.kill", lane="harness"):
             pass
-        with obs_runtime.maybe_span("harness.restart", lane="harness"):
+        with observer.maybe_span("harness.restart", lane="harness"):
             pass
         spans = [e for e in proc.tracer.chrome_events() if e["ph"] == "X"]
         assert len({s["tid"] for s in spans}) == 1
@@ -460,7 +466,64 @@ class TestRuntimeGating:
     def test_event_budget_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE", str(tmp_path))
         monkeypatch.setenv("REPRO_TRACE_EVENTS", "2")
-        proc = obs_runtime.init("mn0")
+        proc = observer.init("mn0")
         for i in range(5):
             proc.tracer.complete(f"s{i}", "t", proc.now_us())
         assert proc.tracer.dropped == 3
+
+
+_SIM_UNDER_LAUNCHER = """
+from repro.core.cache import DittoCache
+from repro.obs import init, maybe_span
+
+init("launcher")
+cache = DittoCache(capacity_objects=64, num_clients=1, seed=3)
+with maybe_span("replay", "phase"):
+    for i in range(40):
+        cache.set(f"key-{i % 24}", b"v" * 32)
+        cache.get(f"key-{i % 32}")
+"""
+
+
+class TestOneHubPerProcess:
+    def test_sim_run_under_armed_launcher_writes_one_shard(self, tmp_path):
+        """A sim replay and the launcher's wall spans share one hub: one
+        shard, no sim-only trace/metrics files, one pid per tracer."""
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith("REPRO_TRACE")}
+        env["REPRO_TRACE"] = str(tmp_path)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+        subprocess.run([sys.executable, "-c", _SIM_UNDER_LAUNCHER],
+                       env=env, check=True, timeout=120)
+        files = sorted(os.listdir(tmp_path))
+        assert len(files) == 1 and files[0].startswith("shard-launcher-")
+        assert not {"trace.json", "metrics.json"} & set(files)
+
+        doc, info = merge_shards(str(tmp_path))
+        assert validate_trace(doc) == []
+        (shard,) = info["shards"]
+        assert shard["tracers"] == 2
+        pid_of = {e["name"]: e["pid"] for e in doc["traceEvents"]
+                  if e.get("ph") == "X"}
+        assert "op.get" in pid_of and "replay" in pid_of
+        assert pid_of["op.get"] != pid_of["replay"]
+
+    def test_colliding_engine_tids_merge_onto_two_pids(self, tmp_path):
+        hub = Observability(directory=str(tmp_path), role="launcher")
+        first = hub.bind(Engine(), "ditto")
+        second = hub.bind(Engine(), "cliquemap")
+        # Same lane, overlapping without nesting: valid only apart.
+        first.complete_at("a", "t", 0.0, 10.0, tid=1)
+        second.complete_at("b", "t", 5.0, 10.0, tid=1)
+        hub.flush()
+        doc, info = merge_shards(str(tmp_path))
+        assert validate_trace(doc) == []
+        assert info["shards"][0]["tracers"] == 2
+        pids = {e["name"]: e["pid"] for e in doc["traceEvents"]
+                if e.get("ph") == "X"}
+        assert pids["a"] != pids["b"]
+        names = sorted(
+            e["args"]["name"] for e in doc["traceEvents"]
+            if e.get("name") == "process_name"
+        )
+        assert names[0].endswith("cliquemap") and names[1].endswith("ditto")

@@ -192,10 +192,6 @@ class TestObservabilityHub:
         assert obs.tracer_for(e2) is t2
         assert obs.tracer_for(Engine()) is None
 
-    def test_tracing_off_binds_none(self):
-        obs = Observability(tracing=False)
-        assert obs.bind(Engine(), "x") is None
-
     def test_env_activation(self, monkeypatch, tmp_path):
         import repro.obs.observer as observer
 

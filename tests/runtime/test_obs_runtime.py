@@ -22,7 +22,7 @@ import os
 
 import pytest
 
-from repro.obs import runtime as obs_runtime
+from repro.obs import observer
 from repro.obs.runtime import merge_shards
 from repro.obs.trace import validate_trace
 from repro.runtime.chaos import run_chaos
@@ -36,9 +36,8 @@ from repro.sim.faults import DropWindow, FaultPlan
 def _isolated_obs(monkeypatch):
     monkeypatch.delenv("REPRO_TRACE", raising=False)
     monkeypatch.delenv("REPRO_TRACE_EPOCH", raising=False)
-    obs_runtime._reset()
-    yield
-    obs_runtime._reset()
+    monkeypatch.setattr(observer, "_current", None)
+    monkeypatch.setattr(observer, "_env_checked", False)
 
 
 def _mini_harness(seed=11):
@@ -50,7 +49,7 @@ def _mini_harness(seed=11):
 def test_traced_load_merges_into_valid_trace(tmp_path, monkeypatch):
     trace_dir = str(tmp_path / "rt")
     monkeypatch.setenv("REPRO_TRACE", trace_dir)
-    obs_runtime.init("launcher")  # launcher publishes the epoch origin
+    observer.init("launcher")  # launcher publishes the epoch origin
 
     harness = _mini_harness()
     try:
@@ -60,7 +59,7 @@ def test_traced_load_merges_into_valid_trace(tmp_path, monkeypatch):
         ))
     finally:
         harness.shutdown()
-    obs_runtime.current().flush()
+    observer.current().flush()
     assert report["failed_ops"] == 0
 
     shards = sorted(os.listdir(trace_dir))
@@ -98,7 +97,7 @@ def test_traced_chaos_drill_records_faults_and_kill_cycle(
 ):
     trace_dir = str(tmp_path / "rt")
     monkeypatch.setenv("REPRO_TRACE", trace_dir)
-    obs_runtime.init("launcher")
+    observer.init("launcher")
 
     plan = FaultPlan(
         drops=(DropWindow(1_000.0, 6_000.0, prob=0.05),), seed=31
@@ -112,7 +111,7 @@ def test_traced_chaos_drill_records_faults_and_kill_cycle(
         ))
     finally:
         harness.shutdown()
-    obs_runtime.current().flush()
+    observer.current().flush()
 
     # The digest rode along on the report (satellite S1).
     digest = report["digest"]
@@ -209,7 +208,7 @@ def test_disarmed_runs_hold_no_obs_state(tmp_path):
             assert stats["metrics"] is None
     finally:
         harness.shutdown()
-    assert obs_runtime.current() is None
+    assert observer.current() is None
     assert not list(tmp_path.iterdir())
 
 
@@ -217,7 +216,7 @@ def test_server_flushes_shard_on_sigterm_drain(tmp_path, monkeypatch):
     """Satellite S2: a SIGTERM'd server must not lose its shard."""
     trace_dir = str(tmp_path / "rt")
     monkeypatch.setenv("REPRO_TRACE", trace_dir)
-    obs_runtime.init("launcher")
+    observer.init("launcher")
 
     harness = _mini_harness()
     try:
