@@ -14,29 +14,22 @@ Public API highlights:
   figure/table.
 """
 
-from .core import (
-    CacheOperationError,
-    CachePolicy,
-    DittoCache,
-    DittoCluster,
-    DittoConfig,
-    Metadata,
-    POLICY_REGISTRY,
-    make_policy,
-)
-from .rdma import NetworkParams
+from . import _exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CacheOperationError",
-    "CachePolicy",
-    "DittoCache",
-    "DittoCluster",
-    "DittoConfig",
-    "Metadata",
-    "NetworkParams",
-    "POLICY_REGISTRY",
-    "make_policy",
-    "__version__",
-]
+_EXPORTS = {
+    "CacheOperationError": ".core.client",
+    "CachePolicy": ".core.policies",
+    "DittoCache": ".core.cache",
+    "DittoCluster": ".core.cache",
+    "DittoConfig": ".core.config",
+    "Metadata": ".core.policies",
+    "NetworkParams": ".rdma.params",
+    "POLICY_REGISTRY": ".core.policies",
+    "make_policy": ".core.policies",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+__getattr__, __dir__ = _exports.lazy_exports(globals(), _EXPORTS)

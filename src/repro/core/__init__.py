@@ -1,80 +1,47 @@
 """Ditto's core: the client-centric caching framework and adaptive caching."""
 
-from .adaptive import ExpertWeights, GlobalWeights, bitmap_of
-from .cache import DittoCache, DittoCluster
-from .client import CacheOperationError, DittoClient
-from .config import DittoConfig
-from .consensus import (
-    ConsensusUnavailable,
-    ControllerGroup,
-    GroupClient,
-    MetadataState,
-    NotLeader,
-    RaftParams,
-    RaftReplica,
-)
-from .elasticity import (
-    EpochFence,
-    MembershipTable,
-    MigrationError,
-    MigrationRecord,
-    Migrator,
-    StaleEpoch,
-)
-from .fc_cache import FrequencyCounterCache
-from .invariants import InvariantViolation, sweep as invariant_sweep
-from .history import (
-    HISTORY_WRAP,
-    RemoteFifoHistory,
-    history_age,
-    is_expired,
-)
-from .layout import DittoLayout, Slot, stable_hash64
-from .policies import (
-    POLICY_REGISTRY,
-    CachePolicy,
-    Metadata,
-    make_policy,
-    policy_loc,
-)
-from .retry import backoff_us
+from .. import _exports
 
-__all__ = [
-    "CacheOperationError",
-    "CachePolicy",
-    "ConsensusUnavailable",
-    "ControllerGroup",
-    "GroupClient",
-    "MetadataState",
-    "NotLeader",
-    "RaftParams",
-    "RaftReplica",
-    "backoff_us",
-    "DittoCache",
-    "DittoClient",
-    "DittoCluster",
-    "DittoConfig",
-    "DittoLayout",
-    "EpochFence",
-    "ExpertWeights",
-    "FrequencyCounterCache",
-    "GlobalWeights",
-    "HISTORY_WRAP",
-    "InvariantViolation",
-    "invariant_sweep",
-    "MembershipTable",
-    "Metadata",
-    "MigrationError",
-    "MigrationRecord",
-    "Migrator",
-    "StaleEpoch",
-    "POLICY_REGISTRY",
-    "RemoteFifoHistory",
-    "Slot",
-    "bitmap_of",
-    "history_age",
-    "is_expired",
-    "make_policy",
-    "policy_loc",
-    "stable_hash64",
-]
+_EXPORTS = {
+    "ExpertWeights": ".adaptive",
+    "GlobalWeights": ".adaptive",
+    "bitmap_of": ".adaptive",
+    "DittoCache": ".cache",
+    "DittoCluster": ".cache",
+    "CacheOperationError": ".client",
+    "DittoClient": ".client",
+    "DittoConfig": ".config",
+    "ConsensusUnavailable": ".consensus",
+    "ControllerGroup": ".consensus",
+    "GroupClient": ".consensus",
+    "MetadataState": ".consensus",
+    "NotLeader": ".consensus",
+    "RaftParams": ".consensus",
+    "RaftReplica": ".consensus",
+    "EpochFence": ".elasticity",
+    "MembershipTable": ".elasticity",
+    "MigrationError": ".elasticity",
+    "MigrationRecord": ".elasticity",
+    "Migrator": ".elasticity",
+    "StaleEpoch": ".elasticity",
+    "FrequencyCounterCache": ".fc_cache",
+    "InvariantViolation": ".invariants",
+    "invariant_sweep": ".invariants:sweep",
+    "HISTORY_WRAP": ".history",
+    "RemoteFifoHistory": ".history",
+    "history_age": ".history",
+    "is_expired": ".history",
+    "DittoLayout": ".layout",
+    "Slot": ".layout",
+    "stable_hash64": ".layout",
+    "POLICY_REGISTRY": ".policies",
+    "CachePolicy": ".policies",
+    "Metadata": ".policies",
+    "make_policy": ".policies",
+    "policy_loc": ".policies",
+    "backoff_us": ".retry",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _exports.lazy_exports(globals(), _EXPORTS)

@@ -1,18 +1,20 @@
 """The memory pool: memory nodes, controllers, and client-side allocation."""
 
-from .allocator import ClientAllocator, MemoryBudget, StripedAllocator
-from .controller import Controller, OutOfMemoryError, SegmentState
-from .node import BLOCK_SIZE, MemoryAccessError, MemoryNode, MemoryPool
+from .. import _exports
 
-__all__ = [
-    "BLOCK_SIZE",
-    "ClientAllocator",
-    "Controller",
-    "MemoryAccessError",
-    "MemoryBudget",
-    "MemoryNode",
-    "MemoryPool",
-    "OutOfMemoryError",
-    "SegmentState",
-    "StripedAllocator",
-]
+_EXPORTS = {
+    "ClientAllocator": ".allocator",
+    "MemoryBudget": ".allocator",
+    "StripedAllocator": ".allocator",
+    "Controller": ".controller",
+    "OutOfMemoryError": ".controller",
+    "SegmentState": ".controller",
+    "BLOCK_SIZE": ".node",
+    "MemoryAccessError": ".node",
+    "MemoryNode": ".node",
+    "MemoryPool": ".node",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _exports.lazy_exports(globals(), _EXPORTS)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, Generator, List, Optional, Tuple
 
-from ..rdma.verbs import RdmaEndpoint
+from ..rdma.transport import VerbTransport
 from .controller import OutOfMemoryError
 from .node import BLOCK_SIZE, MemoryNode
 
@@ -69,7 +69,7 @@ class ClientAllocator:
 
     def __init__(
         self,
-        endpoint: RdmaEndpoint,
+        endpoint: VerbTransport,
         node: MemoryNode,
         segment_bytes: int = 1 << 20,
         owner: int = -1,

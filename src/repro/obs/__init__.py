@@ -22,36 +22,29 @@ Analysis lives in :mod:`repro.obs.report` (``python -m repro.obs.report``);
 shard merging and run digests in :mod:`repro.obs.runtime`.
 """
 
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .observer import (Observability, activate, current, deactivate, init,
-                       maybe_span)
-from .sampler import WatchedResource, window_sample_times
-from .trace import (
-    FAULT_TID_BASE,
-    EventBudget,
-    SpanTracer,
-    chrome_document,
-    validate_trace,
-    write_chrome_trace,
-)
+from .. import _exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "Observability",
-    "activate",
-    "current",
-    "deactivate",
-    "init",
-    "maybe_span",
-    "WatchedResource",
-    "window_sample_times",
-    "FAULT_TID_BASE",
-    "EventBudget",
-    "SpanTracer",
-    "chrome_document",
-    "validate_trace",
-    "write_chrome_trace",
-]
+_EXPORTS = {
+    "Counter": ".metrics",
+    "Gauge": ".metrics",
+    "Histogram": ".metrics",
+    "MetricsRegistry": ".metrics",
+    "Observability": ".observer",
+    "activate": ".observer",
+    "current": ".observer",
+    "deactivate": ".observer",
+    "init": ".observer",
+    "maybe_span": ".observer",
+    "WatchedResource": ".sampler",
+    "window_sample_times": ".sampler",
+    "FAULT_TID_BASE": ".trace",
+    "EventBudget": ".trace",
+    "SpanTracer": ".trace",
+    "chrome_document": ".trace",
+    "validate_trace": ".trace",
+    "write_chrome_trace": ".trace",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _exports.lazy_exports(globals(), _EXPORTS)

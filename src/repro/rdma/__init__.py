@@ -1,20 +1,17 @@
 """Simulated one-sided RDMA fabric (verbs, NIC model, timing parameters)."""
 
-from .params import DEFAULT_PARAMS, NetworkParams
-from .verbs import (
-    NodeUnavailable,
-    RdmaEndpoint,
-    RdmaFaultError,
-    StaleEpoch,
-    VerbTimeout,
-)
+from .. import _exports
 
-__all__ = [
-    "DEFAULT_PARAMS",
-    "NetworkParams",
-    "NodeUnavailable",
-    "RdmaEndpoint",
-    "RdmaFaultError",
-    "StaleEpoch",
-    "VerbTimeout",
-]
+_EXPORTS = {
+    "DEFAULT_PARAMS": ".params",
+    "NetworkParams": ".params",
+    "NodeUnavailable": ".verbs",
+    "RdmaEndpoint": ".verbs",
+    "RdmaFaultError": ".verbs",
+    "StaleEpoch": ".verbs",
+    "VerbTimeout": ".verbs",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _exports.lazy_exports(globals(), _EXPORTS)

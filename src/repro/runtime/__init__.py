@@ -29,14 +29,16 @@ Layout:
 ``python -m repro.serve`` is the user-facing launcher over all of this.
 """
 
-from .client import RealEndpoint, WallClockRuntime, drive
-from .cluster import RealCluster
-from .harness import RealClusterHarness
+from .. import _exports
 
-__all__ = [
-    "RealCluster",
-    "RealClusterHarness",
-    "RealEndpoint",
-    "WallClockRuntime",
-    "drive",
-]
+_EXPORTS = {
+    "RealCluster": ".cluster",
+    "RealClusterHarness": ".harness",
+    "RealEndpoint": ".client",
+    "WallClockRuntime": ".client",
+    "drive": ".client",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _exports.lazy_exports(globals(), _EXPORTS)

@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import select
 import socket
 import subprocess
 import sys
@@ -183,20 +184,37 @@ class RealClusterHarness:
         return self.descriptor()
 
     def _await_ready(self, proc, node_id: int, timeout_s: float) -> Dict:
+        """Read the child's stdout up to its ready line, never past the
+        deadline: the pipe is waited on with ``select``, so a child that
+        prints nothing cannot hold the launch in a blocking read."""
         deadline = time.monotonic() + timeout_s
-        line = ""
-        while time.monotonic() < deadline:
-            line = proc.stdout.readline()
-            if line.startswith(_READY_PREFIX):
-                break
-            if proc.poll() is not None:
+        fd = proc.stdout.fileno()
+        pending = b""
+        while True:
+            raw, newline, rest = pending.partition(b"\n")
+            if newline:
+                pending = rest
+                line = raw.decode("utf-8", "replace")
+                if line.startswith(_READY_PREFIX):
+                    break
+                continue
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
+                proc.kill()
+                proc.wait()
+                raise TimeoutError(
+                    f"memory-node {node_id} never became ready "
+                    f"within {timeout_s:g} s"
+                )
+            chunk = os.read(fd, 4096)
+            if not chunk:  # EOF: the child closed stdout by exiting
+                proc.wait()
                 stderr = proc.stderr.read()
                 raise RuntimeError(
                     f"memory-node {node_id} exited with "
                     f"{proc.returncode} before readiness:\n{stderr}"
                 )
-        else:
-            raise TimeoutError(f"memory-node {node_id} never became ready")
+            pending += chunk
         fields = dict(
             part.split("=", 1) for part in line[len(_READY_PREFIX):].split()
         )

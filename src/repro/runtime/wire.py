@@ -37,8 +37,10 @@ from __future__ import annotations
 
 import pickle
 import struct
-from asyncio import IncompleteReadError, StreamReader
-from typing import List, Tuple
+from typing import TYPE_CHECKING, List, Tuple
+
+if TYPE_CHECKING:  # asyncio stays out of the memory-node process
+    from asyncio import StreamReader
 
 # -- opcodes ---------------------------------------------------------------
 
@@ -186,7 +188,7 @@ class FrameDecoder:
 async def read_frame(reader: StreamReader) -> bytes:
     """Read one frame from an asyncio stream (tools and probes; the
     client and server decode with :class:`FrameDecoder`).  Raises
-    IncompleteReadError on a clean/dirty EOF."""
+    ``asyncio.IncompleteReadError`` on a clean/dirty EOF."""
     header = await reader.readexactly(HEADER.size)
     (length,) = HEADER.unpack(header)
     if length > MAX_FRAME:
@@ -203,5 +205,5 @@ __all__ = [
     "U64",
     "RESEND_SAFE_OPS",
     "request_frame", "response_frame", "pack_rpc", "unpack_rpc",
-    "peek_rpc_name", "FrameDecoder", "read_frame", "IncompleteReadError",
+    "peek_rpc_name", "FrameDecoder", "read_frame",
 ]

@@ -1,43 +1,30 @@
 """Deterministic discrete-event simulation substrate (time in microseconds)."""
 
-from .engine import Engine, Event, Process, SimulationError, Timeout
-from .faults import (
-    ClientCrash,
-    DropWindow,
-    FaultInjector,
-    FaultPlan,
-    LatencySpike,
-    NodeOutage,
-    RpcFailure,
-)
-from .resources import Lock, RateLimiter, Resource
-from .stats import (
-    CounterSet,
-    LatencyStats,
-    ThroughputSeries,
-    hit_rate,
-    relative_change,
-)
+from .. import _exports
 
-__all__ = [
-    "Engine",
-    "Event",
-    "Process",
-    "SimulationError",
-    "Timeout",
-    "ClientCrash",
-    "DropWindow",
-    "FaultInjector",
-    "FaultPlan",
-    "LatencySpike",
-    "NodeOutage",
-    "RpcFailure",
-    "Lock",
-    "RateLimiter",
-    "Resource",
-    "CounterSet",
-    "LatencyStats",
-    "ThroughputSeries",
-    "hit_rate",
-    "relative_change",
-]
+_EXPORTS = {
+    "Engine": ".engine",
+    "Event": ".engine",
+    "Process": ".engine",
+    "SimulationError": ".engine",
+    "Timeout": ".engine",
+    "ClientCrash": ".faults",
+    "DropWindow": ".faults",
+    "FaultInjector": ".faults",
+    "FaultPlan": ".faults",
+    "LatencySpike": ".faults",
+    "NodeOutage": ".faults",
+    "RpcFailure": ".faults",
+    "Lock": ".resources",
+    "RateLimiter": ".resources",
+    "Resource": ".resources",
+    "CounterSet": ".stats",
+    "LatencyStats": ".stats",
+    "ThroughputSeries": ".stats",
+    "hit_rate": ".stats",
+    "relative_change": ".stats",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _exports.lazy_exports(globals(), _EXPORTS)

@@ -6,8 +6,6 @@ import math
 from collections import defaultdict
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 
 class StreamingHistogram:
     """Bounded-memory value distribution with approximate percentiles.
@@ -186,6 +184,7 @@ class LatencyStats:
             return self._hist.mean()
         if not self._samples:
             return float("nan")
+        import numpy as np  # here, not at the top: a memory node never loads it
         return float(np.mean(self._samples))
 
     def percentile(self, p: float) -> float:
@@ -194,6 +193,7 @@ class LatencyStats:
             return self._hist.percentile(p)
         if not self._samples:
             return float("nan")
+        import numpy as np
         return float(np.percentile(self._samples, p))
 
     def median(self) -> float:
@@ -260,6 +260,7 @@ class ThroughputSeries:
         ]
         if not selected:
             return 0.0
+        import numpy as np
         return float(np.mean(selected))
 
 

@@ -9,6 +9,7 @@ import asyncio
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -48,6 +49,29 @@ def test_shm_direct_reads_serve_gets():
     assert report["failed_ops"] == 0
     assert report["counters"]["shm_direct_read"] > 0
     assert harness.leak_report()["clean"]
+
+
+def test_launch_deadline_holds_against_a_silent_child(monkeypatch):
+    """A node that never prints its ready line must not hold the launch
+    past ``timeout_s``: the harness gives up, kills the child, raises."""
+    harness = RealClusterHarness(
+        capacity_objects=512, num_clients=2, num_memory_nodes=1, seed=5
+    )
+
+    def silent_spawn(node_id, base, size, extra_argv):
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "import time; time.sleep(4)"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        harness.procs.append(proc)
+        return proc
+
+    monkeypatch.setattr(harness, "_spawn", silent_spawn)
+    started = time.monotonic()
+    with pytest.raises(TimeoutError, match="never became ready"):
+        harness.launch(timeout_s=0.5)
+    assert time.monotonic() - started < 2.0
+    assert harness.leak_report()["live_processes"] == []
 
 
 def test_descriptor_mismatch_is_rejected():

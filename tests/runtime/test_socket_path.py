@@ -542,7 +542,7 @@ async def _segmenting_server(segments_for):
                     writer.write(segment)
                     await writer.drain()
                     await asyncio.sleep(0.02)
-        except (wire.IncompleteReadError, ConnectionError):
+        except (asyncio.IncompleteReadError, ConnectionError):
             pass
         finally:
             writer.close()
