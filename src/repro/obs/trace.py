@@ -97,7 +97,13 @@ class SpanTracer:
         self.dropped += 1
         return False
 
-    def _tid(self) -> int:
+    def _tid(self, tid: Optional[int] = None, lane: str = "") -> int:
+        """Lane ``tid`` (naming it ``lane`` if unnamed), else the active
+        process's, else 0."""
+        if tid is not None:
+            if lane:
+                self._lane_names.setdefault(tid, lane)
+            return tid
         active = getattr(self.clock, "_active", None)
         if active is None:
             return 0
@@ -108,14 +114,15 @@ class SpanTracer:
 
     def complete(self, name: str, cat: str, start_us: float,
                  args: Optional[Dict[str, Any]] = None,
-                 tid: Optional[int] = None) -> None:
-        """Emit a span from ``start_us`` to *now*, on lane ``tid`` or, when
-        None, the active process's."""
+                 tid: Optional[int] = None, lane: str = "") -> None:
+        """Emit a span from ``start_us`` to *now*, on lane ``tid`` (named
+        ``lane`` if it has no name yet) or, when None, the active
+        process's.  A lane is named only by an admitted event."""
         if self._admit():
             self.events.append(
                 (_COMPLETE, name, cat, start_us,
                  max(self.clock._now - start_us, 0.0),
-                 self._tid() if tid is None else tid, args)
+                 self._tid(tid, lane), args)
             )
 
     def complete_at(self, name: str, cat: str, start_us: float, dur_us: float,
@@ -127,11 +134,13 @@ class SpanTracer:
             )
 
     def instant(self, name: str, cat: str,
-                args: Optional[Dict[str, Any]] = None) -> None:
-        """Emit a zero-duration marker at *now* on the active lane."""
+                args: Optional[Dict[str, Any]] = None,
+                tid: Optional[int] = None, lane: str = "") -> None:
+        """Emit a zero-duration marker at *now*; lanes as :meth:`complete`."""
         if self._admit():
             self.events.append(
-                (_INSTANT, name, cat, self.clock._now, 0.0, self._tid(), args)
+                (_INSTANT, name, cat, self.clock._now, 0.0,
+                 self._tid(tid, lane), args)
             )
 
     def instant_at(self, name: str, cat: str, ts_us: float, tid: int = 0,

@@ -9,7 +9,7 @@ commands.  That discipline is what lets the very same client code run on
 two substrates:
 
 * the **sim substrate** (:class:`~repro.rdma.verbs.RdmaEndpoint`) yields
-  :class:`~repro.sim.Timeout` commands against the discrete-event engine,
+  delays (bare floats or Timeouts) to the discrete-event engine,
   with NIC queueing and verb latency fully cost-modelled;
 * the **real substrate** (:class:`~repro.runtime.client.RealEndpoint`)
   yields plain verb requests that :func:`~repro.runtime.client.drive` puts
@@ -51,8 +51,8 @@ The contract every implementation must honour (DESIGN §3.7):
   through the replicated log.  Callers never test ``consensus``
   themselves.  Built here from ``rpc`` and the slot, not per substrate.
 * ``post_write``/``post_faa`` are fire-and-forget: the verb runs off the
-  caller's critical path (an engine process on the sim substrate, a frame
-  on the process's link to the memory node on the real one), with
+  caller's critical path (two engine callbacks on the sim substrate, a
+  frame on the process's link to the memory node on the real one), with
   injected faults and fence NACKs swallowed and counted.
 
 ``charge`` (timing-only NIC accounting for cost-modelled baselines) is a
@@ -122,8 +122,7 @@ class VerbTransport:
 
     def post_write(self, addr: int, data: bytes):
         """Fire-and-forget WRITE; returns None.  Portable code cannot
-        wait for a post, learn its fate or cancel it (the engine process
-        the sim's implementation hands back is not part of the contract)."""
+        wait for a post, learn its fate or cancel it."""
         raise NotImplementedError
 
     def post_faa(self, addr: int, delta: int):

@@ -13,9 +13,10 @@ execute at resume time — a constant half-RTT after NIC service for every
 client — so atomics linearize across concurrent clients in NIC-service
 order, exactly as on hardware.
 
-``post_*`` variants are fire-and-forget: they spawn the verb as a background
-process and return immediately, modelling unsignalled/asynchronous posts the
-paper uses for metadata updates.
+``post_*`` variants are fire-and-forget, modelling the unsignalled posts the
+paper uses for metadata updates.  A post is two engine callbacks, not a
+process: one books the NIC as the verb would, one lands the bytes, in the
+heap slots a spawned process would take (DESIGN §3.1).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from ..memory.node import MemoryNode, MemoryPool
-from ..sim import CounterSet, Engine, Process, Timeout
+from ..sim import CounterSet, Engine, Timeout
 from ..sim.faults import DROP, OK, FaultInjector
 from .params import NetworkParams
 from .transport import VerbTransport
@@ -162,39 +163,33 @@ class RdmaEndpoint(VerbTransport):
             if extra:
                 self.counters.add("fault_latency_spike")
             return extra
+        yield Timeout(self.params.timeout_us(verb))
+        raise self._timed_out(node, verb, kind)
+
+    def _timed_out(self, node: MemoryNode, verb: str, kind: int,
+                   tid: Optional[int] = None, lane: str = "") -> RdmaFaultError:
+        """Trace and count a verb whose timeout just ran out; returns the
+        error for a waiting caller to raise."""
         timeout_us = self.params.timeout_us(verb)
-        yield Timeout(timeout_us)
         if self.tracer is not None:
             self.tracer.instant(
                 "fault.verb_timeout", "fault",
-                {"verb": verb, "node": node.node_id},
+                {"verb": verb, "node": node.node_id}, tid, lane,
             )
         if kind == DROP:
             self.counters.add("fault_verb_timeout")
-            raise VerbTimeout(
+            return VerbTimeout(
                 f"{verb} to node {node.node_id} timed out after {timeout_us}us",
                 verb=verb,
                 node_id=node.node_id,
             )
         self.counters.add("fault_node_unavailable")
-        raise NodeUnavailable(
+        return NodeUnavailable(
             f"node {node.node_id} is unreachable ({verb} timed out after "
             f"{timeout_us}us)",
             verb=verb,
             node_id=node.node_id,
         )
-
-    def _post_safely(self, gen: Generator) -> Generator:
-        """Background posts must swallow injected faults: an unsignalled
-        write that vanishes costs nothing but the update it carried.  The
-        same goes for epoch-fenced posts — a best-effort metadata update
-        aimed at a draining node is simply dropped."""
-        try:
-            yield from gen
-        except StaleEpoch:
-            self.counters.add("fenced_post_dropped")
-        except RdmaFaultError:
-            self.counters.add("fault_post_dropped")
 
     # -- one-sided verbs ---------------------------------------------------
 
@@ -212,10 +207,8 @@ class RdmaEndpoint(VerbTransport):
         lead = self._lead
         if self.faults is not None:
             lead += yield from self._fault_gate(node, "read")
-        yield Timeout(
-            node.nic.book(
-                self._base_read + length * self._inv_bw, lead, self._lag
-            )
+        yield node.nic.book(
+            self._base_read + length * self._inv_bw, lead, self._lag
         )
         if tracer is not None:
             tracer.complete("rdma.read", "rdma", t0)
@@ -232,10 +225,8 @@ class RdmaEndpoint(VerbTransport):
         lead = self._lead
         if self.faults is not None:
             lead += yield from self._fault_gate(node, "write")
-        yield Timeout(
-            node.nic.book(
-                self._base_write + len(data) * self._inv_bw, lead, self._lag
-            )
+        yield node.nic.book(
+            self._base_write + len(data) * self._inv_bw, lead, self._lag
         )
         if tracer is not None:
             tracer.complete("rdma.write", "rdma", t0)
@@ -255,7 +246,7 @@ class RdmaEndpoint(VerbTransport):
         lead = self._lead
         if self.faults is not None:
             lead += yield from self._fault_gate(node, "cas")
-        yield Timeout(node.nic.book(self._base_cas8, lead, self._lag))
+        yield node.nic.book(self._base_cas8, lead, self._lag)
         if tracer is not None:
             tracer.complete("rdma.cas", "rdma", t0)
         return node.compare_and_swap(addr, expected, new)
@@ -271,7 +262,7 @@ class RdmaEndpoint(VerbTransport):
         lead = self._lead
         if self.faults is not None:
             lead += yield from self._fault_gate(node, "faa")
-        yield Timeout(node.nic.book(self._base_faa8, lead, self._lag))
+        yield node.nic.book(self._base_faa8, lead, self._lag)
         if tracer is not None:
             tracer.complete("rdma.faa", "rdma", t0)
         return node.fetch_and_add(addr, delta)
@@ -286,10 +277,8 @@ class RdmaEndpoint(VerbTransport):
         self.counters.add(_COUNTER_KEYS[verb])
         tracer = self.tracer
         t0 = self.engine._now if tracer is not None else 0.0
-        yield Timeout(
-            node.nic.book(
-                self.params.nic_service_us(verb, payload), self._lead, self._lag
-            )
+        yield node.nic.book(
+            self.params.nic_service_us(verb, payload), self._lead, self._lag
         )
         if tracer is not None:
             tracer.complete("rdma.charge", "rdma", t0, {"verb": verb})
@@ -308,12 +297,10 @@ class RdmaEndpoint(VerbTransport):
         lead = self._lead
         if self.faults is not None:
             lead += yield from self._fault_gate(node, "rpc")
-        yield Timeout(
-            node.nic.book(self._base_rpc + size * self._inv_bw, lead, 0.0)
-        )
+        yield node.nic.book(self._base_rpc + size * self._inv_bw, lead, 0.0)
         result = yield from node.controller.serve(op, payload)
-        yield Timeout(
-            node.nic.book(self._base_write + size * self._inv_bw, 0.0, self._lag)
+        yield node.nic.book(
+            self._base_write + size * self._inv_bw, 0.0, self._lag
         )
         if tracer is not None:
             tracer.complete("rdma.rpc", "rdma", t0, {"op": op})
@@ -321,17 +308,60 @@ class RdmaEndpoint(VerbTransport):
 
     # -- asynchronous (unsignalled) posts ---------------------------------
 
-    def post_write(self, addr: int, data: bytes) -> Process:
-        """Fire-and-forget WRITE; returns the background process."""
-        # Always wrapped: a fence can be armed after the post is spawned but
-        # before it executes (first membership change), and an unsignalled
-        # post must never unwind the engine.
-        return self.engine.spawn(
-            self._post_safely(self.write(addr, data)), name="post_write"
+    def post_write(self, addr: int, data: bytes) -> None:
+        """Fire-and-forget WRITE."""
+        engine = self.engine
+        # Take the lane a spawned process would, so later ones keep theirs.
+        engine.call_later(
+            0.0, self._book_post, next(engine._tids), "write", addr, data
         )
 
-    def post_faa(self, addr: int, delta: int) -> Process:
-        """Fire-and-forget FAA; returns the background process."""
-        return self.engine.spawn(
-            self._post_safely(self.faa(addr, delta)), name="post_faa"
+    def post_faa(self, addr: int, delta: int) -> None:
+        """Fire-and-forget FAA."""
+        engine = self.engine
+        engine.call_later(
+            0.0, self._book_post, next(engine._tids), "faa", addr, delta
         )
+
+    def _book_post(self, tid: int, verb: str, addr: int, arg) -> None:
+        """Fence, route, count, gate and book as :meth:`write`/:meth:`faa`
+        do.  Fenced now, not at post time: a fence can be armed in between.
+        A fenced or lost post costs only the update it carried."""
+        if self.fence is not None:
+            try:
+                self.fence.check_write(addr, verb, -1)
+            except StaleEpoch:
+                self.counters.add("fenced_post_dropped")
+                return
+        if verb == "write":
+            node = self._node_for(addr, len(arg))
+            service = self._base_write + len(arg) * self._inv_bw
+            land = node.write_bytes
+        else:
+            node = self._node_for(addr, 8)
+            service, land = self._base_faa8, node.fetch_and_add
+        self.counters.add(_COUNTER_KEYS[verb])
+        engine = self.engine
+        lead = self._lead
+        if self.faults is not None:
+            kind, extra = self.faults.verb_outcome(node.node_id, verb)
+            if kind != OK:
+                engine.call_later(self.params.timeout_us(verb), self._drop_post,
+                                  tid, verb, node, kind)
+                return
+            if extra:
+                self.counters.add("fault_latency_spike")
+            lead += extra
+        engine.call_later(node.nic.book(service, lead, self._lag),
+                          self._land_post, tid, verb, land, addr, arg, engine._now)
+
+    def _land_post(self, tid: int, verb: str, land, addr: int, arg,
+                   t0: float) -> None:
+        if self.tracer is not None:
+            self.tracer.complete("rdma." + verb, "rdma", t0, tid=tid,
+                                 lane="post_" + verb)
+        land(addr, arg)
+
+    def _drop_post(self, tid: int, verb: str, node: MemoryNode, kind: int):
+        self._timed_out(node, verb, kind, tid, "post_" + verb)
+        self.counters.add("fault_post_dropped")

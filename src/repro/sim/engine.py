@@ -5,6 +5,8 @@ activities (client threads, server loops, background daemons).  Processes
 communicate with the engine by yielding *commands*:
 
 - :class:`Timeout` — resume after a simulated delay,
+- a bare ``float`` — the same, without the Timeout object or its negative
+  check (the verb layer's per-verb wait),
 - :class:`Event` — resume when the event is triggered (yield the event itself),
 - another :class:`Process` — resume when that process completes (join).
 
@@ -166,9 +168,17 @@ class Process:
             raise SimulationError(
                 f"{err} (at t={engine.now:.3f}us in process {self.name!r})"
             ) from err
+        if command.__class__ is float:
+            # A bare delay: Timeout._apply's entry, minus the Timeout and
+            # its check (the verb layer's NIC bookings are never negative).
+            heapq.heappush(engine._heap, (
+                engine._now + command, next(engine._sequence), self._step, ()))
+            return
         try:
             apply = command._apply
         except AttributeError:
+            if isinstance(command, float):  # a float subclass (numpy.float64)
+                return Timeout(command)._apply(engine, self)
             raise SimulationError(
                 f"process {self.name!r} yielded a non-command: {command!r}; "
                 "did you forget 'yield from'?"

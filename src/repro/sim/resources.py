@@ -174,9 +174,10 @@ class RateLimiter:
         ``lead_us`` models time before the job reaches the pipe (client
         overhead + network flight) and ``lag_us`` time after service (the
         response flight); both are folded into the booking math so the whole
-        verb costs a single engine event.  Callers yield
-        ``Timeout(book(...))`` directly — the verb layer does this to avoid a
-        nested generator per message on the hot path.
+        verb costs a single engine event.  The verb layer yields the
+        returned delay as a bare float (or, for a post, hands it to
+        ``call_later``), with no nested generator per message on the hot
+        path.
         """
         self.messages += 1
         now = self.engine._now

@@ -1,10 +1,15 @@
 """Unit tests for the one-sided verb layer (semantics + timing)."""
 
+import numpy as np
 import pytest
 
+from repro.core.elasticity import EpochFence
 from repro.memory import Controller, MemoryNode, MemoryPool
+from repro.obs.trace import SpanTracer
 from repro.rdma import NetworkParams, RdmaEndpoint
-from repro.sim import Engine
+from repro.sim import Engine, Timeout
+from repro.sim.engine import Process
+from repro.sim.faults import DropWindow, FaultInjector, FaultPlan, NodeOutage
 
 
 @pytest.fixture()
@@ -198,3 +203,146 @@ def test_multi_node_pool_routes_by_address():
     engine.run_process(flow())
     assert node_a.read_bytes(100, 1) == b"a"
     assert node_b.read_bytes(4196, 1) == b"b"
+
+
+# -- posts: two engine callbacks, no process ---------------------------------
+
+
+def _unit_fabric():
+    """Zero-latency links and a 1 Mops NIC: each verb holds the pipe 1 us."""
+    engine = Engine()
+    params = NetworkParams(
+        rtt_us=0.0, client_overhead_us=0.0, nic_rate_mops=1.0,
+        bandwidth_bytes_per_us=1e12,
+        verb_timeout_us=40.0, verb_timeout_overrides={"faa": 70.0},
+    )
+    node = MemoryNode(engine, size=4096, params=params)
+    return engine, node, RdmaEndpoint(engine, MemoryPool([node]), params)
+
+
+def test_posts_return_none(fabric):
+    engine, node, _pool, ep = fabric
+    assert ep.post_write(500, b"later") is None
+    assert ep.post_faa(600, 4) is None
+    engine.run()
+    assert node.read_bytes(500, 5) == b"later"
+    assert node.read_u64(600) == 4
+
+
+def test_fenced_post_is_counted_and_never_raises(fabric):
+    engine, node, _pool, ep = fabric
+    fence = EpochFence()
+    fence.fence_writes(0, 1 << 16, 0)
+    ep.post_write(500, b"doomed")
+    ep.fence = fence  # armed after the post, before it books: still fenced
+    ep.post_faa(600, 1)
+    engine.run()
+    assert ep.counters.as_dict() == {"fenced_post_dropped": 2}
+    assert node.read_bytes(500, 6) == bytes(6)
+    assert node.read_u64(600) == 0
+
+
+@pytest.mark.parametrize("plan, verb, counter", [
+    (FaultPlan(drops=(DropWindow(0.0, 1e9),)), "write", "fault_verb_timeout"),
+    (FaultPlan(drops=(DropWindow(0.0, 1e9),)), "faa", "fault_verb_timeout"),
+    (FaultPlan(outages=(NodeOutage(0, 0.0, 1e9),)), "faa",
+     "fault_node_unavailable"),
+])
+def test_a_lost_post_is_counted_one_timeout_after_issue(plan, verb, counter):
+    engine, node, ep = _unit_fabric()
+    ep.faults = FaultInjector(engine, plan)
+    issued_at = 5.0
+
+    def poster():
+        yield Timeout(issued_at)
+        if verb == "write":
+            ep.post_write(8, b"lost")
+        else:
+            ep.post_faa(8, 1)
+
+    engine.spawn(poster())
+    landed_at = issued_at + ep.params.timeout_us(verb)
+    engine.run(until=landed_at - 1e-9)
+    assert ep.counters.as_dict() == {f"rdma_{verb}": 1}
+    engine.run(until=landed_at)
+    assert ep.counters.as_dict() == {
+        f"rdma_{verb}": 1, counter: 1, "fault_post_dropped": 1,
+    }
+    assert node.read_u64(8) == 0
+    assert node.nic.messages == 0  # a lost verb never reaches the NIC
+
+
+def test_a_verb_right_after_a_post_books_the_nic_first():
+    engine, node, ep = _unit_fabric()
+    seen = []
+
+    def client():
+        ep.post_write(0, b"\x01")
+        data = yield from ep.read(0, 1)
+        seen.append((engine.now, data))
+
+    engine.spawn(client())
+    engine.run(until=1.5)
+    # The READ held the pipe first (the tiny bandwidth term is tolerated) ...
+    assert seen == [(pytest.approx(1.0), b"\x00")]
+    assert node.read_bytes(0, 1) == b"\x00"
+    engine.run()
+    # ... and the posted WRITE landed behind it.
+    assert engine.now == pytest.approx(2.0)
+    assert node.read_bytes(0, 1) == b"\x01"
+
+
+def test_posts_create_no_process(fabric, monkeypatch):
+    engine, node, _pool, ep = fabric
+    created = []
+    init = Process.__init__
+
+    def spy(self, *args, **kwargs):
+        created.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Process, "__init__", spy)
+    for i in range(10):
+        ep.post_write(8 * i, b"x")
+        ep.post_faa(512, 1)
+    engine.run()
+    assert created == []
+    assert node.read_u64(512) == 10
+    # Each post still takes the lane a process would have: later tids hold.
+    assert next(engine._tids) == 21
+
+
+def test_a_yielded_float_resumes_like_a_timeout():
+    engine = Engine()
+    order = []
+
+    def sleeper(label, delay):
+        yield delay
+        order.append((label, engine.now))
+
+    engine.spawn(sleeper("timeout-a", Timeout(1.5)))
+    engine.spawn(sleeper("float", 1.5))
+    engine.spawn(sleeper("timeout-b", Timeout(1.5)))
+    engine.spawn(sleeper("numpy", np.float64(1.5)))
+    engine.spawn(sleeper("early", 0.25))
+    engine.run()
+    # Same-time wake-ups keep scheduling order, whatever was yielded.
+    assert order == [
+        ("early", 0.25), ("timeout-a", 1.5), ("float", 1.5),
+        ("timeout-b", 1.5), ("numpy", 1.5),
+    ]
+
+
+def test_only_admitted_post_spans_name_a_lane():
+    engine, _node, ep = _unit_fabric()
+    ep.tracer = tracer = SpanTracer(engine, max_events=1)
+    ep.post_write(0, b"x")
+    ep.post_faa(8, 1)
+    engine.run()
+    assert tracer.dropped == 1
+    events = list(tracer.chrome_events())
+    lanes = {e["tid"]: e["args"]["name"] for e in events
+             if e["name"] == "thread_name"}
+    spans = [(e["name"], e["tid"]) for e in events if e["ph"] == "X"]
+    assert lanes == {0: "main", 1: "post_write"}
+    assert spans == [("rdma.write", 1)]

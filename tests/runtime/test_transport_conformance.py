@@ -358,6 +358,22 @@ def test_fence_nacks_mutations_with_stale_epoch(substrate):
     ep.fence = None
 
 
+def test_posts_return_none_and_land(substrate):
+    ep = substrate.ep
+    addr = SCRATCH + 2560
+
+    def post():
+        return ep.post_write(addr, b"posted!!"), ep.post_faa(addr + 8, 3)
+        yield  # pragma: no cover — makes this a generator
+
+    def look():
+        return (yield from ep.read(addr, 16))
+
+    assert substrate.run(post()) == (None, None)
+    substrate.settle()
+    assert substrate.run(look()) == b"posted!!" + (3).to_bytes(8, "little")
+
+
 def test_fenced_background_posts_are_dropped_silently(substrate):
     ep = substrate.ep
     fence = EpochFence()
