@@ -11,16 +11,17 @@ cached sweep results.  This module applies it to the benchmark suite:
 - :class:`ResultCache` — a JSON file per completed job, keyed by the SHA-256
   of ``(experiment, params, seed, REPRO_SCALE)``.  Re-running an unchanged
   grid simulates nothing.
-- :class:`ParallelRunner` — serves cache hits, hands the misses to a
-  pluggable dispatcher (``repro.bench.dispatch``; the default is a
-  spawn-context ``ProcessPoolExecutor``, so workers never inherit
-  interpreter state, and ``REPRO_DISPATCHER=file:<dir>`` swaps in the
-  multi-host file queue), and merges results **in submission order**, making
+- :class:`ParallelRunner` — serves cache hits and runs the misses itself:
+  inline with one worker or one job, otherwise in a spawn-context
+  ``ProcessPoolExecutor`` (workers never inherit interpreter state).  It
+  yields outcomes **in submission order** as they become available, making
   parallel output byte-identical to a serial run of the same jobs.
+- :func:`execute_job` — the one place a job runs: stdout captured, and with
+  a trace directory a fresh observability hub that writes
+  ``<name>.trace.json`` and ``<name>.metrics.json``.
 
-Jobs run with stdout captured, so experiment tables print exactly once, in
-order, from the parent process.  The runner counts how many jobs were
-actually simulated vs served from cache; ``summary()`` exposes both.
+The runner counts how many jobs were actually simulated vs served from
+cache; ``summary()`` exposes both.
 
 Usage::
 
@@ -32,7 +33,8 @@ Usage::
     outcomes = runner.run(jobs)          # [JobOutcome, ...] in submission order
     print(runner.summary())              # {'jobs': 1, 'simulated': 1, 'cached': 0, ...}
 
-or from the CLI: ``python -m repro.bench.run_all -j 4``.
+or from the CLI: ``python -m repro.bench.run_all`` (one worker, no cache)
+or ``python -m repro.bench.run_all -j 4``.
 """
 
 from __future__ import annotations
@@ -43,13 +45,16 @@ import io
 import json
 import os
 import time
+import uuid
+from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import redirect_stdout
 from dataclasses import dataclass, field
+from multiprocessing import get_context
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..obs.observer import Observability, activate, deactivate
-from . import dispatch as _dispatch
 from .scale import scale_name
 
 #: Default cache directory, relative to the current working directory.
@@ -152,10 +157,12 @@ class ResultCache:
     def put(self, key: str, entry: Dict[str, Any]) -> None:
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self._path(key)
-        tmp = path.with_suffix(".tmp")
+        # One temporary file per writer, renamed into place: concurrent
+        # runners putting the same key never share a half-written file.
+        tmp = path.with_suffix(f".{uuid.uuid4().hex}.tmp")
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(entry, fh, sort_keys=True)
-        os.replace(tmp, path)  # atomic: concurrent runners never see torn files
+        os.replace(tmp, path)
 
     def clear(self) -> int:
         """Delete every cached result; returns how many were removed."""
@@ -173,7 +180,9 @@ def execute_job(spec: Dict[str, Any]) -> Dict[str, Any]:
     ``spec`` is the job as a plain dict (picklable); returns
     ``{"result": <jsonified>, "stdout": <captured text>}`` plus, when
     enabled, ``metrics``/``trace_file`` (observability) and
-    ``profile_file`` (``REPRO_PROFILE=1``).
+    ``profile_file`` (``REPRO_PROFILE=1``).  With a ``trace_dir`` the job
+    runs under a fresh hub and leaves ``<trace_dir>/<name>.trace.json`` and
+    ``<trace_dir>/<name>.metrics.json``.
 
     Profiling composes with the process pool: the profiler runs inside the
     worker around this one job, and the dump file is keyed by the job's
@@ -234,23 +243,29 @@ def execute_job(spec: Dict[str, Any]) -> Dict[str, Any]:
         obs.export_chrome(trace_path)
         raw["metrics"] = obs.snapshot()
         raw["trace_file"] = trace_path
+        metrics_path = os.path.join(trace_dir, f"{name}.metrics.json")
+        with open(metrics_path, "w", encoding="utf-8") as fh:
+            json.dump(raw["metrics"], fh, indent=2, sort_keys=True)
 
     return raw
 
 
+def _timed_execute(spec: Dict[str, Any]) -> Tuple[Dict[str, Any], float]:
+    """:func:`execute_job` plus its wall time; module-level so a spawn
+    worker can unpickle it."""
+    started = time.perf_counter()
+    raw = execute_job(spec)
+    return raw, time.perf_counter() - started
+
+
 class ParallelRunner:
-    """Shard jobs across worker processes; merge in submission order.
+    """Run jobs, serving cache hits; yield outcomes in submission order.
 
-    ``workers=None`` uses ``os.cpu_count()``; ``workers=1`` (or a single
-    job) runs inline in this process, which keeps small runs free of pool
-    startup cost.  Either way results are identical — workers are pure
-    functions of the job spec.
-
-    ``dispatcher`` overrides *where* misses execute: any object with a
-    ``dispatch(specs) -> [(raw, elapsed_s), ...]`` method
-    (``repro.bench.dispatch``).  When None, ``REPRO_DISPATCHER`` picks the
-    backend: ``local`` (default process pool) or ``file:<dir>`` (shared-
-    directory queue served by ``python -m repro.bench.worker``).
+    ``workers=None`` uses ``os.cpu_count()``.  Misses run inline in this
+    process with one worker or one job (no pool start-up cost), otherwise
+    in a spawn-context ``ProcessPoolExecutor``: workers import modules
+    fresh, never inheriting engine or rng state from this process.  Either
+    way results are identical — a job is a pure function of its spec.
     """
 
     def __init__(
@@ -259,76 +274,66 @@ class ParallelRunner:
         cache_dir: Optional[str] = None,
         use_cache: bool = True,
         trace_dir: Optional[str] = None,
-        dispatcher: Optional[Any] = None,
     ):
         """``trace_dir`` turns on per-job observability: each simulated job
-        activates a fresh hub in its worker, writes
-        ``<trace_dir>/<experiment>[_<key>].trace.json``, and returns its
-        metrics snapshot (persisted into the result cache alongside the
-        result)."""
+        activates a fresh hub where it runs, writes
+        ``<trace_dir>/<experiment>[_<key>].trace.json`` and
+        ``.metrics.json``, and returns its metrics snapshot (persisted into
+        the result cache alongside the result)."""
         self.workers = workers if workers is not None else (os.cpu_count() or 1)
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         self.cache = ResultCache(cache_dir) if use_cache else None
         self.trace_dir = trace_dir
-        self.dispatcher = (
-            dispatcher if dispatcher is not None
-            else _dispatch.from_env(self.workers)
-        )
         self.simulated = 0
         self.cached = 0
         self.elapsed_s = 0.0
 
     def run(self, jobs: Sequence[ExperimentJob]) -> List[JobOutcome]:
+        return list(self.stream(jobs))
+
+    def stream(self, jobs: Sequence[ExperimentJob]) -> Iterator[JobOutcome]:
+        """Yield each job's outcome, in submission order, as soon as it and
+        every job before it are done."""
         started = time.perf_counter()
         scale = scale_name()
-        outcomes: List[Optional[JobOutcome]] = [None] * len(jobs)
-
-        # Serve cache hits first; only misses travel to the pool.
-        pending: List[int] = []
-        for i, job in enumerate(jobs):
-            entry = self.cache.get(job.key(scale)) if self.cache else None
-            if entry is not None:
-                self.cached += 1
-                outcomes[i] = JobOutcome(
-                    job=job,
-                    result=entry["result"],
-                    stdout=entry.get("stdout", ""),
-                    cached=True,
-                    elapsed_s=0.0,
-                    metrics=entry.get("metrics"),
-                    trace_file=entry.get("trace_file"),
-                )
-            else:
-                pending.append(i)
-
-        if pending:
-            # Trace filenames: the experiment name alone when unique in this
-            # batch, suffixed with the cache key otherwise (grid sweeps).
-            name_counts: Dict[str, int] = {}
-            for i in pending:
-                name = jobs[i].experiment
-                name_counts[name] = name_counts.get(name, 0) + 1
-            specs = [
-                {
-                    "fn": jobs[i].fn,
-                    "params": jobs[i].params,
-                    "seed": jobs[i].seed,
-                    "experiment": jobs[i].experiment,
-                    "key": jobs[i].key(scale),
-                    "trace_dir": self.trace_dir,
-                    "trace_name": (
-                        jobs[i].experiment
-                        if name_counts[jobs[i].experiment] == 1
-                        else f"{jobs[i].experiment}_{jobs[i].key(scale)[:10]}"
-                    ),
-                }
-                for i in pending
-            ]
-            raws = self.dispatcher.dispatch(specs)
-            for i, (raw, elapsed) in zip(pending, raws):
+        keys = [job.key(scale) for job in jobs]
+        entries = [self.cache.get(key) if self.cache else None for key in keys]
+        misses = [i for i, entry in enumerate(entries) if entry is None]
+        # Trace filenames: the experiment name alone when unique among the
+        # misses, suffixed with the cache key otherwise (grid sweeps).
+        names = Counter(jobs[i].experiment for i in misses)
+        raws = self._execute([
+            {
+                "fn": jobs[i].fn,
+                "params": jobs[i].params,
+                "seed": jobs[i].seed,
+                "experiment": jobs[i].experiment,
+                "key": keys[i],
+                "trace_dir": self.trace_dir,
+                "trace_name": (
+                    jobs[i].experiment if names[jobs[i].experiment] == 1
+                    else f"{jobs[i].experiment}_{keys[i][:10]}"
+                ),
+            }
+            for i in misses
+        ])
+        try:
+            for job, key, entry in zip(jobs, keys, entries):
+                if entry is not None:
+                    self.cached += 1
+                    yield JobOutcome(
+                        job=job,
+                        result=entry["result"],
+                        stdout=entry.get("stdout", ""),
+                        cached=True,
+                        elapsed_s=0.0,
+                        metrics=entry.get("metrics"),
+                        trace_file=entry.get("trace_file"),
+                    )
+                    continue
+                raw, elapsed = next(raws)
                 self.simulated += 1
-                job = jobs[i]
                 if self.cache is not None:
                     entry = {
                         "experiment": job.experiment,
@@ -342,8 +347,8 @@ class ParallelRunner:
                     if "metrics" in raw:
                         entry["metrics"] = raw["metrics"]
                         entry["trace_file"] = raw.get("trace_file")
-                    self.cache.put(job.key(scale), entry)
-                outcomes[i] = JobOutcome(
+                    self.cache.put(key, entry)
+                yield JobOutcome(
                     job=job,
                     result=raw["result"],
                     stdout=raw["stdout"],
@@ -352,9 +357,23 @@ class ParallelRunner:
                     metrics=raw.get("metrics"),
                     trace_file=raw.get("trace_file"),
                 )
+        finally:
+            raws.close()  # shuts the pool down if the caller stopped early
+            self.elapsed_s += time.perf_counter() - started
 
-        self.elapsed_s += time.perf_counter() - started
-        return [o for o in outcomes if o is not None]
+    def _execute(
+        self, specs: List[Dict[str, Any]]
+    ) -> Iterator[Tuple[Dict[str, Any], float]]:
+        """``(raw, elapsed_s)`` per spec, in order; both branches are lazy
+        in-order iterators, so each result is available when it is done."""
+        if self.workers == 1 or len(specs) <= 1:
+            yield from map(_timed_execute, specs)
+            return
+        with ProcessPoolExecutor(
+            max_workers=min(self.workers, len(specs)),
+            mp_context=get_context("spawn"),
+        ) as pool:
+            yield from pool.map(_timed_execute, specs)
 
     def summary(self) -> Dict[str, Any]:
         """Counters for the run: how much was simulated vs replayed."""
@@ -376,7 +395,6 @@ def run_grid(
     cache_dir: Optional[str] = None,
     use_cache: bool = True,
     trace_dir: Optional[str] = None,
-    dispatcher: Optional[Any] = None,
 ) -> List[JobOutcome]:
     """Fan a parameter grid × seeds out across workers.
 
@@ -390,6 +408,6 @@ def run_grid(
     ]
     runner = ParallelRunner(
         workers=workers, cache_dir=cache_dir, use_cache=use_cache,
-        trace_dir=trace_dir, dispatcher=dispatcher,
+        trace_dir=trace_dir,
     )
     return runner.run(jobs)

@@ -2,28 +2,29 @@
 
 Usage::
 
-    python -m repro.bench.run_all                   # serial, quick scale
+    python -m repro.bench.run_all                   # one worker, no cache
     python -m repro.bench.run_all -j 4              # 4 worker processes + cache
     python -m repro.bench.run_all -j 4 --no-cache   # parallel, always simulate
     python -m repro.bench.run_all --clear-cache     # drop cached results
     REPRO_SCALE=full python -m repro.bench.run_all
     python -m repro.bench.run_all fig14 fig24       # a subset
 
-With ``-j`` the experiments fan out over a process pool and completed runs
-are memoized in an on-disk result cache (``.bench_cache/`` by default, or
-``REPRO_CACHE_DIR``), so a re-run of an unchanged grid replays instantly.
-Output is merged in submission order — byte-identical to a serial run.
+Every run goes through :class:`~repro.bench.parallel.ParallelRunner`.
+Without ``-j`` it has one worker, runs each experiment in this process and
+uses no cache.  With ``-j`` the experiments fan out over a process pool
+and completed runs are memoized in an on-disk result cache
+(``.bench_cache/`` by default, or ``REPRO_CACHE_DIR``), so a re-run of an
+unchanged grid replays instantly.  Either way each table prints as soon as
+its experiment and every earlier one are done, in submission order, so
+the output is byte-identical across modes.  Harness lines start with
+``[``; ``grep -v '^\\['`` leaves the tables and the ``scale:`` line.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
-import time
 
-from ..obs.observer import Observability, activate, deactivate
 from .experiments import (
     extra_controller_failover,
     extra_elasticity_churn,
@@ -123,63 +124,6 @@ def _parse(argv):
     return parser.parse_args(argv)
 
 
-def _run_serial(names, trace_dir=None) -> None:
-    for name in names:
-        started = time.time()
-        print(f"\n########## {name} ##########")
-        if trace_dir is None:
-            EXPERIMENTS[name].main()
-        else:
-            obs = activate(Observability())
-            try:
-                EXPERIMENTS[name].main()
-            finally:
-                deactivate()
-            os.makedirs(trace_dir, exist_ok=True)
-            trace_path = os.path.join(trace_dir, f"{name}.trace.json")
-            obs.export_chrome(trace_path)
-            with open(
-                os.path.join(trace_dir, f"{name}.metrics.json"),
-                "w", encoding="utf-8",
-            ) as fh:
-                json.dump(obs.snapshot(), fh, indent=2, sort_keys=True)
-            print(f"[trace: {trace_path}]")
-        print(f"[{name} done in {time.time() - started:.1f}s]")
-
-
-def _run_parallel(names, workers, use_cache, cache_dir, trace_dir=None) -> None:
-    jobs = [
-        ExperimentJob(
-            experiment=name,
-            fn=f"{EXPERIMENTS[name].__name__}:main",
-        )
-        for name in names
-    ]
-    runner = ParallelRunner(
-        workers=workers, cache_dir=cache_dir, use_cache=use_cache,
-        trace_dir=trace_dir,
-    )
-    outcomes = runner.run(jobs)
-    for outcome in outcomes:
-        print(f"\n########## {outcome.job.experiment} ##########")
-        # The experiment's own table output, replayed in submission order.
-        sys.stdout.write(outcome.stdout)
-        if outcome.trace_file:
-            print(f"[trace: {outcome.trace_file}]")
-        if outcome.cached:
-            print(f"[{outcome.job.experiment}: cached]")
-        else:
-            print(
-                f"[{outcome.job.experiment}: simulated in {outcome.elapsed_s:.1f}s]"
-            )
-    s = runner.summary()
-    print(
-        f"\nparallel runner: {s['jobs']} jobs "
-        f"({s['simulated']} simulated, {s['cached']} cached) "
-        f"on {s['workers']} workers in {s['elapsed_s']}s"
-    )
-
-
 def main(argv=None) -> int:
     args = _parse(argv if argv is not None else sys.argv[1:])
     if args.clear_cache:
@@ -195,16 +139,33 @@ def main(argv=None) -> int:
         print(f"unknown experiments: {unknown}; available: {sorted(EXPERIMENTS)}")
         return 2
     print(f"scale: {scale_name()}")
-    if args.parallel is not None:
-        _run_parallel(
-            names,
-            workers=args.parallel,
-            use_cache=not args.no_cache,
-            cache_dir=args.cache_dir,
-            trace_dir=args.trace,
+    runner = ParallelRunner(
+        workers=args.parallel or 1,
+        cache_dir=args.cache_dir,
+        use_cache=args.parallel is not None and not args.no_cache,
+        trace_dir=args.trace,
+    )
+    jobs = [
+        ExperimentJob(experiment=name, fn=f"{EXPERIMENTS[name].__name__}:main")
+        for name in names
+    ]
+    for outcome in runner.stream(jobs):
+        name = outcome.job.experiment
+        print(f"\n########## {name} ##########")
+        sys.stdout.write(outcome.stdout)
+        if outcome.trace_file:
+            print(f"[trace: {outcome.trace_file}]")
+        status = (
+            "cached" if outcome.cached
+            else f"simulated in {outcome.elapsed_s:.1f}s"
         )
-    else:
-        _run_serial(names, trace_dir=args.trace)
+        print(f"[{name}: {status}]", flush=True)
+    s = runner.summary()
+    print(
+        f"[runner: {s['jobs']} jobs ({s['simulated']} simulated, "
+        f"{s['cached']} cached) on {s['workers']} "
+        f"worker{'s' if s['workers'] > 1 else ''} in {s['elapsed_s']:.1f}s]"
+    )
     return 0
 
 

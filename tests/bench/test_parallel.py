@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.bench import parallel
 from repro.bench.parallel import (
     ExperimentJob,
     ParallelRunner,
@@ -12,6 +13,7 @@ from repro.bench.parallel import (
     jsonify,
     run_grid,
 )
+from repro.bench.scale import scale_name
 
 FIG04 = "repro.bench.experiments.fig04_cache_size:run"
 TINY = {"n_requests": 3000, "n_keys": 256, "size_fracs": (0.1, 0.4)}
@@ -85,6 +87,30 @@ def test_cache_ignores_corrupt_files(tmp_path):
     cache = ResultCache(tmp_path)
     (tmp_path / "bad.json").write_text("{not json", encoding="utf-8")
     assert cache.get("bad") is None
+
+
+def test_cache_put_is_safe_for_concurrent_writers(tmp_path, monkeypatch):
+    # A second writer of the same key starts and finishes while the first
+    # is mid-write: each must write its own temporary file, so both return
+    # and the key holds one whole entry.
+    cache = ResultCache(tmp_path)
+    outer = {"result": "outer", "stdout": ""}
+    inner = {"result": "inner and longer", "stdout": "x" * 64}
+    real_dump = json.dump
+    raced = []
+
+    def dump_with_a_racing_put(obj, fh, **kwargs):
+        if not raced:
+            raced.append(True)
+            cache.put("k", inner)
+        real_dump(obj, fh, **kwargs)
+
+    monkeypatch.setattr(parallel.json, "dump", dump_with_a_racing_put)
+    cache.put("k", outer)
+    monkeypatch.undo()
+    assert raced
+    assert json.loads((tmp_path / "k.json").read_text()) in (outer, inner)
+    assert [p.name for p in tmp_path.iterdir()] == ["k.json"]
 
 
 # -- execute_job -----------------------------------------------------------
@@ -172,6 +198,21 @@ def test_run_grid_orders_by_point_then_seed(tmp_path):
 def test_runner_rejects_bad_workers():
     with pytest.raises(ValueError):
         ParallelRunner(workers=0)
+
+
+def test_one_worker_or_one_job_never_builds_a_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was built")
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+    probes = [
+        ExperimentJob(f"probe{i}", "repro.bench.scale:scale_name")
+        for i in range(3)
+    ]
+    outcomes = ParallelRunner(workers=1, use_cache=False).run(probes)
+    assert [o.result for o in outcomes] == [scale_name()] * 3
+    (one,) = ParallelRunner(workers=4, use_cache=False).run(probes[:1])
+    assert one.result == scale_name()
 
 
 # -- per-job profiling (REPRO_PROFILE=1) -----------------------------------
@@ -301,6 +342,7 @@ def test_run_all_parallel_matches_serial_output(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     assert run_all.main(["tab02"]) == 0
     serial_out = capsys.readouterr().out
+    assert not any(tmp_path.iterdir())  # a run without -j uses no cache
 
     assert run_all.main(["-j", "1", "tab02"]) == 0
     parallel_out = capsys.readouterr().out
@@ -309,14 +351,10 @@ def test_run_all_parallel_matches_serial_output(tmp_path, capsys, monkeypatch):
 
     def table_of(text):
         # The experiment's own lines, without harness timing/summary chrome.
-        lines = [
-            line
-            for line in text.splitlines()
-            if not line.startswith(("[", "parallel runner:", "scale:"))
+        return [
+            line for line in text.splitlines()
+            if not line.startswith(("[", "scale:"))
         ]
-        while lines and not lines[-1]:
-            lines.pop()
-        return lines
 
     assert table_of(serial_out) == table_of(parallel_out) == table_of(cached_out)
     assert "(1 simulated, 0 cached)" in parallel_out
@@ -339,3 +377,43 @@ def test_run_all_clear_cache(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert run_all.main(["--clear-cache"]) == 0
     assert "cleared 1 cached results" in capsys.readouterr().out
+
+
+def test_run_all_prints_each_table_when_its_experiment_finishes(
+    tmp_path, capsys, monkeypatch
+):
+    from repro.bench import run_all
+    from repro.bench.experiments import fig04_cache_size
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    seen_at_start = []
+
+    def spy_main():
+        seen_at_start.append(capsys.readouterr().out)
+        print("fig04 table")
+
+    monkeypatch.setattr(fig04_cache_size, "main", spy_main)
+    assert run_all.main(["-j", "1", "tab02", "fig04"]) == 0
+    (before_fig04,) = seen_at_start
+    assert "Table 2" in before_fig04
+    assert "fig04 table" in capsys.readouterr().out
+
+
+def test_run_all_serial_and_pooled_leave_the_same_trace_files(tmp_path, capsys):
+    from repro.bench import run_all
+    from repro.obs import validate_trace
+
+    serial, pooled = tmp_path / "D", tmp_path / "D2"
+    names = ["tab02", "fig04"]
+    assert run_all.main(["--trace", str(serial), *names]) == 0
+    assert run_all.main(
+        ["-j", "2", "--no-cache", "--trace", str(pooled), *names]
+    ) == 0
+    files = sorted(p.name for p in serial.iterdir())
+    assert files == [
+        f"{name}.{kind}.json"
+        for name in sorted(names) for kind in ("metrics", "trace")
+    ]
+    assert sorted(p.name for p in pooled.iterdir()) == files
+    for path in [*serial.glob("*.trace.json"), *pooled.glob("*.trace.json")]:
+        assert validate_trace(json.loads(path.read_text())) == []
