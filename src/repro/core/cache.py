@@ -15,13 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple, Union
 
-from ..memory import (
-    Controller,
-    MemoryBudget,
-    MemoryNode,
-    MemoryPool,
-    StripedAllocator,
-)
+from ..memory import Controller, MemoryBudget, MemoryNode, MemoryPool
 from ..obs.observer import Observability
 from ..obs.observer import current as obs_current
 from ..rdma.params import NetworkParams
@@ -31,11 +25,10 @@ from ..sim.faults import FaultInjector, FaultPlan
 from .adaptive import GlobalWeights
 from .client import DittoClient
 from .config import DittoConfig
-from .consensus import ControllerGroup, MetadataState, RaftParams
+from .consensus import ControllerGroup, MetadataState
 from .elasticity import (
     ACTIVE,
-    DRAINING,
-    RETIRED,
+    CONTROL_RETRY_LIMIT,
     EpochFence,
     MembershipTable,
     MigrationError,
@@ -44,6 +37,7 @@ from .elasticity import (
 )
 from .geometry import plan_cluster
 from .history import RemoteFifoHistory
+from .retry import backoff_us
 
 
 class DittoCluster:
@@ -64,7 +58,6 @@ class DittoCluster:
         faults: Optional[Union[FaultPlan, FaultInjector]] = None,
         obs: Optional[Observability] = None,
         controller_replicas: int = 0,
-        raft_params: Optional[RaftParams] = None,
     ):
         """``max_capacity_objects`` provisions the memory pool for future
         elastic growth (default: the initial capacity); ``resize_memory``
@@ -73,7 +66,16 @@ class DittoCluster:
         With ``num_memory_nodes > 1`` the pool spans several MNs: the hash
         table, history counter, and expert weights live on node 0 and the
         object heap stripes across all nodes, spreading data-path verbs over
-        every node's NIC (the paper's multi-MN compatibility, §5.1)."""
+        every node's NIC (the paper's multi-MN compatibility, §5.1).
+
+        ``controller_replicas > 0`` replicates the controller metadata
+        (DESIGN §3.6): a :class:`~repro.core.consensus.ControllerGroup` of
+        that many raft-style replicas runs over the cluster's physical
+        :class:`MetadataState`, and segment-management and membership RPCs
+        from clients and migrators route through the group (majority
+        commit, leader redirects, session dedup), so any minority of
+        controller replicas can crash or partition — even mid-drain —
+        without losing metadata or blocking the cluster."""
         self.engine = engine or Engine()
         self.config = config or DittoConfig()
         self.params = params or NetworkParams()
@@ -187,13 +189,19 @@ class DittoCluster:
         self._next_client_id = 0
         #: Replicated controller group (``repro.core.consensus``); stays
         #: None — with zero overhead and byte-identical outputs — unless
-        #: ``controller_replicas`` > 0 or :meth:`enable_controller_ha` runs.
+        #: ``controller_replicas`` > 0.
         self.consensus: Optional[ControllerGroup] = None
         self._cluster_consensus = None
         self._metadata: Optional[MetadataState] = None
-        self._raft_params = raft_params
         if controller_replicas:
-            self.enable_controller_ha(controller_replicas, params=raft_params)
+            self._ensure_elastic()
+            self.consensus = ControllerGroup(
+                self.engine, self._metadata, controller_replicas, self.seed,
+                faults=self.fault_injector, counters=self.counters,
+                tracer=self.tracer,
+            )
+            #: The cluster's own submission handle (add_memory_node etc.).
+            self._cluster_consensus = self.consensus.make_client()
         self.add_clients(num_clients)
 
     def _watch_node(self, node) -> None:
@@ -368,7 +376,8 @@ class DittoCluster:
     # -- elastic memory nodes (epoch-fenced membership) ---------------------
 
     def _ensure_elastic(self) -> None:
-        """Arm the membership table and epoch fence (first scale event).
+        """Arm the membership state machine and epoch fence (first scale
+        event, or construction with a controller group).
 
         Lazy on purpose: until the node set actually changes, the fence
         stays None and every verb takes the unfenced fast path, keeping
@@ -378,6 +387,14 @@ class DittoCluster:
             return
         self.membership = MembershipTable(n.node_id for n in self.nodes)
         self.fence = EpochFence()
+        # The one membership state machine: the live table, every
+        # controller's SegmentState and the live GlobalWeights, shared by
+        # reference.  Every flip is a command applied to it — through a
+        # controller group's log when there is one (``_commit``).
+        self._metadata = MetadataState(self.membership)
+        for node in self.nodes:
+            self._metadata.adopt_node(node.controller.state)
+        self._metadata.adopt_weights(self.global_weights)
         # Clients learn the table from the metadata service on node 0; a
         # fenced verb NACKs with StaleEpoch and the client refreshes.
         self.controller.register(
@@ -391,54 +408,22 @@ class DittoCluster:
                 "elastic.epoch", cluster=self._obs_id
             )
 
-    def enable_controller_ha(
-        self, replicas: int = 3, params: Optional[RaftParams] = None
-    ) -> ControllerGroup:
-        """Arm replicated controller metadata (DESIGN §3.6).
+    def _commit(self, command, session=None):
+        """Apply one membership command to the state machine; a generator.
 
-        Builds a :class:`~repro.core.consensus.ControllerGroup` of
-        ``replicas`` raft-style state machines over the cluster's *physical*
-        metadata — the live :class:`MembershipTable` and every controller's
-        :class:`~repro.memory.controller.SegmentState`, shared by reference.
-        From here on, segment-management and membership RPCs from clients
-        and migrators route through the group (majority commit, leader
-        redirects, session dedup) instead of the single controller on node
-        0, so any minority of controller replicas can crash or partition —
-        even mid-drain — without losing metadata or blocking the cluster.
+        With a controller group the command commits through the replicated
+        log under ``session`` (default: the cluster's own); without one it
+        applies at once and the generator never yields.
         """
-        if self.consensus is not None:
-            raise RuntimeError("controller HA is already enabled")
-        if replicas < 1:
-            raise ValueError("need at least one controller replica")
-        self._ensure_elastic()
-        metadata = MetadataState(self.membership)
-        for node in self.nodes:
-            metadata.adopt_node(node.controller.state)
-        # The adaptive expert weights are metadata too: adopting the live
-        # GlobalWeights by reference makes the physical state machine fold
-        # committed "update_weights" entries into the same object the
-        # node-0 RPC handler serves, while replicas carry their own copies
-        # — a leader crash no longer loses the learned weights.
-        metadata.adopt_weights(self.global_weights)
-        self._metadata = metadata
-        self.consensus = ControllerGroup(
-            self.engine, metadata, replicas, self.seed,
-            params=params if params is not None else self._raft_params,
-            faults=self.fault_injector, counters=self.counters,
-            tracer=self.tracer,
-        )
-        for client in self.clients:
-            if client.ep.consensus is None:
-                client.ep.consensus = self.consensus.make_client()
-        #: The cluster's own submission handle (add_memory_node etc.).
-        self._cluster_consensus = self.consensus.make_client()
-        return self.consensus
+        if self.consensus is None:
+            return self._metadata.apply_entry(None, 0, command)
+        result = yield from (session or self._cluster_consensus).submit(command)
+        return result
 
     def _publish_epoch(self, epoch: int) -> None:
-        """Make a new membership epoch visible to fences and controllers."""
+        """Make a new membership epoch visible to fences (the controllers
+        were stamped by the state machine)."""
         self.fence.advance(epoch)
-        for node in self.nodes:
-            node.controller.state.epoch = epoch
         self.counters.add("epoch_bump")
         if self._epoch_gauge is not None:
             self._epoch_gauge.set(epoch)
@@ -468,18 +453,13 @@ class DittoCluster:
         self.pool.add(node)
         for client in self.clients:
             client.alloc.add_node(node)
-        if self.consensus is not None:
-            # Pre-bind the new controller's state into the physical
-            # metadata, then commit the join through the replicated log
-            # (replicas build their own copies from the command's range).
-            self._metadata.adopt_node(node.controller.state)
-            epoch = self.engine.run_process(
-                self._cluster_consensus.submit(
-                    ("add_node", node_id, node.base, node.end)
-                )
-            )
-        else:
-            epoch = self.membership.add(node_id)
+        # Pre-bind the new controller's state into the physical metadata,
+        # then commit the join (replicas of a controller group build their
+        # own copies from the command's range).
+        self._metadata.adopt_node(node.controller.state)
+        epoch = self.engine.run_process(
+            self._commit(("add_node", node_id, node.base, node.end))
+        )
         self._publish_epoch(epoch)
         self._watch_node(node)
         self.counters.add("mn_added")
@@ -490,8 +470,9 @@ class DittoCluster:
 
         Two-phase, epoch-fenced (DESIGN §3.4):
 
-        * **Copy** — the node is marked DRAINING (epoch bump), its heap
-          range write-fenced, and its controller stops granting segments.
+        * **Copy** — the drain's first step marks the node DRAINING (epoch
+          bump), write-fences its heap range, and its controller stops
+          granting segments.
           A migrator copies objects out hot-data-first (sampled freq /
           recency), installing each move with a CAS on the object's hash
           slot — concurrent client updates win the CAS and cost nothing.
@@ -544,19 +525,11 @@ class DittoCluster:
                 f"cannot drain node {node_id}: survivors have {have} bytes "
                 f"free but up to {need} live bytes may need relocation"
             )
-        if self.consensus is None:
-            epoch = self.membership.set_state(node_id, DRAINING)
-            self.fence.fence_writes(node.base, node.end, node_id)
-            self._publish_epoch(epoch)
-            node.controller.state.draining = True
-        else:
-            # Controller HA: the DRAINING flip must replicate before the
-            # drain proceeds, and commits need sim time — the migrator
-            # commits it as its first step (epoch_start is provisional
-            # until then).
-            epoch = self.membership.epoch
+        # The migrator commits the DRAINING flip as its first step
+        # (epoch_start is provisional until then).
         record = MigrationRecord(
-            node_id=node_id, epoch_start=epoch, started_us=self.engine.now
+            node_id=node_id, epoch_start=self.membership.epoch,
+            started_us=self.engine.now,
         )
         self.migrations.append(record)
         migrator = Migrator(self, node, record, on_phase=on_phase)
@@ -564,21 +537,17 @@ class DittoCluster:
         self.counters.add("mn_remove_started")
         return self.engine.spawn(migrator.drain(), name=f"drain_mn{node_id}")
 
-    def _finish_drain(self, migrator, epoch=None) -> Optional[DittoClient]:
+    def _finish_drain(self, migrator, epoch: int) -> Optional[DittoClient]:
         """Atomic handoff: retire the drained node and purge references.
 
-        Called by the migrator after two consecutive clean scans, with no
-        yields — membership flip, fence, pool removal, and allocator purge
+        Called by the migrator once the RETIRED flip (``epoch``) has
+        committed, with no yields — fence, pool removal, and allocator purge
         all land at one simulated instant, so no verb can observe a
         half-retired node.  Returns the survivor that adopts the migrator's
         allocator (grant-log reassignment follows via RPC in the drain
         process), or None if every client is dead.
         """
         node = migrator.node
-        if epoch is None:
-            epoch = self.membership.set_state(node.node_id, RETIRED)
-        # (Under controller HA the flip already committed through the log,
-        # which mutated this same membership table; ``epoch`` carries it.)
         self.fence.retire(node.base, node.end, node.node_id)
         self._publish_epoch(epoch)
         migrator.record.epoch_end = epoch
@@ -594,18 +563,14 @@ class DittoCluster:
             survivor.alloc.adopt(migrator.alloc)
         return survivor
 
-    def _abort_drain(self, migrator, epoch=None) -> Optional[DittoClient]:
-        """Back out of a drain that cannot complete: the node returns to
-        ACTIVE at a new epoch and the write fence lifts.  Objects already
+    def _abort_drain(self, migrator, epoch: int) -> Optional[DittoClient]:
+        """Back out of a drain that cannot complete: the node is back to
+        ACTIVE at ``epoch`` and the write fence lifts.  Objects already
         copied off stay where they landed (moving them back would be wasted
         work); the migrator's allocator state goes to a survivor so every
         byte stays accounted.  Synchronous, like :meth:`_finish_drain`."""
-        node = migrator.node
-        if epoch is None:
-            epoch = self.membership.set_state(node.node_id, ACTIVE)
-        self.fence.lift_writes(node.node_id)
+        self.fence.lift_writes(migrator.node.node_id)
         self._publish_epoch(epoch)
-        node.controller.state.draining = False
         migrator.record.epoch_end = epoch
         migrator.record.phase = "aborted"
         self._active_migrators.remove(migrator)
@@ -694,21 +659,42 @@ class DittoCluster:
     def _recovery_rpc(self, survivor, node, op, payload):
         """A recovery RPC with (generous) fault retries: recovery itself can
         run inside the fault window that caused the crash."""
+        result = yield from self._retrying(
+            lambda: survivor.ep.metadata(node, op, payload), survivor
+        )
+        return result
+
+    def _retrying(self, step, survivor=None, give_up="crash_recovery_failed"):
+        """Run one control-plane step (``step()`` makes its generator),
+        retrying around injected fault windows.
+
+        Crash recovery and the drain share this loop: one budget
+        (``CONTROL_RETRY_LIMIT``), backoff drawn from ``survivor`` or else
+        the first live client.  A persistently unreachable target counts
+        ``give_up`` and re-raises rather than spin the engine forever; the
+        invariant sweep reports the unreconciled state.
+        """
         attempt = 0
         while True:
             try:
-                result = yield from survivor.ep.metadata(node, op, payload)
+                result = yield from step()
                 return result
             except RdmaFaultError:
                 attempt += 1
-                if attempt > 1000:
-                    # Persistently unreachable; give up rather than spin the
-                    # engine forever.  The invariant sweep will report the
-                    # unreconciled state.
-                    self.counters.add("crash_recovery_failed")
+                if attempt > CONTROL_RETRY_LIMIT:
+                    self.counters.add(give_up)
                     raise
                 self.counters.add("fault_retry")
-                delay = survivor._backoff_us(min(attempt, 8))
+                client = survivor or next(
+                    (c for c in self.clients if not c.dead), None
+                )
+                if client is not None:
+                    delay = client._backoff_us(min(attempt, 8))
+                else:
+                    # No live client RNG to draw jitter from.
+                    delay = backoff_us(
+                        min(attempt, 8), base=self.config.retry_backoff_us
+                    )
                 if delay > 0.0:
                     yield Timeout(delay)
 

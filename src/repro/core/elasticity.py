@@ -43,9 +43,7 @@ from typing import Dict, List, Optional, Tuple
 from ..memory.allocator import StripedAllocator
 from ..memory.controller import OutOfMemoryError
 from ..rdma.verbs import RdmaEndpoint, RdmaFaultError, StaleEpoch
-from ..sim import Timeout
 from . import layout as L
-from .retry import backoff_us
 
 #: Node membership states.
 ACTIVE = "active"
@@ -59,9 +57,9 @@ SCAN_CHUNK_SLOTS = 128
 #: workload that keeps racing objects onto the draining node.
 MAX_DRAIN_PASSES = 64
 
-#: Retry budget for one migration step under injected faults (mirrors the
-#: crash-recovery RPC budget: migration must ride out the same windows).
-MIGRATION_RETRY_LIMIT = 1000
+#: Fault-retry budget for one control-plane step: a crash-recovery RPC or a
+#: migration step (both ride out the same windows in ``_retrying``).
+CONTROL_RETRY_LIMIT = 1000
 
 #: Grant-log owner ids for migration allocators: negative and offset so they
 #: can never collide with client ids (>= 0) or the anonymous owner (-1).
@@ -267,27 +265,6 @@ class Migrator:
                 {"phase": phase, "node": self.node.node_id},
             )
 
-    def _retry_pause(self, attempt: int):
-        """Backoff between fault retries of a migration step."""
-        if attempt > MIGRATION_RETRY_LIMIT:
-            self.counters.add("migration_failed")
-            raise MigrationError(
-                f"drain of node {self.node.node_id} gave up after "
-                f"{MIGRATION_RETRY_LIMIT} fault retries"
-            )
-        self.counters.add("fault_retry")
-        survivor = next(
-            (c for c in self.cluster.clients if not c.dead), None
-        )
-        if survivor is not None:
-            delay = survivor._backoff_us(min(attempt, 8))
-        else:
-            # No live client RNG to draw jitter from: plain exponential.
-            delay = backoff_us(
-                min(attempt, 8), base=self.cluster.config.retry_backoff_us
-            )
-        return Timeout(delay) if delay > 0.0 else Timeout(0.0)
-
     # -- the drain ----------------------------------------------------------
 
     def drain(self):
@@ -304,18 +281,17 @@ class Migrator:
         rec = self.record
         t0 = cluster.engine.now
         try:
-            if self.ep.consensus is not None:
-                # Controller HA: the DRAINING flip is a replicated log
-                # entry, not a local mutation — the drain only proceeds
-                # once a majority of controller replicas has durably
-                # recorded it, so a failed-over controller knows a drain
-                # was in flight.  The fence arms at the committed epoch.
-                epoch = yield from self._commit_membership(DRAINING)
-                cluster.fence.fence_writes(
-                    self.node.base, self.node.end, self.node.node_id
-                )
-                cluster._publish_epoch(epoch)
-                rec.epoch_start = epoch
+            # The DRAINING flip is the drain's first step.  Under controller
+            # HA it is a replicated log entry: the drain only proceeds once
+            # a majority of controller replicas has durably recorded it, so
+            # a failed-over controller knows a drain was in flight.  The
+            # fence arms at the committed epoch.
+            epoch = yield from self._commit_membership(DRAINING)
+            cluster.fence.fence_writes(
+                self.node.base, self.node.end, self.node.node_id
+            )
+            cluster._publish_epoch(epoch)
+            rec.epoch_start = epoch
             # Phase 1 — copy: hot-first passes until a pass moves nothing.
             self._notify("copy")
             t_copy = cluster.engine.now
@@ -335,28 +311,19 @@ class Migrator:
             self._notify("handoff")
             t_handoff = cluster.engine.now
             yield from self._passes_until_clean("handoff")
-            epoch_end = None
-            if self.ep.consensus is not None:
-                # The RETIRED flip, too, must commit before the node leaves
-                # the pool; a persistent commit failure aborts the drain.
-                epoch_end = yield from self._commit_membership(RETIRED)
+            # The RETIRED flip, too, must commit before the node leaves the
+            # pool; a persistent commit failure aborts the drain.
+            epoch_end = yield from self._commit_membership(RETIRED)
         except MigrationError:
-            epoch = None
-            if self.ep.consensus is not None:
-                # Best effort: if even the abort cannot commit (controller
-                # group persistently unavailable), fall back to the local
-                # epoch bump rather than unwinding the engine.
-                epoch = yield from self._commit_membership(
-                    ACTIVE, best_effort=True
-                )
-            survivor = cluster._abort_drain(self, epoch=epoch)
+            epoch = yield from self._commit_membership(ACTIVE, best_effort=True)
+            survivor = cluster._abort_drain(self, epoch)
             yield from self._reassign_grants_to(survivor)
             self._notify("aborted")
             rec.finished_us = cluster.engine.now
             return rec
         # Synchronous retire: no yield between the fence flip and the purge,
         # so no verb can observe a half-retired node.
-        survivor = cluster._finish_drain(self, epoch=epoch_end)
+        survivor = cluster._finish_drain(self, epoch_end)
         yield from self._reassign_grants_to(survivor)
         if self.tracer is not None:
             self.tracer.complete_at(
@@ -373,24 +340,23 @@ class Migrator:
         return rec
 
     def _commit_membership(self, state: str, best_effort: bool = False):
-        """Commit a membership flip for the draining node through the
-        replicated controller log.  Retries ride the migration fault budget
+        """Commit a membership flip for the draining node; returns the new
+        epoch.  Under controller HA retries ride the migration fault budget
         (:class:`~repro.core.consensus.ConsensusUnavailable` is an
-        :class:`RdmaFaultError`); with ``best_effort`` a final failure
-        returns None instead of raising, for the abort path."""
-        node_id = self.node.node_id
+        :class:`RdmaFaultError`); with ``best_effort`` (the abort path) a
+        log that stays unavailable gets the flip applied locally instead of
+        unwinding the engine."""
+        command = ("membership_set", self.node.node_id, state)
         try:
             epoch = yield from self._with_retries(
-                lambda: self.ep.consensus.submit(
-                    ("membership_set", node_id, state)
-                )
+                lambda: self.cluster._commit(command, self.ep.consensus)
             )
             return epoch
         except MigrationError:
-            if best_effort:
-                self.counters.add("migration_commit_failed")
-                return None
-            raise
+            if not best_effort:
+                raise
+            self.counters.add("migration_commit_failed")
+            return self.cluster._metadata.apply_entry(None, 0, command)
 
     def _reassign_grants_to(self, survivor):
         """Move the migration allocator's grant-log entries to the client
@@ -515,15 +481,18 @@ class Migrator:
         return gen
 
     def _with_retries(self, make_gen):
-        """Run one migration step, retrying around injected fault windows."""
-        attempt = 0
-        while True:
-            try:
-                result = yield from make_gen()
-                return result
-            except RdmaFaultError:
-                attempt += 1
-                yield self._retry_pause(attempt)
+        """Run one migration step under the cluster's control-plane retry
+        loop; an exhausted budget aborts the drain."""
+        try:
+            result = yield from self.cluster._retrying(
+                make_gen, give_up="migration_failed"
+            )
+        except RdmaFaultError as err:
+            raise MigrationError(
+                f"drain of node {self.node.node_id} gave up after "
+                f"{CONTROL_RETRY_LIMIT} fault retries"
+            ) from err
+        return result
 
 
 __all__ = [

@@ -134,7 +134,6 @@ async def run_load(
     value_bytes: int = 232,
     preload: int = 0,
     seed: int = 7,
-    shm_reads: bool = False,
     timeout_s: float = 10.0,
     cluster: Optional[RealCluster] = None,
     on_start=None,
@@ -154,9 +153,7 @@ async def run_load(
     obs = observer.current()
     owns_cluster = cluster is None
     if owns_cluster:
-        cluster = RealCluster(
-            descriptor, timeout_s=timeout_s, shm_reads=shm_reads
-        )
+        cluster = RealCluster(descriptor, timeout_s=timeout_s)
     elif cluster.clients:
         raise ValueError("a caller-provided cluster must have no clients")
     cluster.add_clients(clients)
@@ -243,8 +240,6 @@ def main(argv=None) -> int:
     parser.add_argument("--value-bytes", type=int, default=232)
     parser.add_argument("--preload", type=int, default=0)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--shm-reads", action="store_true",
-                        help="serve READs straight from shared memory")
     parser.add_argument("--json", default="",
                         help="also write the report to this path")
     args = parser.parse_args(argv)
@@ -255,7 +250,6 @@ def main(argv=None) -> int:
         descriptor, clients=args.clients, ops=args.ops, n_keys=args.keys,
         theta=args.theta, read_ratio=args.read_ratio,
         value_bytes=args.value_bytes, preload=args.preload, seed=args.seed,
-        shm_reads=args.shm_reads,
     ))
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)

@@ -75,8 +75,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--value-bytes", type=int, default=232)
     parser.add_argument("--keys", type=int, default=2000)
     parser.add_argument("--preload", type=int, default=0)
-    parser.add_argument("--shm-reads", action="store_true",
-                        help="loadgen serves READs straight from shared memory")
     parser.add_argument("--chaos-plan", default="", metavar="PLAN_JSON",
                         help="with --load: arm this FaultPlan (sim-time "
                              "JSON, compiled to wall-clock) during the run")
@@ -153,7 +151,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 value_bytes=args.value_bytes,
                 preload=args.preload,
                 seed=args.seed + 7,
-                shm_reads=args.shm_reads,
             ))
             print(json.dumps(report, indent=2, sort_keys=True), flush=True)
             print(obs_runtime.format_digest(obs_runtime.build_digest(report)),

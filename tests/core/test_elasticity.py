@@ -168,6 +168,39 @@ class TestRemoveMemoryNode:
         with pytest.raises(ValueError):
             cache.cluster.remove_memory_node(0)
 
+    @pytest.mark.parametrize("outcome", ["done", "aborted"])
+    @pytest.mark.parametrize("replicas", [0, 3])
+    def test_drain_ends_one_epoch_later_on_every_node(self, replicas, outcome):
+        cluster = DittoCluster(
+            capacity_objects=256, object_bytes=128, num_clients=2, seed=5,
+            num_memory_nodes=3, controller_replicas=replicas,
+        )
+        for i in range(200):
+            cluster.engine.run_process(
+                cluster.clients[i % 2].set(b"k%d" % i, bytes([i % 251]) * 100)
+            )
+        node = cluster.nodes[2]
+        cluster.remove_memory_node(2)
+        if outcome == "aborted":
+            # Survivors out of segments: the copy's first allocation fails.
+            for survivor in cluster.nodes[:2]:
+                state = survivor.controller.state
+                state.next_free = state.end
+                state.free_segments.clear()
+        cluster.engine.run()
+        record = cluster.migrations[-1]
+        membership = cluster.membership
+        assert record.phase == outcome
+        expected = RETIRED if outcome == "done" else ACTIVE
+        assert membership.state(node.node_id) == expected
+        assert record.epoch_end == record.epoch_start + 1 == membership.epoch
+        for n in cluster.nodes:
+            assert n.controller.state.epoch == membership.epoch
+            if membership.state(n.node_id) == ACTIVE:
+                assert not n.controller.state.draining
+        if outcome == "aborted":
+            cluster.fence.check_write(node.base, "write", node.node_id)
+
     def test_draining_controller_rejects_new_grants(self):
         cache = make_cache()
         cluster = cache.cluster

@@ -38,19 +38,6 @@ def test_cluster_serves_load_and_shuts_down_leak_free():
     assert leak == {"live_processes": [], "leaked_shm": [], "clean": True}
 
 
-def test_shm_direct_reads_serve_gets():
-    with RealClusterHarness(
-        capacity_objects=512, num_clients=2, num_memory_nodes=1, seed=5
-    ) as harness:
-        report = asyncio.run(run_load(
-            harness.descriptor(), clients=2, ops=200, n_keys=100,
-            preload=50, seed=5, shm_reads=True,
-        ))
-    assert report["failed_ops"] == 0
-    assert report["counters"]["shm_direct_read"] > 0
-    assert harness.leak_report()["clean"]
-
-
 def test_launch_deadline_holds_against_a_silent_child(monkeypatch):
     """A node that never prints its ready line must not hold the launch
     past ``timeout_s``: the harness gives up, kills the child, raises."""
