@@ -37,8 +37,7 @@ def run(
             history_size=history_size,
             seed=seed,
         )
-        for key in trace:
-            cache.access(int(key))
+        cache.access_many(trace)
         rows.append(
             {
                 "factor": factor,

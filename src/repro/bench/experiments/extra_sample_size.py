@@ -34,8 +34,7 @@ def run(
             cache = SampledAdaptiveCache(
                 capacity, policies=(policy,), sample_size=k, seed=seed
             )
-            for key in trace:
-                cache.access(int(key))
+            cache.access_many(trace)
             per_policy[policy] = cache.hit_rate()
         rows.append(
             {

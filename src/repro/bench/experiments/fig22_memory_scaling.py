@@ -37,8 +37,7 @@ def run(
         for system, cache in caches.items():
             cache.resize(capacity)
             h0, m0 = cache.hits, cache.misses
-            for key in segment:
-                cache.access(int(key))
+            cache.access_many(segment)
             seen = cache.hits + cache.misses - h0 - m0
             row[system] = (cache.hits - h0) / seen if seen else 0.0
         rows.append(row)

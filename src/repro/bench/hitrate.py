@@ -31,20 +31,13 @@ def make_hit_cache(system: str, capacity: int, seed: int = 0):
 
 
 def _replay_span(cache, span) -> None:
-    """Feed one trace span through a cache, batched when it supports it.
+    """Feed one trace span through a cache in one batched call.
 
-    The single dispatch point for every replay helper: caches exposing
-    ``access_many`` (the sampled/exact simulators) take the batched path —
-    which itself picks the vectorized replay when eligible — and anything
-    else falls back to per-key ``access`` calls.
+    The single dispatch point for every replay helper: every hit-rate model
+    has ``access_many``, and the sampled simulator's picks the vectorized
+    replay itself when eligible.
     """
-    access_many = getattr(cache, "access_many", None)
-    if access_many is not None:
-        access_many(np.asarray(span))
-    else:
-        access = cache.access
-        for key in span:
-            access(int(key))
+    cache.access_many(np.asarray(span))
 
 
 def replay(cache, trace: Sequence[int]) -> float:

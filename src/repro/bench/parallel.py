@@ -54,6 +54,7 @@ from multiprocessing import get_context
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from ..cachesim.simulator import REPLAYED
 from ..obs.observer import Observability, activate, deactivate
 from .scale import scale_name
 
@@ -131,6 +132,9 @@ class JobOutcome:
     metrics: Optional[Dict[str, Any]] = None
     #: Chrome trace path written by a traced run (None otherwise).
     trace_file: Optional[str] = None
+    #: Accesses the job replayed through ``SampledAdaptiveCache.access_many``,
+    #: ``{"vectorized": V, "scalar": S}``; None for cached outcomes.
+    replayed: Optional[Dict[str, int]] = None
 
 
 class ResultCache:
@@ -178,7 +182,9 @@ def execute_job(spec: Dict[str, Any]) -> Dict[str, Any]:
     """Run one job in the current process; module-level for spawn safety.
 
     ``spec`` is the job as a plain dict (picklable); returns
-    ``{"result": <jsonified>, "stdout": <captured text>}`` plus, when
+    ``{"result": <jsonified>, "stdout": <captured text>, "replayed":
+    {"vectorized": V, "scalar": S}}`` (the change in
+    ``cachesim.simulator.REPLAYED`` across the job) plus, when
     enabled, ``metrics``/``trace_file`` (observability) and
     ``profile_file`` (``REPRO_PROFILE=1``).  With a ``trace_dir`` the job
     runs under a fresh hub and leaves ``<trace_dir>/<name>.trace.json`` and
@@ -210,6 +216,7 @@ def execute_job(spec: Dict[str, Any]) -> Dict[str, Any]:
         profiler = cProfile.Profile()
 
     buffer = io.StringIO()
+    before = dict(REPLAYED)
     try:
         with redirect_stdout(buffer):
             if profiler is not None:
@@ -223,7 +230,12 @@ def execute_job(spec: Dict[str, Any]) -> Dict[str, Any]:
         if obs is not None:
             deactivate()
 
-    raw: Dict[str, Any] = {"result": jsonify(result), "stdout": buffer.getvalue()}
+    raw: Dict[str, Any] = {
+        "result": jsonify(result),
+        "stdout": buffer.getvalue(),
+        "replayed": {branch: REPLAYED[branch] - before[branch]
+                     for branch in REPLAYED},
+    }
 
     if profiler is not None:
         profile_dir = Path(os.environ.get("REPRO_PROFILE_DIR") or ".profiles")
@@ -356,6 +368,7 @@ class ParallelRunner:
                     elapsed_s=elapsed,
                     metrics=raw.get("metrics"),
                     trace_file=raw.get("trace_file"),
+                    replayed=raw["replayed"],
                 )
         finally:
             raws.close()  # shuts the pool down if the caller stopped early

@@ -159,6 +159,12 @@ def main(argv=None) -> int:
             "cached" if outcome.cached
             else f"simulated in {outcome.elapsed_s:.1f}s"
         )
+        replayed = outcome.replayed
+        if replayed and any(replayed.values()):
+            status += (
+                f"; replayed {replayed['vectorized']} vectorized, "
+                f"{replayed['scalar']} scalar"
+            )
         print(f"[{name}: {status}]", flush=True)
     s = runner.summary()
     print(

@@ -1,7 +1,6 @@
 """Fast hit-rate simulators sharing policy semantics with the DM client."""
 
 from .exact import (
-    BeladyCache,
     ExactCacheBase,
     ExactLFUCache,
     ExactLRUCache,
@@ -10,7 +9,6 @@ from .exact import (
 from .simulator import SampledAdaptiveCache
 
 __all__ = [
-    "BeladyCache",
     "ExactCacheBase",
     "ExactLFUCache",
     "ExactLRUCache",

@@ -35,6 +35,14 @@ class ExactCacheBase:
     def access(self, key, size: int = 1, cost: float = 1.0) -> bool:
         raise NotImplementedError
 
+    def access_many(self, keys) -> int:
+        """:meth:`access` over a key array, in order; returns hits added."""
+        hits = self.hits
+        access = self.access
+        for key in keys.tolist():
+            access(key)
+        return self.hits - hits
+
 
 class ExactLRUCache(ExactCacheBase):
     """Textbook LRU with a doubly linked list (an OrderedDict)."""
@@ -57,6 +65,29 @@ class ExactLRUCache(ExactCacheBase):
         self.misses += 1
         self.insert(key)
         return False
+
+    def access_many(self, keys) -> int:
+        """:meth:`access` per key with the hit/evict loop inlined; the
+        counters are added once at the end."""
+        store = self._store
+        move_to_end = store.move_to_end
+        popitem = store.popitem
+        capacity = self.capacity
+        hits = misses = evictions = 0
+        for key in keys.tolist():
+            if key in store:
+                move_to_end(key)
+                hits += 1
+                continue
+            misses += 1
+            while len(store) >= capacity:
+                popitem(last=False)
+                evictions += 1
+            store[key] = None
+        self.hits += hits
+        self.misses += misses
+        self.evictions += evictions
+        return hits
 
     def touch(self, key) -> bool:
         """Bump recency without hit/miss accounting (CliqueMap merge path)."""
@@ -176,41 +207,3 @@ class RandomCache(ExactCacheBase):
         self._present[key] = len(self._keys)
         self._keys.append(key)
         return False
-
-
-class BeladyCache(ExactCacheBase):
-    """Belady's MIN (clairvoyant) — the upper bound, for analysis examples.
-
-    Requires the full trace up front to precompute next-use times.
-    """
-
-    def __init__(self, capacity: int, trace):
-        super().__init__(capacity)
-        self._trace = list(trace)
-        self._next_use: List[int] = [0] * len(self._trace)
-        last_seen: Dict[object, int] = {}
-        infinity = len(self._trace) + 1
-        for i in range(len(self._trace) - 1, -1, -1):
-            key = self._trace[i]
-            self._next_use[i] = last_seen.get(key, infinity)
-            last_seen[key] = i
-        self._pos = 0
-        self._store: Dict[object, int] = {}  # key -> next use index
-
-    def run(self) -> float:
-        """Replay the whole trace; returns the hit rate."""
-        for pos, key in enumerate(self._trace):
-            next_use = self._next_use[pos]
-            if key in self._store:
-                self.hits += 1
-            else:
-                self.misses += 1
-                if len(self._store) >= self.capacity:
-                    victim = max(self._store, key=self._store.get)
-                    del self._store[victim]
-                    self.evictions += 1
-            self._store[key] = next_use
-        return self.hit_rate()
-
-    def access(self, key, size: int = 1, cost: float = 1.0) -> bool:
-        raise NotImplementedError("BeladyCache replays via run()")

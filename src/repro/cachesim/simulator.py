@@ -24,6 +24,11 @@ from ..core.adaptive import ExpertWeights, bitmap_of
 from ..core.policies import CachePolicy, Metadata, make_policy
 from . import vectorized
 
+#: Accesses replayed through :meth:`SampledAdaptiveCache.access_many` in this
+#: process, by the branch each batch took.  ``run_all`` reports each
+#: experiment's change in it.
+REPLAYED: Dict[str, int] = {"vectorized": 0, "scalar": 0}
+
 
 class SampledAdaptiveCache:
     """Ditto's cache semantics at trace-replay speed.
@@ -172,13 +177,18 @@ class SampledAdaptiveCache:
         per-element ``int()`` boxing) and keeps the hit path free of
         instance-attribute churn by binding everything hot into locals.
         State transitions are identical to calling ``access`` in a loop.
+
+        Each batch's size is added to :data:`REPLAYED` under the branch it
+        took; per-key :meth:`access` calls are not counted.
         """
         if isinstance(keys, np.ndarray):
             if keys.size >= vectorized.MIN_BATCH and vectorized.eligible(self, keys):
+                REPLAYED["vectorized"] += keys.size
                 return vectorized.replay(self, keys)
             seq = keys.tolist()
         else:
             seq = [int(k) for k in keys]
+        REPLAYED["scalar"] += len(seq)
         store_get = self._store.get
         updates = self._live_updates
         tick = self._tick
@@ -268,12 +278,14 @@ class SampledAdaptiveCache:
             candidates.append(best_key)
         choice = self.weights.choose() if self.adaptive else 0
         victim = candidates[choice]
-        bitmap = bitmap_of(candidates, victim)
         meta = self._store.pop(victim)
         self._remove_key(victim)
         for on_evict in self._live_on_evicts:
             on_evict(meta, now)
-        self._record_history(victim, bitmap)
+        if self.adaptive:
+            # Only several experts collect regret (_collect_regret), so a
+            # single expert's history would never be read.
+            self._record_history(victim, bitmap_of(candidates, victim))
         self.evictions += 1
 
     def _record_history(self, key, bitmap: int) -> None:

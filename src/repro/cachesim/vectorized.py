@@ -23,10 +23,17 @@ How the speed happens:
   ``rng.random()`` calls), precomputes the slot index each draw would select
   at full capacity, and transplants the advanced state back at exit (the
   scalar path sees nothing).
+- **One unrolled candidate scan.**  Every configuration whose priorities
+  are minimized columns (LRU, LFU, FIFO — one expert or a pair) at the
+  default sample size of 5 scans its candidates in one unrolled block; a
+  single expert scans its one column twice.  Other sample sizes and MRU
+  take the generic ``_argbest`` loop.
 - **Inlined adaptivity.**  For the dominant two-expert configuration the
   regret update (penalize → clip → normalize) and the proportional expert
   choice are inlined float math, verified identical to
   ``ExpertWeights.apply_regret``/``choose``.
+- **No history without regret.**  Only two experts collect regret, so a
+  single-expert replay records no eviction history, like the scalar path.
 
 Eligibility is conservative: integer keys in a bounded range, supported
 priority functions (LRU/LFU/FIFO/MRU — priorities that are a signed
@@ -116,9 +123,9 @@ def replay(cache, keys: np.ndarray) -> int:
         col1, sign1 = _SUPPORTED[type(cache.policies[1])]
     else:
         col1, sign1 = col0, sign0
-    # The dominant configuration — adaptive (lru, lfu) with the default
-    # sample size — gets an unrolled candidate scan below.
-    hot = two and ss == 5 and (col0, sign0) == (1, 1) and (col1, sign1) == (0, 1)
+    # Minimized columns at the default sample size take the unrolled scan
+    # below; a single expert has pri1 is pri0 and keeps c1.
+    hot = ss == 5 and sign0 == 1 and sign1 == 1
 
     # -- columnar encode ---------------------------------------------------
     orig = cache._store
@@ -224,48 +231,48 @@ def replay(cache, keys: np.ndarray) -> int:
                 cur = 0
             if n > ss:
                 if hot and n == cap:
-                    # Unrolled dual argmin (LRU candidate c1, LFU candidate
-                    # c2) over 5 precomputed slot draws; strict < keeps the
-                    # first minimum, like the scalar scan.
+                    # Unrolled dual argmin (pri0 candidate c1, pri1
+                    # candidate c2) over 5 precomputed slot draws; strict <
+                    # keeps the first minimum, like the scalar scan.
                     c1 = idx_block[cur]
-                    b_l = last_col[c1]
+                    b0 = pri0[c1]
                     c2 = c1
-                    b_f = freq_col[c1]
+                    b1 = pri1[c1]
                     s = idx_block[cur + 1]
-                    l = last_col[s]
-                    if l < b_l:
-                        b_l = l
+                    v = pri0[s]
+                    if v < b0:
+                        b0 = v
                         c1 = s
-                    f = freq_col[s]
-                    if f < b_f:
-                        b_f = f
+                    v = pri1[s]
+                    if v < b1:
+                        b1 = v
                         c2 = s
                     s = idx_block[cur + 2]
-                    l = last_col[s]
-                    if l < b_l:
-                        b_l = l
+                    v = pri0[s]
+                    if v < b0:
+                        b0 = v
                         c1 = s
-                    f = freq_col[s]
-                    if f < b_f:
-                        b_f = f
+                    v = pri1[s]
+                    if v < b1:
+                        b1 = v
                         c2 = s
                     s = idx_block[cur + 3]
-                    l = last_col[s]
-                    if l < b_l:
-                        b_l = l
+                    v = pri0[s]
+                    if v < b0:
+                        b0 = v
                         c1 = s
-                    f = freq_col[s]
-                    if f < b_f:
-                        b_f = f
+                    v = pri1[s]
+                    if v < b1:
+                        b1 = v
                         c2 = s
                     s = idx_block[cur + 4]
-                    l = last_col[s]
-                    if l < b_l:
-                        b_l = l
+                    v = pri0[s]
+                    if v < b0:
+                        b0 = v
                         c1 = s
-                    f = freq_col[s]
-                    if f < b_f:
-                        b_f = f
+                    v = pri1[s]
+                    if v < b1:
+                        b1 = v
                         c2 = s
                     cur += 5
                 elif n == cap:
@@ -301,7 +308,6 @@ def replay(cache, keys: np.ndarray) -> int:
                     bm = 2
             else:
                 vic = c1
-                bm = 1
             vkey = keyid_col[vic]
             pos_of[vkey] = -1
             n -= 1
@@ -315,15 +321,16 @@ def replay(cache, keys: np.ndarray) -> int:
                 last_col[vic] = ll
                 ins_col[vic] = li
                 pos_of[lk] = vic
-            hist[vkey] = (hctr << shift) | bm
-            fifo_append(vkey)
-            hctr += 1
-            while hctr - base > hsize:
-                okey = fifo_popleft()
-                e = hist_get(okey)
-                if e is not None and e >> shift == base:
-                    del hist[okey]
-                base += 1
+            if two:
+                hist[vkey] = (hctr << shift) | bm
+                fifo_append(vkey)
+                hctr += 1
+                while hctr - base > hsize:
+                    okey = fifo_popleft()
+                    e = hist_get(okey)
+                    if e is not None and e >> shift == base:
+                        del hist[okey]
+                    base += 1
             evictions += 1
         pos_of[key] = n
         key_append(key)

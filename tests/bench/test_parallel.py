@@ -1,6 +1,7 @@
 """Tests for the parallel experiment runner and its result cache."""
 
 import json
+import re
 
 import pytest
 
@@ -126,6 +127,23 @@ def test_execute_job_runs_and_captures_stdout():
 def test_execute_job_rejects_bad_fn():
     with pytest.raises(ValueError):
         execute_job({"fn": "no.colon.here", "params": {}})
+
+
+def test_execute_job_says_what_replayed_where():
+    history = execute_job({
+        "fn": "repro.bench.experiments.extra_history_size:run",
+        "params": {"history_factors": (1.0,), "n_requests": 2048,
+                   "n_keys": 512},
+    })
+    assert history["replayed"] == {"vectorized": 2048, "scalar": 0}
+    # gds's priority is no metadata column, so its cache replays scalar.
+    algorithms = execute_job({
+        "fn": "repro.bench.experiments.fig23_twelve_algorithms:run",
+        "params": {"algorithms": ("lru", "gds"), "n_requests": 2048,
+                   "n_keys": 256, "clients": 2, "window_us": 2_000.0,
+                   "warm_us": 2_000.0},
+    })
+    assert algorithms["replayed"] == {"vectorized": 2048, "scalar": 2048}
 
 
 # -- the runner ------------------------------------------------------------
@@ -359,6 +377,28 @@ def test_run_all_parallel_matches_serial_output(tmp_path, capsys, monkeypatch):
     assert table_of(serial_out) == table_of(parallel_out) == table_of(cached_out)
     assert "(1 simulated, 0 cached)" in parallel_out
     assert "(0 simulated, 1 cached)" in cached_out
+
+
+def test_run_all_says_what_replayed_where(tmp_path, capsys, monkeypatch):
+    from repro.bench import run_all
+    from repro.bench.experiments import extra_history_size
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(
+        extra_history_size, "main",
+        lambda: extra_history_size.run(
+            history_factors=(1.0,), n_requests=2048, n_keys=512),
+    )
+    assert run_all.main(["tab02", "extra-history"]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"^\[tab02: simulated in \d+\.\ds\]$", out, re.M)
+    assert re.search(
+        r"^\[extra-history: simulated in \d+\.\ds; "
+        r"replayed 2048 vectorized, 0 scalar\]$", out, re.M)
+    # A cached outcome replayed nothing in this run and prints as before.
+    assert run_all.main(["-j", "1", "extra-history"]) == 0
+    assert run_all.main(["-j", "1", "extra-history"]) == 0
+    assert "[extra-history: cached]\n" in capsys.readouterr().out
 
 
 def test_run_all_rejects_nonpositive_workers(capsys):

@@ -1,13 +1,12 @@
-"""Tests for the exact cache models (CM baselines, random, Belady)."""
+"""Tests for the exact cache models (CM baselines, random)."""
 
-import random
-
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.hitrate import make_hit_cache
 from repro.cachesim import (
-    BeladyCache,
     ExactLFUCache,
     ExactLRUCache,
     RandomCache,
@@ -126,29 +125,37 @@ class TestRandomCache:
         assert run(7) == run(7)
 
 
-class TestBelady:
-    def test_optimal_on_cyclic_trace(self):
-        trace = [i % 4 for i in range(40)]
-        belady = BeladyCache(3, trace)
-        hit = belady.run()
-        lru = ExactLRUCache(3)
-        for key in trace:
-            lru.access(key)
-        assert hit >= lru.hit_rate()
+def _state(cache):
+    """Counters plus every structure whose order decides a later victim."""
+    if isinstance(cache, ExactLRUCache):
+        order = list(cache._store)
+    elif isinstance(cache, ExactLFUCache):
+        order = (
+            list(cache._freq.items()),
+            cache._min_freq,
+            [(freq, list(bucket)) for freq, bucket in cache._buckets.items()],
+        )
+    else:
+        order = (list(cache._keys), list(cache._present.items()),
+                 cache._rng.getstate())
+    return cache.hits, cache.misses, cache.evictions, order
 
-    def test_beats_or_matches_lru_and_lfu(self):
-        rng = random.Random(5)
-        trace = [rng.randrange(20) for _ in range(500)]
-        belady = BeladyCache(5, trace).run()
-        for cls in (ExactLRUCache, ExactLFUCache):
-            cache = cls(5)
-            for key in trace:
-                cache.access(key)
-            assert belady >= cache.hit_rate() - 1e-9
 
-    def test_access_not_supported(self):
-        with pytest.raises(NotImplementedError):
-            BeladyCache(2, [1, 2]).access(1)
+@settings(max_examples=40, deadline=None)
+@given(
+    trace=st.lists(st.integers(0, 40), min_size=1, max_size=300),
+    capacity=st.integers(1, 12),
+    system=st.sampled_from(["cm-lru", "cm-lfu", "random"]),
+    seed=st.integers(0, 20),
+)
+def test_access_many_matches_per_key_access(trace, capacity, system, seed):
+    one_by_one = make_hit_cache(system, capacity, seed=seed)
+    for key in trace:
+        one_by_one.access(key)
+    batched = make_hit_cache(system, capacity, seed=seed)
+    hits = batched.access_many(np.asarray(trace, dtype=np.int64))
+    assert hits == one_by_one.hits
+    assert _state(batched) == _state(one_by_one)
 
 
 def test_resize_validation():

@@ -16,6 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench import hitrate
+from repro.bench.experiments import (
+    extra_history_size,
+    extra_sample_size,
+    fig22_memory_scaling,
+)
 from repro.cachesim import SampledAdaptiveCache
 from repro.cachesim import vectorized
 from repro.workloads.traces import phase_switch_trace
@@ -68,7 +73,7 @@ def replay_both(trace, splits=(), **config):
 
 
 POLICY_SETS = [("lru", "lfu"), ("lru",), ("lfu",), ("fifo",), ("mru",),
-               ("mru", "fifo")]
+               ("mru", "fifo"), ("fifo", "lru")]
 
 
 @pytest.mark.parametrize("policies", POLICY_SETS)
@@ -119,15 +124,33 @@ def test_scalar_access_continues_after_vectorized_batch():
     trace=st.lists(st.integers(min_value=0, max_value=120),
                    min_size=1, max_size=600),
     capacity=st.integers(min_value=2, max_value=40),
-    sample_size=st.integers(min_value=1, max_value=8),
+    sample_size=st.integers(min_value=1, max_value=32),
     seed=st.integers(min_value=0, max_value=50),
     policies=st.sampled_from(POLICY_SETS),
+    data=st.data(),
 )
-def test_identity_property(trace, capacity, sample_size, seed, policies):
+def test_identity_property(trace, capacity, sample_size, seed, policies, data):
+    # The ranges extra-samples (K up to 32) and extra-history (history up
+    # to 4x the cache) run.
+    history_size = data.draw(
+        st.none() | st.integers(min_value=1, max_value=4 * capacity),
+        label="history_size")
     scalar, vec = replay_both(
         trace, capacity=capacity, policies=policies,
-        sample_size=sample_size, seed=seed)
+        sample_size=sample_size, history_size=history_size, seed=seed)
     assert scalar == vec
+
+
+@pytest.mark.parametrize("policies", [("lru",), ("lfu",), ("fifo",), ("mru",)])
+def test_single_expert_keeps_no_history(policies):
+    # Only two experts collect regret, so neither path records a history
+    # nobody reads.
+    rng = random.Random(4)
+    trace = [rng.randrange(300) for _ in range(4000)]
+    for state in replay_both(trace, capacity=32, policies=policies, seed=2):
+        assert state["evictions"] > 0
+        assert state["history"] == {} and state["history_fifo"] == []
+        assert state["history_counter"] == 0
 
 
 @settings(max_examples=20, deadline=None)
@@ -204,6 +227,34 @@ def test_hit_rate_tier_caches_engage_the_vectorized_replay(monkeypatch, system):
     scalar = hitrate.replay(hitrate.make_hit_cache(system, 128), trace)
     assert not calls, "REPRO_VECTORIZE=0 must force scalar"
     assert fast == scalar
+
+
+@pytest.mark.parametrize(
+    "experiment, params, replays",
+    [
+        (extra_history_size,
+         dict(history_factors=(0.5, 2.0), n_requests=2048, n_keys=512), 2),
+        (extra_sample_size,
+         dict(sample_sizes=(3, 5), n_requests=2048, n_keys=512), 4),
+        (fig22_memory_scaling,
+         dict(size_schedule=(0.05, 0.2), n_requests=4096, n_keys=512), 6),
+    ],
+    ids=["extra-history", "extra-samples", "fig22"],
+)
+def test_experiments_replay_each_trace_in_one_vectorized_call(
+        monkeypatch, experiment, params, replays):
+    calls = []
+    original = vectorized.replay
+
+    def spy(cache, keys):
+        calls.append(len(keys))
+        return original(cache, keys)
+
+    monkeypatch.setattr(vectorized, "replay", spy)
+    monkeypatch.delenv("REPRO_VECTORIZE", raising=False)
+    experiment.run(**params)
+    assert len(calls) == replays
+    assert min(calls) >= vectorized.MIN_BATCH
 
 
 def test_unsupported_policy_not_eligible():
