@@ -14,12 +14,12 @@ _EXPORTS = {
     "ConsensusUnavailable": ".consensus",
     "ControllerGroup": ".consensus",
     "GroupClient": ".consensus",
-    "MetadataState": ".consensus",
     "NotLeader": ".consensus",
     "RaftParams": ".consensus",
     "RaftReplica": ".consensus",
     "EpochFence": ".elasticity",
     "MembershipTable": ".elasticity",
+    "MetadataState": ".elasticity",
     "MigrationError": ".elasticity",
     "MigrationRecord": ".elasticity",
     "Migrator": ".elasticity",

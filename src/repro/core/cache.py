@@ -13,6 +13,7 @@ mode) and exposes an ordinary ``get``/``set``/``delete`` API.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..memory import Controller, MemoryBudget, MemoryNode, MemoryPool
@@ -25,12 +26,13 @@ from ..sim.faults import FaultInjector, FaultPlan
 from .adaptive import GlobalWeights
 from .client import DittoClient
 from .config import DittoConfig
-from .consensus import ControllerGroup, MetadataState
+from .consensus import ControllerGroup
 from .elasticity import (
     ACTIVE,
     CONTROL_RETRY_LIMIT,
     EpochFence,
     MembershipTable,
+    MetadataState,
     MigrationError,
     MigrationRecord,
     Migrator,
@@ -172,9 +174,16 @@ class DittoCluster:
             num_experts=self.config.num_experts,
             learning_rate=self.config.learning_rate,
         )
-        self.controller.register(
-            "update_weights", self.global_weights.handle_update, cpu_us=0.5
-        )
+        # Every controller's SegmentState and the live weights, by
+        # reference; node 0 answers cluster-level metadata RPCs through it.
+        self._metadata = MetadataState()
+        for node in self.nodes:
+            self._metadata.adopt_node(node.controller.state)
+        self._metadata.adopt_weights(self.global_weights)
+        for op in ("update_weights", "get_membership"):
+            self.controller.register(
+                op, partial(self._metadata.serve, op, 0), cpu_us=0.5
+            )
         if self.obs is not None:
             self._wire_weight_metrics()
 
@@ -192,7 +201,6 @@ class DittoCluster:
         #: ``controller_replicas`` > 0.
         self.consensus: Optional[ControllerGroup] = None
         self._cluster_consensus = None
-        self._metadata: Optional[MetadataState] = None
         if controller_replicas:
             self._ensure_elastic()
             self.consensus = ControllerGroup(
@@ -376,7 +384,7 @@ class DittoCluster:
     # -- elastic memory nodes (epoch-fenced membership) ---------------------
 
     def _ensure_elastic(self) -> None:
-        """Arm the membership state machine and epoch fence (first scale
+        """Arm the membership table and epoch fence (first scale
         event, or construction with a controller group).
 
         Lazy on purpose: until the node set actually changes, the fence
@@ -387,20 +395,9 @@ class DittoCluster:
             return
         self.membership = MembershipTable(n.node_id for n in self.nodes)
         self.fence = EpochFence()
-        # The one membership state machine: the live table, every
-        # controller's SegmentState and the live GlobalWeights, shared by
-        # reference.  Every flip is a command applied to it — through a
-        # controller group's log when there is one (``_commit``).
-        self._metadata = MetadataState(self.membership)
-        for node in self.nodes:
-            self._metadata.adopt_node(node.controller.state)
-        self._metadata.adopt_weights(self.global_weights)
-        # Clients learn the table from the metadata service on node 0; a
-        # fenced verb NACKs with StaleEpoch and the client refreshes.
-        self.controller.register(
-            "get_membership", lambda _payload: self.membership.snapshot(),
-            cpu_us=0.5,
-        )
+        # Flips are metadata commands (``_commit``); a fenced verb NACKs
+        # with StaleEpoch and the client refreshes through node 0.
+        self._metadata.membership = self.membership
         for client in self.clients:
             client.ep.fence = self.fence
         if self.obs is not None:

@@ -6,8 +6,7 @@ logs and the cluster can neither finish a drain nor admit new segment
 allocations.  This module removes it.  A :class:`ControllerGroup` runs
 ``n`` :class:`RaftReplica` state machines inside the discrete-event engine;
 each replica holds a full clone of the cluster's metadata
-(:class:`MetadataState`: the membership table plus every memory node's
-:class:`~repro.memory.controller.SegmentState`) and the group only
+(:class:`~repro.core.elasticity.MetadataState`) and the group only
 acknowledges a metadata command once a majority has logged it.
 
 Mapping onto the simulator:
@@ -48,11 +47,10 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..memory.controller import OutOfMemoryError, SegmentState
+from ..memory.controller import OutOfMemoryError
 from ..rdma.verbs import RdmaFaultError, StaleEpoch
 from ..sim import Engine, Event, Timeout
-from .adaptive import GlobalWeights
-from .elasticity import ACTIVE, DRAINING, MembershipTable
+from .elasticity import MetadataState
 from .retry import backoff_us
 
 #: Replica roles.
@@ -111,115 +109,6 @@ class RaftParams:
             )
         if self.election_max_us <= self.election_min_us:
             raise ValueError("election_max_us must exceed election_min_us")
-
-
-class MetadataState:
-    """The replicated state machine: membership + per-node segment state.
-
-    A pure-Python object with no engine dependencies — replicas hold
-    independent :meth:`clone` copies and apply the identical committed
-    command stream; the *physical* instance (whose :class:`SegmentState`
-    objects are shared by reference with the live ``Controller``/
-    ``MembershipTable``) is applied exactly once per committed position by
-    the :class:`ControllerGroup`.
-    """
-
-    def __init__(self, membership: MembershipTable):
-        self.membership = membership
-        self.nodes: Dict[int, SegmentState] = {}
-        #: session id -> (last applied seq, its result) — dedup memo.
-        self.sessions: Dict[int, Tuple[int, object]] = {}
-        #: Replicated adaptive expert weights (None until adopted): the
-        #: physical instance shares the cluster's live GlobalWeights by
-        #: reference, replicas carry independent copies via clone().
-        self.weights: Optional[GlobalWeights] = None
-
-    def adopt_node(self, state: SegmentState) -> None:
-        self.nodes[state.node_id] = state
-
-    def adopt_weights(self, weights: GlobalWeights) -> None:
-        """Bind the live adaptive weights into the replicated state, so
-        committed ``update_weights`` folds survive a leader crash."""
-        self.weights = weights
-
-    def clone(self) -> "MetadataState":
-        new_membership = MembershipTable(())
-        new_membership.epoch = self.membership.epoch
-        new_membership._states = dict(self.membership._states)
-        new = MetadataState(new_membership)
-        new.nodes = {nid: state.clone() for nid, state in self.nodes.items()}
-        new.sessions = dict(self.sessions)
-        if self.weights is not None:
-            # Replica copies fold the same command stream but carry no
-            # observability hook; only the physical instance publishes.
-            copy = GlobalWeights(
-                self.weights.num_experts, self.weights.learning_rate
-            )
-            copy.weights = list(self.weights.weights)
-            new.weights = copy
-        return new
-
-    # -- command application -------------------------------------------------
-
-    def apply_entry(self, session: Optional[int], seq: int, command: Tuple):
-        """Apply one committed log entry, deduplicating retried commands."""
-        if session is not None:
-            memo = self.sessions.get(session)
-            if memo is not None and memo[0] >= seq:
-                return memo[1]
-        result = self._apply(command)
-        if session is not None:
-            self.sessions[session] = (seq, result)
-        return result
-
-    def _apply(self, command: Tuple):
-        kind = command[0]
-        if kind == "noop":
-            return None
-        if kind in SegmentState.RPC_OPS:
-            # The flat command ``VerbTransport.metadata`` encodes, answered
-            # by the dispatch the controller RPC path uses.  Errors are
-            # results too: every replica must record the same outcome.
-            node_id, args = command[1], command[2:]
-            try:
-                return self.nodes[node_id].serve(
-                    kind, args[0] if len(args) == 1 else args
-                )
-            except StaleEpoch as err:
-                return ("__stale__", err.epoch, node_id)
-            except OutOfMemoryError as err:
-                return ("__oom__", str(err))
-        if kind == "get_membership":
-            return self.membership.snapshot()
-        if kind == "update_weights":
-            if self.weights is None:
-                raise ValueError(
-                    "update_weights committed but no GlobalWeights adopted"
-                )
-            return list(self.weights.handle_update(list(command[2:])))
-        if kind == "add_node":
-            _, node_id, start, end = command
-            if node_id not in self.nodes:
-                self.nodes[node_id] = SegmentState(node_id, start, end)
-            epoch = self.membership.add(node_id)
-            self._stamp_epoch(epoch)
-            return epoch
-        if kind == "membership_set":
-            _, node_id, state = command
-            epoch = self.membership.set_state(node_id, state)
-            seg = self.nodes.get(node_id)
-            if seg is not None:
-                if state == DRAINING:
-                    seg.draining = True
-                elif state == ACTIVE:
-                    seg.draining = False
-            self._stamp_epoch(epoch)
-            return epoch
-        raise ValueError(f"unknown metadata command {kind!r}")
-
-    def _stamp_epoch(self, epoch: int) -> None:
-        for seg in self.nodes.values():
-            seg.epoch = epoch
 
 
 class RaftReplica:
@@ -767,7 +656,6 @@ __all__ = [
     "FOLLOWER",
     "GroupClient",
     "LEADER",
-    "MetadataState",
     "NotLeader",
     "RaftParams",
     "RaftReplica",

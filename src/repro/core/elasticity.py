@@ -16,6 +16,8 @@ traffic.  This module provides the protocol pieces:
   refresh-and-retry.  Until the first membership change the fence is not
   armed and verbs take the unfenced fast path, keeping default runs
   byte-identical.
+- :class:`MetadataState` — membership, segment state and expert weights,
+  whose ``serve`` answers every metadata RPC on both substrates.
 - :class:`Migrator` — the two-phase segment drain behind
   ``remove_memory_node``: a hot-data-first **copy** phase (objects move via
   READ → ALLOC on a surviving node → WRITE → CAS on the slot atomic, the
@@ -41,9 +43,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..memory.allocator import StripedAllocator
-from ..memory.controller import OutOfMemoryError
+from ..memory.controller import OutOfMemoryError, SegmentState
 from ..rdma.verbs import RdmaEndpoint, RdmaFaultError, StaleEpoch
 from . import layout as L
+from .adaptive import GlobalWeights
 
 #: Node membership states.
 ACTIVE = "active"
@@ -113,6 +116,120 @@ class MembershipTable:
     def snapshot(self) -> Tuple[int, Tuple[Tuple[int, str], ...]]:
         """(epoch, ((node_id, state), ...)) — the ``get_membership`` reply."""
         return self.epoch, tuple(sorted(self._states.items()))
+
+
+class MetadataState:
+    """The metadata state machine: membership + per-node segment state +
+    adaptive expert weights, holding only what its node hosts.
+
+    :meth:`serve` is the one metadata RPC dispatch: ``NodeServer._rpc``,
+    the sim's node-0 controller and :meth:`_apply` (the log) call it.
+    Consensus replicas apply the committed stream to :meth:`clone` copies;
+    the *physical* instance shares the live controllers' state by reference.
+    """
+
+    def __init__(self, membership: Optional[MembershipTable] = None):
+        self.membership = membership
+        self.nodes: Dict[int, SegmentState] = {}
+        #: session id -> (last applied seq, its result) — dedup memo.
+        self.sessions: Dict[int, Tuple[int, object]] = {}
+        self.weights: Optional[GlobalWeights] = None
+
+    def adopt_node(self, state: SegmentState) -> None:
+        self.nodes[state.node_id] = state
+
+    def adopt_weights(self, weights: GlobalWeights) -> None:
+        self.weights = weights
+
+    def clone(self) -> "MetadataState":
+        new_membership = MembershipTable(())
+        new_membership.epoch = self.membership.epoch
+        new_membership._states = dict(self.membership._states)
+        new = MetadataState(new_membership)
+        new.nodes = {nid: state.clone() for nid, state in self.nodes.items()}
+        new.sessions = dict(self.sessions)
+        if self.weights is not None:
+            # Replica copies fold the same command stream but carry no
+            # observability hook; only the physical instance publishes.
+            copy = GlobalWeights(
+                self.weights.num_experts, self.weights.learning_rate
+            )
+            copy.weights = list(self.weights.weights)
+            new.weights = copy
+        return new
+
+    # -- the RPC dispatch ----------------------------------------------------
+
+    def serve(self, op: str, node_id: int, payload, token: int = 0):
+        """Answer one metadata RPC addressed to ``node_id``; raises on error.
+        ``token`` (resend dedup) reaches ``DurableSegmentState.alloc``."""
+        if op in SegmentState.RPC_OPS:
+            return self.nodes[node_id].serve(op, payload, token)
+        if op == "get_membership":
+            if self.membership is None:
+                raise KeyError(
+                    f"node {node_id} does not host the membership table"
+                )
+            return self.membership.snapshot()
+        if op == "update_weights":
+            if self.weights is None:
+                raise KeyError(
+                    f"node {node_id} does not host the global weights"
+                )
+            return self.weights.handle_update(list(payload))
+        raise KeyError(f"no RPC handler registered for {op!r}")
+
+    # -- command application -------------------------------------------------
+
+    def apply_entry(self, session: Optional[int], seq: int, command: Tuple):
+        """Apply one committed log entry, deduplicating retried commands."""
+        if session is not None:
+            memo = self.sessions.get(session)
+            if memo is not None and memo[0] >= seq:
+                return memo[1]
+        result = self._apply(command)
+        if session is not None:
+            self.sessions[session] = (seq, result)
+        return result
+
+    def _apply(self, command: Tuple):
+        kind = command[0]
+        if kind == "noop":
+            return None
+        if kind == "add_node":
+            _, node_id, start, end = command
+            if node_id not in self.nodes:
+                self.nodes[node_id] = SegmentState(node_id, start, end)
+            epoch = self.membership.add(node_id)
+            self._stamp_epoch(epoch)
+            return epoch
+        if kind == "membership_set":
+            _, node_id, state = command
+            epoch = self.membership.set_state(node_id, state)
+            seg = self.nodes.get(node_id)
+            if seg is not None:
+                if state == DRAINING:
+                    seg.draining = True
+                elif state == ACTIVE:
+                    seg.draining = False
+            self._stamp_epoch(epoch)
+            return epoch
+        # The flat RPC ``VerbTransport.metadata`` encodes (update_weights'
+        # vector is every trailing field).  Errors are results too: every
+        # replica must record the same outcome.
+        node_id, args = command[1], command[2:]
+        if kind != "update_weights" and len(args) == 1:
+            args = args[0]
+        try:
+            return self.serve(kind, node_id, args)
+        except StaleEpoch as err:
+            return ("__stale__", err.epoch, node_id)
+        except OutOfMemoryError as err:
+            return ("__oom__", str(err))
+
+    def _stamp_epoch(self, epoch: int) -> None:
+        for seg in self.nodes.values():
+            seg.epoch = epoch
 
 
 class EpochFence:
@@ -501,6 +618,7 @@ __all__ = [
     "RETIRED",
     "EpochFence",
     "MembershipTable",
+    "MetadataState",
     "MigrationError",
     "MigrationRecord",
     "Migrator",

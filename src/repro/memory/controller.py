@@ -69,7 +69,7 @@ class SegmentState:
 
     def serve(self, op: str, payload, token: int = 0):
         """Answer one segment-management RPC: the dispatch the sim
-        :class:`Controller` registers and the real memory-node server calls.
+        :class:`Controller` registers and ``MetadataState.serve`` calls.
 
         An ``alloc_segment`` payload is a plain size or ``(size, owner)``
         (anonymous callers share owner ``-1``); ``token`` is the caller's

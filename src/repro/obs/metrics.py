@@ -169,86 +169,3 @@ class MetricsRegistry:
             "histogram": self._histograms,
         }[kind]
         return store.get((name, _labelset(labels)))
-
-
-def _prom_name(name: str, suffix: str = "") -> str:
-    out = []
-    for ch in name:
-        out.append(ch if ch.isalnum() or ch == "_" else "_")
-    base = "".join(out)
-    if base and base[0].isdigit():
-        base = "_" + base
-    return base + suffix
-
-
-def _prom_escape(value: str) -> str:
-    return str(value).replace("\\", "\\\\").replace('"', '\\"')
-
-
-def _prom_labels(labels: Dict[str, str], extra: Optional[Dict[str, str]] = None) -> str:
-    merged = dict(labels)
-    if extra:
-        merged.update(extra)
-    if not merged:
-        return ""
-    pairs = ",".join(
-        f'{_prom_name(k)}="{_prom_escape(v)}"'
-        for k, v in sorted(merged.items())
-    )
-    return "{" + pairs + "}"
-
-
-def render_prometheus(
-    snapshot: Dict[str, List[Dict]], extra_labels: Optional[Dict[str, str]] = None
-) -> str:
-    """Render a :meth:`MetricsRegistry.snapshot` (or a ``__stats__`` RPC's
-    ``metrics`` payload) in the Prometheus text exposition format.
-
-    Counters become ``<name>_total``; gauges keep their name; histogram
-    summaries become ``<name>{quantile=...}`` series plus ``_count`` and
-    ``_sum`` (reconstructed as mean*count).  ``extra_labels`` (e.g.
-    ``node="mn0"``) are stamped on every series so one scrape can union
-    several nodes' snapshots.
-    """
-    lines: List[str] = []
-    seen_types: set = set()
-
-    def emit_type(name: str, kind: str) -> None:
-        if name not in seen_types:
-            seen_types.add(name)
-            lines.append(f"# TYPE {name} {kind}")
-
-    for row in snapshot.get("counters", []):
-        name = _prom_name(row["name"], "_total")
-        emit_type(name, "counter")
-        lines.append(
-            f"{name}{_prom_labels(row.get('labels', {}), extra_labels)} "
-            f"{row['value']}"
-        )
-    for row in snapshot.get("gauges", []):
-        name = _prom_name(row["name"])
-        emit_type(name, "gauge")
-        lines.append(
-            f"{name}{_prom_labels(row.get('labels', {}), extra_labels)} "
-            f"{row['value']}"
-        )
-    for row in snapshot.get("histograms", []):
-        name = _prom_name(row["name"])
-        emit_type(name, "summary")
-        labels = row.get("labels", {})
-        count = row.get("count", 0)
-        mean = row.get("mean", 0.0)
-        for quantile, key in (("0.5", "p50"), ("0.9", "p90"), ("0.99", "p99")):
-            if key in row:
-                lines.append(
-                    f"{name}"
-                    f"{_prom_labels(labels, {**(extra_labels or {}), 'quantile': quantile})}"
-                    f" {row[key]}"
-                )
-        lines.append(
-            f"{name}_count{_prom_labels(labels, extra_labels)} {count}"
-        )
-        lines.append(
-            f"{name}_sum{_prom_labels(labels, extra_labels)} {mean * count}"
-        )
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -209,8 +209,8 @@ async def run_chaos(
         )
     if kill_node_id == 0:
         raise ValueError(
-            "node 0 hosts the in-process membership/weights handlers; "
-            "kill a data node instead"
+            "node 0's MetadataState keeps the membership table and the "
+            "global weights in process memory; kill a data node instead"
         )
 
     descriptor = dict(harness.descriptor())

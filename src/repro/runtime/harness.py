@@ -4,11 +4,11 @@
 :class:`~repro.core.cache.DittoCluster.__init__`: it sizes the cluster
 with the shared geometry plan (:mod:`repro.core.geometry`), spawns one
 ``python -m repro.runtime.server`` process per memory node (node 0 with
-the reserve for fixed structures plus the global-weights and membership
-handlers), collects each server's ready line for its port and shared-
-memory name, and produces the *descriptor* dict a
-:class:`~repro.runtime.cluster.RealCluster` (in this or any other
-process) builds from.
+the reserve for fixed structures, and a ``MetadataState`` that also holds
+the global weights and the membership table), collects each server's
+ready line for its port and shared-memory name, and produces the
+*descriptor* dict a :class:`~repro.runtime.cluster.RealCluster` (in this
+or any other process) builds from.
 
 Shutdown is part of the contract, not an afterthought: ``shutdown()``
 sends every node a clean OP_SHUTDOWN, escalates to SIGTERM/SIGKILL on
@@ -65,8 +65,7 @@ def control_rpc(host: str, port: int, op: str, payload=None,
     """One synchronous control RPC over a throwaway socket.
 
     The out-of-band channel for anything that must not ride the async
-    client stack: harness chaos arm/stop, and ``repro.obs.top`` polling
-    ``__stats__`` on a cluster it did not launch.
+    client stack: harness chaos arm/stop and ``__stats__`` polling.
     """
     with socket.create_connection((host, port), timeout=timeout_s) as sock:
         sock.settimeout(timeout_s)

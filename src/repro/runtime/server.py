@@ -30,9 +30,8 @@ reaches the loop as an exception.  ``__stats__`` reports how well frames
 batch: ``ops_served`` (frames), ``wakeups`` (reads that yielded at least
 one frame) and ``sends``.
 
-Node 0 additionally hosts the cluster-level metadata handlers (the
-adaptive ``update_weights`` fold and ``get_membership``), mirroring the
-sim cluster where node 0 carries the hash table and global structures.
+Metadata RPCs are answered by the node's ``MetadataState``, the dispatch
+the sim uses too (node 0's also holds the weights and the membership).
 
 Fault injection: a :class:`~repro.sim.faults.FaultInjector` — the class the
 sim's endpoints consult — can be armed over RPC (``__chaos_load__``) on a
@@ -73,7 +72,7 @@ from multiprocessing import shared_memory
 from typing import List, Optional, Set
 
 from ..core.adaptive import GlobalWeights
-from ..core.elasticity import ACTIVE
+from ..core.elasticity import MembershipTable, MetadataState
 from ..memory.controller import OutOfMemoryError
 from ..memory.node import MemoryAccessError, MemoryNode
 from ..obs import observer
@@ -240,12 +239,15 @@ class NodeServer:
             self.shm.close()
             self.shm = None
             raise
-        self.weights = (
-            GlobalWeights(num_experts, learning_rate) if num_experts else None
+        #: Segments; on node 0 also the membership table and weights.
+        self.metadata = MetadataState(
+            MembershipTable(membership) if membership else None
         )
-        #: Static membership advertised by get_membership (node 0 only);
-        #: the real substrate does not yet run elastic node changes.
-        self.membership = tuple(membership)
+        self.metadata.adopt_node(self.segments)
+        if num_experts:
+            self.metadata.adopt_weights(
+                GlobalWeights(num_experts, learning_rate)
+            )
         self.gate: Optional[FaultInjector] = None
         self._rpc_memo: "OrderedDict[int, tuple]" = OrderedDict()
         self._selector: Optional[selectors.BaseSelector] = None
@@ -327,20 +329,8 @@ class NodeServer:
     # -- RPC handlers -------------------------------------------------------
 
     def _rpc(self, op: str, payload, token: int = 0):
-        if op in self.segments.RPC_OPS:
-            return self.segments.serve(op, payload, token)
-        if op == "update_weights":
-            if self.weights is None:
-                raise KeyError(
-                    f"node {self.node_id} does not host the global weights"
-                )
-            return self.weights.handle_update(list(payload))
-        if op == "get_membership":
-            if not self.membership:
-                raise KeyError(
-                    f"node {self.node_id} does not host the membership table"
-                )
-            return (0, tuple((nid, ACTIVE) for nid in self.membership))
+        if not op.startswith("__"):
+            return self.metadata.serve(op, self.node_id, payload, token)
         if op == "__chaos_load__":
             plan_dict, t0 = payload
             t0 = float(t0)
@@ -826,9 +816,7 @@ def main(argv=None) -> int:
     parser.add_argument("--membership", default="",
                         help="comma-separated node ids to advertise")
     args = parser.parse_args(argv)
-    membership = tuple(
-        int(part) for part in args.membership.split(",") if part != ""
-    )
+    membership = [int(part) for part in args.membership.split(",") if part]
     try:
         server = NodeServer(
             args.node_id, args.base, args.size, reserve=args.reserve,

@@ -19,7 +19,6 @@ import repro
 
 from repro.obs import Observability
 from repro.obs import observer
-from repro.obs.metrics import render_prometheus
 from repro.obs.runtime import (
     build_digest,
     format_digest,
@@ -397,35 +396,6 @@ class TestDigest:
         path = str(tmp_path / "digest.json")
         persist_digest(build_digest(self.REPORT), path)
         assert json.load(open(path))["ops"] == 5000
-
-
-class TestPrometheus:
-    def test_render_counters_gauges_histograms(self, tmp_path):
-        proc = Observability(directory=str(tmp_path), role="mn0")
-        proc.registry.counter("verbs", verb="read").add(7)
-        proc.registry.gauge("inflight").set(3)
-        hist = proc.registry.histogram("verb.service_us", verb="read")
-        for value in (10.0, 20.0, 30.0):
-            hist.record(value)
-        text = render_prometheus(
-            proc.registry.snapshot(), {"node": "mn0"}
-        )
-        assert "# TYPE verbs_total counter" in text
-        assert 'verbs_total{node="mn0",verb="read"} 7' in text
-        assert 'inflight{node="mn0"} 3' in text
-        assert 'verb_service_us{' in text and 'quantile="0.99"' in text
-        assert "verb_service_us_count" in text
-        assert "verb_service_us_sum" in text
-
-    def test_label_values_escaped(self):
-        snapshot = {
-            "counters": [
-                {"name": "c", "labels": {"k": 'a"b\\c'}, "value": 1}
-            ],
-            "gauges": [], "histograms": [],
-        }
-        text = render_prometheus(snapshot)
-        assert 'k="a\\"b\\\\c"' in text
 
 
 class TestRuntimeGating:

@@ -15,6 +15,9 @@ What the thin path promises and the older suites do not pin down:
   never the link;
 - **the server loop is total** — hostile bytes cost their sender a status
   reply or its connection, never the node;
+- **one metadata dispatch** — node 0 answers membership and weight folds
+  the way the sim's controller does, node 1 refuses them, and a resent
+  alloc is deduplicated across a kill and an adopt;
 - **one deadline timer per connection** — every request still times out at
   its own deadline, and nothing outlives the request it belongs to;
 - **framing** — frames decode in order however TCP segments them, and a
@@ -44,6 +47,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.adaptive import GlobalWeights
 from repro.core.elasticity import EpochFence
 from repro.memory.node import MemoryAccessError
 from repro.rdma.verbs import NodeUnavailable, VerbTimeout
@@ -265,6 +269,12 @@ HOSTILE_CLOSES = {
         wire.HEADER.pack(3) + b"\x01\x02\x03",
 }
 
+def _rpc_request(op: str, payload, token: int = 0) -> bytes:
+    return wire.request_frame(
+        wire.OP_RPC, 9, wire.pack_rpc(op, payload, token)
+    )
+
+
 HOSTILE_ANSWERED = {
     "unknown opcode": wire.request_frame(99, 9),
     "truncated READ body": wire.request_frame(wire.OP_READ, 9, b"\x00" * 5),
@@ -278,6 +288,14 @@ HOSTILE_ANSWERED = {
         wire.OP_WRITE_CAS, 9, b"\x00" * 25),
     "chain with no data to WRITE": wire.request_frame(
         wire.OP_WRITE_CAS, 9, wire.WRITE_CAS_HDR.pack(0, 0, 1, 64)),
+    # Well-formed pickles carrying bad metadata payloads.
+    "update_weights with the wrong vector length":
+        _rpc_request("update_weights", [0.5]),
+    "alloc_segment with a str size": _rpc_request("alloc_segment", "4096"),
+    "reassign_grants with a scalar": _rpc_request("reassign_grants", 7),
+    "free_segment with None": _rpc_request("free_segment", None),
+    "add_node, a command only the log applies":
+        _rpc_request("add_node", (5, 1 << 30, 1 << 31)),
 }
 
 
@@ -358,6 +376,63 @@ def test_hostile_bytes_cost_a_reply_or_the_connection_never_the_node(
     with _raw(harness) as sock:
         sock.sendall(wire.request_frame(wire.OP_READ, 1, b"\x00" * 12)[:9])
     _assert_still_serving(harness)
+
+
+# -- one metadata dispatch -----------------------------------------------------
+
+
+@pytest.fixture
+def two_nodes():
+    with RealClusterHarness(
+        capacity_objects=512, num_clients=2, num_memory_nodes=2, seed=3
+    ) as launched:
+        yield launched
+    assert launched.leak_report()["clean"]
+
+
+def test_node_0_answers_membership_and_weight_folds_and_node_1_refuses(
+    two_nodes
+):
+    node0, node1 = two_nodes.entry_for(0), two_nodes.entry_for(1)
+    assert two_nodes.raw_rpc(node0, "get_membership", None) == (
+        0, ((0, "active"), (1, "active"))
+    )
+    config = two_nodes.config
+    local = GlobalWeights(len(config.policies), config.learning_rate)
+    for sums in ([0.5, 0.0], [0.0, 2.0]):
+        assert two_nodes.raw_rpc(node0, "update_weights", sums) == (
+            local.handle_update(sums)
+        )
+    refused = {
+        "get_membership": (None, "does not host the membership table"),
+        "update_weights": ([0.5, 0.0], "does not host the global weights"),
+    }
+    for op, (payload, why) in refused.items():
+        with pytest.raises(RuntimeError, match=f"status {wire.ST_ERROR}.*{why}"):
+            two_nodes.raw_rpc(node1, op, payload)
+
+
+def _answer(entry, request: bytes):
+    """Send one request frame on a fresh connection; the ST_OK result."""
+    with socket.create_connection((entry["host"], entry["port"]), 5.0) as sock:
+        sock.settimeout(5.0)
+        sock.sendall(request)
+        frame = _recv_frame(sock)
+    assert wire.RESP.unpack_from(frame) == (9, wire.ST_OK)
+    return pickle.loads(frame[wire.RESP.size:])
+
+
+def test_a_resent_alloc_is_deduplicated_across_a_kill_and_adopt(two_nodes):
+    entry = two_nodes.entry_for(1)
+    resend = _rpc_request("alloc_segment", (4096, 7), token=0xD1770)
+    granted = _answer(entry, resend)
+    # The adopted node has lost its in-memory RPC memo; only the journal
+    # remembers the token.
+    assert two_nodes.kill_node(1)
+    two_nodes.restart_node(1)
+    assert _answer(entry, resend) == granted
+    fresh = _rpc_request("alloc_segment", (4096, 7), token=0xD1771)
+    assert _answer(entry, fresh) != granted
 
 
 def test_sigterm_drains_flushes_and_unlinks():
