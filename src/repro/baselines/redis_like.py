@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, Generator, List, Optional, Tuple
 
 from ..core.layout import stable_hash64
-from ..sim import Engine, Resource, Timeout
+from ..sim import Engine, Resource
 
 
 class RedisNode:
@@ -163,7 +163,7 @@ class RedisCluster:
             remaining -= batch
             if duty < 1.0:
                 # Back off so request serving gets (1 - duty) of the CPUs.
-                yield Timeout(2 * batch * cost * (1.0 / duty - 1.0))
+                yield 2 * batch * cost * (1.0 / duty - 1.0)
         mig.streams_left -= 1
         if mig.streams_left == 0:
             mig.finished_at = self.engine.now
@@ -194,16 +194,22 @@ class RedisClient:
     def _request(self, key_hash: int) -> Generator:
         cl = self.cluster
         node_idx, redirected = cl.route(key_hash)
-        yield Timeout(cl.client_rtt_us / 2)
+        yield cl.client_rtt_us / 2
         if redirected:
             cl.redirects += 1
             old_idx = key_hash % (cl.migration.old_n if cl.migration else cl.active_nodes)
             yield from cl.nodes[old_idx].cpu.serve(cl.redirect_cpu_us)
-            yield Timeout(cl.client_rtt_us)  # bounce to the real owner
+            yield cl.client_rtt_us  # bounce to the real owner
+        if node_idx >= len(cl.nodes):
+            # A scale-in finished during the flight and reclaimed the owner
+            # the client routed to: the request bounces to the new owner.
+            cl.redirects += 1
+            yield cl.client_rtt_us
+            node_idx = key_hash % cl.active_nodes
         node = cl.nodes[node_idx]
         yield from node.cpu.serve(cl.op_cpu_us)
         node.served += 1
-        yield Timeout(cl.client_rtt_us / 2)
+        yield cl.client_rtt_us / 2
 
     def get(self, key: bytes) -> Generator:
         yield from self._request(stable_hash64(key))

@@ -31,7 +31,7 @@ from ..memory.node import BLOCK_SIZE
 from ..obs.observer import current as obs_current
 from ..rdma.params import NetworkParams
 from ..rdma.verbs import RdmaEndpoint
-from ..sim import CounterSet, Engine, Timeout
+from ..sim import CounterSet, Engine
 from . import race_table as T
 
 _NODE_BYTES = 16  # prev + next pointers of a list node
@@ -147,7 +147,7 @@ class ShardLruClient:
             self.lock_retries += 1
             self.cluster.counters.add("lock_retries")
             if self.cluster.backoff_us:
-                yield Timeout(self.cluster.backoff_us)
+                yield self.cluster.backoff_us
 
     def _unlock(self, shard: int) -> Generator:
         yield from self.ep.write(self.cluster.lock_addr(shard), bytes(8))

@@ -2,8 +2,8 @@
 
 Three functions, each timing one layer with nothing else running:
 
-- :func:`bench_engine` — events/sec of N processes ping-ponging Timeouts
-  through one engine;
+- :func:`bench_engine` — events/sec of N processes each yielding bare
+  delays through one engine;
 - :func:`bench_rdma` — READ verbs/sec through the full verb layer
   (endpoint → NIC booking → memory node);
 - :func:`bench_cachesim` — accesses/sec of a Zipfian trace replayed through
@@ -23,24 +23,23 @@ from typing import Dict
 from ..cachesim import SampledAdaptiveCache
 from ..memory import MemoryNode, MemoryPool
 from ..rdma import RdmaEndpoint
-from ..sim import Engine, Timeout
+from ..sim import Engine
 from ..workloads import ZipfianGenerator
 
 
 def bench_engine(
     processes: int = 100, events_per_process: int = 2000, batch: bool = True
 ) -> Dict:
-    """Pure event-loop throughput: Timeout-only processes.
+    """Pure event-loop throughput: processes that only yield delays.
 
     ``batch`` selects nothing: the engine has one event loop.  The keyword
     stays because ``perf/probes.py`` passes it.
     """
     engine = Engine()
-    pause = Timeout(1.0)  # immutable; hoisting it keeps the loop allocation-free
 
     def ping(n):
         for _ in range(n):
-            yield pause
+            yield 1.0
 
     for _ in range(processes):
         engine.spawn(ping(events_per_process))

@@ -23,7 +23,7 @@ import numpy as np
 from ..core.client import CacheOperationError
 from ..obs.observer import Observability
 from ..obs.observer import current as obs_current
-from ..sim import Engine, LatencyStats, ThroughputSeries, Timeout
+from ..sim import Engine, LatencyStats, ThroughputSeries
 
 _KEY = struct.Struct("<Q")
 
@@ -174,7 +174,7 @@ class Harness:
                     if result is None:
                         if self.miss_penalty_us:
                             # Fetch from the backing store, then fill the cache.
-                            yield Timeout(self.miss_penalty_us)
+                            yield self.miss_penalty_us
                         yield from client.set(key, value)
                     if self._measuring:
                         self._get_lat.record(engine.now - start)
@@ -212,7 +212,7 @@ class Harness:
         at = offset_us + crash.at_us
         delay = at - self.engine.now
         if delay > 0:
-            yield Timeout(delay)
+            yield delay
         victim = cluster.clients[crash.client_index]
         for flag in self._flags:
             if flag.get("client") is victim:

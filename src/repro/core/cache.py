@@ -21,7 +21,7 @@ from ..obs.observer import Observability
 from ..obs.observer import current as obs_current
 from ..rdma.params import NetworkParams
 from ..rdma.verbs import RdmaEndpoint, RdmaFaultError
-from ..sim import CounterSet, Engine, Timeout
+from ..sim import CounterSet, Engine
 from ..sim.faults import FaultInjector, FaultPlan
 from .adaptive import GlobalWeights
 from .client import DittoClient
@@ -373,7 +373,7 @@ class DittoCluster:
                 if failures > self.config.max_retries:
                     break
                 backoff = self.config.retry_backoff_us or 20.0
-                yield Timeout(backoff)
+                yield backoff
         if self.tracer is not None:
             self.tracer.complete_at(
                 "memory.shrink", "cluster", t0, self.engine.now - t0,
@@ -599,7 +599,7 @@ class DittoCluster:
         )
 
     def _recovery_process(self, dead):
-        yield Timeout(self.config.crash_detect_us)
+        yield self.config.crash_detect_us
         survivor = next((c for c in self.clients if not c.dead), None)
         if survivor is None:
             return  # nobody left to recover; the sweep will flag leaks
@@ -693,7 +693,7 @@ class DittoCluster:
                         min(attempt, 8), base=self.config.retry_backoff_us
                     )
                 if delay > 0.0:
-                    yield Timeout(delay)
+                    yield delay
 
     # -- aggregated statistics ----------------------------------------------
 

@@ -40,7 +40,6 @@ from ..rdma.verbs import (
     RdmaFaultError,
     StaleEpoch,
 )
-from ..sim import Timeout
 from . import layout as L
 from .elasticity import ACTIVE
 from .retry import backoff_us
@@ -353,7 +352,7 @@ class DittoClient:
                     )
                 delay = self._backoff_us(fault_attempts)
                 if delay > 0.0:
-                    yield Timeout(delay)
+                    yield delay
             if deadline is not None and engine._now >= deadline:
                 reason = f"op deadline ({config.op_deadline_us:.0f}us) exceeded"
                 break

@@ -49,7 +49,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..memory.controller import OutOfMemoryError
 from ..rdma.verbs import RdmaFaultError, StaleEpoch
-from ..sim import Engine, Event, Timeout
+from ..sim import Engine, Event
 from .elasticity import MetadataState
 from .retry import backoff_us
 
@@ -606,17 +606,17 @@ class GroupClient:
                 rng=self.rng,
             )
             if delay > 0.0:
-                yield Timeout(delay)
+                yield delay
 
     def _attempt(self, rid: int, session: Optional[int], seq: int,
                  command: Tuple):
         group = self.group
         params = group.params
-        yield Timeout(params.client_link_us)
+        yield params.client_link_us
         if group.stopped:
             return ("retry", None)
         if group.replica_down(rid):
-            yield Timeout(params.rpc_timeout_us)  # burn the RPC timeout
+            yield params.rpc_timeout_us  # burn the RPC timeout
             return ("down", None)
         event = Event(group.engine)
         try:
@@ -624,13 +624,13 @@ class GroupClient:
                 session, seq, command, event
             )
         except NotLeader as err:
-            yield Timeout(params.client_link_us)
+            yield params.client_link_us
             return ("redirect", err.leader_hint)
         group._count("consensus_submit")
         group.engine.call_later(params.rpc_timeout_us, group._expire_waiter,
                                 position, event)
         outcome = yield event
-        yield Timeout(params.client_link_us)
+        yield params.client_link_us
         return outcome
 
 

@@ -21,7 +21,7 @@ from functools import partial
 from typing import Callable, Dict, Generator, List, Optional, Tuple, Union
 
 from ..rdma.verbs import StaleEpoch
-from ..sim import Engine, Resource, Timeout
+from ..sim import Engine, Resource
 from .node import BLOCK_SIZE, MemoryNode
 
 CostSpec = Union[float, Callable[[object], float]]
@@ -212,7 +212,7 @@ class Controller:
         try:
             if tracer is not None:
                 wait_us = self.engine._now - t0
-            yield Timeout(self.node.params.rpc_dispatch_cpu_us + cpu_us)
+            yield self.node.params.rpc_dispatch_cpu_us + cpu_us
             result = fn(payload)
         finally:
             self.cpu.release()

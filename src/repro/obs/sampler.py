@@ -1,7 +1,7 @@
 """Resource-utilization timelines sampled from ``sim.resources``.
 
 A :class:`WatchedResource` pairs a name like ``mn0.nic`` with any object
-exposing ``sample() -> dict`` (``Resource``, ``RateLimiter``, ``Lock``,
+exposing ``sample() -> dict`` (``Resource``, the one-slot ``RateLimiter``,
 ``MemoryBudget``).  Samples are **pre-scheduled** as bounded one-shot engine
 callbacks inside known measurement windows rather than driven by an immortal
 periodic process: the bench layer's ``preload`` runs the engine until the

@@ -9,7 +9,7 @@ commands.  That discipline is what lets the very same client code run on
 two substrates:
 
 * the **sim substrate** (:class:`~repro.rdma.verbs.RdmaEndpoint`) yields
-  delays (bare floats or Timeouts) to the discrete-event engine,
+  delays (bare numbers) to the discrete-event engine,
   with NIC queueing and verb latency fully cost-modelled;
 * the **real substrate** (:class:`~repro.runtime.client.RealEndpoint`)
   yields plain verb requests that :func:`~repro.runtime.client.drive` puts

@@ -6,7 +6,7 @@ Every verb is a generator meant to run inside a simulation process
     client overhead -> half RTT -> MN NIC queue + service -> half RTT
 
 The three legs are folded into a single engine event via the NIC's
-virtual-time booking (see :class:`repro.sim.RateLimiter.serve`): the booking
+virtual-time booking (see :meth:`repro.sim.RateLimiter.book`): the booking
 order equals issue order, queueing delay is exact for a FIFO pipe, and the
 process resumes when the response lands.  Memory mutations (WRITE/CAS/FAA)
 execute at resume time — a constant half-RTT after NIC service for every
@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from ..memory.node import MemoryNode, MemoryPool
-from ..sim import CounterSet, Engine, Timeout
+from ..sim import CounterSet, Engine
 from ..sim.faults import DROP, OK, FaultInjector
 from .params import NetworkParams
 from .transport import VerbTransport
@@ -163,7 +163,7 @@ class RdmaEndpoint(VerbTransport):
             if extra:
                 self.counters.add("fault_latency_spike")
             return extra
-        yield Timeout(self.params.timeout_us(verb))
+        yield self.params.timeout_us(verb)
         raise self._timed_out(node, verb, kind)
 
     def _timed_out(self, node: MemoryNode, verb: str, kind: int,

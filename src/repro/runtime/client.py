@@ -2,10 +2,10 @@
 
 The portable layers (:class:`~repro.core.client.DittoClient`, allocators,
 recovery) are written as generators that ``yield`` commands to their
-substrate.  On the sim substrate every command is a
-:class:`~repro.sim.Timeout` and the discrete-event engine resumes the
+substrate.  On the sim substrate every command is a delay — a bare
+number of microseconds — and the discrete-event engine resumes the
 generator straight from the event that completes it; here the commands are
-either Timeouts (client backoff — a loop timer) or *verb requests*, plain
+either delays (client backoff — a loop timer) or *verb requests*, plain
 ``(endpoint, node, verb, opcode, body)`` tuples yielded by
 :class:`RealEndpoint` verbs, and :func:`drive` does what the engine does:
 it puts the request's frame on the live link to the memory node and the
@@ -68,7 +68,7 @@ from ..memory.node import MemoryAccessError
 from ..obs import observer
 from ..rdma.transport import VerbTransport
 from ..rdma.verbs import NodeUnavailable, StaleEpoch, VerbTimeout
-from ..sim import CounterSet, Timeout
+from ..sim import CounterSet
 from . import wire
 from .journal import unregister_shm
 
@@ -285,14 +285,15 @@ class _Runner:
                 return False
             self._recover(None)
             return True
-        if isinstance(command, Timeout):
+        if isinstance(command, (int, float)) and command >= 0:
             self.blocker = self.future.get_loop().call_later(
-                command.delay / 1e6, self.step
+                command / 1e6, self.step
             )
             return False
         return self.step(None, RuntimeError(
-            f"the real substrate cannot execute {command!r}; only Timeout "
-            "and endpoint verb requests are portable (DESIGN §3.7)"
+            f"the real substrate cannot execute {command!r}; only "
+            "non-negative delays and endpoint verb requests are portable "
+            "(DESIGN §3.7)"
         ))
 
     # -- the link's sink ----------------------------------------------------
@@ -345,7 +346,7 @@ async def drive(gen: Generator):
 
     The real-substrate counterpart of ``Engine.run_process``: the
     generator runs in the caller up to its first command, then in whatever
-    completes each command — Timeouts sleep on the wall clock, verb
+    completes each command — delays sleep on the wall clock, verb
     requests go out on the link and are resumed from it — and any failure
     is thrown into the generator at its yield point.  The caller sleeps on
     one future until the generator returns; a generator that never yields

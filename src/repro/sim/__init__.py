@@ -7,7 +7,6 @@ _EXPORTS = {
     "Event": ".engine",
     "Process": ".engine",
     "SimulationError": ".engine",
-    "Timeout": ".engine",
     "ClientCrash": ".faults",
     "DropWindow": ".faults",
     "FaultInjector": ".faults",
@@ -15,7 +14,6 @@ _EXPORTS = {
     "LatencySpike": ".faults",
     "NodeOutage": ".faults",
     "RpcFailure": ".faults",
-    "Lock": ".resources",
     "RateLimiter": ".resources",
     "Resource": ".resources",
     "CounterSet": ".stats",

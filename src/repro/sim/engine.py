@@ -4,16 +4,16 @@ The engine drives *processes*: plain Python generators that model concurrent
 activities (client threads, server loops, background daemons).  Processes
 communicate with the engine by yielding *commands*:
 
-- :class:`Timeout` — resume after a simulated delay,
-- a bare ``float`` — the same, without the Timeout object or its negative
-  check (the verb layer's per-verb wait),
+- a delay — a bare non-negative number (``float``, ``int`` or a float
+  subclass such as ``numpy.float64``): resume after that many microseconds,
 - :class:`Event` — resume when the event is triggered (yield the event itself),
 - another :class:`Process` — resume when that process completes (join).
 
-Nested calls inside a process use plain ``yield from``, so only the primitive
-commands above ever reach the engine.  Simulated time is a float in
-**microseconds**; nothing in the engine reads the wall clock, which keeps every
-simulation fully deterministic.
+Nested calls inside a process use plain ``yield from``, so only the three
+commands above ever reach the engine.  A negative delay raises
+:class:`SimulationError` naming the process and the time.  Simulated time is
+a float in **microseconds**; nothing in the engine reads the wall clock, which
+keeps every simulation fully deterministic.
 
 A process returns a value with a normal ``return`` statement; the value is
 delivered to joiners and stored on :attr:`Process.result`.
@@ -28,28 +28,6 @@ from typing import Any, Callable, Generator, Optional
 
 class SimulationError(RuntimeError):
     """Raised for engine misuse (bad yields, running a finished engine, ...)."""
-
-
-class Timeout:
-    """Command: resume the yielding process after ``delay`` microseconds."""
-
-    __slots__ = ("delay",)
-
-    def __init__(self, delay: float):
-        if delay < 0:
-            raise SimulationError(f"negative timeout: {delay}")
-        self.delay = delay
-
-    def _apply(self, engine: "Engine", process: "Process") -> None:
-        # Inlined call_later: Timeout is the dominant event source (one per
-        # simulated verb), so the extra call frame is worth shaving.
-        heapq.heappush(
-            engine._heap,
-            (engine._now + self.delay, next(engine._sequence), process._step, ()),
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Timeout({self.delay})"
 
 
 class Event:
@@ -162,28 +140,34 @@ class Process:
             self.done.trigger(stop.value)
             return
         except SimulationError as err:
-            # Fault-injection bugs surface here (negative backoff timeouts,
-            # resuming a killed-and-restarted process, ...); stamp the error
-            # with where and when so they are traceable.
+            # Fault-injection bugs surface here (resuming a killed-and-
+            # restarted process, ...); stamp the error with where and when
+            # so they are traceable.
             raise SimulationError(
                 f"{err} (at t={engine.now:.3f}us in process {self.name!r})"
             ) from err
-        if command.__class__ is float:
-            # A bare delay: Timeout._apply's entry, minus the Timeout and
-            # its check (the verb layer's NIC bookings are never negative).
-            heapq.heappush(engine._heap, (
-                engine._now + command, next(engine._sequence), self._step, ()))
-            return
-        try:
-            apply = command._apply
-        except AttributeError:
-            if isinstance(command, float):  # a float subclass (numpy.float64)
-                return Timeout(command)._apply(engine, self)
+        if command.__class__ is not float:
+            try:
+                apply = command._apply
+            except AttributeError:
+                # An int or a float subclass (numpy.float64) is a delay too;
+                # it is pushed uncoerced, as the caller's clock type.
+                if not isinstance(command, (int, float)):
+                    raise SimulationError(
+                        f"process {self.name!r} yielded a non-command: "
+                        f"{command!r}; did you forget 'yield from'?"
+                    ) from None
+            else:
+                apply(engine, self)
+                return
+        # A delay: the one check and the one heap entry.
+        if command < 0:
             raise SimulationError(
-                f"process {self.name!r} yielded a non-command: {command!r}; "
-                "did you forget 'yield from'?"
-            ) from None
-        apply(self.engine, self)
+                f"negative delay: {command} (at t={engine.now:.3f}us in "
+                f"process {self.name!r})"
+            )
+        heapq.heappush(engine._heap, (
+            engine._now + command, next(engine._sequence), self._step, ()))
 
     def _apply(self, engine: "Engine", process: "Process") -> None:
         # Yielding a Process means "join it".
@@ -223,8 +207,8 @@ class Engine:
         heapq.heappush(self._heap, (when, next(self._sequence), fn, args))
 
     def call_later(self, delay: float, fn: Callable, *args: Any) -> None:
-        # Hot path: delays are non-negative by construction (Timeout checks),
-        # so skip call_at's past-scheduling validation.
+        # Hot path: callers pass non-negative delays (a yielded delay is
+        # checked in Process._step), so skip call_at's past-scheduling check.
         heapq.heappush(
             self._heap, (self._now + delay, next(self._sequence), fn, args)
         )

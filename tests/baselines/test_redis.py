@@ -98,6 +98,32 @@ class TestMigration:
         engine.run()
         assert cluster.redirects > 0
 
+    def test_a_request_in_flight_when_scale_in_reclaims_its_owner_bounces(self):
+        # One batch moves every key of node 1 to node 0; a Get routed to
+        # node 1 just before it lands finds the node reclaimed on arrival.
+        cluster = RedisCluster(
+            initial_nodes=2, migration_batch=1024, migration_duty_cycle=1.0
+        )
+        items = {pack_key(i): make_value(32) for i in range(100)}
+        cluster.load(items)
+        cluster.add_clients(1)
+        moving = [k for k in items if stable_hash64(k) % 2 == 1]
+        lands = 2 * len(moving) * cluster.migration_key_cpu_us
+        cluster.scale(1)
+        issued = lands - 10.0
+        cluster.engine.run(until=issued)
+        assert cluster.route(stable_hash64(moving[0])) == (1, False)
+
+        assert run(cluster, cluster.clients[0].get(moving[0])) == items[moving[0]]
+        assert cluster.provisioned_nodes == 1
+        assert cluster.redirects == 1
+        assert cluster.nodes[0].served == 1
+        rtt = cluster.client_rtt_us
+        # Half-RTT out, the bounce's RTT, the new owner's CPU, half-RTT back.
+        assert cluster.engine.now == pytest.approx(
+            issued + 2 * rtt + cluster.op_cpu_us
+        )
+
     def test_moved_fraction_monotonic(self):
         cluster = make(nodes=2, n_keys=300)
         cluster.scale(4)

@@ -18,7 +18,6 @@ from repro.sim import (
     FaultPlan,
     LatencySpike,
     NodeOutage,
-    Timeout,
 )
 
 VALUE = b"v" * 64
@@ -32,7 +31,7 @@ def sleep_until(cluster, t_us):
     def proc():
         delay = t_us - cluster.engine.now
         if delay > 0:
-            yield Timeout(delay)
+            yield delay
 
     cluster.engine.run_process(proc())
 

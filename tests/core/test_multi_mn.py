@@ -158,8 +158,7 @@ class TestMnOutageAmongSeveral:
         # Once the node returns, everything is readable again — the data
         # never left, no repair step needed.
         def wait():
-            from repro.sim import Timeout
-            yield Timeout(window_end - cluster.engine.now + 1_000.0)
+            yield window_end - cluster.engine.now + 1_000.0
         run(wait())
         for key, value in values.items():
             assert run(cluster.clients[0].get(key)) == value
@@ -191,8 +190,7 @@ class TestMnOutageAmongSeveral:
         for key, fresh in updated.items():
             assert run(cluster.clients[0].get(key)) == fresh
         def wait():
-            from repro.sim import Timeout
-            yield Timeout(window_end - cluster.engine.now + 1_000.0)
+            yield window_end - cluster.engine.now + 1_000.0
         run(wait())
         cluster.engine.run()
         # Nothing leaked or double-owned despite failed ops mid-outage.

@@ -15,7 +15,7 @@ from repro.obs import (
     deactivate,
     validate_trace,
 )
-from repro.sim import Engine, Timeout
+from repro.sim import Engine
 
 
 @pytest.fixture(autouse=True)
@@ -40,7 +40,7 @@ class TestSpanTracer:
 
         def worker():
             t0 = engine.now
-            yield Timeout(5.0)
+            yield 5.0
             tracer.complete("work", "test", t0, {"n": 1})
 
         engine.run_process(worker(), name="w1")

@@ -76,9 +76,7 @@ class TestQueueing:
         def client(name, delay):
             ep = RdmaEndpoint(engine, MemoryPool([node]), node.params)
             if delay:
-                from repro.sim import Timeout
-
-                yield Timeout(delay)
+                yield delay
             yield from ep.read(0, 8)
             order.append(name)
 

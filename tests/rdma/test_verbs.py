@@ -7,7 +7,7 @@ from repro.core.elasticity import EpochFence
 from repro.memory import Controller, MemoryNode, MemoryPool
 from repro.obs.trace import SpanTracer
 from repro.rdma import NetworkParams, RdmaEndpoint
-from repro.sim import Engine, Timeout
+from repro.sim import Engine
 from repro.sim.engine import Process
 from repro.sim.faults import DropWindow, FaultInjector, FaultPlan, NodeOutage
 
@@ -254,7 +254,7 @@ def test_a_lost_post_is_counted_one_timeout_after_issue(plan, verb, counter):
     issued_at = 5.0
 
     def poster():
-        yield Timeout(issued_at)
+        yield issued_at
         if verb == "write":
             ep.post_write(8, b"lost")
         else:
@@ -318,18 +318,19 @@ def test_a_yielded_float_resumes_like_a_timeout():
 
     def sleeper(label, delay):
         yield delay
-        order.append((label, engine.now))
+        order.append((label, engine.now, type(engine.now)))
 
-    engine.spawn(sleeper("timeout-a", Timeout(1.5)))
-    engine.spawn(sleeper("float", 1.5))
-    engine.spawn(sleeper("timeout-b", Timeout(1.5)))
-    engine.spawn(sleeper("numpy", np.float64(1.5)))
+    engine.spawn(sleeper("int-a", 2))
+    engine.spawn(sleeper("float", 2.0))
+    engine.spawn(sleeper("int-b", 2))
+    engine.spawn(sleeper("numpy", np.float64(2.0)))
     engine.spawn(sleeper("early", 0.25))
     engine.run()
-    # Same-time wake-ups keep scheduling order, whatever was yielded.
+    # Same-time wake-ups keep scheduling order, whatever was yielded, and
+    # a delay is pushed uncoerced: a numpy delay makes a numpy clock.
     assert order == [
-        ("early", 0.25), ("timeout-a", 1.5), ("float", 1.5),
-        ("timeout-b", 1.5), ("numpy", 1.5),
+        ("early", 0.25, float), ("int-a", 2.0, float), ("float", 2.0, float),
+        ("int-b", 2.0, float), ("numpy", 2.0, np.float64),
     ]
 
 

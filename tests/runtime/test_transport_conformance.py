@@ -392,6 +392,30 @@ def test_fenced_background_posts_are_dropped_silently(substrate):
     ep.fence = None
 
 
+def test_a_delay_is_the_one_portable_wait(substrate):
+    clock = substrate.ep.engine  # the sim engine or the wall-clock runtime
+
+    def pause():
+        started = clock.now
+        yield 500.0
+        return started, clock.now
+
+    started, resumed = substrate.run(pause())
+    if substrate.name == "sim":
+        assert resumed == started + 500.0
+    else:
+        assert resumed - started >= 500.0
+
+    def rewind():
+        yield -1.0
+        return "resumed"
+
+    # Time cannot run backwards: the sim raises, the real runner throws
+    # its "cannot execute" error into the generator and the op fails.
+    with pytest.raises(RuntimeError, match=r"-1\.0"):
+        substrate.run(rewind())
+
+
 def test_timeouts_surface_as_verb_timeout(substrate):
     substrate.arm_timeouts()
     ep, node = substrate.ep, substrate.rpc_node

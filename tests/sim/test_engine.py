@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Engine, Event, SimulationError, Timeout
+from repro.sim import Engine, Event, SimulationError
 
 
 def test_time_starts_at_zero():
@@ -13,8 +13,8 @@ def test_timeout_advances_clock():
     engine = Engine()
 
     def proc():
-        yield Timeout(5.0)
-        yield Timeout(2.5)
+        yield 5.0
+        yield 2.5
         return "done"
 
     result = engine.run_process(proc())
@@ -23,8 +23,31 @@ def test_timeout_advances_clock():
 
 
 def test_negative_timeout_rejected():
-    with pytest.raises(SimulationError):
-        Timeout(-1.0)
+    engine = Engine()
+
+    def proc():
+        yield -1.0
+
+    engine.spawn(proc(), name="backwards")
+    with pytest.raises(SimulationError, match="negative delay.*'backwards'"):
+        engine.run()
+    assert engine.now == 0.0
+
+
+def test_a_negative_delay_cannot_run_the_clock_backwards():
+    engine = Engine()
+
+    def proc():
+        yield 10.0
+        yield -4.0
+
+    engine.spawn(proc(), name="rewinder")
+    with pytest.raises(SimulationError) as excinfo:
+        engine.run()
+    message = str(excinfo.value)
+    assert "negative delay: -4.0" in message
+    assert "t=10.000" in message and "'rewinder'" in message
+    assert engine.now == 10.0
 
 
 def test_processes_interleave_in_time_order():
@@ -32,7 +55,7 @@ def test_processes_interleave_in_time_order():
     order = []
 
     def proc(name, delay):
-        yield Timeout(delay)
+        yield delay
         order.append((name, engine.now))
 
     engine.spawn(proc("slow", 10.0))
@@ -47,7 +70,7 @@ def test_run_until_stops_and_advances_clock_exactly():
     fired = []
 
     def proc():
-        yield Timeout(100.0)
+        yield 100.0
         fired.append(engine.now)
 
     engine.spawn(proc())
@@ -69,7 +92,7 @@ def test_event_wakes_waiters_with_value():
         results.append((name, value, engine.now))
 
     def trigger():
-        yield Timeout(3.0)
+        yield 3.0
         event.trigger("payload")
 
     engine.spawn(waiter("a"))
@@ -103,7 +126,7 @@ def test_join_returns_child_result():
     engine = Engine()
 
     def child():
-        yield Timeout(4.0)
+        yield 4.0
         return "child-result"
 
     def parent():
@@ -118,7 +141,7 @@ def test_yield_from_composes_subroutines():
     engine = Engine()
 
     def inner():
-        yield Timeout(1.0)
+        yield 1.0
         return 10
 
     def outer():
@@ -134,7 +157,7 @@ def test_bad_yield_raises_helpful_error():
     engine = Engine()
 
     def proc():
-        yield 123  # not a command
+        yield "123"  # not a command
 
     engine.spawn(proc())
     with pytest.raises(SimulationError, match="non-command"):
@@ -172,7 +195,7 @@ def test_spawn_returns_process_with_result():
     engine = Engine()
 
     def proc():
-        yield Timeout(1.0)
+        yield 1.0
         return 99
 
     p = engine.spawn(proc())
@@ -187,15 +210,14 @@ def test_process_error_escapes_run_unwrapped_and_engine_resumes():
     # SimulationErrors get a where-and-when stamp), and the events still
     # pending stay queued, so the simulation can be run on.
     engine = Engine()
-    pause = Timeout(1.0)
 
     def ping():
         for _ in range(40):
-            yield pause
+            yield 1.0
 
     def bad():
         for _ in range(10):
-            yield pause
+            yield 1.0
         raise ValueError("boom")
 
     for _ in range(10):
@@ -211,11 +233,10 @@ def test_process_error_escapes_run_unwrapped_and_engine_resumes():
 def test_run_until_then_run_continues_cleanly():
     engine = Engine()
     trace = []
-    pause = Timeout(1.0)
 
     def ping(pid):
         for i in range(10):
-            yield pause
+            yield 1.0
             trace.append((pid, i, engine.now))
 
     for pid in range(10):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Engine, Event, Process, SimulationError, Timeout
+from repro.sim import Engine, Event, Process, SimulationError
 
 
 class TestProcessKill:
@@ -12,7 +12,7 @@ class TestProcessKill:
 
         def proc():
             steps.append("a")
-            yield Timeout(10.0)
+            yield 10.0
             steps.append("b")
 
         process = engine.spawn(proc())
@@ -29,7 +29,7 @@ class TestProcessKill:
 
         def proc():
             try:
-                yield Timeout(10.0)
+                yield 10.0
             finally:
                 cleaned.append(True)
 
@@ -42,7 +42,7 @@ class TestProcessKill:
         engine = Engine()
 
         def proc():
-            yield Timeout(1.0)
+            yield 1.0
             return 42
 
         process = engine.spawn(proc())
@@ -61,7 +61,7 @@ class TestProcessKill:
         woke = []
 
         def sleeper():
-            yield Timeout(100.0)
+            yield 100.0
 
         def waiter(process):
             yield process.done
@@ -80,8 +80,8 @@ class TestDiagnostics:
         engine = Engine()
 
         def culprit():
-            yield Timeout(3.0)
-            yield Timeout(-1.0)
+            yield 3.0
+            yield -1.0
 
         engine.spawn(culprit(), name="culprit_proc")
         with pytest.raises(SimulationError) as excinfo:
@@ -95,7 +95,7 @@ class TestDiagnostics:
         event = Event(engine)
 
         def bad():
-            yield Timeout(2.0)
+            yield 2.0
             event.trigger(1)
             event.trigger(2)
 

@@ -13,7 +13,6 @@ from repro.sim import (
     LatencySpike,
     NodeOutage,
     RpcFailure,
-    Timeout,
 )
 from repro.sim.faults import DOWN, DROP, OK
 
@@ -84,7 +83,7 @@ class TestFaultInjector:
 
     def advance(self, clock, t):
         def proc():
-            yield Timeout(t - clock.now)
+            yield t - clock.now
 
         clock.run_process(proc())
 

@@ -1,8 +1,8 @@
-"""Unit tests for Resource / RateLimiter / Lock contention semantics."""
+"""Unit tests for Resource / RateLimiter contention semantics."""
 
 import pytest
 
-from repro.sim import Engine, Lock, RateLimiter, Resource, SimulationError, Timeout
+from repro.sim import Engine, RateLimiter, Resource, SimulationError
 
 
 def test_resource_capacity_one_serializes():
@@ -13,7 +13,7 @@ def test_resource_capacity_one_serializes():
     def worker(name):
         yield from resource.acquire()
         start = engine.now
-        yield Timeout(10.0)
+        yield 10.0
         resource.release()
         spans.append((name, start, engine.now))
 
@@ -56,7 +56,7 @@ def test_capacity_increase_wakes_waiters():
         done.append((name, engine.now))
 
     def grower():
-        yield Timeout(1.0)
+        yield 1.0
         resource.set_capacity(3)
 
     for name in "abc":
@@ -105,14 +105,20 @@ def test_rate_limiter_queueing_delay():
     finish = []
 
     def sender():
-        yield from nic.serve(2.0)
+        yield nic.book(2.0)
         finish.append(engine.now)
 
     for _ in range(4):
         engine.spawn(sender())
+    engine.run(until=0.0)
+    assert nic.sample() == {
+        "backlog_us": 8.0, "busy_slots": 1, "slots": 1, "messages": 4,
+    }
     engine.run()
     assert finish == [2.0, 4.0, 6.0, 8.0]
-    assert nic.messages == 4
+    assert nic.sample() == {
+        "backlog_us": 0.0, "busy_slots": 0, "slots": 1, "messages": 4,
+    }
 
 
 def test_rate_limiter_variable_service_times():
@@ -121,7 +127,7 @@ def test_rate_limiter_variable_service_times():
     finish = []
 
     def sender(cost):
-        yield from nic.serve(cost)
+        yield nic.book(cost)
         finish.append((cost, engine.now))
 
     engine.spawn(sender(1.0))
@@ -129,30 +135,6 @@ def test_rate_limiter_variable_service_times():
     engine.spawn(sender(1.0))
     engine.run()
     assert finish == [(1.0, 1.0), (5.0, 6.0), (1.0, 7.0)]
-
-
-def test_lock_mutual_exclusion():
-    engine = Engine()
-    lock = Lock(engine)
-    trace = []
-
-    def critical(name):
-        yield from lock.acquire()
-        trace.append(("enter", name, engine.now))
-        yield Timeout(3.0)
-        trace.append(("exit", name, engine.now))
-        lock.release()
-
-    engine.spawn(critical("a"))
-    engine.spawn(critical("b"))
-    engine.run()
-    assert trace == [
-        ("enter", "a", 0.0),
-        ("exit", "a", 3.0),
-        ("enter", "b", 3.0),
-        ("exit", "b", 6.0),
-    ]
-    assert not lock.locked
 
 
 def test_resource_rejects_bad_capacity():
@@ -207,84 +189,3 @@ def test_capacity_shrink_grow_cycle_preserves_fifo():
     resource.set_capacity(3)  # growth wakes d,e immediately
     engine.run()
     assert done == list("abcdef")
-
-
-def test_rate_limiter_shrink_preserves_booked_backlog():
-    """Shrinking parallelism keeps the *busiest* slots: work already booked
-    on the pipe must survive an elasticity shrink (regression test for the
-    earliest-slot-keeping bug)."""
-    engine = Engine()
-    nic = RateLimiter(engine, parallelism=2)
-    finish = []
-
-    def sender(cost):
-        yield from nic.serve(cost)
-        finish.append(engine.now)
-
-    # Book slot 0 out to t=100 and slot 1 out to t=40.
-    engine.spawn(sender(100.0))
-    engine.spawn(sender(40.0))
-    engine.run(until=0.0)
-    assert nic.backlog_us == pytest.approx(100.0)
-    nic.set_parallelism(1)
-    # The busiest booking (t=100) must survive the shrink...
-    assert nic.backlog_us == pytest.approx(100.0)
-
-    # ...so new work queues behind it instead of overlapping it.
-    engine.spawn(sender(5.0))
-    engine.run()
-    assert finish == [40.0, 100.0, 105.0]
-
-
-def test_rate_limiter_grow_adds_idle_slots_at_now():
-    engine = Engine()
-    nic = RateLimiter(engine, parallelism=1)
-    finish = []
-
-    def sender(cost):
-        yield from nic.serve(cost)
-        finish.append(engine.now)
-
-    engine.spawn(sender(50.0))
-    engine.run(until=10.0)
-    nic.set_parallelism(3)
-    # New slots are free immediately: two new jobs run in parallel at t=10.
-    engine.spawn(sender(5.0))
-    engine.spawn(sender(5.0))
-    engine.run()
-    assert finish == [15.0, 15.0, 50.0]
-
-
-def test_rate_limiter_shrink_grow_shrink_keeps_largest():
-    engine = Engine()
-    nic = RateLimiter(engine, parallelism=3)
-
-    def sender(cost):
-        yield from nic.serve(cost)
-
-    for cost in (30.0, 20.0, 10.0):
-        engine.spawn(sender(cost))
-    engine.run(until=0.0)
-    nic.set_parallelism(2)
-    assert sorted(nic._free_at) == [20.0, 30.0]
-    nic.set_parallelism(1)
-    assert nic._free_at == [30.0]
-
-
-def test_rate_limiter_book_matches_serve():
-    """book() is the non-generator core of serve(): same booking math."""
-    e1, e2 = Engine(), Engine()
-    nic1, nic2 = RateLimiter(e1), RateLimiter(e2)
-    delays = [nic1.book(2.0, 1.0, 0.5) for _ in range(3)]
-    finish = []
-
-    def sender():
-        yield from nic2.serve(2.0, 1.0, 0.5)
-        finish.append(e2.now)
-
-    for _ in range(3):
-        e2.spawn(sender())
-    e2.run()
-    assert delays == [3.5, 5.5, 7.5]
-    assert finish == [3.5, 5.5, 7.5]
-    assert nic1.messages == nic2.messages == 3
