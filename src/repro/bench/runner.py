@@ -3,8 +3,13 @@
 All systems expose the same client surface (``get``/``set`` generators), so a
 single closed-loop driver measures them all:
 
-- :class:`Feed` — a cyclic per-client request source (YCSB stream or a trace
-  shard; the paper has clients iteratively replay their shard).
+- :class:`Feed` — a cyclic per-client request source (YCSB stream, a trace
+  shard, or :func:`zipf_feed`; the paper has clients iteratively replay
+  their shard).
+- :func:`closed_loop` — one client's driver.  It yields only delays and its
+  client's op commands, so it runs on both substrates: here as an engine
+  process, on the real cluster under ``runtime.client.drive``
+  (``runtime.loadgen``).
 - :class:`Harness` — spawns one driver process per client, applies the
   configurable miss penalty (500 µs in the paper: the cost of fetching a
   missed object from distributed storage before Set-ing it back), and
@@ -14,6 +19,7 @@ single closed-loop driver measures them all:
 
 from __future__ import annotations
 
+import random
 import struct
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -23,7 +29,9 @@ import numpy as np
 from ..core.client import CacheOperationError
 from ..obs.observer import Observability
 from ..obs.observer import current as obs_current
+from ..rdma.verbs import RdmaFaultError
 from ..sim import Engine, LatencyStats, ThroughputSeries
+from ..workloads import ZipfianGenerator
 
 _KEY = struct.Struct("<Q")
 
@@ -72,6 +80,59 @@ class Feed:
         return int(op), int(key)
 
 
+def zipf_feed(
+    ops: int, n_keys: int, theta: float, read_ratio: float, seed: int
+) -> Feed:
+    """One client's Zipfian Get/Set stream, the same on both substrates:
+    keys from ``ZipfianGenerator(n_keys, theta, seed)``, and the i-th op a
+    Get when the i-th ``random.Random(seed).random()`` is below
+    ``read_ratio``, else a Set.  A longer stream extends a shorter one."""
+    keys = ZipfianGenerator(n_keys, theta=theta, seed=seed).sample(ops)
+    draw = random.Random(seed).random
+    reads = np.array([draw() for _ in range(ops)]) < read_ratio
+    return Feed(np.where(reads, READ, UPDATE), keys)
+
+
+def closed_loop(
+    client,
+    feed: Feed,
+    value: bytes,
+    now,
+    running,
+    finished,
+    failed=None,
+    miss_penalty_us: float = 0.0,
+):
+    """One client's closed loop over ``feed``, on either substrate: it
+    yields only delays (the miss penalty) and its client's op commands.
+
+    The caller passes in what differs: ``now()`` stamps an op's start,
+    ``running()`` says whether to take the next op, ``finished(op,
+    start)`` records an op that completed and ``failed(op, start)`` one
+    that failed for good (without ``failed`` the failure propagates).  A
+    Get that misses is fetched from the backing store and Set back.
+    """
+    while running():
+        op, key_id = feed.next()
+        key = pack_key(key_id)
+        start = now()
+        try:
+            if op == READ:
+                result = yield from client.get(key)
+                if result is None:
+                    if miss_penalty_us:
+                        yield miss_penalty_us
+                    yield from client.set(key, value)
+            else:
+                yield from client.set(key, value)
+        except (CacheOperationError, RdmaFaultError):
+            if failed is None:
+                raise
+            failed(op, start)
+        else:
+            finished(op, start)
+
+
 @dataclass
 class MeasureResult:
     """Metrics from one measurement window."""
@@ -109,7 +170,8 @@ class Harness:
         obs: Optional[Observability] = None,
     ):
         """``tolerate_failures`` keeps a driver alive when an operation
-        fails permanently (:class:`CacheOperationError`) — required for
+        fails permanently (:class:`CacheOperationError`, or a fault the
+        client let through) — required for
         chaos runs, where a retry-exhausted Set is a data point, not a
         reason to unwind the engine."""
         self.engine = engine
@@ -141,9 +203,15 @@ class Harness:
         flag = {"stop": False, "client": client}
         self._flags.append(flag)
         self._clients.append(client)
-        flag["process"] = self.engine.spawn(
-            self._loop(client, feed, flag), name="driver"
-        )
+        engine = self.engine
+        flag["process"] = engine.spawn(closed_loop(
+            client, feed, self.value,
+            now=lambda: engine.now,
+            running=lambda: not flag["stop"],
+            finished=self._finished,
+            failed=self._failed if self.tolerate_failures else None,
+            miss_penalty_us=self.miss_penalty_us,
+        ), name="driver")
         return flag
 
     def launch_all(self, clients: Sequence, feeds: Sequence[Feed]) -> List[dict]:
@@ -159,37 +227,17 @@ class Harness:
         self._flags.clear()
         self._clients.clear()
 
-    # -- the driver loop ------------------------------------------------------
+    # -- what the driver loops record ---------------------------------------
 
-    def _loop(self, client, feed: Feed, flag: dict):
-        engine = self.engine
-        value = self.value
-        while not flag["stop"]:
-            op, key_id = feed.next()
-            key = pack_key(key_id)
-            start = engine.now
-            try:
-                if op == READ:
-                    result = yield from client.get(key)
-                    if result is None:
-                        if self.miss_penalty_us:
-                            # Fetch from the backing store, then fill the cache.
-                            yield self.miss_penalty_us
-                        yield from client.set(key, value)
-                    if self._measuring:
-                        self._get_lat.record(engine.now - start)
-                else:
-                    yield from client.set(key, value)
-                    if self._measuring:
-                        self._set_lat.record(engine.now - start)
-            except CacheOperationError:
-                if not self.tolerate_failures:
-                    raise
-                self.failed_ops += 1
-                continue
-            if self._measuring:
-                self._ops += 1
-                self.series.record(engine.now)
+    def _finished(self, op: int, start: float) -> None:
+        if self._measuring:
+            now = self.engine.now
+            (self._get_lat if op == READ else self._set_lat).record(now - start)
+            self._ops += 1
+            self.series.record(now)
+
+    def _failed(self, op: int, start: float) -> None:
+        self.failed_ops += 1
 
     # -- fault injection ---------------------------------------------------
 
@@ -275,17 +323,19 @@ class Harness:
         )
 
 
+def load(client, key_ids: Iterable[int], value: bytes):
+    """Set every key of ``key_ids``: one client's share of a preload, on
+    either substrate."""
+    for key_id in key_ids:
+        yield from client.set(pack_key(int(key_id)), value)
+
+
 def preload(engine: Engine, clients: Sequence, keys: Sequence[int], value_size: int = 232) -> None:
     """Load ``keys`` into the cache, sharded across clients (untimed setup)."""
     value = make_value(value_size)
     shards = np.array_split(np.asarray(list(keys), dtype=np.int64), len(clients))
-
-    def loader(client, shard):
-        for key_id in shard:
-            yield from client.set(pack_key(int(key_id)), value)
-
     processes = [
-        engine.spawn(loader(c, s), name="preload")
+        engine.spawn(load(c, s, value), name="preload")
         for c, s in zip(clients, shards)
         if len(s)
     ]

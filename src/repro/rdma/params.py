@@ -18,7 +18,7 @@ paper's FC cache exists to mitigate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 
 @dataclass
@@ -50,14 +50,6 @@ class NetworkParams:
     #: never arrives before declaring it failed.  Only reachable under fault
     #: injection — the healthy fabric always completes verbs.
     verb_timeout_us: float = 100.0
-    #: Optional per-verb timeout overrides, e.g. ``{"rpc": 500.0}``.
-    verb_timeout_overrides: Optional[Dict[str, float]] = None
-
-    def timeout_us(self, verb: str) -> float:
-        """Completion timeout for one verb kind."""
-        if self.verb_timeout_overrides:
-            return self.verb_timeout_overrides.get(verb, self.verb_timeout_us)
-        return self.verb_timeout_us
 
     def nic_service_us(self, verb: str, payload_bytes: int = 0) -> float:
         """NIC pipe occupancy for one verb of ``payload_bytes``."""

@@ -163,14 +163,14 @@ class RdmaEndpoint(VerbTransport):
             if extra:
                 self.counters.add("fault_latency_spike")
             return extra
-        yield self.params.timeout_us(verb)
+        yield self.params.verb_timeout_us
         raise self._timed_out(node, verb, kind)
 
     def _timed_out(self, node: MemoryNode, verb: str, kind: int,
                    tid: Optional[int] = None, lane: str = "") -> RdmaFaultError:
         """Trace and count a verb whose timeout just ran out; returns the
         error for a waiting caller to raise."""
-        timeout_us = self.params.timeout_us(verb)
+        timeout_us = self.params.verb_timeout_us
         if self.tracer is not None:
             self.tracer.instant(
                 "fault.verb_timeout", "fault",
@@ -346,7 +346,7 @@ class RdmaEndpoint(VerbTransport):
         if self.faults is not None:
             kind, extra = self.faults.verb_outcome(node.node_id, verb)
             if kind != OK:
-                engine.call_later(self.params.timeout_us(verb), self._drop_post,
+                engine.call_later(self.params.verb_timeout_us, self._drop_post,
                                   tid, verb, node, kind)
                 return
             if extra:

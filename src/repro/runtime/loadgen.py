@@ -4,8 +4,10 @@ Drives a live cluster (launched by ``python -m repro.serve`` or
 :class:`~repro.runtime.harness.RealClusterHarness`) with any number of
 concurrent clients: every logical client is a full
 :class:`~repro.core.client.DittoClient` with its own
-:class:`~repro.runtime.client.RealEndpoint`, running as one asyncio task
-in a closed loop over a Zipfian key stream; all of them send over the
+:class:`~repro.runtime.client.RealEndpoint`, running the sim harness's
+closed loop (:func:`~repro.bench.runner.closed_loop`) over the same
+Zipfian request stream the sim replays
+(:func:`~repro.bench.runner.zipf_feed`); all of them send over the
 process's one link per memory node.  Per-op latencies land in exact
 :class:`~repro.sim.stats.LatencyStats` for the report percentiles; under
 ``REPRO_TRACE`` the clients additionally record the ``op.latency``
@@ -14,11 +16,14 @@ process's trace shard.
 
 Scales to thousands of clients in one process: the link is one
 ``asyncio.Protocol`` on one socket per memory node (no stream objects,
-no reader task) and an op in flight is one future, whatever verbs it
-issues.  The report ends with how well the frames batched on both ends:
-frames per flush on the client's links (with the verbs that left the
-inline path for the recovery coroutine), and frames, wake-ups and sends
-of each memory node (from ``__stats__``).
+no reader task), and each client's whole loop is one
+:func:`~repro.runtime.client.drive` call: an op costs no future and no
+task wake-up, whatever verbs it issues, and the next op's first verb
+corks inline as the last one's answer is dispatched.  The report ends
+with how well the frames batched on both ends: frames per flush on the
+client's links (with the verbs that left the inline path for the
+recovery coroutine), and frames, wake-ups and sends of each memory node
+(from ``__stats__``).
 
 CLI::
 
@@ -30,16 +35,16 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import functools
+import itertools
 import json
 import sys
 import time
 from typing import Dict, Optional
 
-from ..core.client import CacheOperationError
+from ..bench.runner import READ, closed_loop, load, make_value, zipf_feed
 from ..obs import observer
-from ..rdma.verbs import RdmaFaultError
 from ..sim.stats import LatencyStats
-from ..workloads import ZipfianGenerator
 from .client import drive
 from .cluster import RealCluster
 from .harness import control_rpc
@@ -70,60 +75,6 @@ def node_batching(descriptor: Dict) -> list:
     return rows
 
 
-async def _client_loop(
-    cluster: RealCluster,
-    client,
-    ops: int,
-    n_keys: int,
-    theta: float,
-    read_ratio: float,
-    value_bytes: int,
-    seed: int,
-    stats: Dict,
-    start_gate: asyncio.Event,
-    obs: Optional[observer.Observability] = None,
-    lane: int = 0,
-) -> None:
-    keys = ZipfianGenerator(n_keys, theta=theta, seed=seed).sample(ops)
-    import random
-
-    rng = random.Random(seed)
-    value = bytes(value_bytes)
-    get_lat = stats["get_latency"]
-    set_lat = stats["set_latency"]
-    tracer = obs.tracer if obs is not None else None
-    await start_gate.wait()
-    for i in range(ops):
-        key = b"key-%d" % int(keys[i])
-        is_read = rng.random() < read_ratio
-        failed = False
-        t0 = time.perf_counter()
-        try:
-            if is_read:
-                result = await drive(client.get(key))
-                if result is None:
-                    # Cache-aside fill, as the sim harness models misses.
-                    await drive(client.set(key, value))
-            else:
-                await drive(client.set(key, value))
-        except (CacheOperationError, RdmaFaultError):
-            stats["failed_ops"] += 1
-            failed = True
-        finally:
-            stats["ops_done"] += 1
-        elapsed_us = (time.perf_counter() - t0) * 1e6
-        if tracer is not None:
-            # Ops on this task are sequential, so spans nest trivially in
-            # the client's own lane.
-            tracer.complete_at(
-                "op.get" if is_read else "op.set", "op",
-                obs.now_us() - elapsed_us, elapsed_us, tid=lane,
-                args={"failed": True} if failed else None,
-            )
-        if not failed:
-            (get_lat if is_read else set_lat).record(elapsed_us)
-
-
 async def run_load(
     descriptor: Dict,
     clients: int = 16,
@@ -147,8 +98,9 @@ async def run_load(
     its invariant sweep over the same client state) may pass its own
     ``cluster`` — it must have no clients yet and is *not* closed here.
     ``on_start`` is an optional async callback awaited right before the
-    start gate opens (chaos uses it to arm fault gates and schedule the
-    kill task on the running loop).
+    clients start (chaos uses it to arm fault gates and schedule the kill
+    task on the running loop).  ``ops`` and ``ops_per_s`` count the ops
+    that completed; ``failed_ops`` the rest.
     """
     obs = observer.current()
     owns_cluster = cluster is None
@@ -159,39 +111,51 @@ async def run_load(
     cluster.add_clients(clients)
     if obs is not None:
         obs.registry.bridge(cluster.counters, component="client")
-    stats = {
-        "ops_done": 0,
-        "failed_ops": 0,
-        "get_latency": LatencyStats(),
-        "set_latency": LatencyStats(),
-    }
+    value = make_value(value_bytes)
     if preload:
-        loader = cluster.clients[0]
-        for key_id in range(preload):
-            await drive(loader.set(b"key-%d" % key_id, bytes(value_bytes)))
+        await drive(load(cluster.clients[0], range(preload), value))
+
+    get_lat, set_lat = LatencyStats(), LatencyStats()
+    failed_ops = 0
+    tracer = obs.tracer if obs is not None else None
+
+    def record(lane: int, op: int, start: float, failed: bool = False):
+        nonlocal failed_ops
+        elapsed_us = (time.perf_counter() - start) * 1e6
+        if tracer is not None:
+            # A client's ops are sequential: its spans nest in its lane.
+            tracer.complete_at(
+                "op.get" if op == READ else "op.set", "op",
+                obs.now_us() - elapsed_us, elapsed_us, tid=lane,
+                args={"failed": True} if failed else None,
+            )
+        if failed:
+            failed_ops += 1
+        else:
+            (get_lat if op == READ else set_lat).record(elapsed_us)
 
     per_client = -(-ops // clients)
-    start_gate = asyncio.Event()
-    tasks = [
-        asyncio.ensure_future(
-            _client_loop(
-                cluster, client, per_client, n_keys, theta, read_ratio,
-                value_bytes, seed * 1_000_003 + index, stats, start_gate,
-                obs=obs,
-                lane=obs.lane(f"client-{index}") if obs is not None else 0,
-            )
-        )
-        for index, client in enumerate(cluster.clients)
-    ]
-    # Every task parks on the gate after its (cheap) setup, so the measured
-    # window starts with all clients running.
-    await asyncio.sleep(0)
+    loops = []
+    for index, client in enumerate(cluster.clients):
+        lane = obs.lane(f"client-{index}") if obs is not None else 0
+        loops.append(closed_loop(
+            client,
+            zipf_feed(per_client, n_keys, theta, read_ratio,
+                      seed * 1_000_003 + index),
+            value,
+            now=time.perf_counter,
+            # True per_client times, then False.
+            running=functools.partial(
+                next, itertools.repeat(True, per_client), False
+            ),
+            finished=functools.partial(record, lane),
+            failed=functools.partial(record, lane, failed=True),
+        ))
     if on_start is not None:
         await on_start()
     load_start_us = obs.now_us() if obs is not None else 0.0
     t_start = time.perf_counter()
-    start_gate.set()
-    await asyncio.gather(*tasks)
+    await asyncio.gather(*map(drive, loops))
     wall_s = time.perf_counter() - t_start
     if obs is not None:
         obs.tracer.complete(
@@ -203,15 +167,14 @@ async def run_load(
     if owns_cluster:
         await cluster.aclose()
 
-    get_lat = stats["get_latency"]
-    set_lat = stats["set_latency"]
+    completed = get_lat.count + set_lat.count
     counters = cluster.counters.as_dict()
     return LoadReport(
         clients=clients,
-        ops=stats["ops_done"],
-        failed_ops=stats["failed_ops"],
+        ops=completed,
+        failed_ops=failed_ops,
         wall_s=round(wall_s, 4),
-        ops_per_s=round(stats["ops_done"] / wall_s, 1) if wall_s else 0.0,
+        ops_per_s=round(completed / wall_s, 1) if wall_s else 0.0,
         hit_rate=round(cluster.hit_rate(), 4),
         objects=cluster.object_count,
         get_p50_us=round(get_lat.percentile(50), 1) if get_lat.count else None,

@@ -8,12 +8,15 @@ substrate has to rank them the same way, or the sim's conclusions about
 design points cannot be trusted.
 
 This harness runs the same closed-loop Zipfian workload on both
-substrates across a set of configurations that vary client concurrency
-and value size, ranks each substrate's throughputs, and asserts the
-rankings are identical.  Both sides execute the *same*
-:class:`~repro.core.client.DittoClient` code — only the endpoint behind
-the verb layer differs — so an ordering disagreement localizes to the
-substrate model, not the caching logic.
+substrates across a set of configurations that vary the read/write mix,
+ranks each substrate's throughputs, and asserts the rankings are
+identical.  Both sides run the *same* driver
+(:func:`~repro.bench.runner.closed_loop`) over the *same* per-client
+request stream (:func:`~repro.bench.runner.zipf_feed`, one seed per
+client) through the *same* :class:`~repro.core.client.DittoClient` code —
+only the endpoint behind the verb layer differs — so an ordering
+disagreement localizes to the substrate model, not the caching logic or
+the load.
 
 A second mode, ``--chaos``, is the wall-clock robustness drill: the
 *same* :class:`~repro.sim.faults.FaultPlan` (canned drop+outage plan, or
@@ -40,14 +43,11 @@ import json
 import sys
 from typing import Dict, List, Optional
 
-import numpy as np
-
-from ..bench.runner import READ, UPDATE, Feed, Harness, preload
+from ..bench.runner import Harness, preload, zipf_feed
 from ..bench.systems import build_ditto
 from ..obs import observer
 from ..obs import runtime as obs_runtime
 from ..sim.faults import FaultPlan
-from ..workloads import ZipfianGenerator
 from .harness import RealClusterHarness
 from .loadgen import run_load
 
@@ -74,27 +74,29 @@ _NUM_MEMORY_NODES = 2
 _SEED = 11
 
 
-def _zipf_feed(ops: int, seed: int, read_ratio: float) -> Feed:
-    """Zipfian request stream with the given read fraction, the sim twin
-    of the real load generator's per-client loop (misses are filled by
-    the driver)."""
-    keys = ZipfianGenerator(_N_KEYS, theta=_THETA, seed=seed).sample(ops)
-    rng = np.random.default_rng(seed)
-    op_codes = np.where(
-        rng.random(ops) < read_ratio, READ, UPDATE
-    ).astype(np.int8)
-    return Feed(op_codes, keys.astype(np.int64))
+def sim_run(
+    read_ratio: float,
+    plan: Optional[FaultPlan] = None,
+    warm_us: float = 20_000.0,
+    window_us: float = 60_000.0,
+) -> Dict:
+    """One sim run: the real load's clients and request streams, measured
+    over one window; its throughput (Mops) and fault counters.
 
+    Under a fault plan the clients get the same enlarged retry budget the
+    real chaos run overlays (:data:`~repro.runtime.chaos.CHAOS_CLIENT_CONFIG`):
+    riding a whole outage window takes more attempts than the default
+    three.
+    """
+    from .chaos import CHAOS_CLIENT_CONFIG
 
-def sim_throughput(
-    config: Dict, warm_us: float = 20_000.0, window_us: float = 60_000.0
-) -> float:
-    """Measured sim throughput (Mops) for one configuration."""
     cluster = build_ditto(
         _CAPACITY,
         _CLIENTS,
         num_memory_nodes=_NUM_MEMORY_NODES,
         seed=_SEED,
+        faults=plan,
+        **(CHAOS_CLIENT_CONFIG if plan is not None else {}),
     )
     preload(
         cluster.engine, cluster.clients, range(_N_KEYS // 2),
@@ -102,14 +104,22 @@ def sim_throughput(
     )
     harness = Harness(cluster.engine, value_size=_VALUE_BYTES)
     feeds = [
-        _zipf_feed(20_000, _SEED * 1_000_003 + i, config["read_ratio"])
-        for i in range(len(cluster.clients))
+        zipf_feed(20_000, _N_KEYS, _THETA, read_ratio,
+                  _SEED * 1_000_003 + index)
+        for index in range(_CLIENTS)
     ]
     harness.launch_all(cluster.clients, feeds)
     harness.warm(warm_us)
     measured = harness.measure(window_us)
     harness.stop_all()
-    return measured.throughput_mops
+    counters = cluster.counters.as_dict()
+    return {
+        "throughput_mops": measured.throughput_mops,
+        "fault_counters": {
+            key: value for key, value in sorted(counters.items())
+            if key.startswith("fault")
+        },
+    }
 
 
 def real_throughput(config: Dict, ops: int = 6000) -> Dict:
@@ -146,50 +156,6 @@ def real_throughput(config: Dict, ops: int = 6000) -> Dict:
     return report
 
 
-def sim_chaos(plan: FaultPlan, warm_us: float = 5_000.0,
-              window_us: float = 40_000.0) -> Dict:
-    """Run the fault plan on the sim substrate (its native habitat).
-
-    The measurement window is chosen to cover the canned plan's sim-time
-    fault windows, so the counters show the injected drops/outages being
-    ridden through by the same client machinery the real run exercises.
-    Clients get the same enlarged retry budget the real chaos run
-    overlays (:data:`~repro.runtime.chaos.CHAOS_CLIENT_CONFIG`) — riding
-    a whole outage window takes more attempts than the default three.
-    """
-    from .chaos import CHAOS_CLIENT_CONFIG
-
-    cluster = build_ditto(
-        _CAPACITY,
-        _CLIENTS,
-        num_memory_nodes=_NUM_MEMORY_NODES,
-        seed=_SEED,
-        faults=plan,
-        **CHAOS_CLIENT_CONFIG,
-    )
-    preload(
-        cluster.engine, cluster.clients, range(_N_KEYS // 2),
-        value_size=_VALUE_BYTES,
-    )
-    harness = Harness(cluster.engine, value_size=_VALUE_BYTES)
-    feeds = [
-        _zipf_feed(20_000, _SEED * 1_000_003 + i, 0.95)
-        for i in range(len(cluster.clients))
-    ]
-    harness.launch_all(cluster.clients, feeds)
-    harness.warm(warm_us)
-    measured = harness.measure(window_us)
-    harness.stop_all()
-    counters = cluster.counters.as_dict()
-    return {
-        "throughput_mops": measured.throughput_mops,
-        "fault_counters": {
-            key: value for key, value in sorted(counters.items())
-            if key.startswith("fault")
-        },
-    }
-
-
 def run_chaos_validation(
     ops: int = 5000,
     clients: int = 16,
@@ -208,7 +174,9 @@ def run_chaos_validation(
         time_scale = DEFAULT_TIME_SCALE
 
     say("[sim ] replaying the fault plan on the simulator ...")
-    sim_result = sim_chaos(plan)
+    # The window covers the canned plan's sim-time fault windows, so the
+    # counters show the drops and outages being ridden through.
+    sim_result = sim_run(0.95, plan, warm_us=5_000.0, window_us=40_000.0)
     say(f"[sim ] {sim_result['throughput_mops']:.4f} Mops under faults "
         f"{sim_result['fault_counters']}")
 
@@ -268,7 +236,7 @@ def run_validation(
     digests: Dict[str, Dict] = {}
     for config in configs:
         say(f"[sim ] {config['name']} ...")
-        sim[config["name"]] = sim_throughput(config)
+        sim[config["name"]] = sim_run(config["read_ratio"])["throughput_mops"]
         say(f"[sim ] {config['name']}: {sim[config['name']]:.4f} Mops")
     for config in configs:
         say(f"[real] {config['name']} ...")
@@ -309,8 +277,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description="Assert sim and real-substrate throughput orderings agree"
     )
-    parser.add_argument("--ops", type=int, default=6000,
-                        help="real-substrate ops per configuration")
+    parser.add_argument("--ops", type=int, default=None,
+                        help="real-substrate ops per configuration "
+                             "(default 6000; with --chaos, 5000)")
     parser.add_argument("--json", default="",
                         help="also write the comparison to this path")
     parser.add_argument("--digest", default="",
@@ -338,7 +307,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             with open(args.chaos_plan, "r", encoding="utf-8") as fh:
                 plan = FaultPlan.from_dict(json.load(fh))
         result = run_chaos_validation(
-            ops=args.ops if args.ops != 6000 else 5000,
+            ops=5000 if args.ops is None else args.ops,
             clients=args.clients,
             plan=plan,
             time_scale=args.time_scale,
@@ -362,7 +331,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"chaos drill {verdict}")
         return 0 if result["clean"] else 1
 
-    result = run_validation(ops=args.ops, progress=print)
+    result = run_validation(
+        ops=6000 if args.ops is None else args.ops, progress=print
+    )
     print()
     print(f"{'config':<10} {'sim Mops':>10} {'real ops/s':>12}")
     for config in result["configs"]:

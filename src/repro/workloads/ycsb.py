@@ -65,36 +65,39 @@ class YCSBWorkload:
         """Keys pre-loaded before the measured run (sharded across clients)."""
         return range(self.config.n_keys)
 
-    def _physical_key(self, logical: int) -> int:
-        """Map the logical (base + own-inserts) space to physical keys."""
-        if logical < self.config.n_keys:
-            return logical
-        own_index = logical - self.config.n_keys
-        return (
-            self.config.n_keys
-            + self.config.client_id * self.config.insert_space
-            + own_index
-        )
-
     def requests(self, count: int) -> List[Request]:
         """Materialize ``count`` requests."""
         ops = self._rng.random(count)
         if self.config.workload == "D":
-            out: List[Request] = []
-            for op_draw in ops:
-                if op_draw < self._insert_frac:
-                    self._newest += 1
-                    out.append(("insert", self._physical_key(self._newest)))
-                else:
-                    logical = self._latest.sample_one(self._newest)
-                    out.append(("read", self._physical_key(logical)))
-            return out
+            return self._latest_requests(ops < self._insert_frac)
         keys = self._zipf.sample(count)
         read_cut = self._read_frac
         return [
             ("read" if draw < read_cut else "update", int(key))
             for draw, key in zip(ops, keys)
         ]
+
+    def _latest_requests(self, inserts: np.ndarray) -> List[Request]:
+        """Workload D: an insert adds the next key of this client's own
+        range, and a read draws from the "latest" distribution as of its
+        place in the stream — one offset draw for all the reads.
+
+        Logical keys past the base ``n_keys`` are this client's inserts;
+        they map into its private physical range."""
+        newest = self._newest + np.cumsum(inserts)
+        if len(newest):
+            self._newest = int(newest[-1])
+        reads = ~inserts
+        logical = newest.copy()
+        logical[reads] = self._latest.sample(int(reads.sum()), newest[reads])
+        config = self.config
+        physical = np.where(
+            logical < config.n_keys,
+            logical,
+            logical + config.client_id * config.insert_space,
+        )
+        labels = np.where(inserts, "insert", "read").tolist()
+        return list(zip(labels, physical.tolist()))
 
     def request_stream(self, count: int, chunk: int = 4096) -> Iterator[Request]:
         """Memory-frugal request iterator."""

@@ -70,16 +70,14 @@ class UniformGenerator:
 class LatestGenerator:
     """YCSB's "latest" distribution: recency-skewed toward newest inserts.
 
-    Used by workload D: the sampled key is ``newest - zipf_offset``.
+    Used by workload D: the sampled key is ``newest - zipf_offset``, where
+    ``newest`` is one key or one per sample.
     """
 
     def __init__(self, n_keys: int, theta: float = 0.99, seed: int = 0):
         self.n_keys = n_keys
         self._zipf = ZipfianGenerator(n_keys, theta=theta, seed=seed, scramble=False)
 
-    def sample(self, count: int, newest: int) -> np.ndarray:
+    def sample(self, count: int, newest) -> np.ndarray:
         offsets = self._zipf.sample(count)
-        return (newest - offsets) % max(newest + 1, 1)
-
-    def sample_one(self, newest: int) -> int:
-        return int(self.sample(1, newest)[0])
+        return (newest - offsets) % np.maximum(newest + 1, 1)

@@ -214,7 +214,7 @@ def _unit_fabric():
     params = NetworkParams(
         rtt_us=0.0, client_overhead_us=0.0, nic_rate_mops=1.0,
         bandwidth_bytes_per_us=1e12,
-        verb_timeout_us=40.0, verb_timeout_overrides={"faa": 70.0},
+        verb_timeout_us=40.0,
     )
     node = MemoryNode(engine, size=4096, params=params)
     return engine, node, RdmaEndpoint(engine, MemoryPool([node]), params)
@@ -261,7 +261,7 @@ def test_a_lost_post_is_counted_one_timeout_after_issue(plan, verb, counter):
             ep.post_faa(8, 1)
 
     engine.spawn(poster())
-    landed_at = issued_at + ep.params.timeout_us(verb)
+    landed_at = issued_at + ep.params.verb_timeout_us
     engine.run(until=landed_at - 1e-9)
     assert ep.counters.as_dict() == {f"rdma_{verb}": 1}
     engine.run(until=landed_at)

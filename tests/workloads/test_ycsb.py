@@ -1,5 +1,8 @@
 """Tests for YCSB workload generation."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.workloads import YCSBConfig, YCSB_MIXES, make_ycsb
@@ -64,3 +67,28 @@ class TestConfig:
         wl = make_ycsb("C", n_keys=100, seed=1)
         stream = list(wl.request_stream(1000, chunk=64))
         assert len(stream) == 1000
+
+
+@pytest.mark.parametrize("workload, seed, client_id, digest", [
+    ("A", 0, 0,
+     "24e6443bfe9d763d58f548f60958028d6fcceec5aca8c7464776247ae21ef1e1"),
+    ("B", 1, 3,
+     "3a7da26d86e7c8c1893f64f9d62ce5abf24a23d2f40e1b20a4df8a68f7bb5ef8"),
+    ("C", 2, 1,
+     "c24d0216fe0d96447f913d25bea444b08d28ec4c92b9a5b2cbbd6de353b00117"),
+    ("D", 0, 0,
+     "75670a6cb2949cef9dc504e9827034eb3fff2c3c775ffe4b979fad4548932c81"),
+    ("D", 7, 2,
+     "61c246cc3526840c78149379d99dbc451750772074e4dbc4e55ae2cedc5290f4"),
+    ("D", 42, 5,
+     "c65749dfd9ea277ce92da24bb88ca950744e6d94867c59ad055176a476cb848f"),
+])
+def test_request_streams_are_pinned(workload, seed, client_id, digest):
+    """Two consecutive ``requests`` calls hash to the digests of the
+    per-request generator that YCSB-D's one-draw build replaced: every
+    op, key and Python type unchanged (``json`` rejects numpy ints)."""
+    wl = make_ycsb(workload, n_keys=5000, seed=seed, client_id=client_id)
+    sha = hashlib.sha256()
+    for _ in range(2):
+        sha.update(json.dumps(wl.requests(3000)).encode())
+    assert sha.hexdigest() == digest
