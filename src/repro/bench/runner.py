@@ -29,7 +29,6 @@ import numpy as np
 from ..core.client import CacheOperationError
 from ..obs.observer import Observability
 from ..obs.observer import current as obs_current
-from ..rdma.verbs import RdmaFaultError
 from ..sim import Engine, LatencyStats, ThroughputSeries
 from ..workloads import ZipfianGenerator
 
@@ -102,6 +101,7 @@ def closed_loop(
     finished,
     failed=None,
     miss_penalty_us: float = 0.0,
+    pack=pack_key,
 ):
     """One client's closed loop over ``feed``, on either substrate: it
     yields only delays (the miss penalty) and its client's op commands.
@@ -109,12 +109,16 @@ def closed_loop(
     The caller passes in what differs: ``now()`` stamps an op's start,
     ``running()`` says whether to take the next op, ``finished(op,
     start)`` records an op that completed and ``failed(op, start)`` one
-    that failed for good (without ``failed`` the failure propagates).  A
-    Get that misses is fetched from the backing store and Set back.
+    that failed for good with :class:`CacheOperationError` (without
+    ``failed`` it propagates), and ``pack(key_id)`` makes the wire key.
+    A Get that misses is fetched from the backing store and Set back.
+    Only :class:`CacheOperationError` counts as a failed op: the client
+    turns every fabric fault into a retry, a miss or that error, so a
+    raw fault reaching this loop is a bug and unwinds it.
     """
     while running():
         op, key_id = feed.next()
-        key = pack_key(key_id)
+        key = pack(key_id)
         start = now()
         try:
             if op == READ:
@@ -125,7 +129,7 @@ def closed_loop(
                     yield from client.set(key, value)
             else:
                 yield from client.set(key, value)
-        except (CacheOperationError, RdmaFaultError):
+        except CacheOperationError:
             if failed is None:
                 raise
             failed(op, start)
@@ -170,8 +174,7 @@ class Harness:
         obs: Optional[Observability] = None,
     ):
         """``tolerate_failures`` keeps a driver alive when an operation
-        fails permanently (:class:`CacheOperationError`, or a fault the
-        client let through) — required for
+        fails permanently (:class:`CacheOperationError`) — required for
         chaos runs, where a retry-exhausted Set is a data point, not a
         reason to unwind the engine."""
         self.engine = engine
@@ -323,11 +326,11 @@ class Harness:
         )
 
 
-def load(client, key_ids: Iterable[int], value: bytes):
+def load(client, key_ids: Iterable[int], value: bytes, pack=pack_key):
     """Set every key of ``key_ids``: one client's share of a preload, on
-    either substrate."""
+    either substrate; ``pack`` as in :func:`closed_loop`."""
     for key_id in key_ids:
-        yield from client.set(pack_key(int(key_id)), value)
+        yield from client.set(pack(int(key_id)), value)
 
 
 def preload(engine: Engine, clients: Sequence, keys: Sequence[int], value_size: int = 232) -> None:

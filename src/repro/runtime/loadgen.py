@@ -7,7 +7,8 @@ concurrent clients: every logical client is a full
 :class:`~repro.runtime.client.RealEndpoint`, running the sim harness's
 closed loop (:func:`~repro.bench.runner.closed_loop`) over the same
 Zipfian request stream the sim replays
-(:func:`~repro.bench.runner.zipf_feed`); all of them send over the
+(:func:`~repro.bench.runner.zipf_feed`, each key id spelled by
+:func:`wire_key`); all of them send over the
 process's one link per memory node.  Per-op latencies land in exact
 :class:`~repro.sim.stats.LatencyStats` for the report percentiles; under
 ``REPRO_TRACE`` the clients additionally record the ``op.latency``
@@ -36,7 +37,6 @@ from __future__ import annotations
 import argparse
 import asyncio
 import functools
-import itertools
 import json
 import sys
 import time
@@ -52,6 +52,26 @@ from .harness import control_rpc
 
 class LoadReport(dict):
     """A plain dict with a stable schema; see :func:`run_load`."""
+
+
+def wire_key(key_id: int) -> bytes:
+    """The key a real client sends for ``key_id``: the benchmark's real
+    loop (``perf/workloads.py``) sends the same text and checks that it
+    issues the same verbs as this load generator, so the two move to the
+    sim's :func:`~repro.bench.runner.pack_key` together."""
+    return b"key-%d" % key_id
+
+
+def _countdown(ops: int):
+    """A ``running`` for :func:`~repro.bench.runner.closed_loop` that
+    says yes ``ops`` times, then no."""
+    left = ops
+
+    def running() -> bool:
+        nonlocal left
+        left -= 1
+        return left >= 0
+    return running
 
 
 def node_batching(descriptor: Dict) -> list:
@@ -113,7 +133,7 @@ async def run_load(
         obs.registry.bridge(cluster.counters, component="client")
     value = make_value(value_bytes)
     if preload:
-        await drive(load(cluster.clients[0], range(preload), value))
+        await drive(load(cluster.clients[0], range(preload), value, wire_key))
 
     get_lat, set_lat = LatencyStats(), LatencyStats()
     failed_ops = 0
@@ -144,12 +164,10 @@ async def run_load(
                       seed * 1_000_003 + index),
             value,
             now=time.perf_counter,
-            # True per_client times, then False.
-            running=functools.partial(
-                next, itertools.repeat(True, per_client), False
-            ),
+            running=_countdown(per_client),
             finished=functools.partial(record, lane),
             failed=functools.partial(record, lane, failed=True),
+            pack=wire_key,
         ))
     if on_start is not None:
         await on_start()

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.bench import Feed, Harness, make_value, pack_key, preload
-from repro.bench.runner import READ, UPDATE
+from repro.bench.runner import READ, UPDATE, closed_loop
 from repro.core import DittoCluster
+from repro.core.client import CacheOperationError
+from repro.rdma.verbs import RdmaFaultError
 
 
 class TestFeed:
@@ -105,3 +107,49 @@ class TestHarness:
         second = harness.measure(3_000.0)
         assert abs(first.ops - second.ops) < max(first.ops, second.ops)
         assert second.duration_us == pytest.approx(3_000.0)
+
+
+class _FailingClient:
+    """Every Set raises ``error``; every Get misses."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def get(self, key):
+        return None
+        yield
+
+    def set(self, key, value):
+        raise self.error
+        yield
+
+
+def _run_loop(error, ops):
+    left = [ops]
+
+    def running():
+        left[0] -= 1
+        return left[0] >= 0
+
+    failed, finished = [], []
+    for _ in closed_loop(
+        _FailingClient(error), Feed.reads(range(3)), b"v", now=lambda: 0.0,
+        running=running, finished=lambda op, start: finished.append(op),
+        failed=lambda op, start: failed.append(op),
+    ):
+        pass
+    return failed, finished
+
+
+class TestClosedLoop:
+    def test_counts_a_cache_operation_error_as_a_failed_op(self):
+        failed, finished = _run_loop(
+            CacheOperationError("set", b"k", "fault retries exhausted"), 3
+        )
+        assert (failed, finished) == ([READ] * 3, [])
+
+    def test_a_raw_fabric_fault_unwinds_the_loop(self):
+        # The client turns every fault into a retry, a miss or a
+        # CacheOperationError; one that leaks is a bug, not a failed op.
+        with pytest.raises(RdmaFaultError):
+            _run_loop(RdmaFaultError("lost post", verb="write"), 3)

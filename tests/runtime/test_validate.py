@@ -7,12 +7,12 @@ import collections
 
 import pytest
 
-from repro.bench.runner import READ, UPDATE
+from repro.bench.runner import READ, UPDATE, pack_key
 from repro.core.client import DittoClient
 from repro.runtime import validate
 from repro.runtime.cluster import RealCluster
 from repro.runtime.harness import RealClusterHarness
-from repro.runtime.loadgen import run_load
+from repro.runtime.loadgen import run_load, wire_key
 
 
 def _record_ops(monkeypatch):
@@ -36,16 +36,17 @@ def _record_ops(monkeypatch):
     return calls
 
 
-def _stream(calls):
-    """The ``(op, key)`` stream a client was fed: its calls without the
-    Set that fills each missed Get."""
+def _stream(calls, pack):
+    """The ``(op, key id)`` stream a client was fed: its calls without
+    the Set that fills each missed Get, every key spelled by ``pack``."""
+    ids = {pack(key_id): key_id for key_id in range(validate._N_KEYS)}
     stream, fill = [], False
     for op, key, missed in calls:
         if fill:
-            assert (op, key) == (UPDATE, stream[-1][1])
+            assert (op, ids[key]) == (UPDATE, stream[-1][1])
             fill = False
             continue
-        stream.append((op, key))
+        stream.append((op, ids[key]))
         fill = missed
     return stream
 
@@ -56,7 +57,7 @@ def test_sim_and_real_feed_each_client_the_same_request_stream(monkeypatch):
     # Both sides start from an empty cache: the preloads shard differently.
     monkeypatch.setattr(validate, "preload", lambda *args, **kwargs: None)
     validate.sim_run(read_ratio, warm_us=1_000.0, window_us=500.0)
-    sim = {client: _stream(ops) for client, ops in calls.items()}
+    sim = {client: _stream(ops, pack_key) for client, ops in calls.items()}
     calls.clear()
 
     async def real(descriptor):
@@ -81,17 +82,17 @@ def test_sim_and_real_feed_each_client_the_same_request_stream(monkeypatch):
         report = asyncio.run(real(harness.descriptor()))
     assert harness.leak_report()["clean"]
     assert report["failed_ops"] == 0
-    real_streams = {client: _stream(ops) for client, ops in calls.items()}
+    real_streams = {client: _stream(ops, wire_key)
+                    for client, ops in calls.items()}
 
     assert sorted(real_streams) == sorted(sim) == list(range(validate._CLIENTS))
     for client, stream in real_streams.items():
         assert len(stream) == per_client
         assert len(sim[client]) >= per_client
         assert sim[client][:per_client] == stream
-    # Reads and writes both appear, on 8-byte packed keys.
+    # Reads and writes both appear.
     ops = [op for stream in real_streams.values() for op, _ in stream]
     assert 0 < ops.count(READ) < len(ops)
-    assert {len(key) for s in real_streams.values() for _, key in s} == {8}
 
 
 def test_sim_half_ranks_read_hot_over_mixed_over_write_heavy():
