@@ -1,7 +1,7 @@
 """Extra: memory-node churn under fault windows stays correct and live."""
 
 from repro.bench.experiments import extra_elasticity_churn as exp
-from repro.bench.experiments.extra_elasticity_churn import phase_mean
+from repro.bench.runner import phase_mean
 
 
 def test_elasticity_churn(benchmark):

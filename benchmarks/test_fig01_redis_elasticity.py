@@ -1,7 +1,7 @@
 """Figure 1: Redis throughput/latency during cluster scaling."""
 
 from repro.bench.experiments import fig01_redis_elasticity as exp
-from repro.bench.experiments.fig01_redis_elasticity import phase_mean
+from repro.bench.runner import phase_mean
 
 
 def test_fig01(benchmark):

@@ -1,7 +1,7 @@
 """Figure 13: Ditto under dynamic compute and memory scaling."""
 
 from repro.bench.experiments import fig13_ditto_elasticity as exp
-from repro.bench.experiments.fig13_ditto_elasticity import phase_mean
+from repro.bench.runner import phase_mean
 
 
 def test_fig13(benchmark):

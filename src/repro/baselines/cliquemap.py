@@ -117,10 +117,6 @@ class CliqueMapCluster:
             CliqueMapClient(self, i) for i in range(num_clients)
         ]
 
-    def set_server_cores(self, cores: int) -> None:
-        """The Figure 15 knob: MN-side CPU cores."""
-        self.controller.set_cores(cores)
-
     def add_clients(self, n: int) -> None:
         base = len(self.clients)
         self.clients.extend(CliqueMapClient(self, base + i) for i in range(n))

@@ -29,12 +29,12 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ...core import invariant_sweep
-from ...sim.faults import ControllerCrash, FaultPlan
+from ...sim.faults import FaultPlan
 from ...workloads import make_ycsb
 from ..format import print_table
-from ..runner import Feed, Harness, preload
+from ..runner import Feed, Harness, phase_mean, preload
 from ..scale import scaled
-from ..systems import build_ditto
+from ..systems import LeaderCrash, build_ditto
 
 
 def run(
@@ -70,68 +70,25 @@ def run(
 
     timeline: List[Dict] = []
 
-    def sample(label: str, until_finished=None) -> None:
-        end = cluster.engine.now + phase_us
-        while cluster.engine.now < end - 1.0 or (
-            until_finished is not None and not until_finished.finished
-        ):
-            left = end - cluster.engine.now
-            result = harness.measure(
-                window_us if left < 1.0 else min(window_us, left)
-            )
-            timeline.append(
-                {
-                    "t_s": cluster.engine.now / 1e6,
-                    "phase": label,
-                    "mops": result.throughput_mops,
-                    "hit_rate": result.hit_rate,
-                    "p99_us": result.get_latency.p99(),
-                }
-            )
+    timeline.extend(harness.phase("steady", phase_us, window_us))
 
-    sample("steady")
-
-    crash_info: Dict = {}
-
-    def on_phase(name: str) -> None:
-        if name != "copy" or crash_info:
-            return
-        leader = group.leader_id()
-        crash_info["leader"] = leader
-        crash_info["at_us"] = cluster.engine.now
-        cluster.fault_injector.load(
-            FaultPlan(
-                controller_crashes=(ControllerCrash(leader, 0.0, crash_us),)
-            ),
-            offset_us=cluster.engine.now,
-        )
-
-    drain = cluster.remove_memory_node(2, on_phase=on_phase)
-    sample("failover", until_finished=drain)
-    sample("recovered")
+    crash = LeaderCrash(cluster, crash_us)
+    drain = cluster.remove_memory_node(2, on_phase=crash.on_phase)
+    timeline.extend(harness.phase(
+        "failover", phase_us, window_us, done=lambda: drain.finished
+    ))
+    timeline.extend(harness.phase("recovered", phase_us, window_us))
     harness.stop_all()
     cluster.engine.run()
-
-    crash_at = crash_info["at_us"]
-    election_latency = None
-    for t, kind, _rid, _term in group.election_timeline():
-        if kind == "leader" and t > crash_at:
-            election_latency = t - crash_at
-            break
-    unavailability = None
-    for t, _position in group.commit_times:
-        if t > crash_at:
-            unavailability = t - crash_at
-            break
 
     counters = cluster.counters.as_dict()
     return {
         "timeline": timeline,
-        "crashed_leader": crash_info["leader"],
-        "crash_at_us": crash_at,
+        "crashed_leader": crash.leader,
+        "crash_at_us": crash.at_us,
         "crash_window_us": crash_us,
-        "election_latency_us": election_latency,
-        "metadata_unavailability_us": unavailability,
+        "election_latency_us": crash.election_latency_us(),
+        "metadata_unavailability_us": crash.unavailability_us(),
         "elections": group.election_timeline(),
         "migration": cluster.migrations[-1].as_dict(),
         "epoch": cluster.membership.epoch,
@@ -144,11 +101,6 @@ def run(
             if key.startswith(("consensus", "epoch", "migrat", "mn_"))
         },
     }
-
-
-def phase_mean(timeline, phase: str, field: str = "hit_rate") -> float:
-    values = [row[field] for row in timeline if row["phase"] == phase]
-    return sum(values) / len(values) if values else 0.0
 
 
 def main() -> Dict:
@@ -173,6 +125,10 @@ def main() -> Dict:
         [(t, kind, rid, term) for t, kind, rid, term in result["elections"]],
     )
     m = result["migration"]
+    steady, recovered = (
+        phase_mean(result["timeline"], phase, "hit_rate")
+        for phase in ("steady", "recovered")
+    )
     print(
         f"crashed leader {result['crashed_leader']} at "
         f"{result['crash_at_us']:.0f}us for {result['crash_window_us']:.0f}us; "
@@ -182,8 +138,7 @@ def main() -> Dict:
     print(
         f"drain: {m['phase']} ({m['migrated_objects']} objects, "
         f"epochs {m['epoch_start']}->{m['epoch_end']}); "
-        f"steady hit rate {phase_mean(result['timeline'], 'steady'):.3f} vs "
-        f"recovered {phase_mean(result['timeline'], 'recovered'):.3f}; "
+        f"steady hit rate {steady:.3f} vs recovered {recovered:.3f}; "
         f"sweep: {result['sweep']['live_objects']} live objects"
     )
     return result

@@ -59,28 +59,11 @@ def run(
 
     timeline: List[Dict] = []
 
-    def sample(label: str, until_finished=None) -> None:
-        end = cluster.engine.now + phase_us
-        while cluster.engine.now < end - 1.0 or (
-            until_finished is not None and not until_finished.finished
-        ):
-            left = end - cluster.engine.now
-            result = harness.measure(window_us if left < 1.0 else min(window_us, left))
-            timeline.append(
-                {
-                    "t_s": cluster.engine.now / 1e6,
-                    "phase": label,
-                    "mops": result.throughput_mops,
-                    "hit_rate": result.hit_rate,
-                    "p99_us": result.get_latency.p99(),
-                }
-            )
-
-    sample("steady")
+    timeline.extend(harness.phase("steady", phase_us, window_us))
     drain_target = 1  # node 0 hosts the hash table and never drains
     for cycle in range(cycles):
         node = cluster.add_memory_node()
-        sample(f"cycle{cycle}-grown")
+        timeline.extend(harness.phase(f"cycle{cycle}-grown", phase_us, window_us))
         # A controller-RPC fault window opens right as the drain starts:
         # membership refreshes, segment grants, and grant reassignment all
         # have to retry through it.
@@ -95,7 +78,10 @@ def run(
                 offset_us=cluster.engine.now,
             )
         drain = cluster.remove_memory_node(drain_target)
-        sample(f"cycle{cycle}-drain", until_finished=drain)
+        timeline.extend(harness.phase(
+            f"cycle{cycle}-drain", phase_us, window_us,
+            done=lambda: drain.finished,
+        ))
         drain_target = node.node_id
     harness.stop_all()
     cluster.engine.run()
@@ -114,11 +100,6 @@ def run(
             if key.startswith(("epoch", "migrat", "mn_", "stale", "fault"))
         },
     }
-
-
-def phase_mean(timeline, phase: str, field: str = "mops") -> float:
-    values = [row[field] for row in timeline if row["phase"] == phase]
-    return sum(values) / len(values) if values else 0.0
 
 
 def main() -> Dict:

@@ -23,12 +23,12 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ...sim.faults import ControllerCrash, FaultPlan
+from ...sim.faults import FaultPlan
 from ...workloads import make_ycsb
 from ..format import print_table
 from ..runner import Feed, Harness, preload
 from ..scale import scaled
-from ..systems import build_ditto
+from ..systems import LeaderCrash, build_ditto
 
 
 def run(
@@ -63,7 +63,7 @@ def run(
         )
 
     base = cluster.clients[:base_clients]
-    extras = cluster.clients[base_clients:]
+    added = cluster.clients[base_clients:]
     base_handles = harness.launch_all(
         base, [feed(i) for i in range(base_clients)]
     )
@@ -71,78 +71,37 @@ def run(
 
     timeline: List[Dict] = []
 
-    def sample(label: str, until_finished=None) -> None:
-        end = cluster.engine.now + phase_us
-        while cluster.engine.now < end - 1.0 or (
-            until_finished is not None and not until_finished.finished
-        ):
-            left = end - cluster.engine.now
-            start = cluster.engine.now
-            result = harness.measure(
-                window_us if left < 1.0 else min(window_us, left)
-            )
-            timeline.append(
-                {
-                    "t_start_us": start,
-                    "t_s": cluster.engine.now / 1e6,
-                    "phase": label,
-                    "mops": result.throughput_mops,
-                    "p99_us": result.get_latency.p99(),
-                }
-            )
-
-    sample("base-compute")
+    timeline.extend(harness.phase("base-compute", phase_us, window_us))
     extra_handles = harness.launch_all(
-        extras, [feed(base_clients + i) for i in range(extra_clients)]
+        added, [feed(base_clients + i) for i in range(extra_clients)]
     )
-    sample("compute-scaled-up")
+    timeline.extend(harness.phase("compute-scaled-up", phase_us, window_us))
     for handle in extra_handles:
         harness.stop(handle)
-    sample("compute-scaled-down")
+    timeline.extend(harness.phase("compute-scaled-down", phase_us, window_us))
 
     cluster.add_memory_node()
     cluster.resize_memory(4 * n_keys)
-    sample("memory-scaled-up")
+    timeline.extend(harness.phase("memory-scaled-up", phase_us, window_us))
 
     # Snapshot the learned weights just before the failover phase.
     weights_before = list(cluster.global_weights.weights)
 
-    crash_info: Dict = {}
-
-    def on_phase(name: str) -> None:
-        if name != "copy" or crash_info:
-            return
-        leader = group.leader_id()
-        crash_info["leader"] = leader
-        crash_info["at_us"] = cluster.engine.now
-        cluster.fault_injector.load(
-            FaultPlan(
-                controller_crashes=(ControllerCrash(leader, 0.0, crash_us),)
-            ),
-            offset_us=cluster.engine.now,
-        )
-
-    drain = cluster.remove_memory_node(1, on_phase=on_phase)
-    sample("memory-scaled-down", until_finished=drain)
+    crash = LeaderCrash(cluster, crash_us)
+    drain = cluster.remove_memory_node(1, on_phase=crash.on_phase)
+    timeline.extend(harness.phase(
+        "memory-scaled-down", phase_us, window_us, done=lambda: drain.finished
+    ))
     cluster.resize_memory(2 * n_keys)
-    sample("recovered")
+    timeline.extend(harness.phase("recovered", phase_us, window_us))
 
     for handle in base_handles:
         harness.stop(handle)
     harness.stop_all()
     cluster.engine.run()
 
-    crash_at = crash_info["at_us"]
-    election_latency = None
-    for t, kind, _rid, _term in group.election_timeline():
-        if kind == "leader" and t > crash_at:
-            election_latency = t - crash_at
-            break
-    unavailability = None
-    for t, _position in group.commit_times:
-        if t > crash_at:
-            unavailability = t - crash_at
-            break
+    crash_at = crash.at_us
+    unavailability = crash.unavailability_us()
     outage_end = crash_at + (
         unavailability if unavailability is not None else crash_us
     )
@@ -168,10 +127,10 @@ def run(
 
     return {
         "timeline": timeline,
-        "crashed_leader": crash_info["leader"],
+        "crashed_leader": crash.leader,
         "crash_at_us": crash_at,
         "crash_window_us": crash_us,
-        "election_latency_us": election_latency,
+        "election_latency_us": crash.election_latency_us(),
         "metadata_unavailability_us": unavailability,
         "outage_windows": sum(1 for row in timeline if row["in_outage"]),
         "migration": cluster.migrations[-1].as_dict(),
@@ -181,11 +140,6 @@ def run(
         "weights_preserved": weights_preserved,
         "failed_ops": harness.failed_ops,
     }
-
-
-def phase_mean(timeline, phase: str, field: str = "mops") -> float:
-    values = [row[field] for row in timeline if row["phase"] == phase]
-    return sum(values) / len(values) if values else 0.0
 
 
 def main() -> Dict:

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional
 from ...sim.faults import FaultPlan, NodeOutage
 from ...workloads import make_ycsb
 from ..format import print_table
-from ..runner import Feed, Harness, preload
+from ..runner import Feed, Harness, phase_mean, preload
 from ..scale import scaled
 from ..systems import build_ditto
 
@@ -79,23 +79,8 @@ def run(
 
     timeline: List[Dict] = []
 
-    def sample(label: str, duration_us: float) -> None:
-        end = cluster.engine.now + duration_us
-        while cluster.engine.now < end - 1.0:
-            result = harness.measure(min(window_us, end - cluster.engine.now))
-            timeline.append(
-                {
-                    "t_s": cluster.engine.now / 1e6,
-                    "phase": label,
-                    "mops": result.throughput_mops,
-                    "hit_rate": result.hit_rate,
-                    "p99_us": result.get_latency.p99(),
-                }
-            )
-
-    sample("healthy", phase_us)
-    sample("outage", phase_us)
-    sample("recovered", phase_us)
+    for label in ("healthy", "outage", "recovered"):
+        timeline.extend(harness.phase(label, phase_us, window_us))
     harness.stop_all()
     return {
         "timeline": timeline,
@@ -103,11 +88,6 @@ def run(
         "failed_ops": harness.failed_ops,
         "counters": dict(cluster.counters.as_dict()),
     }
-
-
-def phase_mean(timeline, phase: str, field: str = "mops") -> float:
-    values = [row[field] for row in timeline if row["phase"] == phase]
-    return sum(values) / len(values) if values else 0.0
 
 
 def main() -> Dict:

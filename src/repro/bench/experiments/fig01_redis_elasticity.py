@@ -10,7 +10,7 @@ migration (reclamation delay) → back to baseline.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, Iterator, List
 
 from ...baselines import RedisCluster
 from ...workloads import ZipfianGenerator
@@ -54,43 +54,22 @@ def run(
 
     timeline: List[Dict] = []
 
-    def sample(label: str, duration_us: float) -> None:
-        end = cluster.engine.now + duration_us
-        while cluster.engine.now < end - 1.0:
-            span = min(window_us, end - cluster.engine.now)
-            result = harness.measure(span)
-            timeline.append(
-                {
-                    "t_s": cluster.engine.now / 1e6,
-                    "phase": label,
-                    "mops": result.throughput_mops,
-                    "p99_us": result.get_latency.p99(),
-                    "provisioned_nodes": cluster.provisioned_nodes,
-                    "active_nodes": cluster.active_nodes,
-                }
-            )
+    def record(rows: Iterator[Dict]) -> None:
+        # Each window's row takes the node count before the next one runs.
+        for row in rows:
+            row["provisioned_nodes"] = cluster.provisioned_nodes
+            timeline.append(row)
 
-    def sample_migration(label: str) -> None:
-        while cluster.migration is not None:
-            result = harness.measure(window_us)
-            timeline.append(
-                {
-                    "t_s": cluster.engine.now / 1e6,
-                    "phase": label,
-                    "mops": result.throughput_mops,
-                    "p99_us": result.get_latency.p99(),
-                    "provisioned_nodes": cluster.provisioned_nodes,
-                    "active_nodes": cluster.active_nodes,
-                }
-            )
+    def migrated() -> bool:
+        return cluster.migration is None
 
-    sample("stable-small", phase_us)
+    record(harness.phase("stable-small", phase_us, window_us))
     cluster.scale(scale_to)
-    sample_migration("scale-out-migration")
-    sample("stable-large", phase_us)
+    record(harness.phase("scale-out-migration", 0.0, window_us, done=migrated))
+    record(harness.phase("stable-large", phase_us, window_us))
     cluster.scale(nodes)
-    sample_migration("scale-in-migration")
-    sample("stable-small-again", phase_us)
+    record(harness.phase("scale-in-migration", 0.0, window_us, done=migrated))
+    record(harness.phase("stable-small-again", phase_us, window_us))
 
     migrations = [
         {
@@ -101,11 +80,6 @@ def run(
         for m in cluster.migrations_done
     ]
     return {"timeline": timeline, "migrations": migrations}
-
-
-def phase_mean(timeline, phase: str, field: str = "mops") -> float:
-    values = [row[field] for row in timeline if row["phase"] == phase]
-    return sum(values) / len(values) if values else 0.0
 
 
 def main() -> Dict:

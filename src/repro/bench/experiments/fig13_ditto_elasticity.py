@@ -44,50 +44,34 @@ def run(
         )
 
     base = cluster.clients[:base_clients]
-    extras = cluster.clients[base_clients:]
+    added = cluster.clients[base_clients:]
     base_handles = harness.launch_all(base, [feed(i) for i in range(base_clients)])
     harness.warm(50_000.0)
 
     timeline: List[Dict] = []
-
-    def sample(label: str, until_finished=None) -> None:
-        end = cluster.engine.now + phase_us
-        while cluster.engine.now < end - 1.0 or (
-            until_finished is not None and not until_finished.finished
-        ):
-            left = end - cluster.engine.now
-            result = harness.measure(window_us if left < 1.0 else min(window_us, left))
-            timeline.append(
-                {
-                    "t_s": cluster.engine.now / 1e6,
-                    "phase": label,
-                    "mops": result.throughput_mops,
-                    "p50_us": result.get_latency.median(),
-                    "p99_us": result.get_latency.p99(),
-                }
-            )
-
-    sample("base-compute")
+    timeline.extend(harness.phase("base-compute", phase_us, window_us))
     extra_handles = harness.launch_all(
-        extras, [feed(base_clients + i) for i in range(extra_clients)]
+        added, [feed(base_clients + i) for i in range(extra_clients)]
     )
-    sample("compute-scaled-up")
+    timeline.extend(harness.phase("compute-scaled-up", phase_us, window_us))
     for handle in extra_handles:
         harness.stop(handle)
-    sample("compute-scaled-down")
+    timeline.extend(harness.phase("compute-scaled-down", phase_us, window_us))
 
     # Memory scale-up: a third node joins the pool at a new epoch, and the
     # budget grows to match.  No data moves — new allocations simply start
     # landing on the new node.
     cluster.add_memory_node()
     cluster.resize_memory(4 * n_keys)
-    sample("memory-scaled-up")
+    timeline.extend(harness.phase("memory-scaled-up", phase_us, window_us))
 
     # Memory scale-down: drain node 1 (it holds roughly half the preloaded
     # objects) through the two-phase live migration while traffic continues,
     # then shrink the budget back.
     drain = cluster.remove_memory_node(1)
-    sample("memory-scaled-down", until_finished=drain)
+    timeline.extend(harness.phase(
+        "memory-scaled-down", phase_us, window_us, done=lambda: drain.finished
+    ))
     cluster.resize_memory(2 * n_keys)
 
     for handle in base_handles:
@@ -100,11 +84,6 @@ def run(
         "epoch_bumps": counters.get("epoch_bump", 0),
         "stale_epoch_retries": counters.get("stale_epoch_retry", 0),
     }
-
-
-def phase_mean(timeline, phase: str, field: str = "mops") -> float:
-    values = [row[field] for row in timeline if row["phase"] == phase]
-    return sum(values) / len(values) if values else 0.0
 
 
 def main() -> Dict:

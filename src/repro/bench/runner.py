@@ -14,22 +14,22 @@ single closed-loop driver measures them all:
   configurable miss penalty (500 µs in the paper: the cost of fetching a
   missed object from distributed storage before Set-ing it back), and
   measures throughput and latency over explicit windows so warmup is
-  excluded and elasticity timelines can be sampled phase by phase.
+  excluded; :meth:`Harness.phase` samples an elasticity timeline phase by
+  phase, one row per window, and :func:`phase_mean` averages a phase.
 """
 
 from __future__ import annotations
 
 import random
 import struct
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.client import CacheOperationError
-from ..obs.observer import Observability
 from ..obs.observer import current as obs_current
-from ..sim import Engine, LatencyStats, ThroughputSeries
+from ..sim import Engine, LatencyStats
 from ..workloads import ZipfianGenerator
 
 _KEY = struct.Struct("<Q")
@@ -147,7 +147,6 @@ class MeasureResult:
     set_latency: LatencyStats
     hits: int = 0
     misses: int = 0
-    extras: Dict[str, float] = field(default_factory=dict)
 
     @property
     def throughput_mops(self) -> float:
@@ -169,9 +168,7 @@ class Harness:
         engine: Engine,
         value_size: int = 232,
         miss_penalty_us: float = 0.0,
-        series_bucket_us: float = 100_000.0,
         tolerate_failures: bool = False,
-        obs: Optional[Observability] = None,
     ):
         """``tolerate_failures`` keeps a driver alive when an operation
         fails permanently (:class:`CacheOperationError`) — required for
@@ -180,11 +177,10 @@ class Harness:
         self.engine = engine
         self.value = make_value(value_size)
         self.miss_penalty_us = miss_penalty_us
-        self.series = ThroughputSeries(series_bucket_us)
         self.tolerate_failures = tolerate_failures
-        # Observability (repro.obs): picked up from the runtime so existing
-        # experiments need no signature changes; None stays fully inert.
-        self.obs = obs if obs is not None else obs_current()
+        # Observability (repro.obs): the process's hub, picked up so no
+        # experiment passes one in; None stays fully inert.
+        self.obs = obs_current()
         self.failed_ops = 0
         self._flags: List[dict] = []
         self._measuring = False
@@ -237,7 +233,6 @@ class Harness:
             now = self.engine.now
             (self._get_lat if op == READ else self._set_lat).record(now - start)
             self._ops += 1
-            self.series.record(now)
 
     def _failed(self, op: int, start: float) -> None:
         self.failed_ops += 1
@@ -324,6 +319,44 @@ class Harness:
             hits=hits - self._hits0,
             misses=misses - self._miss0,
         )
+
+    def phase(
+        self,
+        label: str,
+        duration_us: float,
+        window_us: float,
+        done: Optional[Callable[[], bool]] = None,
+    ) -> Iterator[Dict]:
+        """Sample one timeline phase: :meth:`measure` window after window
+        for ``duration_us``, and on while ``done`` (if given) says false,
+        yielding one row per window before the next one runs.
+
+        A window lasts ``window_us``, cut short to end the phase on time;
+        once the phase is over, only ``done`` keeps it going, in whole
+        windows.  A row holds ``t_start_us`` (window start), ``t_s``
+        (window end), ``phase`` (``label``), ``mops``, ``hit_rate``,
+        ``p50_us`` and ``p99_us`` (Get latency)."""
+        engine = self.engine
+        end = engine.now + duration_us
+        while engine.now < end - 1.0 or (done is not None and not done()):
+            left = end - engine.now
+            start = engine.now
+            result = self.measure(window_us if left < 1.0 else min(window_us, left))
+            yield {
+                "t_start_us": start,
+                "t_s": engine.now / 1e6,
+                "phase": label,
+                "mops": result.throughput_mops,
+                "hit_rate": result.hit_rate,
+                "p50_us": result.get_latency.median(),
+                "p99_us": result.get_latency.p99(),
+            }
+
+
+def phase_mean(rows: Iterable[Dict], phase: str, field: str = "mops") -> float:
+    """Mean of ``field`` over the timeline rows of ``phase`` (0 if none)."""
+    values = [row[field] for row in rows if row["phase"] == phase]
+    return sum(values) / len(values) if values else 0.0
 
 
 def load(client, key_ids: Iterable[int], value: bytes, pack=pack_key):

@@ -1,4 +1,4 @@
-"""Uniform builders + trace-run helpers for the per-figure experiments."""
+"""Uniform builders, trace-run helpers and a leader-crash hook for experiments."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import numpy as np
 
 from ..baselines import CliqueMapCluster, ShardLruCluster
 from ..core import DittoCluster, DittoConfig
+from ..sim.faults import ControllerCrash, FaultPlan
 from ..workloads import shard_trace
 from .runner import Feed, Harness, MeasureResult, preload
 
@@ -38,6 +39,49 @@ def build_ditto(
         faults=faults,
         controller_replicas=controller_replicas,
     )
+
+
+class LeaderCrash:
+    """Crash a controller group's raft leader for ``crash_us`` the moment a
+    drain enters its copy phase (pass :meth:`on_phase` to
+    ``remove_memory_node``), then time the failover from the crash."""
+
+    def __init__(self, cluster: DittoCluster, crash_us: float):
+        self.cluster = cluster
+        self.crash_us = crash_us
+        self.leader: Optional[int] = None
+        self.at_us: Optional[float] = None
+
+    def on_phase(self, name: str) -> None:
+        if name != "copy" or self.at_us is not None:
+            return
+        cluster = self.cluster
+        self.leader = cluster.consensus.leader_id()
+        self.at_us = cluster.engine.now
+        cluster.fault_injector.load(
+            FaultPlan(
+                controller_crashes=(
+                    ControllerCrash(self.leader, 0.0, self.crash_us),
+                )
+            ),
+            offset_us=self.at_us,
+        )
+
+    def election_latency_us(self) -> Optional[float]:
+        """Crash to the successor's ``leader`` event."""
+        return next((
+            t - self.at_us
+            for t, kind, _rid, _term in self.cluster.consensus.election_timeline()
+            if kind == "leader" and t > self.at_us
+        ), None)
+
+    def unavailability_us(self) -> Optional[float]:
+        """Crash to the first metadata command committed after it."""
+        return next((
+            t - self.at_us
+            for t, _position in self.cluster.consensus.commit_times
+            if t > self.at_us
+        ), None)
 
 
 def build_cliquemap(

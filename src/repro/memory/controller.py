@@ -190,10 +190,6 @@ class Controller:
     def cores(self) -> int:
         return self.cpu.capacity
 
-    def set_cores(self, cores: int) -> None:
-        """Elastically adjust MN-side compute (Figure 15)."""
-        self.cpu.set_capacity(cores)
-
     def register(self, op: str, fn: Callable, cpu_us: Optional[CostSpec] = None) -> None:
         if cpu_us is None:
             cpu_us = self.DEFAULT_HANDLER_CPU_US

@@ -299,6 +299,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--time-scale", type=float, default=None,
                         help="with --chaos: sim-µs → wall-µs multiplier")
     args = parser.parse_args(argv)
+    if not args.chaos and (
+        args.kill or args.chaos_plan or args.time_scale is not None
+    ):
+        parser.error("--kill, --chaos-plan and --time-scale run only with --chaos")
     observer.init("launcher")
 
     if args.chaos:

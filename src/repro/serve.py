@@ -84,6 +84,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="with --chaos-plan: SIGKILL node 1 mid-load "
                              "and restart-and-adopt it")
     args = parser.parse_args(argv)
+    if args.chaos_plan and not args.load:
+        parser.error("--chaos-plan runs only with --load")
+    if not args.chaos_plan and (args.kill or args.time_scale is not None):
+        parser.error("--kill and --time-scale run only with --chaos-plan")
     observer.init("launcher")
 
     harness = RealClusterHarness(

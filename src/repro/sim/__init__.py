@@ -18,7 +18,6 @@ _EXPORTS = {
     "Resource": ".resources",
     "CounterSet": ".stats",
     "LatencyStats": ".stats",
-    "ThroughputSeries": ".stats",
     "hit_rate": ".stats",
     "relative_change": ".stats",
 }

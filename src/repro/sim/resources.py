@@ -9,8 +9,8 @@ Two shapes cover every bottleneck in the reproduction:
   rate: the NIC handles one message every ``1/rate`` microseconds, and
   queueing delay emerges when offered load exceeds the rate.
 
-A :class:`Resource` supports live capacity changes, which is how elasticity
-experiments add and remove CPU cores mid-run.
+A :class:`Resource`'s capacity is fixed when it is built: an experiment that
+varies CPU cores (Figure 15) builds one cluster per core count.
 """
 
 from __future__ import annotations
@@ -57,21 +57,6 @@ class Resource:
     def queue_length(self) -> int:
         return len(self._waiters)
 
-    def set_capacity(self, capacity: int) -> None:
-        """Adjust the number of servers at runtime.
-
-        Growing wakes queued waiters immediately; shrinking lets busy servers
-        drain naturally (releases stop handing slots to waiters until the
-        in-use count falls below the new capacity).
-        """
-        if capacity < 1:
-            raise SimulationError(f"capacity must be >= 1, got {capacity}")
-        self._capacity = capacity
-        while self._waiters and self._in_use < self._capacity:
-            event = self._waiters.popleft()
-            self._in_use += 1
-            event.trigger()
-
     def sample(self) -> dict:
         """Point-in-time utilization snapshot (``repro.obs`` timelines)."""
         capacity = self._capacity
@@ -104,7 +89,7 @@ class Resource:
     def release(self) -> None:
         if self._in_use <= 0:
             raise SimulationError("release without acquire")
-        if self._waiters and self._in_use <= self._capacity:
+        if self._waiters:
             # Hand the slot directly to the next waiter; in_use is unchanged.
             event = self._waiters.popleft()
             event.trigger()

@@ -1,10 +1,10 @@
-"""Measurement utilities: latency distributions and throughput time series."""
+"""Measurement utilities: latency distributions, counters and rates."""
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 
 class StreamingHistogram:
@@ -213,55 +213,6 @@ class LatencyStats:
     def reset(self) -> None:
         self._samples.clear()
         self._hist = None
-
-
-class ThroughputSeries:
-    """Bucketed completion counter: turns completion timestamps into Mops/s.
-
-    ``bucket_us`` is the bucket width in microseconds.  ``series()`` returns
-    ``(bucket_start_us, ops_per_second)`` pairs covering the recorded span.
-    """
-
-    def __init__(self, bucket_us: float = 1_000_000.0):
-        if bucket_us <= 0:
-            raise ValueError("bucket width must be positive")
-        self.bucket_us = bucket_us
-        self._buckets: Dict[int, int] = {}
-        self.total = 0
-
-    def record(self, timestamp_us: float, count: int = 1) -> None:
-        index = int(timestamp_us // self.bucket_us)
-        self._buckets[index] = self._buckets.get(index, 0) + count
-        self.total += count
-
-    def series(self) -> List[Tuple[float, float]]:
-        if not self._buckets:
-            return []
-        lo = min(self._buckets)
-        hi = max(self._buckets)
-        scale = 1e6 / self.bucket_us  # bucket count -> ops/second
-        return [
-            (index * self.bucket_us, self._buckets.get(index, 0) * scale)
-            for index in range(lo, hi + 1)
-        ]
-
-    def ops_per_second(
-        self, start_us: Optional[float] = None, end_us: Optional[float] = None
-    ) -> float:
-        """Average throughput over [start_us, end_us) (whole span by default)."""
-        points = self.series()
-        if not points:
-            return 0.0
-        selected = [
-            rate
-            for t, rate in points
-            if (start_us is None or t >= start_us)
-            and (end_us is None or t < end_us)
-        ]
-        if not selected:
-            return 0.0
-        import numpy as np
-        return float(np.mean(selected))
 
 
 class CounterSet:

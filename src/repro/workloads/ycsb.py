@@ -9,7 +9,7 @@ distribution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -98,14 +98,6 @@ class YCSBWorkload:
         )
         labels = np.where(inserts, "insert", "read").tolist()
         return list(zip(labels, physical.tolist()))
-
-    def request_stream(self, count: int, chunk: int = 4096) -> Iterator[Request]:
-        """Memory-frugal request iterator."""
-        remaining = count
-        while remaining > 0:
-            batch = self.requests(min(chunk, remaining))
-            remaining -= len(batch)
-            yield from batch
 
 
 def make_ycsb(workload: str, n_keys: int = 100_000, seed: int = 0, **kwargs) -> YCSBWorkload:

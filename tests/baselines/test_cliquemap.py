@@ -100,8 +100,3 @@ class TestServerCores:
             return engine.now
 
         assert elapsed(8) < elapsed(1)
-
-    def test_set_server_cores(self):
-        cm = make()
-        cm.set_server_cores(4)
-        assert cm.controller.cores == 4

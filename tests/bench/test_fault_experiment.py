@@ -1,7 +1,8 @@
 """The fault-recovery experiment: shape, determinism, caching, parallelism."""
 
-from repro.bench.experiments.extra_fault_recovery import phase_mean, run
+from repro.bench.experiments.extra_fault_recovery import run
 from repro.bench.parallel import ExperimentJob, ParallelRunner
+from repro.bench.runner import phase_mean
 from repro.sim import FaultPlan, NodeOutage
 
 RUN = "repro.bench.experiments.extra_fault_recovery:run"

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from repro.bench import Feed, Harness, make_value, pack_key, preload
-from repro.bench.runner import READ, UPDATE, closed_loop
+from repro.bench.runner import READ, UPDATE, closed_loop, phase_mean
 from repro.core import DittoCluster
 from repro.core.client import CacheOperationError
 from repro.rdma.verbs import RdmaFaultError
+from repro.sim import Engine
 
 
 class TestFeed:
@@ -49,6 +50,73 @@ def test_make_value():
     assert len(make_value(100)) == 100
 
 
+class TestPhase:
+    """``Harness.phase``: one :meth:`Harness.measure` per window, one row
+    per window, windows cut to end the phase on time and extended in
+    whole windows while ``done`` says false."""
+
+    @staticmethod
+    def windows(duration_us, done=None, start_us=0.0):
+        engine = Engine()
+        engine.run(until=start_us)
+        harness = Harness(engine)
+        measured = []
+        measure = harness.measure
+
+        def spy(duration):
+            measured.append(duration)
+            return measure(duration)
+
+        harness.measure = spy
+        rows = list(harness.phase(
+            "p", duration_us, 10.0,
+            done=None if done is None else (lambda: done(engine.now)),
+        ))
+        assert len(rows) == len(measured)
+        return measured, rows
+
+    def test_fixed_phase_cuts_the_last_window(self):
+        measured, rows = self.windows(25.0)
+        assert measured == [10.0, 10.0, 5.0]
+        assert [row["t_start_us"] for row in rows] == [0.0, 10.0, 20.0]
+        assert [row["t_s"] for row in rows] == [10e-6, 20e-6, 25e-6]
+        # A tail under 1 us is dropped, not run as a sliver of a window.
+        assert self.windows(30.5)[0] == [10.0, 10.0, 10.0]
+
+    def test_done_outlasting_the_phase_adds_whole_windows(self):
+        measured, _ = self.windows(25.0, done=lambda now: now >= 40.0)
+        assert measured == [10.0, 10.0, 5.0, 10.0, 10.0]
+
+    def test_zero_length_phase_runs_until_done(self):
+        measured, rows = self.windows(
+            0.0, done=lambda now: now >= 115.0, start_us=100.0
+        )
+        assert measured == [10.0, 10.0]
+        assert [row["t_start_us"] for row in rows] == [100.0, 110.0]
+        assert self.windows(0.0, done=lambda now: True)[0] == []
+
+    def test_rows_share_one_schema_and_come_one_window_at_a_time(self):
+        engine = Engine()
+        harness = Harness(engine)
+        rows = harness.phase("steady", 20.0, 10.0)
+        row = next(rows)
+        assert engine.now == 10.0  # the second window has not run yet
+        assert set(row) == {
+            "t_start_us", "t_s", "phase", "mops", "hit_rate", "p50_us", "p99_us",
+        }
+        assert row["phase"] == "steady" and row["mops"] == 0.0
+
+    def test_phase_mean(self):
+        rows = [
+            {"phase": "a", "mops": 1.0, "hit_rate": 0.5},
+            {"phase": "a", "mops": 3.0, "hit_rate": 0.7},
+            {"phase": "b", "mops": 9.0, "hit_rate": 0.1},
+        ]
+        assert phase_mean(rows, "a") == 2.0
+        assert phase_mean(rows, "a", "hit_rate") == pytest.approx(0.6)
+        assert phase_mean(rows, "missing") == 0.0
+
+
 class TestHarness:
     @pytest.fixture()
     def cluster(self):
@@ -76,7 +144,13 @@ class TestHarness:
         harness = Harness(cluster.engine, value_size=32)
         harness.launch_all(cluster.clients, [Feed.reads(range(50))] * 4)
         harness.warm(2_000.0)
-        assert harness.series.total == 0
+        assert sum(c.hits for c in cluster.clients) > 0
+        result = harness.measure(2_000.0)
+        # Every Get hits, so the window's ops are its own hits; a warm-up
+        # op counted into it would show as ops beyond them (one op per
+        # client may straddle the window's start).
+        assert result.misses == 0 and result.hits > 0
+        assert result.ops <= result.hits + len(cluster.clients)
 
     def test_miss_penalty_fills_cache(self, cluster):
         harness = Harness(cluster.engine, value_size=32, miss_penalty_us=500.0)

@@ -96,14 +96,16 @@ class TestHandlers:
         gaps = [b - a for a, b in zip(finish, finish[1:])]
         assert all(gap >= 10.0 for gap in gaps)
 
-    def test_more_cores_parallelize(self, setup):
-        engine, node, controller, ep = setup
-        controller.set_cores(4)
+    def test_more_cores_parallelize(self):
+        engine = Engine()
+        node = MemoryNode(engine, size=64 * 1024)
+        controller = Controller(node, cores=4, reserve=1024)
         controller.register("slow", lambda _p: None, cpu_us=10.0)
+        pool = MemoryPool([node])
         finish = []
 
         def client():
-            local = RdmaEndpoint(engine, ep.pool)
+            local = RdmaEndpoint(engine, pool)
             yield from local.rpc(node, "slow", None)
             finish.append(engine.now)
 

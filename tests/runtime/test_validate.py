@@ -125,3 +125,20 @@ def test_chaos_ops_default_and_override(monkeypatch, tmp_path, argv, ops):
     assert validate.main(argv + ["--digest", str(digest)]) == 0
     assert seen["ops"] == ops
     assert digest.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kill"],
+    ["--chaos-plan", "plan.json"],
+    ["--time-scale", "2"],
+    ["--ops", "100", "--kill"],
+])
+def test_chaos_only_flags_need_chaos(monkeypatch, argv):
+    def launched(**_kwargs):
+        raise AssertionError("a run launched despite a chaos-only flag")
+
+    monkeypatch.setattr(validate, "run_validation", launched)
+    monkeypatch.setattr(validate, "run_chaos_validation", launched)
+    with pytest.raises(SystemExit) as exc:
+        validate.main(argv)
+    assert exc.value.code == 2

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.sim import CounterSet, LatencyStats, ThroughputSeries, hit_rate, relative_change
+from repro.sim import CounterSet, LatencyStats, hit_rate, relative_change
 from repro.sim.stats import StreamingHistogram
 
 
@@ -163,65 +163,6 @@ class TestStreamingHistogram:
             StreamingHistogram(lo=10.0, hi=1.0)
         with pytest.raises(ValueError):
             StreamingHistogram(growth=1.0)
-
-
-class TestThroughputSeries:
-    def test_bucketing(self):
-        series = ThroughputSeries(bucket_us=1000.0)
-        for t in (100.0, 900.0, 1500.0):
-            series.record(t)
-        points = series.series()
-        assert points[0] == (0.0, 2000.0)  # 2 ops in 1 ms -> 2000 ops/s
-        assert points[1] == (1000.0, 1000.0)
-        assert series.total == 3
-
-    def test_gap_buckets_are_zero(self):
-        series = ThroughputSeries(bucket_us=100.0)
-        series.record(50.0)
-        series.record(350.0)
-        rates = [rate for _, rate in series.series()]
-        assert rates[1] == 0.0 and rates[2] == 0.0
-
-    def test_average_window(self):
-        series = ThroughputSeries(bucket_us=100.0)
-        for t in (10.0, 20.0, 110.0):
-            series.record(t)
-        assert series.ops_per_second(0.0, 100.0) == pytest.approx(20000.0)
-
-    def test_exact_bucket_edges(self):
-        # a timestamp exactly on a bucket edge belongs to the *later* bucket
-        series = ThroughputSeries(bucket_us=100.0)
-        series.record(0.0)
-        series.record(100.0)
-        series.record(199.999)
-        series.record(200.0)
-        points = dict(series.series())
-        scale = 1e6 / 100.0
-        assert points[0.0] == 1 * scale
-        assert points[100.0] == 2 * scale
-        assert points[200.0] == 1 * scale
-
-    def test_window_boundaries_half_open(self):
-        series = ThroughputSeries(bucket_us=100.0)
-        series.record(50.0)    # bucket 0
-        series.record(150.0)   # bucket 1
-        # [0, 100) selects only bucket 0; the end bound is exclusive
-        assert series.ops_per_second(0.0, 100.0) == pytest.approx(10000.0)
-        assert series.ops_per_second(100.0, 200.0) == pytest.approx(10000.0)
-
-    def test_negative_timestamps_bucket_correctly(self):
-        series = ThroughputSeries(bucket_us=100.0)
-        series.record(-50.0)
-        (start, rate), = series.series()
-        assert start == -100.0 and rate == pytest.approx(10000.0)
-
-    def test_rejects_bad_bucket(self):
-        with pytest.raises(ValueError):
-            ThroughputSeries(bucket_us=0)
-
-    def test_empty(self):
-        assert ThroughputSeries().series() == []
-        assert ThroughputSeries().ops_per_second() == 0.0
 
 
 class TestCounterSet:

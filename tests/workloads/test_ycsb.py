@@ -63,11 +63,6 @@ class TestConfig:
         wl = make_ycsb("C", n_keys=100, seed=1)
         assert list(wl.load_keys()) == list(range(100))
 
-    def test_request_stream_chunks(self):
-        wl = make_ycsb("C", n_keys=100, seed=1)
-        stream = list(wl.request_stream(1000, chunk=64))
-        assert len(stream) == 1000
-
 
 @pytest.mark.parametrize("workload, seed, client_id, digest", [
     ("A", 0, 0,
