@@ -5,7 +5,6 @@ from .parallel import (
     ExperimentJob,
     JobOutcome,
     ParallelRunner,
-    ResultCache,
     run_grid,
 )
 from .runner import (
@@ -25,7 +24,6 @@ __all__ = [
     "JobOutcome",
     "MeasureResult",
     "ParallelRunner",
-    "ResultCache",
     "format_table",
     "make_value",
     "pack_key",

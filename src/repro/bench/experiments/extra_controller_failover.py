@@ -19,9 +19,6 @@ Reported metrics:
   recovery, showing the data path rides through;
 - the migration record, the election timeline, and the final
   memory-accounting sweep.
-
-The fault plan is plain data, so the on-disk result cache keys on it like
-on any other knob.
 """
 
 from __future__ import annotations

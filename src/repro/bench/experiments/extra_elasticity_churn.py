@@ -9,9 +9,6 @@ tracks throughput and tail latency through every membership change; the
 summary reports per-drain migrated bytes, epoch advance, and the final
 memory-accounting sweep, proving no block leaked or stayed double-owned
 across the churn.
-
-The fault plan is plain data and part of the experiment's parameters, so
-the on-disk result cache keys on it like on any other knob.
 """
 
 from __future__ import annotations

@@ -9,9 +9,6 @@ retries), pays the backing-store penalty, and refills the object — striping
 naturally lands the refill on the surviving node.  Throughput dips while
 clients burn verb timeouts and miss penalties; once the window passes, hit
 rate and throughput recover without any explicit repair step.
-
-The fault plan is plain data and part of the experiment's parameters, so the
-on-disk result cache keys on it like on any other knob.
 """
 
 from __future__ import annotations

@@ -1,27 +1,25 @@
-"""Parallel experiment fan-out with an on-disk result cache.
+"""Parallel experiment fan-out.
 
 Every (experiment, grid-point, seed) simulation in this repository is
 deterministic and independent — the same structure rack-scale simulators
-(DRackSim, CXL-ClusterSim) exploit for parallel per-node simulation and
-cached sweep results.  This module applies it to the benchmark suite:
+(DRackSim, CXL-ClusterSim) exploit for parallel per-node simulation.  This
+module applies it to the benchmark suite:
 
 - :class:`ExperimentJob` — one unit of work: a spawn-safe reference to a
   module-level callable (``"pkg.module:attr"``) plus keyword params and an
   optional seed.
-- :class:`ResultCache` — a JSON file per completed job, keyed by the SHA-256
-  of ``(experiment, params, seed, REPRO_SCALE)``.  Re-running an unchanged
-  grid simulates nothing.
-- :class:`ParallelRunner` — serves cache hits and runs the misses itself:
-  inline with one worker or one job, otherwise in a spawn-context
-  ``ProcessPoolExecutor`` (workers never inherit interpreter state).  It
-  yields outcomes **in submission order** as they become available, making
-  parallel output byte-identical to a serial run of the same jobs.
+- :class:`ParallelRunner` — runs every job, inline with one worker or one
+  job, otherwise in a spawn-context ``ProcessPoolExecutor`` (workers never
+  inherit interpreter state).  It yields outcomes **in submission order**
+  as they become available, making parallel output byte-identical to a
+  serial run of the same jobs.
 - :func:`execute_job` — the one place a job runs: stdout captured, and with
   a trace directory a fresh observability hub that writes
   ``<name>.trace.json`` and ``<name>.metrics.json``.
 
-The runner counts how many jobs were actually simulated vs served from
-cache; ``summary()`` exposes both.
+Each job runs under one name: its experiment, suffixed with its submission
+position (``fig04_1``) when the experiment appears more than once in the
+run.  That name labels the job's trace, metrics and profile files.
 
 Usage::
 
@@ -31,21 +29,19 @@ Usage::
                           params={"n_requests": 150_000}, seed=3)]
     runner = ParallelRunner(workers=4)
     outcomes = runner.run(jobs)          # [JobOutcome, ...] in submission order
-    print(runner.summary())              # {'jobs': 1, 'simulated': 1, 'cached': 0, ...}
+    print(runner.summary())              # {'jobs': 1, 'workers': 4, 'elapsed_s': ...}
 
-or from the CLI: ``python -m repro.bench.run_all`` (one worker, no cache)
-or ``python -m repro.bench.run_all -j 4``.
+or from the CLI: ``python -m repro.bench.run_all`` (one worker) or
+``python -m repro.bench.run_all -j 4``.
 """
 
 from __future__ import annotations
 
-import hashlib
 import importlib
 import io
 import json
 import os
 import time
-import uuid
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import redirect_stdout
@@ -56,13 +52,6 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..cachesim.simulator import REPLAYED
 from ..obs.observer import Observability, activate, deactivate
-from .scale import scale_name
-
-#: Default cache directory, relative to the current working directory.
-DEFAULT_CACHE_DIR = ".bench_cache"
-
-#: Cache file schema version; bump to invalidate every cached result.
-CACHE_SCHEMA = 1
 
 
 def jsonify(value: Any) -> Any:
@@ -70,8 +59,8 @@ def jsonify(value: Any) -> Any:
 
     numpy scalars/arrays become Python numbers/lists, tuples become lists,
     dict keys become strings.  Deterministic: equal inputs always serialize
-    to equal bytes, which is what makes cached results comparable across
-    serial and parallel runs.
+    to equal bytes, which is what makes results comparable across serial
+    and pooled runs (a pooled result crosses a process boundary).
     """
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
@@ -84,14 +73,14 @@ def jsonify(value: Any) -> Any:
         return jsonify(value.item())
     if hasattr(value, "tolist"):
         return jsonify(value.tolist())
-    raise TypeError(f"result of type {type(value).__name__} is not cacheable")
+    raise TypeError(f"result of type {type(value).__name__} is not JSON-serializable")
 
 
 @dataclass(frozen=True)
 class ExperimentJob:
     """One deterministic unit of benchmark work."""
 
-    #: Experiment name (cache-key component and display label).
+    #: Experiment name (display label, and the stem of the job's name).
     experiment: str
     #: Spawn-safe callable reference, ``"package.module:attr"``.  The worker
     #: re-imports the module, so the callable must be module-level.
@@ -101,81 +90,24 @@ class ExperimentJob:
     #: Optional seed, passed as the ``seed=`` keyword when not None.
     seed: Optional[int] = None
 
-    def key(self, scale: Optional[str] = None) -> str:
-        """Cache key: SHA-256 over (experiment, fn, params, seed, scale)."""
-        payload = json.dumps(
-            {
-                "schema": CACHE_SCHEMA,
-                "experiment": self.experiment,
-                "fn": self.fn,
-                "params": jsonify(self.params),
-                "seed": self.seed,
-                "scale": scale if scale is not None else scale_name(),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
 
 @dataclass
 class JobOutcome:
-    """What one job produced (simulated or replayed from cache)."""
+    """What one job produced."""
 
     job: ExperimentJob
+    #: The job's name in this run (see the module docstring).
+    name: str
     result: Any
     stdout: str
-    cached: bool
     elapsed_s: float
-    #: Observability snapshot (``repro.obs``) when the job ran traced;
-    #: replayed from the cache entry for cached outcomes.
+    #: Accesses the job replayed through ``SampledAdaptiveCache.access_many``,
+    #: ``{"vectorized": V, "scalar": S}``.
+    replayed: Dict[str, int]
+    #: Observability snapshot (``repro.obs``) when the job ran traced.
     metrics: Optional[Dict[str, Any]] = None
     #: Chrome trace path written by a traced run (None otherwise).
     trace_file: Optional[str] = None
-    #: Accesses the job replayed through ``SampledAdaptiveCache.access_many``,
-    #: ``{"vectorized": V, "scalar": S}``; None for cached outcomes.
-    replayed: Optional[Dict[str, int]] = None
-
-
-class ResultCache:
-    """One JSON file per completed job under ``directory``."""
-
-    def __init__(self, directory: Optional[str] = None):
-        self.directory = Path(
-            directory
-            or os.environ.get("REPRO_CACHE_DIR")
-            or DEFAULT_CACHE_DIR
-        )
-
-    def _path(self, key: str) -> Path:
-        return self.directory / f"{key}.json"
-
-    def get(self, key: str) -> Optional[Dict[str, Any]]:
-        path = self._path(key)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            return None
-
-    def put(self, key: str, entry: Dict[str, Any]) -> None:
-        self.directory.mkdir(parents=True, exist_ok=True)
-        path = self._path(key)
-        # One temporary file per writer, renamed into place: concurrent
-        # runners putting the same key never share a half-written file.
-        tmp = path.with_suffix(f".{uuid.uuid4().hex}.tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(entry, fh, sort_keys=True)
-        os.replace(tmp, path)
-
-    def clear(self) -> int:
-        """Delete every cached result; returns how many were removed."""
-        removed = 0
-        if self.directory.is_dir():
-            for path in self.directory.glob("*.json"):
-                path.unlink()
-                removed += 1
-        return removed
 
 
 def execute_job(spec: Dict[str, Any]) -> Dict[str, Any]:
@@ -191,10 +123,11 @@ def execute_job(spec: Dict[str, Any]) -> Dict[str, Any]:
     ``<trace_dir>/<name>.metrics.json``.
 
     Profiling composes with the process pool: the profiler runs inside the
-    worker around this one job, and the dump file is keyed by the job's
-    cache key, so concurrent workers (and repeated grid points of the same
-    experiment) never clobber each other's profiles.  ``REPRO_PROFILE_DIR``
-    overrides the default ``.profiles/`` output directory.
+    worker around this one job and dumps ``bench_<name>.prof``, so
+    concurrent workers (and repeated jobs of one experiment, which carry
+    distinct names) never clobber each other's profiles.
+    ``REPRO_PROFILE_DIR`` overrides the default ``.profiles/`` output
+    directory.
     """
     module_name, _, attr = spec["fn"].partition(":")
     if not attr:
@@ -204,6 +137,7 @@ def execute_job(spec: Dict[str, Any]) -> Dict[str, Any]:
     if spec.get("seed") is not None:
         kwargs["seed"] = spec["seed"]
 
+    name = spec.get("name") or attr
     obs: Optional[Observability] = None
     trace_dir = spec.get("trace_dir")
     if trace_dir:
@@ -240,17 +174,12 @@ def execute_job(spec: Dict[str, Any]) -> Dict[str, Any]:
     if profiler is not None:
         profile_dir = Path(os.environ.get("REPRO_PROFILE_DIR") or ".profiles")
         profile_dir.mkdir(parents=True, exist_ok=True)
-        label = spec.get("experiment") or attr
-        stem = spec.get("key") or hashlib.sha256(
-            json.dumps(spec, sort_keys=True, default=str).encode()
-        ).hexdigest()
-        profile_path = profile_dir / f"bench_{label}_{stem[:12]}.prof"
+        profile_path = profile_dir / f"bench_{name}.prof"
         profiler.dump_stats(str(profile_path))
         raw["profile_file"] = str(profile_path)
 
     if obs is not None:
         os.makedirs(trace_dir, exist_ok=True)
-        name = spec.get("trace_name") or spec.get("experiment") or attr
         trace_path = os.path.join(trace_dir, f"{name}.trace.json")
         obs.export_chrome(trace_path)
         raw["metrics"] = obs.snapshot()
@@ -271,9 +200,9 @@ def _timed_execute(spec: Dict[str, Any]) -> Tuple[Dict[str, Any], float]:
 
 
 class ParallelRunner:
-    """Run jobs, serving cache hits; yield outcomes in submission order.
+    """Run jobs; yield outcomes in submission order.
 
-    ``workers=None`` uses ``os.cpu_count()``.  Misses run inline in this
+    ``workers=None`` uses ``os.cpu_count()``.  Jobs run inline in this
     process with one worker or one job (no pool start-up cost), otherwise
     in a spawn-context ``ProcessPoolExecutor``: workers import modules
     fresh, never inheriting engine or rng state from this process.  Either
@@ -283,22 +212,16 @@ class ParallelRunner:
     def __init__(
         self,
         workers: Optional[int] = None,
-        cache_dir: Optional[str] = None,
-        use_cache: bool = True,
         trace_dir: Optional[str] = None,
     ):
-        """``trace_dir`` turns on per-job observability: each simulated job
-        activates a fresh hub where it runs, writes
-        ``<trace_dir>/<experiment>[_<key>].trace.json`` and
-        ``.metrics.json``, and returns its metrics snapshot (persisted into
-        the result cache alongside the result)."""
+        """``trace_dir`` turns on per-job observability: each job activates
+        a fresh hub where it runs, writes ``<trace_dir>/<name>.trace.json``
+        and ``.metrics.json``, and returns its metrics snapshot."""
         self.workers = workers if workers is not None else (os.cpu_count() or 1)
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        self.cache = ResultCache(cache_dir) if use_cache else None
         self.trace_dir = trace_dir
-        self.simulated = 0
-        self.cached = 0
+        self.jobs = 0
         self.elapsed_s = 0.0
 
     def run(self, jobs: Sequence[ExperimentJob]) -> List[JobOutcome]:
@@ -308,67 +231,35 @@ class ParallelRunner:
         """Yield each job's outcome, in submission order, as soon as it and
         every job before it are done."""
         started = time.perf_counter()
-        scale = scale_name()
-        keys = [job.key(scale) for job in jobs]
-        entries = [self.cache.get(key) if self.cache else None for key in keys]
-        misses = [i for i, entry in enumerate(entries) if entry is None]
-        # Trace filenames: the experiment name alone when unique among the
-        # misses, suffixed with the cache key otherwise (grid sweeps).
-        names = Counter(jobs[i].experiment for i in misses)
+        counts = Counter(job.experiment for job in jobs)
+        names = [
+            job.experiment if counts[job.experiment] == 1
+            else f"{job.experiment}_{position}"
+            for position, job in enumerate(jobs)
+        ]
         raws = self._execute([
             {
-                "fn": jobs[i].fn,
-                "params": jobs[i].params,
-                "seed": jobs[i].seed,
-                "experiment": jobs[i].experiment,
-                "key": keys[i],
+                "fn": job.fn,
+                "params": job.params,
+                "seed": job.seed,
+                "name": name,
                 "trace_dir": self.trace_dir,
-                "trace_name": (
-                    jobs[i].experiment if names[jobs[i].experiment] == 1
-                    else f"{jobs[i].experiment}_{keys[i][:10]}"
-                ),
             }
-            for i in misses
+            for job, name in zip(jobs, names)
         ])
         try:
-            for job, key, entry in zip(jobs, keys, entries):
-                if entry is not None:
-                    self.cached += 1
-                    yield JobOutcome(
-                        job=job,
-                        result=entry["result"],
-                        stdout=entry.get("stdout", ""),
-                        cached=True,
-                        elapsed_s=0.0,
-                        metrics=entry.get("metrics"),
-                        trace_file=entry.get("trace_file"),
-                    )
-                    continue
+            for job, name in zip(jobs, names):
                 raw, elapsed = next(raws)
-                self.simulated += 1
-                if self.cache is not None:
-                    entry = {
-                        "experiment": job.experiment,
-                        "fn": job.fn,
-                        "params": jsonify(job.params),
-                        "seed": job.seed,
-                        "scale": scale,
-                        "result": raw["result"],
-                        "stdout": raw["stdout"],
-                    }
-                    if "metrics" in raw:
-                        entry["metrics"] = raw["metrics"]
-                        entry["trace_file"] = raw.get("trace_file")
-                    self.cache.put(key, entry)
+                self.jobs += 1
                 yield JobOutcome(
                     job=job,
+                    name=name,
                     result=raw["result"],
                     stdout=raw["stdout"],
-                    cached=False,
                     elapsed_s=elapsed,
+                    replayed=raw["replayed"],
                     metrics=raw.get("metrics"),
                     trace_file=raw.get("trace_file"),
-                    replayed=raw["replayed"],
                 )
         finally:
             raws.close()  # shuts the pool down if the caller stopped early
@@ -389,11 +280,9 @@ class ParallelRunner:
             yield from pool.map(_timed_execute, specs)
 
     def summary(self) -> Dict[str, Any]:
-        """Counters for the run: how much was simulated vs replayed."""
+        """Counters for the run: jobs run, workers, wall time."""
         return {
-            "jobs": self.simulated + self.cached,
-            "simulated": self.simulated,
-            "cached": self.cached,
+            "jobs": self.jobs,
             "workers": self.workers,
             "elapsed_s": round(self.elapsed_s, 3),
         }
@@ -405,8 +294,6 @@ def run_grid(
     grid: Sequence[Dict[str, Any]],
     seeds: Sequence[Optional[int]] = (None,),
     workers: Optional[int] = None,
-    cache_dir: Optional[str] = None,
-    use_cache: bool = True,
     trace_dir: Optional[str] = None,
 ) -> List[JobOutcome]:
     """Fan a parameter grid × seeds out across workers.
@@ -419,8 +306,4 @@ def run_grid(
         for point in grid
         for seed in seeds
     ]
-    runner = ParallelRunner(
-        workers=workers, cache_dir=cache_dir, use_cache=use_cache,
-        trace_dir=trace_dir,
-    )
-    return runner.run(jobs)
+    return ParallelRunner(workers=workers, trace_dir=trace_dir).run(jobs)

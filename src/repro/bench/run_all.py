@@ -2,22 +2,21 @@
 
 Usage::
 
-    python -m repro.bench.run_all                   # one worker, no cache
-    python -m repro.bench.run_all -j 4              # 4 worker processes + cache
-    python -m repro.bench.run_all -j 4 --no-cache   # parallel, always simulate
-    python -m repro.bench.run_all --clear-cache     # drop cached results
+    python -m repro.bench.run_all                   # one worker
+    python -m repro.bench.run_all -j 4              # 4 worker processes
     REPRO_SCALE=full python -m repro.bench.run_all
     python -m repro.bench.run_all fig14 fig24       # a subset
 
-Every run goes through :class:`~repro.bench.parallel.ParallelRunner`.
-Without ``-j`` it has one worker, runs each experiment in this process and
-uses no cache.  With ``-j`` the experiments fan out over a process pool
-and completed runs are memoized in an on-disk result cache
-(``.bench_cache/`` by default, or ``REPRO_CACHE_DIR``), so a re-run of an
-unchanged grid replays instantly.  Either way each table prints as soon as
-its experiment and every earlier one are done, in submission order, so
-the output is byte-identical across modes.  Harness lines start with
-``[``; ``grep -v '^\\['`` leaves the tables and the ``scale:`` line.
+Every run goes through :class:`~repro.bench.parallel.ParallelRunner` and
+simulates every experiment it names.  Without ``-j`` it has one worker and
+runs each experiment in this process; with ``-j`` the experiments fan out
+over a process pool.  Either way each table prints as soon as its
+experiment and every earlier one are done, in submission order, so the
+output is byte-identical across modes.  Harness lines start with ``[``;
+``grep -v '^\\['`` leaves the tables and the ``scale:`` line, and the
+``########## name ##########`` headers split it into one section per
+experiment (``tests/bench/golden/<name>.txt``): a header, the table, and
+one blank line, the same bytes in any run that includes the experiment.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ from .experiments import (
     fig25_fc_cache_size,
     tab02_workload_catalog,
 )
-from .parallel import ExperimentJob, ParallelRunner, ResultCache
+from .parallel import ExperimentJob, ParallelRunner
 from .scale import scale_name
 
 EXPERIMENTS = {
@@ -95,22 +94,7 @@ def _parse(argv):
         type=int,
         default=None,
         metavar="N",
-        help="fan experiments out over N worker processes (with result cache)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="with -j: always simulate, never read or write cached results",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="result-cache directory (default .bench_cache or $REPRO_CACHE_DIR)",
-    )
-    parser.add_argument(
-        "--clear-cache",
-        action="store_true",
-        help="delete all cached results and exit",
+        help="fan experiments out over N worker processes",
     )
     parser.add_argument(
         "--trace",
@@ -126,10 +110,6 @@ def _parse(argv):
 
 def main(argv=None) -> int:
     args = _parse(argv if argv is not None else sys.argv[1:])
-    if args.clear_cache:
-        removed = ResultCache(args.cache_dir).clear()
-        print(f"cleared {removed} cached results")
-        return 0
     if args.parallel is not None and args.parallel < 1:
         print("error: -j/--parallel requires a positive worker count")
         return 2
@@ -139,37 +119,29 @@ def main(argv=None) -> int:
         print(f"unknown experiments: {unknown}; available: {sorted(EXPERIMENTS)}")
         return 2
     print(f"scale: {scale_name()}")
-    runner = ParallelRunner(
-        workers=args.parallel or 1,
-        cache_dir=args.cache_dir,
-        use_cache=args.parallel is not None and not args.no_cache,
-        trace_dir=args.trace,
-    )
+    runner = ParallelRunner(workers=args.parallel or 1, trace_dir=args.trace)
     jobs = [
         ExperimentJob(experiment=name, fn=f"{EXPERIMENTS[name].__name__}:main")
         for name in names
     ]
     for outcome in runner.stream(jobs):
-        name = outcome.job.experiment
-        print(f"\n########## {name} ##########")
-        sys.stdout.write(outcome.stdout)
+        # The blank line closes the section, so a section reads the same
+        # wherever the experiment falls in the run.
+        print(f"########## {outcome.job.experiment} ##########")
+        sys.stdout.write(outcome.stdout + "\n")
         if outcome.trace_file:
             print(f"[trace: {outcome.trace_file}]")
-        status = (
-            "cached" if outcome.cached
-            else f"simulated in {outcome.elapsed_s:.1f}s"
-        )
+        status = f"simulated in {outcome.elapsed_s:.1f}s"
         replayed = outcome.replayed
-        if replayed and any(replayed.values()):
+        if any(replayed.values()):
             status += (
                 f"; replayed {replayed['vectorized']} vectorized, "
                 f"{replayed['scalar']} scalar"
             )
-        print(f"[{name}: {status}]", flush=True)
+        print(f"[{outcome.name}: {status}]", flush=True)
     s = runner.summary()
     print(
-        f"[runner: {s['jobs']} jobs ({s['simulated']} simulated, "
-        f"{s['cached']} cached) on {s['workers']} "
+        f"[runner: {s['jobs']} jobs on {s['workers']} "
         f"worker{'s' if s['workers'] > 1 else ''} in {s['elapsed_s']:.1f}s]"
     )
     return 0

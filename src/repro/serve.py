@@ -11,15 +11,9 @@ and then either:
   non-zero if any process or shared-memory segment leaked — the exact
   invocation the CI smoke job runs.
 
-``--load`` composes with ``--chaos-plan plan.json``: the FaultPlan is
-compiled from sim-time to wall-clock and armed in every node's fault
-gate for the duration of the run, optionally with a SIGKILL/restart
-cycle of node 1 (``--kill``), and the run ends with grant
-reconciliation plus the invariant sweep over the real heaps (see
-``repro.runtime.chaos``).  SIGTERM and SIGINT are handled gracefully in
-every mode — servers drain in-flight requests and the launcher reaps
-children and segments — so an interrupted run never leaks ``ditto-*``
-shared memory.
+SIGTERM and SIGINT are handled gracefully in both modes — servers drain
+in-flight requests and the launcher reaps children and segments — so an
+interrupted run never leaks ``ditto-*`` shared memory.
 
 Examples::
 
@@ -28,10 +22,6 @@ Examples::
 
     # self-contained smoke: 5k ops from 16 concurrent clients, then reap
     python -m repro.serve --memory-nodes 2 --load 5000 --clients 16
-
-    # the same smoke under an armed fault plan with a kill/restart cycle
-    python -m repro.serve --memory-nodes 2 --load 5000 --clients 16 \\
-        --chaos-plan plan.json --kill
 """
 
 from __future__ import annotations
@@ -75,19 +65,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--value-bytes", type=int, default=232)
     parser.add_argument("--keys", type=int, default=2000)
     parser.add_argument("--preload", type=int, default=0)
-    parser.add_argument("--chaos-plan", default="", metavar="PLAN_JSON",
-                        help="with --load: arm this FaultPlan (sim-time "
-                             "JSON, compiled to wall-clock) during the run")
-    parser.add_argument("--time-scale", type=float, default=None,
-                        help="with --chaos-plan: sim-µs → wall-µs multiplier")
-    parser.add_argument("--kill", action="store_true",
-                        help="with --chaos-plan: SIGKILL node 1 mid-load "
-                             "and restart-and-adopt it")
     args = parser.parse_args(argv)
-    if args.chaos_plan and not args.load:
-        parser.error("--chaos-plan runs only with --load")
-    if not args.chaos_plan and (args.kill or args.time_scale is not None):
-        parser.error("--kill and --time-scale run only with --chaos-plan")
     observer.init("launcher")
 
     harness = RealClusterHarness(
@@ -122,30 +100,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             harness.write_descriptor(args.descriptor)
             print(f"descriptor written to {args.descriptor}", flush=True)
 
-        if args.load and args.chaos_plan:
-            from .runtime.chaos import DEFAULT_TIME_SCALE, run_chaos
-            from .sim.faults import FaultPlan
-
-            with open(args.chaos_plan, "r", encoding="utf-8") as fh:
-                plan = FaultPlan.from_dict(json.load(fh))
-            report = asyncio.run(run_chaos(
-                harness, plan,
-                time_scale=args.time_scale or DEFAULT_TIME_SCALE,
-                clients=args.clients,
-                ops=args.load,
-                n_keys=args.keys,
-                read_ratio=args.read_ratio,
-                value_bytes=args.value_bytes,
-                preload=args.preload,
-                seed=args.seed + 7,
-                kill_node_id=1 if args.kill else None,
-            ))
-            print(json.dumps(report, indent=2, sort_keys=True), flush=True)
-            digest = report.get("digest") or obs_runtime.build_digest(report)
-            print(obs_runtime.format_digest(digest), flush=True)
-            if report["failed_ops"]:
-                exit_code = 1
-        elif args.load:
+        if args.load:
             report = asyncio.run(run_load(
                 descriptor,
                 clients=args.clients,

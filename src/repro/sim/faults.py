@@ -12,8 +12,8 @@ Determinism: probabilistic faults draw from a private ``random.Random`` seeded
 by the plan, and draws happen only for verbs that match an active window — so
 the same seed and the same plan produce the same fault sequence, independent
 of wall clock, process boundaries, or any other randomness in the simulation.
-Because the plan is plain data, it can ride inside experiment parameters and
-therefore inside the on-disk result-cache key.
+Because the plan is plain data, it can ride inside experiment parameters to
+a pool worker.
 
 The injector is *consulted*, never *in control*: layers that can fail call
 :meth:`FaultInjector.verb_outcome` at issue time and implement their own

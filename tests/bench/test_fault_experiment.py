@@ -1,4 +1,4 @@
-"""The fault-recovery experiment: shape, determinism, caching, parallelism."""
+"""The fault-recovery experiment: shape, determinism, parallelism."""
 
 from repro.bench.experiments.extra_fault_recovery import run
 from repro.bench.parallel import ExperimentJob, ParallelRunner
@@ -45,33 +45,9 @@ def test_run_is_deterministic():
     assert a == b
 
 
-def test_cache_key_includes_the_fault_plan():
-    base = ExperimentJob("extra-faults", RUN, params={**TINY, "plan_dict": tiny_plan()})
-    longer = FaultPlan(
-        outages=(NodeOutage(node_id=1, start_us=0.0, end_us=3 * TINY["phase_us"]),)
-    ).to_dict()
-    other = ExperimentJob(
-        "extra-faults", RUN, params={**TINY, "plan_dict": longer}
-    )
-    assert base.key("quick") != other.key("quick")
-    assert base.key("quick") == ExperimentJob(
-        "extra-faults", RUN, params={**TINY, "plan_dict": tiny_plan()}
-    ).key("quick")
-
-
 def test_parallel_run_matches_serial(tmp_path):
     params = {**TINY, "plan_dict": tiny_plan()}
     jobs = [ExperimentJob("extra-faults", RUN, params=params)]
-    serial = ParallelRunner(workers=1, use_cache=False).run(jobs)
-    pooled = ParallelRunner(workers=2, use_cache=False).run(jobs)
+    serial = ParallelRunner(workers=1).run(jobs)
+    pooled = ParallelRunner(workers=2).run(jobs)
     assert serial[0].result == pooled[0].result
-
-
-def test_cached_replay(tmp_path):
-    params = {**TINY, "plan_dict": tiny_plan()}
-    jobs = [ExperimentJob("extra-faults", RUN, params=params)]
-    first = ParallelRunner(workers=1, cache_dir=tmp_path).run(jobs)
-    second = ParallelRunner(workers=1, cache_dir=tmp_path).run(jobs)
-    assert not first[0].cached
-    assert second[0].cached
-    assert first[0].result == second[0].result

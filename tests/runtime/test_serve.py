@@ -1,5 +1,6 @@
-"""``python -m repro.serve``: flags that only mean something with a chaos
-plan are refused before any process launches."""
+"""``python -m repro.serve``: the launcher has no chaos mode (fault drills
+run through ``repro.runtime.validate --chaos``), so its old chaos flags
+are unknown options, refused before any process launches."""
 
 import pytest
 
