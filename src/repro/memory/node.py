@@ -19,6 +19,7 @@ from ..sim import Engine, RateLimiter
 from ..rdma.params import NetworkParams
 
 _U64 = struct.Struct("<Q")
+_MASK = 0xFFFFFFFFFFFFFFFF
 
 #: Allocation granule: the paper measures object sizes in 64-byte blocks.
 BLOCK_SIZE = 64
@@ -54,13 +55,14 @@ class MemoryNode:
         self._end = base + size  # immutable; cached for the bounds hot path
         self.params = params or NetworkParams()
         if buffer is None:
-            self._memory = bytearray(size)
-        else:
-            if len(buffer) < size:
-                raise ValueError(
-                    f"external buffer holds {len(buffer)} bytes, need {size}"
-                )
-            self._memory = memoryview(buffer)[:size]
+            buffer = bytearray(size)
+        elif len(buffer) < size:
+            raise ValueError(
+                f"external buffer holds {len(buffer)} bytes, need {size}"
+            )
+        #: A memoryview either way: slicing one copies nothing, and
+        #: ``tobytes`` copies once.
+        self._memory = memoryview(buffer)[:size]
         #: The node's RNIC: a serial message pipe shared by all clients
         #: (sim substrate only).
         self.nic = RateLimiter(engine) if engine is not None else None
@@ -76,44 +78,60 @@ class MemoryNode:
     def contains(self, addr: int, length: int = 1) -> bool:
         return self.base <= addr and addr + length <= self._end
 
-    def _offset(self, addr: int, length: int) -> int:
-        off = addr - self.base
-        if off < 0 or addr + length > self._end:
-            raise MemoryAccessError(
-                f"access [{addr}, {addr + length}) outside node {self.node_id} "
-                f"range [{self.base}, {self.end})"
-            )
-        return off
+    def _refused(self, addr: int, length: int) -> MemoryAccessError:
+        """What an accessor raises when its check fails: only atomics
+        check alignment, so an in-range refusal is a misaligned word."""
+        if self.contains(addr, length):
+            why = "is not 8-byte aligned"
+        else:
+            why = f"is outside node range [{self.base}, {self.end})"
+        return MemoryAccessError(
+            f"access [{addr}, {addr + length}) on node {self.node_id} {why}"
+        )
 
     # -- raw memory operations (instantaneous; timing lives in verbs) ---
+    # Each accessor makes its own bounds check: one per memory access.
 
     def read_bytes(self, addr: int, length: int) -> bytes:
-        off = self._offset(addr, length)
-        return bytes(self._memory[off : off + length])
+        off = addr - self.base
+        if off < 0 or addr + length > self._end:
+            raise self._refused(addr, length)
+        return self._memory[off : off + length].tobytes()
 
     def write_bytes(self, addr: int, data: bytes) -> None:
-        off = self._offset(addr, len(data))
-        self._memory[off : off + len(data)] = data
+        off, length = addr - self.base, len(data)
+        if off < 0 or addr + length > self._end:
+            raise self._refused(addr, length)
+        self._memory[off : off + length] = data
 
     def read_u64(self, addr: int) -> int:
-        off = self._offset(addr, 8)
-        return _U64.unpack_from(self._memory, off)[0]
+        return int.from_bytes(self.read_bytes(addr, 8), "little")
 
     def write_u64(self, addr: int, value: int) -> None:
-        off = self._offset(addr, 8)
-        _U64.pack_into(self._memory, off, value & 0xFFFFFFFFFFFFFFFF)
+        self.write_bytes(addr, (value & _MASK).to_bytes(8, "little"))
+
+    def word_offset(self, addr: int) -> int:
+        """Offset of the atomic word at ``addr``.  RDMA atomics need an
+        8-byte-aligned target inside the node; anything else raises
+        :class:`MemoryAccessError` before a byte is touched."""
+        off = addr - self.base
+        if off < 0 or addr + 8 > self._end or addr & 7:
+            raise self._refused(addr, 8)
+        return off
 
     def compare_and_swap(self, addr: int, expected: int, new: int) -> int:
         """Atomically swap if current == expected; returns the *old* value."""
-        old = self.read_u64(addr)
+        off = self.word_offset(addr)
+        (old,) = _U64.unpack_from(self._memory, off)
         if old == expected:
-            self.write_u64(addr, new)
+            _U64.pack_into(self._memory, off, new & _MASK)
         return old
 
     def fetch_and_add(self, addr: int, delta: int) -> int:
         """Atomically add (mod 2^64); returns the *old* value."""
-        old = self.read_u64(addr)
-        self.write_u64(addr, (old + delta) & 0xFFFFFFFFFFFFFFFF)
+        off = self.word_offset(addr)
+        (old,) = _U64.unpack_from(self._memory, off)
+        _U64.pack_into(self._memory, off, (old + delta) & _MASK)
         return old
 
 

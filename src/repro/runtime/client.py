@@ -87,6 +87,12 @@ RESEND_BACKOFF_MAX_S = 0.04
 #: the memory node takes with one ``recv`` (``server.RECV_BYTES``).
 CORK_BYTES = 64 * 1024
 
+#: A link's request deadlines are on the event loop's clock, which for
+#: asyncio's loops is ``time.monotonic``: read directly, one C call per
+#: request.
+_monotonic = time.monotonic
+_NEVER = float("inf")
+
 
 class RequestNotSent(ConnectionError):
     """The connection died before the request hit the socket — it found
@@ -160,7 +166,7 @@ class WallClockRuntime:
 
     def live_link(self, node: "NodeHandle") -> Optional["Connection"]:
         """The link to ``node`` if it is up; never connects."""
-        conn = self.links.get((node.host, node.port))
+        conn = self.links.get(node.key)
         return conn if conn is not None and conn.alive else None
 
     def opening(self, node: "NodeHandle") -> asyncio.Future:
@@ -173,7 +179,7 @@ class WallClockRuntime:
         its own.  Done-callbacks run in the order they were added, so what
         joined first is first on the link.
         """
-        key = (node.host, node.port)
+        key = node.key
         opening = self._opening.get(key)
         if opening is None:
             opening = self._opening[key] = asyncio.ensure_future(
@@ -304,10 +310,11 @@ class _Runner:
             endpoint._obs_record(
                 verb, (time.perf_counter() - self.started) * 1e6
             )
-        try:
-            payload = endpoint._decode(node, verb, status, payload)
-        except Exception as exc:  # surfaced inside the generator
-            return self.step(None, exc)
+        if status != wire.ST_OK:
+            try:
+                endpoint._decode(node, verb, status, payload)
+            except Exception as exc:  # surfaced inside the generator
+                return self.step(None, exc)
         return self.step(payload)
 
     def failed(self, exc: BaseException) -> None:
@@ -374,21 +381,21 @@ class NodeHandle:
     heap's shared-memory name for the optional direct-read fast path.
     """
 
-    __slots__ = ("node_id", "base", "size", "host", "port", "shm", "_seg")
+    __slots__ = ("node_id", "base", "size", "end", "host", "port", "key",
+                 "shm", "_seg")
 
     def __init__(self, node_id: int, base: int, size: int, host: str,
                  port: int, shm: str = ""):
         self.node_id = node_id
         self.base = base
         self.size = size
+        self.end = base + size
         self.host = host
         self.port = port
+        #: (host, port): what the runtime keys its link to this node by.
+        self.key = (host, port)
         self.shm = shm
         self._seg: Optional[shared_memory.SharedMemory] = None
-
-    @property
-    def end(self) -> int:
-        return self.base + self.size
 
     def contains(self, addr: int, length: int = 1) -> bool:
         return self.base <= addr and addr + length <= self.end
@@ -472,6 +479,8 @@ class Connection(asyncio.Protocol):
         #: req_id -> (sink, deadline on the loop's clock)
         self._pending: Dict[int, tuple] = {}
         self._timer: Optional[asyncio.TimerHandle] = None
+        #: The deadline ``_timer`` fires at; infinite while there is none.
+        self._watched = _NEVER
         self._next_id = 0
         self._cork: List[bytes] = []
         self._cork_bytes = 0
@@ -534,6 +543,7 @@ class Connection(asyncio.Protocol):
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
+            self._watched = _NEVER
         pending, self._pending = self._pending, {}
         self._cork.clear()
         for req_id, (sink, _deadline) in pending.items():
@@ -566,9 +576,9 @@ class Connection(asyncio.Protocol):
             raise RequestNotSent("connection is closed")
         self._next_id += 1
         req_id = self._next_id
-        deadline = self._loop.time() + timeout_s
+        deadline = _monotonic() + timeout_s
         self._pending[req_id] = (sink, deadline)
-        if self._timer is None or deadline < self._timer.when():
+        if deadline < self._watched:
             self._watch(deadline)
         frame = wire.request_frame(op, req_id, body)
         self._cork.append(frame)
@@ -607,13 +617,15 @@ class Connection(asyncio.Protocol):
         if self._timer is not None:
             self._timer.cancel()
         self._timer = self._loop.call_at(deadline, self._on_deadline)
+        self._watched = deadline
 
     def _on_deadline(self) -> None:
         """Expire every request whose own deadline has passed, then watch
         the nearest one left.  In steady state this runs once per
         ``timeout_s`` per connection and finds nothing to do."""
         self._timer = None
-        now = self._loop.time()
+        self._watched = _NEVER
+        now = _monotonic()
         nearest = None
         for req_id, (sink, deadline) in list(self._pending.items()):
             if deadline <= now:

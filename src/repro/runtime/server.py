@@ -11,24 +11,30 @@ segment — so a SIGKILLed node can be restarted with ``--adopt`` against
 the surviving heap and resume with its grant log (and alloc-dedup
 tokens) intact.
 
-The serving loop is one thread on a plain ``selectors`` readiness loop —
-no event loop runs in this process.  A wake-up reads whatever the socket
-holds, cuts it into frames (:class:`~repro.runtime.wire.FrameDecoder`),
-runs gate → execute → response for each, and answers the whole batch
-with one ``send``; bytes the socket will not take wait for writability.
-Everything that must happen *later* — a latency spike's delayed
-execution, the ``__sleep__`` debug handler, the shutdown grace — is an
-entry in one timer heap, and SIGTERM/SIGINT arrive as bytes on a wake-up
-socket.  A memory operation runs to completion inside one frame's turn,
-so CAS/FAA from any number of connections linearize by construction —
-the same serialization point the sim models with the NIC pipe.  Because
-that one loop serves every connection it is *total* on what a socket can
-deliver: a length prefix above ``MAX_FRAME`` or too short to hold a
-request header closes that connection; an unknown opcode, a truncated
-verb body or a garbled RPC is answered with ``ST_ERROR``; none of them
-reaches the loop as an exception.  ``__stats__`` reports how well frames
-batch: ``ops_served`` (frames), ``wakeups`` (reads that yielded at least
-one frame) and ``sends``.
+The serving loop is one thread polling its sockets directly
+(``select.poll``, with a dict from fd to connection) — no event loop
+runs in this process.  A wake-up reads whatever the socket holds, cuts
+it into frames (:class:`~repro.runtime.wire.FrameDecoder`), runs each
+through the one handler its opcode maps to in ``_handlers`` (READ,
+WRITE, CAS, FAA, WRITE_CAS, PING, RPC, and SHUTDOWN), and answers the
+whole batch with one ``send``; bytes the socket will not take wait for
+writability.  A dark frame is that and nothing more.  When the fault
+gate or the instruments are armed (``self.gate``, ``self._obs``: checked
+per frame, since a ``__chaos_load__`` can arm the gate in the middle of
+a batch) they wrap the same handler call.  Everything that must happen
+*later* — a latency spike's delayed execution, the ``__sleep__`` debug
+handler, the shutdown grace — is an entry in one timer heap, and
+SIGTERM/SIGINT arrive as bytes on a wake-up socket.  A memory operation
+runs to completion inside one frame's turn, so CAS/FAA from any number
+of connections linearize by construction — the same serialization point
+the sim models with the NIC pipe.  Because that one loop serves every
+connection it is *total* on what a socket can deliver: a length prefix
+above ``MAX_FRAME`` or too short to hold a request header closes that
+connection; an out-of-range or misaligned access is answered with
+``ST_ACCESS``; an unknown opcode, a truncated verb body or a garbled RPC
+with ``ST_ERROR``; none of them reaches the loop as an exception.
+``__stats__`` reports how well frames batch: ``ops_served`` (frames),
+``wakeups`` (reads that yielded at least one frame) and ``sends``.
 
 Metadata RPCs are answered by the node's ``MetadataState``, the dispatch
 the sim uses too (node 0's also holds the weights and the membership).
@@ -62,14 +68,14 @@ import argparse
 import heapq
 import os
 import pickle
-import selectors
+import select
 import signal
 import socket
 import sys
 import time
 from collections import OrderedDict
 from multiprocessing import shared_memory
-from typing import List, Optional, Set
+from typing import Dict, List, Optional
 
 from ..core.adaptive import GlobalWeights
 from ..core.elasticity import MembershipTable, MetadataState
@@ -96,6 +102,9 @@ DRAIN_GRACE_S = 0.5
 RECV_BYTES = 64 * 1024
 
 LISTEN_BACKLOG = 1024
+
+_READ_EVENTS = select.POLLIN | select.POLLHUP | select.POLLERR
+_WRITE_EVENTS = select.POLLOUT | select.POLLHUP | select.POLLERR
 
 #: Memoized (status, body) results kept per node for RPC dedup tokens.
 RPC_MEMO_LIMIT = 1024
@@ -173,10 +182,11 @@ class _Conn:
     """One accepted connection: its socket, the decoder holding a frame
     that has not fully arrived, and responses the socket would not take."""
 
-    __slots__ = ("sock", "conn_id", "decoder", "out", "lane")
+    __slots__ = ("sock", "fd", "conn_id", "decoder", "out", "lane")
 
     def __init__(self, sock: socket.socket, conn_id: int):
         self.sock: Optional[socket.socket] = sock  # None once closed
+        self.fd = sock.fileno()
         self.conn_id = conn_id
         self.decoder = wire.FrameDecoder(wire.REQ)
         self.out = bytearray()
@@ -250,9 +260,21 @@ class NodeServer:
             )
         self.gate: Optional[FaultInjector] = None
         self._rpc_memo: "OrderedDict[int, tuple]" = OrderedDict()
-        self._selector: Optional[selectors.BaseSelector] = None
+        #: Opcode -> the one implementation of that verb.
+        self._handlers = {
+            wire.OP_READ: self._read,
+            wire.OP_WRITE: self._write,
+            wire.OP_CAS: self._cas,
+            wire.OP_FAA: self._faa,
+            wire.OP_WRITE_CAS: self._write_cas,
+            wire.OP_PING: self._ping,
+            wire.OP_RPC: self._serve_rpc,
+            wire.OP_SHUTDOWN: self._shutdown,
+        }
+        self._poller: Optional[select.poll] = None
         self._listener: Optional[socket.socket] = None
-        self._conns: Set[_Conn] = set()
+        #: Socket fd -> its accepted connection.
+        self._conns: Dict[int, _Conn] = {}
         #: (due, seq, callback) heap: spike delays, ``__sleep__`` answers
         #: and the shutdown grace all wait here, on the monotonic clock.
         self._timers: List[tuple] = []
@@ -361,49 +383,49 @@ class NodeServer:
             return True
         raise KeyError(f"no RPC handler registered for {op!r}")
 
-    # -- frame dispatch ----------------------------------------------------
+    # -- one handler per opcode -------------------------------------------
+    # Each takes a request body and returns (status, payload); what it
+    # raises, _run turns into a status.
 
-    def _serve_data(self, op: int, body: bytes):
+    def _read(self, body: bytes):
+        addr, length = wire.READ_BODY.unpack(body)
+        return wire.ST_OK, self.node.read_bytes(addr, length)
+
+    def _write(self, body: bytes):
+        (addr,) = wire.WRITE_HDR.unpack_from(body)
+        self.node.write_bytes(addr, body[wire.WRITE_HDR.size :])
+        return wire.ST_OK, b""
+
+    def _cas(self, body: bytes):
+        addr, expected, new = wire.CAS_BODY.unpack(body)
+        return wire.ST_OK, wire.U64.pack(
+            self.node.compare_and_swap(addr, expected, new)
+        )
+
+    def _faa(self, body: bytes):
+        addr, delta = wire.FAA_BODY.unpack(body)
+        return wire.ST_OK, wire.U64.pack(self.node.fetch_and_add(addr, delta))
+
+    def _write_cas(self, body: bytes):
+        # All or nothing: the CAS's word is judged before the WRITE lands,
+        # and the WRITE's range before it writes a byte.
+        addr, expected, new, write_addr = wire.WRITE_CAS_HDR.unpack_from(body)
+        data = body[wire.WRITE_CAS_HDR.size :]
+        if not data:
+            raise ValueError("a chain's WRITE carries no data")
         node = self.node
-        if op == wire.OP_READ:
-            addr, length = wire.READ_BODY.unpack(body)
-            return wire.ST_OK, node.read_bytes(addr, length)
-        if op == wire.OP_WRITE:
-            (addr,) = wire.WRITE_HDR.unpack_from(body)
-            node.write_bytes(addr, body[wire.WRITE_HDR.size :])
-            return wire.ST_OK, b""
-        if op == wire.OP_CAS:
-            addr, expected, new = wire.CAS_BODY.unpack(body)
-            return wire.ST_OK, wire.U64.pack(
-                node.compare_and_swap(addr, expected, new)
-            )
-        if op == wire.OP_FAA:
-            addr, delta = wire.FAA_BODY.unpack(body)
-            return wire.ST_OK, wire.U64.pack(node.fetch_and_add(addr, delta))
-        if op == wire.OP_WRITE_CAS:
-            # All or nothing: both ranges are judged before either effect.
-            addr, expected, new, write_addr = wire.WRITE_CAS_HDR.unpack_from(
-                body
-            )
-            data = body[wire.WRITE_CAS_HDR.size :]
-            if not data:
-                raise ValueError("a chain's WRITE carries no data")
-            if addr % 8 or not (
-                node.contains(addr, 8)
-                and node.contains(write_addr, len(data))
-            ):
-                raise MemoryAccessError(
-                    f"chain of WRITE [{write_addr}, {write_addr + len(data)})"
-                    f" and CAS on word {addr}: misaligned word, or outside "
-                    f"node {node.node_id} range [{node.base}, {node.end})"
-                )
-            node.write_bytes(write_addr, data)
-            return wire.ST_OK, wire.U64.pack(
-                node.compare_and_swap(addr, expected, new)
-            )
-        if op == wire.OP_PING:
-            return wire.ST_OK, b""
-        raise ValueError(f"unknown opcode {op}")
+        node.word_offset(addr)
+        node.write_bytes(write_addr, data)
+        return wire.ST_OK, wire.U64.pack(
+            node.compare_and_swap(addr, expected, new)
+        )
+
+    def _ping(self, body: bytes):
+        return wire.ST_OK, b""
+
+    def _shutdown(self, body: bytes):
+        self._stop()
+        return wire.ST_OK, b""
 
     def _serve_rpc(self, body: bytes):
         op_name, payload, token = wire.unpack_rpc(body)
@@ -433,20 +455,24 @@ class NodeServer:
                 self._rpc_memo.popitem(last=False)
         return out
 
-    def _execute(self, op: int, body: bytes):
-        """Run one verb; every failure becomes a status, never an
-        exception — one loop serves every connection, so a hostile or
-        truncated body must cost its sender a reply, not the node."""
+    def _run(self, op: int, body: bytes):
+        """Run one verb through its opcode's handler; every failure becomes
+        a status, never an exception — one loop serves every connection,
+        so a hostile or truncated body must cost its sender a reply, not
+        the node."""
+        handler = self._handlers.get(op)
         try:
-            if op == wire.OP_RPC:
-                return self._serve_rpc(body)
-            return self._serve_data(op, body)
+            if handler is None:
+                raise ValueError(f"unknown opcode {op}")
+            return handler(body)
         except MemoryAccessError as err:
             return wire.ST_ACCESS, pickle.dumps(str(err))
         except Exception as err:  # noqa: BLE001 — must not kill the loop
             return wire.ST_ERROR, pickle.dumps(
                 (type(err).__name__, str(err))
             )
+
+    # -- frame dispatch ----------------------------------------------------
 
     def _gate_outcome(self, op: int, body: bytes):
         """Consult the fault gate for this frame; (kind, extra_us).
@@ -461,7 +487,7 @@ class NodeServer:
             try:
                 control = wire.peek_rpc_name(body).startswith("__")
             except (IndexError, UnicodeDecodeError):
-                control = False  # garbled name: _execute answers ST_ERROR
+                control = False  # garbled name: _serve_rpc answers ST_ERROR
             if control:
                 # Control RPCs (chaos arm/disarm, __stats__ polling, debug
                 # handlers) must keep working while faults are injected.
@@ -502,14 +528,33 @@ class NodeServer:
 
     def _serve_frame(self, conn: "_Conn", op: int, req_id: int,
                      body: bytes) -> Optional[bytes]:
-        """Gate, execute and answer one request frame, as the decoder
-        parsed it.
+        """Run one request frame, as the decoder parsed it, through its
+        opcode's handler and answer it.
 
+        Dark, that is all; armed (a fault gate, or instruments), the gate
+        and the instruments wrap the same handler.  Checked per frame: a
+        ``__chaos_load__`` earlier in this batch arms the frames behind it.
         Returns the response frame, or None when nothing is sent now (a
         dropped verb, a delayed one); raises :class:`_Down` when the gate
         says this connection must be reset.
         """
         self.ops_served += 1
+        if self.gate is None and self._obs is None:
+            status, out = self._run(op, body)
+        else:
+            status, out = self._run_armed(conn, op, req_id, body)
+        if status is None:
+            if out is not None:  # __sleep__: ``out`` is the delay in seconds
+                self._answer_later(
+                    conn, req_id, out,
+                    lambda: (wire.ST_OK, pickle.dumps(None)),
+                )
+            return None
+        return wire.response_frame(req_id, status, out)
+
+    def _run_armed(self, conn: "_Conn", op: int, req_id: int, body: bytes):
+        """:meth:`_run` behind the fault gate, timed by the instruments.
+        (None, None) when the gate swallowed or delayed the verb."""
         obs = self._obs
         if obs is not None:
             obs.frame_bytes.record(wire.REQ.size + len(body))
@@ -517,14 +562,11 @@ class NodeServer:
         if kind == DROP:
             if obs is not None:
                 obs.verdict_drop.add()
-            return None  # swallowed before execution: client times out
+            return None, None  # swallowed before execution: client times out
         if kind == DOWN:
             if obs is not None:
                 obs.verdict_down.add()
             raise _Down  # outage window: reset, client sees NodeUnavailable
-        if op == wire.OP_SHUTDOWN:
-            self._stop()
-            return wire.response_frame(req_id, wire.ST_OK)
         if extra_us > 0.0:
             if obs is not None:
                 obs.verdict_spike.add()
@@ -538,32 +580,25 @@ class NodeServer:
                         args={"extra_us": extra_us},
                     )
             self._answer_later(
-                conn, req_id, extra_us / 1e6,
-                lambda: self._execute(op, body),
+                conn, req_id, extra_us / 1e6, lambda: self._run(op, body),
             )
-            return None
-        if obs is None:
-            status, out = self._execute(op, body)
-        else:
-            start_us = obs.hub.now_us() if obs.hub is not None else 0.0
-            t0 = time.perf_counter()
-            status, out = self._execute(op, body)
-            service_us = (time.perf_counter() - t0) * 1e6
-            counter = obs.verb_count.get(op)
-            if counter is not None:
-                counter.add()
-                obs.verb_us[op].record(service_us)
-            if obs.hub is not None:
-                obs.hub.tracer.complete(
-                    _VERB_BY_OP.get(op, "rpc"), "verb", start_us,
-                    tid=self._lane(conn), args={"status": status},
-                )
-        if status is None:  # __sleep__: ``out`` is the delay in seconds
-            self._answer_later(
-                conn, req_id, out, lambda: (wire.ST_OK, pickle.dumps(None))
+            return None, None
+        if obs is None or op == wire.OP_SHUTDOWN:
+            return self._run(op, body)
+        start_us = obs.hub.now_us() if obs.hub is not None else 0.0
+        t0 = time.perf_counter()
+        status, out = self._run(op, body)
+        service_us = (time.perf_counter() - t0) * 1e6
+        counter = obs.verb_count.get(op)
+        if counter is not None:
+            counter.add()
+            obs.verb_us[op].record(service_us)
+        if obs.hub is not None:
+            obs.hub.tracer.complete(
+                _VERB_BY_OP.get(op, "rpc"), "verb", start_us,
+                tid=self._lane(conn), args={"status": status},
             )
-            return None
-        return wire.response_frame(req_id, status, out)
+        return status, out
 
     def _lane(self, conn: "_Conn") -> int:
         """This connection's trace lane, allocated on its first observed
@@ -587,8 +622,8 @@ class NodeServer:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             self._conn_seq += 1
             conn = _Conn(sock, self._conn_seq)
-            self._conns.add(conn)
-            self._selector.register(sock, selectors.EVENT_READ, conn)
+            self._conns[conn.fd] = conn
+            self._poller.register(conn.fd, select.POLLIN)
 
     def _on_readable(self, conn: "_Conn") -> None:
         """Read what the socket holds, serve every complete frame in it,
@@ -610,11 +645,12 @@ class NodeServer:
         if not frames:
             return
         self.wakeups += 1
+        serve = self._serve_frame
         responses = []
         down = False
         try:
             for op, req_id, body in frames:
-                response = self._serve_frame(conn, op, req_id, body)
+                response = serve(conn, op, req_id, body)
                 if response is not None:
                     responses.append(response)
         except _Down:
@@ -642,7 +678,7 @@ class NodeServer:
             return
         if sent < len(data):
             conn.out += data[sent:]
-            self._selector.modify(conn.sock, selectors.EVENT_WRITE, conn)
+            self._poller.modify(conn.fd, select.POLLOUT)
 
     def _on_writable(self, conn: "_Conn") -> None:
         self.sends += 1
@@ -655,11 +691,11 @@ class NodeServer:
             return
         del conn.out[:sent]
         if not conn.out:
-            self._selector.modify(conn.sock, selectors.EVENT_READ, conn)
+            self._poller.modify(conn.fd, select.POLLIN)
 
     def _close(self, conn: "_Conn") -> None:
-        self._conns.discard(conn)
-        self._selector.unregister(conn.sock)
+        del self._conns[conn.fd]
+        self._poller.unregister(conn.fd)
         conn.sock.close()
         conn.sock = None
 
@@ -675,7 +711,7 @@ class NodeServer:
         """
         if not self._stopping:
             self._stopping = True
-            self._selector.unregister(self._listener)
+            self._poller.unregister(self._listener.fileno())
             self._listener.close()
             self._call_later(DRAIN_GRACE_S, self._end_grace)
 
@@ -684,22 +720,23 @@ class NodeServer:
 
     def _drained(self) -> bool:
         return self._grace_over or (
-            self._delayed == 0 and not any(c.out for c in self._conns)
+            self._delayed == 0 and not any(c.out for c in self._conns.values())
         )
 
     def serve(self, announce=print) -> None:
         """Bind, announce the ready line, and serve until stopped."""
         try:
             with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as \
-                    listener, selectors.DefaultSelector() as selector:
+                    listener:
                 listener.setsockopt(
                     socket.SOL_SOCKET, socket.SO_REUSEADDR, 1
                 )
                 listener.bind(("127.0.0.1", self.port))
                 listener.listen(LISTEN_BACKLOG)
                 listener.setblocking(False)
-                selector.register(listener, selectors.EVENT_READ, listener)
-                self._listener, self._selector = listener, selector
+                self._poller = select.poll()
+                self._poller.register(listener.fileno(), select.POLLIN)
+                self._listener = listener
                 announce(
                     f"DITTO-NODE node_id={self.node_id} "
                     f"port={listener.getsockname()[1]} shm={self.shm.name} "
@@ -708,20 +745,20 @@ class NodeServer:
                 try:
                     self._loop()
                 finally:
-                    for conn in list(self._conns):
+                    for conn in list(self._conns.values()):
                         self._close(conn)
         finally:
             self._flush_obs()
             self.close()
 
     def _loop(self) -> None:
-        # Signals reach the loop as bytes on a wake-up socket, so select()
+        # Signals reach the loop as bytes on a wake-up socket, so poll()
         # returns at once instead of being retried around a handler.
         wake_r, wake_w = socket.socketpair()
         with wake_r, wake_w:
             wake_r.setblocking(False)
             wake_w.setblocking(False)
-            self._selector.register(wake_r, selectors.EVENT_READ, wake_r)
+            self._poller.register(wake_r.fileno(), select.POLLIN)
             old_wakeup = signal.set_wakeup_fd(wake_w.fileno())
             old_handlers = {
                 sig: signal.signal(sig, lambda _signum, _frame: None)
@@ -735,26 +772,30 @@ class NodeServer:
                     signal.signal(sig, handler)
 
     def _turn_until_stopped(self, wake_r: socket.socket) -> None:
-        select = self._selector.select
+        poll = self._poller.poll
+        conns = self._conns
         listener = self._listener
+        listen_fd, wake_fd = listener.fileno(), wake_r.fileno()
         timers = self._timers
         while not (self._stopping and self._drained()):
-            timeout = None
+            timeout_ms = None
             if timers:
-                timeout = max(0.0, timers[0][0] - time.monotonic())
-            for key, mask in select(timeout):
-                target = key.data
-                if target is listener:
-                    self._accept(listener)
-                elif target is wake_r:
-                    wake_r.recv(64)
-                    self._stop()
-                else:
-                    if mask & selectors.EVENT_WRITE:
-                        self._on_writable(target)
-                    if mask & selectors.EVENT_READ \
-                            and target.sock is not None:
-                        self._on_readable(target)
+                timeout_ms = max(0.0, timers[0][0] - time.monotonic()) * 1e3
+            for fd, events in poll(timeout_ms):
+                conn = conns.get(fd)
+                if conn is None:
+                    if fd == listen_fd:
+                        self._accept(listener)
+                    elif fd == wake_fd:
+                        wake_r.recv(64)
+                        self._stop()
+                    continue
+                # A hang-up or an error counts as both directions: the
+                # pending send or the read meets it and closes.
+                if events & _WRITE_EVENTS and conn.out:
+                    self._on_writable(conn)
+                if events & _READ_EVENTS and conn.sock is not None:
+                    self._on_readable(conn)
             while timers and timers[0][0] <= time.monotonic():
                 heapq.heappop(timers)[2]()
 

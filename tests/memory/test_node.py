@@ -49,6 +49,17 @@ class TestMemoryNode:
         assert node.fetch_and_add(0, 10) == 0
         assert node.fetch_and_add(0, -3 & 0xFFFFFFFFFFFFFFFF) == 10
 
+    def test_misaligned_atomics_raise_and_touch_nothing(self):
+        base = 1 << 20
+        node = MemoryNode(None, 4096, base=base)
+        node.write_bytes(base, bytes(range(1, 17)))
+        with pytest.raises(MemoryAccessError, match="aligned"):
+            node.compare_and_swap(base + 3, 0, 7)
+        with pytest.raises(MemoryAccessError, match="aligned"):
+            node.fetch_and_add(base + 4, 1)
+        assert node.read_bytes(base, 16) == bytes(range(1, 17))
+        assert node.compare_and_swap(base + 8, 0, 7) != 0  # aligned: runs
+
     def test_base_offset_addressing(self):
         node = MemoryNode(Engine(), size=1024, base=10_000)
         node.write_bytes(10_100, b"x")

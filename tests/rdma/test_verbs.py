@@ -62,8 +62,8 @@ def test_faa_accumulates_and_returns_old(fabric):
     engine, _node, _pool, ep = fabric
 
     def flow():
-        a = yield from ep.faa(300, 5)
-        b = yield from ep.faa(300, 3)
+        a = yield from ep.faa(304, 5)
+        b = yield from ep.faa(304, 3)
         return a, b
 
     a, b = engine.run_process(flow())
@@ -72,14 +72,14 @@ def test_faa_accumulates_and_returns_old(fabric):
 
 def test_faa_wraps_at_64_bits(fabric):
     engine, node, _pool, ep = fabric
-    node.write_u64(300, (1 << 64) - 1)
+    node.write_u64(304, (1 << 64) - 1)
 
     def flow():
-        old = yield from ep.faa(300, 2)
+        old = yield from ep.faa(304, 2)
         return old
 
     assert engine.run_process(flow()) == (1 << 64) - 1
-    assert node.read_u64(300) == 1
+    assert node.read_u64(304) == 1
 
 
 def test_counters_track_verbs(fabric):

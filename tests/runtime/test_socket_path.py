@@ -14,7 +14,10 @@ What the thin path promises and the older suites do not pin down:
   cancellation, a raising generator or a refused post costs its own op,
   never the link;
 - **the server loop is total** — hostile bytes cost their sender a status
-  reply or its connection, never the node;
+  reply or its connection, never the node; every opcode's body shapes get
+  the status and side effects of one table, byte for byte alike whether
+  the node is dark or its gate or instruments are armed, and what a frame
+  arms meets every frame behind it in the same batch;
 - **one metadata dispatch** — node 0 answers membership and weight folds
   the way the sim's controller does, node 1 refuses them, and a resent
   alloc is deduplicated across a kill and an adopt;
@@ -348,16 +351,124 @@ def _assert_still_serving(harness):
     assert harness.procs[0].poll() is None
 
 
-@pytest.mark.parametrize("armed", [False, True], ids=["dark", "gate-armed"])
-def test_hostile_bytes_cost_a_reply_or_the_connection_never_the_node(
-    harness, armed
-):
-    if armed:
+_OK, _ERROR, _ACCESS = wire.ST_OK, wire.ST_ERROR, wire.ST_ACCESS
+_UNTOUCHED = (0, b"")
+
+
+def _status_table(word: int, block: int, end: int) -> dict:
+    """What the node answers each verb's body shapes with, and what the
+    frame leaves behind: ``(verb, shape) -> (body, status, the word's
+    value after, the block's leading bytes after)``, served against a
+    zeroed word and block.  Shapes are the client's body for an 8-byte
+    WRITE, a byte short of it, a byte past it, and an address outside the
+    node or off an 8-byte boundary (only atomics need one)."""
+    data = b"payload!"
+    read = wire.READ_BODY.pack(word, 8)
+    write = wire.WRITE_HDR.pack(block) + data
+    cas = wire.CAS_BODY.pack(word, 0, 7)
+    faa = wire.FAA_BODY.pack(word, 5)
+    chain = wire.WRITE_CAS_HDR.pack(word, 0, 7, block) + data
+    rpc = wire.pack_rpc("get_membership", None)
+    return {
+        ("READ", "empty"): (b"", _ERROR, *_UNTOUCHED),
+        ("READ", "one byte short"): (read[:-1], _ERROR, *_UNTOUCHED),
+        ("READ", "exact"): (read, _OK, *_UNTOUCHED),
+        ("READ", "one byte long"): (read + b"+", _ERROR, *_UNTOUCHED),
+        ("READ", "out of range"): (
+            wire.READ_BODY.pack(end - 4, 8), _ACCESS, *_UNTOUCHED),
+        ("READ", "misaligned"): (
+            wire.READ_BODY.pack(word + 4, 8), _OK, *_UNTOUCHED),
+        ("WRITE", "empty"): (b"", _ERROR, *_UNTOUCHED),
+        ("WRITE", "one byte short"): (write[:-1], _OK, 0, data[:-1]),
+        ("WRITE", "exact"): (write, _OK, 0, data),
+        ("WRITE", "one byte long"): (write + b"+", _OK, 0, data + b"+"),
+        ("WRITE", "out of range"): (
+            wire.WRITE_HDR.pack(end - 4) + data, _ACCESS, *_UNTOUCHED),
+        ("WRITE", "misaligned"): (
+            wire.WRITE_HDR.pack(block + 4) + data, _OK, 0, bytes(4) + data),
+        ("CAS", "empty"): (b"", _ERROR, *_UNTOUCHED),
+        ("CAS", "one byte short"): (cas[:-1], _ERROR, *_UNTOUCHED),
+        ("CAS", "exact"): (cas, _OK, 7, b""),
+        ("CAS", "one byte long"): (cas + b"+", _ERROR, *_UNTOUCHED),
+        ("CAS", "out of range"): (
+            wire.CAS_BODY.pack(end, 0, 7), _ACCESS, *_UNTOUCHED),
+        ("CAS", "misaligned"): (
+            wire.CAS_BODY.pack(word + 4, 0, 7), _ACCESS, *_UNTOUCHED),
+        ("FAA", "empty"): (b"", _ERROR, *_UNTOUCHED),
+        ("FAA", "one byte short"): (faa[:-1], _ERROR, *_UNTOUCHED),
+        ("FAA", "exact"): (faa, _OK, 5, b""),
+        ("FAA", "one byte long"): (faa + b"+", _ERROR, *_UNTOUCHED),
+        ("FAA", "out of range"): (
+            wire.FAA_BODY.pack(end, 5), _ACCESS, *_UNTOUCHED),
+        ("FAA", "misaligned"): (
+            wire.FAA_BODY.pack(word + 4, 5), _ACCESS, *_UNTOUCHED),
+        ("WRITE_CAS", "empty"): (b"", _ERROR, *_UNTOUCHED),
+        ("WRITE_CAS", "one byte short"): (chain[:-1], _OK, 7, data[:-1]),
+        ("WRITE_CAS", "exact"): (chain, _OK, 7, data),
+        ("WRITE_CAS", "one byte long"): (chain + b"+", _OK, 7, data + b"+"),
+        ("WRITE_CAS", "out of range"): (
+            wire.WRITE_CAS_HDR.pack(end, 0, 7, block) + data, _ACCESS,
+            *_UNTOUCHED),
+        ("WRITE_CAS", "misaligned"): (
+            wire.WRITE_CAS_HDR.pack(word + 4, 0, 7, block) + data, _ACCESS,
+            *_UNTOUCHED),
+        ("PING", "exact"): (b"", _OK, *_UNTOUCHED),
+        ("PING", "one byte long"): (b"+", _OK, *_UNTOUCHED),
+        ("RPC", "empty"): (b"", _ERROR, *_UNTOUCHED),
+        ("RPC", "one byte short"): (rpc[:-1], _ERROR, *_UNTOUCHED),
+        ("RPC", "exact"): (rpc, _OK, *_UNTOUCHED),
+        # pickle stops at its STOP opcode: a trailing byte is never read
+        ("RPC", "one byte long"): (rpc + b"+", _OK, *_UNTOUCHED),
+    }
+
+
+def _serve_status_table(harness) -> dict:
+    """Serve every row of :func:`_status_table` on one connection and
+    check its status and side effects; the raw reply of each row."""
+    node = _node(harness)
+    word = _scratch(node)
+    block = word + 64
+    span = block + 24 - word  # the word, the gap, the block and its tail
+    replies = {}
+    with _raw(harness) as sock:
+        rows = _status_table(word, block, node.end)
+        for (verb, shape), (body, status, value, written) in rows.items():
+            row = f"{verb}, {shape}"
+            sock.sendall(
+                wire.request_frame(
+                    wire.OP_WRITE, 1, wire.WRITE_HDR.pack(word) + bytes(span))
+                + wire.request_frame(getattr(wire, f"OP_{verb}"), 9, body)
+                + wire.request_frame(
+                    wire.OP_READ, 10, wire.READ_BODY.pack(word, span))
+            )
+            assert wire.RESP.unpack_from(_recv_frame(sock)) == (1, _OK), row
+            reply = _recv_frame(sock)
+            assert wire.RESP.unpack_from(reply) == (9, status), row
+            after = _recv_frame(sock)[wire.RESP.size:]
+            assert after[:16] == wire.U64.pack(value) + bytes(8), row
+            assert after[16:64] == bytes(48), row
+            assert after[64:] == written.ljust(24, b"\x00"), row
+            replies[verb, shape] = reply
+    return replies
+
+
+def _arm(harness, mode: str) -> None:
+    entry = harness.descriptor()["nodes"][0]
+    if mode == "gate-armed":
         # A gate with nothing to inject still inspects every frame.
         harness.raw_rpc(
-            harness.descriptor()["nodes"][0], "__chaos_load__",
-            (FaultPlan().to_dict(), time.time()),
+            entry, "__chaos_load__", (FaultPlan().to_dict(), time.time())
         )
+    elif mode == "stats-armed":
+        harness.raw_rpc(entry, "__stats_arm__", None)
+
+
+@pytest.mark.parametrize("mode", ["dark", "gate-armed", "stats-armed"])
+def test_hostile_bytes_cost_a_reply_or_the_connection_never_the_node(
+    harness, mode
+):
+    _arm(harness, mode)
+    _serve_status_table(harness)
     for name, payload in HOSTILE_CLOSES.items():
         with _raw(harness) as sock:
             sock.sendall(payload)
@@ -376,6 +487,60 @@ def test_hostile_bytes_cost_a_reply_or_the_connection_never_the_node(
     with _raw(harness) as sock:
         sock.sendall(wire.request_frame(wire.OP_READ, 1, b"\x00" * 12)[:9])
     _assert_still_serving(harness)
+
+
+def test_dark_and_armed_frames_get_byte_identical_replies(harness):
+    """One handler per opcode: the gate and the instruments wrap it, and
+    change no byte of what it answers."""
+    entry = harness.descriptor()["nodes"][0]
+    dark = _serve_status_table(harness)
+    _arm(harness, "gate-armed")
+    gated = _serve_status_table(harness)
+    harness.raw_rpc(entry, "__chaos_stop__", None)
+    _arm(harness, "stats-armed")
+    observed = _serve_status_table(harness)
+    assert gated == dark
+    assert observed == dark
+
+
+def _data_frames(word: int, first_id: int) -> list:
+    return [
+        wire.request_frame(op, first_id + index, body)
+        for index, (op, body) in enumerate([
+            (wire.OP_READ, wire.READ_BODY.pack(word, 8)),
+            (wire.OP_WRITE, wire.WRITE_HDR.pack(word + 64) + b"armed!"),
+            (wire.OP_CAS, wire.CAS_BODY.pack(word, 0, 0)),
+            (wire.OP_FAA, wire.FAA_BODY.pack(word, 0)),
+            (wire.OP_PING, b""),
+        ])
+    ]
+
+
+@pytest.mark.parametrize("control", ["__chaos_load__", "__stats_arm__"])
+def test_what_a_frame_arms_meets_every_frame_behind_it_in_the_batch(
+    harness, control
+):
+    """Armed in the middle of one ``sendall``: no data frame ahead of the
+    arming RPC meets the hook, and every one behind it does."""
+    word = _scratch(_node(harness))
+    payload = (FaultPlan().to_dict(), time.time()) \
+        if control == "__chaos_load__" else None
+    ahead = _data_frames(word, 1)
+    behind = _data_frames(word, 20)
+    arm = wire.request_frame(wire.OP_RPC, 10, wire.pack_rpc(control, payload))
+    with _raw(harness) as sock:
+        sock.sendall(b"".join(ahead + [arm] + behind))
+        for _ in range(len(ahead) + 1 + len(behind)):
+            assert wire.RESP.unpack_from(_recv_frame(sock))[1] == wire.ST_OK
+    stats = _stats(harness)
+    if control == "__chaos_load__":
+        assert stats["chaos_verdicts"] == {"ok": len(behind)}
+    else:
+        served = sum(
+            row["value"] for row in stats["metrics"]["counters"]
+            if row["name"] == "verbs"
+        )
+        assert served == len(behind)
 
 
 # -- one metadata dispatch -----------------------------------------------------

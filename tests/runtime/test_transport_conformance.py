@@ -22,7 +22,7 @@ import uuid
 import pytest
 
 from repro.core.elasticity import EpochFence
-from repro.memory import Controller, MemoryNode, MemoryPool
+from repro.memory import Controller, MemoryAccessError, MemoryNode, MemoryPool
 from repro.memory.controller import OutOfMemoryError
 from repro.rdma import RdmaEndpoint
 from repro.rdma.verbs import NodeUnavailable, StaleEpoch, VerbTimeout
@@ -272,6 +272,33 @@ def test_faa_returns_old_and_wraps_mod_2_64(substrate):
         return a, b, old, int.from_bytes(raw, "little")
 
     assert substrate.run(flow()) == (0, 5, (1 << 64) - 1, 1)
+
+
+def test_a_misaligned_atomic_is_refused_and_touches_nothing(substrate):
+    """RDMA atomics need an 8-byte-aligned target: a CAS or FAA off the
+    boundary fails as an access error on both substrates, and no byte of
+    the words it straddles changes."""
+    ep = substrate.ep
+    addr = SCRATCH + 1792
+    pattern = bytes(range(1, 17))
+
+    def setup():
+        yield from ep.write(addr, pattern)
+
+    def cas():
+        return (yield from ep.cas(addr + 4, 0, 7))
+
+    def faa():
+        return (yield from ep.faa(addr + 3, 1))
+
+    def look():
+        return (yield from ep.read(addr, 16))
+
+    substrate.run(setup())
+    for verb in (cas, faa):
+        with pytest.raises(MemoryAccessError):
+            substrate.run(verb())
+    assert substrate.run(look()) == pattern
 
 
 def test_rpc_alloc_list_free_semantics(substrate):
