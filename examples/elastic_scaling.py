@@ -26,9 +26,7 @@ def run_ditto() -> None:
     harness = Harness(cluster.engine, value_size=232)
 
     def feed(i):
-        return Feed.from_requests(
-            make_ycsb("C", n_keys=N_KEYS, seed=i).requests(10_000)
-        )
+        return Feed(*make_ycsb("C", n_keys=N_KEYS, seed=i).arrays(10_000))
 
     base, extra = cluster.clients[:8], cluster.clients[8:]
     harness.launch_all(base, [feed(i) for i in range(8)])

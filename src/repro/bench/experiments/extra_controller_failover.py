@@ -56,10 +56,8 @@ def run(
         tolerate_failures=True,
     )
     feeds = [
-        Feed.from_requests(
-            make_ycsb("A", n_keys=n_keys, seed=seed + i, client_id=i)
-            .requests(requests_per_client)
-        )
+        Feed(*make_ycsb("A", n_keys=n_keys, seed=seed + i, client_id=i)
+             .arrays(requests_per_client))
         for i in range(num_clients)
     ]
     harness.launch_all(cluster.clients, feeds)

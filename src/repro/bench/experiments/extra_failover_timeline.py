@@ -57,10 +57,8 @@ def run(
     def feed(i: int) -> Feed:
         # YCSB-A: the write fraction keeps segment-grant metadata traffic
         # flowing, so the unavailability window is actually observable.
-        return Feed.from_requests(
-            make_ycsb("A", n_keys=n_keys, seed=seed + i, client_id=i)
-            .requests(16_000)
-        )
+        return Feed(*make_ycsb("A", n_keys=n_keys, seed=seed + i, client_id=i)
+                    .arrays(16_000))
 
     base = cluster.clients[:base_clients]
     added = cluster.clients[base_clients:]

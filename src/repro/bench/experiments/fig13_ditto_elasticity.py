@@ -39,9 +39,7 @@ def run(
     harness = Harness(cluster.engine, value_size=232)
 
     def feed(i: int) -> Feed:
-        return Feed.from_requests(
-            make_ycsb("C", n_keys=n_keys, seed=seed + i).requests(16_000)
-        )
+        return Feed(*make_ycsb("C", n_keys=n_keys, seed=seed + i).arrays(16_000))
 
     base = cluster.clients[:base_clients]
     added = cluster.clients[base_clients:]

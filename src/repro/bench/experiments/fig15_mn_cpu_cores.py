@@ -24,9 +24,7 @@ def _redis_mops(cores: int, workload: str, n_keys: int, clients: int, window_us:
     cluster.add_clients(clients)
     harness = Harness(cluster.engine, value_size=232)
     feeds = [
-        Feed.from_requests(
-            make_ycsb(workload, n_keys=n_keys, seed=50 + i).requests(8_000)
-        )
+        Feed(*make_ycsb(workload, n_keys=n_keys, seed=50 + i).arrays(8_000))
         for i in range(clients)
     ]
     harness.launch_all(cluster.clients, feeds)

@@ -31,11 +31,11 @@ from ..core.client import CacheOperationError
 from ..obs.observer import current as obs_current
 from ..sim import Engine, LatencyStats
 from ..workloads import ZipfianGenerator
+from ..workloads.ycsb import OP_NAMES, READ, UPDATE
 
 _KEY = struct.Struct("<Q")
 
-READ, UPDATE, INSERT = 0, 1, 2
-_OP_CODES = {"read": READ, "update": UPDATE, "insert": INSERT}
+_OP_CODES = {name: code for code, name in enumerate(OP_NAMES)}
 
 
 def pack_key(key_id: int) -> bytes:

@@ -163,11 +163,9 @@ def run_ycsb_workload(
         preload(cluster.engine, clients, range(n_keys), value_size=value_size)
     harness = Harness(cluster.engine, value_size=value_size)
     feeds = [
-        Feed.from_requests(
-            make_ycsb(
-                workload, n_keys=n_keys, seed=seed + i, client_id=i
-            ).requests(requests_per_client)
-        )
+        Feed(*make_ycsb(
+            workload, n_keys=n_keys, seed=seed + i, client_id=i
+        ).arrays(requests_per_client))
         for i in range(len(clients))
     ]
     harness.launch_all(clients, feeds)

@@ -51,9 +51,10 @@ before either side effect.
 
 Lifecycle: the parent (``repro.runtime.harness``) spawns this module,
 reads the ``DITTO-NODE ...`` ready line for the bound port and shared-
-memory name, and later sends ``OP_SHUTDOWN`` (or SIGTERM/SIGINT); either
-closes the listener, lets delayed answers and unsent responses finish
-within ``DRAIN_GRACE_S``, and flushes the trace shard.  The shared-memory
+memory name (printed only once SIGTERM/SIGINT are handled), and later
+sends ``OP_SHUTDOWN`` (or SIGTERM/SIGINT); either closes the listener,
+lets delayed answers and unsent responses finish within
+``DRAIN_GRACE_S``, and flushes the trace shard.  The shared-memory
 segment is unlinked only on an *owned, clean* shutdown: a SIGKILL leaves
 it behind on purpose (that is what restart-and-adopt rides on), and the
 harness force-unlinks any survivor at teardown so nothing leaks.  The
@@ -737,13 +738,12 @@ class NodeServer:
                 self._poller = select.poll()
                 self._poller.register(listener.fileno(), select.POLLIN)
                 self._listener = listener
-                announce(
-                    f"DITTO-NODE node_id={self.node_id} "
-                    f"port={listener.getsockname()[1]} shm={self.shm.name} "
-                    f"base={self.node.base} size={self.node.size}"
-                )
                 try:
-                    self._loop()
+                    self._loop(announce, (
+                        f"DITTO-NODE node_id={self.node_id} "
+                        f"port={listener.getsockname()[1]} shm={self.shm.name} "
+                        f"base={self.node.base} size={self.node.size}"
+                    ))
                 finally:
                     for conn in list(self._conns.values()):
                         self._close(conn)
@@ -751,9 +751,12 @@ class NodeServer:
             self._flush_obs()
             self.close()
 
-    def _loop(self) -> None:
+    def _loop(self, announce, ready_line: str) -> None:
         # Signals reach the loop as bytes on a wake-up socket, so poll()
-        # returns at once instead of being retried around a handler.
+        # returns at once instead of being retried around a handler.  The
+        # ready line goes out only once the handlers are in: a SIGTERM
+        # sent the moment it is read must stop the loop (and unlink the
+        # heap), not kill the process with the default action.
         wake_r, wake_w = socket.socketpair()
         with wake_r, wake_w:
             wake_r.setblocking(False)
@@ -765,6 +768,7 @@ class NodeServer:
                 for sig in (signal.SIGTERM, signal.SIGINT)
             }
             try:
+                announce(ready_line)
                 self._turn_until_stopped(wake_r)
             finally:
                 signal.set_wakeup_fd(old_wakeup)

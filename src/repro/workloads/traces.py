@@ -53,20 +53,17 @@ def shifting_hotspot_trace(
     """A drifting hot window (LRU-friendly).
 
     Every ``dwell`` requests the window of ``working_set`` keys advances by
-    ``shift``; requests inside the window are mildly skewed.
+    ``shift``; requests inside the window are mildly skewed.  The offsets
+    inside the window are one draw; each dwell maps its share through its
+    own permutation of the window, in place.
     """
     rng = np.random.default_rng(seed)
     inner = ZipfianGenerator(working_set, theta=inner_theta, seed=seed + 1)
-    out = np.empty(n_requests, dtype=np.int64)
-    base = 0
-    produced = 0
-    while produced < n_requests:
-        batch = min(dwell, n_requests - produced)
-        offsets = inner.sample(batch)
+    out = inner.sample(n_requests)
+    for batch, start in enumerate(range(0, n_requests, dwell)):
         jitter = rng.permutation(working_set)
-        out[produced : produced + batch] = (base + jitter[offsets]) % n_keys
-        produced += batch
-        base = (base + shift) % n_keys
+        offsets = out[start : start + dwell]
+        offsets[:] = (batch * shift % n_keys + jitter[offsets]) % n_keys
     return out
 
 
@@ -78,25 +75,26 @@ def scan_polluted_trace(
     scan_len: int = 1500,
     seed: int = 0,
 ) -> np.ndarray:
-    """Zipfian traffic with periodic sequential scans (strongly LFU-friendly)."""
+    """Zipfian traffic with periodic sequential scans (strongly LFU-friendly).
+
+    Every ``scan_every`` Zipfian requests a scan of ``scan_len`` keys runs;
+    the Zipfian requests between the scans are one draw.
+    """
     rng = np.random.default_rng(seed)
     zipf = ZipfianGenerator(n_keys, theta=theta, seed=seed + 1)
     out = np.empty(n_requests, dtype=np.int64)
-    produced = 0
-    scan_base = 0
-    while produced < n_requests:
-        batch = min(scan_every, n_requests - produced)
-        out[produced : produced + batch] = zipf.sample(batch)
-        produced += batch
-        if produced >= n_requests:
-            break
-        length = min(scan_len, n_requests - produced)
-        start = int(rng.integers(0, n_keys))
-        out[produced : produced + length] = (
-            start + np.arange(length, dtype=np.int64) + scan_base
+    scanned = np.zeros(n_requests, dtype=bool)
+    for scan, start in enumerate(
+        range(scan_every, n_requests, scan_every + scan_len)
+    ):
+        length = min(scan_len, n_requests - start)
+        first = int(rng.integers(0, n_keys))
+        out[start : start + length] = (
+            first + np.arange(length, dtype=np.int64) + scan * scan_len
         ) % n_keys
-        produced += length
-        scan_base += scan_len
+        scanned[start : start + length] = True
+    zipfian = ~scanned
+    out[zipfian] = zipf.sample(int(zipfian.sum()))
     return out
 
 

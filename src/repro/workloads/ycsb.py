@@ -1,9 +1,11 @@
 """YCSB core workloads A-D (Cooper et al., SoCC'10) as request streams.
 
-A request is ``(op, key_id)`` with op in {"read", "update", "insert"}.  The
-paper's setup: 10 million pre-loaded 256-byte key-value pairs, Zipfian with
-θ = 0.99.  Workload D inserts new keys and reads with the "latest"
-distribution.
+A stream is two arrays (:meth:`YCSBWorkload.arrays`): int8 op codes
+(:data:`READ`, :data:`UPDATE`, :data:`INSERT`) and int64 key ids, built
+whole from one draw per array.  :meth:`YCSBWorkload.requests` is the same
+stream as ``(op name, key_id)`` tuples.  The paper's setup: 10 million
+pre-loaded 256-byte key-value pairs, Zipfian with θ = 0.99.  Workload D
+inserts new keys and reads with the "latest" distribution.
 """
 
 from __future__ import annotations
@@ -14,6 +16,10 @@ from typing import List, Tuple
 import numpy as np
 
 from .zipf import LatestGenerator, ZipfianGenerator
+
+#: Op codes of a request stream; ``OP_NAMES[code]`` is the code's name.
+READ, UPDATE, INSERT = 0, 1, 2
+OP_NAMES = ("read", "update", "insert")
 
 Request = Tuple[str, int]
 
@@ -55,8 +61,11 @@ class YCSBWorkload:
         self._zipf = ZipfianGenerator(
             config.n_keys, theta=config.theta, seed=config.seed
         )
-        self._latest = LatestGenerator(
-            config.n_keys, theta=config.theta, seed=config.seed + 1
+        self._latest = (
+            LatestGenerator(
+                config.n_keys, theta=config.theta, seed=config.seed + 1
+            )
+            if config.workload == "D" else None
         )
         self._rng = np.random.default_rng(config.seed + 2)
         self._newest = config.n_keys - 1  # logical key space: base + own inserts
@@ -65,19 +74,20 @@ class YCSBWorkload:
         """Keys pre-loaded before the measured run (sharded across clients)."""
         return range(self.config.n_keys)
 
-    def requests(self, count: int) -> List[Request]:
-        """Materialize ``count`` requests."""
-        ops = self._rng.random(count)
+    def arrays(self, count: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The next ``count`` requests: int8 op codes and int64 key ids."""
+        draws = self._rng.random(count)
         if self.config.workload == "D":
-            return self._latest_requests(ops < self._insert_frac)
-        keys = self._zipf.sample(count)
-        read_cut = self._read_frac
-        return [
-            ("read" if draw < read_cut else "update", int(key))
-            for draw, key in zip(ops, keys)
-        ]
+            return self._latest_arrays(draws < self._insert_frac)
+        ops = np.where(draws < self._read_frac, READ, UPDATE).astype(np.int8)
+        return ops, self._zipf.sample(count)
 
-    def _latest_requests(self, inserts: np.ndarray) -> List[Request]:
+    def requests(self, count: int) -> List[Request]:
+        """The next ``count`` requests as ``(op name, key_id)`` tuples."""
+        ops, keys = self.arrays(count)
+        return list(zip(np.array(OP_NAMES)[ops].tolist(), keys.tolist()))
+
+    def _latest_arrays(self, inserts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Workload D: an insert adds the next key of this client's own
         range, and a read draws from the "latest" distribution as of its
         place in the stream — one offset draw for all the reads.
@@ -96,8 +106,7 @@ class YCSBWorkload:
             logical,
             logical + config.client_id * config.insert_space,
         )
-        labels = np.where(inserts, "insert", "read").tolist()
-        return list(zip(labels, physical.tolist()))
+        return np.where(inserts, INSERT, READ).astype(np.int8), physical
 
 
 def make_ycsb(workload: str, n_keys: int = 100_000, seed: int = 0, **kwargs) -> YCSBWorkload:

@@ -2,8 +2,23 @@
 
 YCSB draws keys from a Zipfian distribution with exponent θ = 0.99 and
 *scrambles* ranks so popular keys are spread over the key space.  We
-precompute the CDF with numpy and sample with ``searchsorted``, which is fast
-and exact for the bounded key counts used here.
+precompute the CDF with numpy; a uniform draw ``u`` in [0, 1) maps to the
+rank ``searchsorted(cdf, u, side="right")``, the number of CDF entries
+``<= u``.
+
+A guide table finds that rank without a binary search over the whole CDF,
+and finds exactly it.  The table has ``M + 1`` entries, ``M`` a power of two
+(about four per key, capped at ``_GUIDE_MAX``), and entry ``b`` is
+``searchsorted(cdf, b / M, side="right")``.  Because ``M`` is a power of
+two, ``u * M`` and ``b / M`` are exact in floating point, so ``b =
+floor(u * M)`` gives ``b / M <= u < (b + 1) / M`` with no rounding case.
+The count of entries ``<= x`` only grows with ``x``, so the rank lies in
+``[guide[b], guide[b + 1]]``.  A vectorised bisection then narrows that
+range, comparing ``cdf[mid] <= u`` as ``searchsorted`` does, for as many
+passes as the widest bucket needs.  A pass past convergence changes
+nothing: the rank's own entry is ``> u`` (``cdf[-1]`` is exactly 1.0).  So
+every rank, and every key, is the one the full binary search returns, and
+the table is built once per generator.
 """
 
 from __future__ import annotations
@@ -11,6 +26,12 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
+
+#: Largest guide table (4 MB of int32 entries): a 10 M-key YCSB space
+#: would otherwise want 2^26.  A capped table only costs more passes.
+_GUIDE_MAX = 1 << 20
+#: Draws made and refined per block, so the temporaries stay small.
+_BLOCK = 1 << 16
 
 
 class ZipfianGenerator:
@@ -34,18 +55,46 @@ class ZipfianGenerator:
         weights = ranks ** -theta
         self._cdf = np.cumsum(weights)
         self._cdf /= self._cdf[-1]
+        size = min(1 << (4 * n_keys - 1).bit_length(), _GUIDE_MAX)
+        self._scale = float(size)
+        # c <= b / M exactly when ceil(c * M) <= b (c * M is exact): count
+        # each CDF entry at its ceiling and sum, O(n + M) for all entries.
+        edges = np.ceil(self._cdf * self._scale).astype(np.intp)
+        self._guide = np.cumsum(
+            np.bincount(edges, minlength=size + 1), dtype=np.int32
+        )
+        self._passes = int(np.diff(self._guide).max()).bit_length()
         if scramble:
             self._permutation: Optional[np.ndarray] = self.rng.permutation(n_keys)
         else:
             self._permutation = None
 
     def sample(self, count: int) -> np.ndarray:
-        """Draw ``count`` keys (numpy int64 array)."""
-        u = self.rng.random(count)
-        ranks = np.searchsorted(self._cdf, u, side="right")
-        if self._permutation is not None:
-            return self._permutation[ranks]
-        return ranks.astype(np.int64)
+        """Draw ``count`` keys (numpy int64 array), one block of uniforms
+        at a time: consecutive ``random`` calls continue one stream, so the
+        draws are those of a single ``random(count)``."""
+        keys = np.empty(count, dtype=np.int64)
+        for start in range(0, count, _BLOCK):
+            ranks = self._ranks(self.rng.random(min(_BLOCK, count - start)))
+            if self._permutation is not None:
+                ranks = self._permutation[ranks]
+            keys[start:start + len(ranks)] = ranks
+        return keys
+
+    def _ranks(self, u: np.ndarray) -> np.ndarray:
+        """``searchsorted(cdf, u, side="right")`` through the guide table."""
+        bucket = (u * self._scale).astype(np.intp)
+        lo = self._guide[bucket]
+        hi = self._guide[bucket + 1]
+        wide = np.flatnonzero(lo != hi)
+        low, high, x = lo[wide], hi[wide], u[wide]
+        for _ in range(self._passes):
+            mid = (low + high) >> 1
+            right = self._cdf[mid] <= x
+            low = np.where(right, mid + 1, low)
+            high = np.where(right, high, mid)
+        lo[wide] = low
+        return lo
 
     def sample_one(self) -> int:
         return int(self.sample(1)[0])

@@ -17,7 +17,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.bench.runner import Feed, zipf_feed
+from repro.bench.runner import zipf_feed
 from repro.workloads import (
     WORKLOAD_CATALOG,
     LatestGenerator,
@@ -62,11 +62,12 @@ def _catalog():
 
 
 def _ycsb_arrays(workload, seed, client_id):
+    # Recorded through ``Feed.from_requests(wl.requests(count))`` before
+    # YCSB built its arrays directly: the two must agree byte for byte.
     wl = make_ycsb(workload, n_keys=5000, seed=seed, client_id=client_id)
     out = []
     for count in (3000, 1000):
-        feed = Feed.from_requests(wl.requests(count))
-        out += [feed._ops, feed._keys]
+        out += wl.arrays(count)
     return out
 
 
