@@ -310,23 +310,19 @@ class RdmaEndpoint(VerbTransport):
 
     def post_write(self, addr: int, data: bytes) -> None:
         """Fire-and-forget WRITE."""
-        engine = self.engine
-        # Take the lane a spawned process would, so later ones keep theirs.
-        engine.call_later(
-            0.0, self._book_post, next(engine._tids), "write", addr, data
-        )
+        self._post("write", addr, data)
 
     def post_faa(self, addr: int, delta: int) -> None:
         """Fire-and-forget FAA."""
-        engine = self.engine
-        engine.call_later(
-            0.0, self._book_post, next(engine._tids), "faa", addr, delta
-        )
+        self._post("faa", addr, delta)
 
-    def _book_post(self, tid: int, verb: str, addr: int, arg) -> None:
+    def _post(self, verb: str, addr: int, arg) -> None:
         """Fence, route, count, gate and book as :meth:`write`/:meth:`faa`
-        do.  Fenced now, not at post time: a fence can be armed in between.
-        A fenced or lost post costs only the update it carried."""
+        do, now: on an RC queue pair, as on the real link, a post is ahead
+        of the client's next verb.  A lost post costs only its update."""
+        engine = self.engine
+        # Take the lane a spawned process would, so later ones keep theirs.
+        tid = next(engine._tids)
         if self.fence is not None:
             try:
                 self.fence.check_write(addr, verb, -1)
@@ -341,7 +337,6 @@ class RdmaEndpoint(VerbTransport):
             node = self._node_for(addr, 8)
             service, land = self._base_faa8, node.fetch_and_add
         self.counters.add(_COUNTER_KEYS[verb])
-        engine = self.engine
         lead = self._lead
         if self.faults is not None:
             kind, extra = self.faults.verb_outcome(node.node_id, verb)

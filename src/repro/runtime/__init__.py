@@ -4,10 +4,12 @@ Runs the *same* :class:`~repro.core.client.DittoClient`, allocator,
 controller, and memory-node code as the simulator, but on live operating-
 system processes: each memory node is a separate process whose heap is a
 ``multiprocessing.shared_memory`` segment, verbs travel as length-prefixed
-frames over loopback sockets served by one single-threaded readiness loop
-(so CAS/FAA linearize by construction, like the NIC serialization point in
-the sim), and clients' verb generators are stepped by a runner that puts
-each verb's frame on the process's link and resumes from its response.
+frames over a local ``AF_UNIX`` socket — each node has one address, an
+abstract-namespace name derived from its heap's — served by one
+single-threaded readiness loop (so CAS/FAA linearize by construction, like
+the NIC serialization point in the sim), and clients' verb generators are
+stepped by a runner that puts each verb's frame on the process's link and
+resumes from its response.
 
 Layout:
 

@@ -72,8 +72,8 @@ from ..sim import CounterSet
 from . import wire
 from .journal import unregister_shm
 
-#: Default per-verb wall-clock timeout.  Generous: loopback sockets
-#: complete in microseconds; this only bounds a wedged server.
+#: Default per-verb wall-clock timeout.  Generous: a local socket round
+#: trip takes microseconds; this only bounds a wedged server.
 DEFAULT_TIMEOUT_S = 10.0
 
 #: Transparent resend attempts inside one verb when the connection dies
@@ -128,10 +128,10 @@ class WallClockRuntime:
         self.posts_in_flight = 0
         #: What :meth:`drain_background` callers wait on, while there is one.
         self._drained: Optional[asyncio.Future] = None
-        #: (host, port) -> the one link this process has to that node.
-        self.links: Dict[tuple, "Connection"] = {}
-        #: (host, port) -> the connect in progress.
-        self._opening: Dict[tuple, asyncio.Future] = {}
+        #: Node address -> the one link this process has to that node.
+        self.links: Dict[str, "Connection"] = {}
+        #: Node address -> the connect in progress.
+        self._opening: Dict[str, asyncio.Future] = {}
         #: Always-on tally, a plain int like the links' frames/flushes:
         #: verbs that left the inline path for the recovery coroutine.
         self.recovered = 0
@@ -187,11 +187,11 @@ class WallClockRuntime:
             )
         return opening
 
-    async def _open(self, key: tuple) -> "Connection":
+    async def _open(self, key: str) -> "Connection":
         loop = asyncio.get_running_loop()
         try:
-            _transport, conn = await loop.create_connection(
-                lambda: Connection(loop), *key
+            _transport, conn = await loop.create_unix_connection(
+                lambda: Connection(loop), wire.sockaddr(key)
             )
         finally:
             del self._opening[key]
@@ -377,23 +377,21 @@ class NodeHandle:
 
     Quacks enough like :class:`~repro.memory.node.MemoryNode` for the
     portable layers — ``node_id``/``base``/``end``/``contains`` for
-    address routing — plus the endpoint coordinates (host, port) and the
-    heap's shared-memory name for the optional direct-read fast path.
+    address routing — plus the node's address and the heap's
+    shared-memory name for the optional direct-read fast path.
     """
 
-    __slots__ = ("node_id", "base", "size", "end", "host", "port", "key",
-                 "shm", "_seg")
+    __slots__ = ("node_id", "base", "size", "end", "key", "shm", "_seg")
 
-    def __init__(self, node_id: int, base: int, size: int, host: str,
-                 port: int, shm: str = ""):
+    def __init__(self, node_id: int, base: int, size: int, address: str,
+                 shm: str = ""):
         self.node_id = node_id
         self.base = base
         self.size = size
         self.end = base + size
-        self.host = host
-        self.port = port
-        #: (host, port): what the runtime keys its link to this node by.
-        self.key = (host, port)
+        #: ``@name`` (:func:`~repro.runtime.wire.sockaddr`): what the
+        #: runtime dials, and keys its link to this node by.
+        self.key = address
         self.shm = shm
         self._seg: Optional[shared_memory.SharedMemory] = None
 
@@ -420,16 +418,10 @@ class NodeHandle:
             self._seg.close()  # never unlink: the server owns the segment
             self._seg = None
 
-    def as_dict(self) -> Dict:
-        return {
-            "node_id": self.node_id, "base": self.base, "size": self.size,
-            "host": self.host, "port": self.port, "shm": self.shm,
-        }
-
     @classmethod
     def from_dict(cls, data: Dict) -> "NodeHandle":
         return cls(data["node_id"], data["base"], data["size"],
-                   data["host"], data["port"], data.get("shm", ""))
+                   data["unix"], data.get("shm", ""))
 
 
 class _Awaited:

@@ -6,7 +6,7 @@ with the shared geometry plan (:mod:`repro.core.geometry`), spawns one
 ``python -m repro.runtime.server`` process per memory node (node 0 with
 the reserve for fixed structures, and a ``MetadataState`` that also holds
 the global weights and the membership table), collects each server's
-ready line for its port and shared-memory name, and produces the
+ready line for its address and shared-memory name, and produces the
 *descriptor* dict a :class:`~repro.runtime.cluster.RealCluster` (in this
 or any other process) builds from.
 
@@ -18,8 +18,8 @@ smoke job runs.
 
 Chaos additions: :meth:`kill_node` SIGKILLs one memory node mid-run (its
 shared-memory heap survives on purpose), :meth:`restart_node` respawns it
-on the *same port* with ``--adopt`` so it rebuilds grant state from the
-surviving journal and existing clients reconnect transparently, and
+with ``--adopt`` so it rebuilds grant state from the surviving journal
+and existing clients reconnect transparently to the *same address*, and
 :meth:`reap` reports children that died since the last call so the
 cluster's health view can fail clients over immediately instead of every
 op burning its full timeout.  :meth:`unlink_leaked` is the last-resort
@@ -60,29 +60,34 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
     return chunks
 
 
-def control_rpc(host: str, port: int, op: str, payload=None,
+def _exchange(address: str, request: bytes, timeout_s: float):
+    """One request frame on a throwaway connection to the node at
+    ``address`` (an entry's ``unix``); the answer's status and body."""
+    with socket.socket(socket.AF_UNIX) as sock:
+        sock.settimeout(timeout_s)
+        sock.connect(wire.sockaddr(address))
+        sock.sendall(request)
+        (length,) = wire.HEADER.unpack(_recv_exact(sock, wire.HEADER.size))
+        frame = _recv_exact(sock, length)
+    _req_id, status = wire.RESP.unpack_from(frame)
+    return status, frame[wire.RESP.size:]
+
+
+def control_rpc(address: str, op: str, payload=None,
                 timeout_s: float = 5.0):
-    """One synchronous control RPC over a throwaway socket.
+    """One synchronous control RPC to the node at ``address``.
 
     The out-of-band channel for anything that must not ride the async
     client stack: harness chaos arm/stop and ``__stats__`` polling.
     """
-    with socket.create_connection((host, port), timeout=timeout_s) as sock:
-        sock.settimeout(timeout_s)
-        sock.sendall(wire.request_frame(
-            wire.OP_RPC, 1, wire.pack_rpc(op, payload)
-        ))
-        header = _recv_exact(sock, wire.HEADER.size)
-        (length,) = wire.HEADER.unpack(header)
-        frame = _recv_exact(sock, length)
-        _req_id, status = wire.RESP.unpack_from(frame)
-        body = frame[wire.RESP.size:]
-        if status != wire.ST_OK:
-            raise RuntimeError(
-                f"control RPC {op!r} failed with status {status}: "
-                f"{pickle.loads(body)}"
-            )
-        return pickle.loads(body)
+    request = wire.request_frame(wire.OP_RPC, 1, wire.pack_rpc(op, payload))
+    status, body = _exchange(address, request, timeout_s)
+    if status != wire.ST_OK:
+        raise RuntimeError(
+            f"control RPC {op!r} failed with status {status}: "
+            f"{pickle.loads(body)}"
+        )
+    return pickle.loads(body)
 
 
 def _shm_dir() -> str:
@@ -221,9 +226,10 @@ class RealClusterHarness:
             "node_id": int(fields["node_id"]),
             "base": int(fields["base"]),
             "size": int(fields["size"]),
-            "host": "127.0.0.1",
-            "port": int(fields["port"]),
+            "unix": fields["unix"],
             "shm": fields["shm"],
+            "host": "127.0.0.1",  # the TCP port only the probes dial
+            "port": int(fields["port"]),
         }
 
     def descriptor(self) -> Dict:
@@ -288,10 +294,11 @@ class RealClusterHarness:
     ) -> Dict:
         """Respawn a dead node against its surviving heap.
 
-        The replacement binds the *same port* (existing clients simply
-        reconnect) and runs ``--adopt``: it attaches the surviving
-        shared-memory segment and rebuilds segment-grant state from the
-        journal instead of formatting a fresh heap.  ``chaos`` re-arms
+        The replacement runs ``--adopt``: it attaches the surviving
+        shared-memory segment, rebuilds segment-grant state from the
+        journal instead of formatting a fresh heap, and binds the *same
+        address* (existing clients simply reconnect).  Its TCP probe port
+        is a fresh one, refreshed in the node's entry.  ``chaos`` re-arms
         the node's fault gate with ``(wall-plan dict, t0 epoch)`` so a
         mid-plan restart keeps injecting on the common schedule.
         """
@@ -302,20 +309,21 @@ class RealClusterHarness:
         _nid, base, size = next(
             r for r in self.plan.node_ranges if r[0] == node_id
         )
-        extra = ["--port", str(entry["port"]), "--adopt"]
+        extra = ["--adopt"]
         if node_id == 0:
             extra += self._node0_argv()
         with maybe_span("harness.restart_adopt", "chaos", lane="harness",
                         args={"node_id": node_id}):
             proc = self._spawn(node_id, base, size, extra)
             reborn = self._await_ready(proc, node_id, timeout_s)
-            if (reborn["port"], reborn["shm"]) != (
-                entry["port"], entry["shm"]
+            if (reborn["unix"], reborn["shm"]) != (
+                entry["unix"], entry["shm"]
             ):
                 raise RuntimeError(
                     f"restarted node {node_id} came back as {reborn}, "
                     f"expected endpoint {entry}"
                 )
+            entry["port"] = reborn["port"]
             self._reaped.discard(node_id)
             if chaos is not None:
                 plan_dict, t0 = chaos
@@ -325,23 +333,16 @@ class RealClusterHarness:
     def raw_rpc(self, entry: Dict, op: str, payload,
                 timeout_s: float = 5.0):
         """One synchronous control RPC against a launched node."""
-        return control_rpc(
-            entry["host"], entry["port"], op, payload, timeout_s
-        )
+        return control_rpc(entry["unix"], op, payload, timeout_s)
 
     # -- shutdown and leak accounting --------------------------------------
 
-    def _send_shutdown(self, entry: Dict, timeout_s: float = 5.0) -> bool:
+    def _send_shutdown(self, entry: Dict, timeout_s: float = 5.0) -> None:
         try:
-            with socket.create_connection(
-                (entry["host"], entry["port"]), timeout=timeout_s
-            ) as sock:
-                sock.settimeout(timeout_s)
-                sock.sendall(wire.request_frame(wire.OP_SHUTDOWN, 1))
-                header = sock.recv(wire.HEADER.size)
-                return len(header) == wire.HEADER.size
+            _exchange(entry["unix"], wire.request_frame(wire.OP_SHUTDOWN, 1),
+                      timeout_s)
         except OSError:
-            return False
+            pass  # gone already, or wedged: shutdown() signals it
 
     def shutdown(self, timeout_s: float = 10.0) -> None:
         """Stop every node: clean request first, signals for stragglers."""

@@ -81,9 +81,8 @@ def node_batching(descriptor: Dict) -> list:
     rows = []
     for entry in descriptor["nodes"]:
         try:
-            stats = control_rpc(
-                entry["host"], entry["port"], "__stats__", None, timeout_s=2.0
-            )
+            stats = control_rpc(entry["unix"], "__stats__", None,
+                                timeout_s=2.0)
         except (OSError, RuntimeError):
             continue  # a killed or restarting node has nothing to say
         rows.append({

@@ -2,7 +2,8 @@
 
 One process per memory node (``python -m repro.runtime.server``): the
 node's heap is a ``multiprocessing.shared_memory`` segment, verbs arrive
-as :mod:`repro.runtime.wire` frames over a loopback TCP listener, and the
+as :mod:`repro.runtime.wire` frames on the node's one address (an
+abstract-namespace ``AF_UNIX`` listener named after the heap), and the
 very same :class:`~repro.memory.node.MemoryNode` byte/atomic methods that
 back the sim substrate execute them.  Segment management runs on
 :class:`~repro.runtime.journal.DurableSegmentState`, which mirrors every
@@ -50,9 +51,11 @@ first verdict that is not OK is the chain's, and both ranges are validated
 before either side effect.
 
 Lifecycle: the parent (``repro.runtime.harness``) spawns this module,
-reads the ``DITTO-NODE ...`` ready line for the bound port and shared-
-memory name (printed only once SIGTERM/SIGINT are handled), and later
-sends ``OP_SHUTDOWN`` (or SIGTERM/SIGINT); either closes the listener,
+reads the ``DITTO-NODE ...`` ready line (printed only once SIGTERM/SIGINT
+are handled) for the node's address ``unix=@<shm name>`` (an abstract
+name, :func:`~repro.runtime.wire.sockaddr`: an ``--adopt`` restart binds
+the same one), the TCP ``port`` the probes dial, and the heap, and later
+sends ``OP_SHUTDOWN`` (or SIGTERM/SIGINT); either closes both listeners,
 lets delayed answers and unsent responses finish within
 ``DRAIN_GRACE_S``, and flushes the trace shard.  The shared-memory
 segment is unlinked only on an *owned, clean* shutdown: a SIGKILL leaves
@@ -207,12 +210,9 @@ class NodeServer:
         num_experts: int = 0,
         learning_rate: float = 0.1,
         membership: tuple = (),
-        port: int = 0,
         adopt: bool = False,
     ):
         self.node_id = node_id
-        self.run_id = run_id
-        self.port = port
         total = size + journal_bytes()
         if adopt:
             self.shm = shared_memory.SharedMemory(
@@ -273,7 +273,8 @@ class NodeServer:
             wire.OP_SHUTDOWN: self._shutdown,
         }
         self._poller: Optional[select.poll] = None
-        self._listener: Optional[socket.socket] = None
+        #: Listening fd -> its socket: the node's address and the TCP port.
+        self._listeners: Dict[int, socket.socket] = {}
         #: Socket fd -> its accepted connection.
         self._conns: Dict[int, _Conn] = {}
         #: (due, seq, callback) heap: spike delays, ``__sleep__`` answers
@@ -620,7 +621,8 @@ class NodeServer:
                 # still queued waits for the next turn.
                 return
             sock.setblocking(False)
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if sock.family == socket.AF_INET:  # EOPNOTSUPP on AF_UNIX
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             self._conn_seq += 1
             conn = _Conn(sock, self._conn_seq)
             self._conns[conn.fd] = conn
@@ -712,8 +714,10 @@ class NodeServer:
         """
         if not self._stopping:
             self._stopping = True
-            self._poller.unregister(self._listener.fileno())
-            self._listener.close()
+            for fd, listener in self._listeners.items():
+                self._poller.unregister(fd)
+                listener.close()
+            self._listeners.clear()
             self._call_later(DRAIN_GRACE_S, self._end_grace)
 
     def _end_grace(self) -> None:
@@ -726,22 +730,23 @@ class NodeServer:
 
     def serve(self, announce=print) -> None:
         """Bind, announce the ready line, and serve until stopped."""
+        address = "@" + self.shm.name
         try:
-            with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as \
-                    listener:
-                listener.setsockopt(
-                    socket.SOL_SOCKET, socket.SO_REUSEADDR, 1
-                )
-                listener.bind(("127.0.0.1", self.port))
-                listener.listen(LISTEN_BACKLOG)
-                listener.setblocking(False)
+            with socket.socket(socket.AF_UNIX) as local, \
+                    socket.socket(socket.AF_INET) as tcp:
+                local.bind(wire.sockaddr(address))
+                tcp.bind(("127.0.0.1", 0))
                 self._poller = select.poll()
-                self._poller.register(listener.fileno(), select.POLLIN)
-                self._listener = listener
+                for listener in (local, tcp):
+                    listener.listen(LISTEN_BACKLOG)
+                    listener.setblocking(False)
+                    self._poller.register(listener.fileno(), select.POLLIN)
+                    self._listeners[listener.fileno()] = listener
                 try:
                     self._loop(announce, (
                         f"DITTO-NODE node_id={self.node_id} "
-                        f"port={listener.getsockname()[1]} shm={self.shm.name} "
+                        f"port={tcp.getsockname()[1]} unix={address} "
+                        f"shm={self.shm.name} "
                         f"base={self.node.base} size={self.node.size}"
                     ))
                 finally:
@@ -778,8 +783,8 @@ class NodeServer:
     def _turn_until_stopped(self, wake_r: socket.socket) -> None:
         poll = self._poller.poll
         conns = self._conns
-        listener = self._listener
-        listen_fd, wake_fd = listener.fileno(), wake_r.fileno()
+        listeners = self._listeners
+        wake_fd = wake_r.fileno()
         timers = self._timers
         while not (self._stopping and self._drained()):
             timeout_ms = None
@@ -788,8 +793,8 @@ class NodeServer:
             for fd, events in poll(timeout_ms):
                 conn = conns.get(fd)
                 if conn is None:
-                    if fd == listen_fd:
-                        self._accept(listener)
+                    if fd in listeners:
+                        self._accept(listeners[fd])
                     elif fd == wake_fd:
                         wake_r.recv(64)
                         self._stop()
@@ -848,13 +853,10 @@ def main(argv=None) -> int:
     parser.add_argument("--size", type=int, required=True)
     parser.add_argument("--reserve", type=int, default=0)
     parser.add_argument("--run-id", default="dev")
-    parser.add_argument("--port", type=int, default=0,
-                        help="listen port (0 = ephemeral; a restarted node "
-                             "reuses its old port so clients reconnect)")
     parser.add_argument("--adopt", action="store_true",
                         help="attach to the surviving shared-memory segment "
-                             "of a crashed instance and rebuild grant state "
-                             "from its journal")
+                             "of a crashed instance, rebuild grant state "
+                             "from its journal and serve on its address")
     parser.add_argument("--experts", type=int, default=0,
                         help="host the global adaptive weights (node 0)")
     parser.add_argument("--learning-rate", type=float, default=0.1)
@@ -867,7 +869,7 @@ def main(argv=None) -> int:
             args.node_id, args.base, args.size, reserve=args.reserve,
             run_id=args.run_id, num_experts=args.experts,
             learning_rate=args.learning_rate, membership=membership,
-            port=args.port, adopt=args.adopt,
+            adopt=args.adopt,
         )
     except (ValueError, FileNotFoundError, FileExistsError) as err:
         print(f"DITTO-NODE-ERROR node_id={args.node_id} {err}",

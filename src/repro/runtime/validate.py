@@ -2,7 +2,7 @@
 
 The simulator is not calibrated to this machine — its microsecond costs
 come from the paper's CX-5 testbed — so absolute throughputs will not
-match a laptop running loopback TCP.  What must transfer is the *shape*:
+match a laptop running local sockets.  What must transfer is the *shape*:
 if the sim says configuration A outperforms B outperforms C, the real
 substrate has to rank them the same way, or the sim's conclusions about
 design points cannot be trusted.
@@ -56,7 +56,7 @@ from .loadgen import run_load
 #: (index lookup + data read) while a Set costs several (data write, CAS
 #: index insert, list maintenance), so throughput falls monotonically
 #: with the write fraction whether each verb is a simulated NIC
-#: transaction or a loopback socket round trip.  Concurrency is *not* a
+#: transaction or a local socket round trip.  Concurrency is *not* a
 #: portable axis — the real single-threaded node servers saturate — so
 #: every config keeps the same client count and geometry.
 CONFIGS = (

@@ -1,6 +1,8 @@
 """Framed wire protocol between real-substrate clients and memory nodes.
 
-Every message is a length-prefixed frame on a loopback TCP stream::
+Every message is a length-prefixed frame on a stream socket — a memory
+node's one address (:func:`sockaddr`), or the loopback TCP port that only
+the benchmark's probes dial::
 
     <u32 frame length> <frame>
 
@@ -102,6 +104,13 @@ MAX_FRAME = 64 * (1 << 20)
 RESEND_SAFE_OPS = frozenset({OP_READ, OP_WRITE, OP_PING})
 
 
+def sockaddr(address: str) -> str:
+    """The ``AF_UNIX`` name of a node address ``@name`` (as ``ss`` prints
+    it): a leading NUL puts ``name`` in Linux's abstract namespace, where
+    no file is created, so none is left to unlink."""
+    return "\0" + address[1:]
+
+
 def request_frame(op: int, req_id: int, body: bytes = b"") -> bytes:
     return _REQ_HEAD.pack(REQ.size + len(body), op, req_id) + body
 
@@ -131,7 +140,7 @@ def peek_rpc_name(body: bytes) -> str:
 
 
 class FrameDecoder:
-    """Cuts a byte stream into frames, however TCP segmented it.
+    """Cuts a byte stream into frames, however the kernel segmented it.
 
     Each end of a connection builds one over the fixed struct of the
     frames it receives (:data:`REQ` or :data:`RESP`), feeds it whatever one
@@ -204,6 +213,6 @@ __all__ = [
     "READ_BODY", "WRITE_HDR", "CAS_BODY", "FAA_BODY", "WRITE_CAS_HDR",
     "U64",
     "RESEND_SAFE_OPS",
-    "request_frame", "response_frame", "pack_rpc", "unpack_rpc",
+    "sockaddr", "request_frame", "response_frame", "pack_rpc", "unpack_rpc",
     "peek_rpc_name", "FrameDecoder", "read_frame",
 ]

@@ -91,8 +91,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         descriptor = harness.launch()
         for entry in descriptor["nodes"]:
             print(
-                f"memory-node {entry['node_id']}: 127.0.0.1:{entry['port']} "
-                f"shm={entry['shm']} [{entry['base']:#x}, "
+                f"memory-node {entry['node_id']}: {entry['unix']} "
+                f"[{entry['base']:#x}, "
                 f"{entry['base'] + entry['size']:#x})",
                 flush=True,
             )

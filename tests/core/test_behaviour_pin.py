@@ -4,10 +4,12 @@ A seeded mini run whose client statistics and cluster counters were
 recorded once; an edit to the bucket scans that changes a victim, an rng
 draw or a verb count changes the digest and fails tier-1, not only the
 benchmark's identical-across-sections check.  The ``plain``/``faults``
-digests were recorded at commit f4d8c35 (the last with ``parse_slots``),
-``churn``/``ext`` at b30cf5d (the last with three retry ladders and
-``_update_object``); re-record them from the assertion message only for a
-change that is *meant* to alter behaviour, and say so in CHANGES.md.
+digests were first recorded at commit f4d8c35 (the last with
+``parse_slots``), ``churn``/``ext`` at b30cf5d (the last with three retry
+ladders and ``_update_object``), and all four re-recorded when the sim
+began booking a posted WRITE/FAA when it is posted, ahead of the client's
+next verb; re-record them from the assertion message only for a change
+that is *meant* to alter behaviour, and say so in CHANGES.md.
 
 ``churn`` is the tier-1 form of the ``extra-elasticity-churn`` golden: one
 node added and one drained under an ``RpcFailure`` window, so membership
@@ -121,43 +123,43 @@ DROPS = FaultPlan(
 
 EXPECTED = {
     "plain": {
-        "ops": 5396, "hits": 3534, "misses": 3089, "evictions": 2881,
-        "regrets": 1230, "forced_bucket_evictions": 40, "failed_ops": 0,
+        "ops": 5406, "hits": 3546, "misses": 3087, "evictions": 2877,
+        "regrets": 1258, "forced_bucket_evictions": 23, "failed_ops": 0,
         "counters": [
-            ("rdma_cas", 5939), ("rdma_faa", 3890), ("rdma_read", 17150),
-            ("rdma_rpc", 24), ("rdma_write", 12553),
+            ("rdma_cas", 5951), ("rdma_faa", 3931), ("rdma_read", 17203),
+            ("rdma_rpc", 25), ("rdma_write", 12575),
         ],
     },
     "faults": {
-        "ops": 5039, "hits": 3278, "misses": 2926, "evictions": 2712,
-        "regrets": 1063, "forced_bucket_evictions": 33, "failed_ops": 12,
+        "ops": 5086, "hits": 3296, "misses": 2932, "evictions": 2712,
+        "regrets": 1056, "forced_bucket_evictions": 35, "failed_ops": 12,
         "counters": [
-            ("fault_post_dropped", 1201), ("fault_retry", 603),
-            ("fault_verb_timeout", 1816), ("lease_repair", 6),
-            ("rdma_cas", 5596), ("rdma_faa", 3637), ("rdma_read", 16725),
-            ("rdma_rpc", 21), ("rdma_write", 12387),
+            ("fault_post_dropped", 1169), ("fault_retry", 588),
+            ("fault_verb_timeout", 1769), ("lease_repair", 5),
+            ("rdma_cas", 5608), ("rdma_faa", 3683), ("rdma_read", 16701),
+            ("rdma_rpc", 20), ("rdma_write", 12407),
         ],
     },
     "churn": {
-        "drain": ("done", 105, 44), "live_objects": 300,
-        "hits": 5801, "misses": 0, "evictions": 0, "regrets": 0,
+        "drain": ("done", 97, 50), "live_objects": 300,
+        "hits": 5784, "misses": 0, "evictions": 0, "regrets": 0,
         "forced_bucket_evictions": 0, "failed_ops": 0,
         "counters": [
-            ("epoch_bump", 3), ("fault_retry", 6), ("fault_verb_timeout", 12),
-            ("membership_refresh", 4), ("migrated_bytes", 26880),
-            ("migrated_objects", 105), ("migration_cas_lost", 44),
+            ("epoch_bump", 3), ("fault_retry", 11), ("fault_verb_timeout", 12),
+            ("membership_refresh", 4), ("migrated_bytes", 24832),
+            ("migrated_objects", 97), ("migration_cas_lost", 50),
             ("mn_added", 1), ("mn_remove_started", 1), ("mn_removed", 1),
-            ("rdma_cas", 6440), ("rdma_faa", 779), ("rdma_read", 18200),
-            ("rdma_rpc", 32), ("rdma_write", 18507),
-            ("stale_epoch_retry", 10),
+            ("rdma_cas", 6417), ("rdma_faa", 776), ("rdma_read", 18143),
+            ("rdma_rpc", 32), ("rdma_write", 18439),
+            ("stale_epoch_retry", 5),
         ],
     },
     "ext": {
-        "ops": 6240, "hits": 977, "misses": 2976, "evictions": 5801,
-        "regrets": 621, "forced_bucket_evictions": 18, "failed_ops": 0,
+        "ops": 6215, "hits": 980, "misses": 2975, "evictions": 5796,
+        "regrets": 571, "forced_bucket_evictions": 31, "failed_ops": 0,
         "counters": [
-            ("rdma_cas", 12690), ("rdma_faa", 6432), ("rdma_read", 32290),
-            ("rdma_rpc", 16), ("rdma_write", 22380),
+            ("rdma_cas", 12683), ("rdma_faa", 6406), ("rdma_read", 32256),
+            ("rdma_rpc", 16), ("rdma_write", 22360),
         ],
     },
 }

@@ -138,16 +138,16 @@ def test_stats_rpc_and_runtime_arming():
         descriptor = harness.launch()
         node = descriptor["nodes"][0]
 
-        stats = control_rpc(node["host"], node["port"], "__stats__", None)
+        stats = control_rpc(node["unix"], "__stats__", None)
         assert stats["role"] == "mn0"
         assert stats["obs_armed"] is False and stats["metrics"] is None
         assert stats["uptime_s"] >= 0.0
 
-        control_rpc(node["host"], node["port"], "__stats_arm__", None)
+        control_rpc(node["unix"], "__stats_arm__", None)
         asyncio.run(run_load(
             descriptor, clients=2, ops=200, n_keys=100, preload=20, seed=3
         ))
-        stats = control_rpc(node["host"], node["port"], "__stats__", None)
+        stats = control_rpc(node["unix"], "__stats__", None)
         assert stats["obs_armed"] is True
         assert stats["ops_served"] > 0
         verb_rows = [
@@ -202,7 +202,7 @@ def test_disarmed_runs_hold_no_obs_state(tmp_path):
         assert report["failed_ops"] == 0
 
         for node in descriptor["nodes"]:
-            stats = control_rpc(node["host"], node["port"], "__stats__",
+            stats = control_rpc(node["unix"], "__stats__",
                                 None)
             assert stats["obs_armed"] is False
             assert stats["metrics"] is None

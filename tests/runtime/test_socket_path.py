@@ -3,7 +3,8 @@
 What the thin path promises and the older suites do not pin down:
 
 - **one link per memory node per process** — every client on a runtime
-  shares it, concurrent first verbs share one connect;
+  shares it, concurrent first verbs share one connect, and it dials the
+  node's ``AF_UNIX`` address;
 - **one flush per loop turn** — requests cork, the turn's frames leave in
   one ``write`` in the order they were issued, and a frame the flush never
   reached is known not to have been sent;
@@ -14,7 +15,7 @@ What the thin path promises and the older suites do not pin down:
   cancellation, a raising generator or a refused post costs its own op,
   never the link;
 - **the server loop is total** — hostile bytes cost their sender a status
-  reply or its connection, never the node; every opcode's body shapes get
+  reply or its connection, never the node, on either listener; every opcode's body shapes get
   the status and side effects of one table, byte for byte alike whether
   the node is dark or its gate or instruments are armed, and what a frame
   arms meets every frame behind it in the same batch;
@@ -23,8 +24,8 @@ What the thin path promises and the older suites do not pin down:
   alloc is deduplicated across a kill and an adopt;
 - **one deadline timer per connection** — every request still times out at
   its own deadline, and nothing outlives the request it belongs to;
-- **framing** — frames decode in order however TCP segments them, and a
-  pipelined train is served in one wake-up;
+- **framing** — frames decode in order however the kernel segments them,
+  and a pipelined train is served in one wake-up;
 - **posts are a count** — no future, no task; drops are counted in the
   endpoint's sink and ``drain_background`` still waits for what is in
   flight, one that finds no link joins the connect ahead of the verb
@@ -44,6 +45,7 @@ import logging
 import pickle
 import socket
 import time
+import uuid
 from unittest import mock
 
 import pytest
@@ -104,11 +106,20 @@ def _recv_frame(sock: socket.socket) -> bytes:
     return frame
 
 
-def _raw(harness) -> socket.socket:
-    entry = harness.descriptor()["nodes"][0]
-    sock = socket.create_connection((entry["host"], entry["port"]), 5.0)
+def _dial(entry, listener: str = "unix") -> socket.socket:
+    """A blocking socket to a node: at its address, or at the TCP port
+    only the benchmark's probes dial."""
+    if listener == "unix":
+        sock = socket.socket(socket.AF_UNIX)
+        sock.connect(wire.sockaddr(entry["unix"]))
+    else:
+        sock = socket.create_connection((entry["host"], entry["port"]), 5.0)
     sock.settimeout(5.0)
     return sock
+
+
+def _raw(harness, listener: str = "unix") -> socket.socket:
+    return _dial(harness.descriptor()["nodes"][0], listener)
 
 
 def _stats(harness, index: int = 0) -> dict:
@@ -136,8 +147,13 @@ class _Tap:
             self.inner.close()
 
 
+def _unbound_address(role: str) -> str:
+    """An abstract name nothing is bound to (yet)."""
+    return f"@ditto-test-{role}-{uuid.uuid4().hex[:8]}"
+
+
 #: A memory node nobody listens at, for links the test itself answers.
-_NOWHERE = NodeHandle(0, 0, 1 << 16, "nowhere", 0)
+_NOWHERE = NodeHandle(0, 0, 1 << 16, _unbound_address("nowhere"))
 
 
 def _link_to_nowhere(runtime: WallClockRuntime):
@@ -147,7 +163,7 @@ def _link_to_nowhere(runtime: WallClockRuntime):
     conn = Connection(asyncio.get_running_loop())
     tap = _Tap()
     conn.connection_made(tap)
-    runtime.links[(_NOWHERE.host, _NOWHERE.port)] = conn
+    runtime.links[_NOWHERE.key] = conn
     return conn, tap
 
 
@@ -240,6 +256,11 @@ def test_clients_of_a_two_node_cluster_open_two_connections():
                 await cluster.engine.drain_background()
                 stats = cluster.stats()
                 assert len(cluster.engine.links) == 2
+                # Both links dial the nodes' addresses, not the TCP ports.
+                assert {
+                    link._transport.get_extra_info("socket").family
+                    for link in cluster.engine.links.values()
+                } == {socket.AF_UNIX}
                 return [
                     _stats(launched, index)["connections"] - 1  # this poll
                     for index in range(2)
@@ -302,7 +323,7 @@ HOSTILE_ANSWERED = {
 }
 
 
-def _assert_a_refused_chain_does_nothing(harness):
+def _assert_a_refused_chain_does_nothing(harness, listener: str = "unix"):
     """A WRITE→CAS chain with one bad half is refused whole: neither the
     valid WRITE nor the valid CAS of it happens."""
     node = _node(harness)
@@ -313,7 +334,7 @@ def _assert_a_refused_chain_does_nothing(harness):
         "WRITE range out of bounds": (word, node.end - 4, b"chained!"),
     }
     for name, (cas_addr, write_addr, data) in refused.items():
-        with _raw(harness) as sock:
+        with _raw(harness, listener) as sock:
             chain = wire.WRITE_CAS_HDR.pack(cas_addr, 0, 7, write_addr) + data
             sock.sendall(
                 wire.request_frame(wire.OP_WRITE_CAS, 9, chain)
@@ -422,7 +443,7 @@ def _status_table(word: int, block: int, end: int) -> dict:
     }
 
 
-def _serve_status_table(harness) -> dict:
+def _serve_status_table(harness, listener: str = "unix") -> dict:
     """Serve every row of :func:`_status_table` on one connection and
     check its status and side effects; the raw reply of each row."""
     node = _node(harness)
@@ -430,7 +451,7 @@ def _serve_status_table(harness) -> dict:
     block = word + 64
     span = block + 24 - word  # the word, the gap, the block and its tail
     replies = {}
-    with _raw(harness) as sock:
+    with _raw(harness, listener) as sock:
         rows = _status_table(word, block, node.end)
         for (verb, shape), (body, status, value, written) in rows.items():
             row = f"{verb}, {shape}"
@@ -463,18 +484,19 @@ def _arm(harness, mode: str) -> None:
         harness.raw_rpc(entry, "__stats_arm__", None)
 
 
+@pytest.mark.parametrize("listener", ["unix", "tcp"])
 @pytest.mark.parametrize("mode", ["dark", "gate-armed", "stats-armed"])
 def test_hostile_bytes_cost_a_reply_or_the_connection_never_the_node(
-    harness, mode
+    harness, mode, listener
 ):
     _arm(harness, mode)
-    _serve_status_table(harness)
+    _serve_status_table(harness, listener)
     for name, payload in HOSTILE_CLOSES.items():
-        with _raw(harness) as sock:
+        with _raw(harness, listener) as sock:
             sock.sendall(payload)
             assert _recv_frame(sock) == b"", name
     for name, payload in HOSTILE_ANSWERED.items():
-        with _raw(harness) as sock:
+        with _raw(harness, listener) as sock:
             # A good frame behind the bad one shows the stream stayed in
             # step: the connection is still usable after the error reply.
             sock.sendall(payload + wire.request_frame(wire.OP_PING, 10))
@@ -482,9 +504,9 @@ def test_hostile_bytes_cost_a_reply_or_the_connection_never_the_node(
             assert (req_id, status) == (9, wire.ST_ERROR), name
             req_id, status = wire.RESP.unpack_from(_recv_frame(sock))
             assert (req_id, status) == (10, wire.ST_OK), name
-    _assert_a_refused_chain_does_nothing(harness)
+    _assert_a_refused_chain_does_nothing(harness, listener)
     # Half a frame, then the sender walks away.
-    with _raw(harness) as sock:
+    with _raw(harness, listener) as sock:
         sock.sendall(wire.request_frame(wire.OP_READ, 1, b"\x00" * 12)[:9])
     _assert_still_serving(harness)
 
@@ -579,8 +601,7 @@ def test_node_0_answers_membership_and_weight_folds_and_node_1_refuses(
 
 def _answer(entry, request: bytes):
     """Send one request frame on a fresh connection; the ST_OK result."""
-    with socket.create_connection((entry["host"], entry["port"]), 5.0) as sock:
-        sock.settimeout(5.0)
+    with _dial(entry) as sock:
         sock.sendall(request)
         frame = _recv_frame(sock)
     assert wire.RESP.unpack_from(frame) == (9, wire.ST_OK)
@@ -766,9 +787,10 @@ def test_decoder_is_total_on_arbitrary_bytes(noise):
 
 
 async def _segmenting_server(segments_for):
-    """A server that answers each request with the READ payload
-    ``b"r%07d" % req_id``, written as the segments ``segments_for(frame)``
-    yields, with a pause between them so TCP cannot merge them."""
+    """A server, and a handle on its abstract name, that answers each
+    request with the READ payload ``b"r%07d" % req_id``, written as the
+    segments ``segments_for(frame)`` yields, with a pause between them so
+    the kernel cannot merge them."""
 
     async def handle(reader, writer):
         try:
@@ -787,17 +809,17 @@ async def _segmenting_server(segments_for):
         finally:
             writer.close()
 
-    return await asyncio.start_server(handle, "127.0.0.1", 0)
+    address = _unbound_address("segmenting")
+    server = await asyncio.start_unix_server(handle, wire.sockaddr(address))
+    return server, NodeHandle(0, 0, 1 << 16, address)
 
 
 def test_client_decodes_a_response_split_across_segments():
     async def scenario():
         # header | id+status | payload halves: every boundary is crossed
-        server = await _segmenting_server(
+        server, node = await _segmenting_server(
             lambda r: (r[:2], r[2:4], r[4:13], r[13:17], r[17:])
         )
-        port = server.sockets[0].getsockname()[1]
-        node = NodeHandle(0, 0, 1 << 16, "127.0.0.1", port)
         endpoint = RealEndpoint(WallClockRuntime(), [node], timeout_s=5.0)
         try:
             first = await drive(endpoint.read(0, 8))
@@ -930,7 +952,6 @@ def test_server_decodes_a_request_split_across_segments(harness):
     read = wire.request_frame(wire.OP_READ, 2, wire.READ_BODY.pack(addr, 8))
     stream = write + read
     with _raw(harness) as sock:
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         for cut in (2, 9, 20, len(write) + 3):  # in header, body, next frame
             sock.sendall(stream[:cut])
             time.sleep(0.02)
@@ -1327,7 +1348,7 @@ def test_a_chain_whose_response_is_lost_resolves_like_its_cas(harness, ran):
         doomed = Connection(asyncio.get_running_loop())
         tap = _Tap()
         doomed.connection_made(tap)
-        runtime.links[(node.host, node.port)] = doomed
+        runtime.links[node.key] = doomed
         try:
             op = asyncio.ensure_future(drive(chain(endpoint)))
             await asyncio.sleep(0.01)

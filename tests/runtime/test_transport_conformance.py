@@ -3,8 +3,8 @@
 Every test here runs twice — once against the sim substrate
 (:class:`repro.rdma.verbs.RdmaEndpoint` on a discrete-event engine) and
 once against the real substrate (:class:`repro.runtime.client.RealEndpoint`
-talking to a live ``repro.runtime.server`` process over loopback sockets
-and shared memory).  The assertions are verb-level: byte semantics,
+talking to a live ``repro.runtime.server`` process over its ``AF_UNIX``
+address and shared memory).  The assertions are verb-level: byte semantics,
 atomic old-value returns and 64-bit wrap, controller RPC behavior, fence
 NACKs, and failure surfacing.  The portable layers above the transport
 are correct only if both substrates pass identical assertions.
@@ -13,7 +13,6 @@ are correct only if both substrates pass identical assertions.
 from __future__ import annotations
 
 import asyncio
-import socket
 import subprocess
 import sys
 import time
@@ -105,7 +104,7 @@ class RealSubstrate:
         assert line.startswith("DITTO-NODE "), line
         fields = dict(part.split("=", 1) for part in line.split()[1:])
         self.rpc_node = NodeHandle(
-            0, 0, HEAP_SIZE, "127.0.0.1", int(fields["port"]), fields["shm"]
+            0, 0, HEAP_SIZE, fields["unix"], fields["shm"]
         )
         self.loop = asyncio.new_event_loop()
         self.runtime = WallClockRuntime()
@@ -123,11 +122,10 @@ class RealSubstrate:
         self.ep.timeout_s = 0.2
 
     def make_unreachable(self):
-        # A node handle whose port nothing listens on.
-        with socket.socket() as probe:
-            probe.bind(("127.0.0.1", 0))
-            dead_port = probe.getsockname()[1]
-        dead = NodeHandle(0, 0, HEAP_SIZE, "127.0.0.1", dead_port)
+        # A node handle whose address nothing is bound to.
+        dead = NodeHandle(
+            0, 0, HEAP_SIZE, f"@ditto-conf-unbound-{uuid.uuid4().hex[:8]}"
+        )
         return RealEndpoint(self.runtime, [dead]), dead
 
     def arm_plan(self, plan):
@@ -154,20 +152,21 @@ class RealSubstrate:
         self.ep.timeout_s = self._saved_timeout
 
     def bounce(self):
-        # SIGKILL, then restart-and-adopt on the same port: the shared-
-        # memory heap survives the kill and the replacement rebuilds from
-        # it; the endpoint's broken connection heals via resend.
-        port = self.rpc_node.port
+        # SIGKILL, then restart-and-adopt: the shared-memory heap survives
+        # the kill, the replacement rebuilds from it and binds the same
+        # address, and the endpoint's broken connection heals via resend.
         self.proc.kill()
         self.proc.wait()
         self.proc.stdout.close()
         self.proc.stderr.close()
         self.proc = subprocess.Popen(
-            self._argv + ["--port", str(port), "--adopt"],
+            self._argv + ["--adopt"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
         line = self.proc.stdout.readline()
         assert line.startswith("DITTO-NODE "), line
+        fields = dict(part.split("=", 1) for part in line.split()[1:])
+        assert fields["unix"] == self.rpc_node.key
 
     def close(self):
         self.loop.run_until_complete(self.ep.aclose())
