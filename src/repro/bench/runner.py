@@ -7,15 +7,16 @@ single closed-loop driver measures them all:
   shard, or :func:`zipf_feed`; the paper has clients iteratively replay
   their shard).
 - :func:`closed_loop` — one client's driver.  It yields only delays and its
-  client's op commands, so it runs on both substrates: here as an engine
-  process, on the real cluster under ``runtime.client.drive``
-  (``runtime.loadgen``).
-- :class:`Harness` — spawns one driver process per client, applies the
-  configurable miss penalty (500 µs in the paper: the cost of fetching a
-  missed object from distributed storage before Set-ing it back), and
-  measures throughput and latency over explicit windows so warmup is
-  excluded; :meth:`Harness.phase` samples an elasticity timeline phase by
-  phase, one row per window, and :func:`phase_mean` averages a phase.
+  client's op commands, so it runs on both substrates.
+- :class:`Harness` — the one measuring harness of both substrates: it
+  spawns one driver per client (an engine process, or a task on a live
+  cluster's runtime: ``runtime.loadgen``), applies the configurable miss
+  penalty (500 µs in the paper: the cost of fetching a missed object from
+  distributed storage before Set-ing it back), and measures throughput and
+  latency over explicit windows so warmup is excluded (on a live cluster,
+  one window of a set number of ops); :meth:`Harness.phase` samples an
+  elasticity timeline phase by phase, one row per window, and
+  :func:`phase_mean` averages a phase.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from __future__ import annotations
 import random
 import struct
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -169,15 +172,17 @@ class Harness:
         value_size: int = 232,
         miss_penalty_us: float = 0.0,
         tolerate_failures: bool = False,
+        pack=pack_key,
     ):
         """``tolerate_failures`` keeps a driver alive when an operation
         fails permanently (:class:`CacheOperationError`) — required for
         chaos runs, where a retry-exhausted Set is a data point, not a
-        reason to unwind the engine."""
+        reason to unwind the engine.  ``pack`` as in :func:`closed_loop`."""
         self.engine = engine
         self.value = make_value(value_size)
         self.miss_penalty_us = miss_penalty_us
         self.tolerate_failures = tolerate_failures
+        self.pack = pack
         # Observability (repro.obs): the process's hub, picked up so no
         # experiment passes one in; None stays fully inert.
         self.obs = obs_current()
@@ -193,23 +198,32 @@ class Harness:
 
     # -- client management ------------------------------------------------
 
-    def launch(self, client, feed: Feed) -> dict:
+    def launch(self, client, feed: Feed, ops: Optional[int] = None) -> dict:
         """Start a closed-loop driver for ``client``; returns a stop handle.
 
+        The driver runs until stopped, or with ``ops`` for that many ops.
         The handle records the driver process and the client so fault
         injection can kill a specific client's loop mid-operation.
         """
         flag = {"stop": False, "client": client}
+        finished = self._finished
+        failed = self._failed if self.tolerate_failures else None
+        if self.obs is not None and getattr(client, "tracer", False) is None:
+            # A real client traces none of its ops: they nest on a wall lane.
+            lane = self.obs.lane(f"client-{len(self._clients)}")
+            finished = self._spanned(lane, finished)
+            failed = failed and self._spanned(lane, failed, {"failed": True})
         self._flags.append(flag)
         self._clients.append(client)
         engine = self.engine
         flag["process"] = engine.spawn(closed_loop(
             client, feed, self.value,
             now=lambda: engine.now,
-            running=lambda: not flag["stop"],
-            finished=self._finished,
-            failed=self._failed if self.tolerate_failures else None,
+            running=(lambda: not flag["stop"]) if ops is None
+            else partial(next, repeat(True, ops), False),
+            finished=finished, failed=failed,
             miss_penalty_us=self.miss_penalty_us,
+            pack=self.pack,
         ), name="driver")
         return flag
 
@@ -236,6 +250,19 @@ class Harness:
 
     def _failed(self, op: int, start: float) -> None:
         self.failed_ops += 1
+
+    def _spanned(self, lane: int, record, args=None):
+        """``record``, also putting each op on wall lane ``lane`` as a span."""
+        obs, engine = self.obs, self.engine
+
+        def spanned(op: int, start: float) -> None:
+            elapsed = engine.now - start
+            obs.tracer.complete_at(
+                "op.get" if op == READ else "op.set", "op",
+                obs.now_us() - elapsed, elapsed, tid=lane, args=args,
+            )
+            record(op, start)
+        return spanned
 
     # -- fault injection ---------------------------------------------------
 
@@ -294,19 +321,15 @@ class Harness:
         if self.obs is not None:
             self._annotate_window("warm", start)
 
-    def measure(self, duration_us: float) -> MeasureResult:
-        """Record one window and return its metrics."""
+    def _open_window(self) -> float:
         self._ops = 0
         self._get_lat = LatencyStats()
         self._set_lat = LatencyStats()
         self._hits0, self._miss0 = self._hit_totals()
         self._measuring = True
-        start = self.engine.now
-        if self.obs is not None:
-            self.obs.schedule_window_samples(
-                self.engine, start, start + duration_us
-            )
-        self.engine.run(until=start + duration_us)
+        return self.engine.now
+
+    def _close_window(self, start: float) -> MeasureResult:
         self._measuring = False
         if self.obs is not None:
             self._annotate_window("measure", start)
@@ -319,6 +342,24 @@ class Harness:
             hits=hits - self._hits0,
             misses=misses - self._miss0,
         )
+
+    def measure(self, duration_us: float) -> MeasureResult:
+        """Record one window and return its metrics."""
+        start = self._open_window()
+        if self.obs is not None:
+            self.obs.schedule_window_samples(
+                self.engine, start, start + duration_us
+            )
+        self.engine.run(until=start + duration_us)
+        return self._close_window(start)
+
+    async def measure_launched(self) -> MeasureResult:
+        """Record one window until every driver, a task on a live
+        cluster's runtime, has run the ops :meth:`launch` gave it."""
+        start = self._open_window()
+        for flag in self._flags:
+            await flag["process"]
+        return self._close_window(start)
 
     def phase(
         self,

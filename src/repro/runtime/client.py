@@ -146,6 +146,12 @@ class WallClockRuntime:
     # The hot paths read engine._now directly; same clock here.
     _now = now
 
+    def spawn(self, gen: Generator, name: str = "") -> asyncio.Task:
+        """Run ``gen`` under :func:`drive` as a task: ``Engine.spawn``'s
+        counterpart, so :class:`~repro.bench.runner.Harness` launches
+        drivers here too."""
+        return asyncio.get_running_loop().create_task(drive(gen), name=name or None)
+
     def post_settled(self) -> None:
         """One post fewer in flight: answered, expired, or lost with its
         link or its connect."""

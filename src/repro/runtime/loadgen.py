@@ -4,16 +4,16 @@ Drives a live cluster (launched by ``python -m repro.serve`` or
 :class:`~repro.runtime.harness.RealClusterHarness`) with any number of
 concurrent clients: every logical client is a full
 :class:`~repro.core.client.DittoClient` with its own
-:class:`~repro.runtime.client.RealEndpoint`, running the sim harness's
-closed loop (:func:`~repro.bench.runner.closed_loop`) over the same
-Zipfian request stream the sim replays
+:class:`~repro.runtime.client.RealEndpoint`, and all of them send over
+the process's one link per memory node.  The sim's measuring harness,
+:class:`~repro.bench.runner.Harness`, runs them: it launches each
+client's closed loop over the Zipfian request stream the sim replays
 (:func:`~repro.bench.runner.zipf_feed`, each key id spelled by
-:func:`wire_key`); all of them send over the
-process's one link per memory node.  Per-op latencies land in exact
-:class:`~repro.sim.stats.LatencyStats` for the report percentiles; under
-``REPRO_TRACE`` the clients additionally record the ``op.latency``
-histograms the sim records (here in wall-clock microseconds) into the
-process's trace shard.
+:func:`wire_key`) for its share of the ops, and records every op into
+one :class:`~repro.bench.runner.MeasureResult` for the report.  Under
+``REPRO_TRACE`` each client's ops are spans on its own wall lane, and
+the clients record the ``op.latency`` histograms the sim records (here
+in wall-clock microseconds) into the process's trace shard.
 
 Scales to thousands of clients in one process: the link is one
 ``asyncio.Protocol`` on one socket per memory node (no stream objects,
@@ -36,22 +36,14 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import functools
 import json
 import sys
-import time
 from typing import Dict, Optional
 
-from ..bench.runner import READ, closed_loop, load, make_value, zipf_feed
+from ..bench.runner import Harness, load, zipf_feed
 from ..obs import observer
-from ..sim.stats import LatencyStats
-from .client import drive
 from .cluster import RealCluster
 from .harness import control_rpc
-
-
-class LoadReport(dict):
-    """A plain dict with a stable schema; see :func:`run_load`."""
 
 
 def wire_key(key_id: int) -> bytes:
@@ -60,18 +52,6 @@ def wire_key(key_id: int) -> bytes:
     issues the same verbs as this load generator, so the two move to the
     sim's :func:`~repro.bench.runner.pack_key` together."""
     return b"key-%d" % key_id
-
-
-def _countdown(ops: int):
-    """A ``running`` for :func:`~repro.bench.runner.closed_loop` that
-    says yes ``ops`` times, then no."""
-    left = ops
-
-    def running() -> bool:
-        nonlocal left
-        left -= 1
-        return left >= 0
-    return running
 
 
 def node_batching(descriptor: Dict) -> list:
@@ -107,8 +87,9 @@ async def run_load(
     timeout_s: float = 10.0,
     cluster: Optional[RealCluster] = None,
     on_start=None,
-) -> LoadReport:
-    """Drive ``ops`` total operations from ``clients`` concurrent clients.
+) -> Dict:
+    """Drive ``ops`` total operations from ``clients`` concurrent clients:
+    the first ``ops % clients`` take one op more, and clients past ``ops`` none.
 
     Returns a report dict: throughput, per-verb latency percentiles, hit
     rate, failure counts, and the endpoint counters.
@@ -130,50 +111,20 @@ async def run_load(
     cluster.add_clients(clients)
     if obs is not None:
         obs.registry.bridge(cluster.counters, component="client")
-    value = make_value(value_bytes)
+    harness = Harness(cluster.engine, value_size=value_bytes,
+                      tolerate_failures=True, pack=wire_key)
     if preload:
-        await drive(load(cluster.clients[0], range(preload), value, wire_key))
-
-    get_lat, set_lat = LatencyStats(), LatencyStats()
-    failed_ops = 0
-    tracer = obs.tracer if obs is not None else None
-
-    def record(lane: int, op: int, start: float, failed: bool = False):
-        nonlocal failed_ops
-        elapsed_us = (time.perf_counter() - start) * 1e6
-        if tracer is not None:
-            # A client's ops are sequential: its spans nest in its lane.
-            tracer.complete_at(
-                "op.get" if op == READ else "op.set", "op",
-                obs.now_us() - elapsed_us, elapsed_us, tid=lane,
-                args={"failed": True} if failed else None,
-            )
-        if failed:
-            failed_ops += 1
-        else:
-            (get_lat if op == READ else set_lat).record(elapsed_us)
-
-    per_client = -(-ops // clients)
-    loops = []
-    for index, client in enumerate(cluster.clients):
-        lane = obs.lane(f"client-{index}") if obs is not None else 0
-        loops.append(closed_loop(
-            client,
-            zipf_feed(per_client, n_keys, theta, read_ratio,
-                      seed * 1_000_003 + index),
-            value,
-            now=time.perf_counter,
-            running=_countdown(per_client),
-            finished=functools.partial(record, lane),
-            failed=functools.partial(record, lane, failed=True),
-            pack=wire_key,
-        ))
+        await cluster.engine.spawn(
+            load(cluster.clients[0], range(preload), harness.value, wire_key))
     if on_start is not None:
         await on_start()
+    for index, client in enumerate(cluster.clients[:ops]):
+        share = ops // clients + (index < ops % clients)
+        harness.launch(client, zipf_feed(
+            share, n_keys, theta, read_ratio, seed * 1_000_003 + index,
+        ), share)
     load_start_us = obs.now_us() if obs is not None else 0.0
-    t_start = time.perf_counter()
-    await asyncio.gather(*map(drive, loops))
-    wall_s = time.perf_counter() - t_start
+    result = await harness.measure_launched()
     if obs is not None:
         obs.tracer.complete(
             "load", "phase", load_start_us,
@@ -184,15 +135,16 @@ async def run_load(
     if owns_cluster:
         await cluster.aclose()
 
-    completed = get_lat.count + set_lat.count
+    wall_s = result.duration_us / 1e6
+    get_lat, set_lat = result.get_latency, result.set_latency
     counters = cluster.counters.as_dict()
-    return LoadReport(
+    return dict(
         clients=clients,
-        ops=completed,
-        failed_ops=failed_ops,
+        ops=result.ops,
+        failed_ops=harness.failed_ops,
         wall_s=round(wall_s, 4),
-        ops_per_s=round(completed / wall_s, 1) if wall_s else 0.0,
-        hit_rate=round(cluster.hit_rate(), 4),
+        ops_per_s=round(result.ops / wall_s, 1) if wall_s else 0.0,
+        hit_rate=round(result.hit_rate, 4),
         objects=cluster.object_count,
         get_p50_us=round(get_lat.percentile(50), 1) if get_lat.count else None,
         get_p99_us=round(get_lat.percentile(99), 1) if get_lat.count else None,

@@ -1,11 +1,13 @@
-"""The real load generator: one ``drive`` per client's closed loop, and
-its CLI end to end against a live cluster."""
+"""The real load generator: one ``drive`` per client's closed loop,
+exactly the ops asked for, and its CLI end to end against a live
+cluster."""
 
 import asyncio
 import json
 
 import pytest
 
+from repro.runtime import client as runtime_client
 from repro.runtime import loadgen
 from repro.runtime.harness import RealClusterHarness
 
@@ -20,14 +22,16 @@ def harness():
 
 @pytest.mark.parametrize("preload", [0, 30])
 def test_run_load_drives_each_client_loop_once(harness, monkeypatch, preload):
+    # The seam: ``Harness.launch`` and the preload go through the
+    # runtime's ``spawn``, which runs each generator under one ``drive``.
     drives = []
-    real_drive = loadgen.drive
+    real_drive = runtime_client.drive
 
     def counting_drive(gen):
         drives.append(gen)
         return real_drive(gen)
 
-    monkeypatch.setattr(loadgen, "drive", counting_drive)
+    monkeypatch.setattr(runtime_client, "drive", counting_drive)
     report = asyncio.run(loadgen.run_load(
         harness.descriptor(), clients=4, ops=200, n_keys=100,
         preload=preload, seed=3,
@@ -36,6 +40,14 @@ def test_run_load_drives_each_client_loop_once(harness, monkeypatch, preload):
     assert report["failed_ops"] == 0
     # ``ops`` counts completed ops: all of them, 50 per client.
     assert report["ops"] == 200
+
+
+@pytest.mark.parametrize("clients, ops", [(3, 10), (4, 2)])
+def test_run_load_runs_exactly_the_ops_asked_for(harness, clients, ops):
+    report = asyncio.run(loadgen.run_load(
+        harness.descriptor(), clients=clients, ops=ops, n_keys=100, seed=3,
+    ))
+    assert report["ops"] + report["failed_ops"] == ops
 
 
 def test_cli_writes_the_report_it_prints(harness, tmp_path, capsys):

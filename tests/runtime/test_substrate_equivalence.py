@@ -2,9 +2,10 @@
 
 The client is deterministic: fed the same requests, starting from the
 same empty cluster, it issues the same verbs whatever carries them.  So
-one client runs :func:`~repro.bench.runner.closed_loop` over one
-:func:`~repro.bench.runner.zipf_feed` stream on the sim and on a live
-2-node cluster, and every verb it issues is recorded as (verb, address,
+the one measuring harness, :class:`~repro.bench.runner.Harness`,
+launches one client's closed loop over one
+:func:`~repro.bench.runner.zipf_feed` stream for a set number of ops on
+the sim and on a live 2-node cluster, and every verb it issues is recorded as (verb, address,
 length, digest of the bytes written).  Posted writes carry timestamps,
 which differ between a simulated and a wall clock, so they are recorded
 by address and length only; the order of those timestamps, which is all
@@ -19,10 +20,10 @@ import hashlib
 
 import pytest
 
-from repro.bench.runner import closed_loop, make_value, pack_key, zipf_feed
+from repro.bench.runner import Harness, zipf_feed
 from repro.bench.systems import build_ditto
 from repro.rdma import RdmaEndpoint
-from repro.runtime.client import RealEndpoint, drive
+from repro.runtime.client import RealEndpoint
 from repro.runtime.cluster import RealCluster
 from repro.runtime.harness import RealClusterHarness
 
@@ -32,7 +33,6 @@ OPS = 3000
 N_KEYS = 600
 THETA = 0.99
 READ_RATIO = 0.5
-VALUE = make_value(232)
 SEED = 3
 
 
@@ -95,17 +95,10 @@ def _record_verbs(monkeypatch, log):
     monkeypatch.setattr(RealEndpoint, "write_then_cas", rec_chain)
 
 
-def _loop(client):
-    left = [OPS]
-
-    def running():
-        left[0] -= 1
-        return left[0] >= 0
-
-    return closed_loop(
-        client, zipf_feed(OPS, N_KEYS, THETA, READ_RATIO, SEED), VALUE,
-        now=lambda: 0.0, running=running,
-        finished=lambda op, start: None, pack=pack_key,
+def _launch(engine, client):
+    """The one client's driver, launched by the shared harness."""
+    return Harness(engine).launch(
+        client, zipf_feed(OPS, N_KEYS, THETA, READ_RATIO, SEED), OPS
     )
 
 
@@ -116,7 +109,7 @@ def _counts(client):
 def _sim_run():
     cluster = build_ditto(CAPACITY, 1, num_memory_nodes=NODES, seed=SEED)
     client = cluster.clients[0]
-    cluster.engine.run_process(_loop(client))
+    _launch(cluster.engine, client)
     cluster.engine.run()
     return _counts(client)
 
@@ -130,7 +123,7 @@ def _real_run():
             cluster = RealCluster(harness.descriptor())
             (client,) = cluster.add_clients(1)
             try:
-                await drive(_loop(client))
+                await _launch(cluster.engine, client)["process"]
             finally:
                 await cluster.aclose()
             return _counts(client)
