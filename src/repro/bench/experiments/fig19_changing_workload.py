@@ -14,7 +14,7 @@ from ...workloads import footprint, phase_switch_trace
 from ..format import print_table
 from ..hitrate import make_hit_cache, replay_windowed
 from ..scale import scaled
-from ..systems import build_ditto, run_trace_workload
+from ..systems import run_trace_workload
 from .fig16_real_world_tput import build_system
 
 

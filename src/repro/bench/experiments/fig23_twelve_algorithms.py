@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, Sequence
 
-from ...core import POLICY_REGISTRY, make_policy, policy_loc
+from ...core import make_policy, policy_loc
 from ...workloads import footprint, webmail_like_trace
 from ..format import print_table
 from ..hitrate import replay

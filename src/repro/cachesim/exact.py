@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from collections import OrderedDict, defaultdict
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 
 class ExactCacheBase:

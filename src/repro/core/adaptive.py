@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 #: Weights never decay below this floor, so a long losing streak cannot
 #: permanently disable an expert (it must be able to win again after a

@@ -16,15 +16,14 @@ from __future__ import annotations
 from functools import partial
 from typing import Dict, List, Optional, Tuple, Union
 
-from ..memory import Controller, MemoryBudget, MemoryNode, MemoryPool
+from ..memory import Controller, MemoryNode, MemoryPool
 from ..obs.observer import Observability
-from ..obs.observer import current as obs_current
 from ..rdma.params import NetworkParams
 from ..rdma.verbs import RdmaEndpoint, RdmaFaultError
-from ..sim import CounterSet, Engine
+from ..sim import Engine
 from ..sim.faults import FaultInjector, FaultPlan
 from .adaptive import GlobalWeights
-from .client import DittoClient
+from .client import ClusterBase, DittoClient
 from .config import DittoConfig
 from .consensus import ControllerGroup
 from .elasticity import (
@@ -41,9 +40,14 @@ from .geometry import plan_cluster
 from .history import RemoteFifoHistory
 from .retry import backoff_us
 
+#: Delay between a client crash and a survivor starting recovery (models
+#: liveness-lease expiry at the quota/metadata service).
+CRASH_DETECT_US = 500.0
 
-class DittoCluster:
-    """A Ditto deployment: memory pool + compute-pool clients."""
+
+class DittoCluster(ClusterBase):
+    """A Ditto deployment on the simulator: memory pool + compute-pool
+    clients."""
 
     def __init__(
         self,
@@ -79,52 +83,40 @@ class DittoCluster:
         controller replicas can crash or partition — even mid-drain —
         without losing metadata or blocking the cluster."""
         self.engine = engine or Engine()
-        self.config = config or DittoConfig()
         self.params = params or NetworkParams()
-        # Fault injection: ``None`` (the default) keeps every path — verbs,
-        # clients, recovery — on the zero-overhead healthy fast path and the
-        # outputs byte-identical to a build without this subsystem.
-        if faults is None:
-            self.fault_injector: Optional[FaultInjector] = None
-        elif isinstance(faults, FaultInjector):
-            self.fault_injector = faults
-        else:
-            self.fault_injector = FaultInjector(self.engine, faults)
-        # Observability (repro.obs): the hub comes from the ``obs`` argument
-        # or the process-wide runtime; with neither, ``tracer`` stays None
-        # and every instrumented path is inert.
-        if obs is None:
-            obs = obs_current()
-        self.obs = obs
-        self.tracer = obs.bind(self.engine, label="ditto") if obs is not None else None
-        if self.fault_injector is not None and self.tracer is not None:
-            self.fault_injector.tracer = self.tracer
-            # A plan passed at construction armed before the tracer
-            # existed; annotate its windows retroactively.
-            self.tracer.fault_windows(self.fault_injector.plan.to_dict())
-        self.seed = seed
-        self.segment_bytes = segment_bytes
         self.capacity_objects = capacity_objects
         self.object_bytes = object_bytes
-
+        config = config or DittoConfig()
         # Memory geometry: the plan is the single source of truth shared
         # with the real-process substrate (repro.core.geometry) — both
         # substrates must resolve addresses identically.
         plan = plan_cluster(
             capacity_objects, object_bytes, num_clients,
-            config=self.config, num_memory_nodes=num_memory_nodes,
+            config=config, num_memory_nodes=num_memory_nodes,
             segment_bytes=segment_bytes,
             max_capacity_objects=max_capacity_objects,
         )
-        self.ext_fields: Tuple[str, ...] = plan.ext_fields
-        self.block_bytes_per_object = plan.block_bytes_per_object
-        self.budget = MemoryBudget(plan.budget_bytes)
-        self.max_capacity_objects = plan.max_capacity_objects
-        self.layout = plan.layout
-        self.history_size = plan.history_size
+        # Observability (repro.obs): the hub comes from the ``obs`` argument
+        # or the process-wide runtime; with neither, ``tracer`` stays None
+        # and every instrumented path is inert.
+        super().__init__(config, seed, plan, obs)
+        # Fault injection: ``None`` (the default) keeps every path — verbs,
+        # clients, recovery — on the zero-overhead healthy fast path and the
+        # outputs byte-identical to a build without this subsystem.
+        if faults is not None:
+            self.fault_injector = (
+                faults if isinstance(faults, FaultInjector)
+                else FaultInjector(self.engine, faults)
+            )
+        if self.obs is not None:
+            self.tracer = self.obs.bind(self.engine, label="ditto")
+        if self.fault_injector is not None and self.tracer is not None:
+            self.fault_injector.tracer = self.tracer
+            # A plan passed at construction armed before the tracer
+            # existed; annotate its windows retroactively.
+            self.tracer.fault_windows(self.fault_injector.plan.to_dict())
 
         reserve = plan.reserve
-        self.remote_history: Optional[RemoteFifoHistory] = None
         if not self.config.use_lwh:
             self.remote_history = RemoteFifoHistory(
                 plan.layout.reserved_bytes, self.history_size
@@ -148,12 +140,10 @@ class DittoCluster:
         #: ranges are never reused and a stale pointer stays detectable.
         self._addr_high = self.nodes[-1].end
         self._next_node_id = num_memory_nodes
-        #: Membership table + epoch fence, created by the first membership
-        #: change (``_ensure_elastic``).  Until then both stay None and all
-        #: verbs take the unfenced fast path — default runs are byte-
-        #: identical to a build without the elasticity subsystem.
-        self.membership: Optional[MembershipTable] = None
-        self.fence: Optional[EpochFence] = None
+        # ``membership`` and ``fence`` stay None until the first membership
+        # change (``_ensure_elastic``), so all verbs take the unfenced fast
+        # path — default runs are byte-identical to a build without the
+        # elasticity subsystem.
         self._epoch_gauge = None
         #: Records of node drains, oldest first (``MigrationRecord``).
         self.migrations: List[MigrationRecord] = []
@@ -186,20 +176,11 @@ class DittoCluster:
             )
         if self.obs is not None:
             self._wire_weight_metrics()
-
-        self.counters = CounterSet()
-        if self.obs is not None:
             self.obs.registry.bridge(self.counters, component="cluster",
                                      cluster=self._obs_id)
-        self.object_count = 0
-        self.clients: List[DittoClient] = []
-        # Client ids are monotonic so a departed client's id (and its grant
-        # log at the controllers) is never silently reused by a newcomer.
-        self._next_client_id = 0
-        #: Replicated controller group (``repro.core.consensus``); stays
-        #: None — with zero overhead and byte-identical outputs — unless
-        #: ``controller_replicas`` > 0.
-        self.consensus: Optional[ControllerGroup] = None
+        # The replicated controller group (``repro.core.consensus``) stays
+        # None — with zero overhead and byte-identical outputs — unless
+        # ``controller_replicas`` > 0.
         self._cluster_consensus = None
         if controller_replicas:
             self._ensure_elastic()
@@ -267,18 +248,6 @@ class DittoCluster:
         )
 
     # -- elasticity knobs --------------------------------------------------
-
-    def add_clients(self, n: int) -> List[DittoClient]:
-        """Scale compute: new client threads join with no data movement."""
-        new = []
-        for _ in range(n):
-            client = DittoClient(
-                self, client_id=self._next_client_id, seed=self.seed
-            )
-            self._next_client_id += 1
-            new.append(client)
-        self.clients.extend(new)
-        return new
 
     def remove_clients(self, n: int) -> None:
         """Scale compute down: departing clients release their grants.
@@ -585,7 +554,7 @@ class DittoCluster:
         The caller (normally :meth:`repro.bench.runner.Harness` acting on a
         :class:`~repro.sim.faults.ClientCrash` event) kills the client's
         driver process at a yield boundary; this method handles the cluster
-        side: mark the client dead and, after ``crash_detect_us`` (the
+        side: mark the client dead and, after ``CRASH_DETECT_US`` (the
         liveness-lease expiry of the out-of-band quota service), have a
         surviving client reclaim whatever the dead one leaked.
         """
@@ -599,7 +568,7 @@ class DittoCluster:
         )
 
     def _recovery_process(self, dead):
-        yield self.config.crash_detect_us
+        yield CRASH_DETECT_US
         survivor = next((c for c in self.clients if not c.dead), None)
         if survivor is None:
             return  # nobody left to recover; the sweep will flag leaks
@@ -695,33 +664,8 @@ class DittoCluster:
                 if delay > 0.0:
                     yield delay
 
-    # -- aggregated statistics ----------------------------------------------
-
-    @property
-    def hits(self) -> int:
-        return sum(c.hits for c in self.clients)
-
-    @property
-    def misses(self) -> int:
-        return sum(c.misses for c in self.clients)
-
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def stats(self) -> Dict[str, float]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate(),
-            "objects": self.object_count,
-            "evictions": sum(c.evictions for c in self.clients),
-            "regrets": sum(c.regrets for c in self.clients),
-            "used_bytes": self.budget.used_bytes,
-            "limit_bytes": self.budget.limit_bytes,
-            "sim_time_us": self.engine.now,
-            **{k: float(v) for k, v in self.counters.as_dict().items()},
-        }
+    def _clock_stats(self) -> Dict[str, float]:
+        return {"sim_time_us": self.engine.now}
 
 
 def _to_bytes(data: Union[str, bytes]) -> bytes:

@@ -34,17 +34,22 @@ import struct
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..memory import ClientAllocator, OutOfMemoryError, StripedAllocator
+from ..memory.allocator import MemoryBudget
 from ..memory.node import BLOCK_SIZE
+from ..obs.observer import current as obs_current
 from ..rdma.verbs import (
     NodeUnavailable,
     RdmaFaultError,
     StaleEpoch,
 )
+from ..sim import CounterSet
 from . import layout as L
 from .elasticity import ACTIVE
 from .retry import backoff_us
 from .adaptive import ExpertWeights, bitmap_of
+from .config import DittoConfig
 from .fc_cache import FrequencyCounterCache
+from .geometry import ClusterPlan
 from .history import HISTORY_WRAP, history_age, is_expired
 from .policies import Metadata, make_policy
 
@@ -52,6 +57,14 @@ _U64 = struct.Struct("<Q")
 
 #: Refresh the cached global history counter every this many misses.
 COUNTER_REFRESH_PERIOD = 64
+
+#: Jitter fraction: each fault-retry backoff is stretched by up to this much,
+#: drawn from the client's deterministic RNG (decorrelates retry storms).
+RETRY_JITTER = 0.5
+
+#: Lease age (us on the substrate's clock) after which a half-installed slot
+#: (its metadata write was lost) may be reclaimed by any reader.
+REPAIR_LEASE_US = 1_000.0
 
 #: What one attempt returns when it lost its CAS to a concurrent writer: the
 #: attempt did nothing and the operation may be retried lock-free (§4.2).
@@ -107,9 +120,9 @@ def decode_ext(fields: Sequence[str], raw: bytes) -> Dict[str, float]:
 class DittoClient:
     """One client thread of a Ditto deployment.
 
-    ``cluster`` provides the shared context: engine, layout, memory pool and
-    node, budget, config, counters, global weights RPC, and (for the LWH
-    ablation) the remote FIFO history.  See ``repro.core.cache.DittoCluster``.
+    ``cluster`` is a :class:`ClusterBase`: the config, geometry, budget,
+    counters and hooks every substrate shares, plus its own engine, node
+    handles and ``make_endpoint``.
     """
 
     def __init__(self, cluster, client_id: int, seed: int = 0):
@@ -124,8 +137,8 @@ class DittoClient:
         self.counters = cluster.counters
         # Observability (repro.obs): tracer/histograms are None unless the
         # cluster was built under an active hub — the inert default.
-        self.tracer = getattr(cluster, "tracer", None)
-        obs = getattr(cluster, "obs", None)
+        self.tracer = cluster.tracer
+        obs = cluster.obs
         if obs is not None:
             self._hist_get = obs.registry.histogram(
                 "op.latency", component="client", verb="get"
@@ -145,14 +158,14 @@ class DittoClient:
         #: Epoch of the client's cached membership view; refreshed via the
         #: ``get_membership`` RPC when a verb NACKs with StaleEpoch.
         self.membership_epoch = 0
-        fence = getattr(cluster, "fence", None)
+        fence = cluster.fence
         if fence is not None:
             # Joining after the cluster's first membership change: arm the
             # fence and start from the current membership view.
             self.ep.fence = fence
             self.alloc.set_active(cluster.membership.active_ids())
             self.membership_epoch = cluster.membership.epoch
-        group = getattr(cluster, "consensus", None)
+        group = cluster.consensus
         if group is not None:
             # Controller HA armed: metadata RPCs go through the replicated
             # controller group under this client's own dedup session.
@@ -183,7 +196,7 @@ class DittoClient:
         self._pending_budget = 0
         #: Lease repair is active only when the cluster injects faults: maps
         #: suspect slot addr -> (atomic value, first seen at).
-        self._repair_enabled = getattr(cluster, "fault_injector", None) is not None
+        self._repair_enabled = cluster.fault_injector is not None
         self._suspects: Dict[int, Tuple[int, float]] = {}
         # -- statistics -----------------------------------------------------
         self.hits = 0
@@ -206,7 +219,7 @@ class DittoClient:
             fault_attempt,
             base=self.config.retry_backoff_us,
             ceiling=self.config.retry_backoff_max_us,
-            jitter=self.config.retry_jitter,
+            jitter=RETRY_JITTER,
             rng=self.rng,
         )
 
@@ -470,7 +483,7 @@ class DittoClient:
         A dropped unsignalled metadata WRITE leaves an object slot with
         ``key_hash == insert_ts == last_ts == 0``: the object exists but can
         never match a lookup by hash.  Any reader that sees such a slot with
-        the *same* atomic word twice, ``repair_lease_us`` apart, CASes it
+        the *same* atomic word twice, ``REPAIR_LEASE_US`` apart, CASes it
         back to empty and returns the block.  Actively-used objects self-heal
         out of suspicion (a hit re-posts ``last_ts``), and a concurrent
         legitimate rewrite changes the atomic word, which resets the lease.
@@ -479,7 +492,7 @@ class DittoClient:
         if not half_installed and not self._suspects:
             return
         now = self.engine.now
-        lease = self.config.repair_lease_us
+        lease = REPAIR_LEASE_US
         for i in range(slots.count):
             if i not in half_installed:
                 self._suspects.pop(slots.addr(i), None)
@@ -505,7 +518,7 @@ class DittoClient:
 
         Crash recovery and chaos tests use this; regular traffic repairs
         opportunistically via the Get miss path.  Chunked READs keep verb
-        sizes realistic.  Two passes ``repair_lease_us`` apart are needed
+        sizes realistic.  Two passes ``REPAIR_LEASE_US`` apart are needed
         before anything is reclaimed (the lease must expire).
         """
         lay = self.layout
@@ -824,3 +837,94 @@ class DittoClient:
         self.budget.release(match.object_bytes)
         self.cluster.object_count -= 1
         return True
+
+
+class ClusterBase:
+    """Everything a :class:`DittoClient` reads from the deployment it joins.
+
+    :class:`~repro.core.cache.DittoCluster` (the simulator) and
+    :class:`~repro.runtime.cluster.RealCluster` (live memory-node
+    processes) inherit it and add only their substrate: the engine or
+    runtime, the node handles, ``make_endpoint``, and the clock row of
+    :meth:`stats` (DESIGN §3.7).
+    """
+
+    #: Sim-only hooks, None where a substrate has none: the engine-bound
+    #: tracer, the membership table and epoch fence (armed by the first
+    #: membership change), the replicated controller group, the fault
+    #: injector (it arms lease repair on the Get miss path) and the LWH
+    #: ablation's remote FIFO history.
+    tracer = None
+    membership = None
+    fence = None
+    consensus = None
+    fault_injector = None
+    remote_history = None
+    #: Node drains in flight: their allocators count in the memory sweep.
+    _active_migrators: Sequence = ()
+
+    def __init__(self, config: DittoConfig, seed: int, plan: ClusterPlan,
+                 obs=None):
+        """``obs`` is the observability hub, by default the process's
+        (None when none is armed: clients bind no histograms)."""
+        self.config = config
+        self.seed = seed
+        self.layout = plan.layout
+        self.ext_fields: Tuple[str, ...] = plan.ext_fields
+        self.history_size = plan.history_size
+        self.segment_bytes = plan.segment_bytes
+        self.block_bytes_per_object = plan.block_bytes_per_object
+        self.max_capacity_objects = plan.max_capacity_objects
+        self.budget = MemoryBudget(plan.budget_bytes)
+        self.obs = obs if obs is not None else obs_current()
+        self.counters = CounterSet()
+        self.object_count = 0
+        self.clients: List[DittoClient] = []
+        # Client ids are monotonic so a departed client's id (and its grant
+        # log at the controllers) is never silently reused by a newcomer.
+        self._next_client_id = 0
+
+    def add_clients(self, n: int) -> List[DittoClient]:
+        """Scale compute: ``n`` clients join, each with its own endpoint,
+        and no data moves."""
+        new = []
+        for _ in range(n):
+            client = DittoClient(
+                self, client_id=self._next_client_id, seed=self.seed
+            )
+            self._next_client_id += 1
+            new.append(client)
+        self.clients.extend(new)
+        return new
+
+    # -- aggregated statistics ----------------------------------------------
+
+    @property
+    def hits(self) -> int:
+        return sum(c.hits for c in self.clients)
+
+    @property
+    def misses(self) -> int:
+        return sum(c.misses for c in self.clients)
+
+    def hit_rate(self) -> float:
+        total = self.hits + self.misses
+        return self.hits / total if total else 0.0
+
+    def _clock_stats(self) -> Dict[str, float]:
+        """The substrate's clock row(s) of :meth:`stats`."""
+        raise NotImplementedError
+
+    def stats(self) -> Dict[str, float]:
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "hit_rate": self.hit_rate(),
+            "objects": self.object_count,
+            "evictions": sum(c.evictions for c in self.clients),
+            "regrets": sum(c.regrets for c in self.clients),
+            "used_bytes": self.budget.used_bytes,
+            "limit_bytes": self.budget.limit_bytes,
+            **self._clock_stats(),
+            **{k: float(v) for k, v in self.counters.as_dict().items()},
+        }

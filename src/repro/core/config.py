@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 
@@ -31,8 +31,6 @@ class DittoConfig:
     weight_update_batch: int = 100
     #: Retry cap for CAS races and empty samples before an operation fails.
     max_retries: int = 16
-    #: Hash-table slots allocated per cached object (object + history + slack).
-    slot_factor: float = 4.0
 
     # -- fault tolerance (only exercised under fault injection) ------------
     #: Extra attempts when a verb times out or an RPC is lost.
@@ -41,19 +39,10 @@ class DittoConfig:
     retry_backoff_us: float = 20.0
     #: Backoff ceiling for the exponential fault-retry schedule.
     retry_backoff_max_us: float = 2_000.0
-    #: Jitter fraction: each backoff is stretched by up to this much, drawn
-    #: from the client's deterministic RNG (decorrelates retry storms).
-    retry_jitter: float = 0.5
     #: Budget (us on the substrate's clock) for one operation, checked after
     #: every failed attempt: a Set/Delete past it raises, a Get degrades to
     #: a miss; 0 disables.
     op_deadline_us: float = 0.0
-    #: Lease age after which a half-installed slot (its metadata write was
-    #: lost) may be reclaimed by any reader.
-    repair_lease_us: float = 1_000.0
-    #: Delay between a client crash and a survivor starting recovery (models
-    #: liveness-lease expiry at the quota/metadata service).
-    crash_detect_us: float = 500.0
     #: Membership refreshes allowed per operation when verbs come back
     #: ``StaleEpoch`` (epoch-fenced elasticity); exhausting the budget turns
     #: a Get into a miss and fails a Set/Delete like other fault retries.
@@ -68,8 +57,6 @@ class DittoConfig:
     use_lwu: bool = True
     #: Frequency-counter cache vs. one FAA per access.
     use_fc: bool = True
-    #: Adaptive caching at all (False = single fixed policy).
-    adaptive: bool = True
 
     def __post_init__(self) -> None:
         if not self.policies:
@@ -83,18 +70,18 @@ class DittoConfig:
         for name in (
             "retry_backoff_us",
             "retry_backoff_max_us",
-            "retry_jitter",
             "op_deadline_us",
-            "repair_lease_us",
-            "crash_detect_us",
         ):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        if len(self.policies) == 1:
-            self.adaptive = False
         if not self.use_fc:
             self.fc_threshold = 1
 
     @property
     def num_experts(self) -> int:
         return len(self.policies)
+
+    @property
+    def adaptive(self) -> bool:
+        """Adaptive caching at all: False with a single fixed policy."""
+        return self.num_experts > 1

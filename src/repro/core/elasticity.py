@@ -353,7 +353,7 @@ class Migrator:
             faults=cluster.fault_injector,
             tracer=cluster.tracer,
         )
-        group = getattr(cluster, "consensus", None)
+        group = cluster.consensus
         if group is not None:
             # Controller HA: the migrator's metadata traffic (segment
             # grants for relocated objects, membership flips, grant

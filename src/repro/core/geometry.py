@@ -23,6 +23,9 @@ from .history import HISTORY_ENTRY_BYTES
 from .layout import DittoLayout, object_span
 from .policies import make_policy
 
+#: Hash-table slots allocated per cached object (object + history + slack).
+SLOT_FACTOR = 4.0
+
 
 def ext_schema(policy_names: Sequence[str]) -> Tuple[str, ...]:
     """Extension metadata schema: union of the experts' ext fields."""
@@ -83,11 +86,11 @@ def plan_cluster(
     if max_capacity < capacity_objects:
         raise ValueError("max_capacity_objects below initial capacity")
 
-    # Hash-table geometry: slot_factor slots per cached object so live
+    # Hash-table geometry: SLOT_FACTOR slots per cached object so live
     # objects plus unexpired history entries fit comfortably, sized for
     # the provisioned maximum so memory can grow without re-hashing.
     total_slots = max(
-        int(max_capacity * config.slot_factor),
+        int(max_capacity * SLOT_FACTOR),
         2 * DittoLayout.SLOTS_PER_BUCKET,
     )
     num_buckets = -(-total_slots // DittoLayout.SLOTS_PER_BUCKET)

@@ -44,9 +44,7 @@ def _client_regions(cluster) -> Tuple[List, List, List]:
     from ..memory.node import BLOCK_SIZE
 
     holders = [client.alloc for client in cluster.clients]
-    holders.extend(
-        migrator.alloc for migrator in getattr(cluster, "_active_migrators", ())
-    )
+    holders.extend(migrator.alloc for migrator in cluster._active_migrators)
     for striped in holders:
         for alloc in striped.allocators:
             for nblocks, addrs in alloc._free.items():
@@ -88,8 +86,10 @@ def sweep(
 ) -> Dict[str, int]:
     """Check the memory-accounting invariants of a quiesced Ditto cluster.
 
-    ``cluster`` supplies ``clients``, ``budget``, ``layout`` and ``nodes``
-    (each with ``base``/``end``) — what either substrate's cluster carries.
+    ``cluster`` is either substrate's
+    :class:`~repro.core.client.ClusterBase`: it supplies ``clients``,
+    ``budget``, ``layout``, the drains in flight and ``nodes`` (each with
+    ``base``/``end``).
     ``granted`` is every ``(addr, size)`` the controllers hold granted and
     ``read_bytes(addr, length)`` reads node 0; they default to the sim
     cluster's own controllers and memory, and the real substrate passes its

@@ -34,6 +34,7 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from ..core import invariants
+from ..core.client import REPAIR_LEASE_US
 from ..obs.observer import current as obs_current
 from ..obs.observer import maybe_span
 from ..obs.runtime import build_digest
@@ -109,7 +110,7 @@ async def repair_sweep(cluster: RealCluster, passes: int = 2) -> int:
     """
     scrubber = cluster.clients[0]
     before = cluster.counters.get("lease_repair")
-    lease_s = scrubber.config.repair_lease_us / 1e6
+    lease_s = REPAIR_LEASE_US / 1e6
     for index in range(passes):
         await drive(scrubber.repair_scan())
         if index + 1 < passes:

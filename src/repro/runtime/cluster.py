@@ -1,9 +1,10 @@
 """Client-side deployment façade for the real substrate.
 
-:class:`RealCluster` plays the role :class:`~repro.core.cache.DittoCluster`
-plays on the sim substrate: it provides everything a
-:class:`~repro.core.client.DittoClient` reads from its cluster — layout,
-config, budget, node handles, counters — and implements the
+:class:`RealCluster` inherits :class:`~repro.core.client.ClusterBase`, the
+same base as the sim's :class:`~repro.core.cache.DittoCluster`: config,
+geometry, budget, counters and the client registry exist once, and a
+:class:`~repro.core.client.DittoClient` reads them alike on both.  What it
+adds is the substrate: node handles, their shared liveness view, and the
 ``make_endpoint`` seam with :class:`~repro.runtime.client.RealEndpoint`,
 so the *identical* client code paths (SFHT lookups, two-level allocation,
 sampled adaptive eviction, lazy weight updates) execute against live
@@ -21,16 +22,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..core.client import DittoClient
+from ..core.client import ClusterBase
 from ..core.config import DittoConfig
 from ..core.geometry import plan_cluster
-from ..memory.allocator import MemoryBudget
-from ..obs import observer
-from ..sim import CounterSet
 from .client import NodeHandle, NodeHealth, RealEndpoint, WallClockRuntime
 
 
-class RealCluster:
+class RealCluster(ClusterBase):
     """A Ditto deployment over live processes, from the client's seat."""
 
     def __init__(
@@ -40,12 +38,11 @@ class RealCluster:
         timeout_s: float = 10.0,
         shm_reads: bool = False,
     ):
-        self.descriptor = descriptor
         config_kwargs = dict(descriptor.get("config", {}))
         if "policies" in config_kwargs:
             config_kwargs["policies"] = tuple(config_kwargs["policies"])
-        self.config = DittoConfig(**config_kwargs)
-        if not (self.config.use_sfht and self.config.use_lwh):
+        config = DittoConfig(**config_kwargs)
+        if not (config.use_sfht and config.use_lwh):
             # The ablation paths read node memory in-process (no verb
             # layer); they exist to probe the paper's design points on the
             # sim substrate and are not portable.
@@ -57,32 +54,16 @@ class RealCluster:
             descriptor["capacity_objects"],
             descriptor["object_bytes"],
             descriptor["num_clients"],
-            config=self.config,
+            config=config,
             num_memory_nodes=len(descriptor["nodes"]),
             segment_bytes=descriptor["segment_bytes"],
             max_capacity_objects=descriptor.get("max_capacity_objects"),
         )
-        self.plan = plan
-        self.layout = plan.layout
-        self.ext_fields = plan.ext_fields
-        self.history_size = plan.history_size
-        self.segment_bytes = plan.segment_bytes
-        self.block_bytes_per_object = plan.block_bytes_per_object
-        #: The budget is client-local admission control, exactly as on the
-        #: sim substrate where it models the out-of-band quota service.
-        self.budget = MemoryBudget(plan.budget_bytes)
-        self.remote_history = None
+        # The budget is client-local admission control, exactly as on the
+        # sim substrate where it models the out-of-band quota service.
+        super().__init__(config, descriptor.get("seed", 0), plan)
 
         self.engine = runtime if runtime is not None else WallClockRuntime()
-        self.counters = CounterSet()
-        #: The process's hub, or None: a dark cluster's clients bind no
-        #: latency histograms and time nothing.
-        self.obs = observer.current()
-        self.tracer = None
-        self.fence = None
-        self.consensus = None
-        self.fault_injector = None
-        self.membership = None
         self.timeout_s = timeout_s
         self.shm_reads = shm_reads
         #: One liveness view shared by every endpoint: the first client
@@ -105,10 +86,6 @@ class RealCluster:
                 "disagree on construction parameters"
             )
         self.node = self.nodes[0]
-        self.seed = descriptor.get("seed", 0)
-        self.object_count = 0
-        self.clients: List[DittoClient] = []
-        self._next_client_id = 0
 
     # -- the substrate seam ------------------------------------------------
 
@@ -139,19 +116,6 @@ class RealCluster:
         for client in self.clients:
             client.alloc.set_active(active)
 
-    def add_clients(self, n: int) -> List[DittoClient]:
-        """Join ``n`` client threads, each with its own endpoint; all of
-        them send over the runtime's one link per memory node."""
-        new = []
-        for _ in range(n):
-            client = DittoClient(
-                self, client_id=self._next_client_id, seed=self.seed
-            )
-            self._next_client_id += 1
-            new.append(client)
-        self.clients.extend(new)
-        return new
-
     async def aclose(self) -> None:
         """Close every client's endpoint: the first drains the runtime's
         posts and closes its links (once each), and every one unmaps its
@@ -159,31 +123,8 @@ class RealCluster:
         for client in self.clients:
             await client.ep.aclose()
 
-    # -- aggregated statistics (mirrors DittoCluster) ----------------------
-
-    @property
-    def hits(self) -> int:
-        return sum(c.hits for c in self.clients)
-
-    @property
-    def misses(self) -> int:
-        return sum(c.misses for c in self.clients)
-
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def stats(self) -> Dict[str, float]:
+    def _clock_stats(self) -> Dict[str, float]:
         return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate(),
-            "objects": self.object_count,
-            "evictions": sum(c.evictions for c in self.clients),
-            "regrets": sum(c.regrets for c in self.clients),
-            "used_bytes": self.budget.used_bytes,
-            "limit_bytes": self.budget.limit_bytes,
             "wall_time_us": self.engine.now,
             **{f"link_{k}": v for k, v in self.engine.link_stats().items()},
-            **{k: float(v) for k, v in self.counters.as_dict().items()},
         }

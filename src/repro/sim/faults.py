@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 #: Outcome kinds returned by :meth:`FaultInjector.verb_outcome`.
 OK, DROP, DOWN = 0, 1, 2

@@ -11,6 +11,7 @@ import pytest
 from repro.bench.runner import Feed, Harness, pack_key, preload
 from repro.bench.systems import build_ditto
 from repro.core import CacheOperationError, invariant_sweep
+from repro.core.client import REPAIR_LEASE_US
 from repro.rdma import NodeUnavailable
 from repro.sim import (
     ClientCrash,
@@ -192,7 +193,7 @@ class TestLeaseRepair:
         sleep_until(cluster, 60_000.0)  # leave the drop window
         drive(cluster, client.repair_scan())  # first sighting starts leases
         assert len(self._suspect_slots(cluster)) == suspects  # lease not up
-        sleep_until(cluster, cluster.engine.now + cluster.config.repair_lease_us + 1)
+        sleep_until(cluster, cluster.engine.now + REPAIR_LEASE_US + 1)
         drive(cluster, client.repair_scan())  # second sighting reclaims
         assert self._suspect_slots(cluster) == []
         assert cluster.counters.as_dict()["lease_repair"] == suspects

@@ -13,6 +13,9 @@ import time
 
 import pytest
 
+from repro.core.cache import DittoCluster
+from repro.core.config import DittoConfig
+from repro.core.geometry import plan_cluster
 from repro.runtime.cluster import RealCluster
 from repro.runtime.harness import RealClusterHarness
 from repro.runtime.loadgen import run_load
@@ -83,6 +86,42 @@ def test_ablation_configs_are_sim_only():
     }
     with pytest.raises(ValueError, match="sim-only"):
         RealCluster(descriptor)
+
+
+def test_both_clusters_give_clients_one_contract():
+    """Offline: a RealCluster built from a synthetic descriptor and a
+    DittoCluster built from the same scalars agree on what a client reads."""
+    scalars = dict(capacity_objects=512, object_bytes=256, num_clients=3,
+                   segment_bytes=64 * 1024, max_capacity_objects=1024)
+    policies = ("lru", "lruk")
+    plan = plan_cluster(**scalars, config=DittoConfig(policies=policies),
+                        num_memory_nodes=2)
+    real = RealCluster(dict(
+        scalars, seed=7, config={"policies": list(policies)},
+        nodes=[
+            {"node_id": node_id, "base": base, "size": size,
+             "unix": f"@offline-mn{node_id}"}
+            for node_id, base, size in plan.node_ranges
+        ],
+    ))
+    sim = DittoCluster(**scalars, config=DittoConfig(policies=policies),
+                       seed=7, num_memory_nodes=2)
+    assert sim.ext_fields == ("lruk_ts0", "lruk_ts1")
+    for name in ("ext_fields", "history_size", "segment_bytes",
+                 "block_bytes_per_object", "max_capacity_objects"):
+        assert getattr(real, name) == getattr(sim, name), name
+    assert real.layout.num_buckets == sim.layout.num_buckets
+    assert real.budget.limit_bytes == sim.budget.limit_bytes
+
+    real.add_clients(3)
+    assert [c.client_id for c in real.clients] == [0, 1, 2]
+    assert [c.client_id for c in sim.clients] == [0, 1, 2]
+    sim_keys = set(sim.stats()) - {"sim_time_us"}
+    real_keys = {k for k in real.stats()
+                 if k != "wall_time_us" and not k.startswith("link_")}
+    assert sim_keys == real_keys
+    for hook in ("fence", "consensus", "fault_injector", "tracer"):
+        assert getattr(real, hook) is None, hook
 
 
 def test_serve_cli_smoke(tmp_path):

@@ -6,12 +6,15 @@ Package ``__init__``s resolve their exports on first use
 That also stops hiding import cycles: an eager ``__init__`` used to load
 a cycle's far end first.  The first test imports every ``repro`` module
 from a clean state; the second holds the memory-node process to its
-import budget; the rest check the public names still resolve.
+import budget; the next ones check the public names still resolve; the
+last one finds module-level imports that their module never reads.
 """
 
+import ast
 import importlib
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -115,3 +118,69 @@ def test_public_names_keep_their_homes():
     namespace = {}
     exec("from repro.core import *", namespace)
     assert {*repro.core.__all__} <= namespace.keys()
+
+
+def _module_imports(body):
+    """``(line, bound name)`` of each import at module level, ``if``
+    (``TYPE_CHECKING``) and ``try`` blocks included."""
+    for node in body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name
+        elif isinstance(node, (ast.If, ast.Try)):
+            for block in (node.body, node.orelse,
+                          *(h.body for h in getattr(node, "handlers", ())),
+                          getattr(node, "finalbody", ())):
+                yield from _module_imports(block)
+
+
+def _names_read(tree):
+    """Every name the module loads, string annotations and ``__all__``
+    entries included."""
+    roots = [tree]
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations = [node.annotation]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations = [node.returns]
+        else:
+            continue
+        roots.extend(
+            ast.parse(sub.value, mode="eval")
+            for annotation in annotations if annotation is not None
+            for sub in ast.walk(annotation)
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+        )
+    read = {
+        node.id for root in roots for node in ast.walk(root)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            read.update(
+                elt.value for elt in ast.walk(node.value)
+                if isinstance(elt, ast.Constant)
+            )
+    return read
+
+
+def test_no_unused_module_imports():
+    """A deleted use must take its import along; ``__init__`` re-exports
+    are exempt."""
+    unused = []
+    for path in sorted(pathlib.Path(_SRC).rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        read = _names_read(tree)
+        unused.extend(
+            f"{path.relative_to(_SRC)}:{line}: {name}"
+            for line, name in _module_imports(tree.body) if name not in read
+        )
+    assert unused == []
