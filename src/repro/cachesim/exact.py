@@ -11,6 +11,8 @@ import random
 from collections import OrderedDict, defaultdict
 from typing import Dict, List
 
+from .decode import chunks
+
 
 class ExactCacheBase:
     """Shared counters + interface of the exact cache models."""
@@ -36,11 +38,13 @@ class ExactCacheBase:
         raise NotImplementedError
 
     def access_many(self, keys) -> int:
-        """:meth:`access` over a key array, in order; returns hits added."""
+        """:meth:`access` over a key array or int sequence, in order;
+        returns hits added."""
         hits = self.hits
         access = self.access
-        for key in keys.tolist():
-            access(key)
+        for chunk in chunks(keys):
+            for key in chunk:
+                access(key)
         return self.hits - hits
 
 
@@ -74,16 +78,17 @@ class ExactLRUCache(ExactCacheBase):
         popitem = store.popitem
         capacity = self.capacity
         hits = misses = evictions = 0
-        for key in keys.tolist():
-            if key in store:
-                move_to_end(key)
-                hits += 1
-                continue
-            misses += 1
-            while len(store) >= capacity:
-                popitem(last=False)
-                evictions += 1
-            store[key] = None
+        for chunk in chunks(keys):
+            for key in chunk:
+                if key in store:
+                    move_to_end(key)
+                    hits += 1
+                    continue
+                misses += 1
+                while len(store) >= capacity:
+                    popitem(last=False)
+                    evictions += 1
+                store[key] = None
         self.hits += hits
         self.misses += misses
         self.evictions += evictions

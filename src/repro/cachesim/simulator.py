@@ -23,6 +23,7 @@ import numpy as np
 from ..core.adaptive import ExpertWeights, bitmap_of
 from ..core.policies import CachePolicy, Metadata, make_policy
 from . import vectorized
+from .decode import chunks
 
 #: Accesses replayed through :meth:`SampledAdaptiveCache.access_many` in this
 #: process, by the branch each batch took.  ``run_all`` reports each
@@ -173,41 +174,42 @@ class SampledAdaptiveCache:
         draws, same eviction/history/regret sequence, bit-for-bit equal
         metrics and metadata.  ``REPRO_VECTORIZE=0`` forces the scalar loop.
 
-        The scalar path decodes the key array once (``tolist`` — no
-        per-element ``int()`` boxing) and keeps the hit path free of
-        instance-attribute churn by binding everything hot into locals.
+        The scalar path decodes the keys a chunk at a time
+        (:func:`~repro.cachesim.decode.chunks`) and keeps the hit path free
+        of instance-attribute churn by binding everything hot into locals.
         State transitions are identical to calling ``access`` in a loop.
 
         Each batch's size is added to :data:`REPLAYED` under the branch it
         took; per-key :meth:`access` calls are not counted.
         """
-        if isinstance(keys, np.ndarray):
-            if keys.size >= vectorized.MIN_BATCH and vectorized.eligible(self, keys):
-                REPLAYED["vectorized"] += keys.size
-                return vectorized.replay(self, keys)
-            seq = keys.tolist()
-        else:
-            seq = [int(k) for k in keys]
-        REPLAYED["scalar"] += len(seq)
+        if (
+            isinstance(keys, np.ndarray)
+            and keys.size >= vectorized.MIN_BATCH
+            and vectorized.eligible(self, keys)
+        ):
+            REPLAYED["vectorized"] += keys.size
+            return vectorized.replay(self, keys)
         store_get = self._store.get
         updates = self._live_updates
         tick = self._tick
         hits = 0
-        for key in seq:
-            tick += 1
-            meta = store_get(key)
-            if meta is not None:
-                meta.freq += 1
-                if updates:
-                    for update in updates:
-                        update(meta, tick)
-                meta.last_ts = tick
-                hits += 1
-            else:
-                self._tick = tick
-                self.misses += 1
-                self._collect_regret(key)
-                self._insert(key, 1, 1.0, tick)
+        for chunk in chunks(keys):
+            REPLAYED["scalar"] += len(chunk)
+            for key in chunk:
+                tick += 1
+                meta = store_get(key)
+                if meta is not None:
+                    meta.freq += 1
+                    if updates:
+                        for update in updates:
+                            update(meta, tick)
+                    meta.last_ts = tick
+                    hits += 1
+                else:
+                    self._tick = tick
+                    self.misses += 1
+                    self._collect_regret(key)
+                    self._insert(key, 1, 1.0, tick)
         self._tick = tick
         self.hits += hits
         return hits

@@ -32,6 +32,10 @@ How the speed happens:
   regret update (penalize → clip → normalize) and the proportional expert
   choice are inlined float math, verified identical to
   ``ExpertWeights.apply_regret``/``choose``.
+- **Chunked decode.**  Keys become Python ints one fixed chunk at a time
+  (:func:`repro.cachesim.decode.chunks`), never as one whole-trace list,
+  so replay memory is bounded by the chunk and the cache, not the trace
+  length; tick, draws and counters carry across chunks unchanged.
 - **No history without regret.**  Only two experts collect regret, so a
   single-expert replay records no eviction history, like the scalar path.
 
@@ -50,6 +54,7 @@ import numpy as np
 
 from ..core.adaptive import WEIGHT_FLOOR
 from ..core.policies import FIFO, LFU, LRU, MRU, Metadata
+from .decode import chunks
 
 #: Batches below this size replay scalar: the fixed setup cost (columnar
 #: encode, rng mirror, store rebuild) dominates under ~1k accesses.
@@ -171,7 +176,6 @@ def replay(cache, keys: np.ndarray) -> int:
     misses = 0
     evictions = 0
     regrets = 0
-    ids = keys.tolist()
 
     hist_get = hist.get
     fifo_append = fifo.append
@@ -187,157 +191,158 @@ def replay(cache, keys: np.ndarray) -> int:
     n = len(keyid_col)
     tick = tick0
 
-    for tick, key in enumerate(ids, tick0 + 1):
-        p = pos_of[key]
-        if p >= 0:
-            freq_col[p] += 1
-            last_col[p] = tick
-            continue
-        misses += 1
-        if two:
-            entry = hist_get(key)
-            if entry is not None:
-                age = hctr - (entry >> shift)
-                if age <= hsize:
-                    regrets += 1
-                    pen = disc ** age
-                    w0 = w[0]
-                    w1 = w[1]
-                    if entry & 1:
-                        w0 *= exp(-lr * pen)
-                        pend[0] += pen
-                    if entry & 2:
-                        w1 *= exp(-lr * pen)
-                        pend[1] += pen
-                    if w0 < floor:
-                        w0 = floor
-                    if w1 < floor:
-                        w1 = floor
-                    total = w0 + w1
-                    w[0] = w0 / total
-                    w[1] = w1 / total
-                    weights._pending_count += 1
-        while n >= cap:
-            if cur >= blk_len:
-                raw = mirror.random_sample(BLOCK)
-                drawn += BLOCK
-                idx = (raw * cap).astype(np.int64)
-                np.minimum(idx, cap - 1, out=idx)
-                # Carry the unconsumed tail: the replay must stay on the
-                # exact draw sequence across block refills.
-                fl_block = fl_block[cur:] + raw.tolist()
-                idx_block = idx_block[cur:] + idx.tolist()
-                blk_len = len(fl_block) - reserve
-                cur = 0
-            if n > ss:
-                if hot and n == cap:
-                    # Unrolled dual argmin (pri0 candidate c1, pri1
-                    # candidate c2) over 5 precomputed slot draws; strict <
-                    # keeps the first minimum, like the scalar scan.
-                    c1 = idx_block[cur]
-                    b0 = pri0[c1]
-                    c2 = c1
-                    b1 = pri1[c1]
-                    s = idx_block[cur + 1]
-                    v = pri0[s]
-                    if v < b0:
-                        b0 = v
-                        c1 = s
-                    v = pri1[s]
-                    if v < b1:
-                        b1 = v
-                        c2 = s
-                    s = idx_block[cur + 2]
-                    v = pri0[s]
-                    if v < b0:
-                        b0 = v
-                        c1 = s
-                    v = pri1[s]
-                    if v < b1:
-                        b1 = v
-                        c2 = s
-                    s = idx_block[cur + 3]
-                    v = pri0[s]
-                    if v < b0:
-                        b0 = v
-                        c1 = s
-                    v = pri1[s]
-                    if v < b1:
-                        b1 = v
-                        c2 = s
-                    s = idx_block[cur + 4]
-                    v = pri0[s]
-                    if v < b0:
-                        b0 = v
-                        c1 = s
-                    v = pri1[s]
-                    if v < b1:
-                        b1 = v
-                        c2 = s
-                    cur += 5
-                elif n == cap:
-                    sampled = idx_block[cur : cur + ss]
-                    cur += ss
+    for chunk in chunks(keys):
+        for tick, key in enumerate(chunk, tick + 1):
+            p = pos_of[key]
+            if p >= 0:
+                freq_col[p] += 1
+                last_col[p] = tick
+                continue
+            misses += 1
+            if two:
+                entry = hist_get(key)
+                if entry is not None:
+                    age = hctr - (entry >> shift)
+                    if age <= hsize:
+                        regrets += 1
+                        pen = disc ** age
+                        w0 = w[0]
+                        w1 = w[1]
+                        if entry & 1:
+                            w0 *= exp(-lr * pen)
+                            pend[0] += pen
+                        if entry & 2:
+                            w1 *= exp(-lr * pen)
+                            pend[1] += pen
+                        if w0 < floor:
+                            w0 = floor
+                        if w1 < floor:
+                            w1 = floor
+                        total = w0 + w1
+                        w[0] = w0 / total
+                        w[1] = w1 / total
+                        weights._pending_count += 1
+            while n >= cap:
+                if cur >= blk_len:
+                    raw = mirror.random_sample(BLOCK)
+                    drawn += BLOCK
+                    idx = (raw * cap).astype(np.int64)
+                    np.minimum(idx, cap - 1, out=idx)
+                    # Carry the unconsumed tail: the replay must stay on the
+                    # exact draw sequence across block refills.
+                    fl_block = fl_block[cur:] + raw.tolist()
+                    idx_block = idx_block[cur:] + idx.tolist()
+                    blk_len = len(fl_block) - reserve
+                    cur = 0
+                if n > ss:
+                    if hot and n == cap:
+                        # Unrolled dual argmin (pri0 candidate c1, pri1
+                        # candidate c2) over 5 precomputed slot draws; strict <
+                        # keeps the first minimum, like the scalar scan.
+                        c1 = idx_block[cur]
+                        b0 = pri0[c1]
+                        c2 = c1
+                        b1 = pri1[c1]
+                        s = idx_block[cur + 1]
+                        v = pri0[s]
+                        if v < b0:
+                            b0 = v
+                            c1 = s
+                        v = pri1[s]
+                        if v < b1:
+                            b1 = v
+                            c2 = s
+                        s = idx_block[cur + 2]
+                        v = pri0[s]
+                        if v < b0:
+                            b0 = v
+                            c1 = s
+                        v = pri1[s]
+                        if v < b1:
+                            b1 = v
+                            c2 = s
+                        s = idx_block[cur + 3]
+                        v = pri0[s]
+                        if v < b0:
+                            b0 = v
+                            c1 = s
+                        v = pri1[s]
+                        if v < b1:
+                            b1 = v
+                            c2 = s
+                        s = idx_block[cur + 4]
+                        v = pri0[s]
+                        if v < b0:
+                            b0 = v
+                            c1 = s
+                        v = pri1[s]
+                        if v < b1:
+                            b1 = v
+                            c2 = s
+                        cur += 5
+                    elif n == cap:
+                        sampled = idx_block[cur : cur + ss]
+                        cur += ss
+                        c1 = _argbest(sampled, pri0, sign0)
+                        c2 = _argbest(sampled, pri1, sign1) if two else c1
+                    else:
+                        sampled = [
+                            min(int(fl_block[j] * n), n - 1)
+                            for j in range(cur, cur + ss)
+                        ]
+                        cur += ss
+                        c1 = _argbest(sampled, pri0, sign0)
+                        c2 = _argbest(sampled, pri1, sign1) if two else c1
+                else:
+                    # Tiny store: the scalar path samples every key (no draws).
+                    sampled = range(n)
                     c1 = _argbest(sampled, pri0, sign0)
                     c2 = _argbest(sampled, pri1, sign1) if two else c1
+                if two:
+                    # choose() draws even when both candidates coincide.
+                    x = fl_block[cur]
+                    cur += 1
+                    if c1 == c2:
+                        vic = c1
+                        bm = 3
+                    elif x * (w[0] + w[1]) < w[0]:
+                        vic = c1
+                        bm = 1
+                    else:
+                        vic = c2
+                        bm = 2
                 else:
-                    sampled = [
-                        min(int(fl_block[j] * n), n - 1)
-                        for j in range(cur, cur + ss)
-                    ]
-                    cur += ss
-                    c1 = _argbest(sampled, pri0, sign0)
-                    c2 = _argbest(sampled, pri1, sign1) if two else c1
-            else:
-                # Tiny store: the scalar path samples every key (no draws).
-                sampled = range(n)
-                c1 = _argbest(sampled, pri0, sign0)
-                c2 = _argbest(sampled, pri1, sign1) if two else c1
-            if two:
-                # choose() draws even when both candidates coincide.
-                x = fl_block[cur]
-                cur += 1
-                if c1 == c2:
                     vic = c1
-                    bm = 3
-                elif x * (w[0] + w[1]) < w[0]:
-                    vic = c1
-                    bm = 1
-                else:
-                    vic = c2
-                    bm = 2
-            else:
-                vic = c1
-            vkey = keyid_col[vic]
-            pos_of[vkey] = -1
-            n -= 1
-            lk = key_pop()
-            lf = freq_pop()
-            ll = last_pop()
-            li = ins_pop()
-            if vic != n:
-                keyid_col[vic] = lk
-                freq_col[vic] = lf
-                last_col[vic] = ll
-                ins_col[vic] = li
-                pos_of[lk] = vic
-            if two:
-                hist[vkey] = (hctr << shift) | bm
-                fifo_append(vkey)
-                hctr += 1
-                while hctr - base > hsize:
-                    okey = fifo_popleft()
-                    e = hist_get(okey)
-                    if e is not None and e >> shift == base:
-                        del hist[okey]
-                    base += 1
-            evictions += 1
-        pos_of[key] = n
-        key_append(key)
-        freq_append(1)
-        last_append(tick)
-        ins_append(tick)
-        n += 1
+                vkey = keyid_col[vic]
+                pos_of[vkey] = -1
+                n -= 1
+                lk = key_pop()
+                lf = freq_pop()
+                ll = last_pop()
+                li = ins_pop()
+                if vic != n:
+                    keyid_col[vic] = lk
+                    freq_col[vic] = lf
+                    last_col[vic] = ll
+                    ins_col[vic] = li
+                    pos_of[lk] = vic
+                if two:
+                    hist[vkey] = (hctr << shift) | bm
+                    fifo_append(vkey)
+                    hctr += 1
+                    while hctr - base > hsize:
+                        okey = fifo_popleft()
+                        e = hist_get(okey)
+                        if e is not None and e >> shift == base:
+                            del hist[okey]
+                        base += 1
+                evictions += 1
+            pos_of[key] = n
+            key_append(key)
+            freq_append(1)
+            last_append(tick)
+            ins_append(tick)
+            n += 1
 
     # -- restore scalar state ----------------------------------------------
     # Rebuild the store dict in the exact order the scalar loop would leave
@@ -365,7 +370,7 @@ def replay(cache, keys: np.ndarray) -> int:
     cache._keys = keyid_col
     cache._key_pos = {key: i for i, key in enumerate(keyid_col)}
     cache._tick = tick
-    total = len(ids)
+    total = len(keys)
     hits = total - misses
     cache.hits += hits
     cache.misses += misses
@@ -379,12 +384,14 @@ def replay(cache, keys: np.ndarray) -> int:
         # Advance the scalar rng to exactly where a scalar replay would have
         # left it: re-draw the consumed count from the entry state and
         # transplant the resulting MT19937 state back (gauss cache intact —
-        # random() never touches it).
+        # random() never touches it).  The re-draw goes a block at a time:
+        # one array of every consumed draw would grow with the trace.
         resync = np.random.RandomState()
         resync.set_state(
             ("MT19937", np.array(internal[:-1], dtype=np.uint32), internal[-1])
         )
-        resync.random_sample(consumed)
+        for done in range(0, consumed, BLOCK):
+            resync.random_sample(min(BLOCK, consumed - done))
         _, words, pos, _, _ = resync.get_state()
         cache.rng.setstate(
             (3, tuple(int(v) for v in words) + (int(pos),), entry_state[2])

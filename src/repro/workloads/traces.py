@@ -114,27 +114,30 @@ def phase_switch_trace(
     phases: int = 4,
     seed: int = 0,
 ) -> np.ndarray:
-    """Alternating LRU-/LFU-friendly phases (the Figure 19 workload)."""
+    """Alternating LRU-/LFU-friendly phases (the Figure 19 workload).
+
+    Each phase is generated and written into one preallocated output, so
+    only one phase's trace is alive beside it.
+    """
     per_phase = n_requests // phases
-    parts: List[np.ndarray] = []
+    out = np.empty(n_requests, dtype=np.int64)
     for p in range(phases):
-        remaining = n_requests - per_phase * (phases - 1) if p == phases - 1 else per_phase
+        start = per_phase * p
+        remaining = n_requests - start if p == phases - 1 else per_phase
         if p % 2 == 0:
-            parts.append(
-                shifting_hotspot_trace(
-                    remaining,
-                    n_keys,
-                    working_set=max(n_keys // 20, 16),
-                    dwell=max(remaining // 40, 200),
-                    shift=max(n_keys // 80, 8),
-                    seed=seed + p,
-                )
+            out[start : start + remaining] = shifting_hotspot_trace(
+                remaining,
+                n_keys,
+                working_set=max(n_keys // 20, 16),
+                dwell=max(remaining // 40, 200),
+                shift=max(n_keys // 80, 8),
+                seed=seed + p,
             )
         else:
-            parts.append(
-                scan_polluted_trace(remaining, n_keys, theta=1.05, seed=seed + p)
+            out[start : start + remaining] = scan_polluted_trace(
+                remaining, n_keys, theta=1.05, seed=seed + p
             )
-    return np.concatenate(parts)
+    return out
 
 
 def webmail_like_trace(
@@ -145,23 +148,38 @@ def webmail_like_trace(
     The mixture gives neither LRU nor LFU a uniform advantage, and the
     advantage flips with cache size and client interleaving — the properties
     §3.2 demonstrates on the real trace.
+
+    Each access takes the core (55 %), the drifting set (35 %) or the scans
+    (10 %).  The output starts as the scan trace and the drift and core
+    traces are copied over it, each dropped once copied, so at most one
+    component is alive beside the output.  Every component has its own
+    seeded generator, so building them in this order changes no value.
     """
-    rng = np.random.default_rng(seed)
-    core = zipfian_trace(n_requests, n_keys, theta=1.02, seed=seed + 1)
-    drift = shifting_hotspot_trace(
-        n_requests,
-        n_keys,
-        working_set=max(n_keys // 16, 32),
-        dwell=max(n_requests // 64, 100),
-        shift=max(n_keys // 64, 8),
-        seed=seed + 2,
-    )
-    scans = scan_polluted_trace(
+    choice = np.random.default_rng(seed).random(n_requests)
+    use_drift = choice < 0.9
+    use_core = choice < 0.55
+    del choice
+    out = scan_polluted_trace(
         n_requests, n_keys, theta=0.8, scan_every=8000, scan_len=2000, seed=seed + 3
     )
-    choice = rng.random(n_requests)
-    out = np.where(choice < 0.55, core, np.where(choice < 0.9, drift, scans))
-    return out.astype(np.int64)
+    np.copyto(
+        out,
+        shifting_hotspot_trace(
+            n_requests,
+            n_keys,
+            working_set=max(n_keys // 16, 32),
+            dwell=max(n_requests // 64, 100),
+            shift=max(n_keys // 64, 8),
+            seed=seed + 2,
+        ),
+        where=use_drift,
+    )
+    np.copyto(
+        out,
+        zipfian_trace(n_requests, n_keys, theta=1.02, seed=seed + 1),
+        where=use_core,
+    )
+    return out
 
 
 def footprint(trace: Sequence[int]) -> int:

@@ -9,6 +9,7 @@ a vectorized batch continues the exact sequence.
 """
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,8 +23,8 @@ from repro.bench.experiments import (
     fig22_memory_scaling,
 )
 from repro.cachesim import SampledAdaptiveCache
-from repro.cachesim import vectorized
-from repro.workloads.traces import phase_switch_trace
+from repro.cachesim import decode, vectorized
+from repro.workloads.traces import phase_switch_trace, zipfian_trace
 
 
 def snapshot(cache):
@@ -281,3 +282,108 @@ def test_vectorized_result_matches_hit_rate_contract():
     vectorized.replay(cache, keys)
     assert cache.hits + cache.misses == 4096
     assert 0.0 <= cache.hit_rate() <= 1.0
+
+
+# -- chunked decode ------------------------------------------------------------
+
+
+def state(cache):
+    """:func:`snapshot` for the sampled model; every attribute of an exact
+    one, with ordered containers compared in order and rngs by state."""
+    if isinstance(cache, SampledAdaptiveCache):
+        return snapshot(cache)
+    out = {}
+    for name, value in vars(cache).items():
+        if isinstance(value, random.Random):
+            value = value.getstate()
+        elif isinstance(value, dict):
+            value = list(value.items())
+        out[name] = value
+    return out
+
+
+HIT_SYSTEMS = ["ditto", "ditto-lru", "ditto-lfu", "ditto-fifo", "cm-lru",
+               "cm-lfu", "random"]
+
+
+@pytest.mark.parametrize("system", HIT_SYSTEMS)
+def test_access_many_takes_a_list_like_an_array(system):
+    rng = random.Random(6)
+    keys = [rng.randrange(400) for _ in range(3000)]
+    from_list = hitrate.make_hit_cache(system, 48, seed=2)
+    from_array = hitrate.make_hit_cache(system, 48, seed=2)
+    hits = from_list.access_many(keys)
+    assert hits == from_array.access_many(np.asarray(keys, dtype=np.int64))
+    assert state(from_list) == state(from_array)
+
+
+def per_key(system, trace, capacity, seed):
+    cache = hitrate.make_hit_cache(system, capacity, seed=seed)
+    for key in trace:
+        cache.access(key)
+    return state(cache)
+
+
+@pytest.fixture
+def chunked_trace(monkeypatch):
+    """A chunk of 97 keys: the traces below cross hundreds of chunk
+    boundaries and, with capacity 64 over 600 keys, refill the vectorized
+    replay's draw block (``BLOCK``) many times."""
+    monkeypatch.setattr(decode, "CHUNK", 97)
+    rng = random.Random(11)
+    return [rng.randrange(600) for _ in range(20_000)]
+
+
+@pytest.mark.parametrize("policies", [("lru", "lfu"), ("lru",)])
+def test_vectorized_replay_across_chunks(chunked_trace, policies):
+    scalar, vec = replay_both(
+        chunked_trace, capacity=64, policies=policies, seed=4)
+    assert scalar == vec
+    assert vec["rng"] != SampledAdaptiveCache(64, seed=4).rng.getstate()
+
+
+@pytest.mark.parametrize("kind", [list, np.asarray])
+def test_scalar_sampled_replay_across_chunks(chunked_trace, monkeypatch, kind):
+    monkeypatch.setenv("REPRO_VECTORIZE", "0")
+    cache = hitrate.make_hit_cache("ditto", 64, seed=4)
+    cache.access_many(kind(chunked_trace))
+    assert state(cache) == per_key("ditto", chunked_trace, 64, 4)
+
+
+@pytest.mark.parametrize("system", ["cm-lru", "cm-lfu", "random"])
+@pytest.mark.parametrize("kind", [list, np.asarray])
+def test_exact_replay_across_chunks(chunked_trace, system, kind):
+    cache = hitrate.make_hit_cache(system, 64, seed=4)
+    cache.access_many(kind(chunked_trace))
+    assert state(cache) == per_key(system, chunked_trace, 64, 4)
+
+
+def test_windowed_replay_across_chunks(chunked_trace):
+    cache = hitrate.make_hit_cache("ditto", 64, seed=4)
+    hitrate.replay_windowed(cache, chunked_trace, windows=7)
+    assert state(cache) == per_key("ditto", chunked_trace, 64, 4)
+
+
+def replay_peak(system, n):
+    """Peak bytes traced while ``system`` replays an ``n``-access trace."""
+    keys = zipfian_trace(n, 4096, seed=3)
+    cache = hitrate.make_hit_cache(system, 256, seed=0)
+    tracemalloc.start()
+    try:
+        cache.access_many(keys)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("system", ["ditto", "cm-lru"])
+def test_replay_memory_does_not_grow_with_the_trace(monkeypatch, system):
+    # A whole-trace decode costs about 36 B per access (an 8 B list slot
+    # and a 28 B int), so 3 * 4096 more accesses would add about 440 KB;
+    # decoding a chunk at a time adds nothing.  The chunk is made small
+    # so that traces long enough to span many chunks replay quickly
+    # under tracemalloc.
+    monkeypatch.setattr(decode, "CHUNK", 512)
+    n = 4096
+    growth = replay_peak(system, 4 * n) - replay_peak(system, n)
+    assert growth < 32 * 1024
