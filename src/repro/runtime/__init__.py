@@ -3,7 +3,7 @@
 Runs the *same* :class:`~repro.core.client.DittoClient`, allocator,
 controller, and memory-node code as the simulator, but on live operating-
 system processes: each memory node is a separate process whose heap is a
-``multiprocessing.shared_memory`` segment, verbs travel as length-prefixed
+POSIX shared-memory segment, verbs travel as length-prefixed
 frames over a local ``AF_UNIX`` socket — each node has one address, an
 abstract-namespace name derived from its heap's — served by one
 single-threaded readiness loop (so CAS/FAA linearize by construction, like
@@ -16,12 +16,14 @@ Layout:
 - :mod:`.wire` — framed wire protocol (opcodes, request-id multiplexing);
 - :mod:`.server` — the memory-node server process
   (``python -m repro.runtime.server``);
+- :mod:`.launcher` — the process that forks memory nodes from one
+  interpreter that has already imported :mod:`.server`;
 - :mod:`.client` — :class:`WallClockRuntime` (clock, posts and the
   process's one link per memory node), :class:`RealEndpoint`, and
   :func:`drive`, which runs a verb generator from the link;
 - :mod:`.cluster` — :class:`RealCluster`, the client-side deployment
   façade that :class:`~repro.core.client.DittoClient` plugs into;
-- :mod:`.harness` — :class:`RealClusterHarness`, spawning and reaping
+- :mod:`.harness` — :class:`RealClusterHarness`, launching and reaping
   node processes with leak accounting;
 - :mod:`.loadgen` — concurrent load generator with wall-clock latency
   histograms (``python -m repro.runtime.loadgen``);

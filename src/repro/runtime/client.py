@@ -59,7 +59,6 @@ import asyncio
 import pickle
 import random
 import time
-from multiprocessing import shared_memory
 from typing import Callable, Dict, FrozenSet, Generator, List, Optional
 
 from ..core.retry import backoff_s
@@ -70,7 +69,7 @@ from ..rdma.transport import VerbTransport
 from ..rdma.verbs import NodeUnavailable, StaleEpoch, VerbTimeout
 from ..sim import CounterSet
 from . import wire
-from .journal import unregister_shm
+from .journal import ShmSegment
 
 #: Default per-verb wall-clock timeout.  Generous: a local socket round
 #: trip takes microseconds; this only bounds a wedged server.
@@ -399,7 +398,7 @@ class NodeHandle:
         #: runtime dials, and keys its link to this node by.
         self.key = address
         self.shm = shm
-        self._seg: Optional[shared_memory.SharedMemory] = None
+        self._seg: Optional[ShmSegment] = None
 
     def contains(self, addr: int, length: int = 1) -> bool:
         return self.base <= addr and addr + length <= self.end
@@ -409,11 +408,7 @@ class NodeHandle:
     def attach(self) -> None:
         """Map the node's heap read-only into this process."""
         if self._seg is None and self.shm:
-            self._seg = shared_memory.SharedMemory(name=self.shm)
-            # Attaching registers the segment with *this* process's
-            # resource tracker, whose exit sweep would unlink the live
-            # server's heap.  Readers never own the segment.
-            unregister_shm(self._seg)
+            self._seg = ShmSegment(self.shm, writable=False)
 
     def read_direct(self, addr: int, length: int) -> bytes:
         off = addr - self.base

@@ -2,10 +2,11 @@
 
 :class:`RealClusterHarness` is the deployment counterpart of
 :class:`~repro.core.cache.DittoCluster.__init__`: it sizes the cluster
-with the shared geometry plan (:mod:`repro.core.geometry`), spawns one
-``python -m repro.runtime.server`` process per memory node (node 0 with
-the reserve for fixed structures, and a ``MetadataState`` that also holds
-the global weights and the membership table), collects each server's
+with the shared geometry plan (:mod:`repro.core.geometry`), starts one
+memory-node process per node (node 0 with the reserve for fixed
+structures, and a ``MetadataState`` that also holds the global weights
+and the membership table), each forked by :mod:`repro.runtime.launcher`
+from one interpreter that has the server imported, collects each server's
 ready line for its address and shared-memory name, and produces the
 *descriptor* dict a :class:`~repro.runtime.cluster.RealCluster` (in this
 or any other process) builds from.
@@ -35,7 +36,6 @@ import pickle
 import select
 import socket
 import subprocess
-import sys
 import time
 import uuid
 from typing import Dict, List, Optional, Set, Tuple
@@ -43,7 +43,8 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..core.config import DittoConfig
 from ..core.geometry import plan_cluster
 from ..obs.observer import maybe_span
-from . import wire
+from . import launcher, wire
+from .journal import SHM_DIR
 from .server import shm_name
 
 _READY_PREFIX = "DITTO-NODE "
@@ -90,10 +91,6 @@ def control_rpc(address: str, op: str, payload=None,
     return pickle.loads(body)
 
 
-def _shm_dir() -> str:
-    return "/dev/shm" if os.path.isdir("/dev/shm") else ""
-
-
 class RealClusterHarness:
     """Owns the server processes of one real-substrate deployment."""
 
@@ -121,9 +118,9 @@ class RealClusterHarness:
         self.num_clients = num_clients
         #: Every child ever spawned (restarts append); dead entries stay
         #: for leak accounting.
-        self.procs: List[subprocess.Popen] = []
+        self.procs: List[launcher.NodeProcess] = []
         self.node_entries: List[Dict] = []
-        self._proc_by_node: Dict[int, subprocess.Popen] = {}
+        self._proc_by_node: Dict[int, launcher.NodeProcess] = {}
         self._reaped: Set[int] = set()
         self._config_kwargs = dict(config_kwargs)
         self._shut_down = False
@@ -131,26 +128,14 @@ class RealClusterHarness:
     # -- launch ------------------------------------------------------------
 
     def _spawn(self, node_id: int, base: int, size: int,
-               extra_argv: List[str]) -> subprocess.Popen:
-        env = dict(os.environ)
-        src_root = os.path.dirname(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__)
-        )))
-        env["PYTHONPATH"] = src_root + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
-        argv = [
-            sys.executable, "-m", "repro.runtime.server",
+               extra_argv: List[str]) -> launcher.NodeProcess:
+        proc = launcher.spawn([
             "--node-id", str(node_id),
             "--base", str(base),
             "--size", str(size),
             "--run-id", self.run_id,
             *extra_argv,
-        ]
-        proc = subprocess.Popen(
-            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            env=env, text=True,
-        )
+        ])
         self.procs.append(proc)
         self._proc_by_node[node_id] = proc
         return proc
@@ -376,10 +361,9 @@ class RealClusterHarness:
         """Post-shutdown accounting: processes and shm segments left over."""
         live = [proc.pid for proc in self.procs if proc.poll() is None]
         leaked_shm = []
-        shm_dir = _shm_dir()
         for node_id, _base, _size in self.plan.node_ranges:
             name = shm_name(self.run_id, node_id)
-            if shm_dir and os.path.exists(os.path.join(shm_dir, name)):
+            if os.path.exists(os.path.join(SHM_DIR, name)):
                 leaked_shm.append(name)
         return {
             "live_processes": live,
@@ -395,11 +379,8 @@ class RealClusterHarness:
         Call *after* :meth:`leak_report` — this is the mop, that is the
         assertion."""
         removed = []
-        shm_dir = _shm_dir()
-        if not shm_dir:
-            return removed
         for node_id, _base, _size in self.plan.node_ranges:
-            path = os.path.join(shm_dir, shm_name(self.run_id, node_id))
+            path = os.path.join(SHM_DIR, shm_name(self.run_id, node_id))
             try:
                 os.unlink(path)
             except FileNotFoundError:

@@ -1,7 +1,7 @@
 """Durable grant journal: segment-management state that survives SIGKILL.
 
-The real-substrate memory node keeps its heap in a
-``multiprocessing.shared_memory`` segment, so the *data* plane already
+The real-substrate memory node keeps its heap in a POSIX shared-memory
+segment (:class:`ShmSegment`), so the *data* plane already
 survives a server crash — but the control plane
 (:class:`~repro.memory.controller.SegmentState`: bump pointer, free
 lists, the per-owner grant log) lived only in the process.  A crashed
@@ -36,31 +36,72 @@ duplicate.
 
 from __future__ import annotations
 
+import mmap
+import os
 import struct
-from multiprocessing import resource_tracker, shared_memory
 from typing import Callable, Dict, Optional, Tuple
 
 from ..memory.controller import OutOfMemoryError, SegmentState, _round_up
 from ..memory.node import BLOCK_SIZE
 
+#: Where POSIX shared memory lives: ``shm_open(name)`` is this directory's
+#: ``name`` on Linux, the only platform the runtime's abstract AF_UNIX
+#: addresses exist on.
+SHM_DIR = "/dev/shm"
 
-def unregister_shm(shm: shared_memory.SharedMemory) -> None:
-    """Opt this process's resource tracker out of managing ``shm``.
 
-    ``SharedMemory`` registers every segment it creates *or attaches*
-    with the resource tracker, whose atexit sweep unlinks them.  For
-    Ditto heaps that is actively wrong twice over: the tracker survives
-    a SIGKILLed server and would destroy the very segment
-    restart-and-adopt rides on, and a client process that merely
-    attached for direct reads would unlink a live server's heap on
-    exit.  Segment ownership is explicit in
-    :class:`repro.runtime.server.NodeServer` instead, with the harness
-    force-unlinking any survivor at teardown.
+class ShmSegment:
+    """A ``ditto-*`` heap: one POSIX shared-memory segment, mapped.
+
+    Ownership is explicit and nobody else's: the node server that creates
+    the segment unlinks it on a clean shutdown, a SIGKILL leaves it for an
+    ``--adopt`` restart, and the harness unlinks any survivor at teardown.
+    ``multiprocessing.shared_memory`` would register every segment it
+    creates or attaches with a resource tracker, one more interpreter per
+    process whose exit sweep unlinks what it saw, a live heap included.
+    A plain file under :data:`SHM_DIR` and ``mmap`` start no process.
+
+    ``size`` (bytes) creates a fresh segment, failing if the name exists;
+    without it the surviving segment is attached whole, read-only unless
+    ``writable``.
     """
-    try:
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker may be absent/foreign
-        pass
+
+    __slots__ = ("name", "size", "buf", "_map")
+
+    def __init__(self, name: str, size: Optional[int] = None,
+                 writable: bool = True):
+        path = os.path.join(SHM_DIR, name)
+        create = size is not None
+        if create:
+            flags = os.O_RDWR | os.O_CREAT | os.O_EXCL
+        else:
+            flags = os.O_RDWR if writable else os.O_RDONLY
+        fd = os.open(path, flags, 0o600)
+        try:
+            if create:
+                os.ftruncate(fd, size)
+            else:
+                size = os.fstat(fd).st_size
+            access = mmap.ACCESS_WRITE if writable else mmap.ACCESS_READ
+            self._map = mmap.mmap(fd, size, access=access)
+        except BaseException:
+            if create:
+                os.unlink(path)
+            raise
+        finally:
+            os.close(fd)
+        self.name = name
+        self.size = size
+        self.buf = memoryview(self._map)
+
+    def close(self) -> None:
+        """Unmap; views taken from ``buf`` must be released first."""
+        self.buf.release()
+        self._map.close()
+
+    def unlink(self) -> None:
+        os.unlink(os.path.join(SHM_DIR, self.name))
+
 
 MAGIC = 0x4449_5454_4F4A_4E4C  # "DITTOJNL"
 VERSION = 1
@@ -278,5 +319,6 @@ __all__ = [
     "FREE_OWNER",
     "GrantJournal",
     "journal_bytes",
-    "unregister_shm",
+    "SHM_DIR",
+    "ShmSegment",
 ]

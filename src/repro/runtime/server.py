@@ -1,7 +1,9 @@
 """The real-substrate memory-node server process.
 
-One process per memory node (``python -m repro.runtime.server``): the
-node's heap is a ``multiprocessing.shared_memory`` segment, verbs arrive
+One process per memory node (``python -m repro.runtime.server``, or
+:func:`main` in a process forked by :mod:`repro.runtime.launcher`): the
+node's heap is a POSIX shared-memory segment
+(:class:`~repro.runtime.journal.ShmSegment`), verbs arrive
 as :mod:`repro.runtime.wire` frames on the node's one address (an
 abstract-namespace ``AF_UNIX`` listener named after the heap), and the
 very same :class:`~repro.memory.node.MemoryNode` byte/atomic methods that
@@ -50,7 +52,7 @@ the gate as its verbs would, in order, and runs whole or not at all: the
 first verdict that is not OK is the chain's, and both ranges are validated
 before either side effect.
 
-Lifecycle: the parent (``repro.runtime.harness``) spawns this module,
+Lifecycle: the harness (``repro.runtime.harness``) starts the node,
 reads the ``DITTO-NODE ...`` ready line (printed only once SIGTERM/SIGINT
 are handled) for the node's address ``unix=@<shm name>`` (an abstract
 name, :func:`~repro.runtime.wire.sockaddr`: an ``--adopt`` restart binds
@@ -58,12 +60,12 @@ the same one), the TCP ``port`` the probes dial, and the heap, and later
 sends ``OP_SHUTDOWN`` (or SIGTERM/SIGINT); either closes both listeners,
 lets delayed answers and unsent responses finish within
 ``DRAIN_GRACE_S``, and flushes the trace shard.  The shared-memory
-segment is unlinked only on an *owned, clean* shutdown: a SIGKILL leaves
+segment is unlinked only on a clean shutdown: a SIGKILL leaves
 it behind on purpose (that is what restart-and-adopt rides on), and the
-harness force-unlinks any survivor at teardown so nothing leaks.  The
-segment is explicitly unregistered from the ``resource_tracker`` —
-otherwise the tracker of a killed process (or of a client that merely
-attached for direct reads) would unlink a heap that is still live.
+harness force-unlinks any survivor at teardown so nothing leaks.  No
+``multiprocessing`` resource tracker ever sees the segment, so none can
+unlink a heap that is still live, and the node starts no process of its
+own.
 """
 
 from __future__ import annotations
@@ -78,7 +80,6 @@ import socket
 import sys
 import time
 from collections import OrderedDict
-from multiprocessing import shared_memory
 from typing import Dict, List, Optional
 
 from ..core.adaptive import GlobalWeights
@@ -93,8 +94,8 @@ from . import wire
 from .journal import (
     DurableSegmentState,
     GrantJournal,
+    ShmSegment,
     journal_bytes,
-    unregister_shm,
 )
 
 #: Seconds granted to delayed answers (spikes, ``__sleep__``) and unsent
@@ -214,22 +215,17 @@ class NodeServer:
     ):
         self.node_id = node_id
         total = size + journal_bytes()
+        name = shm_name(run_id, node_id)
         if adopt:
-            self.shm = shared_memory.SharedMemory(
-                name=shm_name(run_id, node_id), create=False
-            )
+            self.shm = ShmSegment(name)
             if self.shm.size < total:
                 self.shm.close()
                 raise ValueError(
-                    f"surviving segment {self.shm.name} holds "
+                    f"surviving segment {name} holds "
                     f"{self.shm.size} bytes, adoption needs {total}"
                 )
         else:
-            self.shm = shared_memory.SharedMemory(
-                name=shm_name(run_id, node_id), create=True, size=total
-            )
-        unregister_shm(self.shm)
-        self._owns_shm = True
+            self.shm = ShmSegment(name, total)
         self.node = MemoryNode(
             None, size=size, base=base, node_id=node_id, buffer=self.shm.buf
         )
@@ -831,16 +827,15 @@ class NodeServer:
             self.node._memory.release()
 
     def close(self) -> None:
-        """Release the heap; unlinks only when this process owns it."""
+        """Release the heap and unlink it: this node owns its segment."""
         if self.shm is None:
             return
         self._release_views()
         self.shm.close()
-        if self._owns_shm:
-            try:
-                self.shm.unlink()
-            except FileNotFoundError:
-                pass
+        try:
+            self.shm.unlink()
+        except FileNotFoundError:
+            pass
         self.shm = None
 
 

@@ -33,6 +33,9 @@ import numpy as np
 
 from .zipf import ZipfianGenerator
 
+#: Accesses :func:`footprint` sorts at a time.
+FOOTPRINT_CHUNK = 1 << 16
+
 
 def zipfian_trace(
     n_requests: int, n_keys: int, theta: float = 1.0, seed: int = 0
@@ -77,24 +80,26 @@ def scan_polluted_trace(
 ) -> np.ndarray:
     """Zipfian traffic with periodic sequential scans (strongly LFU-friendly).
 
-    Every ``scan_every`` Zipfian requests a scan of ``scan_len`` keys runs;
-    the Zipfian requests between the scans are one draw.
+    Every ``scan_every`` Zipfian requests a scan of ``scan_len`` keys runs.
+    Each Zipfian run is drawn straight into the output: the generator
+    continues one stream across calls, so the runs hold the values of a
+    single draw, and no trace-length temporary is made beside the output.
     """
     rng = np.random.default_rng(seed)
     zipf = ZipfianGenerator(n_keys, theta=theta, seed=seed + 1)
     out = np.empty(n_requests, dtype=np.int64)
-    scanned = np.zeros(n_requests, dtype=bool)
+    run_start = 0
     for scan, start in enumerate(
         range(scan_every, n_requests, scan_every + scan_len)
     ):
+        out[run_start:start] = zipf.sample(start - run_start)
         length = min(scan_len, n_requests - start)
         first = int(rng.integers(0, n_keys))
         out[start : start + length] = (
             first + np.arange(length, dtype=np.int64) + scan * scan_len
         ) % n_keys
-        scanned[start : start + length] = True
-    zipfian = ~scanned
-    out[zipfian] = zipf.sample(int(zipfian.sum()))
+        run_start = start + length
+    out[run_start:] = zipf.sample(n_requests - run_start)
     return out
 
 
@@ -183,8 +188,21 @@ def webmail_like_trace(
 
 
 def footprint(trace: Sequence[int]) -> int:
-    """Number of unique keys (the paper sizes caches relative to this)."""
-    return int(np.unique(np.asarray(trace)).size)
+    """Number of unique keys (the paper sizes caches relative to this).
+
+    The trace is reduced to its sorted distinct keys one
+    :data:`FOOTPRINT_CHUNK` at a time, so beside the trace only one chunk
+    and the key set are ever held, never a sorted copy of the whole trace.
+    """
+    trace = np.asarray(trace)
+    keys = np.unique(trace[:FOOTPRINT_CHUNK])
+    for start in range(FOOTPRINT_CHUNK, len(trace), FOOTPRINT_CHUNK):
+        chunk = np.unique(trace[start : start + FOOTPRINT_CHUNK])
+        at = np.searchsorted(keys, chunk)
+        known = at < len(keys)
+        known[known] = keys[at[known]] == chunk[known]
+        keys = np.insert(keys, at[~known], chunk[~known])
+    return int(keys.size)
 
 
 # ---------------------------------------------------------------------------

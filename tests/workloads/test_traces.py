@@ -4,8 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cachesim import SampledAdaptiveCache
+from repro.workloads import traces
 from repro.workloads import (
     WORKLOAD_CATALOG,
     corpus,
@@ -54,6 +57,56 @@ class TestGeneratorContracts:
     def test_footprint(self):
         assert footprint([1, 1, 2, 3]) == 3
         assert footprint(looping_trace(100, loop_len=7)) == 7
+        assert footprint([]) == 0
+
+
+_INT64 = st.integers(-(1 << 63), (1 << 63) - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    keys=st.lists(_INT64, max_size=120),
+    pool=st.lists(_INT64, min_size=1, max_size=8),
+    picks=st.lists(st.integers(0, 7), max_size=120),
+    dtype=st.sampled_from([np.int64, np.uint64, None]),
+)
+def test_footprint_counts_what_np_unique_counts(keys, pool, picks, dtype):
+    # Chunks of 7 accesses, so most traces span several chunks and repeat
+    # keys across them (the picks draw from a small pool).
+    trace = keys + [pool[i % len(pool)] for i in picks]
+    if dtype is np.uint64:
+        trace = np.array([k % (1 << 64) for k in trace], dtype=np.uint64)
+    elif dtype is np.int64:
+        trace = np.array(trace, dtype=np.int64)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(traces, "FOOTPRINT_CHUNK", 7)
+        assert footprint(trace) == np.unique(np.asarray(trace)).size
+
+
+def test_footprint_holds_a_chunk_and_the_key_set():
+    trace = webmail_like_trace(1_000_000, 4096, seed=5)
+    tracemalloc.start()
+    try:
+        count = footprint(trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == np.unique(trace).size
+    # A sorted copy of the trace alone is 8 MB.
+    assert peak < 4 * traces.FOOTPRINT_CHUNK * 8
+
+
+def test_scan_polluted_draws_into_its_output():
+    # The output and one Zipfian run at a time: about 1.14x the output's
+    # bytes.  Two trace-length masks and one draw of every non-scan access
+    # took about 2.5x.
+    tracemalloc.start()
+    try:
+        out = scan_polluted_trace(1_000_000, 4096, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * out.nbytes
 
 
 def test_webmail_composes_into_its_output():
