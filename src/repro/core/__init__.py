@@ -28,7 +28,6 @@ _EXPORTS = {
     "InvariantViolation": ".invariants",
     "invariant_sweep": ".invariants:sweep",
     "HISTORY_WRAP": ".history",
-    "RemoteFifoHistory": ".history",
     "history_age": ".history",
     "is_expired": ".history",
     "DittoLayout": ".layout",

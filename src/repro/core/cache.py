@@ -37,7 +37,6 @@ from .elasticity import (
     Migrator,
 )
 from .geometry import plan_cluster
-from .history import RemoteFifoHistory
 from .retry import backoff_us
 
 #: Delay between a client crash and a survivor starting recovery (models
@@ -116,12 +115,6 @@ class DittoCluster(ClusterBase):
             # existed; annotate its windows retroactively.
             self.tracer.fault_windows(self.fault_injector.plan.to_dict())
 
-        reserve = plan.reserve
-        if not self.config.use_lwh:
-            self.remote_history = RemoteFifoHistory(
-                plan.layout.reserved_bytes, self.history_size
-            )
-
         self._heap_per_node = plan.heap_per_node
         self.nodes = []
         for node_id, node_base, size in plan.node_ranges:
@@ -129,7 +122,7 @@ class DittoCluster(ClusterBase):
                 self.engine, size=size, base=node_base, node_id=node_id,
                 params=self.params,
             )
-            Controller(node, cores=1, reserve=reserve if node_id == 0 else 0)
+            Controller(node, cores=1, reserve=plan.reserve if node_id == 0 else 0)
             self.nodes.append(node)
         self.node = self.nodes[0]
         self.pool = MemoryPool(self.nodes)

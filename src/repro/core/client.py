@@ -23,8 +23,12 @@ client-centric framework requires:
   cached history counter, and penalties buffered for the lazy weight update.
 
 The ablation switches in :class:`~repro.core.config.DittoConfig` swap these
-fast paths for their naive counterparts (scattered metadata, remote FIFO
-history, per-regret RPCs, no FC cache) to reproduce Figure 24.
+fast paths for their naive counterparts to reproduce Figure 24: access
+information kept apart from the atomic words (two READs per sampled slot, two
+WRITEs per metadata update), a history table outside the hash table (a WRITE
+per eviction, a READ per miss), per-regret RPCs and no FC cache.  Every path
+uses only the bytes its verbs bring back, so every config runs on both
+substrates.
 """
 
 from __future__ import annotations
@@ -246,22 +250,12 @@ class DittoClient:
             )
 
     def _read_bucket(self, bucket: int) -> Generator:
-        """Fetch all slots of a bucket (as a :class:`~repro.core.layout.Bucket`).
-
-        With the sample-friendly hash table this is one READ.  Without it
-        (Figure 24 ablation) the index holds only atomic fields and the
-        access information is scattered with the objects, so the bucket read
-        is smaller but every candidate costs an extra metadata READ later.
-        """
+        """Fetch all slots of a bucket (as a :class:`~repro.core.layout.Bucket`)
+        with one READ, whatever the config: what the sample-friendly hash
+        table saves is in sampling and in metadata updates, not here."""
         lay = self.layout
         addr = lay.bucket_addr(bucket)
-        span = lay.slots_per_bucket * L.SLOT_SIZE
-        if self.config.use_sfht:
-            raw = yield from self.ep.read(addr, span)
-        else:
-            # atomic fields only; metadata arrives via per-slot reads below.
-            yield from self.ep.read(addr, lay.slots_per_bucket * 8)
-            raw = self.node.read_bytes(addr, span)
+        raw = yield from self.ep.read(addr, lay.slots_per_bucket * L.SLOT_SIZE)
         return L.Bucket(
             bucket * lay.slots_per_bucket, addr, raw, lay.slots_per_bucket
         )
@@ -428,38 +422,40 @@ class DittoClient:
         return None
 
     def _handle_miss(self, slots: L.Bucket, key_hash: int) -> Generator:
-        """Regret collection on the miss path (paper §4.3.1)."""
+        """Regret collection on the miss path (paper §4.3.1).
+
+        With LWH the key's history entries sit in the bucket already read;
+        without, the miss READs the key's one entry of the history table.
+        """
         if not self.config.adaptive:
             return
-        if self.config.use_lwh:
-            if (
-                not self._counter_fresh
-                or (self.misses % COUNTER_REFRESH_PERIOD) == 0
+        if not self._counter_fresh or (self.misses % COUNTER_REFRESH_PERIOD) == 0:
+            raw = yield from self.ep.read(self.layout.history_counter_addr, 8)
+            self._counter_cache = _U64.unpack(raw)[0] % HISTORY_WRAP
+            self._counter_fresh = True
+        if not self.config.use_lwh:
+            addr = self._history_entry_addr(key_hash)
+            raw = yield from self.ep.read(addr, L.SLOT_SIZE)
+            slots = L.Bucket(0, addr, raw, 1)
+        for i in slots.histories(key_hash):
+            slot = slots.slot(i)
+            if is_expired(
+                self._counter_cache, slot.history_id, self.cluster.history_size
             ):
-                raw = yield from self.ep.read(self.layout.history_counter_addr, 8)
-                self._counter_cache = _U64.unpack(raw)[0] % HISTORY_WRAP
-                self._counter_fresh = True
-            for i in slots.histories(key_hash):
-                slot = slots.slot(i)
-                if is_expired(
-                    self._counter_cache, slot.history_id, self.cluster.history_size
-                ):
-                    continue
-                age = history_age(self._counter_cache, slot.history_id)
-                # Mask to the expert count: the bitmap write is asynchronous,
-                # so a just-retired entry can briefly expose a stale word.
-                mask = (1 << len(self.policies)) - 1
-                yield from self._apply_regret(slot.expert_bitmap & mask, age)
-                break
-        else:
-            # Remote FIFO history (ablation): every miss pays an index READ.
-            remote = self.cluster.remote_history
-            yield from self.ep.read(remote.tail_addr, 8)
-            entry = remote.lookup(key_hash)
-            if entry is not None:
-                history_id, bitmap = entry
-                yield from self.ep.read(remote.entry_addr(history_id), 40)
-                yield from self._apply_regret(bitmap, 0)
+                continue
+            age = history_age(self._counter_cache, slot.history_id)
+            # Mask to the expert count: the bitmap write is asynchronous,
+            # so a just-retired entry can briefly expose a stale word.
+            mask = (1 << len(self.policies)) - 1
+            yield from self._apply_regret(slot.expert_bitmap & mask, age)
+            break
+
+    def _history_entry_addr(self, key_hash: int) -> int:
+        """``key_hash``'s entry in the LWH ablation's history table, which
+        follows the hash table in node 0's reserve."""
+        lay = self.layout
+        index = key_hash % self.cluster.history_size
+        return lay.table_addr + lay.table_bytes + index * L.SLOT_SIZE
 
     def _apply_regret(self, expert_bitmap: int, age: int) -> Generator:
         self.regrets += 1
@@ -715,8 +711,8 @@ class DittoClient:
         """Sample ``K`` slots for eviction.
 
         SFHT: one READ of K *consecutive* slots at a random offset.  Without
-        SFHT: K scattered slot READs plus K metadata READs (the cost the
-        co-designed table removes).
+        SFHT: K scattered slots, each built from a READ of its atomic field
+        and a READ of its metadata (the cost the co-designed table removes).
         """
         lay = self.layout
         k = min(self.config.sample_size, lay.total_slots)
@@ -728,10 +724,9 @@ class DittoClient:
         for _ in range(k):
             index = self.rng.randrange(lay.total_slots)
             addr = lay.slot_addr(index)
-            yield from self.ep.read(addr, 8)  # atomic field
-            yield from self.ep.read(addr + 8, L.SLOT_SIZE - 8)  # scattered metadata
+            raws.append((yield from self.ep.read(addr, 8)))  # atomic field
+            raws.append((yield from self.ep.read(addr + 8, L.SLOT_SIZE - 8)))
             indices.append(index)
-            raws.append(self.node.read_bytes(addr, L.SLOT_SIZE))
         return L.Bucket(0, lay.table_addr, b"".join(raws), k, indices)
 
     def _choose_victim(self, slots: L.Bucket, objects: List[int]) -> Generator:
@@ -779,13 +774,18 @@ class DittoClient:
         return evicted
 
     def _retire(self, victim: L.Slot, bitmap: int, meta: Metadata) -> Generator:
-        """Turn the victim's slot into a history entry and free its block."""
+        """Record the victim in the history and free its block.
+
+        Either way the entry's ID comes from an FAA on the history counter.
+        With LWH the victim's slot becomes the entry; without, the entry is
+        written to the history table and the slot CASed empty.
+        """
         now = self._now()
+        old_counter = yield from self.ep.faa(self.layout.history_counter_addr, 1)
+        self._counter_cache = (old_counter + 1) % HISTORY_WRAP
+        self._counter_fresh = True
+        history_id = old_counter % HISTORY_WRAP
         if self.config.use_lwh:
-            old_counter = yield from self.ep.faa(self.layout.history_counter_addr, 1)
-            self._counter_cache = (old_counter + 1) % HISTORY_WRAP
-            self._counter_fresh = True
-            history_id = old_counter % HISTORY_WRAP
             new_atomic = L.pack_history_atomic(history_id)
             prev = yield from self.ep.cas(victim.addr, victim.atomic, new_atomic)
             if prev != victim.atomic:
@@ -794,13 +794,13 @@ class DittoClient:
             # sits in the slot's hash field from insertion time (Fig. 9).
             self.ep.post_write(victim.addr + L.INSERT_TS_OFF, _U64.pack(bitmap))
         else:
-            remote = self.cluster.remote_history
-            old_counter = yield from self.ep.faa(remote.tail_addr, 1)
-            yield from self.ep.write(remote.entry_addr(old_counter), bytes(40))
+            yield from self.ep.write(
+                self._history_entry_addr(victim.key_hash),
+                L.pack_history_entry(history_id, bitmap, victim.key_hash),
+            )
             prev = yield from self.ep.cas(victim.addr, victim.atomic, 0)
             if prev != victim.atomic:
                 return False
-            remote.insert(victim.key_hash, old_counter, bitmap)
         self._account_eviction(victim, meta, now)
         return True
 
@@ -851,15 +851,13 @@ class ClusterBase:
 
     #: Sim-only hooks, None where a substrate has none: the engine-bound
     #: tracer, the membership table and epoch fence (armed by the first
-    #: membership change), the replicated controller group, the fault
-    #: injector (it arms lease repair on the Get miss path) and the LWH
-    #: ablation's remote FIFO history.
+    #: membership change), the replicated controller group and the fault
+    #: injector (it arms lease repair on the Get miss path).
     tracer = None
     membership = None
     fence = None
     consensus = None
     fault_injector = None
-    remote_history = None
     #: Node drains in flight: their allocators count in the memory sweep.
     _active_migrators: Sequence = ()
 

@@ -54,7 +54,7 @@ class ClusterPlan:
     layout: DittoLayout
     history_size: int
     #: Node-0 bytes reserved for fixed structures (hash table, history
-    #: counter, and — for the LWH ablation — the remote FIFO history).
+    #: counter, and — for the LWH ablation — the history table after them).
     reserve: int
     heap_per_node: int
     #: ``(node_id, base, size)`` for each memory node, bases contiguous.
@@ -99,7 +99,7 @@ def plan_cluster(
 
     reserve = layout.reserved_bytes
     if not config.use_lwh:
-        reserve += 8 + history_size * HISTORY_ENTRY_BYTES
+        reserve += history_size * HISTORY_ENTRY_BYTES
 
     # Heap: provisioned-maximum bytes plus slack for in-flight segments
     # and size-class fragmentation, split across the memory nodes.

@@ -5,6 +5,12 @@ expiry come from 48-bit history IDs handed out by a global circular counter in
 the memory pool.  The counter is the queue tail; an entry whose ID has fallen
 more than the history size behind the counter is logically evicted — it keeps
 occupying its slot until an insert overwrites it (lazy eviction).
+
+Without LWH (the Figure 24 ablation) the entries keep the same 40-byte slot
+format but leave the hash table for a direct-mapped table of
+``history_size`` entries after it in node 0's reserve: a key's entry sits at
+``key_hash % history_size``, so every eviction WRITEs one and every miss
+READs one, and a later eviction that maps to the same entry overwrites it.
 """
 
 from __future__ import annotations
@@ -24,42 +30,3 @@ def is_expired(counter: int, history_id: int, history_size: int) -> bool:
 
 
 HISTORY_ENTRY_BYTES = 40
-
-
-class RemoteFifoHistory:
-    """The *non*-lightweight alternative: a real FIFO queue on DM.
-
-    Used only by the Figure 24 ablation (Ditto with LWH disabled).  The queue
-    entries live in a dedicated memory-pool region and every maintenance step
-    costs RDMA verbs (tail FAA, entry WRITE, index lookup READ per miss).  The
-    entry *index* a monolithic design would also keep remotely is mirrored in
-    local bookkeeping here; its remote access cost is charged by the client.
-    """
-
-    def __init__(self, base_addr: int, size: int):
-        if size < 1:
-            raise ValueError("history size must be >= 1")
-        self.tail_addr = base_addr
-        self.entries_addr = base_addr + 8
-        self.size = size
-        self._slot_hashes = [None] * size  # key hash stored per queue slot
-        self._index = {}  # key_hash -> (history_id, expert_bitmap)
-
-    @property
-    def region_bytes(self) -> int:
-        return 8 + self.size * HISTORY_ENTRY_BYTES
-
-    def entry_addr(self, history_id: int) -> int:
-        return self.entries_addr + (history_id % self.size) * HISTORY_ENTRY_BYTES
-
-    def insert(self, key_hash: int, history_id: int, expert_bitmap: int) -> None:
-        pos = history_id % self.size
-        old = self._slot_hashes[pos]
-        if old is not None:
-            self._index.pop(old, None)
-        self._slot_hashes[pos] = key_hash
-        self._index[key_hash] = (history_id, expert_bitmap)
-
-    def lookup(self, key_hash: int):
-        """Returns (history_id, expert_bitmap) or None."""
-        return self._index.get(key_hash)

@@ -255,6 +255,13 @@ def pack_metadata(insert_ts: int, last_ts: int, freq: int, key_hash: int) -> byt
     return struct.pack("<QQQQ", insert_ts, last_ts, freq, key_hash)
 
 
+def pack_history_entry(history_id: int, expert_bitmap: int, key_hash: int) -> bytes:
+    """A whole history slot, as the LWH ablation WRITEs it to its table."""
+    return _SLOT_WORDS.pack(
+        pack_history_atomic(history_id), expert_bitmap, 0, 0, key_hash
+    )
+
+
 def encode_object(key: bytes, value: bytes, ext: bytes = b"") -> bytes:
     if len(key) > 0xFFFF or len(ext) > 0xFFFF or len(value) > 0xFFFFFFFF:
         raise ValueError("object component too large")
@@ -281,7 +288,8 @@ def object_span(key_len: int, value_len: int, ext_len: int = 0) -> int:
 class DittoLayout:
     """Address map of Ditto's fixed structures at the base of a memory node.
 
-    ``[history counter | expert weights | hash table | heap ...]``
+    ``[history counter | expert weights | hash table | heap ...]``, with the
+    LWH ablation's history table between the hash table and the heap.
     """
 
     SLOTS_PER_BUCKET = 8

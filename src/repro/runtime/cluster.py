@@ -42,14 +42,6 @@ class RealCluster(ClusterBase):
         if "policies" in config_kwargs:
             config_kwargs["policies"] = tuple(config_kwargs["policies"])
         config = DittoConfig(**config_kwargs)
-        if not (config.use_sfht and config.use_lwh):
-            # The ablation paths read node memory in-process (no verb
-            # layer); they exist to probe the paper's design points on the
-            # sim substrate and are not portable.
-            raise ValueError(
-                "the real substrate requires use_sfht and use_lwh "
-                "(ablation configs are sim-only)"
-            )
         plan = plan_cluster(
             descriptor["capacity_objects"],
             descriptor["object_bytes"],

@@ -35,6 +35,8 @@ from .zipf import ZipfianGenerator
 
 #: Accesses :func:`footprint` sorts at a time.
 FOOTPRINT_CHUNK = 1 << 16
+#: Accesses of a drifting hot window drawn at a time, rounded to dwells.
+HOTSPOT_RUN = 1 << 14
 
 
 def zipfian_trace(
@@ -56,18 +58,39 @@ def shifting_hotspot_trace(
     """A drifting hot window (LRU-friendly).
 
     Every ``dwell`` requests the window of ``working_set`` keys advances by
-    ``shift``; requests inside the window are mildly skewed.  The offsets
-    inside the window are one draw; each dwell maps its share through its
-    own permutation of the window, in place.
+    ``shift``; requests inside the window are mildly skewed.  The trace is
+    drawn in runs (see :func:`_hotspot_runs`) into one preallocated output.
+    """
+    out = np.empty(n_requests, dtype=np.int64)
+    for start, run in _hotspot_runs(
+        n_requests, n_keys, working_set, dwell, shift, inner_theta, seed
+    ):
+        out[start : start + len(run)] = run
+    return out
+
+
+def _hotspot_runs(n_requests, n_keys, working_set, dwell, shift,
+                  inner_theta, seed):
+    """Yield ``(start, keys)`` for runs of whole dwells of a drifting hot
+    window, about :data:`HOTSPOT_RUN` accesses (and at least one dwell)
+    each.
+
+    The offsets inside the window continue one Zipfian stream across the
+    runs, so they are the values of a single draw; each dwell maps its
+    share through its own permutation of the window, in place.
     """
     rng = np.random.default_rng(seed)
     inner = ZipfianGenerator(working_set, theta=inner_theta, seed=seed + 1)
-    out = inner.sample(n_requests)
-    for batch, start in enumerate(range(0, n_requests, dwell)):
-        jitter = rng.permutation(working_set)
-        offsets = out[start : start + dwell]
-        offsets[:] = (batch * shift % n_keys + jitter[offsets]) % n_keys
-    return out
+    per_run = max(HOTSPOT_RUN // dwell, 1) * dwell
+    batch = 0
+    for start in range(0, n_requests, per_run):
+        run = inner.sample(min(per_run, n_requests - start))
+        for at in range(0, len(run), dwell):
+            jitter = rng.permutation(working_set)
+            offsets = run[at : at + dwell]
+            offsets[:] = (batch * shift % n_keys + jitter[offsets]) % n_keys
+            batch += 1
+        yield start, run
 
 
 def scan_polluted_trace(
@@ -155,35 +178,31 @@ def webmail_like_trace(
     §3.2 demonstrates on the real trace.
 
     Each access takes the core (55 %), the drifting set (35 %) or the scans
-    (10 %).  The output starts as the scan trace and the drift and core
-    traces are copied over it, each dropped once copied, so at most one
-    component is alive beside the output.  Every component has its own
-    seeded generator, so building them in this order changes no value.
+    (10 %).  The output starts as the scan trace; then, one run of the
+    drifting set at a time, that run's choices, drift and core accesses
+    are drawn and copied over it, so beside the output only one run's
+    worth is alive.  Every component has its own seeded generator, each
+    continuing one stream across the runs, so the values are those of
+    whole-trace draws.
     """
-    choice = np.random.default_rng(seed).random(n_requests)
-    use_drift = choice < 0.9
-    use_core = choice < 0.55
-    del choice
     out = scan_polluted_trace(
         n_requests, n_keys, theta=0.8, scan_every=8000, scan_len=2000, seed=seed + 3
     )
-    np.copyto(
-        out,
-        shifting_hotspot_trace(
-            n_requests,
-            n_keys,
-            working_set=max(n_keys // 16, 32),
-            dwell=max(n_requests // 64, 100),
-            shift=max(n_keys // 64, 8),
-            seed=seed + 2,
-        ),
-        where=use_drift,
-    )
-    np.copyto(
-        out,
-        zipfian_trace(n_requests, n_keys, theta=1.02, seed=seed + 1),
-        where=use_core,
-    )
+    choice = np.random.default_rng(seed)
+    core = ZipfianGenerator(n_keys, theta=1.02, seed=seed + 1)
+    for start, drift in _hotspot_runs(
+        n_requests,
+        n_keys,
+        working_set=max(n_keys // 16, 32),
+        dwell=max(n_requests // 64, 100),
+        shift=max(n_keys // 64, 8),
+        inner_theta=0.6,
+        seed=seed + 2,
+    ):
+        u = choice.random(len(drift))
+        view = out[start : start + len(drift)]
+        np.copyto(view, drift, where=u < 0.9)
+        np.copyto(view, core.sample(len(drift)), where=u < 0.55)
     return out
 
 

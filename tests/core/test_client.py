@@ -247,8 +247,16 @@ class TestAblations:
             run(cluster, client.set(b"key%d" % i, b"v" * 40))
         for i in range(60):
             run(cluster, client.get(b"key%d" % i))
-        assert cluster.remote_history is not None
         assert client.regrets > 0
+        # Entries leave the hash table for the history table after it.
+        lay = cluster.layout
+        raw = cluster.node.read_bytes(lay.table_addr, lay.table_bytes)
+        table = L.Bucket(0, lay.table_addr, raw, lay.total_slots)
+        assert not any(table.slot(i).is_history for i in range(table.count))
+        start = lay.table_addr + lay.table_bytes
+        raw = cluster.node.read_bytes(start, cluster.history_size * L.SLOT_SIZE)
+        entries = L.Bucket(0, start, raw, cluster.history_size)
+        assert any(entries.slot(i).is_history for i in range(entries.count))
 
     def test_no_fc_issues_faa_per_hit(self):
         cluster = make_cluster(capacity=64, use_fc=False)

@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from repro.bench.experiments.fig24_ablation import VARIANTS
 from repro.core.cache import DittoCluster
 from repro.core.config import DittoConfig
 from repro.core.geometry import plan_cluster
@@ -78,14 +79,24 @@ def test_descriptor_mismatch_is_rejected():
             RealCluster(skewed)
 
 
-def test_ablation_configs_are_sim_only():
-    descriptor = {
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_every_fig24_variant_builds_a_real_cluster(variant):
+    """Offline: each ablation joins a cluster laid out for its config."""
+    flags = VARIANTS[variant]
+    plan = plan_cluster(512, 256, 2, config=DittoConfig(**flags),
+                        num_memory_nodes=2)
+    cluster = RealCluster({
         "capacity_objects": 512, "object_bytes": 256, "num_clients": 2,
-        "segment_bytes": 256 * 1024, "config": {"use_sfht": False},
-        "nodes": [],
-    }
-    with pytest.raises(ValueError, match="sim-only"):
-        RealCluster(descriptor)
+        "segment_bytes": 256 * 1024, "config": flags,
+        "nodes": [
+            {"node_id": node_id, "base": base, "size": size,
+             "unix": f"@offline-mn{node_id}"}
+            for node_id, base, size in plan.node_ranges
+        ],
+    })
+    assert cluster.config == DittoConfig(**flags)
+    (client,) = cluster.add_clients(1)
+    assert client.config is cluster.config
 
 
 def test_both_clusters_give_clients_one_contract():

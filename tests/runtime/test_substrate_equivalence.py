@@ -10,7 +10,10 @@ length, digest of the bytes written).  Posted writes carry timestamps,
 which differ between a simulated and a wall clock, so they are recorded
 by address and length only; the order of those timestamps, which is all
 the experts read, is the order of the ops on both.  The two sequences,
-and the hit, eviction and regret counts, must be equal.
+and the hit, eviction and regret counts, must be equal.  So must the
+memory nodes' heaps at the end, byte for byte with the hash table's clock
+words masked, and the memory-accounting sweep must hold on both.  Each
+check runs for the default config and for Figure 24's ``-all`` ablation.
 """
 
 from __future__ import annotations
@@ -20,9 +23,13 @@ import hashlib
 
 import pytest
 
+from repro.bench.experiments.fig24_ablation import VARIANTS
 from repro.bench.runner import Harness, zipf_feed
 from repro.bench.systems import build_ditto
+from repro.core import invariants
+from repro.core import layout as L
 from repro.rdma import RdmaEndpoint
+from repro.runtime.chaos import sweep_real
 from repro.runtime.client import RealEndpoint
 from repro.runtime.cluster import RealCluster
 from repro.runtime.harness import RealClusterHarness
@@ -106,31 +113,66 @@ def _counts(client):
     return client.hits, client.misses, client.evictions, client.regrets
 
 
-def _sim_run():
-    cluster = build_ditto(CAPACITY, 1, num_memory_nodes=NODES, seed=SEED)
+def _masked(heaps, layout):
+    """The heaps with the hash table's clock words zeroed: every slot's
+    ``last_ts``, and ``insert_ts`` unless the slot is a history entry,
+    whose ``insert_ts`` word is its expert bitmap.  Emptied slots keep
+    their old words, so they are masked too.  The table is on node 0."""
+    node0 = bytearray(heaps[0])
+    start, end = layout.table_addr, layout.table_addr + layout.table_bytes
+    table = L.Bucket(0, start, node0[start:end], layout.total_slots)
+    for i in range(table.count):
+        at = start + i * L.SLOT_SIZE
+        if not table.slot(i).is_history:
+            node0[at + L.INSERT_TS_OFF : at + L.LAST_TS_OFF] = bytes(8)
+        node0[at + L.LAST_TS_OFF : at + L.FREQ_OFF] = bytes(8)
+    return [bytes(node0), *heaps[1:]]
+
+
+def _sim_run(flags):
+    cluster = build_ditto(
+        CAPACITY, 1, num_memory_nodes=NODES, seed=SEED, **flags
+    )
     client = cluster.clients[0]
     _launch(cluster.engine, client)
     cluster.engine.run()
-    return _counts(client)
+    invariants.sweep(cluster)
+    heaps = [node.read_bytes(node.base, node.end - node.base)
+             for node in cluster.nodes]
+    return _counts(client), _masked(heaps, cluster.layout)
 
 
-def _real_run():
+def _read_heap(node):
+    node.attach()
+    try:
+        return node.read_direct(node.base, node.size)
+    finally:
+        node.detach()
+
+
+def _real_run(flags, log):
+    """The counts, the verbs logged until the client's posts settled, and
+    the masked heaps; the sweep's own RPCs come after the verbs."""
     with RealClusterHarness(
         capacity_objects=CAPACITY, num_clients=1, num_memory_nodes=NODES,
-        seed=SEED,
+        seed=SEED, **flags,
     ) as harness:
         async def run():
             cluster = RealCluster(harness.descriptor())
             (client,) = cluster.add_clients(1)
             try:
                 await _launch(cluster.engine, client)["process"]
+                await cluster.engine.drain_background()
+                verbs = list(log)
+                await sweep_real(cluster)
+                heaps = [_read_heap(node) for node in cluster.nodes]
             finally:
                 await cluster.aclose()
-            return _counts(client)
+            return _counts(client), verbs, _masked(heaps, cluster.layout)
 
-        counts = asyncio.run(run())
+        result = asyncio.run(run())
     assert harness.leak_report()["clean"]
-    return counts
+    return result
 
 
 @pytest.fixture
@@ -140,12 +182,11 @@ def verb_log(monkeypatch):
     return log
 
 
-def test_one_client_issues_the_same_verbs_on_both_substrates(verb_log):
-    sim_counts = _sim_run()
+def _assert_one_run(verb_log, flags):
+    sim_counts, sim_heaps = _sim_run(flags)
     sim = list(verb_log)
     verb_log.clear()
-    real_counts = _real_run()
-    real = list(verb_log)
+    real_counts, real, real_heaps = _real_run(flags, verb_log)
 
     hits, misses, evictions, regrets = sim_counts
     assert hits and misses and evictions and regrets  # it did work
@@ -159,3 +200,19 @@ def test_one_client_issues_the_same_verbs_on_both_substrates(verb_log):
         f"real {real[first:first + 3]}"
     )
     assert real_counts == sim_counts
+    for node_id, (sim_heap, real_heap) in enumerate(zip(sim_heaps, real_heaps)):
+        if sim_heap != real_heap:
+            at = next(i for i, (a, b) in enumerate(zip(sim_heap, real_heap))
+                      if a != b)
+            pytest.fail(
+                f"node {node_id} heaps differ first at offset {at}: sim "
+                f"{sim_heap[at:at + 8].hex()}, real {real_heap[at:at + 8].hex()}"
+            )
+
+
+def test_one_client_issues_the_same_verbs_on_both_substrates(verb_log):
+    _assert_one_run(verb_log, VARIANTS["ditto (full)"])
+
+
+def test_every_ablation_runs_the_same_on_both_substrates(verb_log):
+    _assert_one_run(verb_log, VARIANTS["-all"])

@@ -7,7 +7,8 @@ That also stops hiding import cycles: an eager ``__init__`` used to load
 a cycle's far end first.  The first test imports every ``repro`` module
 from a clean state; the second holds the memory-node process to its
 import budget; the next ones check the public names still resolve; the
-last one finds module-level imports that their module never reads.
+last two find module-level imports that their module never reads, and
+client code that touches a memory node's bytes without a verb.
 """
 
 import ast
@@ -187,3 +188,27 @@ def test_no_unused_module_imports():
             for line, name in _module_imports(tree.body) if name not in read
         )
     assert unused == []
+
+
+#: Modules that run on both substrates: they reach node memory only
+#: through an endpoint's verbs, never through a simulated node's methods.
+_VERBS_ONLY = ("repro/core/client.py", "repro/core/elasticity.py",
+               "repro/memory/allocator.py")
+_NODE_MEMORY = {"read_bytes", "write_bytes", "compare_and_swap",
+                "fetch_and_add"}
+
+
+def test_clients_reach_node_memory_only_through_verbs():
+    """A direct call would read the sim's memory and have no real twin."""
+    calls = []
+    for name in _VERBS_ONLY:
+        path = pathlib.Path(_SRC, name)
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        calls.extend(
+            f"{name}:{node.lineno}: {ast.unparse(node.func)}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in _NODE_MEMORY
+        )
+    assert calls == []
