@@ -9,8 +9,9 @@ source and destination CPUs copy keys.
 
 The model captures exactly those effects:
 
-- per-node CPU as a simulated resource (the skew bottleneck on Zipfian
-  workloads — the hottest shard caps cluster throughput),
+- per-node CPU as a one-slot simulated :class:`~repro.sim.Resource`, booked
+  on arrival (the skew bottleneck on Zipfian workloads — the hottest shard
+  caps cluster throughput),
 - migration as background processes that occupy source *and* destination
   CPUs per moved key,
 - request redirection for keys whose move has already completed (clients
@@ -157,8 +158,8 @@ class RedisCluster:
         duty = self.migration_duty_cycle
         while remaining > 0:
             batch = min(self.migration_batch, remaining)
-            yield from self.nodes[src].cpu.serve(batch * cost)
-            yield from self.nodes[dst].cpu.serve(batch * cost)
+            yield self.nodes[src].cpu.book(batch * cost)
+            yield self.nodes[dst].cpu.book(batch * cost)
             mig.moved += batch
             remaining -= batch
             if duty < 1.0:
@@ -194,12 +195,16 @@ class RedisClient:
     def _request(self, key_hash: int) -> Generator:
         cl = self.cluster
         node_idx, redirected = cl.route(key_hash)
-        yield cl.client_rtt_us / 2
+        half_rtt = cl.client_rtt_us / 2
+        yield half_rtt
         if redirected:
+            # The old owner answers MOVED; the bounce to the real owner is
+            # folded into that booking.
             cl.redirects += 1
             old_idx = key_hash % (cl.migration.old_n if cl.migration else cl.active_nodes)
-            yield from cl.nodes[old_idx].cpu.serve(cl.redirect_cpu_us)
-            yield cl.client_rtt_us  # bounce to the real owner
+            yield cl.nodes[old_idx].cpu.book(
+                cl.redirect_cpu_us, 0.0, cl.client_rtt_us
+            )
         if node_idx >= len(cl.nodes):
             # A scale-in finished during the flight and reclaimed the owner
             # the client routed to: the request bounces to the new owner.
@@ -207,9 +212,9 @@ class RedisClient:
             yield cl.client_rtt_us
             node_idx = key_hash % cl.active_nodes
         node = cl.nodes[node_idx]
-        yield from node.cpu.serve(cl.op_cpu_us)
+        # Service and the reply flight: one booking, one engine step.
+        yield node.cpu.book(cl.op_cpu_us, 0.0, half_rtt)
         node.served += 1
-        yield cl.client_rtt_us / 2
 
     def get(self, key: bytes) -> Generator:
         yield from self._request(stable_hash64(key))

@@ -1,10 +1,11 @@
 """Memory-node controllers: weak compute serving management RPCs.
 
 The controller owns the MN's CPU cores (1 by default, per the paper's
-testbed) as a simulated :class:`Resource`.  RPC handlers are registered with a
-CPU cost — a constant or a ``cost(payload) -> us`` callable — and the handler
-function runs at the *end* of its CPU service window, so its side effects
-linearize at a single simulated instant.
+testbed) as a simulated :class:`Resource`: each RPC books the earliest-free
+core on arrival, FIFO.  RPC handlers are registered with a CPU cost — a
+constant or a ``cost(payload) -> us`` callable — and the handler function runs
+at the *end* of its CPU service window, so its side effects linearize at a
+single simulated instant.
 
 The segment-management state itself (the coarse level of the two-level
 memory management scheme) lives in :class:`SegmentState`, a pure in-memory
@@ -196,25 +197,27 @@ class Controller:
         self._handlers[op] = (fn, cpu_us)
 
     def serve(self, op: str, payload) -> Generator:
-        """Serve one RPC: queue for a core, burn CPU, run the handler."""
+        """Serve one RPC: book a core, burn CPU, run the handler.
+
+        The booking is made on arrival and is final: a caller killed while
+        it waits leaves its core booked until the service would have ended,
+        and the handler does not run.
+        """
         try:
             fn, cost = self._handlers[op]
         except KeyError:
             raise KeyError(f"no RPC handler registered for {op!r}") from None
-        cpu_us = cost(payload) if callable(cost) else cost
+        service = self.node.params.rpc_dispatch_cpu_us + (
+            cost(payload) if callable(cost) else cost
+        )
         tracer = self.tracer
-        t0 = self.engine._now if tracer is not None else 0.0
-        yield from self.cpu.acquire()
-        try:
-            if tracer is not None:
-                wait_us = self.engine._now - t0
-            yield self.node.params.rpc_dispatch_cpu_us + cpu_us
-            result = fn(payload)
-        finally:
-            self.cpu.release()
+        t0 = self.engine._now
+        delay = self.cpu.book(service)
+        yield delay
+        result = fn(payload)
         if tracer is not None:
             tracer.complete(
-                "rpc." + op, "controller", t0, {"wait_us": wait_us}
+                "rpc." + op, "controller", t0, {"wait_us": delay - service}
             )
         return result
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import struct
 from typing import List, Optional
 
-from ..sim import Engine, RateLimiter
+from ..sim import Engine, Resource
 from ..rdma.params import NetworkParams
 
 _U64 = struct.Struct("<Q")
@@ -63,9 +63,9 @@ class MemoryNode:
         #: A memoryview either way: slicing one copies nothing, and
         #: ``tobytes`` copies once.
         self._memory = memoryview(buffer)[:size]
-        #: The node's RNIC: a serial message pipe shared by all clients
+        #: The node's RNIC: a one-slot message queue shared by all clients
         #: (sim substrate only).
-        self.nic = RateLimiter(engine) if engine is not None else None
+        self.nic = Resource(engine) if engine is not None else None
         #: Attached controller (set by Controller.__init__); weak compute.
         self.controller = None
 

@@ -1,12 +1,12 @@
 """Resource-utilization timelines sampled from ``sim.resources``.
 
 A :class:`WatchedResource` pairs a name like ``mn0.nic`` with any object
-exposing ``sample() -> dict`` (``Resource``, the one-slot ``RateLimiter``,
-``MemoryBudget``).  Samples are **pre-scheduled** as bounded one-shot engine
-callbacks inside known measurement windows rather than driven by an immortal
-periodic process: the bench layer's ``preload`` runs the engine until the
-event heap drains, and a self-rescheduling sampler would keep the heap
-populated forever.
+exposing ``sample() -> dict`` (a ``Resource`` — a node's one-slot NIC or its
+controller cores — or the ``MemoryBudget``).  Samples are **pre-scheduled**
+as bounded one-shot engine callbacks inside known measurement windows rather
+than driven by an immortal periodic process: the bench layer's ``preload``
+runs the engine until the event heap drains, and a self-rescheduling sampler
+would keep the heap populated forever.
 """
 
 from __future__ import annotations

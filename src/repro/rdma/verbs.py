@@ -6,7 +6,7 @@ Every verb is a generator meant to run inside a simulation process
     client overhead -> half RTT -> MN NIC queue + service -> half RTT
 
 The three legs are folded into a single engine event via the NIC's
-virtual-time booking (see :meth:`repro.sim.RateLimiter.book`): the booking
+virtual-time booking (see :meth:`repro.sim.Resource.book`): the booking
 order equals issue order, queueing delay is exact for a FIFO pipe, and the
 process resumes when the response lands.  Memory mutations (WRITE/CAS/FAA)
 execute at resume time — a constant half-RTT after NIC service for every

@@ -14,7 +14,6 @@ _EXPORTS = {
     "LatencySpike": ".faults",
     "NodeOutage": ".faults",
     "RpcFailure": ".faults",
-    "RateLimiter": ".resources",
     "Resource": ".resources",
     "CounterSet": ".stats",
     "LatencyStats": ".stats",

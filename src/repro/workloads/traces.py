@@ -62,11 +62,16 @@ def shifting_hotspot_trace(
     drawn in runs (see :func:`_hotspot_runs`) into one preallocated output.
     """
     out = np.empty(n_requests, dtype=np.int64)
+    _fill_hotspot(out, n_keys, working_set, dwell, shift, inner_theta, seed)
+    return out
+
+
+def _fill_hotspot(out, n_keys, working_set, dwell, shift, inner_theta, seed):
+    """Draw :func:`shifting_hotspot_trace`'s values into ``out``."""
     for start, run in _hotspot_runs(
-        n_requests, n_keys, working_set, dwell, shift, inner_theta, seed
+        len(out), n_keys, working_set, dwell, shift, inner_theta, seed
     ):
         out[start : start + len(run)] = run
-    return out
 
 
 def _hotspot_runs(n_requests, n_keys, working_set, dwell, shift,
@@ -108,9 +113,16 @@ def scan_polluted_trace(
     continues one stream across calls, so the runs hold the values of a
     single draw, and no trace-length temporary is made beside the output.
     """
+    out = np.empty(n_requests, dtype=np.int64)
+    _fill_scan_polluted(out, n_keys, theta, scan_every, scan_len, seed)
+    return out
+
+
+def _fill_scan_polluted(out, n_keys, theta, scan_every, scan_len, seed):
+    """Draw :func:`scan_polluted_trace`'s values into ``out``."""
+    n_requests = len(out)
     rng = np.random.default_rng(seed)
     zipf = ZipfianGenerator(n_keys, theta=theta, seed=seed + 1)
-    out = np.empty(n_requests, dtype=np.int64)
     run_start = 0
     for scan, start in enumerate(
         range(scan_every, n_requests, scan_every + scan_len)
@@ -123,7 +135,6 @@ def scan_polluted_trace(
         ) % n_keys
         run_start = start + length
     out[run_start:] = zipf.sample(n_requests - run_start)
-    return out
 
 
 def looping_trace(
@@ -144,26 +155,29 @@ def phase_switch_trace(
 ) -> np.ndarray:
     """Alternating LRU-/LFU-friendly phases (the Figure 19 workload).
 
-    Each phase is generated and written into one preallocated output, so
-    only one phase's trace is alive beside it.
+    Each phase is drawn straight into its slice of one preallocated
+    output, so no phase-length array is made beside it.
     """
     per_phase = n_requests // phases
     out = np.empty(n_requests, dtype=np.int64)
     for p in range(phases):
         start = per_phase * p
         remaining = n_requests - start if p == phases - 1 else per_phase
+        phase = out[start : start + remaining]
         if p % 2 == 0:
-            out[start : start + remaining] = shifting_hotspot_trace(
-                remaining,
+            _fill_hotspot(
+                phase,
                 n_keys,
                 working_set=max(n_keys // 20, 16),
                 dwell=max(remaining // 40, 200),
                 shift=max(n_keys // 80, 8),
+                inner_theta=0.6,
                 seed=seed + p,
             )
         else:
-            out[start : start + remaining] = scan_polluted_trace(
-                remaining, n_keys, theta=1.05, seed=seed + p
+            _fill_scan_polluted(
+                phase, n_keys, theta=1.05, scan_every=5000, scan_len=1500,
+                seed=seed + p,
             )
     return out
 

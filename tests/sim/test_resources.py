@@ -1,26 +1,26 @@
-"""Unit tests for Resource / RateLimiter contention semantics."""
+"""Unit tests for the Resource booking: FIFO queueing onto k servers."""
+
+from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.sim import Engine, RateLimiter, Resource, SimulationError
+from repro.sim import Engine, Resource, SimulationError
 
 
 def test_resource_capacity_one_serializes():
     engine = Engine()
     resource = Resource(engine, capacity=1)
-    spans = []
+    done = []
 
     def worker(name):
-        yield from resource.acquire()
-        start = engine.now
-        yield 10.0
-        resource.release()
-        spans.append((name, start, engine.now))
+        yield resource.book(10.0)
+        done.append((name, engine.now))
 
     for name in "abc":
         engine.spawn(worker(name))
     engine.run()
-    assert spans == [("a", 0.0, 10.0), ("b", 10.0, 20.0), ("c", 20.0, 30.0)]
+    assert done == [("a", 10.0), ("b", 20.0), ("c", 30.0)]
 
 
 def test_resource_parallel_capacity():
@@ -29,7 +29,7 @@ def test_resource_parallel_capacity():
     done = []
 
     def worker(name):
-        yield from resource.serve(10.0)
+        yield resource.book(10.0)
         done.append((name, engine.now))
 
     for name in "abcd":
@@ -39,30 +39,15 @@ def test_resource_parallel_capacity():
     assert [t for _, t in done] == [10.0, 10.0, 20.0, 20.0]
 
 
-def test_release_without_acquire_raises():
+def test_resource_rejects_bad_capacity():
     engine = Engine()
-    resource = Resource(engine, 1)
     with pytest.raises(SimulationError):
-        resource.release()
+        Resource(engine, 0)
 
 
-def test_queue_length_visible():
+def test_nic_queueing_delay():
     engine = Engine()
-    resource = Resource(engine, 1)
-
-    def worker():
-        yield from resource.serve(5.0)
-
-    for _ in range(3):
-        engine.spawn(worker())
-    engine.run(until=1.0)
-    assert resource.in_use == 1
-    assert resource.queue_length == 2
-
-
-def test_rate_limiter_queueing_delay():
-    engine = Engine()
-    nic = RateLimiter(engine)
+    nic = Resource(engine)
     finish = []
 
     def sender():
@@ -82,9 +67,9 @@ def test_rate_limiter_queueing_delay():
     }
 
 
-def test_rate_limiter_variable_service_times():
+def test_nic_variable_service_times():
     engine = Engine()
-    nic = RateLimiter(engine)
+    nic = Resource(engine)
     finish = []
 
     def sender(cost):
@@ -98,7 +83,82 @@ def test_rate_limiter_variable_service_times():
     assert finish == [(1.0, 1.0), (5.0, 6.0), (1.0, 7.0)]
 
 
-def test_resource_rejects_bad_capacity():
+def test_lead_and_lag_fold_into_the_delay():
     engine = Engine()
-    with pytest.raises(SimulationError):
-        Resource(engine, 0)
+    nic = Resource(engine)
+    assert nic.book(2.0, lead_us=3.0, lag_us=4.0) == 9.0  # serves 3..5
+    assert nic.book(2.0, lead_us=1.0) == 7.0  # arrives at 1, waits to 5
+
+
+def test_sample_counts_busy_slots_and_earliest_backlog():
+    engine = Engine()
+    cpu = Resource(engine, capacity=3)
+    cpu.book(4.0)
+    cpu.book(6.0)
+    assert cpu.sample() == {
+        "backlog_us": 0.0, "busy_slots": 2, "slots": 3, "messages": 2,
+    }
+    cpu.book(5.0)
+    assert cpu.sample()["backlog_us"] == 4.0
+
+
+def test_a_killed_booker_keeps_its_slot_booked():
+    engine = Engine()
+    cpu = Resource(engine, capacity=1)
+    done = []
+
+    def worker(name):
+        yield cpu.book(10.0)
+        done.append((name, engine.now))
+
+    victim = engine.spawn(worker("victim"))
+    engine.run(until=1.0)
+    victim.kill()
+    engine.spawn(worker("next"))
+    engine.run()
+    assert done == [("next", 20.0)]
+
+
+def fifo_reference(jobs, servers):
+    """Finish time of each ``(arrival, service)`` job at a FIFO queue with
+    ``servers`` servers, stepping through arrivals and completions in time
+    order: at each instant, completions free their servers first, then
+    arrivals join the queue, then the queue's head takes a free server."""
+    finish = [None] * len(jobs)
+    queue = deque()
+    busy = []  # finish times of the jobs in service
+    arrived = 0
+    while arrived < len(jobs) or queue or busy:
+        events = busy[:]
+        if arrived < len(jobs):
+            events.append(jobs[arrived][0])
+        now = min(events)
+        busy = [t for t in busy if t > now]
+        while arrived < len(jobs) and jobs[arrived][0] <= now:
+            queue.append(arrived)
+            arrived += 1
+        while queue and len(busy) < servers:
+            job = queue.popleft()
+            finish[job] = now + jobs[job][1]
+            busy.append(finish[job])
+    return finish
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    servers=st.integers(1, 16),
+    gaps=st.lists(st.integers(0, 8), min_size=1, max_size=60),
+    services=st.lists(st.integers(0, 40), min_size=60, max_size=60),
+)
+def test_booking_matches_a_fifo_k_server_queue(servers, gaps, services):
+    # Half-microsecond grid: every sum is exact in floating point.
+    arrivals = [sum(gaps[: i + 1]) / 2 for i in range(len(gaps))]
+    jobs = [(a, s / 2) for a, s in zip(arrivals, services)]
+    engine = Engine()
+    resource = Resource(engine, servers)
+    booked = []
+    for arrival, service in jobs:
+        engine.run(until=arrival)
+        booked.append(arrival + resource.book(service))
+    assert booked == fifo_reference(jobs, servers)
+    assert resource.messages == len(jobs)

@@ -109,6 +109,18 @@ def test_scan_polluted_draws_into_its_output():
     assert peak < 1.3 * out.nbytes
 
 
+def test_phase_switch_draws_each_phase_into_its_output():
+    # Each phase is drawn into its slice of the output; building each phase
+    # as its own array and copying it in took about 1.44x the output.
+    tracemalloc.start()
+    try:
+        out = phase_switch_trace(1_000_000, 16_384, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * out.nbytes
+
+
 def test_webmail_composes_into_its_output():
     # The output and one run of every component at a time: about 1.14x
     # the output's bytes (the scan stage's peak).  Two trace-length masks
