@@ -22,6 +22,7 @@ one blank line, the same bytes in any run that includes the experiment.
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 
 from .experiments import (
@@ -108,6 +109,15 @@ def _parse(argv):
     return parser.parse_args(argv)
 
 
+def _peak_rss_mb() -> float:
+    """Largest resident set of this process and of any worker it reaped
+    (``ru_maxrss`` is in KiB on Linux)."""
+    return max(
+        resource.getrusage(who).ru_maxrss
+        for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
+    ) / 1024.0
+
+
 def main(argv=None) -> int:
     args = _parse(argv if argv is not None else sys.argv[1:])
     if args.parallel is not None and args.parallel < 1:
@@ -142,7 +152,8 @@ def main(argv=None) -> int:
     s = runner.summary()
     print(
         f"[runner: {s['jobs']} jobs on {s['workers']} "
-        f"worker{'s' if s['workers'] > 1 else ''} in {s['elapsed_s']:.1f}s]"
+        f"worker{'s' if s['workers'] > 1 else ''} in {s['elapsed_s']:.1f}s; "
+        f"peak RSS {_peak_rss_mb():.0f} MB]"
     )
     return 0
 

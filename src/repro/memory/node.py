@@ -1,9 +1,11 @@
 """Memory nodes: byte-addressable remote memory with 8-byte atomics.
 
 A :class:`MemoryNode` owns a contiguous range of the global address space and
-stores real bytes in a bytearray.  All mutation happens through the methods
-here, which the verb layer calls at the simulated instant the NIC serves the
-message — so CAS/FAA linearize exactly like hardware atomics.
+stores real bytes in an anonymous private mapping: the kernel zero-fills a
+page on its first write, so a node holds the pages a run touches, not its
+whole range.  All mutation happens through the methods here, which the verb
+layer calls at the simulated instant the NIC serves the message — so CAS/FAA
+linearize exactly like hardware atomics.
 
 A :class:`MemoryPool` groups nodes into one global address space ([base,
 base+size) per node) and routes addresses; the paper evaluates with a single
@@ -12,6 +14,7 @@ MN but the pool keeps the multi-MN door open.
 
 from __future__ import annotations
 
+import mmap
 import struct
 from typing import List, Optional
 
@@ -42,10 +45,10 @@ class MemoryNode:
         buffer=None,
     ):
         """``buffer`` (optional) backs the node's memory with an external
-        writable buffer — e.g. a ``multiprocessing.shared_memory`` view in
-        the real-process substrate — instead of a private bytearray.
-        ``engine=None`` builds a node with no simulated RNIC (the real
-        substrate serves verbs over sockets; rate limiting is physical)."""
+        writable buffer — the ``/dev/shm`` heap file a memory-node process
+        maps — instead of a private anonymous mapping.  ``engine=None``
+        builds a node with no simulated RNIC (the real substrate serves
+        verbs over sockets; rate limiting is physical)."""
         if size <= 0:
             raise ValueError("memory node size must be positive")
         self.engine = engine
@@ -55,7 +58,7 @@ class MemoryNode:
         self._end = base + size  # immutable; cached for the bounds hot path
         self.params = params or NetworkParams()
         if buffer is None:
-            buffer = bytearray(size)
+            buffer = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
         elif len(buffer) < size:
             raise ValueError(
                 f"external buffer holds {len(buffer)} bytes, need {size}"

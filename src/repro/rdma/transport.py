@@ -13,9 +13,10 @@ two substrates:
   with NIC queueing and verb latency fully cost-modelled;
 * the **real substrate** (:class:`~repro.runtime.client.RealEndpoint`)
   yields plain verb requests that :func:`~repro.runtime.client.drive` puts
-  on the process's link to a live memory-node process (sockets and
-  ``multiprocessing.shared_memory``); the generator is resumed from the
-  link when the response arrives, as the engine resumes it from an event.
+  on the process's link to a live memory-node process (an ``AF_UNIX``
+  socket to a node whose heap is a ``/dev/shm`` file it maps); the
+  generator is resumed from the link when the response arrives, as the
+  engine resumes it from an event.
 
 The contract every implementation must honour (DESIGN §3.7):
 

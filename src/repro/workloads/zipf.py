@@ -30,7 +30,8 @@ import numpy as np
 #: Largest guide table (4 MB of int32 entries): a 10 M-key YCSB space
 #: would otherwise want 2^26.  A capped table only costs more passes.
 _GUIDE_MAX = 1 << 20
-#: Draws made and refined per block, so the temporaries stay small.
+#: Draws made and refined, and CDF edges counted, per block, so the
+#: temporaries stay small.
 _BLOCK = 1 << 16
 
 
@@ -51,18 +52,27 @@ class ZipfianGenerator:
         self.n_keys = n_keys
         self.theta = theta
         self.rng = np.random.default_rng(seed)
-        ranks = np.arange(1, n_keys + 1, dtype=np.float64)
-        weights = ranks ** -theta
-        self._cdf = np.cumsum(weights)
+        self._cdf = np.cumsum(
+            np.arange(1, n_keys + 1, dtype=np.float64) ** -theta
+        )
         self._cdf /= self._cdf[-1]
         size = min(1 << (4 * n_keys - 1).bit_length(), _GUIDE_MAX)
         self._scale = float(size)
         # c <= b / M exactly when ceil(c * M) <= b (c * M is exact): count
         # each CDF entry at its ceiling and sum, O(n + M) for all entries.
+        # The edges are sorted, so a run of equal edges ends where the next
+        # one differs, and its length is that edge's count.  The counts go
+        # straight into the int32 table, a block of edges at a time (a run
+        # split across blocks is counted in each), and are summed in place.
         edges = np.ceil(self._cdf * self._scale).astype(np.intp)
-        self._guide = np.cumsum(
-            np.bincount(edges, minlength=size + 1), dtype=np.int32
-        )
+        self._guide = np.zeros(size + 1, dtype=np.int32)
+        for start in range(0, n_keys, _BLOCK):
+            block = edges[start:start + _BLOCK]
+            ends = np.append(
+                np.flatnonzero(block[1:] != block[:-1]), len(block) - 1
+            )
+            self._guide[block[ends]] += np.diff(ends, prepend=-1)
+        np.cumsum(self._guide, out=self._guide)
         self._passes = int(np.diff(self._guide).max()).bit_length()
         if scramble:
             self._permutation: Optional[np.ndarray] = self.rng.permutation(n_keys)

@@ -257,7 +257,8 @@ def test_run_all_parallel_matches_serial_output(capsys):
 
     assert table_of(serial_out) == table_of(parallel_out)
     assert re.search(
-        r"^\[runner: 2 jobs on 2 workers in \d+\.\ds\]$", parallel_out, re.M)
+        r"^\[runner: 2 jobs on 2 workers in \d+\.\ds; peak RSS \d+ MB\]$",
+        parallel_out, re.M)
 
 
 def test_run_all_says_what_replayed_where(capsys, monkeypatch):

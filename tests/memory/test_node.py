@@ -1,5 +1,7 @@
 """Unit tests for MemoryNode / MemoryPool raw semantics."""
 
+import mmap
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -76,6 +78,47 @@ class TestMemoryNode:
         node = MemoryNode(Engine(), size=4096)
         node.write_bytes(addr, data)
         assert node.read_bytes(addr, len(data)) == data
+
+
+def _resident_bytes() -> int:
+    with open("/proc/self/statm", encoding="ascii") as fh:
+        return int(fh.read().split()[1]) * mmap.PAGESIZE
+
+
+class TestSparseResidency:
+    """A simulated node holds the pages a run writes, not its range."""
+
+    SIZE = 1 << 30
+    STRIDE = SIZE // 8
+
+    def test_resident_memory_follows_the_written_pages(self):
+        before = _resident_bytes()
+        node = MemoryNode(Engine(), size=self.SIZE, base=self.SIZE)
+        for i in range(8):
+            addr = self.SIZE + i * self.STRIDE
+            node.write_bytes(addr, bytes([i + 1]) * 1024)
+            node.compare_and_swap(addr + 2048, 0, i + 1)
+        grown = _resident_bytes() - before
+        # Eight objects touch eight pages; zeroing the whole range up
+        # front grew it by the full GiB.
+        assert grown < 8 << 20, f"resident memory grew {grown >> 20} MB"
+        for i in range(8):
+            addr = self.SIZE + i * self.STRIDE
+            assert node.read_bytes(addr, 1024) == bytes([i + 1]) * 1024
+            assert node.read_u64(addr + 2048) == i + 1
+
+    def test_never_written_words_read_zero(self):
+        node = MemoryNode(Engine(), size=self.SIZE)
+        top = self.SIZE - 8
+        assert node.read_bytes(self.STRIDE, 4096) == bytes(4096)
+        assert node.read_bytes(top, 8) == bytes(8)
+        # A CAS expecting non-zero finds zero and leaves it.
+        assert node.compare_and_swap(2 * self.STRIDE, 1, 7) == 0
+        assert node.read_u64(2 * self.STRIDE) == 0
+        assert node.compare_and_swap(top, 0, 7) == 0
+        assert node.read_u64(top) == 7
+        assert node.fetch_and_add(3 * self.STRIDE, 5) == 0
+        assert node.read_u64(3 * self.STRIDE) == 5
 
 
 class TestMemoryPool:

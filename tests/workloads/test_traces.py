@@ -20,6 +20,7 @@ from repro.workloads import (
     webmail_like_trace,
     zipfian_trace,
 )
+from repro.workloads.zipf import ZipfianGenerator
 
 GENERATORS = {
     "zipf": lambda n, k, s: zipfian_trace(n, k, seed=s),
@@ -119,6 +120,22 @@ def test_phase_switch_draws_each_phase_into_its_output():
     finally:
         tracemalloc.stop()
     assert peak < 1.3 * out.nbytes
+
+
+def test_zipf_guide_is_counted_into_its_table():
+    # The guide table is counted straight into its int32 entries: the
+    # constructor peaks at about 1.9x what the generator keeps (CDF, guide,
+    # permutation) at 16,384 keys.  An int64 bincount of the table's
+    # M + 1 entries, beside the ranks and weights, took about 3.0x.
+    ZipfianGenerator(64)  # numpy's first-call set-up is not the constructor's
+    tracemalloc.start()
+    try:
+        gen = ZipfianGenerator(16_384, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = gen._cdf.nbytes + gen._guide.nbytes + gen._permutation.nbytes
+    assert peak < 2.5 * kept
 
 
 def test_webmail_composes_into_its_output():
