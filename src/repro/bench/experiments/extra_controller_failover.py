@@ -1,24 +1,21 @@
-"""Extra figure: controller failover — leader loss during a live drain.
+"""Extra figure: metadata-node crash during a live drain.
 
-Not a paper figure — a robustness probe of the replicated controller
-metadata service (``repro.core.consensus``, DESIGN §3.6).  A Ditto cluster
-with a 3-replica controller group serves YCSB-A while a memory node drains
-live; the moment the drain enters its copy phase, the current raft leader
-is crashed for a multi-election-timeout window.  The group must elect a
-successor, the in-flight drain must complete through the failover, and
-client traffic must keep flowing on the data path (which never touches the
-controllers) while metadata operations stall only for the election.
+Not a paper figure — a robustness probe of the metadata node (DESIGN §3.6).
+A Ditto cluster of three memory nodes serves YCSB-A while node 2 drains
+live; the moment the drain enters its copy phase, node 0's controller
+crashes for a window (``RpcFailure(node_id=0)``): segment grants, weight
+folds and membership reads on node 0 fail while one-sided verbs still
+reach its heap.  Clients and the drain ride the window out on their
+fault-retry paths; the drain must complete and the sweep find every grant.
 
 Reported metrics:
 
-- **election latency** — leader crash to the successor's ``leader`` event;
-- **metadata unavailability** — leader crash to the first post-crash
-  committed metadata command (the window in which segment grants and
-  membership flips queued);
-- **hit-rate / throughput timeline** across steady state, failover, and
+- **metadata unavailability** — crash to the first membership read node 0
+  answers after it (a probe every 100 us);
+- **refused RPCs** — metadata RPCs the crashed controller dropped;
+- **hit-rate / throughput timeline** across steady state, the crash, and
   recovery, showing the data path rides through;
-- the migration record, the election timeline, and the final
-  memory-accounting sweep.
+- the migration record, failed ops and the final memory-accounting sweep.
 """
 
 from __future__ import annotations
@@ -31,13 +28,12 @@ from ...workloads import make_ycsb
 from ..format import print_table
 from ..runner import Feed, Harness, phase_mean, preload
 from ..scale import scaled
-from ..systems import LeaderCrash, build_ditto
+from ..systems import MetadataNodeCrash, build_ditto
 
 
 def run(
     n_keys: int = 2_000,
     num_clients: int = 4,
-    controller_replicas: int = 3,
     crash_us: float = 6_000.0,
     phase_us: float = 30_000.0,
     window_us: float = 10_000.0,
@@ -47,9 +43,7 @@ def run(
     cluster = build_ditto(
         2 * n_keys, num_clients, seed=seed, num_memory_nodes=3,
         faults=FaultPlan(),  # arm an inert injector; the crash loads later
-        controller_replicas=controller_replicas,
     )
-    group = cluster.consensus
     preload(cluster.engine, cluster.clients, range(n_keys), value_size=232)
     harness = Harness(
         cluster.engine, value_size=232, miss_penalty_us=200.0,
@@ -67,7 +61,7 @@ def run(
 
     timeline.extend(harness.phase("steady", phase_us, window_us))
 
-    crash = LeaderCrash(cluster, crash_us)
+    crash = MetadataNodeCrash(cluster, crash_us)
     drain = cluster.remove_memory_node(2, on_phase=crash.on_phase)
     timeline.extend(harness.phase(
         "failover", phase_us, window_us, done=lambda: drain.finished
@@ -79,12 +73,10 @@ def run(
     counters = cluster.counters.as_dict()
     return {
         "timeline": timeline,
-        "crashed_leader": crash.leader,
         "crash_at_us": crash.at_us,
         "crash_window_us": crash_us,
-        "election_latency_us": crash.election_latency_us(),
-        "metadata_unavailability_us": crash.unavailability_us(),
-        "elections": group.election_timeline(),
+        "metadata_unavailability_us": crash.unavailability_us,
+        "refused_rpcs": cluster.fault_injector.verdicts["drop"],
         "migration": cluster.migrations[-1].as_dict(),
         "epoch": cluster.membership.epoch,
         "node_ids": [node.node_id for node in cluster.nodes],
@@ -93,7 +85,7 @@ def run(
         "counters": {
             key: counters[key]
             for key in sorted(counters)
-            if key.startswith(("consensus", "epoch", "migrat", "mn_"))
+            if key.startswith(("epoch", "fault", "migrat", "mn_"))
         },
     }
 
@@ -107,17 +99,12 @@ def main() -> Dict:
         requests_per_client=scaled(40_000, 2_000_000),
     )
     print_table(
-        "Extra: controller failover (leader crash mid-drain)",
+        "Extra: metadata-node crash mid-drain",
         ["t (s)", "phase", "Mops", "hit rate", "p99 (us)"],
         [
             (r["t_s"], r["phase"], r["mops"], r["hit_rate"], r["p99_us"])
             for r in result["timeline"]
         ],
-    )
-    print_table(
-        "Election timeline",
-        ["t (us)", "event", "replica", "term"],
-        [(t, kind, rid, term) for t, kind, rid, term in result["elections"]],
     )
     m = result["migration"]
     steady, recovered = (
@@ -125,16 +112,17 @@ def main() -> Dict:
         for phase in ("steady", "recovered")
     )
     print(
-        f"crashed leader {result['crashed_leader']} at "
-        f"{result['crash_at_us']:.0f}us for {result['crash_window_us']:.0f}us; "
-        f"election latency {result['election_latency_us']:.0f}us; "
-        f"metadata unavailable {result['metadata_unavailability_us']:.0f}us"
+        f"node 0's controller crashed at {result['crash_at_us']:.0f}us for "
+        f"{result['crash_window_us']:.0f}us; metadata unavailable "
+        f"{result['metadata_unavailability_us']:.0f}us; "
+        f"{result['refused_rpcs']} metadata RPCs refused"
     )
     print(
         f"drain: {m['phase']} ({m['migrated_objects']} objects, "
         f"epochs {m['epoch_start']}->{m['epoch_end']}); "
         f"steady hit rate {steady:.3f} vs recovered {recovered:.3f}; "
-        f"sweep: {result['sweep']['live_objects']} live objects"
+        f"sweep: {result['sweep']['live_objects']} live objects; "
+        f"failed ops {result['failed_ops']}"
     )
     return result
 

@@ -1,41 +1,35 @@
-"""Extra figure: the fig13 elasticity timeline with a leader failover
+"""Extra figure: the fig13 elasticity timeline with a metadata-node crash
 overlaid.
 
 Not a paper figure — a composition of two of its claims.  Figure 13 shows
 Ditto riding through compute and memory scaling with level throughput;
-DESIGN §3.6 adds the replicated controller so metadata survives a leader
-crash.  This experiment runs the *same* elasticity schedule as fig13
-(compute up, compute down, memory up, memory drain-down) on a cluster
-with a 3-replica controller group, crashes the raft leader the moment the
-drain enters its copy phase, and overlays the election latency and the
-metadata-unavailability window on the throughput timeline: every sample
-window that overlaps the outage is flagged, so the plot shows exactly
-which part of the timeline ran leaderless — and that the data path kept
-serving through it.
-
-Because the adaptive eviction weights are replicated through the
-consensus log (ROADMAP item: learned state must survive failover), the
-run also checks that the weights learned before the crash are intact on
-the successor's replica afterward.
+DESIGN §3.6 adds that a crash of the metadata node (node 0's controller)
+stalls only metadata.  This experiment runs the *same* elasticity schedule
+as fig13 (compute up, compute down, memory up, memory drain-down), crashes
+node 0's controller the moment the drain enters its copy phase, and
+overlays the metadata-unavailability window on the throughput timeline:
+every sample window that overlaps the outage is flagged, so the plot shows
+exactly which part of the timeline ran without metadata — and that the
+data path kept serving through it.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List
 
+from ...core import invariant_sweep
 from ...sim.faults import FaultPlan
 from ...workloads import make_ycsb
 from ..format import print_table
 from ..runner import Feed, Harness, preload
 from ..scale import scaled
-from ..systems import LeaderCrash, build_ditto
+from ..systems import MetadataNodeCrash, build_ditto
 
 
 def run(
     n_keys: int = 3_000,
     base_clients: int = 4,
     extra_clients: int = 4,
-    controller_replicas: int = 3,
     crash_us: float = 6_000.0,
     phase_us: float = 40_000.0,
     window_us: float = 10_000.0,
@@ -45,10 +39,8 @@ def run(
     cluster = build_ditto(
         2 * n_keys, total, seed=seed, max_capacity_objects=4 * n_keys,
         num_memory_nodes=2,
-        faults=FaultPlan(),  # inert injector; the leader crash loads later
-        controller_replicas=controller_replicas,
+        faults=FaultPlan(),  # inert injector; the crash loads later
     )
-    group = cluster.consensus
     preload(cluster.engine, cluster.clients, range(n_keys), value_size=232)
     harness = Harness(
         cluster.engine, value_size=232, tolerate_failures=True
@@ -82,10 +74,7 @@ def run(
     cluster.resize_memory(4 * n_keys)
     timeline.extend(harness.phase("memory-scaled-up", phase_us, window_us))
 
-    # Snapshot the learned weights just before the failover phase.
-    weights_before = list(cluster.global_weights.weights)
-
-    crash = LeaderCrash(cluster, crash_us)
+    crash = MetadataNodeCrash(cluster, crash_us)
     drain = cluster.remove_memory_node(1, on_phase=crash.on_phase)
     timeline.extend(harness.phase(
         "memory-scaled-down", phase_us, window_us, done=lambda: drain.finished
@@ -99,7 +88,7 @@ def run(
     cluster.engine.run()
 
     crash_at = crash.at_us
-    unavailability = crash.unavailability_us()
+    unavailability = crash.unavailability_us
     outage_end = crash_at + (
         unavailability if unavailability is not None else crash_us
     )
@@ -108,35 +97,17 @@ def run(
             row["t_start_us"] < outage_end and row["t_s"] * 1e6 > crash_at
         )
 
-    # The weights learned before the crash must be intact on the successor:
-    # the physical state folds committed updates into the live GlobalWeights,
-    # and the new leader's replica replayed the same committed prefix, so
-    # after the run settles the two must agree exactly.
-    new_leader = group.leader_id()
-    successor_weights = (
-        list(group.replicas[new_leader].state.weights.weights)
-        if new_leader is not None
-        else None
-    )
-    weights_preserved = successor_weights is not None and all(
-        abs(sw - lw) < 1e-9
-        for sw, lw in zip(successor_weights, cluster.global_weights.weights)
-    )
-
     return {
         "timeline": timeline,
-        "crashed_leader": crash.leader,
         "crash_at_us": crash_at,
         "crash_window_us": crash_us,
-        "election_latency_us": crash.election_latency_us(),
         "metadata_unavailability_us": unavailability,
+        "refused_rpcs": cluster.fault_injector.verdicts["drop"],
         "outage_windows": sum(1 for row in timeline if row["in_outage"]),
         "migration": cluster.migrations[-1].as_dict(),
         "epoch": cluster.membership.epoch,
-        "weights_before_crash": weights_before,
-        "weights_after_failover": successor_weights,
-        "weights_preserved": weights_preserved,
         "failed_ops": harness.failed_ops,
+        "sweep": invariant_sweep(cluster),
     }
 
 
@@ -149,7 +120,7 @@ def main() -> Dict:
         window_us=scaled(10_000.0, 500_000.0),
     )
     print_table(
-        "Extra: elasticity timeline with leader failover overlay",
+        "Extra: elasticity timeline with a metadata-node crash overlaid",
         ["t (s)", "phase", "Mops", "p99 (us)", "in outage"],
         [
             (r["t_s"], r["phase"], r["mops"], r["p99_us"],
@@ -158,17 +129,18 @@ def main() -> Dict:
         ],
     )
     print(
-        f"leader {result['crashed_leader']} crashed at "
-        f"{result['crash_at_us']:.0f}us (window {result['crash_window_us']:.0f}us); "
-        f"election latency {result['election_latency_us']:.0f}us; "
-        f"metadata unavailable {result['metadata_unavailability_us']:.0f}us; "
+        f"node 0's controller crashed at {result['crash_at_us']:.0f}us "
+        f"(window {result['crash_window_us']:.0f}us); metadata unavailable "
+        f"{result['metadata_unavailability_us']:.0f}us; "
+        f"{result['refused_rpcs']} metadata RPCs refused; "
         f"{result['outage_windows']} sample windows overlap the outage"
     )
     m = result["migration"]
     print(
         f"drain rode through: {m['phase']} ({m['migrated_objects']} objects, "
         f"epochs {m['epoch_start']}->{m['epoch_end']}); "
-        f"weights preserved across failover: {result['weights_preserved']}"
+        f"sweep: {result['sweep']['live_objects']} live objects; "
+        f"failed ops {result['failed_ops']}"
     )
     return result
 

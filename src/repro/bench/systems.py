@@ -1,4 +1,4 @@
-"""Uniform builders, trace-run helpers and a leader-crash hook for experiments."""
+"""Uniform builders, trace-run helpers and a metadata-node crash for experiments."""
 
 from __future__ import annotations
 
@@ -8,7 +8,8 @@ import numpy as np
 
 from ..baselines import CliqueMapCluster, ShardLruCluster
 from ..core import DittoCluster, DittoConfig
-from ..sim.faults import ControllerCrash, FaultPlan
+from ..rdma.verbs import RdmaEndpoint, RdmaFaultError
+from ..sim.faults import FaultPlan, RpcFailure
 from ..workloads import shard_trace
 from .runner import Feed, Harness, MeasureResult, preload
 
@@ -23,7 +24,6 @@ def build_ditto(
     num_memory_nodes: int = 1,
     faults=None,
     segment_bytes: int = 256 * 1024,
-    controller_replicas: int = 0,
     **config_kwargs,
 ) -> DittoCluster:
     config = DittoConfig(policies=tuple(policies), **config_kwargs)
@@ -37,51 +37,50 @@ def build_ditto(
         max_capacity_objects=max_capacity_objects,
         num_memory_nodes=num_memory_nodes,
         faults=faults,
-        controller_replicas=controller_replicas,
     )
 
 
-class LeaderCrash:
-    """Crash a controller group's raft leader for ``crash_us`` the moment a
-    drain enters its copy phase (pass :meth:`on_phase` to
-    ``remove_memory_node``), then time the failover from the crash."""
+class MetadataNodeCrash:
+    """Crash node 0's controller for ``crash_us`` the moment a drain enters
+    its copy phase (pass :meth:`on_phase` to ``remove_memory_node``).
+
+    The crash is ``RpcFailure(node_id=0)`` (DESIGN §3.6): metadata RPCs to
+    node 0 fail while one-sided verbs still reach its heap, and every
+    caller rides it out on its fault-retry path.  From the crash on, a
+    probe asks node 0 for the membership every :data:`PROBE_US`; its first
+    answer closes the metadata-unavailability window."""
+
+    PROBE_US = 100.0
 
     def __init__(self, cluster: DittoCluster, crash_us: float):
         self.cluster = cluster
         self.crash_us = crash_us
-        self.leader: Optional[int] = None
         self.at_us: Optional[float] = None
+        self.unavailability_us: Optional[float] = None
 
     def on_phase(self, name: str) -> None:
         if name != "copy" or self.at_us is not None:
             return
         cluster = self.cluster
-        self.leader = cluster.consensus.leader_id()
         self.at_us = cluster.engine.now
         cluster.fault_injector.load(
-            FaultPlan(
-                controller_crashes=(
-                    ControllerCrash(self.leader, 0.0, self.crash_us),
-                )
-            ),
+            FaultPlan(rpc_failures=(RpcFailure(0.0, self.crash_us, node_id=0),)),
             offset_us=self.at_us,
         )
+        cluster.engine.spawn(self._probe(), name="metadata-probe")
 
-    def election_latency_us(self) -> Optional[float]:
-        """Crash to the successor's ``leader`` event."""
-        return next((
-            t - self.at_us
-            for t, kind, _rid, _term in self.cluster.consensus.election_timeline()
-            if kind == "leader" and t > self.at_us
-        ), None)
-
-    def unavailability_us(self) -> Optional[float]:
-        """Crash to the first metadata command committed after it."""
-        return next((
-            t - self.at_us
-            for t, _position in self.cluster.consensus.commit_times
-            if t > self.at_us
-        ), None)
+    def _probe(self):
+        cluster = self.cluster
+        ep = RdmaEndpoint(cluster.engine, cluster.pool, cluster.params,
+                          faults=cluster.fault_injector)
+        while True:
+            try:
+                yield from ep.metadata(cluster.node, "get_membership")
+            except RdmaFaultError:
+                yield self.PROBE_US
+                continue
+            self.unavailability_us = cluster.engine.now - self.at_us
+            return
 
 
 def build_cliquemap(

@@ -11,12 +11,6 @@ _EXPORTS = {
     "CacheOperationError": ".client",
     "DittoClient": ".client",
     "DittoConfig": ".config",
-    "ConsensusUnavailable": ".consensus",
-    "ControllerGroup": ".consensus",
-    "GroupClient": ".consensus",
-    "NotLeader": ".consensus",
-    "RaftParams": ".consensus",
-    "RaftReplica": ".consensus",
     "EpochFence": ".elasticity",
     "MembershipTable": ".elasticity",
     "MetadataState": ".elasticity",

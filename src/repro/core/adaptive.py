@@ -110,8 +110,9 @@ class GlobalWeights:
         self.num_experts = num_experts
         self.learning_rate = learning_rate
         self.weights = [1.0 / num_experts] * num_experts
-        #: Observability hook ``on_update(weights)``, called after each fold;
-        #: None (the default) keeps updates hook-free.
+        #: Hook ``on_update(weights)``, called after each fold: the sim
+        #: publishes metrics through it, a real node 0 journals the
+        #: weights.  None (the default) keeps updates hook-free.
         self.on_update = on_update
 
     def handle_update(self, penalty_sums: Sequence[float]) -> List[float]:

@@ -25,7 +25,6 @@ from ..sim.faults import FaultInjector, FaultPlan
 from .adaptive import GlobalWeights
 from .client import ClusterBase, DittoClient
 from .config import DittoConfig
-from .consensus import ControllerGroup
 from .elasticity import (
     ACTIVE,
     CONTROL_RETRY_LIMIT,
@@ -62,7 +61,6 @@ class DittoCluster(ClusterBase):
         num_memory_nodes: int = 1,
         faults: Optional[Union[FaultPlan, FaultInjector]] = None,
         obs: Optional[Observability] = None,
-        controller_replicas: int = 0,
     ):
         """``max_capacity_objects`` provisions the memory pool for future
         elastic growth (default: the initial capacity); ``resize_memory``
@@ -71,16 +69,7 @@ class DittoCluster(ClusterBase):
         With ``num_memory_nodes > 1`` the pool spans several MNs: the hash
         table, history counter, and expert weights live on node 0 and the
         object heap stripes across all nodes, spreading data-path verbs over
-        every node's NIC (the paper's multi-MN compatibility, §5.1).
-
-        ``controller_replicas > 0`` replicates the controller metadata
-        (DESIGN §3.6): a :class:`~repro.core.consensus.ControllerGroup` of
-        that many raft-style replicas runs over the cluster's physical
-        :class:`MetadataState`, and segment-management and membership RPCs
-        from clients and migrators route through the group (majority
-        commit, leader redirects, session dedup), so any minority of
-        controller replicas can crash or partition — even mid-drain —
-        without losing metadata or blocking the cluster."""
+        every node's NIC (the paper's multi-MN compatibility, §5.1)."""
         self.engine = engine or Engine()
         self.params = params or NetworkParams()
         self.capacity_objects = capacity_objects
@@ -171,19 +160,6 @@ class DittoCluster(ClusterBase):
             self._wire_weight_metrics()
             self.obs.registry.bridge(self.counters, component="cluster",
                                      cluster=self._obs_id)
-        # The replicated controller group (``repro.core.consensus``) stays
-        # None — with zero overhead and byte-identical outputs — unless
-        # ``controller_replicas`` > 0.
-        self._cluster_consensus = None
-        if controller_replicas:
-            self._ensure_elastic()
-            self.consensus = ControllerGroup(
-                self.engine, self._metadata, controller_replicas, self.seed,
-                faults=self.fault_injector, counters=self.counters,
-                tracer=self.tracer,
-            )
-            #: The cluster's own submission handle (add_memory_node etc.).
-            self._cluster_consensus = self.consensus.make_client()
         self.add_clients(num_clients)
 
     def _watch_node(self, node) -> None:
@@ -346,8 +322,7 @@ class DittoCluster(ClusterBase):
     # -- elastic memory nodes (epoch-fenced membership) ---------------------
 
     def _ensure_elastic(self) -> None:
-        """Arm the membership table and epoch fence (first scale
-        event, or construction with a controller group).
+        """Arm the membership table and epoch fence (first scale event).
 
         Lazy on purpose: until the node set actually changes, the fence
         stays None and every verb takes the unfenced fast path, keeping
@@ -367,17 +342,9 @@ class DittoCluster(ClusterBase):
                 "elastic.epoch", cluster=self._obs_id
             )
 
-    def _commit(self, command, session=None):
-        """Apply one membership command to the state machine; a generator.
-
-        With a controller group the command commits through the replicated
-        log under ``session`` (default: the cluster's own); without one it
-        applies at once and the generator never yields.
-        """
-        if self.consensus is None:
-            return self._metadata.apply_entry(None, 0, command)
-        result = yield from (session or self._cluster_consensus).submit(command)
-        return result
+    def _commit(self, command):
+        """Apply one membership command to node 0's metadata at once."""
+        return self._metadata.apply(command)
 
     def _publish_epoch(self, epoch: int) -> None:
         """Make a new membership epoch visible to fences (the controllers
@@ -412,13 +379,8 @@ class DittoCluster(ClusterBase):
         self.pool.add(node)
         for client in self.clients:
             client.alloc.add_node(node)
-        # Pre-bind the new controller's state into the physical metadata,
-        # then commit the join (replicas of a controller group build their
-        # own copies from the command's range).
         self._metadata.adopt_node(node.controller.state)
-        epoch = self.engine.run_process(
-            self._commit(("add_node", node_id, node.base, node.end))
-        )
+        epoch = self._commit(("add_node", node_id))
         self._publish_epoch(epoch)
         self._watch_node(node)
         self.counters.add("mn_added")

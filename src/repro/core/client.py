@@ -169,11 +169,6 @@ class DittoClient:
             self.ep.fence = fence
             self.alloc.set_active(cluster.membership.active_ids())
             self.membership_epoch = cluster.membership.epoch
-        group = cluster.consensus
-        if group is not None:
-            # Controller HA armed: metadata RPCs go through the replicated
-            # controller group under this client's own dedup session.
-            self.ep.consensus = group.make_client()
         self.policies = [make_policy(name) for name in self.config.policies]
         self.ext_fields: Tuple[str, ...] = cluster.ext_fields
         self.ext_bytes = 8 * len(self.ext_fields)
@@ -461,9 +456,8 @@ class DittoClient:
         self.regrets += 1
         if self.weights.apply_regret(expert_bitmap, age):
             sums = self.weights.take_pending()
-            # Under controller HA the fold goes through the replicated log,
-            # so the learned weights survive a leader crash (the session
-            # memo keeps a retried fold exactly-once).
+            # Node 0 folds the sums; a real node 0 journals the result, so
+            # the learned weights survive its restart (DESIGN §3.6).
             new_weights = yield from self.ep.metadata(
                 self.node, "update_weights", sums, size=8 * len(sums)
             )
@@ -851,12 +845,11 @@ class ClusterBase:
 
     #: Sim-only hooks, None where a substrate has none: the engine-bound
     #: tracer, the membership table and epoch fence (armed by the first
-    #: membership change), the replicated controller group and the fault
-    #: injector (it arms lease repair on the Get miss path).
+    #: membership change) and the fault injector (it arms lease repair on
+    #: the Get miss path).
     tracer = None
     membership = None
     fence = None
-    consensus = None
     fault_injector = None
     #: Node drains in flight: their allocators count in the memory sweep.
     _active_migrators: Sequence = ()

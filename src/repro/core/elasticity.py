@@ -122,17 +122,15 @@ class MetadataState:
     """The metadata state machine: membership + per-node segment state +
     adaptive expert weights, holding only what its node hosts.
 
-    :meth:`serve` is the one metadata RPC dispatch: ``NodeServer._rpc``,
-    the sim's node-0 controller and :meth:`_apply` (the log) call it.
-    Consensus replicas apply the committed stream to :meth:`clone` copies;
-    the *physical* instance shares the live controllers' state by reference.
+    :meth:`serve` is the one metadata RPC dispatch: ``NodeServer._rpc``
+    and the sim's node-0 controller call it.  :meth:`apply` takes the
+    cluster's membership commands.  The sim's instance shares the live
+    controllers' state by reference.
     """
 
     def __init__(self, membership: Optional[MembershipTable] = None):
         self.membership = membership
         self.nodes: Dict[int, SegmentState] = {}
-        #: session id -> (last applied seq, its result) — dedup memo.
-        self.sessions: Dict[int, Tuple[int, object]] = {}
         self.weights: Optional[GlobalWeights] = None
 
     def adopt_node(self, state: SegmentState) -> None:
@@ -140,23 +138,6 @@ class MetadataState:
 
     def adopt_weights(self, weights: GlobalWeights) -> None:
         self.weights = weights
-
-    def clone(self) -> "MetadataState":
-        new_membership = MembershipTable(())
-        new_membership.epoch = self.membership.epoch
-        new_membership._states = dict(self.membership._states)
-        new = MetadataState(new_membership)
-        new.nodes = {nid: state.clone() for nid, state in self.nodes.items()}
-        new.sessions = dict(self.sessions)
-        if self.weights is not None:
-            # Replica copies fold the same command stream but carry no
-            # observability hook; only the physical instance publishes.
-            copy = GlobalWeights(
-                self.weights.num_experts, self.weights.learning_rate
-            )
-            copy.weights = list(self.weights.weights)
-            new.weights = copy
-        return new
 
     # -- the RPC dispatch ----------------------------------------------------
 
@@ -179,32 +160,17 @@ class MetadataState:
             return self.weights.handle_update(list(payload))
         raise KeyError(f"no RPC handler registered for {op!r}")
 
-    # -- command application -------------------------------------------------
+    # -- membership commands -------------------------------------------------
 
-    def apply_entry(self, session: Optional[int], seq: int, command: Tuple):
-        """Apply one committed log entry, deduplicating retried commands."""
-        if session is not None:
-            memo = self.sessions.get(session)
-            if memo is not None and memo[0] >= seq:
-                return memo[1]
-        result = self._apply(command)
-        if session is not None:
-            self.sessions[session] = (seq, result)
-        return result
-
-    def _apply(self, command: Tuple):
-        kind = command[0]
-        if kind == "noop":
-            return None
+    def apply(self, command: Tuple) -> int:
+        """Apply one membership command, ``("add_node", node_id)`` or
+        ``("membership_set", node_id, state)``, stamp every hosted
+        controller with the new epoch and return it."""
+        kind, node_id = command[0], command[1]
         if kind == "add_node":
-            _, node_id, start, end = command
-            if node_id not in self.nodes:
-                self.nodes[node_id] = SegmentState(node_id, start, end)
             epoch = self.membership.add(node_id)
-            self._stamp_epoch(epoch)
-            return epoch
-        if kind == "membership_set":
-            _, node_id, state = command
+        elif kind == "membership_set":
+            state = command[2]
             epoch = self.membership.set_state(node_id, state)
             seg = self.nodes.get(node_id)
             if seg is not None:
@@ -212,24 +178,11 @@ class MetadataState:
                     seg.draining = True
                 elif state == ACTIVE:
                     seg.draining = False
-            self._stamp_epoch(epoch)
-            return epoch
-        # The flat RPC ``VerbTransport.metadata`` encodes (update_weights'
-        # vector is every trailing field).  Errors are results too: every
-        # replica must record the same outcome.
-        node_id, args = command[1], command[2:]
-        if kind != "update_weights" and len(args) == 1:
-            args = args[0]
-        try:
-            return self.serve(kind, node_id, args)
-        except StaleEpoch as err:
-            return ("__stale__", err.epoch, node_id)
-        except OutOfMemoryError as err:
-            return ("__oom__", str(err))
-
-    def _stamp_epoch(self, epoch: int) -> None:
+        else:
+            raise KeyError(f"not a membership command: {kind!r}")
         for seg in self.nodes.values():
             seg.epoch = epoch
+        return epoch
 
 
 class EpochFence:
@@ -353,14 +306,6 @@ class Migrator:
             faults=cluster.fault_injector,
             tracer=cluster.tracer,
         )
-        group = cluster.consensus
-        if group is not None:
-            # Controller HA: the migrator's metadata traffic (segment
-            # grants for relocated objects, membership flips, grant
-            # reassignment) goes through the replicated controller group
-            # under its own dedup session, so a controller crash mid-drain
-            # can neither lose nor double-apply a step.
-            self.ep.consensus = group.make_client()
         self.alloc = StripedAllocator(
             self.ep, cluster.nodes,
             min(cluster.segment_bytes, MIGRATION_SEGMENT_BYTES),
@@ -398,12 +343,9 @@ class Migrator:
         rec = self.record
         t0 = cluster.engine.now
         try:
-            # The DRAINING flip is the drain's first step.  Under controller
-            # HA it is a replicated log entry: the drain only proceeds once
-            # a majority of controller replicas has durably recorded it, so
-            # a failed-over controller knows a drain was in flight.  The
-            # fence arms at the committed epoch.
-            epoch = yield from self._commit_membership(DRAINING)
+            # The DRAINING flip is the drain's first step; the fence arms
+            # at its epoch.
+            epoch = self._flip(DRAINING)
             cluster.fence.fence_writes(
                 self.node.base, self.node.end, self.node.node_id
             )
@@ -428,11 +370,9 @@ class Migrator:
             self._notify("handoff")
             t_handoff = cluster.engine.now
             yield from self._passes_until_clean("handoff")
-            # The RETIRED flip, too, must commit before the node leaves the
-            # pool; a persistent commit failure aborts the drain.
-            epoch_end = yield from self._commit_membership(RETIRED)
+            epoch_end = self._flip(RETIRED)
         except MigrationError:
-            epoch = yield from self._commit_membership(ACTIVE, best_effort=True)
+            epoch = self._flip(ACTIVE)
             survivor = cluster._abort_drain(self, epoch)
             yield from self._reassign_grants_to(survivor)
             self._notify("aborted")
@@ -456,24 +396,9 @@ class Migrator:
         rec.finished_us = cluster.engine.now
         return rec
 
-    def _commit_membership(self, state: str, best_effort: bool = False):
-        """Commit a membership flip for the draining node; returns the new
-        epoch.  Under controller HA retries ride the migration fault budget
-        (:class:`~repro.core.consensus.ConsensusUnavailable` is an
-        :class:`RdmaFaultError`); with ``best_effort`` (the abort path) a
-        log that stays unavailable gets the flip applied locally instead of
-        unwinding the engine."""
-        command = ("membership_set", self.node.node_id, state)
-        try:
-            epoch = yield from self._with_retries(
-                lambda: self.cluster._commit(command, self.ep.consensus)
-            )
-            return epoch
-        except MigrationError:
-            if not best_effort:
-                raise
-            self.counters.add("migration_commit_failed")
-            return self.cluster._metadata.apply_entry(None, 0, command)
+    def _flip(self, state: str) -> int:
+        """Flip the draining node's membership state; returns the epoch."""
+        return self.cluster._commit(("membership_set", self.node.node_id, state))
 
     def _reassign_grants_to(self, survivor):
         """Move the migration allocator's grant-log entries to the client

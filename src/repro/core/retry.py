@@ -1,9 +1,9 @@
 """Shared exponential-backoff-with-jitter schedule.
 
-Every retry loop in the system — client fault retries, migration steps,
-crash-recovery RPCs, and the consensus client's leader probing — pauses on
-the same schedule: ``base * 2**(attempt-1)``, clamped to a ceiling, stretched
-by up to ``jitter`` drawn from the caller's deterministic RNG.  Keeping the
+Every retry loop in the system — client fault retries, migration steps
+and crash-recovery RPCs — pauses on the same schedule:
+``base * 2**(attempt-1)``, clamped to a ceiling, stretched by up to
+``jitter`` drawn from the caller's deterministic RNG.  Keeping the
 formula (and, critically, the RNG draw discipline: exactly one draw per
 jittered delay, none otherwise) in one place is what keeps seeded runs
 byte-identical across refactors of the callers.

@@ -9,11 +9,10 @@ single simulated instant.
 
 The segment-management state itself (the coarse level of the two-level
 memory management scheme) lives in :class:`SegmentState`, a pure in-memory
-state machine with no engine or network dependencies.  The split matters for
-controller HA (``repro.core.consensus``): replicated controllers apply the
-same commands to their own :class:`SegmentState` copies, while the serving
-path here stays the single-controller fast path.  Ditto's adaptive module
-and the CliqueMap baseline register their own handlers on top.
+state machine with no engine or network dependencies, so the sim's
+controller and a real memory node (``repro.runtime.server``, which mirrors
+it into a crash journal) serve the same code.  Ditto's adaptive module and
+the CliqueMap baseline register their own handlers on top.
 """
 
 from __future__ import annotations
@@ -38,8 +37,7 @@ class SegmentState:
     Bump pointer, size-classed free lists, and the per-owner grant log —
     everything ``alloc_segment``/``free_segment``/``list_segments``/
     ``reassign_grants`` read or write, with no side effects beyond its own
-    fields.  Deterministic and cloneable, so consensus replicas can apply
-    the same command stream to independent copies and converge.
+    fields.
     """
 
     __slots__ = (
@@ -97,16 +95,6 @@ class SegmentState:
         if op == "granted_segments":
             return self.granted_segments()
         raise KeyError(f"not a segment-management RPC: {op!r}")
-
-    def clone(self) -> "SegmentState":
-        new = SegmentState(self.node_id, self.next_free, self.end)
-        new.free_segments = {
-            size: list(addrs) for size, addrs in self.free_segments.items()
-        }
-        new.grants = {owner: list(segs) for owner, segs in self.grants.items()}
-        new.draining = self.draining
-        new.epoch = self.epoch
-        return new
 
     # -- commands -----------------------------------------------------------
 
@@ -177,9 +165,9 @@ class Controller:
         self.engine: Engine = node.engine
         self.cpu = Resource(self.engine, cores)
         self._handlers: Dict[str, Tuple[Callable, CostSpec]] = {}
-        #: Segment allocation state; shared by reference with the replicated
-        #: metadata service when controller HA is armed, so committed
-        #: commands and locally served RPCs observe the same state.
+        #: Segment allocation state; shared by reference with the cluster's
+        #: ``MetadataState``, so membership commands and served RPCs
+        #: observe the same state.
         self.state = SegmentState(node.node_id, node.base + reserve, node.end)
         #: Span tracer (repro.obs); None keeps serve() span-free.
         self.tracer = None

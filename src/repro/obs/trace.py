@@ -41,8 +41,6 @@ FAULT_SPAN_NAMES = {
     "rpc_failures": "fault.rpc_failure",
     "spikes": "fault.spike",
     "outages": "fault.outage",
-    "controller_crashes": "fault.controller_crash",
-    "partitions": "fault.partition",
     "client_crashes": "fault.client_crash",
 }
 

@@ -1,7 +1,7 @@
 """The verb-level transport interface shared by both substrates.
 
 Everything above this line — :class:`~repro.core.client.DittoClient`, the
-allocators, the migrator, crash recovery, the consensus client — speaks one
+allocators, the migrator, crash recovery — speaks one
 narrow surface: *verbs as generators*.  A verb generator yields opaque
 commands its substrate knows how to execute and returns the verb's result;
 callers compose them with ``yield from`` and never look at the yielded
@@ -43,14 +43,10 @@ The contract every implementation must honour (DESIGN §3.7):
 * The ``fence`` slot holds an :class:`~repro.core.elasticity.EpochFence`
   (or None); verbs check it client-side *before* address resolution and
   NACK with :class:`~repro.rdma.verbs.StaleEpoch`.
-* The ``consensus`` slot holds a
-  :class:`~repro.core.consensus.GroupClient` (or None) for routing
-  metadata commands through a replicated controller group.
 * ``metadata(node, op, payload)`` is the one route to controller *state*
   (segment grants, the membership table, the expert weights): the RPC
-  above while ``consensus`` is None, else the same operation committed
-  through the replicated log.  Callers never test ``consensus``
-  themselves.  Built here from ``rpc`` and the slot, not per substrate.
+  above, named apart so a caller says when it reads or writes controller
+  state.  Built here from ``rpc``, not per substrate.
 * ``post_write``/``post_faa`` are fire-and-forget: the verb runs off the
   caller's critical path (two engine callbacks on the sim substrate, a
   frame on the process's link to the memory node on the real one), with
@@ -74,8 +70,8 @@ class VerbTransport:
 
     Implementations also expose ``engine`` (an object with ``now``/``_now``
     in microseconds), ``counters`` (a
-    :class:`~repro.sim.CounterSet`), and the mutable ``fence``/``tracer``/
-    ``consensus`` slots.
+    :class:`~repro.sim.CounterSet`), and the mutable ``fence``/``tracer``
+    slots.
     """
 
     __slots__ = ()
@@ -107,19 +103,8 @@ class VerbTransport:
         raise NotImplementedError
 
     def metadata(self, node, op: str, payload=None, size: int = 64) -> Generator:
-        """Run metadata operation ``op`` on ``node``'s controller state,
-        through the replicated controller group when one is armed.
-
-        The log's command is flat, ``(op, node_id, *payload)``: a tuple or
-        list payload is spliced in, any other is one field, None is none.
-        """
-        if self.consensus is None:
-            return self.rpc(node, op, payload, size=size)
-        if payload is None:
-            payload = ()
-        elif not isinstance(payload, (tuple, list)):
-            payload = (payload,)
-        return self.consensus.submit((op, node.node_id, *payload))
+        """Run metadata operation ``op`` on ``node``'s controller state."""
+        return self.rpc(node, op, payload, size=size)
 
     def post_write(self, addr: int, data: bytes):
         """Fire-and-forget WRITE; returns None.  Portable code cannot

@@ -93,7 +93,6 @@ class RdmaEndpoint(VerbTransport):
         "_base_cas8",
         "_base_faa8",
         "_base_rpc",
-        "consensus",
     )
 
     def __init__(
@@ -120,11 +119,6 @@ class RdmaEndpoint(VerbTransport):
         #: verb is NACKed immediately with :class:`StaleEpoch` instead of
         #: reaching the NIC pipe.
         self.fence = None
-        #: Replicated-controller handle (repro.core.consensus.GroupClient);
-        #: None — the default — keeps metadata RPCs on the direct
-        #: single-controller path.  When set, segment-management RPCs route
-        #: through the raft group instead of a single controller.
-        self.consensus = None
         # Pre-resolved fast path for the common single-MN pool.
         self._single_node = pool.nodes[0] if len(pool.nodes) == 1 else None
         self._lead = self.params.client_overhead_us + self.params.one_way_us()

@@ -208,11 +208,6 @@ async def run_chaos(
             f"plan kinds {dropped} are sim-only and cannot run on the real "
             "substrate (DESIGN §3.8)"
         )
-    if kill_node_id == 0:
-        raise ValueError(
-            "node 0's MetadataState keeps the membership table and the "
-            "global weights in process memory; kill a data node instead"
-        )
 
     descriptor = dict(harness.descriptor())
     descriptor["config"] = {

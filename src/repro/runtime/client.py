@@ -745,8 +745,8 @@ class RealEndpoint(VerbTransport):
     """
 
     __slots__ = (
-        "engine", "nodes", "counters", "tracer", "fence", "consensus",
-        "timeout_s", "shm_reads", "health", "_single_node", "_rng",
+        "engine", "nodes", "counters", "tracer", "fence", "timeout_s",
+        "shm_reads", "health", "_single_node", "_rng",
         "_rpc_salt", "_rpc_seq", "_obs_proc", "_obs_hist", "_posts",
     )
 
@@ -764,7 +764,6 @@ class RealEndpoint(VerbTransport):
         self.counters = counters if counters is not None else CounterSet()
         self.tracer = None
         self.fence = None
-        self.consensus = None
         self.timeout_s = timeout_s
         self.shm_reads = shm_reads
         self.health = health

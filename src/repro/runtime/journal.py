@@ -14,7 +14,8 @@ tail of the same shared-memory segment, past the byte range clients can
 address::
 
     [0, size)                 the node's heap (client-addressable)
-    [size, size + JOURNAL)    header + fixed 32-byte grant entries
+    [size, size + JOURNAL)    header, the weight slots, then fixed
+                              32-byte grant entries
 
 One entry per granted segment: ``(addr u64, size u64, owner i64,
 token u64)``.  Entries are written by the single-threaded server with
@@ -32,6 +33,12 @@ rewrites token then owner.
 :mod:`repro.runtime.wire`), so a client resending ``alloc_segment``
 across a server crash/restart gets its original grant back instead of a
 duplicate.
+
+Node 0 also journals the global expert weights, written through on every
+fold: two slots of :data:`MAX_EXPERTS` doubles, written alternately, and
+one selector word ``(count << 32) | generation`` stored after the slot, so
+a SIGKILL mid-write leaves the previous vector whole.  A restart with
+``--adopt`` resumes from the learned weights instead of uniform ones.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from __future__ import annotations
 import mmap
 import os
 import struct
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..memory.controller import OutOfMemoryError, SegmentState, _round_up
 from ..memory.node import BLOCK_SIZE
@@ -104,11 +111,18 @@ class ShmSegment:
 
 
 MAGIC = 0x4449_5454_4F4A_4E4C  # "DITTOJNL"
-VERSION = 1
+VERSION = 2
 
 HEADER = struct.Struct("<QQQQ")          # magic, version|capacity, count, next_free
 ENTRY = struct.Struct("<QQqQ")           # addr, size, owner, token
 ENTRY_SIZE = ENTRY.size
+
+#: Weight-vector length a journal holds: an expert bitmap is one 64-bit word.
+MAX_EXPERTS = 64
+WEIGHT_SLOT = 8 * MAX_EXPERTS
+#: The selector word, then two weight slots, between header and entries.
+WEIGHTS_OFF = HEADER.size
+ENTRIES_OFF = WEIGHTS_OFF + 8 + 2 * WEIGHT_SLOT
 
 #: Entries this many grants can be journalled per node; segment grants are
 #: coarse (256 KiB default), so 4096 covers heaps far larger than any test
@@ -121,7 +135,7 @@ FREE_OWNER = -(1 << 40)
 
 def journal_bytes(capacity: int = DEFAULT_CAPACITY) -> int:
     """Shared-memory bytes to reserve past the heap for the journal."""
-    return HEADER.size + capacity * ENTRY_SIZE
+    return ENTRIES_OFF + capacity * ENTRY_SIZE
 
 
 class GrantJournal:
@@ -139,14 +153,14 @@ class GrantJournal:
         #: addr -> entry index, for in-place free/reuse/reassign updates.
         self._index: Dict[int, int] = {}
         #: Optional observability hook, invoked once per journalled
-        #: mutation (alloc/free/reassign).  None when obs is disarmed —
+        #: mutation (alloc/free/reassign/weights).  None when obs is disarmed —
         #: the write path then pays a single attribute test.
         self.on_record: Optional[Callable[[], None]] = None
 
     # -- raw field stores (each a single aligned 8-byte write) -------------
 
     def _entry_off(self, index: int) -> int:
-        return HEADER.size + index * ENTRY_SIZE
+        return ENTRIES_OFF + index * ENTRY_SIZE
 
     def _store_u64(self, off: int, value: int) -> None:
         self._buf[off : off + 8] = struct.pack("<Q", value)
@@ -230,6 +244,29 @@ class GrantJournal:
         if index is None:
             return
         self._store_i64(self._entry_off(index) + 16, FREE_OWNER)
+
+    def record_weights(self, weights) -> None:
+        """Write ``weights`` to the idle slot, then flip the selector."""
+        if self.on_record is not None:
+            self.on_record()
+        if len(weights) > MAX_EXPERTS:
+            raise ValueError(f"{len(weights)} weights, journal holds {MAX_EXPERTS}")
+        generation = (self._selector() & 0xFFFFFFFF) + 1
+        off = WEIGHTS_OFF + 8 + (generation & 1) * WEIGHT_SLOT
+        struct.pack_into(f"<{len(weights)}d", self._buf, off, *weights)
+        self._store_u64(WEIGHTS_OFF, (len(weights) << 32) | generation)
+
+    def _selector(self) -> int:
+        return struct.unpack_from("<Q", self._buf, WEIGHTS_OFF)[0]
+
+    def weights(self) -> Optional[List[float]]:
+        """The last journalled weight vector, or None if none was."""
+        selector = self._selector()
+        count, generation = selector >> 32, selector & 0xFFFFFFFF
+        if not generation:
+            return None
+        off = WEIGHTS_OFF + 8 + (generation & 1) * WEIGHT_SLOT
+        return list(struct.unpack_from(f"<{count}d", self._buf, off))
 
     def record_reassign(self, from_owner: int, to_owner: int) -> None:
         if self.on_record is not None:

@@ -12,7 +12,7 @@ back the sim substrate execute them.  Segment management runs on
 grant into a write-through journal at the tail of the same shared-memory
 segment — so a SIGKILLed node can be restarted with ``--adopt`` against
 the surviving heap and resume with its grant log (and alloc-dedup
-tokens) intact.
+tokens) intact; node 0 journals the expert weights beside them.
 
 The serving loop is one thread polling its sockets directly
 (``select.poll``, with a dict from fd to connection) — no event loop
@@ -230,11 +230,20 @@ class NodeServer:
             None, size=size, base=base, node_id=node_id, buffer=self.shm.buf
         )
         self._jview = self.shm.buf[size:total]
+        weights = GlobalWeights(num_experts, learning_rate) if num_experts else None
         try:
             if adopt:
                 self.segments = DurableSegmentState.adopt(
                     node_id, base + reserve, base + size, self._jview
                 )
+                saved = self.segments.journal.weights()
+                if weights is not None and saved is not None:
+                    if len(saved) != num_experts:
+                        raise ValueError(
+                            f"journal holds {len(saved)} weights, node 0 "
+                            f"serves {num_experts} experts"
+                        )
+                    weights.weights = saved
             else:
                 self.segments = DurableSegmentState(
                     node_id, base + reserve, base + size,
@@ -251,10 +260,10 @@ class NodeServer:
             MembershipTable(membership) if membership else None
         )
         self.metadata.adopt_node(self.segments)
-        if num_experts:
-            self.metadata.adopt_weights(
-                GlobalWeights(num_experts, learning_rate)
-            )
+        if weights is not None:
+            # Every fold is journalled before its answer is sent.
+            weights.on_update = self.segments.journal.record_weights
+            self.metadata.adopt_weights(weights)
         self.gate: Optional[FaultInjector] = None
         self._rpc_memo: "OrderedDict[int, tuple]" = OrderedDict()
         #: Opcode -> the one implementation of that verb.
@@ -851,7 +860,8 @@ def main(argv=None) -> int:
     parser.add_argument("--adopt", action="store_true",
                         help="attach to the surviving shared-memory segment "
                              "of a crashed instance, rebuild grant state "
-                             "from its journal and serve on its address")
+                             "and weights from its journal and serve on its "
+                             "address")
     parser.add_argument("--experts", type=int, default=0,
                         help="host the global adaptive weights (node 0)")
     parser.add_argument("--learning-rate", type=float, default=0.1)

@@ -100,7 +100,14 @@ class NodeOutage:
 @dataclass(frozen=True)
 class RpcFailure:
     """Controller RPCs inside the window fail with probability ``prob``
-    (the weak controller CPU stalls or drops the request)."""
+    (the weak controller CPU stalls or drops the request).
+
+    ``RpcFailure(start, end, node_id=0)`` is the metadata-node crash
+    (DESIGN §3.6): node 0's controller, which holds the membership table,
+    the expert weights and its own grants, answers nothing, while one-sided
+    verbs still reach its heap.  Callers ride it out on their fault-retry
+    paths; a real node 0 comes back from its journal with ``--adopt``.
+    """
 
     start_us: float
     end_us: float
@@ -116,75 +123,12 @@ class ClientCrash:
     at_us: float
 
 
-@dataclass(frozen=True)
-class ControllerCrash:
-    """Controller replica ``replica_id`` is frozen for the window.
-
-    Models a crash-recovery cycle of one replica of the replicated metadata
-    service (``repro.core.consensus``): the replica neither sends nor
-    receives messages and serves no client submissions while the window is
-    open, but its persistent raft state (term, vote, log) survives — on
-    recovery it rejoins as a follower and catches up.
-    """
-
-    replica_id: int
-    start_us: float
-    end_us: float
-
-    def __post_init__(self) -> None:
-        if self.end_us < self.start_us:
-            raise ValueError(
-                f"empty controller-crash window: [{self.start_us}, {self.end_us})"
-            )
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Controller replicas in different ``groups`` cannot exchange messages.
-
-    ``groups`` is a tuple of disjoint replica-id tuples; replicas not listed
-    in any group form one implicit remainder group.  Within a group traffic
-    flows normally.  Client-to-replica RPCs ride a separate (client-side)
-    network and are unaffected — the classic raft partition exercises the
-    replica-to-replica quorum, which is where split-brain would live.
-    """
-
-    start_us: float
-    end_us: float
-    groups: Tuple[Tuple[int, ...], ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.end_us < self.start_us:
-            raise ValueError(
-                f"empty partition window: [{self.start_us}, {self.end_us})"
-            )
-        # Normalize nested sequences (JSON round-trips tuples into lists).
-        object.__setattr__(
-            self, "groups", tuple(_tuple_of(g) for g in self.groups)
-        )
-        seen = set()
-        for group in self.groups:
-            for rid in group:
-                if rid in seen:
-                    raise ValueError(f"replica {rid} in two partition groups")
-                seen.add(rid)
-
-    def group_of(self, replica_id: int) -> int:
-        """Index of the group holding ``replica_id`` (-1 = remainder group)."""
-        for index, group in enumerate(self.groups):
-            if replica_id in group:
-                return index
-        return -1
-
-
 _KINDS = {
     "drops": DropWindow,
     "spikes": LatencySpike,
     "outages": NodeOutage,
     "rpc_failures": RpcFailure,
     "client_crashes": ClientCrash,
-    "controller_crashes": ControllerCrash,
-    "partitions": Partition,
 }
 
 
@@ -197,8 +141,6 @@ class FaultPlan:
     outages: Tuple[NodeOutage, ...] = ()
     rpc_failures: Tuple[RpcFailure, ...] = ()
     client_crashes: Tuple[ClientCrash, ...] = ()
-    controller_crashes: Tuple[ControllerCrash, ...] = ()
-    partitions: Tuple[Partition, ...] = ()
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -264,9 +206,7 @@ class FaultPlan:
 
 #: Plan kinds the wall-clock chaos layer (``repro.runtime.chaos``) can
 #: execute 1:1.  The rest are sim-only: client crashes need the engine's
-#: ability to kill a driver mid-yield, and controller crashes/partitions
-#: target the replicated metadata service, which the real substrate runs
-#: in the launcher process.
+#: ability to kill a driver mid-yield.
 WALL_KINDS = ("drops", "spikes", "outages", "rpc_failures")
 
 
@@ -330,8 +270,6 @@ class FaultInjector:
         self._drops: Tuple[DropWindow, ...] = ()
         self._spikes: Tuple[LatencySpike, ...] = ()
         self._outages: Tuple[NodeOutage, ...] = ()
-        self._controller_crashes: Tuple[ControllerCrash, ...] = ()
-        self._partitions: Tuple[Partition, ...] = ()
         self._active_until = -_INF  # fast no-fault path: nothing before this
         self._active_from = _INF
         #: Span tracer (repro.obs); None keeps load() annotation-free.
@@ -361,11 +299,6 @@ class FaultInjector:
         )
         self._spikes = plan.spikes
         self._outages = plan.outages
-        # Controller faults never touch verb_outcome, so they stay out of
-        # the verb fast-path window below — consensus consults them through
-        # its own point queries.
-        self._controller_crashes = plan.controller_crashes
-        self._partitions = plan.partitions
         windows = [
             (w.start_us, w.end_us)
             for w in (*self._drops, *self._spikes, *self._outages)
@@ -382,29 +315,6 @@ class FaultInjector:
             now = self.clock.now
         for outage in self._outages:
             if outage.node_id == node_id and outage.start_us <= now < outage.end_us:
-                return True
-        return False
-
-    def controller_down(self, replica_id: int, now: Optional[float] = None) -> bool:
-        """Is consensus replica ``replica_id`` inside a crash window *now*?"""
-        if now is None:
-            now = self.clock.now
-        for crash in self._controller_crashes:
-            if (
-                crash.replica_id == replica_id
-                and crash.start_us <= now < crash.end_us
-            ):
-                return True
-        return False
-
-    def link_cut(self, a: int, b: int, now: Optional[float] = None) -> bool:
-        """Are replicas ``a`` and ``b`` on opposite sides of a partition?"""
-        if not self._partitions:
-            return False
-        if now is None:
-            now = self.clock.now
-        for p in self._partitions:
-            if p.start_us <= now < p.end_us and p.group_of(a) != p.group_of(b):
                 return True
         return False
 
@@ -450,13 +360,11 @@ __all__ = [
     "DROP",
     "DOWN",
     "ClientCrash",
-    "ControllerCrash",
     "DropWindow",
     "FaultInjector",
     "FaultPlan",
     "LatencySpike",
     "NodeOutage",
-    "Partition",
     "RpcFailure",
     "WALL_KINDS",
     "compile_wall",

@@ -1,6 +1,6 @@
-"""The two leader-failover experiments at tiny scale: the timeline each
-samples, the crash each arms as its drain enters copy, and the failover
-timing each reports."""
+"""The two metadata-node-crash experiments at tiny scale: the timeline each
+samples, the crash of node 0's controller each arms as its drain enters
+copy, and the unavailability window, drain and sweep each reports."""
 
 from repro.bench.experiments import extra_controller_failover
 from repro.bench.experiments import extra_failover_timeline
@@ -13,16 +13,19 @@ def phases(timeline):
     return list(dict.fromkeys(row["phase"] for row in timeline))
 
 
-def check_failover(result, replicas=3):
-    assert result["crashed_leader"] in range(replicas)
+def check_crash(result):
     migration = result["migration"]
     assert migration["phase"] == "done"
     # The crash lands inside the drain: it is armed as the copy begins.
     assert migration["started_us"] <= result["crash_at_us"]
     assert result["crash_at_us"] <= migration["finished_us"]
-    # No command commits before a successor is elected.
-    assert 0 < result["election_latency_us"]
-    assert result["election_latency_us"] <= result["metadata_unavailability_us"]
+    # Node 0 answers no metadata until its controller is back.
+    window = result["crash_window_us"]
+    assert window <= result["metadata_unavailability_us"] < window + 500.0
+    assert result["refused_rpcs"] > 0
+    # No lost grant: the sweep tiles every grant, and the data survived.
+    assert result["sweep"]["live_objects"] > 0
+    assert "failed_ops" in result
 
 
 def test_controller_failover_schema():
@@ -33,9 +36,7 @@ def test_controller_failover_schema():
     timeline = result["timeline"]
     assert phases(timeline) == ["steady", "failover", "recovered"]
     assert all(set(row) == ROW for row in timeline)
-    check_failover(result)
-    assert [e for e in result["elections"] if e[1] == "leader"]
-    assert result["sweep"]["live_objects"] > 0
+    check_crash(result)
     assert result["node_ids"] == [0, 1]
 
 
@@ -50,8 +51,7 @@ def test_failover_timeline_schema():
         "memory-scaled-up", "memory-scaled-down", "recovered",
     ]
     assert all(set(row) == ROW | {"in_outage"} for row in timeline)
-    check_failover(result)
+    check_crash(result)
     flagged = [row for row in timeline if row["in_outage"]]
     assert len(flagged) == result["outage_windows"] >= 1
     assert {row["phase"] for row in flagged} == {"memory-scaled-down"}
-    assert result["weights_preserved"]

@@ -169,11 +169,10 @@ class TestRemoveMemoryNode:
             cache.cluster.remove_memory_node(0)
 
     @pytest.mark.parametrize("outcome", ["done", "aborted"])
-    @pytest.mark.parametrize("replicas", [0, 3])
-    def test_drain_ends_one_epoch_later_on_every_node(self, replicas, outcome):
+    def test_drain_ends_one_epoch_later_on_every_node(self, outcome):
         cluster = DittoCluster(
             capacity_objects=256, object_bytes=128, num_clients=2, seed=5,
-            num_memory_nodes=3, controller_replicas=replicas,
+            num_memory_nodes=3,
         )
         for i in range(200):
             cluster.engine.run_process(

@@ -31,13 +31,11 @@ from repro.runtime.chaos import CANNED_PLAN
 from repro.sim import Engine
 from repro.sim.faults import (
     ClientCrash,
-    ControllerCrash,
     DropWindow,
     FaultInjector,
     FaultPlan,
     LatencySpike,
     NodeOutage,
-    Partition,
     RpcFailure,
 )
 
@@ -215,18 +213,16 @@ class TestFaultWindows:
             outages=(NodeOutage(0, 0.0, 1.0),),
             rpc_failures=(RpcFailure(0.0, 1.0),),
             client_crashes=(ClientCrash(0, 0.5), ClientCrash(1, 0.7)),
-            controller_crashes=(ControllerCrash(0, 0.0, 1.0),),
-            partitions=(Partition(0.0, 1.0, groups=((0,), (1, 2))),),
         )
         for tracer in (_sim_tracer(plan), _wall_tracer(plan, tmp_path)):
             events = _fault_events(tracer)
             assert sorted(e["name"] for e in events) == [
                 "fault.client_crash", "fault.client_crash",
-                "fault.controller_crash", "fault.drop", "fault.outage",
-                "fault.partition", "fault.rpc_failure", "fault.spike",
+                "fault.drop", "fault.outage", "fault.rpc_failure",
+                "fault.spike",
             ]
             # Windows get a lane each; the crash instants share one.
-            assert len({e["tid"] for e in events}) == 7
+            assert len({e["tid"] for e in events}) == 5
             json.dumps(events)
 
 

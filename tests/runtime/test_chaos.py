@@ -18,11 +18,14 @@ import time
 
 import pytest
 
+from repro.core.adaptive import GlobalWeights
+from repro.core.client import CacheOperationError
 from repro.rdma.verbs import NodeUnavailable
-from repro.runtime.chaos import run_chaos
+from repro.runtime.chaos import run_chaos, sweep_real
 from repro.runtime.client import NodeHealth, drive
 from repro.runtime.cluster import RealCluster
 from repro.runtime.harness import RealClusterHarness
+from repro.runtime.loadgen import run_load, wire_key
 from repro.runtime.journal import (
     DurableSegmentState,
     GrantJournal,
@@ -275,11 +278,73 @@ def test_chaos_drill_end_to_end_sweeps_clean():
     assert harness.leak_report()["clean"]
 
 
-def test_chaos_refuses_sim_only_plans_and_node0_kills():
-    harness = _mini_harness()  # never launched: both checks are up-front
+def test_chaos_refuses_sim_only_plans():
+    harness = _mini_harness()  # never launched: the check is up-front
     with pytest.raises(ValueError, match="sim-only"):
         asyncio.run(run_chaos(
             harness, FaultPlan(client_crashes=(ClientCrash(0, 10.0),)),
         ))
-    with pytest.raises(ValueError, match="node 0"):
-        asyncio.run(run_chaos(harness, FaultPlan(), kill_node_id=0))
+
+
+def test_kill_node_0_keeps_its_weights_and_every_grant():
+    """Write, kill the metadata node, bring it back: node 0's learned
+    weights and every acknowledged grant come back from its journal."""
+    # Folds every 10 regrets, so a short load moves the weights.
+    harness = _mini_harness(capacity_objects=256, weight_update_batch=10)
+    try:
+        descriptor = harness.launch()
+
+        async def scenario():
+            cluster = RealCluster(descriptor, timeout_s=5.0)
+            try:
+                # A working set 8x the cache: evictions, then regrets.
+                report = await run_load(
+                    descriptor, clients=4, ops=3000, n_keys=2048,
+                    read_ratio=0.5, seed=5, cluster=cluster,
+                )
+                assert report["evictions"] > 0 and report["regrets"] > 0
+                await cluster.engine.drain_background()
+                node0 = cluster.node
+                ep = cluster.clients[0].ep
+                experts = len(cluster.config.policies)
+
+                async def fold():
+                    """A fold of zero penalties answers node 0's weights."""
+                    return await drive(
+                        ep.rpc(node0, "update_weights", [0.0] * experts))
+
+                async def grants():
+                    return await drive(ep.rpc(node0, "granted_segments", None))
+
+                weights, granted = await fold(), await grants()
+                assert weights != [1.0 / experts] * experts
+                expected = GlobalWeights(experts)
+                expected.weights = list(weights)
+
+                assert harness.kill_node(0)
+                assert harness.reap() == [0]
+                harness.restart_node(0)
+
+                assert await fold() == expected.handle_update([0.0] * experts)
+                assert await grants() == granted
+
+                failed = 0
+                for client in cluster.clients:
+                    for key_id in range(50):
+                        key = wire_key(key_id)
+                        try:
+                            if await drive(client.get(key)) is None:
+                                await drive(client.set(key, b"v" * 64))
+                        except CacheOperationError:
+                            failed += 1
+                assert failed == 0
+                await cluster.engine.drain_background()
+                sweep = await sweep_real(cluster)
+                assert sweep["live_objects"] > 0
+            finally:
+                await cluster.aclose()
+
+        asyncio.run(scenario())
+    finally:
+        harness.shutdown()
+    assert harness.leak_report()["clean"]

@@ -7,7 +7,9 @@ The property drives a generated sequence of ``DurableSegmentState``
 copies the buffer after every store, and adopts each copy as a restarted
 node would.  Every adoption must keep what was acknowledged before the
 interrupted command; the grant that command was making, freeing or
-moving may land either way, but never twice.
+moving may land either way, but never twice.  The weight vector node 0
+journals on every fold comes back whole: the last acknowledged one, or
+the one being written.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.adaptive import GlobalWeights
 from repro.runtime.journal import (
     DurableSegmentState,
     GrantJournal,
@@ -131,3 +134,33 @@ def test_adopt_after_a_crash_at_every_store(commands):
                             tokens, tokens)
     assert _live(final) == _live(state)
     assert final.token_grants == tokens
+
+
+@settings(max_examples=100, deadline=None)
+@given(folds=st.lists(
+    st.lists(st.floats(0.0, 5.0), min_size=3, max_size=3), max_size=12))
+def test_adopted_weights_are_the_last_whole_fold(folds):
+    """A SIGKILL before or after any store of a fold adopts the vector
+    of the fold before it or of this one, bit for bit, never a mix."""
+    buf = bytearray(journal_bytes(CAPACITY))
+    journal = GrantJournal(memoryview(buf), CAPACITY)
+    journal.initialize(START)
+    weights = GlobalWeights(3, on_update=journal.record_weights)
+    snapshots = []
+    store = journal._store_u64
+
+    def stored(off, value):
+        snapshots.append(bytes(buf))
+        store(off, value)
+        snapshots.append(bytes(buf))
+
+    journal._store_u64 = stored
+    acknowledged = None
+    for penalties in folds:
+        first = len(snapshots)
+        answer = weights.handle_update(penalties)
+        for snapshot in snapshots[first:]:
+            adopted = GrantJournal.attach(memoryview(bytearray(snapshot)))
+            assert adopted.weights() in (acknowledged, answer)
+        acknowledged = answer
+    assert GrantJournal.attach(memoryview(buf)).weights() == acknowledged

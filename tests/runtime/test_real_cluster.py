@@ -131,7 +131,7 @@ def test_both_clusters_give_clients_one_contract():
     real_keys = {k for k in real.stats()
                  if k != "wall_time_us" and not k.startswith("link_")}
     assert sim_keys == real_keys
-    for hook in ("fence", "consensus", "fault_injector", "tracer"):
+    for hook in ("fence", "fault_injector", "tracer"):
         assert getattr(real, hook) is None, hook
 
 

@@ -318,7 +318,7 @@ HOSTILE_ANSWERED = {
     "alloc_segment with a str size": _rpc_request("alloc_segment", "4096"),
     "reassign_grants with a scalar": _rpc_request("reassign_grants", 7),
     "free_segment with None": _rpc_request("free_segment", None),
-    "add_node, a command only the log applies":
+    "add_node, a membership command no RPC serves":
         _rpc_request("add_node", (5, 1 << 30, 1 << 31)),
 }
 

@@ -326,12 +326,11 @@ def test_rpc_exhaustion_surfaces_oom(substrate):
         substrate.run(flow())
 
 
-def test_metadata_is_the_rpc_without_a_consensus_client(substrate):
-    """``metadata()`` is concrete on :class:`VerbTransport`: with no
-    replicated controller group bound it is the plain RPC — same results,
-    same errors, same count — on both substrates."""
+def test_metadata_is_the_rpc(substrate):
+    """``metadata()`` is concrete on :class:`VerbTransport`: it is the
+    plain RPC — same results, same errors, same count — on both
+    substrates."""
     ep, node = substrate.ep, substrate.rpc_node
-    assert ep.consensus is None
 
     def flow():
         addr = yield from ep.metadata(node, "alloc_segment", (4096, 5))

@@ -2,8 +2,8 @@
 
 Fault plans are cache-key material and travel through JSON (experiment
 manifests, the CI chaos job); ``from_dict(json(to_dict(plan)))`` must be the
-identity for every constructible plan — including the controller-HA fault
-types, whose nested partition groups JSON turns into lists.  ``shifted``
+identity for every constructible plan, including the verb filters JSON
+turns into lists.  ``shifted``
 must compose additively and preserve window lengths, and it and
 ``compile_wall`` are two uses of one affine retime, checked field by field.
 """
@@ -17,12 +17,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sim.faults import (
     ClientCrash,
-    ControllerCrash,
     DropWindow,
     FaultPlan,
     LatencySpike,
     NodeOutage,
-    Partition,
     RpcFailure,
     WALL_KINDS,
     compile_wall,
@@ -81,26 +79,6 @@ def client_crashes(draw):
 
 
 @st.composite
-def controller_crashes(draw):
-    start, end = draw(windows())
-    return ControllerCrash(draw(st.integers(0, 6)), start, end)
-
-
-@st.composite
-def partitions(draw):
-    start, end = draw(windows())
-    replicas = draw(
-        st.lists(st.integers(0, 6), min_size=0, max_size=5, unique=True)
-    )
-    n_groups = draw(st.integers(min_value=0, max_value=max(len(replicas), 1)))
-    groups = [[] for _ in range(n_groups)]
-    for index, rid in enumerate(replicas):
-        if groups:
-            groups[index % n_groups].append(rid)
-    return Partition(start, end, groups=tuple(tuple(g) for g in groups))
-
-
-@st.composite
 def fault_plans(draw):
     few = dict(min_size=0, max_size=3)
     return FaultPlan(
@@ -109,8 +87,6 @@ def fault_plans(draw):
         outages=tuple(draw(st.lists(node_outages(), **few))),
         rpc_failures=tuple(draw(st.lists(rpc_failures(), **few))),
         client_crashes=tuple(draw(st.lists(client_crashes(), **few))),
-        controller_crashes=tuple(draw(st.lists(controller_crashes(), **few))),
-        partitions=tuple(draw(st.lists(partitions(), **few))),
         seed=draw(st.integers(min_value=0, max_value=2**31 - 1)),
     )
 
@@ -136,8 +112,7 @@ def test_shifted_composes_and_round_trips(plan, a, b):
 def test_shifted_preserves_window_lengths_and_empty(plan, offset):
     moved = plan.shifted(offset)
     assert moved.empty == plan.empty
-    for name in ("drops", "spikes", "outages", "rpc_failures",
-                 "controller_crashes", "partitions"):
+    for name in ("drops", "spikes", "outages", "rpc_failures"):
         for before, after in zip(getattr(plan, name), getattr(moved, name)):
             assert after.end_us - after.start_us == pytest.approx(
                 before.end_us - before.start_us
@@ -152,7 +127,7 @@ def test_shifted_preserves_window_lengths_and_empty(plan, offset):
 scales = st.integers(min_value=1, max_value=400).map(lambda n: n / 4.0)
 
 INSTANTS = ("start_us", "end_us", "at_us")
-SIM_ONLY = ("client_crashes", "controller_crashes", "partitions")
+SIM_ONLY = ("client_crashes",)
 
 
 def assert_affine(before_plan, after_plan, scale, offset, kinds):
@@ -168,7 +143,7 @@ def assert_affine(before_plan, after_plan, scale, offset, kinds):
                     assert after[name] == value * scale + offset
                 elif name == "extra_us":  # a duration: scales, never shifts
                     assert after[name] == value * scale
-                else:  # prob / node_id / verbs / groups / ids: not times
+                else:  # prob / node_id / verbs / ids: not times
                     assert after[name] == value
 
 

@@ -51,7 +51,6 @@ _NOT_IN_A_NODE = {
     "asyncio",
     "repro.core.cache",
     "repro.core.client",
-    "repro.core.consensus",
     "repro.runtime.client",
 }
 
