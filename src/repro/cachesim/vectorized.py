@@ -16,6 +16,10 @@ How the speed happens:
   parallel lists (key, freq, last_ts, insert_ts) indexed by store slot, with
   a dense ``pos_of`` table mapping key → slot (-1 when absent).  The hit
   path is then two list writes; no dict hashing, no attribute access.
+- **Slots reused in place.**  The columns are sized once to the most the
+  store holds and trimmed at exit.  An eviction copies the last slot into
+  the victim's (the scalar ``_remove_key``) and the insert writes the last
+  slot: a miss appends and pops nothing.
 - **Block-drawn rng.**  The scalar path draws uniforms one at a time from
   ``random.Random`` (MT19937).  numpy's ``RandomState`` is the *same*
   generator, so the replay transplants the MT19937 state into numpy, draws
@@ -23,11 +27,21 @@ How the speed happens:
   ``rng.random()`` calls), precomputes the slot index each draw would select
   at full capacity, and transplants the advanced state back at exit (the
   scalar path sees nothing).
-- **One unrolled candidate scan.**  Every configuration whose priorities
-  are minimized columns (LRU, LFU, FIFO — one expert or a pair) at the
-  default sample size of 5 scans its candidates in one unrolled block; a
-  single expert scans its one column twice.  Other sample sizes and MRU
-  take the generic ``_argbest`` loop.
+- **Floats only where consumed.**  The raw uniforms of a block are kept as
+  Python floats only for two experts (``choose`` reads one per eviction)
+  or for a store that entered over-full after a shrinking ``resize`` (it
+  samples from ``n`` slots, not ``capacity``); otherwise a refill converts
+  only the slot indices.
+- **Unrolled candidate scans.**  Every configuration whose priorities are
+  minimized columns (LRU, LFU, FIFO) at the default sample size of 5 scans
+  its candidates in one unrolled block: a dual scan for an expert pair, a
+  single scan over its one column for one expert.  Other sample sizes and
+  MRU take the generic ``_argbest`` loop.
+- **Dense history.**  Two experts hold the eviction history in a list
+  indexed by key (-1 when absent) beside ``pos_of``, sized by the trace's,
+  the store's and the history's keys, and keep the weights and penalty sums
+  in locals.  ``cache._history`` is rebuilt from the FIFO at exit, in
+  O(history_size): each key in the FIFO window holds its latest entry.
 - **Inlined adaptivity.**  For the dominant two-expert configuration the
   regret update (penalize → clip → normalize) and the proportional expert
   choice are inlined float math, verified identical to
@@ -39,14 +53,15 @@ How the speed happens:
 - **No history without regret.**  Only two experts collect regret, so a
   single-expert replay records no eviction history, like the scalar path.
 
-Eligibility is conservative: integer keys in a bounded range, supported
-priority functions (LRU/LFU/FIFO/MRU — priorities that are a signed
-metadata column), no live policy hooks, and one or two experts.  Anything
-else silently replays scalar.
+Eligibility is conservative: integer keys (trace, resident and history)
+in a bounded range, supported priority functions (LRU/LFU/FIFO/MRU —
+priorities that are a signed metadata column), no live policy hooks, and
+one or two experts.  Anything else silently replays scalar.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 
@@ -100,7 +115,8 @@ def eligible(cache, keys: np.ndarray) -> bool:
         return False
     if int(keys.min()) < 0 or int(keys.max()) >= MAX_KEY:
         return False
-    for key in cache._keys:
+    # Resident keys index pos_of and history keys the dense history.
+    for key in itertools.chain(cache._keys, cache._history):
         if type(key) is not int or key < 0 or key >= MAX_KEY:
             return False
     return True
@@ -128,26 +144,30 @@ def replay(cache, keys: np.ndarray) -> int:
         col1, sign1 = _SUPPORTED[type(cache.policies[1])]
     else:
         col1, sign1 = col0, sign0
-    # Minimized columns at the default sample size take the unrolled scan
-    # below; a single expert has pri1 is pri0 and keeps c1.
-    hot = ss == 5 and sign0 == 1 and sign1 == 1
+    # Minimized columns at the default sample size take an unrolled scan
+    # below (a dual one for two experts, a single one for one) whenever the
+    # store is full and larger than the sample.
+    hot = ss == 5 and cap > ss and sign0 == 1 and sign1 == 1
 
     # -- columnar encode ---------------------------------------------------
+    # Slot order must mirror the scalar _keys list.  The columns are sized
+    # once to the most the store ever holds (it only shrinks towards
+    # ``cap`` when it enters over-full) and trimmed at exit.
     orig = cache._store
-    kmax = int(keys.max())
-    top = max([kmax] + cache._keys) + 1 if orig else kmax + 1
+    hist = cache._history
+    old_keys = cache._keys
+    n = len(old_keys)
+    top = max(int(keys.max()), max(old_keys, default=0),
+              max(hist, default=0)) + 1
     pos_of = [-1] * top
-    keyid_col: list = []
-    freq_col: list = []
-    last_col: list = []
-    ins_col: list = []
-    for key in cache._keys:  # slot order must mirror the scalar _keys list
-        meta = orig[key]
-        pos_of[key] = len(keyid_col)
-        keyid_col.append(key)
-        freq_col.append(meta.freq)
-        last_col.append(meta.last_ts)
-        ins_col.append(meta.insert_ts)
+    for p, key in enumerate(old_keys):
+        pos_of[key] = p
+    metas = [orig[key] for key in old_keys]
+    pad = [0] * (max(n, cap) - n)
+    keyid_col = old_keys + pad
+    freq_col = [meta.freq for meta in metas] + pad
+    last_col = [meta.last_ts for meta in metas] + pad
+    ins_col = [meta.insert_ts for meta in metas] + pad
     cols = (freq_col, last_col, ins_col)
     pri0 = cols[col0]
     pri1 = cols[col1]
@@ -159,36 +179,34 @@ def replay(cache, keys: np.ndarray) -> int:
     mirror.set_state(
         ("MT19937", np.array(internal[:-1], dtype=np.uint32), internal[-1])
     )
-    fl_block: list = []  # raw uniforms (scalar fallback + choose draws)
+    # Raw uniforms are read only by two experts' choose() and by sampling
+    # an over-full store (which only an earlier shrinking resize leaves).
+    floats = two or n > cap
+    fl_block: list = []  # raw uniforms, kept only when ``floats``
     idx_block: list = []  # min(int(u * cap), cap - 1), precomputed per block
     cur = 0
     blk_len = 0
     drawn = 0
     reserve = ss + 1  # max draws one eviction can consume
 
-    hist = cache._history
+    # History (two experts only): a dense key -> packed entry column, -1
+    # when absent, in place of the dict; the dict is rebuilt at exit.  The
+    # weights and penalty sums live in locals until exit too.
     fifo = cache._history_fifo
     hctr = cache._history_counter
     base = cache._history_base
-    w = weights.weights
-    pend = weights._pending
+    if two:
+        hcol = [-1] * top
+        for key, entry in hist.items():
+            hcol[key] = entry
+        w0, w1 = weights.weights
+        pend0, pend1 = weights._pending
     tick0 = cache._tick
     misses = 0
-    evictions = 0
     regrets = 0
 
-    hist_get = hist.get
     fifo_append = fifo.append
     fifo_popleft = fifo.popleft
-    key_append = keyid_col.append
-    freq_append = freq_col.append
-    last_append = last_col.append
-    ins_append = ins_col.append
-    key_pop = keyid_col.pop
-    freq_pop = freq_col.pop
-    last_pop = last_col.pop
-    ins_pop = ins_col.pop
-    n = len(keyid_col)
     tick = tick0
 
     for chunk in chunks(keys):
@@ -200,28 +218,26 @@ def replay(cache, keys: np.ndarray) -> int:
                 continue
             misses += 1
             if two:
-                entry = hist_get(key)
-                if entry is not None:
+                entry = hcol[key]
+                if entry >= 0:
                     age = hctr - (entry >> shift)
                     if age <= hsize:
                         regrets += 1
                         pen = disc ** age
-                        w0 = w[0]
-                        w1 = w[1]
+                        factor = exp(-lr * pen)
                         if entry & 1:
-                            w0 *= exp(-lr * pen)
-                            pend[0] += pen
+                            w0 *= factor
+                            pend0 += pen
                         if entry & 2:
-                            w1 *= exp(-lr * pen)
-                            pend[1] += pen
+                            w1 *= factor
+                            pend1 += pen
                         if w0 < floor:
                             w0 = floor
                         if w1 < floor:
                             w1 = floor
                         total = w0 + w1
-                        w[0] = w0 / total
-                        w[1] = w1 / total
-                        weights._pending_count += 1
+                        w0 = w0 / total
+                        w1 = w1 / total
             while n >= cap:
                 if cur >= blk_len:
                     raw = mirror.random_sample(BLOCK)
@@ -230,17 +246,18 @@ def replay(cache, keys: np.ndarray) -> int:
                     np.minimum(idx, cap - 1, out=idx)
                     # Carry the unconsumed tail: the replay must stay on the
                     # exact draw sequence across block refills.
-                    fl_block = fl_block[cur:] + raw.tolist()
                     idx_block = idx_block[cur:] + idx.tolist()
-                    blk_len = len(fl_block) - reserve
+                    if floats:
+                        fl_block = fl_block[cur:] + raw.tolist()
+                    blk_len = len(idx_block) - reserve
                     cur = 0
-                if n > ss:
-                    if hot and n == cap:
-                        # Unrolled dual argmin (pri0 candidate c1, pri1
-                        # candidate c2) over 5 precomputed slot draws; strict <
-                        # keeps the first minimum, like the scalar scan.
-                        c1 = idx_block[cur]
-                        b0 = pri0[c1]
+                if n == cap and hot:
+                    # Unrolled argmin over 5 precomputed slot draws; strict
+                    # < keeps the first minimum, like the scalar scan.
+                    c1 = idx_block[cur]
+                    b0 = pri0[c1]
+                    if two:
+                        # Dual: pri0 candidate c1, pri1 candidate c2.
                         c2 = c1
                         b1 = pri1[c1]
                         s = idx_block[cur + 1]
@@ -273,31 +290,49 @@ def replay(cache, keys: np.ndarray) -> int:
                         s = idx_block[cur + 4]
                         v = pri0[s]
                         if v < b0:
-                            b0 = v
                             c1 = s
                         v = pri1[s]
                         if v < b1:
-                            b1 = v
                             c2 = s
-                        cur += 5
-                    elif n == cap:
+                    else:
+                        s = idx_block[cur + 1]
+                        v = pri0[s]
+                        if v < b0:
+                            b0 = v
+                            c1 = s
+                        s = idx_block[cur + 2]
+                        v = pri0[s]
+                        if v < b0:
+                            b0 = v
+                            c1 = s
+                        s = idx_block[cur + 3]
+                        v = pri0[s]
+                        if v < b0:
+                            b0 = v
+                            c1 = s
+                        s = idx_block[cur + 4]
+                        if pri0[s] < b0:
+                            c1 = s
+                    cur += 5
+                elif n > ss:
+                    if n == cap:
                         sampled = idx_block[cur : cur + ss]
-                        cur += ss
-                        c1 = _argbest(sampled, pri0, sign0)
-                        c2 = _argbest(sampled, pri1, sign1) if two else c1
                     else:
                         sampled = [
                             min(int(fl_block[j] * n), n - 1)
                             for j in range(cur, cur + ss)
                         ]
-                        cur += ss
-                        c1 = _argbest(sampled, pri0, sign0)
-                        c2 = _argbest(sampled, pri1, sign1) if two else c1
+                    cur += ss
+                    c1 = _argbest(sampled, pri0, sign0)
+                    if two:
+                        c2 = _argbest(sampled, pri1, sign1)
                 else:
                     # Tiny store: the scalar path samples every key (no draws).
                     sampled = range(n)
                     c1 = _argbest(sampled, pri0, sign0)
-                    c2 = _argbest(sampled, pri1, sign1) if two else c1
+                    if two:
+                        c2 = _argbest(sampled, pri1, sign1)
+                n -= 1
                 if two:
                     # choose() draws even when both candidates coincide.
                     x = fl_block[cur]
@@ -305,49 +340,46 @@ def replay(cache, keys: np.ndarray) -> int:
                     if c1 == c2:
                         vic = c1
                         bm = 3
-                    elif x * (w[0] + w[1]) < w[0]:
+                    elif x * (w0 + w1) < w0:
                         vic = c1
                         bm = 1
                     else:
                         vic = c2
                         bm = 2
-                else:
-                    vic = c1
-                vkey = keyid_col[vic]
-                pos_of[vkey] = -1
-                n -= 1
-                lk = key_pop()
-                lf = freq_pop()
-                ll = last_pop()
-                li = ins_pop()
-                if vic != n:
-                    keyid_col[vic] = lk
-                    freq_col[vic] = lf
-                    last_col[vic] = ll
-                    ins_col[vic] = li
-                    pos_of[lk] = vic
-                if two:
-                    hist[vkey] = (hctr << shift) | bm
+                    vkey = keyid_col[vic]
+                    hcol[vkey] = (hctr << shift) | bm
                     fifo_append(vkey)
                     hctr += 1
                     while hctr - base > hsize:
                         okey = fifo_popleft()
-                        e = hist_get(okey)
-                        if e is not None and e >> shift == base:
-                            del hist[okey]
+                        if hcol[okey] >> shift == base:
+                            hcol[okey] = -1
                         base += 1
-                evictions += 1
+                else:
+                    vic = c1
+                    vkey = keyid_col[vic]
+                pos_of[vkey] = -1
+                # The last slot moves into the victim's (the scalar
+                # _remove_key); the insert below then reuses the last slot.
+                if vic != n:
+                    lk = keyid_col[n]
+                    keyid_col[vic] = lk
+                    freq_col[vic] = freq_col[n]
+                    last_col[vic] = last_col[n]
+                    ins_col[vic] = ins_col[n]
+                    pos_of[lk] = vic
             pos_of[key] = n
-            key_append(key)
-            freq_append(1)
-            last_append(tick)
-            ins_append(tick)
+            keyid_col[n] = key
+            freq_col[n] = 1
+            last_col[n] = tick
+            ins_col[n] = tick
             n += 1
 
     # -- restore scalar state ----------------------------------------------
     # Rebuild the store dict in the exact order the scalar loop would leave
     # it: original insertion order minus evictions, then new inserts in
     # insert-tick order (a re-inserted key moves to its new position).
+    del keyid_col[n:]
     store = {}
     for key, meta in orig.items():
         p = pos_of[key]
@@ -369,17 +401,25 @@ def replay(cache, keys: np.ndarray) -> int:
     cache._store = store
     cache._keys = keyid_col
     cache._key_pos = {key: i for i, key in enumerate(keyid_col)}
+    if two:
+        # Every key in the FIFO window holds its latest entry, and only
+        # those keys do: the scalar dict's contents, in O(history_size).
+        cache._history = {key: hcol[key] for key in fifo}
+        weights.weights[:] = (w0, w1)
+        weights._pending[:] = (pend0, pend1)
+        weights._pending_count += regrets
     cache._tick = tick
     total = len(keys)
     hits = total - misses
     cache.hits += hits
     cache.misses += misses
-    cache.evictions += evictions
+    # n rose by one per miss and fell by one per eviction.
+    cache.evictions += len(old_keys) + misses - n
     cache.regrets += regrets
     cache._history_counter = hctr
     cache._history_base = base
 
-    consumed = drawn - (len(fl_block) - cur)
+    consumed = drawn - (len(idx_block) - cur)
     if consumed:
         # Advance the scalar rng to exactly where a scalar replay would have
         # left it: re-draw the consumed count from the entry state and

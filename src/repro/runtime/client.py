@@ -493,6 +493,10 @@ class Connection(asyncio.Protocol):
     # -- asyncio.Protocol ---------------------------------------------------
 
     def connection_made(self, transport) -> None:
+        # asyncio's selector transport reads with recv(max_size), 256 KiB
+        # by default: a buffer that size can take a fresh mmap per read.
+        # The node's frames come no larger than the node's own reads.
+        transport.max_size = CORK_BYTES
         self._transport = transport
         self.alive = True
 

@@ -51,20 +51,27 @@ def snapshot(cache):
     }
 
 
-def replay_both(trace, splits=(), **config):
+def replay_both(trace, splits=(), resizes=None, **config):
     """Scalar-replay and vectorized-replay the same trace; return snapshots.
 
     ``splits`` cuts the trace into consecutive batches, exercising state
-    carry-over between vectorized calls.
+    carry-over between vectorized calls.  ``resizes`` maps a position in
+    the trace to the capacity both caches ``resize`` to just before it;
+    each position is also a split.
     """
+    resizes = resizes or {}
     scalar = SampledAdaptiveCache(**config)
-    for key in trace:
+    for i, key in enumerate(trace):
+        if i in resizes:
+            scalar.resize(resizes[i])
         scalar.access(int(key))
 
     vec = SampledAdaptiveCache(**config)
     arr = np.asarray(trace, dtype=np.int64)
-    bounds = [0, *sorted(splits), len(trace)]
+    bounds = [0, *sorted({*splits, *resizes}), len(trace)]
     for lo, hi in zip(bounds, bounds[1:]):
+        if lo in resizes:
+            vec.resize(resizes[lo])
         batch = arr[lo:hi]
         if batch.size == 0:
             continue
@@ -95,11 +102,61 @@ def test_identity_across_batch_boundaries():
     assert scalar == vec
 
 
+def _two_batches(first_keys, second_keys, seed, size=2000):
+    rng = random.Random(seed)
+    return ([rng.randrange(first_keys) for _ in range(size)]
+            + [rng.randrange(second_keys) for _ in range(size)])
+
+
+@pytest.mark.parametrize(
+    "policies, trace, config",
+    [
+        # A shrinking resize leaves the store over-full (more keys than
+        # capacity), so the second batch samples slots from raw uniforms
+        # until the store is back at capacity.
+        (("lru",), _two_batches(300, 300, 8), dict(resizes={2000: 20})),
+        (("lfu",), _two_batches(300, 300, 8), dict(resizes={2000: 20})),
+        (("lru", "lfu"), _two_batches(300, 300, 8),
+         dict(resizes={2000: 20})),
+        # The second batch reaches only keys 0-49 while the history still
+        # holds keys up to 599 from the first.
+        (("lru", "lfu"), _two_batches(600, 50, 3), dict(splits=(2000,))),
+    ],
+    ids=["shrink-lru", "shrink-lfu", "shrink-lru-lfu", "history-beyond-trace"],
+)
+def test_identity_across_two_batches(policies, trace, config):
+    scalar, vec = replay_both(
+        trace, capacity=32, policies=policies, seed=6, **config)
+    assert scalar == vec
+    assert vec["evictions"] > 0
+
+
+def test_history_holds_keys_beyond_the_next_batch():
+    # The precondition of "history-beyond-trace" above: after the first
+    # batch some history key is above every resident key and above the
+    # second batch's keys, so only the history sizes the dense column.
+    cache = SampledAdaptiveCache(32, policies=("lru", "lfu"), seed=6)
+    cache.access_many(np.asarray(_two_batches(600, 50, 3)[:2000]))
+    assert max(cache._history) > max(max(cache._keys), 49)
+
+
 def test_identity_tiny_store_never_draws():
     # capacity <= sample_size: eviction scans the whole store, no RNG draws.
     trace = [i % 20 for i in range(400)]
     scalar, vec = replay_both(
         trace, capacity=8, policies=("lru", "lfu"), sample_size=16, seed=0)
+    assert scalar == vec
+
+
+@pytest.mark.parametrize("capacity", [4, 5, 6])
+@pytest.mark.parametrize("policies", [("lru", "lfu"), ("lru",)])
+def test_identity_around_the_default_sample_size(capacity, policies):
+    # A store no larger than the sample of 5 is scanned whole, without
+    # draws; one slot more takes the unrolled scan.
+    rng = random.Random(5)
+    trace = [rng.randrange(40) for _ in range(1500)]
+    scalar, vec = replay_both(
+        trace, capacity=capacity, policies=policies, seed=1)
     assert scalar == vec
 
 
@@ -269,6 +326,18 @@ def test_huge_keys_not_eligible():
     cache = SampledAdaptiveCache(64, policies=("lru", "lfu"), seed=0)
     keys = np.array([vectorized.MAX_KEY + 1] * 2048, dtype=np.int64)
     assert not vectorized.eligible(cache, keys)
+
+
+def test_history_key_outside_the_range_not_eligible():
+    # The dense history is indexed by key, so a key that only the history
+    # still holds must be an int in range too.
+    cache = SampledAdaptiveCache(
+        8, policies=("lru", "lfu"), history_size=10_000, seed=0)
+    cache.access("a")
+    for key in range(500):
+        cache.access(key)
+    assert "a" in cache._history and "a" not in cache
+    assert not vectorized.eligible(cache, np.arange(2048, dtype=np.int64))
 
 
 def test_float_trace_not_eligible():

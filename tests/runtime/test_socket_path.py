@@ -712,6 +712,23 @@ def test_each_request_times_out_at_its_own_deadline(harness):
     asyncio.run(scenario())
 
 
+def test_a_link_reads_at_most_what_the_node_reads(harness):
+    # asyncio's selector transport reads with recv(256 KiB) by default, a
+    # buffer that can cost a fresh mapping per read; a link reads at most
+    # CORK_BYTES, the twin of the node's own recv size.
+    node = _node(harness)
+
+    async def scenario():
+        endpoint = RealEndpoint(WallClockRuntime(), [node], timeout_s=1.0)
+        try:
+            await drive(endpoint.write(_scratch(node), bytes(8)))
+            return endpoint.engine.live_link(node)._transport.max_size
+        finally:
+            await endpoint.aclose()
+
+    assert asyncio.run(scenario()) == CORK_BYTES
+
+
 def test_deadline_bookkeeping_stays_bounded_by_requests_in_flight(harness):
     """50 k completed requests leave nothing behind: a per-request entry
     reaped only every ``timeout_s`` would grow with throughput."""
