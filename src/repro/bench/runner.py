@@ -74,12 +74,9 @@ class Feed:
         return cls(np.zeros(len(arr), dtype=np.int8), arr)
 
     def next(self) -> Tuple[int, int]:
-        op = self._ops[self._pos]
-        key = self._keys[self._pos]
-        self._pos += 1
-        if self._pos == len(self._ops):
-            self._pos = 0
-        return int(op), int(key)
+        pos = self._pos
+        self._pos = pos + 1 if pos + 1 < len(self._ops) else 0
+        return self._ops.item(pos), self._keys.item(pos)
 
 
 def zipf_feed(
@@ -218,7 +215,7 @@ class Harness:
         engine = self.engine
         flag["process"] = engine.spawn(closed_loop(
             client, feed, self.value,
-            now=lambda: engine.now,
+            now=lambda: engine._now,
             running=(lambda: not flag["stop"]) if ops is None
             else partial(next, repeat(True, ops), False),
             finished=finished, failed=failed,
@@ -244,7 +241,7 @@ class Harness:
 
     def _finished(self, op: int, start: float) -> None:
         if self._measuring:
-            now = self.engine.now
+            now = self.engine._now
             (self._get_lat if op == READ else self._set_lat).record(now - start)
             self._ops += 1
 

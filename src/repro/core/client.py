@@ -54,7 +54,7 @@ from .adaptive import ExpertWeights, bitmap_of
 from .config import DittoConfig
 from .fc_cache import FrequencyCounterCache
 from .geometry import ClusterPlan
-from .history import HISTORY_WRAP, history_age, is_expired
+from .history import HISTORY_WRAP
 from .policies import Metadata, make_policy
 
 _U64 = struct.Struct("<Q")
@@ -170,6 +170,7 @@ class DittoClient:
             self.alloc.set_active(cluster.membership.active_ids())
             self.membership_epoch = cluster.membership.epoch
         self.policies = [make_policy(name) for name in self.config.policies]
+        self._adaptive = self.config.adaptive
         self.ext_fields: Tuple[str, ...] = cluster.ext_fields
         self.ext_bytes = 8 * len(self.ext_fields)
         self.weights = ExpertWeights(
@@ -209,7 +210,7 @@ class DittoClient:
     # ------------------------------------------------------------------
 
     def _now(self) -> int:
-        return int(self.engine.now)
+        return int(self.engine._now)
 
     def _backoff_us(self, fault_attempt: int) -> float:
         """Exponential backoff with jitter for fault retry ``fault_attempt``
@@ -262,7 +263,7 @@ class DittoClient:
         if not self.config.use_sfht:
             # Un-grouped access information: a second WRITE per update.
             self.ep.post_write(slot.addr + L.INSERT_TS_OFF, _U64.pack(slot.insert_ts))
-        for addr, delta in self.fc.record(key, slot.addr + L.FREQ_OFF, self.engine.now):
+        for addr, delta in self.fc.record(key, slot.addr + L.FREQ_OFF, self.engine._now):
             self.ep.post_faa(addr, delta)
         if self.ext_fields:
             meta = Metadata(
@@ -422,7 +423,7 @@ class DittoClient:
         With LWH the key's history entries sit in the bucket already read;
         without, the miss READs the key's one entry of the history table.
         """
-        if not self.config.adaptive:
+        if not self._adaptive:
             return
         if not self._counter_fresh or (self.misses % COUNTER_REFRESH_PERIOD) == 0:
             raw = yield from self.ep.read(self.layout.history_counter_addr, 8)
@@ -434,11 +435,10 @@ class DittoClient:
             slots = L.Bucket(0, addr, raw, 1)
         for i in slots.histories(key_hash):
             slot = slots.slot(i)
-            if is_expired(
-                self._counter_cache, slot.history_id, self.cluster.history_size
-            ):
+            # ``history_age`` inline; past the history size, it expired.
+            age = (self._counter_cache - slot.history_id) % HISTORY_WRAP
+            if age > self.cluster.history_size:
                 continue
-            age = history_age(self._counter_cache, slot.history_id)
             # Mask to the expert count: the bitmap write is asynchronous,
             # so a just-retired entry can briefly expose a stale word.
             mask = (1 << len(self.policies)) - 1
@@ -712,8 +712,9 @@ class DittoClient:
         k = min(self.config.sample_size, lay.total_slots)
         if self.config.use_sfht:
             start = self.rng.randrange(lay.total_slots - k + 1)
-            raw = yield from self.ep.read(lay.slot_addr(start), k * L.SLOT_SIZE)
-            return L.Bucket(start, lay.slot_addr(start), raw, k)
+            addr = lay.slot_addr(start)
+            raw = yield from self.ep.read(addr, k * L.SLOT_SIZE)
+            return L.Bucket(start, addr, raw, k)
         indices, raws = [], []
         for _ in range(k):
             index = self.rng.randrange(lay.total_slots)
@@ -730,7 +731,7 @@ class DittoClient:
         Returns (victim_slot, expert_bitmap, victim_metadata).
         """
         now = self._now()
-        metas: Dict[int, Metadata] = {}
+        metas: List[Metadata] = []
         for i in objects:
             ext = {}
             if self.ext_fields:
@@ -739,15 +740,21 @@ class DittoClient:
                     slots.slot(i).pointer + L.OBJECT_HEADER_SIZE, self.ext_bytes
                 )
                 ext = decode_ext(self.ext_fields, raw)
-            metas[i] = Metadata(*slots.access_info(i), ext=ext)
+            metas.append(Metadata(*slots.access_info(i), ext=ext))
+        # Each expert's candidate is its *first* lowest-priority object, as
+        # ``min`` picks it, found by index into ``metas``.
         candidates = []
         for policy in self.policies:
             priority = policy.priority
-            candidates.append(min(objects, key=lambda i: priority(metas[i], now)))
-        choice = self.weights.choose() if self.config.adaptive else 0
-        victim = candidates[choice]
+            best, lowest = 0, priority(metas[0], now)
+            for j in range(1, len(metas)):
+                value = priority(metas[j], now)
+                if value < lowest:
+                    best, lowest = j, value
+            candidates.append(best)
+        victim = candidates[self.weights.choose() if self._adaptive else 0]
         bitmap = bitmap_of(candidates, victim)
-        return slots.slot(victim), bitmap, metas[victim]
+        return slots.slot(objects[victim]), bitmap, metas[victim]
 
     def _evict_once(self) -> Generator:
         """One sampled eviction; True on success."""

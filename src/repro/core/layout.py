@@ -33,7 +33,7 @@ from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from ..memory.node import BLOCK_SIZE
-from .history import history_age
+from .history import HISTORY_WRAP
 
 SLOT_SIZE = 40
 WORDS_PER_SLOT = 5
@@ -183,9 +183,13 @@ class Bucket:
         return self.base_addr + i * SLOT_SIZE
 
     def slot(self, i: int) -> Slot:
-        index = self.base_index + i if self.indices is None else self.indices[i]
+        if self.indices is None:
+            index, addr = self.base_index + i, self.base_addr + i * SLOT_SIZE
+        else:
+            index = self.indices[i]
+            addr = self.base_addr + (index - self.base_index) * SLOT_SIZE
         j = i * WORDS_PER_SLOT
-        return Slot(index, self.addr(i), *self.words[j : j + WORDS_PER_SLOT])
+        return Slot(index, addr, *self.words[j : j + WORDS_PER_SLOT])
 
     def matches(self, fp: int) -> List[int]:
         """Positions of object slots whose fingerprint is ``fp``."""
@@ -217,7 +221,8 @@ class Bucket:
             if atomic == 0:
                 return i
             if atomic >> 56 == HISTORY_SIZE_TAG:
-                age = history_age(counter, atomic & POINTER_MASK)
+                # ``history_age`` of the entry's ID, inline.
+                age = (counter - (atomic & POINTER_MASK)) % HISTORY_WRAP
                 if age > best_age:
                     best, best_age = i, age
         return best

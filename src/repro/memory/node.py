@@ -8,14 +8,16 @@ layer calls at the simulated instant the NIC serves the message — so CAS/FAA
 linearize exactly like hardware atomics.
 
 A :class:`MemoryPool` groups nodes into one global address space ([base,
-base+size) per node) and routes addresses; the paper evaluates with a single
-MN but the pool keeps the multi-MN door open.
+base+size) per node) and routes addresses by sorted base: one ``bisect``
+and one bound check per verb, whatever the node count.  The paper evaluates
+with a single MN but the pool keeps the multi-MN door open.
 """
 
 from __future__ import annotations
 
 import mmap
 import struct
+from bisect import bisect_right
 from typing import List, Optional
 
 from ..sim import Engine, Resource
@@ -124,7 +126,9 @@ class MemoryNode:
 
     def compare_and_swap(self, addr: int, expected: int, new: int) -> int:
         """Atomically swap if current == expected; returns the *old* value."""
-        off = self.word_offset(addr)
+        off = addr - self.base
+        if off < 0 or addr + 8 > self._end or addr & 7:
+            raise self._refused(addr, 8)
         (old,) = _U64.unpack_from(self._memory, off)
         if old == expected:
             _U64.pack_into(self._memory, off, new & _MASK)
@@ -132,38 +136,49 @@ class MemoryNode:
 
     def fetch_and_add(self, addr: int, delta: int) -> int:
         """Atomically add (mod 2^64); returns the *old* value."""
-        off = self.word_offset(addr)
+        off = addr - self.base
+        if off < 0 or addr + 8 > self._end or addr & 7:
+            raise self._refused(addr, 8)
         (old,) = _U64.unpack_from(self._memory, off)
         _U64.pack_into(self._memory, off, (old + delta) & _MASK)
         return old
 
 
 class MemoryPool:
-    """The memory pool: a set of MNs forming one global address space."""
+    """The memory pool: a set of MNs forming one global address space, and
+    the map every verb routes by.  Bases, ends and nodes are parallel lists
+    sorted by base; anything with ``base`` and ``end`` maps, so the real
+    substrate routes its node handles through a pool too."""
 
     def __init__(self, nodes: Optional[List[MemoryNode]] = None):
-        self.nodes: List[MemoryNode] = list(nodes or [])
-        self._check_disjoint()
-
-    def _check_disjoint(self) -> None:
-        spans = sorted((n.base, n.end) for n in self.nodes)
-        for (_, prev_end), (next_base, _) in zip(spans, spans[1:]):
-            if next_base < prev_end:
-                raise ValueError("memory node address ranges overlap")
+        self._bases: List[int] = []
+        self._ends: List[int] = []
+        self.nodes: List[MemoryNode] = []
+        for node in nodes or ():
+            self.add(node)
 
     def add(self, node: MemoryNode) -> None:
-        self.nodes.append(node)
-        self._check_disjoint()
+        """Map ``node``'s range; raises ValueError if it overlaps another's."""
+        bases, i = self._bases, bisect_right(self._bases, node.base)
+        if (i and self._ends[i - 1] > node.base) or (
+            i < len(bases) and node.end > bases[i]
+        ):
+            raise ValueError("memory node address ranges overlap")
+        bases.insert(i, node.base)
+        self._ends.insert(i, node.end)
+        self.nodes.insert(i, node)
 
     def remove(self, node: MemoryNode) -> None:
         """Detach a node (elastic removal); its range stops resolving."""
-        self.nodes.remove(node)
+        i = self.nodes.index(node)
+        del self._bases[i], self._ends[i], self.nodes[i]
 
     def node_for(self, addr: int, length: int = 1) -> MemoryNode:
-        for node in self.nodes:
-            if node.contains(addr, length):
-                return node
-        raise MemoryAccessError(f"address {addr} not in any memory node")
+        """The node whose range holds ``[addr, addr + length)``."""
+        i = bisect_right(self._bases, addr) - 1
+        if i >= 0 and addr + length <= self._ends[i]:
+            return self.nodes[i]
+        raise MemoryAccessError(f"access [{addr}, {addr + length}) not in any node")
 
     @property
     def total_size(self) -> int:

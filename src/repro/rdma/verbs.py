@@ -84,7 +84,8 @@ class RdmaEndpoint(VerbTransport):
         "faults",
         "tracer",
         "fence",
-        "_single_node",
+        "_node_for",
+        "_counts",
         "_lead",
         "_lag",
         "_inv_bw",
@@ -119,8 +120,10 @@ class RdmaEndpoint(VerbTransport):
         #: verb is NACKed immediately with :class:`StaleEpoch` instead of
         #: reaching the NIC pipe.
         self.fence = None
-        # Pre-resolved fast path for the common single-MN pool.
-        self._single_node = pool.nodes[0] if len(pool.nodes) == 1 else None
+        #: ``(addr, length) -> MemoryNode``: the pool's lookup, bound.
+        self._node_for = pool.node_for
+        #: The counters' dict: a verb counts itself without a call.
+        self._counts = self.counters.counts
         self._lead = self.params.client_overhead_us + self.params.one_way_us()
         self._lag = self.params.one_way_us()
         # Per-verb NIC service costs, precomputed once: params are immutable
@@ -136,12 +139,6 @@ class RdmaEndpoint(VerbTransport):
         self._base_cas8 = p.verb_costs["cas"] / rate + 8.0 * self._inv_bw
         self._base_faa8 = p.verb_costs["faa"] / rate + 8.0 * self._inv_bw
         self._base_rpc = p.verb_costs["rpc"] / rate
-
-    def _node_for(self, addr: int, length: int) -> MemoryNode:
-        node = self._single_node
-        if node is not None and node.contains(addr, length):
-            return node
-        return self.pool.node_for(addr, length)
 
     # -- fault injection ---------------------------------------------------
 
@@ -195,7 +192,7 @@ class RdmaEndpoint(VerbTransport):
         if self.fence is not None:
             self.fence.check_read(addr, "read", -1)
         node = self._node_for(addr, length)
-        self.counters.add("rdma_read")
+        self._counts["rdma_read"] += 1
         tracer = self.tracer
         t0 = self.engine._now if tracer is not None else 0.0
         lead = self._lead
@@ -213,7 +210,7 @@ class RdmaEndpoint(VerbTransport):
         if self.fence is not None:
             self.fence.check_write(addr, "write", -1)
         node = self._node_for(addr, len(data))
-        self.counters.add("rdma_write")
+        self._counts["rdma_write"] += 1
         tracer = self.tracer
         t0 = self.engine._now if tracer is not None else 0.0
         lead = self._lead
@@ -234,7 +231,7 @@ class RdmaEndpoint(VerbTransport):
         if self.fence is not None:
             self.fence.check_write(addr, "cas", -1)
         node = self._node_for(addr, 8)
-        self.counters.add("rdma_cas")
+        self._counts["rdma_cas"] += 1
         tracer = self.tracer
         t0 = self.engine._now if tracer is not None else 0.0
         lead = self._lead
@@ -250,7 +247,7 @@ class RdmaEndpoint(VerbTransport):
         if self.fence is not None:
             self.fence.check_write(addr, "faa", -1)
         node = self._node_for(addr, 8)
-        self.counters.add("rdma_faa")
+        self._counts["rdma_faa"] += 1
         tracer = self.tracer
         t0 = self.engine._now if tracer is not None else 0.0
         lead = self._lead
@@ -268,7 +265,7 @@ class RdmaEndpoint(VerbTransport):
         CliqueMap server structures) use this so their verbs contend for the
         same NIC as everything else without maintaining byte layouts.
         """
-        self.counters.add(_COUNTER_KEYS[verb])
+        self._counts[_COUNTER_KEYS[verb]] += 1
         tracer = self.tracer
         t0 = self.engine._now if tracer is not None else 0.0
         yield node.nic.book(
@@ -285,7 +282,7 @@ class RdmaEndpoint(VerbTransport):
             raise RuntimeError(f"memory node {node.node_id} has no controller")
         if self.fence is not None:
             self.fence.check_rpc(node.node_id, "rpc")
-        self.counters.add("rdma_rpc")
+        self._counts["rdma_rpc"] += 1
         tracer = self.tracer
         t0 = self.engine._now if tracer is not None else 0.0
         lead = self._lead
@@ -330,7 +327,7 @@ class RdmaEndpoint(VerbTransport):
         else:
             node = self._node_for(addr, 8)
             service, land = self._base_faa8, node.fetch_and_add
-        self.counters.add(_COUNTER_KEYS[verb])
+        self._counts[_COUNTER_KEYS[verb]] += 1
         lead = self._lead
         if self.faults is not None:
             kind, extra = self.faults.verb_outcome(node.node_id, verb)
@@ -341,14 +338,17 @@ class RdmaEndpoint(VerbTransport):
             if extra:
                 self.counters.add("fault_latency_spike")
             lead += extra
-        engine.call_later(node.nic.book(service, lead, self._lag),
-                          self._land_post, tid, verb, land, addr, arg, engine._now)
+        delay = node.nic.book(service, lead, self._lag)
+        if self.tracer is None:
+            engine.call_later(delay, land, addr, arg)
+        else:
+            engine.call_later(delay, self._land_post, tid, verb, land, addr,
+                              arg, engine._now)
 
     def _land_post(self, tid: int, verb: str, land, addr: int, arg,
                    t0: float) -> None:
-        if self.tracer is not None:
-            self.tracer.complete("rdma." + verb, "rdma", t0, tid=tid,
-                                 lane="post_" + verb)
+        self.tracer.complete("rdma." + verb, "rdma", t0, tid=tid,
+                             lane="post_" + verb)
         land(addr, arg)
 
     def _drop_post(self, tid: int, verb: str, node: MemoryNode, kind: int):

@@ -63,7 +63,7 @@ from typing import Callable, Dict, FrozenSet, Generator, List, Optional
 
 from ..core.retry import backoff_s
 from ..memory.controller import OutOfMemoryError
-from ..memory.node import MemoryAccessError
+from ..memory.node import MemoryAccessError, MemoryPool
 from ..obs import observer
 from ..rdma.transport import VerbTransport
 from ..rdma.verbs import NodeUnavailable, StaleEpoch, VerbTimeout
@@ -750,7 +750,7 @@ class RealEndpoint(VerbTransport):
 
     __slots__ = (
         "engine", "nodes", "counters", "tracer", "fence", "timeout_s",
-        "shm_reads", "health", "_single_node", "_rng",
+        "shm_reads", "health", "_node_for", "_counts", "_rng",
         "_rpc_salt", "_rpc_seq", "_obs_proc", "_obs_hist", "_posts",
     )
 
@@ -771,7 +771,11 @@ class RealEndpoint(VerbTransport):
         self.timeout_s = timeout_s
         self.shm_reads = shm_reads
         self.health = health
-        self._single_node = nodes[0] if len(nodes) == 1 else None
+        #: ``(addr, length) -> NodeHandle``: a memory pool's address map,
+        #: over the node handles.
+        self._node_for = MemoryPool(self.nodes).node_for
+        #: The counters' dict: a verb counts itself without a call.
+        self._counts = self.counters.counts
         self._rng = random.Random()
         # RPC dedup tokens: unique per endpoint lifetime (random salt)
         # and per call (sequence) — never reused, never colliding with
@@ -792,15 +796,6 @@ class RealEndpoint(VerbTransport):
     def _next_token(self) -> int:
         self._rpc_seq += 1
         return self._rpc_salt | self._rpc_seq
-
-    def _node_for(self, addr: int, length: int) -> NodeHandle:
-        node = self._single_node
-        if node is not None and node.contains(addr, length):
-            return node
-        for node in self.nodes:
-            if node.contains(addr, length):
-                return node
-        raise MemoryAccessError(f"address {addr} not in any memory node")
 
     # -- the socket round trip --------------------------------------------
 
@@ -970,7 +965,7 @@ class RealEndpoint(VerbTransport):
         if self.fence is not None:
             self.fence.check_read(addr, "read", -1)
         node = self._node_for(addr, length)
-        self.counters.add("rdma_read")
+        self._counts["rdma_read"] += 1
         if self.shm_reads and node._seg is not None:
             self.counters.add("shm_direct_read")
             return node.read_direct(addr, length)
@@ -984,14 +979,14 @@ class RealEndpoint(VerbTransport):
         if self.fence is not None:
             self.fence.check_write(addr, "write", -1)
         node = self._node_for(addr, len(data))
-        self.counters.add("rdma_write")
+        self._counts["rdma_write"] += 1
         return node, wire.WRITE_HDR.pack(addr) + bytes(data)
 
     def _cas_request(self, addr: int, expected: int, new: int):
         if self.fence is not None:
             self.fence.check_write(addr, "cas", -1)
         node = self._node_for(addr, 8)
-        self.counters.add("rdma_cas")
+        self._counts["rdma_cas"] += 1
         return node, wire.CAS_BODY.pack(
             addr, expected & 0xFFFFFFFFFFFFFFFF, new & 0xFFFFFFFFFFFFFFFF
         )
@@ -1000,7 +995,7 @@ class RealEndpoint(VerbTransport):
         if self.fence is not None:
             self.fence.check_write(addr, "faa", -1)
         node = self._node_for(addr, 8)
-        self.counters.add("rdma_faa")
+        self._counts["rdma_faa"] += 1
         return node, wire.FAA_BODY.pack(addr, delta)
 
     def write(self, addr: int, data: bytes) -> Generator:
@@ -1042,7 +1037,7 @@ class RealEndpoint(VerbTransport):
         """Controller RPC; ``size`` (a sim cost-model hint) is ignored."""
         if self.fence is not None:
             self.fence.check_rpc(node.node_id, "rpc")
-        self.counters.add("rdma_rpc")
+        self._counts["rdma_rpc"] += 1
         # Dedup token (0 for chaos/debug control RPCs, which are
         # idempotent by construction): a resent frame carries the same
         # token, so the server replays the memoized first result instead

@@ -219,23 +219,23 @@ class CounterSet:
     """Named monotonically increasing counters (RDMA ops, hits, misses...)."""
 
     def __init__(self) -> None:
-        # defaultdict keeps the per-verb accounting hot path to one dict op.
-        self._counts: Dict[str, int] = defaultdict(int)
+        #: Hot paths bind this dict and count in place rather than call add.
+        self.counts: Dict[str, int] = defaultdict(int)
 
     def add(self, name: str, amount: int = 1) -> None:
-        self._counts[name] += amount
+        self.counts[name] += amount
 
     def get(self, name: str) -> int:
-        return self._counts.get(name, 0)
+        return self.counts.get(name, 0)
 
     def as_dict(self) -> Dict[str, int]:
-        return dict(self._counts)
+        return dict(self.counts)
 
     def reset(self) -> None:
-        self._counts.clear()
+        self.counts.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        body = ", ".join(f"{k}={v}" for k, v in sorted(self._counts.items()))
+        body = ", ".join(f"{k}={v}" for k, v in sorted(self.counts.items()))
         return f"CounterSet({body})"
 
 

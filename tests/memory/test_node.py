@@ -1,12 +1,15 @@
 """Unit tests for MemoryNode / MemoryPool raw semantics."""
 
 import mmap
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.memory import MemoryAccessError, MemoryNode, MemoryPool
+from repro.rdma.verbs import RdmaEndpoint
+from repro.runtime.client import NodeHandle, RealEndpoint, WallClockRuntime
 from repro.sim import Engine
 
 
@@ -159,3 +162,101 @@ class TestMemoryPool:
         pool = MemoryPool([MemoryNode(engine, 100, base=0)])
         with pytest.raises(ValueError):
             pool.add(MemoryNode(engine, 100, base=99))
+
+
+#: ``(base, size)`` of each node, with gaps between them, listed out of
+#: address order so the map has to sort.
+LAYOUTS = {
+    "one": [(1000, 500)],
+    "two": [(2000, 300), (1000, 500)],
+    "three": [(4096, 1024), (1000, 500), (2000, 300)],
+}
+
+
+def _pool(spans):
+    return MemoryPool([
+        MemoryNode(None, size, base=base, node_id=i)
+        for i, (base, size) in enumerate(spans)
+    ])
+
+
+def _owner(nodes, addr, length):
+    """The reference answer: a scan for the node holding the range."""
+    for node in nodes:
+        if node.base <= addr and addr + length <= node.end:
+            return node
+    return None
+
+
+class TestAddressMap:
+    """One sorted-base map routes the pool and both endpoints."""
+
+    @pytest.mark.parametrize("name", sorted(LAYOUTS))
+    def test_bounds_gaps_and_straddles(self, name):
+        pool = _pool(LAYOUTS[name])
+        ordered = sorted(pool.nodes, key=lambda node: node.base)
+        for node in ordered:
+            assert pool.node_for(node.base) is node
+            assert pool.node_for(node.end - 1) is node
+            assert pool.node_for(node.base, node.size) is node
+            with pytest.raises(MemoryAccessError):
+                pool.node_for(node.end)  # one byte past; a gap follows
+            with pytest.raises(MemoryAccessError):
+                pool.node_for(node.end - 1, 2)
+        for low, high in zip(ordered, ordered[1:]):
+            with pytest.raises(MemoryAccessError):
+                pool.node_for((low.end + high.base) // 2)  # in the gap
+            with pytest.raises(MemoryAccessError):
+                pool.node_for(low.end - 1, high.base - low.end + 2)
+        lowest = ordered[0]
+        for addr, length in ((0, 1), (lowest.base - 1, 1),
+                             (lowest.base - 4, 8)):
+            with pytest.raises(MemoryAccessError):
+                pool.node_for(addr, length)
+
+    def test_add_above_the_top_and_remove_the_middle(self):
+        pool = _pool(LAYOUTS["two"])
+        low, middle = sorted(pool.nodes, key=lambda node: node.base)
+        top = MemoryNode(None, 1024, base=4096, node_id=2)
+        pool.add(top)
+        assert pool.node_for(4096 + 1023) is top
+        assert pool.node_for(middle.base + 8, 8) is middle
+        pool.remove(middle)
+        for addr in (middle.base, middle.end - 1):
+            with pytest.raises(MemoryAccessError):
+                pool.node_for(addr)
+        assert pool.node_for(low.base) is low
+        assert pool.node_for(top.end - 8, 8) is top
+        assert pool.nodes == [low, top]
+
+    def test_a_failed_add_changes_nothing(self):
+        pool = _pool(LAYOUTS["two"])
+        with pytest.raises(ValueError, match="overlap"):
+            pool.add(MemoryNode(None, 100, base=2250))
+        assert len(pool.nodes) == 2
+        with pytest.raises(MemoryAccessError):
+            pool.node_for(2310)
+
+    @pytest.mark.parametrize("name", sorted(LAYOUTS))
+    def test_both_endpoints_route_as_the_pool(self, name):
+        pool = _pool(LAYOUTS[name])
+        sim = RdmaEndpoint(Engine(), pool)
+        handles = [NodeHandle(node.node_id, node.base, node.size, "@nowhere")
+                   for node in pool.nodes]
+        real = RealEndpoint(WallClockRuntime(), handles)
+        rng = random.Random(49)
+        top = max(node.end for node in pool.nodes)
+        routed = 0
+        for _ in range(1000):
+            addr, length = rng.randrange(900, top + 100), rng.randrange(1, 600)
+            owner = _owner(pool.nodes, addr, length)
+            if owner is None:
+                for route in (pool.node_for, sim._node_for, real._node_for):
+                    with pytest.raises(MemoryAccessError):
+                        route(addr, length)
+                continue
+            routed += 1
+            assert pool.node_for(addr, length) is owner
+            assert sim._node_for(addr, length) is owner
+            assert real._node_for(addr, length).node_id == owner.node_id
+        assert 100 < routed < 1000  # both answers were exercised
