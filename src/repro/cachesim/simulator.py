@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..core.adaptive import ExpertWeights, bitmap_of
-from ..core.policies import CachePolicy, Metadata, make_policy
+from ..core.policies import CachePolicy, Metadata, live_hooks, make_policy
 from . import vectorized
 from .decode import chunks
 
@@ -71,28 +71,12 @@ class SampledAdaptiveCache:
         self._store: Dict[object, Metadata] = {}
         self._keys: List[object] = []
         self._key_pos: Dict[object, int] = {}
-        # Hit-path fast list: bound methods of policies whose ``update`` is
-        # overridden.  LRU/LFU/MRU/FIFO/SIZE/HYPERBOLIC inherit the no-op
-        # base update, so the common adaptive (lru, lfu) configuration does
-        # zero policy calls per hit.
-        self._live_updates: Tuple = tuple(
-            p.update
-            for p in self.policies
-            if type(p).update is not CachePolicy.update
-        )
-        # Same idea for the insert path.  The base on_insert just delegates
-        # to update, so a policy overriding neither contributes nothing.
-        self._live_on_inserts: Tuple = tuple(
-            p.on_insert
-            for p in self.policies
-            if type(p).on_insert is not CachePolicy.on_insert
-            or type(p).update is not CachePolicy.update
-        )
-        self._live_on_evicts: Tuple = tuple(
-            p.on_evict
-            for p in self.policies
-            if type(p).on_evict is not CachePolicy.on_evict
-        )
+        # Only the hooks a policy overrides are called: LRU/LFU/MRU/FIFO/
+        # SIZE/HYPERBOLIC inherit the no-op base ones, so the common
+        # adaptive (lru, lfu) configuration makes no policy call per access.
+        (
+            self._live_updates, self._live_on_inserts, self._live_on_evicts
+        ) = live_hooks(self.policies)
         # Eviction history: key -> (history_id << num_experts) | expert_bitmap
         # packed into one int (no tuple allocation per eviction), plus a FIFO
         # of keys for lazy pruning.  FIFO entries carry consecutive history

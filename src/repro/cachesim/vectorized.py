@@ -54,9 +54,11 @@ How the speed happens:
   single-expert replay records no eviction history, like the scalar path.
 
 Eligibility is conservative: integer keys (trace, resident and history)
-in a bounded range, supported priority functions (LRU/LFU/FIFO/MRU —
-priorities that are a signed metadata column), no live policy hooks, and
-one or two experts.  Anything else silently replays scalar.
+in a bounded range, policies that all declare a ``column``
+(:func:`repro.core.policies.priority_column`: a priority that is one signed
+metadata field, as LRU, LFU, FIFO and MRU declare — the same declaration
+the byte-level client's victim choice reads), no live policy hooks, and one
+or two experts.  Anything else silently replays scalar.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ import os
 import numpy as np
 
 from ..core.adaptive import WEIGHT_FLOOR
-from ..core.policies import FIFO, LFU, LRU, MRU, Metadata
+from ..core.policies import Metadata, priority_column
 from .decode import chunks
 
 #: Batches below this size replay scalar: the fixed setup cost (columnar
@@ -82,9 +84,9 @@ MAX_KEY = 1 << 22
 #: Uniform draws are pre-drawn in blocks of this many.
 BLOCK = 8192
 
-#: Supported priority functions as (column, sign): column 0 = freq,
-#: 1 = last_ts, 2 = insert_ts; priority == sign * column, minimized.
-_SUPPORTED = {LRU: (1, 1), LFU: (0, 1), FIFO: (2, 1), MRU: (1, -1)}
+#: Position of each declarable ``Metadata`` field among the replay's columns
+#: (``cols`` in :func:`replay`).
+_COLUMN_INDEX = {"freq": 0, "last_ts": 1, "insert_ts": 2}
 
 
 def eligible(cache, keys: np.ndarray) -> bool:
@@ -95,7 +97,7 @@ def eligible(cache, keys: np.ndarray) -> bool:
         return False
     policies = cache.policies
     for policy in policies:
-        if type(policy) not in _SUPPORTED:
+        if priority_column(policy) is None:
             return False
     if cache._live_updates or cache._live_on_inserts or cache._live_on_evicts:
         return False
@@ -139,11 +141,11 @@ def replay(cache, keys: np.ndarray) -> int:
     shift = cache._hist_shift
     floor = WEIGHT_FLOOR
 
-    col0, sign0 = _SUPPORTED[type(cache.policies[0])]
+    field0, sign0 = priority_column(cache.policies[0])
     if two:
-        col1, sign1 = _SUPPORTED[type(cache.policies[1])]
+        field1, sign1 = priority_column(cache.policies[1])
     else:
-        col1, sign1 = col0, sign0
+        field1, sign1 = field0, sign0
     # Minimized columns at the default sample size take an unrolled scan
     # below (a dual one for two experts, a single one for one) whenever the
     # store is full and larger than the sample.
@@ -169,8 +171,8 @@ def replay(cache, keys: np.ndarray) -> int:
     last_col = [meta.last_ts for meta in metas] + pad
     ins_col = [meta.insert_ts for meta in metas] + pad
     cols = (freq_col, last_col, ins_col)
-    pri0 = cols[col0]
-    pri1 = cols[col1]
+    pri0 = cols[_COLUMN_INDEX[field0]]
+    pri1 = cols[_COLUMN_INDEX[field1]]
 
     # -- rng mirror --------------------------------------------------------
     entry_state = cache.rng.getstate()

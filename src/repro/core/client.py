@@ -55,9 +55,16 @@ from .config import DittoConfig
 from .fc_cache import FrequencyCounterCache
 from .geometry import ClusterPlan
 from .history import HISTORY_WRAP
-from .policies import Metadata, make_policy
+from .policies import Metadata, live_hooks, make_policy, priority_column
 
 _U64 = struct.Struct("<Q")
+
+#: A declarable priority column's word within a slot (layout.py's table).
+_COLUMN_WORD = {
+    "insert_ts": L.INSERT_TS_OFF // 8,
+    "last_ts": L.LAST_TS_OFF // 8,
+    "freq": L.FREQ_OFF // 8,
+}
 
 #: Refresh the cached global history counter every this many misses.
 COUNTER_REFRESH_PERIOD = 64
@@ -173,6 +180,17 @@ class DittoClient:
         self._adaptive = self.config.adaptive
         self.ext_fields: Tuple[str, ...] = cluster.ext_fields
         self.ext_bytes = 8 * len(self.ext_fields)
+        #: Per expert, the slot word and sign of its declared priority
+        #: column, when every expert declares one and no extension field is
+        #: stored: victims are then chosen from the sample's words
+        #: (:meth:`_column_victim`); None otherwise.
+        columns = [priority_column(policy) for policy in self.policies]
+        self._columns = None
+        if not self.ext_fields and None not in columns:
+            self._columns = [(_COLUMN_WORD[f], sign) for f, sign in columns]
+        self._updates, self._on_inserts, self._on_evicts = live_hooks(
+            self.policies
+        )
         self.weights = ExpertWeights(
             num_experts=len(self.policies),
             history_size=cluster.history_size,
@@ -270,8 +288,8 @@ class DittoClient:
                 slot.object_bytes, slot.insert_ts, slot.last_ts, slot.freq + 1,
                 ext=decode_ext(self.ext_fields, ext_raw) if ext_raw else {},
             )
-            for policy in self.policies:
-                policy.update(meta, now)
+            for update in self._updates:
+                update(meta, now)
             self.ep.post_write(
                 slot.pointer + L.OBJECT_HEADER_SIZE,
                 encode_ext(self.ext_fields, meta.ext),
@@ -396,10 +414,14 @@ class DittoClient:
     def _get_once(self, key: bytes) -> Generator:
         key_hash = L.stable_hash64(key)
         fp = L.fingerprint(key_hash)
-        slots = yield from self._read_bucket(self.layout.bucket_index(key_hash))
-        # The lookup walk, inline: the one copy besides ``_find``.  Every
-        # verb resume walks the whole ``yield from`` chain, and a generator
-        # frame more under each Get's object READ is measurable.
+        # ``_read_bucket`` and the lookup walk, inline: every verb resume
+        # walks the whole ``yield from`` chain, and a generator frame more
+        # under each Get's READs is measurable.
+        lay = self.layout
+        first = key_hash % lay.num_buckets * lay.slots_per_bucket
+        base = lay.table_addr + first * L.SLOT_SIZE
+        raw = yield from self.ep.read(base, lay.slots_per_bucket * L.SLOT_SIZE)
+        slots = L.Bucket(first, base, raw, lay.slots_per_bucket)
         for i in slots.matches(fp):
             slot = slots.slot(i)
             raw = yield from self.ep.read(slot.pointer, slot.object_bytes)
@@ -539,8 +561,8 @@ class DittoClient:
         if not self.ext_fields:
             return b""
         meta = Metadata(size=size_bytes, insert_ts=now, last_ts=now, freq=1)
-        for policy in self.policies:
-            policy.on_insert(meta, now)
+        for on_insert in self._on_inserts:
+            on_insert(meta, now)
         return encode_ext(self.ext_fields, meta.ext)
 
     def _try_set(self, key: bytes, value: bytes) -> Generator:
@@ -559,7 +581,12 @@ class DittoClient:
         key_hash = L.stable_hash64(key)
         fp = L.fingerprint(key_hash)
         now = self._now()
-        slots = yield from self._read_bucket(self.layout.bucket_index(key_hash))
+        # ``_read_bucket``, inline, as in ``_get_once``.
+        lay = self.layout
+        first = key_hash % lay.num_buckets * lay.slots_per_bucket
+        base = lay.table_addr + first * L.SLOT_SIZE
+        raw = yield from self.ep.read(base, lay.slots_per_bucket * L.SLOT_SIZE)
+        slots = L.Bucket(first, base, raw, lay.slots_per_bucket)
 
         # Is the key already cached?  The 64-bit key hash in the slot
         # metadata identifies it without fetching the object, keeping Sets
@@ -668,7 +695,12 @@ class DittoClient:
             objects = slots.objects()
             if not objects:
                 return False
-            target, _bitmap, evicted = yield from self._choose_victim(slots, objects)
+            if self._columns is not None:
+                target, _bitmap, evicted = self._column_victim(slots, objects)
+            else:
+                target, _bitmap, evicted = yield from self._choose_victim(
+                    slots, objects
+                )
             old = yield from self.ep.cas(target.addr, target.atomic, new_atomic)
         if old != target.atomic:
             return False
@@ -756,6 +788,29 @@ class DittoClient:
         bitmap = bitmap_of(candidates, victim)
         return slots.slot(objects[victim]), bitmap, metas[victim]
 
+    def _column_victim(self, slots: L.Bucket, objects: List[int]):
+        """:meth:`_choose_victim` for experts that all declare a priority
+        column: each expert's first minimum is found on the sample's words,
+        and only the victim's :class:`~repro.core.layout.Slot` and
+        :class:`Metadata` are built.  Reads no verb, so it is no generator.
+        """
+        words = slots.words
+        first = objects[0]
+        candidates = []
+        for word, sign in self._columns:
+            best, lowest = first, sign * words[first * L.WORDS_PER_SLOT + word]
+            for i in objects:
+                value = sign * words[i * L.WORDS_PER_SLOT + word]
+                if value < lowest:
+                    best, lowest = i, value
+            candidates.append(best)
+        victim = candidates[self.weights.choose() if self._adaptive else 0]
+        return (
+            slots.slot(victim),
+            bitmap_of(candidates, victim),
+            Metadata(*slots.access_info(victim)),
+        )
+
     def _evict_once(self) -> Generator:
         """One sampled eviction; True on success."""
         tracer = self.tracer
@@ -766,7 +821,12 @@ class DittoClient:
             objects = slots.objects()
             if not objects:
                 continue
-            victim, bitmap, meta = yield from self._choose_victim(slots, objects)
+            if self._columns is not None:
+                victim, bitmap, meta = self._column_victim(slots, objects)
+            else:
+                victim, bitmap, meta = yield from self._choose_victim(
+                    slots, objects
+                )
             evicted = yield from self._retire(victim, bitmap, meta)
             if evicted:
                 break
@@ -810,8 +870,8 @@ class DittoClient:
         self.budget.release(victim.object_bytes)
         self.cluster.object_count -= 1
         self.evictions += 1
-        for policy in self.policies:
-            policy.on_evict(meta, now)
+        for on_evict in self._on_evicts:
+            on_evict(meta, now)
 
     # ------------------------------------------------------------------
     # Delete

@@ -18,6 +18,15 @@ Policies with per-client state (the GreedyDual family's inflation value ``L``)
 keep it in the policy instance, mirroring the paper's client-local "cost"
 information.  Extension metadata (``ext_fields``) is stored with the object on
 DM and in a dict in the fast simulator.
+
+A policy whose ``priority`` returns one default field, signed, declares it as
+``column`` (LRU, MRU, LFU, FIFO).  ``priority`` stays the definition: the
+declaration only lets the client and the vectorized replay compare the field
+where it lies instead of calling ``priority`` per candidate, and it counts
+only while ``priority`` is the declaring class's own (:func:`priority_column`).
+Declare ``column`` only when ``priority`` returns exactly that field.  A
+policy that declares nothing, like ``examples/custom_policy.py``'s, needs
+nothing more: it takes the generic scan.
 """
 
 from __future__ import annotations
@@ -71,6 +80,10 @@ class CachePolicy:
     info: Tuple[str, ...] = ()
     #: extension metadata fields persisted with objects (all 8-byte floats)
     ext_fields: Tuple[str, ...] = ()
+    #: ``(field, sign)`` when ``priority`` is ``sign * getattr(m, field)``
+    #: for ``field`` one of ``insert_ts``, ``last_ts`` and ``freq`` (the slot
+    #: words a sample carries); None otherwise
+    column: Optional[Tuple[str, int]] = None
 
     def update(self, m: Metadata, now: float) -> None:
         """Maintain extension metadata after an access (default: nothing)."""
@@ -94,6 +107,7 @@ class LRU(CachePolicy):
 
     name = "lru"
     info = ("ts_L",)
+    column = ("last_ts", 1)
 
     def priority(self, m: Metadata, now: float) -> float:
         return m.last_ts
@@ -104,6 +118,7 @@ class MRU(CachePolicy):
 
     name = "mru"
     info = ("ts_L",)
+    column = ("last_ts", -1)
 
     def priority(self, m: Metadata, now: float) -> float:
         return -m.last_ts
@@ -114,6 +129,7 @@ class LFU(CachePolicy):
 
     name = "lfu"
     info = ("F",)
+    column = ("freq", 1)
 
     def priority(self, m: Metadata, now: float) -> float:
         return m.freq
@@ -124,6 +140,7 @@ class FIFO(CachePolicy):
 
     name = "fifo"
     info = ("ts_I",)
+    column = ("insert_ts", 1)
 
     def priority(self, m: Metadata, now: float) -> float:
         return m.insert_ts
@@ -315,6 +332,37 @@ def make_policy(name: str, **kwargs) -> CachePolicy:
             f"unknown policy {name!r}; available: {sorted(POLICY_REGISTRY)}"
         ) from None
     return cls(**kwargs)
+
+
+def priority_column(policy: CachePolicy) -> Optional[Tuple[str, int]]:
+    """``policy``'s ``column`` declaration, or None when it declares none or
+    when its ``priority`` is not the one the declaring class defines (a
+    subclass that overrides ``priority`` has to declare afresh)."""
+    cls = type(policy)
+    for owner in cls.__mro__:
+        if "column" in owner.__dict__:
+            if owner.__dict__.get("priority") is cls.priority:
+                return owner.column
+            return None
+    return None
+
+
+def live_hooks(policies) -> Tuple[tuple, tuple, tuple]:
+    """The bound ``update``, ``on_insert`` and ``on_evict`` hooks of
+    ``policies`` that do something: each policy's overridden ones.  The base
+    ``on_insert`` delegates to ``update``, so it is live when ``update`` is.
+    """
+    updates, inserts, evicts = [], [], []
+    for policy in policies:
+        cls = type(policy)
+        live_update = cls.update is not CachePolicy.update
+        if live_update:
+            updates.append(policy.update)
+        if live_update or cls.on_insert is not CachePolicy.on_insert:
+            inserts.append(policy.on_insert)
+        if cls.on_evict is not CachePolicy.on_evict:
+            evicts.append(policy.on_evict)
+    return tuple(updates), tuple(inserts), tuple(evicts)
 
 
 def policy_loc(policy: CachePolicy) -> int:

@@ -21,6 +21,7 @@ heap slots a spawned process would take (DESIGN §3.1).
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Generator, Optional
 
 from ..memory.node import MemoryNode, MemoryPool
@@ -340,7 +341,9 @@ class RdmaEndpoint(VerbTransport):
             lead += extra
         delay = node.nic.book(service, lead, self._lag)
         if self.tracer is None:
-            engine.call_later(delay, land, addr, arg)
+            # ``engine.call_later(delay, land, addr, arg)``, inline.
+            heappush(engine._heap, (
+                engine._now + delay, next(engine._sequence), land, (addr, arg)))
         else:
             engine.call_later(delay, self._land_post, tid, verb, land, addr,
                               arg, engine._now)

@@ -6,8 +6,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import numpy as np
+
+from repro.cachesim import SampledAdaptiveCache, vectorized
 from repro.core import Metadata, POLICY_REGISTRY, make_policy, policy_loc
-from repro.core.policies import CachePolicy
+from repro.core.policies import (
+    LRU,
+    CachePolicy,
+    live_hooks,
+    priority_column,
+)
 
 ALL_POLICIES = sorted(POLICY_REGISTRY)
 
@@ -223,3 +231,86 @@ class TestMetadata:
     def test_lru_priority_equals_last_ts(self, size, last_ts, freq):
         policy = make_policy("lru")
         assert policy.priority(meta(size=size, last_ts=last_ts, freq=freq), 0) == last_ts
+
+
+#: Registry names whose ``priority`` is a declared column.
+COLUMN_POLICIES = [
+    name for name in ALL_POLICIES
+    if priority_column(make_policy(name)) is not None
+]
+
+
+class OverridingLRU(LRU):
+    """Inherits LRU's column declaration but not its ``priority``."""
+
+    def priority(self, m: Metadata, now: float) -> float:
+        return m.freq
+
+
+class RedeclaringLRU(LRU):
+    """Declares a column its inherited ``priority`` does not return."""
+
+    column = ("freq", 1)
+
+
+class PlainLRU(LRU):
+    """Changes nothing: LRU's declaration still holds."""
+
+
+class TestPriorityColumn:
+    def test_the_four_declarations(self):
+        assert {name: priority_column(make_policy(name))
+                for name in COLUMN_POLICIES} == {
+            "lru": ("last_ts", 1),
+            "mru": ("last_ts", -1),
+            "lfu": ("freq", 1),
+            "fifo": ("insert_ts", 1),
+        }
+        assert CachePolicy.column is None
+
+    @given(
+        st.sampled_from(COLUMN_POLICIES),
+        st.integers(1, 10_000),
+        st.integers(0, 1 << 40),
+        st.integers(0, 1 << 40),
+        st.integers(0, 1 << 20),
+        st.integers(0, 1 << 40),
+    )
+    def test_every_declared_column_equals_its_priority(
+            self, name, size, insert_ts, last_ts, freq, now):
+        policy = make_policy(name)
+        field, sign = priority_column(policy)
+        m = meta(size=size, insert_ts=insert_ts, last_ts=last_ts, freq=freq)
+        assert sign * getattr(m, field) == policy.priority(m, now)
+
+    def test_counts_only_with_the_declaring_class_priority(self):
+        assert priority_column(OverridingLRU()) is None
+        assert priority_column(RedeclaringLRU()) is None
+        assert priority_column(PlainLRU()) == ("last_ts", 1)
+
+    def test_vectorized_replay_refuses_an_overriding_subclass(self):
+        keys = np.arange(4096, dtype=np.int64) % 700
+        for policy, expected in (
+            (LRU(), True), (PlainLRU(), True),
+            (OverridingLRU(), False), (RedeclaringLRU(), False),
+        ):
+            cache = SampledAdaptiveCache(256, policy_objects=[policy], seed=1)
+            assert vectorized.eligible(cache, keys) is expected, policy
+
+
+class TestLiveHooks:
+    @staticmethod
+    def _owners(hooks):
+        return [[type(hook.__self__).name for hook in group] for group in hooks]
+
+    def test_column_policies_have_none(self):
+        policies = [make_policy(name) for name in COLUMN_POLICIES]
+        assert live_hooks(policies) == ((), (), ())
+
+    def test_names_each_overridden_hook(self):
+        policies = [make_policy(name) for name in ("lru", "gds", "lruk", "lirs")]
+        assert self._owners(live_hooks(policies)) == [
+            ["gds", "lruk", "lirs"],  # update
+            ["gds", "lruk", "lirs"],  # on_insert, via update
+            ["gds"],  # on_evict
+        ]

@@ -1,5 +1,7 @@
 """Unit tests for client-side allocation and the memory budget."""
 
+import random
+
 import pytest
 
 from repro.memory import (
@@ -9,6 +11,7 @@ from repro.memory import (
     MemoryBudget,
     MemoryNode,
     MemoryPool,
+    StripedAllocator,
 )
 from repro.rdma import RdmaEndpoint
 from repro.sim import Engine
@@ -107,3 +110,76 @@ class TestMemoryBudget:
             MemoryBudget(0)
         with pytest.raises(ValueError):
             MemoryBudget(10).resize(0)
+
+
+class TestStripedFreeRouting:
+    """``StripedAllocator.free`` routes a block by sorted base to the
+    allocator of the node holding it, whatever order the nodes came in."""
+
+    SIZE = 64 * 1024
+
+    @pytest.fixture()
+    def routed(self):
+        """Live nodes at bases 1, 5 and 7 (in units of SIZE), added in the
+        order 7, 1, 5; the node at 3 was added and then dropped."""
+        size, engine = self.SIZE, Engine()
+        high, retired, low, middle = (
+            MemoryNode(engine, size=size, base=k * size, node_id=k)
+            for k in (7, 3, 1, 5)
+        )
+        ep = RdmaEndpoint(engine, MemoryPool([high, retired, low, middle]))
+        striped = StripedAllocator(ep, [high, retired, low], segment_bytes=4096)
+        striped.add_node(middle)
+        striped.drop_node(retired)
+        freed = []
+        for allocator in striped.allocators:
+            allocator.free = (
+                lambda addr, nbytes, node=allocator.node:
+                freed.append((node, addr, nbytes))
+            )
+        return striped, [low, middle, high], retired, freed
+
+    def test_first_and_last_block_of_each_node(self, routed):
+        striped, live, _retired, freed = routed
+        for node in live:
+            for addr in (node.base, node.end - BLOCK_SIZE):
+                striped.free(addr, BLOCK_SIZE)
+                assert freed.pop() == (node, addr, BLOCK_SIZE)
+
+    def test_retired_range_is_dropped_silently(self, routed):
+        striped, _live, retired, freed = routed
+        for addr in (retired.base, retired.end - BLOCK_SIZE):
+            striped.free(addr, BLOCK_SIZE)
+        assert freed == []
+
+    def test_unknown_address_raises(self, routed):
+        striped, live, retired, freed = routed
+        low, middle, high = live
+        for addr in (0, low.base - 1, low.end, retired.base - 1, retired.end,
+                     middle.base - 1, middle.end, high.base - 1, high.end,
+                     10**12):
+            with pytest.raises(ValueError):
+                striped.free(addr, BLOCK_SIZE)
+        assert freed == []
+
+    def test_agrees_with_a_linear_scan(self, routed):
+        striped, live, retired, freed = routed
+
+        def linear(addr):
+            for node in live:
+                if node.contains(addr, 1):
+                    return node
+            if retired.base <= addr < retired.end:
+                return "retired"
+            return None
+
+        rng = random.Random(50)
+        for _ in range(1000):
+            addr = rng.randrange(9 * self.SIZE)
+            try:
+                striped.free(addr, BLOCK_SIZE)
+            except ValueError:
+                got = None
+            else:
+                got = freed.pop()[0] if freed else "retired"
+            assert got == linear(addr), addr
