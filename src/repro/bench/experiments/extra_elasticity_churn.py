@@ -13,13 +13,13 @@ across the churn.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, Iterator, List
 
 from ...core import invariant_sweep
 from ...sim.faults import FaultPlan, RpcFailure
 from ...workloads import make_ycsb
-from ..format import print_table
-from ..runner import Feed, Harness, preload
+from ..format import Verdict, claim, print_table
+from ..runner import Feed, Harness, phase_mean, preload
 from ..scale import scaled
 from ..systems import build_ditto
 
@@ -134,6 +134,33 @@ def main() -> Dict:
         f"{sweep['live_bytes']}B live of {sweep['granted_bytes']}B granted"
     )
     return result
+
+
+def claims(result: Dict) -> Iterator[Verdict]:
+    """Every drain completes despite the RPC fault windows, node 0 survives,
+    the drain phases keep serving (degraded, not an outage), and the
+    memory sweep found the heap accounted for."""
+    migrations = result["migrations"]
+    yield claim("drains ran", len(migrations), ">", 0)
+    for migration in migrations:
+        node = migration["node_id"]
+        yield claim(f"drain of node {node}: done", migration["phase"], "==", "done")
+        yield claim(f"drain of node {node}: moved objects",
+                    migration["migrated_objects"], ">", 0)
+        yield claim(f"drain of node {node}: epoch advanced",
+                    migration["epoch_end"], ">", migration["epoch_start"])
+    nodes = result["node_ids"]
+    drained = sorted({m["node_id"] for m in migrations})
+    yield ("node 0 survives", 0 in nodes, f"nodes {nodes}")
+    yield ("every drained node is gone", set(drained).isdisjoint(nodes),
+           f"drained {drained}, nodes {nodes}")
+    timeline = result["timeline"]
+    steady = phase_mean(timeline, "steady")
+    for phase in sorted({row["phase"] for row in timeline}):
+        if phase.endswith("-drain"):
+            yield claim(f"{phase} > 0.4 x steady", phase_mean(timeline, phase),
+                        ">", steady * 0.4)
+    yield claim("the sweep saw live bytes", result["sweep"]["live_bytes"], ">", 0)
 
 
 if __name__ == "__main__":

@@ -9,11 +9,11 @@ cache size on the phase-switching workload where adaptation speed matters.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict, Iterator, Sequence
 
 from ...cachesim import SampledAdaptiveCache
 from ...workloads import footprint, phase_switch_trace
-from ..format import print_table
+from ..format import Verdict, claim, print_table
 from ..scale import scaled
 
 HISTORY_ENTRY_BYTES = 40
@@ -62,6 +62,16 @@ def main() -> Dict:
         ],
     )
     return result
+
+
+def claims(result: Dict) -> Iterator[Verdict]:
+    """More history collects more regrets, at metadata linear in its
+    length."""
+    rows = result["rows"]
+    yield claim("longest history: more regrets than shortest",
+                rows[-1]["regrets"], ">", rows[0]["regrets"])
+    yield claim("longest history: more metadata than shortest",
+                rows[-1]["metadata_bytes"], ">", rows[0]["metadata_bytes"])
 
 
 if __name__ == "__main__":

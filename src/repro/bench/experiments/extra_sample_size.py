@@ -9,12 +9,12 @@ sample.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict, Iterator, Sequence
 
 from ...cachesim import SampledAdaptiveCache
 from ...core.layout import SLOT_SIZE
 from ...workloads import footprint, webmail_like_trace
-from ..format import print_table
+from ..format import Verdict, claim, print_table
 from ..scale import scaled
 
 
@@ -55,6 +55,21 @@ def main() -> Dict:
         [(r["k"], r["lru"], r["lfu"], r["sample_read_bytes"]) for r in result["rows"]],
     )
     return result
+
+
+def claims(result: Dict) -> Iterator[Verdict]:
+    """K = 1 is random eviction and LRU's precision grows with K, K = 5
+    already capturing most of it; LFU peaks at small K, where sampling noise
+    protects freshly inserted (freq-1) objects from precise LFU."""
+    rows = {r["k"]: r for r in result["rows"]}
+    top = max(rows)
+    yield claim(f"lru: K={top} > K=1", rows[top]["lru"], ">", rows[1]["lru"])
+    top_lru = rows[top]["lru"]
+    yield claim(f"lru: K=5 > K=1 + 0.6 x (K={top} - K=1)", rows[5]["lru"], ">",
+                rows[1]["lru"] + 0.6 * (top_lru - rows[1]["lru"]))
+    yield claim(f"lfu: K=5 > K={top}", rows[5]["lfu"], ">", rows[top]["lfu"])
+    best_lfu_k = max(rows, key=lambda k: rows[k]["lfu"])
+    yield claim("lfu's best K <= 8", best_lfu_k, "<=", 8)
 
 
 if __name__ == "__main__":

@@ -14,8 +14,8 @@ from typing import Dict, Iterator, List
 
 from ...baselines import RedisCluster
 from ...workloads import ZipfianGenerator
-from ..format import print_table
-from ..runner import Feed, Harness, make_value, pack_key
+from ..format import Verdict, claim, print_table
+from ..runner import Feed, Harness, make_value, pack_key, phase_mean
 from ..scale import scaled
 
 
@@ -98,6 +98,29 @@ def main() -> Dict:
         [(m["direction"], m["duration_s"], m["keys_moved"]) for m in result["migrations"]],
     )
     return result
+
+
+def claims(result: Dict) -> Iterator[Verdict]:
+    """Redis' gain from scaling out is delayed by the migration, and
+    scale-in holds the large node count until its migration finishes."""
+    timeline = result["timeline"]
+    migrations = {m["direction"]: m for m in result["migrations"]}
+    yield claim("both migrations ran", sorted(migrations), "==", ["in", "out"])
+    for direction in ("out", "in"):
+        yield claim(f"scale-{direction} migration takes > 0.1 s",
+                    migrations[direction]["duration_s"], ">", 0.1)
+    small = phase_mean(timeline, "stable-small")
+    large = phase_mean(timeline, "stable-large")
+    during_out = phase_mean(timeline, "scale-out-migration")
+    yield claim("stable-large > 1.1 x stable-small", large, ">", small * 1.1)
+    yield claim("scale-out migration < stable-large", during_out, "<", large)
+    in_mig_rows = [r for r in timeline if r["phase"] == "scale-in-migration"]
+    yield claim("scale-in migration windows", len(in_mig_rows), ">", 0)
+    # The final window may close just after reclamation; all earlier windows
+    # still hold the large node count.
+    held = [r["provisioned_nodes"] for r in in_mig_rows[:-1]]
+    yield ("scale-in keeps > 8 nodes until done", all(n > 8 for n in held),
+           f"nodes {held}")
 
 
 if __name__ == "__main__":

@@ -10,10 +10,10 @@ more mildly, KVS keeps scaling.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Iterator
 
 from ...baselines import DmKvsCluster
-from ..format import print_table
+from ..format import Verdict, claim, print_table
 from ..scale import scaled
 from ..systems import build_shard_lru, run_ycsb_workload
 
@@ -74,6 +74,27 @@ def main() -> Dict:
         ],
     )
     return result
+
+
+def claims(result: Dict) -> Iterator[Verdict]:
+    """(a) List maintenance costs one client throughput and tail latency;
+    (b) under many clients KVC collapses on its lock, KVC-S holds up better
+    and KVS scales far above both."""
+    single, multi = result["single_client"], result["multi_client"]
+    counts = result["client_counts"]
+    top, mid = str(counts[-1]), str(counts[len(counts) // 2])
+    yield claim("1 client: kvs > 2 x kvc Mops",
+                single["kvs"]["mops"], ">", 2 * single["kvc"]["mops"])
+    yield claim("1 client: kvc p99 > 2 x kvs p99",
+                single["kvc"]["p99_us"], ">", 2 * single["kvs"]["p99_us"])
+    yield claim(f"{top} clients: kvs > 4 x kvc", multi["kvs"][top], ">",
+                4 * multi["kvc"][top])
+    yield claim(f"{top} clients: kvs > 2 x kvc-s", multi["kvs"][top], ">",
+                2 * multi["kvc-s"][top])
+    yield claim(f"{top} clients: kvc-s > kvc", multi["kvc-s"][top], ">",
+                multi["kvc"][top])
+    yield claim(f"kvc at {top} clients < 2 x at {mid}", multi["kvc"][top], "<",
+                multi["kvc"][mid] * 2)
 
 
 if __name__ == "__main__":

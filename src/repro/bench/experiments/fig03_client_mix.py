@@ -9,7 +9,7 @@ holds most threads, LRU wins at the other end.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Iterator
 
 from ...workloads import (
     mix_traces,
@@ -17,7 +17,7 @@ from ...workloads import (
     shifting_hotspot_trace,
     zipfian_trace,
 )
-from ..format import print_table
+from ..format import Verdict, claim, print_table
 from ..hitrate import compare_systems
 from ..scale import scaled
 
@@ -61,6 +61,20 @@ def main() -> Dict:
         ],
     )
     return result
+
+
+def claims(result: Dict) -> Iterator[Verdict]:
+    """The winning fixed algorithm flips with the thread split, and Ditto
+    never falls materially below the worse expert at either extreme."""
+    rows = result["rows"]
+    all_lfu, all_lru = rows[0], rows[-1]
+    yield claim("all threads on the LFU app: lfu > lru",
+                all_lfu["ditto-lfu"], ">", all_lfu["ditto-lru"])
+    yield claim("all threads on the LRU app: lru > lfu",
+                all_lru["ditto-lru"], ">", all_lru["ditto-lfu"])
+    for app, row in (("LFU", all_lfu), ("LRU", all_lru)):
+        yield claim(f"all threads on the {app} app: ditto >= worse expert - 0.02",
+                    row["ditto"], ">=", min(row["ditto-lru"], row["ditto-lfu"]) - 0.02)
 
 
 if __name__ == "__main__":

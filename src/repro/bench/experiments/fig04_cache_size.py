@@ -7,10 +7,10 @@ caching.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Iterator
 
 from ...workloads import footprint, webmail_like_trace
-from ..format import print_table
+from ..format import Verdict, claim, print_table
 from ..hitrate import compare_systems
 from ..scale import scaled
 
@@ -46,6 +46,22 @@ def main() -> Dict:
         [(r["cache_frac"], r["capacity"], r["lru"], r["lfu"]) for r in result["rows"]],
     )
     return result
+
+
+def claims(result: Dict) -> Iterator[Verdict]:
+    """The best fixed algorithm changes across cache sizes; hit rates do not
+    fall as the cache grows (sanity)."""
+    rows = result["rows"]
+    winners = {"lru" if r["lru"] >= r["lfu"] else "lfu" for r in rows}
+    yield claim("the winner changes with cache size", sorted(winners), "==",
+                ["lfu", "lru"])
+    for policy in ("lru", "lfu"):
+        values = [r[policy] for r in rows]
+        yield (
+            f"{policy}: hit rate non-decreasing in cache size (0.03 slack)",
+            all(b >= a - 0.03 for a, b in zip(values, values[1:])),
+            " ".join(f"{v:.4f}" for v in values),
+        )
 
 
 if __name__ == "__main__":

@@ -13,11 +13,11 @@ small and fast next to the Redis baseline's whole-keyspace reshuffle.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, Iterator, List
 
 from ...workloads import make_ycsb
-from ..format import print_table
-from ..runner import Feed, Harness, preload
+from ..format import Verdict, claim, print_table
+from ..runner import Feed, Harness, phase_mean, preload
 from ..scale import scaled
 from ..systems import build_ditto
 
@@ -118,6 +118,34 @@ def main() -> Dict:
         f"{result['stale_epoch_retries']} stale-epoch retries)"
     )
     return result
+
+
+def claims(result: Dict) -> Iterator[Verdict]:
+    """Compute scaling takes effect at once; a memory node joins without
+    disturbing throughput and drains live, without collapse."""
+    timeline = result["timeline"]
+    base = phase_mean(timeline, "base-compute")
+    up = phase_mean(timeline, "compute-scaled-up")
+    down = phase_mean(timeline, "compute-scaled-down")
+    mem_up = phase_mean(timeline, "memory-scaled-up")
+    mem_down = phase_mean(timeline, "memory-scaled-down")
+    yield claim("compute scale-up > 1.3 x base", up, ">", base * 1.3)
+    yield claim("compute scale-down back to base (|down - base| / base < 0.25)",
+                abs(down - base) / base, "<", 0.25)
+    yield claim("memory scale-up keeps throughput (|mem_up - down| / down < 0.2)",
+                abs(mem_up - down) / down, "<", 0.2)
+    yield claim("memory scale-down > 0.6 x compute-scaled-down",
+                mem_down, ">", down * 0.6)
+    (migration,) = result["migrations"]
+    yield claim("the drain is done", migration["phase"], "==", "done")
+    yield claim("the drain moved objects", migration["migrated_objects"], ">", 0)
+    yield claim("the drain advanced the epoch", migration["epoch_end"], ">",
+                migration["epoch_start"])
+    yield claim("membership bumps >= 3", result["epoch_bumps"], ">=", 3)
+    # "Immediate", unlike Redis' minutes of migration.
+    first_up = next(r for r in timeline if r["phase"] == "compute-scaled-up")
+    yield claim("first scaled-up window > 1.2 x base", first_up["mops"], ">",
+                base * 1.2)
 
 
 if __name__ == "__main__":

@@ -8,9 +8,9 @@ the MN NIC message rate caps it, several times above both.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict, Iterator, Sequence
 
-from ..format import print_table
+from ..format import Verdict, claim, print_table
 from ..scale import scaled
 from ..systems import (
     build_cliquemap,
@@ -86,6 +86,25 @@ def main() -> Dict:
             ],
         )
     return result
+
+
+def claims(result: Dict) -> Iterator[Verdict]:
+    """At scale Ditto clearly beats every baseline (paper: up to 9x) and
+    grows with clients; with one client on write-heavy A, CliqueMap's 1-RTT
+    Sets beat Ditto's 3 RTTs (the paper's one exception)."""
+    counts = result["client_counts"]
+    first, top = str(counts[0]), str(counts[-1])
+    for workload, by_system in result["results"].items():
+        ditto = by_system["ditto"][top]["mops"]
+        for baseline in ("shard-lru", "cm-lru", "cm-lfu"):
+            yield claim(f"{workload}: ditto > 2 x {baseline} at {top} clients",
+                        ditto, ">", 2 * by_system[baseline][top]["mops"])
+        yield claim(f"{workload}: ditto at {top} clients > at {first}",
+                    ditto, ">", by_system["ditto"][first]["mops"])
+    a = result["results"].get("A")
+    if a is not None:
+        yield claim(f"A: cm-lru >= 0.8 x ditto at {first} client",
+                    a["cm-lru"][first]["mops"], ">=", a["ditto"][first]["mops"] * 0.8)
 
 
 if __name__ == "__main__":

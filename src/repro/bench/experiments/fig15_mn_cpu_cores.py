@@ -8,10 +8,10 @@ by the hottest shard under Zipfian skew.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict, Iterator, Sequence
 
 from ...baselines import RedisCluster
-from ..format import print_table
+from ..format import Verdict, claim, print_table
 from ..runner import Feed, Harness, make_value, pack_key
 from ..scale import scaled
 from ..systems import build_cliquemap, build_ditto, run_ycsb_workload
@@ -77,6 +77,26 @@ def main() -> Dict:
             ],
         )
     return result
+
+
+def claims(result: Dict) -> Iterator[Verdict]:
+    """Ditto is independent of MN compute; CliqueMap needs many extra cores
+    to climb toward it; Redis gains with cores but stays below Ditto."""
+    cores = result["core_counts"]
+    low, high = str(cores[0]), str(cores[-1])
+    for workload, by_system in result["results"].items():
+        ditto, cm, redis = (by_system[s] for s in ("ditto", "cliquemap", "redis"))
+        distinct = {round(v, 6) for v in ditto.values()}
+        yield (f"{workload}: ditto flat over cores", len(distinct) == 1,
+               f"distinct Mops {sorted(distinct)}")
+        yield claim(f"{workload}: cliquemap at {high} cores > 1.5 x at {low}",
+                    cm[high], ">", cm[low] * 1.5)
+        yield claim(f"{workload}: ditto > 2 x cliquemap at {low} cores",
+                    ditto[low], ">", 2 * cm[low])
+        yield claim(f"{workload}: redis at {high} cores >= at {low}",
+                    redis[high], ">=", redis[low])
+        yield claim(f"{workload}: ditto > redis at {high} cores",
+                    ditto[high], ">", redis[high])
 
 
 if __name__ == "__main__":

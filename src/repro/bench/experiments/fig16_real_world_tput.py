@@ -8,10 +8,10 @@ MN-CPU-bound Set path).
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict, Iterator, Sequence
 
 from ...workloads import WORKLOAD_CATALOG, footprint
-from ..format import print_table
+from ..format import Verdict, claim, print_table
 from ..scale import scaled
 from ..systems import build_cliquemap, build_ditto, run_trace_workload
 
@@ -84,6 +84,21 @@ def main() -> Dict:
             ],
         )
     return result
+
+
+def claims(result: Dict) -> Iterator[Verdict]:
+    """Ditto approaches the better fixed expert, clears the worse one, and
+    outperforms CliqueMap (hit rate plus a one-sided data path)."""
+    for workload, by_system in result["results"].items():
+        ditto = by_system["ditto"]["mops"]
+        fixed = (by_system["ditto-lru"]["mops"], by_system["ditto-lfu"]["mops"])
+        best_cm = max(by_system["cm-lru"]["mops"], by_system["cm-lfu"]["mops"])
+        yield claim(f"{workload}: ditto > 0.9 x worse fixed expert",
+                    ditto, ">", min(fixed) * 0.9)
+        yield claim(f"{workload}: ditto > 0.75 x better fixed expert",
+                    ditto, ">", max(fixed) * 0.75)
+        yield claim(f"{workload}: ditto > 0.9 x best cliquemap",
+                    ditto, ">", best_cm * 0.9)
 
 
 if __name__ == "__main__":

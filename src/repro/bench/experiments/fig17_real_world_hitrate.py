@@ -7,10 +7,10 @@ workload's footprint, as in the paper).
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict, Iterator, Sequence
 
 from ...workloads import WORKLOAD_CATALOG, footprint
-from ..format import print_table
+from ..format import Verdict, claim, print_table
 from ..hitrate import compare_systems
 from ..scale import scaled
 
@@ -47,6 +47,25 @@ def main() -> Dict:
             [[frac] + list(rates.values()) for frac, rates in by_frac.items()],
         )
     return result
+
+
+def claims(result: Dict) -> Iterator[Verdict]:
+    """Ditto is bounded by its experts at every size and, averaged over
+    sizes, clears their midpoint."""
+    margin = 0.03
+    for workload, by_frac in result["results"].items():
+        for frac, rates in by_frac.items():
+            experts = (rates["ditto-lru"], rates["ditto-lfu"])
+            yield claim(f"{workload} at {frac}: ditto >= worse expert - 0.03",
+                        rates["ditto"], ">=", min(experts) - margin)
+            yield claim(f"{workload} at {frac}: ditto <= better expert + 0.03",
+                        rates["ditto"], "<=", max(experts) + margin)
+        ditto_mean = sum(r["ditto"] for r in by_frac.values()) / len(by_frac)
+        mid_mean = sum(
+            (r["ditto-lru"] + r["ditto-lfu"]) / 2 for r in by_frac.values()
+        ) / len(by_frac)
+        yield claim(f"{workload}: mean ditto >= mean expert midpoint - 0.03",
+                    ditto_mean, ">=", mid_mean - margin)
 
 
 if __name__ == "__main__":

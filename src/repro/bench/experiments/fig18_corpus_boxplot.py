@@ -7,12 +7,12 @@ min(Ditto-LRU, Ditto-LFU) and approaches max(Ditto-LRU, Ditto-LFU).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, Iterator, List
 
 import numpy as np
 
 from ...workloads import corpus, footprint
-from ..format import print_table
+from ..format import Verdict, claim, print_table
 from ..hitrate import make_hit_cache, replay
 from ..scale import scaled
 
@@ -61,6 +61,19 @@ def main() -> Dict:
         rows,
     )
     return result
+
+
+def claims(result: Dict) -> Iterator[Verdict]:
+    """On median every series beats random eviction, and Ditto exceeds the
+    worse expert and approaches the better."""
+    relative = result["relative"]
+    ditto = float(np.median(relative["ditto"]))
+    best = float(np.median(relative["max_expert"]))
+    worst = float(np.median(relative["min_expert"]))
+    yield claim("median: worse expert > random eviction", worst, ">", 1.0)
+    yield claim("median: ditto > worse expert", ditto, ">", worst)
+    yield claim("median: ditto > better expert - 0.6 x expert gap",
+                ditto, ">", best - 0.6 * (best - worst))
 
 
 if __name__ == "__main__":

@@ -8,10 +8,10 @@ run.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Iterator
 
 from ...workloads import footprint, phase_switch_trace
-from ..format import print_table
+from ..format import Verdict, claim, print_table
 from ..hitrate import make_hit_cache, replay_windowed
 from ..scale import scaled
 from ..systems import run_trace_workload
@@ -77,6 +77,18 @@ def main() -> Dict:
         ],
     )
     return result
+
+
+def claims(result: Dict) -> Iterator[Verdict]:
+    """Across the flip-flopping phases Ditto matches or beats both fixed
+    experts."""
+    hit, tput = result["hit_rates"], result["throughput_mops"]
+    fixed_hit = (hit["ditto-lru"], hit["ditto-lfu"])
+    yield claim("hit rate: ditto >= better expert - 0.02",
+                hit["ditto"], ">=", max(fixed_hit) - 0.02)
+    yield claim("hit rate: ditto > worse expert", hit["ditto"], ">", min(fixed_hit))
+    yield claim("throughput: ditto >= 0.85 x better expert", tput["ditto"], ">=",
+                max(tput["ditto-lru"], tput["ditto-lfu"]) * 0.85)
 
 
 if __name__ == "__main__":

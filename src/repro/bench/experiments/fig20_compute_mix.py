@@ -8,7 +8,7 @@ grows.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Iterator
 
 from ...workloads import (
     mix_traces,
@@ -16,7 +16,7 @@ from ...workloads import (
     shifting_hotspot_trace,
     zipfian_trace,
 )
-from ..format import print_table
+from ..format import Verdict, claim, print_table
 from ..hitrate import compare_systems
 from ..scale import scaled
 
@@ -65,6 +65,24 @@ def main() -> Dict:
         ],
     )
     return result
+
+
+def claims(result: Dict) -> Iterator[Verdict]:
+    """With no LRU clients LFU dominates and Ditto exceeds Ditto-LRU; as the
+    LRU portion grows, Ditto converges to Ditto-LRU (relative hit rate 1)."""
+    rows = result["rows"]
+    first, last = rows[0], rows[-1]
+    yield claim(f"LRU portion {first['lru_portion']}: ditto-lfu > 1",
+                first["ditto-lfu"], ">", 1.0)
+    yield claim(f"LRU portion {first['lru_portion']}: ditto > 1",
+                first["ditto"], ">", 1.0)
+    yield claim(f"LRU portion {last['lru_portion']}: ditto-lfu < 1",
+                last["ditto-lfu"], "<", 1.0)
+    yield claim(f"LRU portion {last['lru_portion']}: ditto > ditto-lfu",
+                last["ditto"], ">", last["ditto-lfu"])
+    for row in rows:
+        yield claim(f"LRU portion {row['lru_portion']}: ditto >= min(1, ditto-lfu) - 0.05",
+                    row["ditto"], ">=", min(1.0, row["ditto-lfu"]) - 0.05)
 
 
 if __name__ == "__main__":

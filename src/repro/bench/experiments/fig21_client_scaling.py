@@ -7,10 +7,10 @@ above both fixed experts across client counts.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Iterator
 
 from ...workloads import concurrent_view, footprint, webmail_like_trace
-from ..format import print_table
+from ..format import Verdict, claim, print_table
 from ..hitrate import compare_systems
 from ..scale import scaled
 
@@ -51,6 +51,18 @@ def main() -> Dict:
         [[r["clients"]] + [r["relative"][s] for s in systems] for r in result["rows"]],
     )
     return result
+
+
+def claims(result: Dict) -> Iterator[Verdict]:
+    """At every client count Ditto stays at or above the worse fixed expert
+    and near the better one."""
+    for row in result["rows"]:
+        rel = row["relative"]
+        experts = (rel["ditto-lru"], rel["ditto-lfu"])
+        yield claim(f"{row['clients']} clients: ditto >= worse expert - 0.03",
+                    rel["ditto"], ">=", min(experts) - 0.03)
+        yield claim(f"{row['clients']} clients: ditto <= better expert + 0.08",
+                    rel["ditto"], "<=", max(experts) + 0.08)
 
 
 if __name__ == "__main__":

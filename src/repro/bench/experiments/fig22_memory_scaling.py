@@ -7,12 +7,12 @@ track whichever expert the current size favours.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Iterator
 
 import numpy as np
 
 from ...workloads import footprint, webmail_like_trace
-from ..format import print_table
+from ..format import Verdict, claim, print_table
 from ..hitrate import make_hit_cache
 from ..scale import scaled
 
@@ -55,6 +55,17 @@ def main() -> Dict:
         ],
     )
     return result
+
+
+def claims(result: Dict) -> Iterator[Verdict]:
+    """Ditto adapts to the size-dependent best algorithm, and bigger caches
+    help (sanity)."""
+    rows = result["rows"]
+    for row in rows:
+        yield claim(f"cache {row['cache_frac']}: ditto >= worse expert - 0.03",
+                    row["ditto"], ">=", min(row["ditto-lru"], row["ditto-lfu"]) - 0.03)
+    yield claim("largest cache: ditto > smallest cache's",
+                rows[-1]["ditto"], ">", rows[0]["ditto"])
 
 
 if __name__ == "__main__":

@@ -6,9 +6,9 @@ rate: throughput climbs and p99 falls until the gains flatten at a few MB.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict, Iterator, Sequence
 
-from ..format import print_table
+from ..format import Verdict, claim, print_table
 from ..scale import scaled
 from ..systems import build_ditto, run_ycsb_workload
 
@@ -54,6 +54,20 @@ def main() -> Dict:
         [(r["fc_mb"], r["mops"], r["p99_us"], r["faas"]) for r in result["rows"]],
     )
     return result
+
+
+def claims(result: Dict) -> Iterator[Verdict]:
+    """More FC cache means fewer FAAs, more throughput and no worse tail;
+    the gain flattens (paper: a plateau past 5 MB)."""
+    rows = result["rows"]
+    no_fc, second, biggest = rows[0], rows[-2], rows[-1]
+    yield claim("biggest FC: fewer FAAs than none", biggest["faas"], "<",
+                no_fc["faas"])
+    yield claim("biggest FC: Mops >= none", biggest["mops"], ">=", no_fc["mops"])
+    yield claim("biggest FC: p99 <= 1.05 x none", biggest["p99_us"], "<=",
+                no_fc["p99_us"] * 1.05)
+    yield claim("biggest FC: Mops <= 1.15 x second biggest", biggest["mops"],
+                "<=", second["mops"] * 1.15)
 
 
 if __name__ == "__main__":

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Iterator
 
 from ...workloads import WORKLOAD_CATALOG, footprint
-from ..format import print_table
+from ..format import Verdict, claim, print_table
 
 
 def run(n_requests: int = 20_000, seed: int = 1) -> Dict:
@@ -35,6 +35,22 @@ def main() -> Dict:
         ],
     )
     return result
+
+
+def claims(result: Dict) -> Iterator[Verdict]:
+    """Table 2 lists the paper's six workloads, each with a footprint that
+    fits its key space."""
+    rows = result["rows"]
+    yield claim("six workloads", len(rows), "==", 6)
+    yield claim("the paper's workload names", sorted({r["workload"] for r in rows}),
+                "==", ["cloudphysics", "ibm", "twitter-compute", "twitter-storage",
+                       "twitter-transient", "webmail"])
+    for row in rows:
+        yield (
+            f"{row['workload']}: 0 < footprint <= keys",
+            0 < row["footprint"] <= row["keys"],
+            f"footprint {row['footprint']}, keys {row['keys']}",
+        )
 
 
 if __name__ == "__main__":

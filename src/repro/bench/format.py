@@ -1,8 +1,16 @@
-"""Plain-text table output for experiment results (paper-figure rows)."""
+"""Plain-text table output for experiment results (paper-figure rows), and
+the named verdicts an experiment's ``claims`` returns."""
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+import operator
+from typing import Iterable, List, Sequence, Tuple
+
+#: A verdict: the claim's name, whether it held, and the compared values.
+Verdict = Tuple[str, bool, str]
+
+_COMPARE = {"<": operator.lt, "<=": operator.le, "==": operator.eq,
+            ">=": operator.ge, ">": operator.gt}
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence]) -> str:
@@ -30,3 +38,12 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence]) -> str:
 def print_table(title: str, headers: Sequence[str], rows: Iterable[Sequence]) -> None:
     print(f"\n== {title} ==")
     print(format_table(headers, rows))
+
+
+def claim(name: str, lhs, op: str, rhs) -> Verdict:
+    """The verdict ``lhs op rhs``, both sides written out for the report."""
+
+    def value(v) -> str:
+        return f"{v:.6g}" if isinstance(v, float) else str(v)
+
+    return name, _COMPARE[op](lhs, rhs), f"{value(lhs)} {op} {value(rhs)}"

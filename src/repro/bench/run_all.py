@@ -17,6 +17,13 @@ output is byte-identical across modes.  Harness lines start with ``[``;
 ``########## name ##########`` headers split it into one section per
 experiment (``tests/bench/golden/<name>.txt``): a header, the table, and
 one blank line, the same bytes in any run that includes the experiment.
+
+Each experiment with a ``claims(result)`` function (the paper's qualitative
+shape of its figure, as named verdicts) is checked on the result its run
+already returned: ``[claims: fig14 17/17]`` counts the verdicts that held,
+and each failed verdict gets its own ``[claim failed: ...]`` line with the
+compared values.  A failed verdict makes the run exit 1, unless it is one
+of :data:`EXPECTED_FAILURES`, which must fail: one that passes exits 1 too.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from __future__ import annotations
 import argparse
 import resource
 import sys
+import traceback
 
 from .experiments import (
     extra_controller_failover,
@@ -52,7 +60,7 @@ from .experiments import (
     fig25_fc_cache_size,
     tab02_workload_catalog,
 )
-from .parallel import ExperimentJob, ParallelRunner
+from .parallel import ExperimentJob, JobOutcome, ParallelRunner
 from .scale import scale_name
 
 EXPERIMENTS = {
@@ -81,6 +89,15 @@ EXPERIMENTS = {
     "extra-elasticity-churn": extra_elasticity_churn,
     "extra-controller-failover": extra_controller_failover,
     "extra-failover-timeline": extra_failover_timeline,
+}
+
+
+#: (experiment, verdict) pairs known to fail: EXPERIMENTS.md known
+#: deviation #5, CliqueMap-LFU's higher hit rate on three of Fig 16's
+#: workloads.
+EXPECTED_FAILURES = {
+    ("fig16", f"{workload}: ditto > 0.9 x best cliquemap")
+    for workload in ("ibm", "cloudphysics", "twitter-storage")
 }
 
 
@@ -118,6 +135,35 @@ def _peak_rss_mb() -> float:
     ) / 1024.0
 
 
+def _check_claims(outcome: JobOutcome) -> bool:
+    """Print the experiment's claims lines; False if a verdict broke the
+    gate.  Claims that raise on the result count as one failed verdict
+    (traceback on stderr), and the run goes on to the next experiment."""
+    claims = getattr(EXPERIMENTS[outcome.job.experiment], "claims", None)
+    if claims is None:
+        return True
+    verdicts = []
+    try:
+        verdicts.extend(claims(outcome.result))
+    except Exception as exc:
+        traceback.print_exc()
+        verdicts.append(("the claims evaluate", False, repr(exc)))
+    held = sum(ok for _, ok, _ in verdicts)
+    print(f"[claims: {outcome.name} {held}/{len(verdicts)}]")
+    gate = True
+    for name, ok, values in verdicts:
+        expected = (outcome.job.experiment, name) in EXPECTED_FAILURES
+        if ok and expected:
+            print(f"[claim passed but is expected to fail: {outcome.name} "
+                  f"{name}: {values}]")
+            gate = False
+        elif not ok:
+            print(f"[claim failed{' as expected' if expected else ''}: "
+                  f"{outcome.name} {name}: {values}]")
+            gate = gate and expected
+    return gate
+
+
 def main(argv=None) -> int:
     args = _parse(argv if argv is not None else sys.argv[1:])
     if args.parallel is not None and args.parallel < 1:
@@ -134,6 +180,7 @@ def main(argv=None) -> int:
         ExperimentJob(experiment=name, fn=f"{EXPERIMENTS[name].__name__}:main")
         for name in names
     ]
+    claims_hold = True
     for outcome in runner.stream(jobs):
         # The blank line closes the section, so a section reads the same
         # wherever the experiment falls in the run.
@@ -148,14 +195,16 @@ def main(argv=None) -> int:
                 f"; replayed {replayed['vectorized']} vectorized, "
                 f"{replayed['scalar']} scalar"
             )
-        print(f"[{outcome.name}: {status}]", flush=True)
+        print(f"[{outcome.name}: {status}]")
+        claims_hold = _check_claims(outcome) and claims_hold
+        sys.stdout.flush()
     s = runner.summary()
     print(
         f"[runner: {s['jobs']} jobs on {s['workers']} "
         f"worker{'s' if s['workers'] > 1 else ''} in {s['elapsed_s']:.1f}s; "
         f"peak RSS {_peak_rss_mb():.0f} MB]"
     )
-    return 0
+    return 0 if claims_hold else 1
 
 
 if __name__ == "__main__":

@@ -180,14 +180,7 @@ class DittoClient:
         self._adaptive = self.config.adaptive
         self.ext_fields: Tuple[str, ...] = cluster.ext_fields
         self.ext_bytes = 8 * len(self.ext_fields)
-        #: Per expert, the slot word and sign of its declared priority
-        #: column, when every expert declares one and no extension field is
-        #: stored: victims are then chosen from the sample's words
-        #: (:meth:`_column_victim`); None otherwise.
-        columns = [priority_column(policy) for policy in self.policies]
-        self._columns = None
-        if not self.ext_fields and None not in columns:
-            self._columns = [(_COLUMN_WORD[f], sign) for f, sign in columns]
+        self._columns = cluster.columns
         self._updates, self._on_inserts, self._on_evicts = live_hooks(
             self.policies
         )
@@ -929,6 +922,14 @@ class ClusterBase:
         self.seed = seed
         self.layout = plan.layout
         self.ext_fields: Tuple[str, ...] = plan.ext_fields
+        #: Per expert, the slot word and sign of its declared priority
+        #: column, when every expert declares one and no extension field is
+        #: stored: clients then choose victims from the sample's words
+        #: (:meth:`DittoClient._column_victim`); None otherwise.
+        columns = [priority_column(make_policy(name)) for name in config.policies]
+        self.columns: Optional[Tuple[Tuple[int, int], ...]] = None
+        if not self.ext_fields and None not in columns:
+            self.columns = tuple((_COLUMN_WORD[f], sign) for f, sign in columns)
         self.history_size = plan.history_size
         self.segment_bytes = plan.segment_bytes
         self.block_bytes_per_object = plan.block_bytes_per_object

@@ -1,10 +1,14 @@
 """Tiny-scale smoke tests for every per-figure experiment driver.
 
-These don't assert the paper's shapes (the benchmarks do, at a meaningful
-scale) — they pin the result schemas and that each driver runs end to end.
+These don't assert the paper's shapes (each experiment's ``claims`` does,
+checked by ``run_all`` at a meaningful scale) — they pin the result schemas,
+that each experiment runs end to end, and that ``claims`` reads a full-shaped
+result in the jsonified form ``run_all`` hands it.
 """
 
 import pytest
+
+from repro.bench.parallel import jsonify
 
 from repro.bench.experiments import (
     extra_elasticity_churn,
@@ -30,6 +34,17 @@ from repro.bench.experiments import (
 )
 
 
+def _claims_evaluate(module, result):
+    """``claims`` runs on the jsonified result and names each verdict once;
+    at this tiny scale the verdicts themselves may fail."""
+    verdicts = list(module.claims(jsonify(result)))
+    assert verdicts
+    for name, ok, values in verdicts:
+        assert isinstance(name, str) and isinstance(ok, bool)
+        assert isinstance(values, str)
+    assert len({name for name, _, _ in verdicts}) == len(verdicts)
+
+
 def test_fig01_schema():
     result = fig01_redis_elasticity.run(
         nodes=2, scale_to=4, n_keys=400, clients=8,
@@ -40,6 +55,7 @@ def test_fig01_schema():
     assert len(result["migrations"]) == 2
     phases = {row["phase"] for row in result["timeline"]}
     assert "stable-small" in phases and "stable-large" in phases
+    _claims_evaluate(fig01_redis_elasticity, result)
 
 
 def test_fig02_schema():
@@ -48,18 +64,21 @@ def test_fig02_schema():
     )
     assert set(result["multi_client"]) == {"kvs", "kvc", "kvc-s"}
     assert set(result["single_client"]["kvs"]) == {"mops", "p50_us", "p99_us"}
+    _claims_evaluate(fig02_caching_structure_cost, result)
 
 
 def test_fig03_schema():
     result = fig03_client_mix.run(n_requests=4_000, n_keys=256, total_threads=2)
     assert len(result["rows"]) == 3
     assert {"ditto", "ditto-lru", "ditto-lfu"} <= set(result["rows"][0])
+    _claims_evaluate(fig03_client_mix, result)
 
 
 def test_fig04_schema():
     result = fig04_cache_size.run(n_requests=4_000, n_keys=256, size_fracs=(0.1, 0.4))
     assert len(result["rows"]) == 2
     assert result["footprint"] > 0
+    _claims_evaluate(fig04_cache_size, result)
 
 
 def test_fig05_schema():
@@ -69,6 +88,7 @@ def test_fig05_schema():
     assert len(result["cdf"]["lru"]) == 4
     assert 0.0 <= result["best_flip_fraction"] <= 1.0
     assert len(result["example"]) == 2
+    _claims_evaluate(fig05_concurrency_effects, result)
 
 
 def test_fig13_schema():
@@ -83,6 +103,7 @@ def test_fig13_schema():
     assert migration["phase"] == "done"
     assert migration["migrated_bytes"] > 0
     assert result["epoch_bumps"] >= 3  # add, draining, retired
+    _claims_evaluate(fig13_ditto_elasticity, result)
 
 
 def test_extra_elasticity_churn_schema():
@@ -95,6 +116,7 @@ def test_extra_elasticity_churn_schema():
     assert result["node_ids"] == [0, 3]  # 1 and 2 drained, 3 survived
     assert result["sweep"]["live_bytes"] > 0
     assert result["epoch"] == 6  # two adds, two drains at two bumps each
+    _claims_evaluate(extra_elasticity_churn, result)
 
 
 def test_fig14_schema():
@@ -122,6 +144,7 @@ def test_fig15_schema():
     )
     per_system = result["results"]["C"]
     assert set(per_system) == {"ditto", "cliquemap", "redis"}
+    _claims_evaluate(fig15_mn_cpu_cores, result)
 
 
 def test_fig16_schema():
@@ -146,6 +169,7 @@ def test_fig18_schema():
     result = fig18_corpus_boxplot.run(n_traces=4, n_requests=3_000)
     assert set(result["relative"]) == {"ditto", "max_expert", "min_expert"}
     assert all(len(v) == 4 for v in result["relative"].values())
+    _claims_evaluate(fig18_corpus_boxplot, result)
 
 
 def test_fig19_schema():
@@ -154,6 +178,7 @@ def test_fig19_schema():
     )
     assert set(result["hit_rates"]) == {"ditto", "ditto-lru", "ditto-lfu"}
     assert set(result["throughput_mops"]) == set(result["hit_rates"])
+    _claims_evaluate(fig19_changing_workload, result)
 
 
 def test_fig20_schema():
@@ -162,6 +187,7 @@ def test_fig20_schema():
     )
     assert len(result["rows"]) == 2
     assert result["rows"][0]["ditto-lru"] == 1.0
+    _claims_evaluate(fig20_compute_mix, result)
 
 
 def test_fig21_schema():
@@ -169,6 +195,7 @@ def test_fig21_schema():
         n_requests=4_000, n_keys=256, client_counts=(1, 4)
     )
     assert len(result["rows"]) == 2
+    _claims_evaluate(fig21_client_scaling, result)
 
 
 def test_fig22_schema():
@@ -177,6 +204,7 @@ def test_fig22_schema():
     )
     assert len(result["rows"]) == 2
     assert result["rows"][1]["capacity"] > result["rows"][0]["capacity"]
+    _claims_evaluate(fig22_memory_scaling, result)
 
 
 def test_fig23_schema():
@@ -186,6 +214,7 @@ def test_fig23_schema():
     )
     assert [r["algorithm"] for r in result["rows"]] == ["lru", "mru"]
     assert all(r["loc"] > 0 for r in result["rows"])
+    _claims_evaluate(fig23_twelve_algorithms, result)
 
 
 def test_fig24_schema():
@@ -195,6 +224,7 @@ def test_fig24_schema():
     variants = [r["variant"] for r in result["rows"]]
     assert "ditto (full)" in variants and "-sfht" in variants
     assert result["rows"][0]["relative"] == pytest.approx(1.0)
+    _claims_evaluate(fig24_ablation, result)
 
 
 def test_fig25_schema():
@@ -204,8 +234,10 @@ def test_fig25_schema():
     )
     assert len(result["rows"]) == 2
     assert result["rows"][1]["faas"] <= result["rows"][0]["faas"]
+    _claims_evaluate(fig25_fc_cache_size, result)
 
 
 def test_tab02_schema():
     result = tab02_workload_catalog.run(n_requests=2_000)
     assert len(result["rows"]) == 6
+    _claims_evaluate(tab02_workload_catalog, result)
