@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import random
 import struct
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..memory import ClientAllocator, OutOfMemoryError, StripedAllocator
 from ..memory.allocator import MemoryBudget
@@ -215,6 +215,8 @@ class DittoClient:
         self.regrets = 0
         self.evictions = 0
         self.forced_bucket_evictions = 0
+        #: Eviction samples that held no object (and were re-read).
+        self.empty_samples = 0
 
     # ------------------------------------------------------------------
     # helpers
@@ -783,20 +785,14 @@ class DittoClient:
 
     def _column_victim(self, slots: L.Bucket, objects: List[int]):
         """:meth:`_choose_victim` for experts that all declare a priority
-        column: each expert's first minimum is found on the sample's words,
-        and only the victim's :class:`~repro.core.layout.Slot` and
-        :class:`Metadata` are built.  Reads no verb, so it is no generator.
+        column: each expert's first minimum is found on its column of the
+        sample, read with one strided unpack, and only the victim's
+        :class:`~repro.core.layout.Slot` and :class:`Metadata` are built.
+        Reads no verb, so it is no generator.
         """
-        words = slots.words
-        first = objects[0]
         candidates = []
-        for word, sign in self._columns:
-            best, lowest = first, sign * words[first * L.WORDS_PER_SLOT + word]
-            for i in objects:
-                value = sign * words[i * L.WORDS_PER_SLOT + word]
-                if value < lowest:
-                    best, lowest = i, value
-            candidates.append(best)
+        for word, pick in self._columns:
+            candidates.append(pick(objects, key=slots.column(word).__getitem__))
         victim = candidates[self.weights.choose() if self._adaptive else 0]
         return (
             slots.slot(victim),
@@ -813,6 +809,7 @@ class DittoClient:
             slots = yield from self._sample_slots()
             objects = slots.objects()
             if not objects:
+                self.empty_samples += 1
                 continue
             if self._columns is not None:
                 victim, bitmap, meta = self._column_victim(slots, objects)
@@ -922,14 +919,16 @@ class ClusterBase:
         self.seed = seed
         self.layout = plan.layout
         self.ext_fields: Tuple[str, ...] = plan.ext_fields
-        #: Per expert, the slot word and sign of its declared priority
-        #: column, when every expert declares one and no extension field is
-        #: stored: clients then choose victims from the sample's words
-        #: (:meth:`DittoClient._column_victim`); None otherwise.
+        #: Per expert, the slot word of its declared priority column and
+        #: ``min`` (sign 1) or ``max`` (sign -1), when every expert declares
+        #: one and no extension field is stored: clients then choose victims
+        #: from the sample's words (:meth:`DittoClient._column_victim`).
         columns = [priority_column(make_policy(name)) for name in config.policies]
-        self.columns: Optional[Tuple[Tuple[int, int], ...]] = None
+        self.columns: Optional[Tuple[Tuple[int, Callable], ...]] = None
         if not self.ext_fields and None not in columns:
-            self.columns = tuple((_COLUMN_WORD[f], sign) for f, sign in columns)
+            self.columns = tuple(
+                (_COLUMN_WORD[f], min if sign > 0 else max) for f, sign in columns
+            )
         self.history_size = plan.history_size
         self.segment_bytes = plan.segment_bytes
         self.block_bytes_per_object = plan.block_bytes_per_object
@@ -982,6 +981,7 @@ class ClusterBase:
             "objects": self.object_count,
             "evictions": sum(c.evictions for c in self.clients),
             "regrets": sum(c.regrets for c in self.clients),
+            "empty_samples": sum(c.empty_samples for c in self.clients),
             "used_bytes": self.budget.used_bytes,
             "limit_bytes": self.budget.limit_bytes,
             **self._clock_stats(),

@@ -19,6 +19,10 @@ field is zero is empty.  A slot whose size byte is ``0xFF`` is an *embedded
 history entry*: the pointer field then carries a 48-bit history ID and the
 ``insert_ts`` word carries the expert bitmap (Fig. 9).
 
+A bucket or sample READ stays the bytes it returned (:class:`Bucket`): the
+client classifies slots with byte operations on them and parses into a
+:class:`Slot` only the one or two slots it acts on.
+
 Objects in the heap are ``8-byte header | extension metadata | key | value``;
 the header records the three lengths.  Object sizes are measured in 64-byte
 blocks, matching the slot's one-byte size field (max 254 blocks; 255 = 0xFF
@@ -29,7 +33,8 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import compress
 from typing import List, Optional, Sequence, Tuple
 
 from ..memory.node import BLOCK_SIZE
@@ -55,6 +60,12 @@ _HEADER = struct.Struct("<HIH")  # key length, value length, extension length
 OBJECT_HEADER_SIZE = _HEADER.size
 _U64 = struct.Struct("<Q")
 _SLOT_WORDS = struct.Struct("<5Q")
+_ACCESS = struct.Struct("<4Q")  # atomic, insert_ts, last_ts, freq
+#: The little-endian atomic word's fp and size bytes, as slot offsets.
+_FP_BYTE, _SIZE_BYTE = ATOMIC_OFF + 6, ATOMIC_OFF + 7
+#: Whether an atomic word is an object's: neither zero (empty) nor tagged
+#: ``HISTORY_SIZE_TAG`` in its top byte (a history entry).
+_OBJECT_ATOMIC = range(1, HISTORY_SIZE_TAG << 56).__contains__
 
 
 def stable_hash64(key: bytes) -> int:
@@ -89,27 +100,18 @@ def pack_history_atomic(history_id: int) -> int:
 class Slot:
     """A parsed hash-table slot (either a cached object or a history entry).
 
-    The fields derived from the atomic word are computed once here: a slot
-    is built only for a candidate the client acts on, and every one of them
-    is then read several times (READ the object, CAS, free, release).
+    Built only for a candidate the client acts on, it stores what the hot
+    paths read (the pointer and size are read to READ, CAS, free, release)
+    and derives the atomic word's other fields on access.
     """
 
     __slots__ = (
         "index", "addr", "atomic", "insert_ts", "last_ts", "freq", "key_hash",
-        "pointer", "fp", "size_blocks", "object_bytes",
-        "is_empty", "is_history", "is_object",
+        "pointer", "object_bytes",
     )
 
-    def __init__(
-        self,
-        index: int,
-        addr: int,
-        atomic: int,
-        insert_ts: int,
-        last_ts: int,
-        freq: int,
-        key_hash: int,
-    ):
+    def __init__(self, index: int, addr: int, atomic: int, insert_ts: int,
+                 last_ts: int, freq: int, key_hash: int):
         self.index = index
         self.addr = addr
         self.atomic = atomic
@@ -118,25 +120,21 @@ class Slot:
         self.freq = freq
         self.key_hash = key_hash
         self.pointer = atomic & POINTER_MASK
-        self.fp = (atomic >> 48) & 0xFF
-        size_blocks = self.size_blocks = (atomic >> 56) & 0xFF
-        self.object_bytes = size_blocks * BLOCK_SIZE
-        self.is_empty = atomic == 0
-        self.is_history = size_blocks == HISTORY_SIZE_TAG
-        self.is_object = atomic != 0 and size_blocks != HISTORY_SIZE_TAG
+        self.object_bytes = (atomic >> 56) * BLOCK_SIZE
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "empty" if self.is_empty else ("history" if self.is_history else "object")
         return f"Slot(index={self.index}, kind={kind}, atomic={self.atomic:#x})"
 
-    @property
-    def history_id(self) -> int:
-        return self.pointer
-
-    @property
-    def expert_bitmap(self) -> int:
-        """History entries reuse the insert_ts word for the expert bitmap."""
-        return self.insert_ts
+    # Derived from the atomic word on access.
+    fp = property(lambda self: (self.atomic >> 48) & 0xFF)
+    size_blocks = property(lambda self: self.atomic >> 56)
+    is_empty = property(lambda self: self.atomic == 0)
+    is_history = property(lambda self: self.atomic >> 56 == HISTORY_SIZE_TAG)
+    is_object = property(lambda self: _OBJECT_ATOMIC(self.atomic))
+    history_id = property(lambda self: self.pointer)
+    #: History entries reuse the insert_ts word for the expert bitmap.
+    expert_bitmap = property(lambda self: self.insert_ts)
 
 
 def parse_slot(index: int, addr: int, raw: bytes, offset: int = 0) -> Slot:
@@ -144,37 +142,34 @@ def parse_slot(index: int, addr: int, raw: bytes, offset: int = 0) -> Slot:
 
 
 @lru_cache(maxsize=None)
-def _unpacker(count: int):
-    """``unpack_from`` of the five u64 words of ``count`` slots."""
-    return struct.Struct("<%dQ" % (count * WORDS_PER_SLOT)).unpack_from
+def _column_unpacker(count: int, word: int):
+    """``unpack_from`` of word ``word`` (0-4) of ``count`` consecutive slots."""
+    unpack_from = struct.Struct("<" + "Q32x" * (count - 1) + "Q").unpack_from
+    return partial(unpack_from, offset=8 * word)
 
 
 class Bucket:
-    """The slots one READ brought back, kept as a flat tuple of u64 words.
+    """The slots one READ brought back, kept as the bytes it returned.
 
     A bucket READ or an eviction sample delivers 8 or K slots of which the
-    client acts on one or two, so the scans below classify slots straight
-    from ``words`` (five per slot, in the order of the table at the top of
-    this module) and answer with *positions*; :meth:`slot` builds the one
-    :class:`Slot` a candidate needs.  Position ``i`` is table slot ``base_index + i`` at
-    ``base_addr + i * SLOT_SIZE``, unless ``indices`` names scattered table
-    slots (the no-SFHT sampler), which then lie relative to the same base.
+    client acts on one or two, so the scans below classify slots with C
+    operations on ``raw`` (``bytes.find`` over the fp bytes or the hash
+    words, one strided unpack of the atomic words), exact on any bytes, and
+    answer with *positions*; :meth:`slot` and :meth:`access_info` unpack
+    only the slot a candidate needs.  Position ``i`` is the ``i``-th 40
+    bytes of ``raw``: table slot ``base_index + i`` at ``base_addr + i *
+    SLOT_SIZE``, unless ``indices`` names scattered table slots (the no-SFHT
+    sampler), which then lie relative to the same base.
     """
 
-    __slots__ = ("base_index", "base_addr", "count", "words", "indices")
+    __slots__ = ("base_index", "base_addr", "count", "raw", "indices")
 
-    def __init__(
-        self,
-        base_index: int,
-        base_addr: int,
-        raw: bytes,
-        count: int,
-        indices: Optional[Sequence[int]] = None,
-    ):
+    def __init__(self, base_index: int, base_addr: int, raw: bytes, count: int,
+                 indices: Optional[Sequence[int]] = None):
         self.base_index = base_index
         self.base_addr = base_addr
         self.count = count
-        self.words = _unpacker(count)(raw)
+        self.raw = raw
         self.indices = indices
 
     def addr(self, i: int) -> int:
@@ -188,26 +183,30 @@ class Bucket:
         else:
             index = self.indices[i]
             addr = self.base_addr + (index - self.base_index) * SLOT_SIZE
-        j = i * WORDS_PER_SLOT
-        return Slot(index, addr, *self.words[j : j + WORDS_PER_SLOT])
+        return Slot(index, addr, *_SLOT_WORDS.unpack_from(self.raw, i * SLOT_SIZE))
+
+    def column(self, word: int) -> Tuple[int, ...]:
+        """Word ``word`` of every slot, by position: one strided unpack."""
+        return _column_unpacker(self.count, word)(self.raw)
 
     def matches(self, fp: int) -> List[int]:
         """Positions of object slots whose fingerprint is ``fp``."""
-        return [
-            i
-            for i, atomic in enumerate(self.words[::WORDS_PER_SLOT])
-            if (atomic >> 48) & 0xFF == fp
-            and atomic >> 56 != HISTORY_SIZE_TAG
-            and atomic
-        ]
+        raw, found = self.raw, []
+        fps = raw[_FP_BYTE::SLOT_SIZE]
+        i = fps.find(fp)
+        while i >= 0:
+            # Only an fp byte of 0 can sit in an empty slot's atomic word.
+            if raw[i * SLOT_SIZE + _SIZE_BYTE] != HISTORY_SIZE_TAG and (
+                fp or self.column(0)[i]
+            ):
+                found.append(i)
+            i = fps.find(fp, i + 1)
+        return found
 
     def objects(self) -> List[int]:
         """Positions of slots that hold a cached object."""
-        return [
-            i
-            for i, atomic in enumerate(self.words[::WORDS_PER_SLOT])
-            if atomic and atomic >> 56 != HISTORY_SIZE_TAG
-        ]
+        atomics = _column_unpacker(self.count, 0)(self.raw)
+        return list(compress(range(self.count), map(_OBJECT_ATOMIC, atomics)))
 
     def insert_position(self, counter: int) -> Optional[int]:
         """Where a fresh insert goes: the first empty slot, else the oldest
@@ -216,10 +215,11 @@ class Bucket:
         "Oldest" is also the paper's "most expired first": expiry is an age
         threshold, so when any entry has expired the oldest one has too.
         """
+        atomics = _column_unpacker(self.count, 0)(self.raw)
+        if 0 in atomics:
+            return atomics.index(0)
         best, best_age = None, -1
-        for i, atomic in enumerate(self.words[::WORDS_PER_SLOT]):
-            if atomic == 0:
-                return i
+        for i, atomic in enumerate(atomics):
             if atomic >> 56 == HISTORY_SIZE_TAG:
                 # ``history_age`` of the entry's ID, inline.
                 age = (counter - (atomic & POINTER_MASK)) % HISTORY_WRAP
@@ -229,30 +229,28 @@ class Bucket:
 
     def histories(self, key_hash: int) -> List[int]:
         """Positions of history entries recorded for ``key_hash``."""
-        words = self.words
-        return [
-            i
-            for i, hashed in enumerate(words[4::WORDS_PER_SLOT])
-            if hashed == key_hash
-            and words[i * WORDS_PER_SLOT] >> 56 == HISTORY_SIZE_TAG
-        ]
+        raw, needle, found = self.raw, _U64.pack(key_hash), []
+        at = raw.find(needle, HASH_OFF)
+        while at >= 0:
+            i, skew = divmod(at - HASH_OFF, SLOT_SIZE)  # skew: not a hash word
+            if not skew and raw[at - HASH_OFF + _SIZE_BYTE] == HISTORY_SIZE_TAG:
+                found.append(i)
+            at = raw.find(needle, at + SLOT_SIZE - skew)
+        return found
 
     def half_installed(self) -> List[int]:
         """Positions of object slots whose ``insert_ts``, ``last_ts`` and key
         hash are all zero: the insert's metadata WRITE has not landed."""
-        words = self.words
-        half = []
-        for i in self.objects():
-            j = i * WORDS_PER_SLOT
-            if not (words[j + 1] or words[j + 2] or words[j + 4]):
-                half.append(i)
-        return half
+        insert_ts, last_ts, hashes = self.column(1), self.column(2), self.column(4)
+        return [
+            i for i in self.objects()
+            if not (insert_ts[i] or last_ts[i] or hashes[i])
+        ]
 
     def access_info(self, i: int) -> Tuple[int, int, int, int]:
         """``(object_bytes, insert_ts, last_ts, freq)`` of position ``i``."""
-        j = i * WORDS_PER_SLOT
-        words = self.words
-        return (words[j] >> 56) * BLOCK_SIZE, words[j + 1], words[j + 2], words[j + 3]
+        atomic, insert_ts, last_ts, freq = _ACCESS.unpack_from(self.raw, i * SLOT_SIZE)
+        return (atomic >> 56) * BLOCK_SIZE, insert_ts, last_ts, freq
 
 
 def pack_metadata(insert_ts: int, last_ts: int, freq: int, key_hash: int) -> bytes:
@@ -274,15 +272,15 @@ def encode_object(key: bytes, value: bytes, ext: bytes = b"") -> bytes:
 
 
 def decode_object(raw: bytes):
-    """Returns (key, value, ext); ``raw`` may include trailing block padding."""
+    """Returns (key, value, ext); ``raw``, a READ's ``bytes``, may include
+    trailing block padding."""
     klen, vlen, elen = _HEADER.unpack_from(raw)
-    start = OBJECT_HEADER_SIZE
-    ext = bytes(raw[start : start + elen])
-    key = bytes(raw[start + elen : start + elen + klen])
-    value = bytes(raw[start + elen + klen : start + elen + klen + vlen])
+    key_at = OBJECT_HEADER_SIZE + elen
+    value_at = key_at + klen
+    key, value = raw[key_at:value_at], raw[value_at : value_at + vlen]
     if len(key) != klen or len(value) != vlen:
         raise ValueError("truncated object")
-    return key, value, ext
+    return key, value, raw[OBJECT_HEADER_SIZE:key_at]
 
 
 def object_span(key_len: int, value_len: int, ext_len: int = 0) -> int:

@@ -7,7 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import layout as L
+from repro.core.client import _COLUMN_WORD
 from repro.core.history import history_age, is_expired
+from repro.memory.node import BLOCK_SIZE
 
 
 class TestAtomicField:
@@ -110,8 +112,18 @@ SLOT_WORDS = st.tuples(ATOMICS, st.one_of(SMALL, U64), st.one_of(SMALL, U64), U6
 
 
 class TestBucket:
-    """``Bucket`` scans flat words; the oracle classifies every slot through
-    ``parse_slot`` the way the client did when it built a Slot per slot."""
+    """``Bucket`` scans the bytes its READ returned and unpacks only the
+    slots asked for; the oracle classifies every slot through ``parse_slot``
+    the way the client did when it built a Slot per slot, and checks the
+    fields a ``Slot`` derives from its atomic word against
+    ``unpack_atomic``."""
+
+    #: The ``Slot`` fields the client reads that are derived on access,
+    #: not stored in ``__slots__``.
+    DERIVED = (
+        "fp", "size_blocks", "object_bytes", "is_empty", "is_history",
+        "is_object", "history_id", "expert_bitmap",
+    )
 
     @given(
         st.lists(SLOT_WORDS, min_size=1, max_size=12),
@@ -136,6 +148,19 @@ class TestBucket:
         assert bucket.count == len(rows)
         for i, slot in enumerate(slots):
             assert same(bucket.slot(i), slot)
+            got = bucket.slot(i)
+            assert all(
+                getattr(got, name) == getattr(slot, name) for name in self.DERIVED
+            )
+            atomic = rows[i][0]
+            pointer, fp_byte, size = L.unpack_atomic(atomic)
+            assert (got.fp, got.size_blocks, got.object_bytes) == (
+                fp_byte, size, size * BLOCK_SIZE
+            )
+            assert (got.is_empty, got.is_history, got.is_object) == (
+                atomic == 0, size == 0xFF, atomic != 0 and size != 0xFF
+            )
+            assert (got.history_id, got.expert_bitmap) == (pointer, rows[i][1])
             assert bucket.addr(i) == slot.addr
             assert bucket.access_info(i) == (
                 slot.object_bytes, slot.insert_ts, slot.last_ts, slot.freq
@@ -187,6 +212,23 @@ class TestBucket:
             assert (slot.index, slot.addr) == (index, 640 + index * L.SLOT_SIZE)
             assert bucket.addr(i) == slot.addr
             assert (slot.atomic, slot.key_hash) == (row[0], row[4])
+
+    @given(
+        st.lists(SLOT_WORDS, min_size=1, max_size=12),
+        st.sampled_from(sorted(_COLUMN_WORD)),
+        st.booleans(),
+    )
+    def test_column_reader_agrees_with_parse_slot(self, rows, name, scattered):
+        """The strided reader the column experts choose victims on returns,
+        per position, the word ``parse_slot`` names ``name``, for every
+        width and for the no-SFHT sampler's scattered slots."""
+        raw = b"".join(struct.pack("<5Q", *row) for row in rows)
+        indices = list(range(len(rows) * 7, 0, -7)) if scattered else None
+        bucket = L.Bucket(0, 640, raw, len(rows), indices)
+        assert bucket.column(_COLUMN_WORD[name]) == tuple(
+            getattr(L.parse_slot(0, 0, raw, i * L.SLOT_SIZE), name)
+            for i in range(len(rows))
+        )
 
 
 class TestObjectCodec:

@@ -14,9 +14,12 @@ from 3.12 a list comprehension runs inline, not in a frame of its own
 (PEP 709), so 3.12 reads a little under 3.10 and 3.11.
 
 Print the number with ``PYTHONPATH=src python tests/test_call_budget.py``;
-it also prints the same window under ``policies=("lru", "gds")``, whose
-extension field keeps victim choice on the generic ``priority`` scan
-(logged, not gated).
+it also prints the bytecodes that ``src/repro`` frames run per op over the
+same window (``f_trace_opcodes``: a loop turned into one C call cuts it
+while the call count barely moves; logged, not gated, since opcode counts
+differ between Python versions), and the call count under
+``policies=("lru", "gds")``, whose extension field keeps victim choice on
+the generic ``priority`` scan (logged, not gated).
 """
 
 import os
@@ -27,20 +30,24 @@ import numpy as np
 import repro
 from repro.bench.runner import Harness
 from repro.bench.systems import build_ditto, trace_feeds
+from repro.core import layout as L
+from repro.core.client import DittoClient
 from repro.workloads.traces import phase_switch_trace
 
 #: Calls into ``src/repro`` per op: the window read 120.4 when the gate
-#: went in, and 106.9 once column experts chose victims on the sample's
-#: words; the budget is the latter plus 5 %.  Lower it when a change cuts
-#: calls; raise it only with the reason in CHANGES.md.
-BUDGET = 112.2
+#: went in, 106.9 once column experts chose victims on the sample's words,
+#: and 105.1 once bucket and sample scans ran on the READ's bytes; the
+#: budget is the latter plus 5 %.  Lower it when a change cuts calls; raise
+#: it only with the reason in CHANGES.md.
+BUDGET = 110.4
 
 _REPRO = os.path.dirname(repro.__file__) + os.sep
 
 
-def repro_calls_per_op(policies=("lru", "lfu")):
-    """``(calls per op, ops)`` over the window, with ``policies`` as the
-    experts."""
+def _window(policies, install, uninstall):
+    """``(ops, cluster)``: the ops of the window's measured part, run
+    between ``install()`` and ``uninstall()`` (the warm-up runs untraced),
+    and the cluster that ran it."""
     trace = phase_switch_trace(24_000, 2048, phases=4, seed=1)
     cluster = build_ditto(
         len(np.unique(trace)) // 10, 16, policies=policies, seed=1,
@@ -49,6 +56,18 @@ def repro_calls_per_op(policies=("lru", "lfu")):
     harness = Harness(cluster.engine, value_size=232, miss_penalty_us=500.0)
     harness.launch_all(cluster.clients, trace_feeds(trace, 16))
     harness.warm(16_000.0)
+    install()
+    try:
+        result = harness.measure(24_000.0)
+    finally:
+        uninstall()
+    harness.stop_all()
+    return result.ops, cluster
+
+
+def repro_calls_per_op(policies=("lru", "lfu")):
+    """``(calls per op, ops)`` over the window, with ``policies`` as the
+    experts."""
     calls = 0
 
     def count(frame, event, _arg):
@@ -57,13 +76,35 @@ def repro_calls_per_op(policies=("lru", "lfu")):
             calls += 1
 
     previous = sys.getprofile()
-    sys.setprofile(count)
-    try:
-        result = harness.measure(24_000.0)
-    finally:
-        sys.setprofile(previous)
-    harness.stop_all()
-    return calls / result.ops, result.ops
+    ops, _cluster = _window(
+        policies, lambda: sys.setprofile(count),
+        lambda: sys.setprofile(previous),
+    )
+    return calls / ops, ops
+
+
+def repro_bytecodes_per_op(policies=("lru", "lfu")):
+    """``(bytecodes per op, ops)``: the opcodes that frames of
+    ``src/repro`` code run over the window."""
+    opcodes = 0
+
+    def opcode(_frame, event, _arg):
+        nonlocal opcodes
+        if event == "opcode":
+            opcodes += 1
+        return opcode
+
+    def call(frame, _event, _arg):
+        if not frame.f_code.co_filename.startswith(_REPRO):
+            return None
+        frame.f_trace_opcodes = True
+        return opcode
+
+    previous = sys.gettrace()
+    ops, _cluster = _window(
+        policies, lambda: sys.settrace(call), lambda: sys.settrace(previous)
+    )
+    return opcodes / ops, ops
 
 
 def test_repro_calls_per_op_within_budget():
@@ -74,10 +115,33 @@ def test_repro_calls_per_op_within_budget():
     )
 
 
+def test_empty_samples_counts_each_sample_without_an_object(monkeypatch):
+    """``empty_samples`` against a count taken beside the client: every
+    eviction sample classified slot by slot through ``parse_slot``."""
+    sample_slots = DittoClient._sample_slots
+    empty = 0
+
+    def counted(client):
+        nonlocal empty
+        slots = yield from sample_slots(client)
+        empty += not any(
+            L.parse_slot(0, 0, slots.raw, i * L.SLOT_SIZE).is_object
+            for i in range(slots.count)
+        )
+        return slots
+
+    monkeypatch.setattr(DittoClient, "_sample_slots", counted)
+    _ops, cluster = _window(("lru", "lfu"), lambda: None, lambda: None)
+    assert empty > 0
+    assert cluster.stats()["empty_samples"] == empty
+
+
 if __name__ == "__main__":
     per_op, ops = repro_calls_per_op()
     print(f"repro calls per op: {per_op:.1f} over {ops} ops "
           f"(budget {BUDGET})")
+    per_op, ops = repro_bytecodes_per_op()
+    print(f"repro bytecodes per op: {per_op:.0f} over {ops} ops (not gated)")
     per_op, ops = repro_calls_per_op(("lru", "gds"))
     print(f"repro calls per op, policies=('lru', 'gds'): {per_op:.1f} "
           f"over {ops} ops (not gated)")
