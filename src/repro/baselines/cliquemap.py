@@ -19,7 +19,7 @@ themselves are the exact LRU/LFU models from ``repro.cachesim``.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional
+from typing import Dict, Generator, List
 
 from ..cachesim import ExactLFUCache, ExactLRUCache
 from ..core import layout as L
@@ -30,6 +30,9 @@ from ..rdma.verbs import RdmaEndpoint
 from ..sim import CounterSet, Engine
 
 _BUCKET_BYTES = 64
+#: Server CPU per Set RPC and per merged access entry.
+_SET_CPU_US = 1.5
+_MERGE_ENTRY_CPU_US = 0.3
 
 
 class CliqueMapServer:
@@ -77,13 +80,9 @@ class CliqueMapCluster:
         num_clients: int = 1,
         server_cores: int = 1,
         sync_every: int = 64,
-        set_cpu_us: float = 1.5,
-        merge_entry_cpu_us: float = 0.3,
-        params: Optional[NetworkParams] = None,
-        engine: Optional[Engine] = None,
     ):
-        self.engine = engine or Engine()
-        self.params = params or NetworkParams()
+        self.engine = Engine()
+        self.params = NetworkParams()
         self.sync_every = sync_every
         self.object_bytes = object_bytes
         self.server = CliqueMapServer(policy, capacity_objects)
@@ -93,12 +92,12 @@ class CliqueMapCluster:
         self.pool = MemoryPool([self.node])
         self.controller = Controller(self.node, cores=server_cores)
         self.controller.register(
-            "cm_set", self.server.handle_set, cpu_us=set_cpu_us
+            "cm_set", self.server.handle_set, cpu_us=_SET_CPU_US
         )
         self.controller.register(
             "cm_merge",
             self.server.handle_merge,
-            cpu_us=lambda keys: merge_entry_cpu_us * len(keys),
+            cpu_us=lambda keys: _MERGE_ENTRY_CPU_US * len(keys),
         )
         obs = obs_current()
         self.obs = obs

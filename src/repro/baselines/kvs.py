@@ -44,18 +44,15 @@ class DmKvsCluster:
         capacity_objects: int = 4096,
         object_bytes: int = 256,
         num_clients: int = 1,
-        params: Optional[NetworkParams] = None,
         seed: int = 0,
-        engine: Optional[Engine] = None,
-        segment_bytes: int = 256 * 1024,
     ):
-        self.engine = engine or Engine()
-        self.params = params or NetworkParams()
+        self.engine = Engine()
+        self.params = NetworkParams()
         num_buckets = -(-2 * capacity_objects // T.SLOTS_PER_BUCKET)
         self.layout = KvsLayout(0, num_buckets)
         span = L.object_span(8, object_bytes)
         heap = 2 * capacity_objects * ClientAllocator.blocks_for(span) * BLOCK_SIZE
-        heap += 2 * num_clients * segment_bytes + (1 << 20)
+        heap += 2 * num_clients * T.SEGMENT_BYTES + (1 << 20)
         self.node = MemoryNode(
             self.engine, size=self.layout.reserved_bytes + heap, params=self.params
         )
@@ -74,7 +71,6 @@ class DmKvsCluster:
                 self.counters, component="kvs",
                 cluster=str(self.tracer.pid) if self.tracer is not None else "0",
             )
-        self.segment_bytes = segment_bytes
         self.clients: List[DmKvsClient] = [
             DmKvsClient(self, i) for i in range(num_clients)
         ]
@@ -94,7 +90,7 @@ class DmKvsClient:
             cluster.engine, cluster.pool, cluster.params,
             counters=cluster.counters, tracer=cluster.tracer,
         )
-        self.alloc = ClientAllocator(self.ep, cluster.node, cluster.segment_bytes)
+        self.alloc = ClientAllocator(self.ep, cluster.node, T.SEGMENT_BYTES)
         self.hits = 0
         self.misses = 0
 

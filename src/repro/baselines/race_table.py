@@ -17,6 +17,8 @@ from ..memory.node import BLOCK_SIZE
 SLOT = 8  # atomic field only
 SLOTS_PER_BUCKET = 8
 BUCKET_BYTES = SLOTS_PER_BUCKET * SLOT
+#: Heap segment a KVS or Shard-LRU client's allocator asks for per RPC.
+SEGMENT_BYTES = 256 * 1024
 
 
 def buckets_of(key_hash: int, num_buckets: int):

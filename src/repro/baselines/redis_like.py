@@ -56,13 +56,14 @@ class _Migration:
 class RedisCluster:
     """The sharded monolithic cache."""
 
+    #: Client-to-server round trip, and the owner's CPU to answer MOVED.
+    client_rtt_us = 100.0
+    redirect_cpu_us = 0.4
+
     def __init__(
         self,
         initial_nodes: int = 32,
-        engine: Optional[Engine] = None,
         op_cpu_us: float = 2.5,
-        client_rtt_us: float = 100.0,
-        redirect_cpu_us: float = 0.4,
         migration_key_cpu_us: float = 3.0,
         migration_batch: int = 256,
         migration_duty_cycle: float = 0.25,
@@ -74,10 +75,8 @@ class RedisCluster:
             raise ValueError("migration_duty_cycle must be in (0, 1]")
         if initial_nodes < 1:
             raise ValueError("need at least one node")
-        self.engine = engine or Engine()
+        self.engine = Engine()
         self.op_cpu_us = op_cpu_us
-        self.client_rtt_us = client_rtt_us
-        self.redirect_cpu_us = redirect_cpu_us
         self.migration_key_cpu_us = migration_key_cpu_us
         self.migration_batch = migration_batch
         self.migration_duty_cycle = migration_duty_cycle

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import struct
 from collections import OrderedDict
-from typing import Generator, List, Optional
+from typing import Generator, List
 
 from ..core import layout as L
 from ..memory import ClientAllocator, Controller, MemoryNode, MemoryPool
@@ -47,15 +47,12 @@ class ShardLruCluster:
         num_clients: int = 1,
         shards: int = 32,
         backoff_us: float = 5.0,
-        params: Optional[NetworkParams] = None,
         seed: int = 0,
-        engine: Optional[Engine] = None,
-        segment_bytes: int = 256 * 1024,
     ):
         if shards < 1:
             raise ValueError("need at least one shard")
-        self.engine = engine or Engine()
-        self.params = params or NetworkParams()
+        self.engine = Engine()
+        self.params = NetworkParams()
         self.shards = shards
         self.backoff_us = backoff_us
         self.capacity_per_shard = max(capacity_objects // shards, 1)
@@ -71,7 +68,7 @@ class ShardLruCluster:
 
         span = L.object_span(8, object_bytes)
         heap = 2 * capacity_objects * ClientAllocator.blocks_for(span) * BLOCK_SIZE
-        heap += 2 * num_clients * segment_bytes + (1 << 20)
+        heap += 2 * num_clients * T.SEGMENT_BYTES + (1 << 20)
         self.node = MemoryNode(self.engine, size=reserved + heap, params=self.params)
         self.pool = MemoryPool([self.node])
         self.controller = Controller(self.node, cores=1, reserve=reserved)
@@ -88,7 +85,6 @@ class ShardLruCluster:
                 self.counters, component="shard-lru",
                 cluster=str(self.tracer.pid) if self.tracer is not None else "0",
             )
-        self.segment_bytes = segment_bytes
         # Local mirror of each shard's remote LRU list:
         # key -> (slot_addr, pointer, object_bytes)
         self.lists: List["OrderedDict[bytes, tuple]"] = [
@@ -130,7 +126,7 @@ class ShardLruClient:
             cluster.engine, cluster.pool, cluster.params,
             counters=cluster.counters, tracer=cluster.tracer,
         )
-        self.alloc = ClientAllocator(self.ep, cluster.node, cluster.segment_bytes)
+        self.alloc = ClientAllocator(self.ep, cluster.node, T.SEGMENT_BYTES)
         self.hits = 0
         self.misses = 0
         self.lock_retries = 0

@@ -75,7 +75,7 @@ class MetadataNodeCrash:
                           faults=cluster.fault_injector)
         while True:
             try:
-                yield from ep.metadata(cluster.node, "get_membership")
+                yield from ep.rpc(cluster.node, "get_membership")
             except RdmaFaultError:
                 yield self.PROBE_US
                 continue
@@ -151,15 +151,13 @@ def run_ycsb_workload(
     requests_per_client: int = 20_000,
     warm_us: float = 5_000.0,
     window_us: float = 20_000.0,
-    load: bool = True,
     seed: int = 100,
 ) -> MeasureResult:
     """The §5.3 protocol: preload all keys, then measure YCSB request mixes
     (no cache misses; Sets are updates)."""
     from ..workloads import make_ycsb
 
-    if load:
-        preload(cluster.engine, clients, range(n_keys), value_size=value_size)
+    preload(cluster.engine, clients, range(n_keys), value_size=value_size)
     harness = Harness(cluster.engine, value_size=value_size)
     feeds = [
         Feed(*make_ycsb(

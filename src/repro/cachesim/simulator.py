@@ -198,27 +198,6 @@ class SampledAdaptiveCache:
         self.hits += hits
         return hits
 
-    def lookup(self, key) -> bool:
-        """A Get that does *not* insert on miss (for read-only probes)."""
-        self._tick += 1
-        meta = self._store.get(key)
-        if meta is None:
-            self.misses += 1
-            self._collect_regret(key)
-            return False
-        meta.freq += 1
-        for update in self._live_updates:
-            update(meta, self._tick)
-        meta.last_ts = self._tick
-        self.hits += 1
-        return True
-
-    def insert(self, key, size: int = 1, cost: float = 1.0) -> None:
-        """Explicit insert (the Set after a miss-penalty fetch)."""
-        self._tick += 1
-        if key not in self._store:
-            self._insert(key, size, cost, self._tick)
-
     def _insert(self, key, size: int, cost: float, now: int) -> None:
         while len(self._store) >= self.capacity:
             self._evict(now)

@@ -17,7 +17,6 @@ from functools import partial
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..memory import Controller, MemoryNode, MemoryPool
-from ..obs.observer import Observability
 from ..rdma.params import NetworkParams
 from ..rdma.verbs import RdmaEndpoint, RdmaFaultError
 from ..sim import Engine
@@ -45,7 +44,11 @@ CRASH_DETECT_US = 500.0
 
 class DittoCluster(ClusterBase):
     """A Ditto deployment on the simulator: memory pool + compute-pool
-    clients."""
+    clients.
+
+    The cluster builds its own engine and uses the process's observability
+    hub; ``params`` (the paper's network profile by default) is the one
+    cost-model option."""
 
     def __init__(
         self,
@@ -56,11 +59,9 @@ class DittoCluster(ClusterBase):
         params: Optional[NetworkParams] = None,
         seed: int = 0,
         segment_bytes: int = 256 * 1024,
-        engine: Optional[Engine] = None,
         max_capacity_objects: Optional[int] = None,
         num_memory_nodes: int = 1,
         faults: Optional[Union[FaultPlan, FaultInjector]] = None,
-        obs: Optional[Observability] = None,
     ):
         """``max_capacity_objects`` provisions the memory pool for future
         elastic growth (default: the initial capacity); ``resize_memory``
@@ -70,7 +71,7 @@ class DittoCluster(ClusterBase):
         table, history counter, and expert weights live on node 0 and the
         object heap stripes across all nodes, spreading data-path verbs over
         every node's NIC (the paper's multi-MN compatibility, §5.1)."""
-        self.engine = engine or Engine()
+        self.engine = Engine()
         self.params = params or NetworkParams()
         self.capacity_objects = capacity_objects
         self.object_bytes = object_bytes
@@ -84,10 +85,10 @@ class DittoCluster(ClusterBase):
             segment_bytes=segment_bytes,
             max_capacity_objects=max_capacity_objects,
         )
-        # Observability (repro.obs): the hub comes from the ``obs`` argument
-        # or the process-wide runtime; with neither, ``tracer`` stays None
-        # and every instrumented path is inert.
-        super().__init__(config, seed, plan, obs)
+        # Observability (repro.obs): the hub is the process-wide one; with
+        # none armed, ``tracer`` stays None and every instrumented path is
+        # inert.
+        super().__init__(config, seed, plan)
         # Fault injection: ``None`` (the default) keeps every path — verbs,
         # clients, recovery — on the zero-overhead healthy fast path and the
         # outputs byte-identical to a build without this subsystem.
@@ -146,15 +147,16 @@ class DittoCluster(ClusterBase):
             num_experts=self.config.num_experts,
             learning_rate=self.config.learning_rate,
         )
-        # Every controller's SegmentState and the live weights, by
-        # reference; node 0 answers cluster-level metadata RPCs through it.
-        self._metadata = MetadataState()
+        #: Every controller's SegmentState and the live weights, by
+        #: reference; node 0 answers cluster-level metadata RPCs through it,
+        #: and membership commands go to its ``apply`` (as on a real node).
+        self.metadata = MetadataState()
         for node in self.nodes:
-            self._metadata.adopt_node(node.controller.state)
-        self._metadata.adopt_weights(self.global_weights)
+            self.metadata.adopt_node(node.controller.state)
+        self.metadata.adopt_weights(self.global_weights)
         for op in ("update_weights", "get_membership"):
             self.controller.register(
-                op, partial(self._metadata.serve, op, 0), cpu_us=0.5
+                op, partial(self.metadata.serve, op, 0), cpu_us=0.5
             )
         if self.obs is not None:
             self._wire_weight_metrics()
@@ -332,19 +334,15 @@ class DittoCluster(ClusterBase):
             return
         self.membership = MembershipTable(n.node_id for n in self.nodes)
         self.fence = EpochFence()
-        # Flips are metadata commands (``_commit``); a fenced verb NACKs
-        # with StaleEpoch and the client refreshes through node 0.
-        self._metadata.membership = self.membership
+        # Flips are metadata commands (``metadata.apply``); a fenced verb
+        # NACKs with StaleEpoch and the client refreshes through node 0.
+        self.metadata.membership = self.membership
         for client in self.clients:
             client.ep.fence = self.fence
         if self.obs is not None:
             self._epoch_gauge = self.obs.registry.gauge(
                 "elastic.epoch", cluster=self._obs_id
             )
-
-    def _commit(self, command):
-        """Apply one membership command to node 0's metadata at once."""
-        return self._metadata.apply(command)
 
     def _publish_epoch(self, epoch: int) -> None:
         """Make a new membership epoch visible to fences (the controllers
@@ -356,22 +354,22 @@ class DittoCluster(ClusterBase):
         if self.tracer is not None:
             self.tracer.instant("membership.epoch", "migrate", {"epoch": epoch})
 
-    def add_memory_node(self, size_bytes: Optional[int] = None) -> MemoryNode:
+    def add_memory_node(self) -> MemoryNode:
         """Grow the pool by one memory node (paper §7: elastic MN scaling).
 
         The node gets a fresh address range above everything ever
         provisioned, joins the membership table at a new epoch, and is
         announced to every client's striped allocator out of band (growth
         needs no fencing: a stale client that hasn't heard simply doesn't
-        place data there yet).  Returns the new node.
+        place data there yet).  Its heap is the size of every other node's.
+        Returns the new node.
         """
         self._ensure_elastic()
         node_id = self._next_node_id
         self._next_node_id += 1
-        size = size_bytes if size_bytes is not None else self._heap_per_node
         node = MemoryNode(
-            self.engine, size=size, base=self._addr_high, node_id=node_id,
-            params=self.params,
+            self.engine, size=self._heap_per_node, base=self._addr_high,
+            node_id=node_id, params=self.params,
         )
         Controller(node, cores=1)
         self._addr_high = node.end
@@ -379,8 +377,8 @@ class DittoCluster(ClusterBase):
         self.pool.add(node)
         for client in self.clients:
             client.alloc.add_node(node)
-        self._metadata.adopt_node(node.controller.state)
-        epoch = self._commit(("add_node", node_id))
+        self.metadata.adopt_node(node.controller.state)
+        epoch = self.metadata.apply(("add_node", node_id))
         self._publish_epoch(epoch)
         self._watch_node(node)
         self.counters.add("mn_added")
@@ -581,7 +579,7 @@ class DittoCluster(ClusterBase):
         """A recovery RPC with (generous) fault retries: recovery itself can
         run inside the fault window that caused the crash."""
         result = yield from self._retrying(
-            lambda: survivor.ep.metadata(node, op, payload), survivor
+            lambda: survivor.ep.rpc(node, op, payload), survivor
         )
         return result
 
@@ -651,7 +649,6 @@ class DittoCache:
         policies: Tuple[str, ...] = ("lru", "lfu"),
         num_clients: int = 1,
         seed: int = 0,
-        params: Optional[NetworkParams] = None,
         max_capacity_objects: Optional[int] = None,
         num_memory_nodes: int = 1,
         **config_kwargs,
@@ -662,7 +659,6 @@ class DittoCache:
             object_bytes=object_bytes,
             num_clients=num_clients,
             config=config,
-            params=params,
             seed=seed,
             max_capacity_objects=max_capacity_objects,
             num_memory_nodes=num_memory_nodes,

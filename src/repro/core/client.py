@@ -52,7 +52,7 @@ from .elasticity import ACTIVE
 from .retry import backoff_us
 from .adaptive import ExpertWeights, bitmap_of
 from .config import DittoConfig
-from .fc_cache import FrequencyCounterCache
+from .fc_cache import FC_THRESHOLD, FrequencyCounterCache
 from .geometry import ClusterPlan
 from .history import HISTORY_WRAP
 from .policies import Metadata, live_hooks, make_policy, priority_column
@@ -193,7 +193,7 @@ class DittoClient:
         )
         self.fc = FrequencyCounterCache(
             capacity_bytes=self.config.fc_capacity_bytes,
-            threshold=self.config.fc_threshold,
+            threshold=FC_THRESHOLD if self.config.use_fc else 1,
         )
         self._counter_cache = 0
         self._counter_fresh = False
@@ -245,9 +245,7 @@ class DittoClient:
         refreshing only reroutes *writes* — the documented degraded mode of
         a drain.
         """
-        epoch, entries = yield from self.ep.metadata(
-            self.node, "get_membership"
-        )
+        epoch, entries = yield from self.ep.rpc(self.node, "get_membership")
         self.alloc.set_active(
             [nid for nid, state in entries if state == ACTIVE]
         )
@@ -276,7 +274,7 @@ class DittoClient:
         if not self.config.use_sfht:
             # Un-grouped access information: a second WRITE per update.
             self.ep.post_write(slot.addr + L.INSERT_TS_OFF, _U64.pack(slot.insert_ts))
-        for addr, delta in self.fc.record(key, slot.addr + L.FREQ_OFF, self.engine._now):
+        for addr, delta in self.fc.record(key, slot.addr + L.FREQ_OFF):
             self.ep.post_faa(addr, delta)
         if self.ext_fields:
             meta = Metadata(
@@ -475,7 +473,7 @@ class DittoClient:
             sums = self.weights.take_pending()
             # Node 0 folds the sums; a real node 0 journals the result, so
             # the learned weights survive its restart (DESIGN §3.6).
-            new_weights = yield from self.ep.metadata(
+            new_weights = yield from self.ep.rpc(
                 self.node, "update_weights", sums, size=8 * len(sums)
             )
             self.weights.set_weights(new_weights)
@@ -911,10 +909,7 @@ class ClusterBase:
     #: Node drains in flight: their allocators count in the memory sweep.
     _active_migrators: Sequence = ()
 
-    def __init__(self, config: DittoConfig, seed: int, plan: ClusterPlan,
-                 obs=None):
-        """``obs`` is the observability hub, by default the process's
-        (None when none is armed: clients bind no histograms)."""
+    def __init__(self, config: DittoConfig, seed: int, plan: ClusterPlan):
         self.config = config
         self.seed = seed
         self.layout = plan.layout
@@ -934,7 +929,9 @@ class ClusterBase:
         self.block_bytes_per_object = plan.block_bytes_per_object
         self.max_capacity_objects = plan.max_capacity_objects
         self.budget = MemoryBudget(plan.budget_bytes)
-        self.obs = obs if obs is not None else obs_current()
+        #: The process's observability hub (None when none is armed:
+        #: clients bind no histograms).
+        self.obs = obs_current()
         self.counters = CounterSet()
         self.object_count = 0
         self.clients: List[DittoClient] = []

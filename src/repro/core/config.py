@@ -10,9 +10,13 @@ from typing import Tuple
 class DittoConfig:
     """Tunables of the client-centric framework and adaptive caching.
 
-    Defaults follow the paper: 5 eviction samples (Redis default), FC cache
-    threshold 10 with a 10 MB budget, learning rate 0.1, global weight sync
-    every 100 local regrets, history size equal to the cache size in objects.
+    Defaults follow the paper: 5 eviction samples (Redis default), a 10 MB
+    FC cache, learning rate 0.1, global weight sync every 100 local
+    regrets, history size equal to the cache size in objects.  The FC
+    cache's flush threshold t = 10 is not a field: it is
+    :data:`~repro.core.fc_cache.FC_THRESHOLD`, and ``use_fc=False`` turns
+    combining off.  Values that would silently switch a mechanism off
+    (a negative history, budget or rate, no retry) are rejected.
     """
 
     #: Caching algorithms run as adaptive experts.
@@ -21,8 +25,6 @@ class DittoConfig:
     sample_size: int = 5
     #: Eviction-history length in entries; 0 means "equal to capacity".
     history_size: int = 0
-    #: FC cache flush threshold t (1 disables combining).
-    fc_threshold: int = 10
     #: FC cache size in bytes.
     fc_capacity_bytes: int = 10 * 1024 * 1024
     #: Regret-minimization learning rate λ.
@@ -61,21 +63,21 @@ class DittoConfig:
     def __post_init__(self) -> None:
         if not self.policies:
             raise ValueError("need at least one policy")
-        if self.sample_size < 1:
-            raise ValueError("sample_size must be >= 1")
-        if self.fault_retries < 0:
-            raise ValueError("fault_retries must be >= 0")
-        if self.epoch_retries < 0:
-            raise ValueError("epoch_retries must be >= 0")
+        for name in ("sample_size", "max_retries", "weight_update_batch"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         for name in (
+            "fault_retries",
+            "epoch_retries",
+            "history_size",
+            "fc_capacity_bytes",
+            "learning_rate",
             "retry_backoff_us",
             "retry_backoff_max_us",
             "op_deadline_us",
         ):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        if not self.use_fc:
-            self.fc_threshold = 1
 
     @property
     def num_experts(self) -> int:

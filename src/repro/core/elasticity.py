@@ -398,7 +398,9 @@ class Migrator:
 
     def _flip(self, state: str) -> int:
         """Flip the draining node's membership state; returns the epoch."""
-        return self.cluster._commit(("membership_set", self.node.node_id, state))
+        return self.cluster.metadata.apply(
+            ("membership_set", self.node.node_id, state)
+        )
 
     def _reassign_grants_to(self, survivor):
         """Move the migration allocator's grant-log entries to the client
@@ -413,7 +415,7 @@ class Migrator:
         for target in list(self.cluster.nodes):
             try:
                 yield from self._with_retries(
-                    lambda n=target: self.ep.metadata(
+                    lambda n=target: self.ep.rpc(
                         n, "reassign_grants", (owner, survivor.client_id)
                     )
                 )

@@ -5,41 +5,45 @@ access to bump an object's remote frequency counter, clients buffer deltas
 locally and flush a combined FAA when
 
 - the buffered delta reaches the threshold ``t`` (flush of that entry), or
-- the cache is full (the entry with the earliest insert time is evicted), or
-- an entry has aged past ``max_age_us`` (keeps remote counters from lagging).
+- the cache is full (the entry inserted first is evicted).
 
 This divides the RDMA_FAA rate by up to ``t`` — FAAs are the most expensive
-verbs on real RNICs because of their internal atomics locks.
+verbs on real RNICs because of their internal atomics locks.  The paper's
+``t`` is :data:`FC_THRESHOLD`; a client built with ``use_fc=False`` passes
+1, which sends one FAA per access.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 #: (slot_address, delta) pairs the caller must apply with RDMA_FAA.
 Flush = Tuple[int, int]
+
+#: The paper's flush threshold t (§5.1).
+FC_THRESHOLD = 10
 
 
 class FrequencyCounterCache:
     """Write-combining buffer for remote frequency counters."""
 
-    #: Bookkeeping bytes per entry besides the object ID (addr, delta, ts).
+    #: Bytes charged per entry besides the object ID: 8 B each for the
+    #: address, the delta and an insert time (Fig 25's budget model; no
+    #: time is stored).
     ENTRY_OVERHEAD = 24
 
     def __init__(
         self,
         capacity_bytes: int = 10 * 1024 * 1024,
-        threshold: int = 10,
-        max_age_us: Optional[float] = None,
+        threshold: int = FC_THRESHOLD,
     ):
         if threshold < 1:
             raise ValueError("threshold must be >= 1")
         self.capacity_bytes = capacity_bytes
         self.threshold = threshold
-        self.max_age_us = max_age_us
-        # key -> [slot_addr, delta, insert_time, entry_bytes]; insertion order
-        # doubles as the earliest-insert-time eviction order.
+        # key -> [slot_addr, delta, entry_bytes]; insertion order is the
+        # eviction order.
         self._entries: "OrderedDict[bytes, list]" = OrderedDict()
         self.used_bytes = 0
         self.combined = 0  # accesses absorbed without an immediate FAA
@@ -49,10 +53,10 @@ class FrequencyCounterCache:
 
     def _pop(self, key: bytes) -> Flush:
         entry = self._entries.pop(key)
-        self.used_bytes -= entry[3]
+        self.used_bytes -= entry[2]
         return entry[0], entry[1]
 
-    def record(self, key: bytes, slot_addr: int, now: float) -> List[Flush]:
+    def record(self, key: bytes, slot_addr: int) -> List[Flush]:
         """Absorb one access to ``key``; returns FAAs that must go out now."""
         flushes: List[Flush] = []
         entry = self._entries.get(key)
@@ -72,17 +76,11 @@ class FrequencyCounterCache:
                 # Degenerate configurations bypass buffering entirely.
                 flushes.append((slot_addr, 1))
             else:
-                self._entries[key] = [slot_addr, 1, now, entry_bytes]
+                self._entries[key] = [slot_addr, 1, entry_bytes]
                 self.used_bytes += entry_bytes
                 while self.used_bytes > self.capacity_bytes:
                     oldest = next(iter(self._entries))
                     flushes.append(self._pop(oldest))
-        if self.max_age_us is not None:
-            while self._entries:
-                oldest = next(iter(self._entries))
-                if now - self._entries[oldest][2] <= self.max_age_us:
-                    break
-                flushes.append(self._pop(oldest))
         return flushes
 
     def flush_all(self) -> List[Flush]:

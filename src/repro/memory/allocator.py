@@ -123,7 +123,7 @@ class ClientAllocator:
             want = max(self.segment_bytes, size)
             tracer = self.endpoint.tracer
             t0 = self.endpoint.engine._now if tracer is not None else 0.0
-            addr = yield from self.endpoint.metadata(
+            addr = yield from self.endpoint.rpc(
                 self.node, "alloc_segment", (want, self.owner)
             )
             if tracer is not None:

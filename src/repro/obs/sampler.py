@@ -13,6 +13,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Tuple
 
+#: Most sample callbacks one window schedules.
+MAX_POINTS = 1000
+
 
 class WatchedResource:
     """One sampled resource: identity, sample source, and its timeline."""
@@ -52,18 +55,18 @@ class WatchedResource:
 
 
 def window_sample_times(
-    start_us: float, end_us: float, interval_us: float, max_points: int = 1000
+    start_us: float, end_us: float, interval_us: float
 ) -> List[float]:
     """Sample timestamps covering ``[start_us, end_us]``, bounded in count.
 
     The interval is widened if needed so a long window never schedules more
-    than ``max_points`` callbacks.
+    than :data:`MAX_POINTS` callbacks.
     """
     if end_us <= start_us or interval_us <= 0:
         return [start_us]
     span = end_us - start_us
     points = int(span / interval_us) + 1
-    if points > max_points:
-        interval_us = span / (max_points - 1)
-        points = max_points
+    if points > MAX_POINTS:
+        interval_us = span / (MAX_POINTS - 1)
+        points = MAX_POINTS
     return [min(start_us + i * interval_us, end_us) for i in range(points)]

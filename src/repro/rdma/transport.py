@@ -35,7 +35,9 @@ The contract every implementation must honour (DESIGN §3.7):
   memory node and returns its result; controller-side errors surface as
   the same exception types on both substrates
   (:class:`~repro.memory.controller.OutOfMemoryError`,
-  :class:`~repro.rdma.verbs.StaleEpoch`).
+  :class:`~repro.rdma.verbs.StaleEpoch`).  It is the one route to
+  controller *state* (segment grants, the membership table, the expert
+  weights).
 * Failures surface *inside* the generator at the yield point —
   :class:`~repro.rdma.verbs.VerbTimeout` for a lost completion,
   :class:`~repro.rdma.verbs.NodeUnavailable` for a dead node — so client
@@ -43,10 +45,6 @@ The contract every implementation must honour (DESIGN §3.7):
 * The ``fence`` slot holds an :class:`~repro.core.elasticity.EpochFence`
   (or None); verbs check it client-side *before* address resolution and
   NACK with :class:`~repro.rdma.verbs.StaleEpoch`.
-* ``metadata(node, op, payload)`` is the one route to controller *state*
-  (segment grants, the membership table, the expert weights): the RPC
-  above, named apart so a caller says when it reads or writes controller
-  state.  Built here from ``rpc``, not per substrate.
 * ``post_write``/``post_faa`` are fire-and-forget: the verb runs off the
   caller's critical path (two engine callbacks on the sim substrate, a
   frame on the process's link to the memory node on the real one), with
@@ -101,10 +99,6 @@ class VerbTransport:
     def rpc(self, node, op: str, payload=None, size: int = 64) -> Generator:
         """Invoke controller operation ``op`` on ``node``; returns its result."""
         raise NotImplementedError
-
-    def metadata(self, node, op: str, payload=None, size: int = 64) -> Generator:
-        """Run metadata operation ``op`` on ``node``'s controller state."""
-        return self.rpc(node, op, payload, size=size)
 
     def post_write(self, addr: int, data: bytes):
         """Fire-and-forget WRITE; returns None.  Portable code cannot

@@ -25,18 +25,6 @@ class TestBasics:
         cache.access("a")
         assert "a" in cache and "b" not in cache
 
-    def test_lookup_does_not_insert(self):
-        cache = SampledAdaptiveCache(4, policies=("lru",))
-        assert cache.lookup("a") is False
-        assert "a" not in cache
-        assert cache.misses == 1
-
-    def test_insert_explicit(self):
-        cache = SampledAdaptiveCache(4, policies=("lru",))
-        cache.insert("a")
-        assert "a" in cache
-        assert cache.misses == 0  # explicit insert is not a miss
-
     def test_full_sample_is_exact_lru(self):
         """With sample_size >= capacity, sampling degenerates to exact LRU."""
         cache = SampledAdaptiveCache(3, policies=("lru",), sample_size=3)

@@ -269,7 +269,7 @@ class TestAblations:
         assert cluster.counters.get("rdma_faa") - faa_before == 10
 
     def test_fc_combines_faas(self):
-        cluster = make_cluster(capacity=64, use_fc=True, fc_threshold=10)
+        cluster = make_cluster(capacity=64, use_fc=True)
         client = cluster.clients[0]
         run(cluster, client.set(b"k", b"v"))
         faa_before = cluster.counters.get("rdma_faa")

@@ -327,27 +327,26 @@ def test_rpc_exhaustion_surfaces_oom(substrate):
 
 
 def test_metadata_is_the_rpc(substrate):
-    """``metadata()`` is concrete on :class:`VerbTransport`: it is the
-    plain RPC — same results, same errors, same count — on both
-    substrates."""
+    """Controller state has one route, the plain RPC: an exact grant list,
+    an empty list after the free, one ``rdma_rpc`` per call and the OOM
+    surfaced, on both substrates."""
     ep, node = substrate.ep, substrate.rpc_node
 
     def flow():
-        addr = yield from ep.metadata(node, "alloc_segment", (4096, 5))
-        via_metadata = yield from ep.metadata(node, "list_segments", 5)
-        via_rpc = yield from ep.rpc(node, "list_segments", 5)
-        yield from ep.metadata(node, "free_segment", (addr, 4096))
-        after = yield from ep.metadata(node, "list_segments", 5)
-        return addr, list(via_metadata), list(via_rpc), list(after)
+        addr = yield from ep.rpc(node, "alloc_segment", (4096, 5))
+        granted = yield from ep.rpc(node, "list_segments", 5)
+        yield from ep.rpc(node, "free_segment", (addr, 4096))
+        after = yield from ep.rpc(node, "list_segments", 5)
+        return addr, list(granted), list(after)
 
     before = ep.counters.as_dict().get("rdma_rpc", 0)
-    addr, via_metadata, via_rpc, after = substrate.run(flow())
-    assert via_metadata == via_rpc == [(addr, 4096)]
+    addr, granted, after = substrate.run(flow())
+    assert granted == [(addr, 4096)]
     assert after == []
-    assert ep.counters.as_dict()["rdma_rpc"] == before + 5
+    assert ep.counters.as_dict()["rdma_rpc"] == before + 4
 
     def too_much():
-        yield from ep.metadata(node, "alloc_segment", (2 * HEAP_SIZE, 5))
+        yield from ep.rpc(node, "alloc_segment", (2 * HEAP_SIZE, 5))
 
     with pytest.raises(OutOfMemoryError):
         substrate.run(too_much())
