@@ -44,7 +44,6 @@ class DmKvsCluster:
         capacity_objects: int = 4096,
         object_bytes: int = 256,
         num_clients: int = 1,
-        seed: int = 0,
     ):
         self.engine = Engine()
         self.params = NetworkParams()

@@ -47,7 +47,6 @@ class ShardLruCluster:
         num_clients: int = 1,
         shards: int = 32,
         backoff_us: float = 5.0,
-        seed: int = 0,
     ):
         if shards < 1:
             raise ValueError("need at least one shard")

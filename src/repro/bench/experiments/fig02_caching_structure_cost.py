@@ -20,7 +20,7 @@ from ..systems import build_shard_lru, run_ycsb_workload
 
 def _build(system: str, n_keys: int, num_clients: int):
     if system == "kvs":
-        return DmKvsCluster(capacity_objects=2 * n_keys, num_clients=num_clients, seed=7)
+        return DmKvsCluster(capacity_objects=2 * n_keys, num_clients=num_clients)
     if system == "kvc":
         return build_shard_lru(4 * n_keys, num_clients, shards=1, backoff_us=0.0)
     if system == "kvc-s":

@@ -112,7 +112,6 @@ def build_shard_lru(
         num_clients=num_clients,
         shards=shards,
         backoff_us=backoff_us,
-        seed=7,
     )
 
 

@@ -48,7 +48,6 @@ class SampledAdaptiveCache:
         history_size: Optional[int] = None,
         learning_rate: float = 0.1,
         seed: int = 0,
-        policy_objects: Optional[Sequence[CachePolicy]] = None,
     ):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
@@ -56,10 +55,7 @@ class SampledAdaptiveCache:
         self.sample_size = sample_size
         self.history_size = history_size if history_size is not None else capacity
         self.rng = random.Random(seed)
-        if policy_objects is not None:
-            self.policies: List[CachePolicy] = list(policy_objects)
-        else:
-            self.policies = [make_policy(name) for name in policies]
+        self.policies: List[CachePolicy] = [make_policy(name) for name in policies]
         self.adaptive = len(self.policies) > 1
         self.weights = ExpertWeights(
             num_experts=len(self.policies),

@@ -91,10 +91,6 @@ class ExpertWeights:
         self._pending_count = 0
         return pending
 
-    @property
-    def pending_count(self) -> int:
-        return self._pending_count
-
     def set_weights(self, weights: Sequence[float]) -> None:
         """Adopt the global weights returned by the controller."""
         if len(weights) != self.num_experts:

@@ -26,7 +26,6 @@ from .client import ClusterBase, DittoClient
 from .config import DittoConfig
 from .elasticity import (
     ACTIVE,
-    CONTROL_RETRY_LIMIT,
     EpochFence,
     MembershipTable,
     MetadataState,
@@ -35,7 +34,6 @@ from .elasticity import (
     Migrator,
 )
 from .geometry import plan_cluster
-from .retry import backoff_us
 
 #: Delay between a client crash and a survivor starting recovery (models
 #: liveness-lease expiry at the quota/metadata service).
@@ -541,9 +539,8 @@ class DittoCluster(ClusterBase):
         1. *Undo log*: the dead client's in-flight op markers
            (``_pending_block``/``_pending_budget``) name the block and
            budget it held but had not committed; return both.
-        2. *Grant reconciliation*: ask every controller for the dead
-           client's segment grants (``list_segments`` RPC) and diff against
-           its client-side records — a grant the client never learned about
+        2. *Grant reconciliation* (:meth:`reconcile_grants`): a grant the
+           controllers hold for the dead client but it never recorded
            (killed mid-RPC) is returned via ``free_segment``.
         3. *Adoption*: the survivor absorbs the dead allocator's free
            lists, bump remainder, and spare regions so the memory stays
@@ -557,65 +554,22 @@ class DittoCluster(ClusterBase):
         if dead._pending_budget:
             self.budget.release(dead._pending_budget)
             dead._pending_budget = 0
-        for node in self.nodes:
-            granted = yield from self._recovery_rpc(
-                survivor, node, "list_segments", dead.client_id
-            )
-            dead_alloc = dead.alloc.allocator_for_node(node)
-            recorded = set(dead_alloc.segments)
-            for addr, size in granted:
-                if (addr, size) in recorded:
-                    continue
-                # In-flight grant: the controller handed it out but the
-                # client died before the response landed.
-                yield from self._recovery_rpc(
-                    survivor, node, "free_segment", (addr, size)
-                )
-                self.counters.add("crash_segment_returned")
+        returned = yield from self.reconcile_grants(dead, survivor)
+        if returned:
+            self.counters.add("crash_segment_returned", returned)
         survivor.alloc.adopt(dead.alloc)
         self.counters.add("crash_recovery")
 
-    def _recovery_rpc(self, survivor, node, op, payload):
-        """A recovery RPC with (generous) fault retries: recovery itself can
-        run inside the fault window that caused the crash."""
-        result = yield from self._retrying(
-            lambda: survivor.ep.rpc(node, op, payload), survivor
-        )
-        return result
+    def granted_segments(self) -> List[Tuple[int, int]]:
+        return [
+            seg
+            for node in self.nodes
+            for segs in node.controller.granted_segments().values()
+            for seg in segs
+        ]
 
-    def _retrying(self, step, survivor=None, give_up="crash_recovery_failed"):
-        """Run one control-plane step (``step()`` makes its generator),
-        retrying around injected fault windows.
-
-        Crash recovery and the drain share this loop: one budget
-        (``CONTROL_RETRY_LIMIT``), backoff drawn from ``survivor`` or else
-        the first live client.  A persistently unreachable target counts
-        ``give_up`` and re-raises rather than spin the engine forever; the
-        invariant sweep reports the unreconciled state.
-        """
-        attempt = 0
-        while True:
-            try:
-                result = yield from step()
-                return result
-            except RdmaFaultError:
-                attempt += 1
-                if attempt > CONTROL_RETRY_LIMIT:
-                    self.counters.add(give_up)
-                    raise
-                self.counters.add("fault_retry")
-                client = survivor or next(
-                    (c for c in self.clients if not c.dead), None
-                )
-                if client is not None:
-                    delay = client._backoff_us(min(attempt, 8))
-                else:
-                    # No live client RNG to draw jitter from.
-                    delay = backoff_us(
-                        min(attempt, 8), base=self.config.retry_backoff_us
-                    )
-                if delay > 0.0:
-                    yield delay
+    def read_node0(self, addr: int, length: int) -> bytes:
+        return self.node.read_bytes(addr, length)
 
     def _clock_stats(self) -> Dict[str, float]:
         return {"sim_time_us": self.engine.now}

@@ -48,7 +48,7 @@ from ..rdma.verbs import (
 )
 from ..sim import CounterSet
 from . import layout as L
-from .elasticity import ACTIVE
+from .elasticity import ACTIVE, CONTROL_RETRY_LIMIT
 from .retry import backoff_us
 from .adaptive import ExpertWeights, bitmap_of
 from .config import DittoConfig
@@ -969,6 +969,94 @@ class ClusterBase:
     def _clock_stats(self) -> Dict[str, float]:
         """The substrate's clock row(s) of :meth:`stats`."""
         raise NotImplementedError
+
+    # -- quiesce: what crash recovery and the drills run on both substrates --
+
+    def granted_segments(self) -> List[Tuple[int, int]]:
+        """Every ``(addr, size)`` the controllers hold granted."""
+        raise NotImplementedError
+
+    def read_node0(self, addr: int, length: int) -> bytes:
+        """``length`` bytes of node 0 at ``addr``, read at no cost (the
+        memory sweep's view of the hash table)."""
+        raise NotImplementedError
+
+    def reconcile_grants(self, client: DittoClient, via: DittoClient) -> Generator:
+        """Make ``client``'s grant log match the controllers', as ``via``.
+
+        Per node, ``list_segments(client)`` against the segments the client
+        recorded: a grant it never learned of (the alloc RPC ran but its
+        response was lost, or the client died first) goes back through
+        ``free_segment``.  Returns the number of segments returned.
+        """
+        returned = 0
+        for node in self.nodes:
+            granted = yield from self._recovery_rpc(
+                via, node, "list_segments", client.client_id
+            )
+            recorded = set(client.alloc.allocator_for_node(node).segments)
+            for addr, size in granted:
+                if (addr, size) not in recorded:
+                    yield from self._recovery_rpc(
+                        via, node, "free_segment", (addr, size)
+                    )
+                    returned += 1
+        return returned
+
+    def repair_leases(self, client: DittoClient) -> Generator:
+        """Scrub the table for half-installed slots (lost metadata posts).
+
+        Two :meth:`DittoClient.repair_scan` passes ``2 x REPAIR_LEASE_US``
+        apart: the first marks suspects, the second reclaims those whose
+        atomic word never moved.  Returns the number of repaired slots.
+        """
+        before = self.counters.get("lease_repair")
+        yield from client.repair_scan()
+        yield 2.0 * REPAIR_LEASE_US
+        yield from client.repair_scan()
+        return self.counters.get("lease_repair") - before
+
+    def _recovery_rpc(self, survivor, node, op, payload):
+        """A recovery RPC with (generous) fault retries: recovery itself can
+        run inside the fault window that caused the crash."""
+        result = yield from self._retrying(
+            lambda: survivor.ep.rpc(node, op, payload), survivor
+        )
+        return result
+
+    def _retrying(self, step, survivor=None, give_up="crash_recovery_failed"):
+        """Run one control-plane step (``step()`` makes its generator),
+        retrying around injected fault windows.
+
+        Crash recovery and the drain share this loop: one budget
+        (``CONTROL_RETRY_LIMIT``), backoff drawn from ``survivor`` or else
+        the first live client.  A persistently unreachable target counts
+        ``give_up`` and re-raises rather than spin the engine forever; the
+        invariant sweep reports the unreconciled state.
+        """
+        attempt = 0
+        while True:
+            try:
+                result = yield from step()
+                return result
+            except RdmaFaultError:
+                attempt += 1
+                if attempt > CONTROL_RETRY_LIMIT:
+                    self.counters.add(give_up)
+                    raise
+                self.counters.add("fault_retry")
+                client = survivor or next(
+                    (c for c in self.clients if not c.dead), None
+                )
+                if client is not None:
+                    delay = client._backoff_us(min(attempt, 8))
+                else:
+                    # No live client RNG to draw jitter from.
+                    delay = backoff_us(
+                        min(attempt, 8), base=self.config.retry_backoff_us
+                    )
+                if delay > 0.0:
+                    yield delay
 
     def stats(self) -> Dict[str, float]:
         return {

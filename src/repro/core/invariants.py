@@ -22,7 +22,7 @@ cost.  It is a test oracle, not a runtime mechanism.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from . import layout as L
 
@@ -56,44 +56,26 @@ def _client_regions(cluster) -> Tuple[List, List, List]:
     return free, bump, spare
 
 
-def _live_objects(lay, read_bytes, chunk: int = 128) -> List[Tuple[int, int]]:
-    """Blocks referenced by object slots of the hash table (node 0).
-
-    Reads the table in ``chunk``-slot runs rather than slot-by-slot: on
-    the sim substrate that is a minor constant factor, but the real
-    substrate's sweep reads a live shared-memory heap (or sockets), where
-    per-slot round trips would dominate the chaos drill's teardown.
-    """
-    live: List[Tuple[int, int]] = []
-    total = lay.total_slots
-    index = 0
-    while index < total:
-        count = min(chunk, total - index)
-        addr = lay.slot_addr(index)
-        raw = read_bytes(addr, count * L.SLOT_SIZE)
-        slots = L.Bucket(index, addr, raw, count)
-        for i in slots.objects():
-            slot = slots.slot(i)
-            live.append((slot.pointer, slot.object_bytes))
-        index += count
-    return live
+def _live_objects(cluster) -> List[Tuple[int, int]]:
+    """Blocks referenced by object slots of the hash table (node 0), from
+    one read of the whole table."""
+    lay = cluster.layout
+    raw = cluster.read_node0(lay.table_addr, lay.table_bytes)
+    table = L.Bucket(0, lay.table_addr, raw, lay.total_slots)
+    return [
+        (slot.pointer, slot.object_bytes)
+        for slot in map(table.slot, table.objects())
+    ]
 
 
-def sweep(
-    cluster,
-    granted: Optional[List[Tuple[int, int]]] = None,
-    read_bytes: Optional[Callable[[int, int], bytes]] = None,
-) -> Dict[str, int]:
+def sweep(cluster) -> Dict[str, int]:
     """Check the memory-accounting invariants of a quiesced Ditto cluster.
 
     ``cluster`` is either substrate's
     :class:`~repro.core.client.ClusterBase`: it supplies ``clients``,
-    ``budget``, ``layout``, the drains in flight and ``nodes`` (each with
-    ``base``/``end``).
-    ``granted`` is every ``(addr, size)`` the controllers hold granted and
-    ``read_bytes(addr, length)`` reads node 0; they default to the sim
-    cluster's own controllers and memory, and the real substrate passes its
-    RPC-fetched grant logs and a shared-memory read.
+    ``budget``, ``layout``, the drains in flight, ``nodes`` (each with
+    ``base``/``end``), the controllers' grants (``granted_segments``) and
+    node 0's bytes (``read_node0``).
 
     Returns a summary dict on success; raises :class:`InvariantViolation`
     with a precise description of the first inconsistency otherwise.
@@ -107,14 +89,8 @@ def sweep(
                 "crash was never recovered"
             )
 
-    if granted is None:
-        granted = [
-            seg
-            for node in cluster.nodes
-            for segs in node.controller.granted_segments().values()
-            for seg in segs
-        ]
-    live = _live_objects(cluster.layout, read_bytes or cluster.node.read_bytes)
+    granted = cluster.granted_segments()
+    live = _live_objects(cluster)
     free, bump, spare = _client_regions(cluster)
 
     tagged = (

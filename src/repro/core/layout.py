@@ -329,6 +329,3 @@ class DittoLayout:
         if not 0 <= slot_index < self.total_slots:
             raise IndexError(f"slot index {slot_index} out of range")
         return self.table_addr + slot_index * SLOT_SIZE
-
-    def slot_index(self, bucket: int, position: int) -> int:
-        return bucket * self.slots_per_bucket + position

@@ -159,11 +159,6 @@ class ClientAllocator:
         """Segments this client recorded as granted (address, size)."""
         return list(self._segments)
 
-    def record_segment(self, addr: int, size: int) -> None:
-        """Register an externally reconciled grant (crash recovery)."""
-        self._segments.append((addr, size))
-        self._spare.append((addr, size))
-
     def adopt(self, other: "ClientAllocator") -> None:
         """Absorb a crashed client's allocator state.
 

@@ -179,7 +179,3 @@ class MemoryPool:
         if i >= 0 and addr + length <= self._ends[i]:
             return self.nodes[i]
         raise MemoryAccessError(f"access [{addr}, {addr + length}) not in any node")
-
-    @property
-    def total_size(self) -> int:
-        return sum(node.size for node in self.nodes)

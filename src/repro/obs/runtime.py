@@ -198,7 +198,7 @@ def build_digest(report: Dict[str, Any]) -> Dict[str, Any]:
         digest["chaos"] = {
             key: chaos[key]
             for key in (
-                "verdicts", "adopted_grants", "repaired_slots", "sweep",
+                "verdicts", "returned_grants", "repaired_slots", "sweep",
                 "killed_at_s", "restarted_at_s",
             )
             if key in chaos
@@ -244,7 +244,7 @@ def format_digest(digest: Dict[str, Any]) -> str:
             lines.append(f"chaos verdicts: {verdicts}")
         extra = {
             key: chaos[key]
-            for key in ("adopted_grants", "repaired_slots",
+            for key in ("returned_grants", "repaired_slots",
                         "killed_at_s", "restarted_at_s")
             if key in chaos
         }

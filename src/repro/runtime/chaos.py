@@ -17,11 +17,13 @@ real substrate:
 
 - :func:`run_chaos` — the chaos harness: drives the standard load
   generator under an armed plan (optionally SIGKILLing and
-  restart-adopting a memory node mid-load), then quiesces, reconciles
-  orphaned grants through the same ``list_segments`` diff crash recovery
-  uses, runs lease-repair scrubs, and finishes with the memory-accounting
-  sweep (:mod:`repro.core.invariants`) evaluated over the *real* shared-
-  memory heaps.
+  restart-adopting a memory node mid-load), then quiesces through the
+  cluster calls the sim's crash recovery runs too: every client's grants
+  are reconciled (``ClusterBase.reconcile_grants``: an orphaned grant
+  goes back to its controller), the leases repaired
+  (``ClusterBase.repair_leases``), and the memory-accounting sweep
+  (:func:`repro.core.invariants.sweep`) checks the *real* shared-memory
+  heaps.
 
 What maps 1:1, what is approximated, and the compilation rule are
 documented in DESIGN §3.8.
@@ -31,10 +33,9 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..core import invariants
-from ..core.client import REPAIR_LEASE_US
 from ..obs.observer import current as obs_current
 from ..obs.observer import maybe_span
 from ..obs.runtime import build_digest
@@ -69,80 +70,6 @@ CANNED_PLAN = FaultPlan(
 )
 
 DEFAULT_TIME_SCALE = 50.0
-
-
-# -- post-run reconciliation and the real-heap sweep -----------------------
-
-
-async def reconcile_grants(cluster: RealCluster) -> List[Tuple[int, int, int]]:
-    """Adopt grants the servers hold but no client recorded.
-
-    The same diff step 2 of crash recovery performs
-    (:meth:`repro.core.cache.DittoCluster.recover_client`): per client and
-    node, ``list_segments(owner)`` against the client's own grant records.
-    A surplus server-side grant is an alloc RPC that executed but whose
-    response was lost to a drop, reset, or SIGKILL; the client re-ran the
-    op and got a different segment.  Recording the orphan as *spare* puts
-    it back under the accounting sweep.  Returns the adopted
-    ``(client_id, addr, size)`` triples.
-    """
-    adopted: List[Tuple[int, int, int]] = []
-    for client in cluster.clients:
-        for node in cluster.nodes:
-            allocator = client.alloc.allocator_for_node(node)
-            known = set(allocator.segments)
-            granted = await drive(
-                client.ep.rpc(node, "list_segments", client.client_id)
-            )
-            for addr, size in granted:
-                if (addr, size) not in known:
-                    allocator.record_segment(addr, size)
-                    adopted.append((client.client_id, addr, size))
-    return adopted
-
-
-async def repair_sweep(cluster: RealCluster, passes: int = 2) -> int:
-    """Scrub the table for half-installed slots (lost metadata posts).
-
-    Two full scans separated by the repair lease: the first pass marks
-    suspects, the second reclaims those whose atomic word never moved.
-    Returns the number of repaired slots (counter delta).
-    """
-    scrubber = cluster.clients[0]
-    before = cluster.counters.get("lease_repair")
-    lease_s = REPAIR_LEASE_US / 1e6
-    for index in range(passes):
-        await drive(scrubber.repair_scan())
-        if index + 1 < passes:
-            await asyncio.sleep(2.0 * lease_s + 0.005)
-    return cluster.counters.get("lease_repair") - before
-
-
-async def sweep_real(cluster: RealCluster) -> Dict[str, int]:
-    """Run the memory-accounting sweep over the live cluster's real heaps.
-
-    Grant logs come from each node's ``granted_segments`` RPC (journal-
-    backed, so they are crash-consistent); hash-table slots are read
-    directly out of node 0's shared-memory segment.  The cluster must be
-    quiesced: loadgen finished, background posts drained, grants
-    reconciled.  Raises
-    :class:`~repro.core.invariants.InvariantViolation` on any lost grant,
-    leaked block, or budget drift.
-    """
-    ep = cluster.clients[0].ep
-    granted: List[Tuple[int, int]] = []
-    for node in cluster.nodes:
-        by_owner = await drive(ep.rpc(node, "granted_segments", None))
-        for segs in by_owner.values():
-            granted.extend(segs)
-    node0 = cluster.node
-    attached_here = node0._seg is None
-    node0.attach()
-    try:
-        return invariants.sweep(cluster, granted, node0.read_direct)
-    finally:
-        if attached_here:
-            node0.detach()
 
 
 # -- the chaos harness ------------------------------------------------------
@@ -293,12 +220,18 @@ async def run_chaos(
         with maybe_span("chaos.quiesce", "chaos"):
             await cluster.engine.drain_background()
             with maybe_span("chaos.reconcile_grants", "chaos"):
-                adopted = await reconcile_grants(cluster)
-            with maybe_span("chaos.repair_sweep", "chaos"):
-                repaired = await repair_sweep(cluster)
+                returned = 0
+                for client in cluster.clients:
+                    returned += await drive(
+                        cluster.reconcile_grants(client, client)
+                    )
+            with maybe_span("chaos.repair_leases", "chaos"):
+                repaired = await drive(
+                    cluster.repair_leases(cluster.clients[0])
+                )
             await cluster.engine.drain_background()
             with maybe_span("chaos.invariant_sweep", "chaos"):
-                summary = await sweep_real(cluster)
+                summary = invariants.sweep(cluster)
     finally:
         for task in tasks:
             task.cancel()
@@ -309,7 +242,7 @@ async def run_chaos(
         "plan": plan.to_dict(),
         "time_scale": time_scale,
         "verdicts": verdicts,
-        "adopted_grants": len(adopted),
+        "returned_grants": returned,
         "repaired_slots": repaired,
         "sweep": summary,
         **killed,
@@ -338,8 +271,5 @@ __all__ = [
     "CHAOS_CLIENT_CONFIG",
     "CHAOS_TIMEOUT_S",
     "DEFAULT_TIME_SCALE",
-    "reconcile_grants",
-    "repair_sweep",
     "run_chaos",
-    "sweep_real",
 ]

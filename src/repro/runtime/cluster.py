@@ -20,12 +20,13 @@ agree on every address without shipping the layout over the wire.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..core.client import ClusterBase
 from ..core.config import DittoConfig
 from ..core.geometry import plan_cluster
 from .client import NodeHandle, NodeHealth, RealEndpoint, WallClockRuntime
+from .harness import control_rpc
 
 
 class RealCluster(ClusterBase):
@@ -107,6 +108,28 @@ class RealCluster(ClusterBase):
             return
         for client in self.clients:
             client.alloc.set_active(active)
+
+    def granted_segments(self) -> List[Tuple[int, int]]:
+        """Every node's journal-backed grant log, asked over the
+        out-of-band control channel (no endpoint counter moves)."""
+        return [
+            seg
+            for node in self.nodes
+            for segs in control_rpc(node.key, "granted_segments").values()
+            for seg in segs
+        ]
+
+    def read_node0(self, addr: int, length: int) -> bytes:
+        """Read node 0's heap through its shared memory, mapping it for
+        this read unless it is mapped already."""
+        node0 = self.node
+        attached_here = node0._seg is None
+        node0.attach()
+        try:
+            return node0.read_direct(addr, length)
+        finally:
+            if attached_here:
+                node0.detach()
 
     async def aclose(self) -> None:
         """Close every client's endpoint: the first drains the runtime's

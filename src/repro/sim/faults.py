@@ -310,14 +310,6 @@ class FaultInjector:
 
     # -- point queries ------------------------------------------------------
 
-    def node_down(self, node_id: int, now: Optional[float] = None) -> bool:
-        if now is None:
-            now = self.clock.now
-        for outage in self._outages:
-            if outage.node_id == node_id and outage.start_us <= now < outage.end_us:
-                return True
-        return False
-
     def verb_outcome(self, node_id: int, verb: str) -> Tuple[int, float]:
         """Fate of one verb issued *now*: ``(kind, extra_lead_us)``.
 

@@ -128,7 +128,7 @@ class LatencyStats:
 
     Small series keep every sample and report exact percentiles (numpy's
     linear interpolation, the semantics every experiment table was built on).
-    Once ``exact_limit`` samples accumulate, the series spills into a
+    Once :attr:`EXACT_LIMIT` samples accumulate, the series spills into a
     :class:`StreamingHistogram`, bounding memory for full-scale runs where a
     measurement window can hold millions of completions.
     """
@@ -138,10 +138,9 @@ class LatencyStats:
     #: below this, keeping their outputs exact and byte-stable).
     EXACT_LIMIT = 262_144
 
-    def __init__(self, exact_limit: Optional[int] = None) -> None:
+    def __init__(self) -> None:
         self._samples: List[float] = []
         self._hist: Optional[StreamingHistogram] = None
-        self._exact_limit = self.EXACT_LIMIT if exact_limit is None else exact_limit
 
     def _spill(self) -> None:
         hist = StreamingHistogram()
@@ -154,7 +153,7 @@ class LatencyStats:
             self._hist.record(latency_us)
             return
         self._samples.append(latency_us)
-        if len(self._samples) >= self._exact_limit:
+        if len(self._samples) >= self.EXACT_LIMIT:
             self._spill()
 
     def extend(self, latencies: Iterable[float]) -> None:
@@ -162,7 +161,7 @@ class LatencyStats:
             self._hist.extend(latencies)
             return
         self._samples.extend(latencies)
-        if len(self._samples) >= self._exact_limit:
+        if len(self._samples) >= self.EXACT_LIMIT:
             self._spill()
 
     @property

@@ -70,10 +70,6 @@ class YCSBWorkload:
         self._rng = np.random.default_rng(config.seed + 2)
         self._newest = config.n_keys - 1  # logical key space: base + own inserts
 
-    def load_keys(self) -> range:
-        """Keys pre-loaded before the measured run (sharded across clients)."""
-        return range(self.config.n_keys)
-
     def arrays(self, count: int) -> Tuple[np.ndarray, np.ndarray]:
         """The next ``count`` requests: int8 op codes and int64 key ids."""
         draws = self._rng.random(count)

@@ -106,9 +106,6 @@ class ZipfianGenerator:
         lo[wide] = low
         return lo
 
-    def sample_one(self) -> int:
-        return int(self.sample(1)[0])
-
 
 class UniformGenerator:
     """Uniform key sampling over [0, n_keys)."""
@@ -121,9 +118,6 @@ class UniformGenerator:
 
     def sample(self, count: int) -> np.ndarray:
         return self.rng.integers(0, self.n_keys, size=count, dtype=np.int64)
-
-    def sample_one(self) -> int:
-        return int(self.sample(1)[0])
 
 
 class LatestGenerator:

@@ -7,7 +7,7 @@ from repro.baselines import DmKvsCluster
 
 @pytest.fixture()
 def kvs():
-    return DmKvsCluster(capacity_objects=256, num_clients=2, seed=1)
+    return DmKvsCluster(capacity_objects=256, num_clients=2)
 
 
 def run(cluster, gen):

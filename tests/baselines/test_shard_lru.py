@@ -8,7 +8,7 @@ from repro.baselines import ShardLruCluster
 def make(shards=4, capacity=64, clients=1, backoff=0.0):
     return ShardLruCluster(
         capacity_objects=capacity, num_clients=clients, shards=shards,
-        backoff_us=backoff, seed=1,
+        backoff_us=backoff,
     )
 
 
@@ -78,7 +78,7 @@ class TestLockBehaviour:
 
     def test_contention_causes_retries(self):
         cluster = ShardLruCluster(
-            capacity_objects=256, num_clients=16, shards=1, backoff_us=0.0, seed=2,
+            capacity_objects=256, num_clients=16, shards=1, backoff_us=0.0,
         )
         engine = cluster.engine
 
@@ -96,7 +96,7 @@ class TestLockBehaviour:
         def retries(shards):
             cluster = ShardLruCluster(
                 capacity_objects=512, num_clients=16, shards=shards,
-                backoff_us=0.0, seed=3,
+                backoff_us=0.0,
             )
             engine = cluster.engine
 

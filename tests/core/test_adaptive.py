@@ -68,7 +68,6 @@ class TestExpertWeights:
         pending = w.take_pending()
         assert pending[0] == pytest.approx(2.0)
         assert pending[1] == pytest.approx(1.0)
-        assert w.pending_count == 0
         assert w.take_pending() == [0.0, 0.0]
 
     def test_choose_respects_weights(self):

@@ -76,12 +76,9 @@ def _drain_under_fault(fault: str, phase: str, seed: int = SEED):
     harness.stop_all()
     cluster.engine.run()  # drain drivers, recoveries, async posts
 
-    # Lease repair: scrub half-installed slots a crash may have abandoned
-    # (two sightings one lease apart, as the protocol requires).
+    # Lease repair: scrub half-installed slots a crash may have abandoned.
     survivor = next(c for c in cluster.clients if not c.dead)
-    cluster.engine.run_process(survivor.repair_scan())
-    cluster.engine.run(until=cluster.engine.now + 2_000.0)
-    cluster.engine.run_process(survivor.repair_scan())
+    cluster.engine.run_process(cluster.repair_leases(survivor))
     cluster.engine.run()
     return cluster, harness, proc
 

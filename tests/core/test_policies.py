@@ -288,14 +288,16 @@ class TestPriorityColumn:
         assert priority_column(RedeclaringLRU()) is None
         assert priority_column(PlainLRU()) == ("last_ts", 1)
 
-    def test_vectorized_replay_refuses_an_overriding_subclass(self):
+    def test_vectorized_replay_refuses_an_overriding_subclass(self, monkeypatch):
         keys = np.arange(4096, dtype=np.int64) % 700
         for policy, expected in (
-            (LRU(), True), (PlainLRU(), True),
-            (OverridingLRU(), False), (RedeclaringLRU(), False),
+            (LRU, True), (PlainLRU, True),
+            (OverridingLRU, False), (RedeclaringLRU, False),
         ):
-            cache = SampledAdaptiveCache(256, policy_objects=[policy], seed=1)
-            assert vectorized.eligible(cache, keys) is expected, policy
+            name = policy.__name__.lower()
+            monkeypatch.setitem(POLICY_REGISTRY, name, policy)
+            cache = SampledAdaptiveCache(256, policies=(name,), seed=1)
+            assert vectorized.eligible(cache, keys) is expected, name
 
 
 class TestLiveHooks:

@@ -96,7 +96,7 @@ class TestBaselinesAgainstDict:
     @settings(max_examples=15, deadline=None)
     @given(ops_strategy)
     def test_kvs_matches_dict(self, operations):
-        cluster = DmKvsCluster(capacity_objects=64, num_clients=1, seed=2)
+        cluster = DmKvsCluster(capacity_objects=64, num_clients=1)
         _drive(
             cluster.engine.run_process,
             cluster.clients[0],
@@ -109,7 +109,7 @@ class TestBaselinesAgainstDict:
     @given(ops_strategy)
     def test_shard_lru_matches_dict(self, operations):
         cluster = ShardLruCluster(
-            capacity_objects=64, num_clients=1, shards=4, backoff_us=0.0, seed=2
+            capacity_objects=64, num_clients=1, shards=4, backoff_us=0.0
         )
         _drive(
             cluster.engine.run_process,

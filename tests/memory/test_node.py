@@ -125,13 +125,6 @@ class TestSparseResidency:
 
 
 class TestMemoryPool:
-    def test_total_size(self):
-        engine = Engine()
-        pool = MemoryPool(
-            [MemoryNode(engine, 100, base=0), MemoryNode(engine, 200, base=100)]
-        )
-        assert pool.total_size == 300
-
     def test_overlapping_ranges_rejected(self):
         engine = Engine()
         with pytest.raises(ValueError, match="overlap"):

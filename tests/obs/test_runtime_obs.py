@@ -347,7 +347,7 @@ class TestDigest:
         "links": {"frames": 9300, "flushes": 3000, "recovered": 7},
         "chaos": {
             "verdicts": {"ok": 4800, "drop": 120, "down": 60, "spike": 20},
-            "adopted_grants": 5, "repaired_slots": 2,
+            "returned_grants": 5, "repaired_slots": 2,
             "sweep": {"clean": True}, "killed_at_s": 0.5,
             "restarted_at_s": 0.9,
         },
@@ -360,6 +360,7 @@ class TestDigest:
         assert digest["retries"]["breaker_trip"] == 1
         assert "rdma_read" not in digest["retries"]
         assert digest["chaos"]["verdicts"]["drop"] == 120
+        assert digest["chaos"]["returned_grants"] == 5
 
     def test_build_digest_without_chaos_section(self):
         report = {k: v for k, v in self.REPORT.items() if k != "chaos"}

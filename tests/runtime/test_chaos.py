@@ -18,10 +18,11 @@ import time
 
 import pytest
 
+from repro.core import invariants
 from repro.core.adaptive import GlobalWeights
 from repro.core.client import CacheOperationError
 from repro.rdma.verbs import NodeUnavailable
-from repro.runtime.chaos import run_chaos, sweep_real
+from repro.runtime.chaos import run_chaos
 from repro.runtime.client import NodeHealth, drive
 from repro.runtime.cluster import RealCluster
 from repro.runtime.harness import RealClusterHarness
@@ -339,7 +340,7 @@ def test_kill_node_0_keeps_its_weights_and_every_grant():
                             failed += 1
                 assert failed == 0
                 await cluster.engine.drain_background()
-                sweep = await sweep_real(cluster)
+                sweep = invariants.sweep(cluster)
                 assert sweep["live_objects"] > 0
             finally:
                 await cluster.aclose()

@@ -29,7 +29,6 @@ from repro.bench.systems import build_ditto
 from repro.core import invariants
 from repro.core import layout as L
 from repro.rdma import RdmaEndpoint
-from repro.runtime.chaos import sweep_real
 from repro.runtime.client import RealEndpoint
 from repro.runtime.cluster import RealCluster
 from repro.runtime.harness import RealClusterHarness
@@ -152,7 +151,8 @@ def _read_heap(node):
 
 def _real_run(flags, log):
     """The counts, the verbs logged until the client's posts settled, and
-    the masked heaps; the sweep's own RPCs come after the verbs."""
+    the masked heaps; the sweep asks over the control channel, so it
+    logs no verb."""
     with RealClusterHarness(
         capacity_objects=CAPACITY, num_clients=1, num_memory_nodes=NODES,
         seed=SEED, **flags,
@@ -164,7 +164,7 @@ def _real_run(flags, log):
                 await _launch(cluster.engine, client)["process"]
                 await cluster.engine.drain_background()
                 verbs = list(log)
-                await sweep_real(cluster)
+                invariants.sweep(cluster)
                 heaps = [_read_heap(node) for node in cluster.nodes]
             finally:
                 await cluster.aclose()

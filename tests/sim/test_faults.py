@@ -90,7 +90,6 @@ class TestFaultInjector:
     def test_inert_without_plan(self):
         injector, _ = self.make()
         assert injector.verb_outcome(0, "read") == (OK, 0.0)
-        assert not injector.node_down(0)
 
     def test_outage_window(self):
         injector, clock = self.make(
@@ -100,8 +99,9 @@ class TestFaultInjector:
         self.advance(clock, 10.0)
         assert injector.verb_outcome(0, "read")[0] == DOWN
         assert injector.verb_outcome(1, "read") == (OK, 0.0)
-        assert injector.node_down(0)
-        assert not injector.node_down(1)
+        self.advance(clock, 19.0)
+        assert injector.verb_outcome(0, "write")[0] == DOWN
+        assert injector.verb_outcome(1, "write") == (OK, 0.0)
         self.advance(clock, 20.0)
         assert injector.verb_outcome(0, "read") == (OK, 0.0)
 

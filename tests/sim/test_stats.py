@@ -47,7 +47,7 @@ class TestLatencyStats:
 
 
 class TestLatencyStatsSpill:
-    """Exact-mode -> streaming-histogram transition at ``exact_limit``."""
+    """Exact-mode -> streaming-histogram transition at ``EXACT_LIMIT``."""
 
     def test_single_sample(self):
         stats = LatencyStats()
@@ -57,14 +57,16 @@ class TestLatencyStatsSpill:
         assert stats.mean() == 42.0
         assert stats.percentile(0) == stats.percentile(100) == 42.0
 
-    def test_exact_below_limit(self):
-        stats = LatencyStats(exact_limit=100)
+    def test_exact_below_limit(self, monkeypatch):
+        monkeypatch.setattr(LatencyStats, "EXACT_LIMIT", 100)
+        stats = LatencyStats()
         stats.extend(float(i) for i in range(99))
         assert stats.exact
         assert len(stats) == 99
 
-    def test_spill_flips_exact_and_keeps_stats(self):
-        stats = LatencyStats(exact_limit=100)
+    def test_spill_flips_exact_and_keeps_stats(self, monkeypatch):
+        monkeypatch.setattr(LatencyStats, "EXACT_LIMIT", 100)
+        stats = LatencyStats()
         samples = [float(i) for i in range(1, 501)]
         stats.extend(samples)
         assert not stats.exact
@@ -74,8 +76,9 @@ class TestLatencyStatsSpill:
         assert stats.median() == pytest.approx(250.5, rel=0.03)
         assert stats.p99() == pytest.approx(495.05, rel=0.03)
 
-    def test_record_after_spill_goes_to_histogram(self):
-        stats = LatencyStats(exact_limit=2)
+    def test_record_after_spill_goes_to_histogram(self, monkeypatch):
+        monkeypatch.setattr(LatencyStats, "EXACT_LIMIT", 2)
+        stats = LatencyStats()
         stats.record(1.0)
         stats.record(2.0)
         assert not stats.exact
@@ -83,8 +86,9 @@ class TestLatencyStatsSpill:
         assert stats.count == 3
         assert stats.summary()["count"] == 3.0
 
-    def test_reset_restores_exact_mode(self):
-        stats = LatencyStats(exact_limit=2)
+    def test_reset_restores_exact_mode(self, monkeypatch):
+        monkeypatch.setattr(LatencyStats, "EXACT_LIMIT", 2)
+        stats = LatencyStats()
         stats.extend([1.0, 2.0, 3.0])
         assert not stats.exact
         stats.reset()
@@ -95,8 +99,10 @@ class TestLatencyStatsSpill:
     def test_spilled_percentiles_near_exact(self, samples):
         import numpy as np
 
-        spilled = LatencyStats(exact_limit=10)
-        spilled.extend(samples)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(LatencyStats, "EXACT_LIMIT", 10)
+            spilled = LatencyStats()
+            spilled.extend(samples)
         assert not spilled.exact
         # the histogram estimates the lower-rank sample to within one
         # log-bucket's relative width (it does not interpolate between ranks)

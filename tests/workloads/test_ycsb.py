@@ -59,10 +59,6 @@ class TestConfig:
         b = make_ycsb("A", n_keys=100, seed=9).requests(100)
         assert a == b
 
-    def test_load_keys(self):
-        wl = make_ycsb("C", n_keys=100, seed=1)
-        assert list(wl.load_keys()) == list(range(100))
-
 
 @pytest.mark.parametrize("workload, seed, client_id, digest", [
     ("A", 0, 0,

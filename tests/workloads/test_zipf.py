@@ -47,9 +47,6 @@ class TestZipfian:
         _, counts = np.unique(keys, return_counts=True)
         assert counts.min() > 0.08 * 50_000
 
-    def test_sample_one(self):
-        assert 0 <= ZipfianGenerator(10, seed=1).sample_one() < 10
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ZipfianGenerator(0)
