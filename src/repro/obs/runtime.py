@@ -229,7 +229,8 @@ def format_digest(digest: Dict[str, Any]) -> str:
             f"client: frames={links['frames']} flushes={links['flushes']} "
             f"frames/flush={links['frames'] / max(1, links['flushes']):.2f} "
             f"recovered={links.get('recovered', 0)} "
-            f"chained={links.get('chained', 0)}"
+            f"chained={links.get('chained', 0)} "
+            f"polled={links.get('polled', 0)}"
         )
     for node in digest.get("nodes", ()):
         lines.append(

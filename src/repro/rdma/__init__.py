@@ -3,7 +3,6 @@
 from .. import _exports
 
 _EXPORTS = {
-    "DEFAULT_PARAMS": ".params",
     "NetworkParams": ".params",
     "NodeUnavailable": ".verbs",
     "RdmaEndpoint": ".verbs",

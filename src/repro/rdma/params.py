@@ -59,5 +59,3 @@ class NetworkParams:
     def one_way_us(self) -> float:
         return self.rtt_us / 2.0
 
-
-DEFAULT_PARAMS = NetworkParams()

@@ -31,11 +31,19 @@ Get's posted WRITE rides with the next READ, the READs of all resumed
 clients ride together — with a single ``transport.write``.  The doorbell
 follows the resumes: while a batch of responses is being dispatched the
 flush is held; if the batch finished no op, every resumed client has
-already corked its next verb and the link flushes inline (one loop turn
-per round trip), otherwise the flush is queued behind the wake-ups of the
-ops that finished, whose next verbs then leave with it.  The memory node
-serves whatever one ``recv`` holds and answers it with one ``send``, so a
-batch out comes back as a batch in.  A Set's WRITE and CAS go further and
+already corked its next verb and the link flushes inline, otherwise the
+flush is queued behind the wake-ups of the ops that finished, whose next
+verbs then leave with it.  The memory node serves whatever one ``recv``
+holds and answers it with one ``send``, so a batch out comes back as a
+batch in — and nearly always inside the flush's own ``send`` (99.8 % of
+flushes on the benchmark's real workloads).  So, as Ditto's clients poll
+for a verb's completion, the link polls its socket once a flush has gone
+out whole and dispatches the answer there: such a round trip costs no
+loop turn.  A link rings and polls again for the clients that answer
+resumes only while no other link of the runtime has a request in
+flight; otherwise it queues the next ring, one round trip per loop
+callback, so one busy link cannot hold another's answers back.  (The
+memory node's loop does not poll.)  A Set's WRITE and CAS go further and
 share a *frame*: :meth:`RealEndpoint.write_then_cas` sends the pair as one
 ``OP_WRITE_CAS`` work-request chain when both addresses are on one node —
 the link is a FIFO, so the node WRITEs, then swaps — and the runtime counts
@@ -58,6 +66,7 @@ from __future__ import annotations
 import asyncio
 import pickle
 import random
+import socket
 import time
 from typing import Callable, Dict, FrozenSet, Generator, List, Optional
 
@@ -193,16 +202,25 @@ class WallClockRuntime:
         return opening
 
     async def _open(self, key: str) -> "Connection":
+        """Dial the node with a socket of our own — the link polls it —
+        and hand that socket to the transport."""
         loop = asyncio.get_running_loop()
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         try:
+            sock.setblocking(False)
+            await loop.sock_connect(sock, wire.sockaddr(key))
             _transport, conn = await loop.create_unix_connection(
-                lambda: Connection(loop), wire.sockaddr(key)
+                lambda: Connection(loop, sock, self.links), sock=sock
             )
+        except BaseException:
+            sock.close()
+            raise
         finally:
             del self._opening[key]
         old = self.links.get(key)
         if old is not None:  # a reset link's tallies carry on
-            conn.frames, conn.flushes = old.frames, old.flushes
+            conn.frames, conn.flushes, conn.polled = (
+                old.frames, old.flushes, old.polled)
         self.links[key] = conn
         return conn
 
@@ -213,13 +231,14 @@ class WallClockRuntime:
 
     def link_stats(self) -> Dict[str, int]:
         """Frames queued and flushes made, summed over the links — frames
-        per flush says how many verbs shared one ``send`` — the verbs
-        that needed the recovery coroutine, and the chains that put two
-        verbs in one frame."""
+        per flush says how many verbs shared one ``send`` — the answers a
+        flush's poll found, the verbs that needed the recovery coroutine,
+        and the chains that put two verbs in one frame."""
         links = self.links.values()
         return {
             "frames": sum(conn.frames for conn in links),
             "flushes": sum(conn.flushes for conn in links),
+            "polled": sum(conn.polled for conn in links),
             "recovered": self.recovered,
             "chained": self.chained,
         }
@@ -460,14 +479,26 @@ class Connection(asyncio.Protocol):
     sink, so nothing outlives the request it belongs to.
 
     Frames leave corked: :meth:`submit` appends to ``_cork`` and
-    :meth:`_flush` writes the lot.  Ids grow in cork order, so ``_sent_id``
+    :meth:`_ring` writes the lot.  Ids grow in cork order, so ``_sent_id``
     (the last id flushed) splits ``_pending`` into frames that may have
     reached the peer and frames that cannot have.
+
+    A link given its ``sock`` polls it once a flush has gone out whole
+    (:meth:`_flush`): the answer is nearly always in the socket by then,
+    and taking it there saves the loop turn that would deliver it to
+    :meth:`data_received`.  ``links`` are the runtime's links, this one
+    among them: a link chains round trips inline only while none of the
+    others has a request in flight.
     """
 
-    def __init__(self, loop: asyncio.AbstractEventLoop):
+    def __init__(self, loop: asyncio.AbstractEventLoop,
+                 sock: Optional[socket.socket] = None,
+                 links: Optional[Dict[str, "Connection"]] = None):
         self._loop = loop
         self._transport: Optional[asyncio.Transport] = None
+        #: The socket under the transport; None: a link that never polls.
+        self._sock = sock
+        self._links = links if links is not None else {}
         self._decoder = wire.FrameDecoder(wire.RESP)
         #: req_id -> (sink, deadline on the loop's clock)
         self._pending: Dict[int, tuple] = {}
@@ -486,9 +517,11 @@ class Connection(asyncio.Protocol):
         #: False once the connection broke or began closing: a request
         #: then raises :class:`RequestNotSent` without touching the socket.
         self.alive = False
-        #: Always-on tallies, plain ints like the server's wakeups/sends.
+        #: Always-on tallies, plain ints like the server's wakeups/sends:
+        #: ``polled`` counts the flushes whose poll found their answer.
         self.frames = 0
         self.flushes = 0
+        self.polled = 0
 
     # -- asyncio.Protocol ---------------------------------------------------
 
@@ -501,12 +534,19 @@ class Connection(asyncio.Protocol):
         self.alive = True
 
     def data_received(self, data: bytes) -> None:
+        if self._answer(data):
+            self._flush()
+
+    def _answer(self, data: bytes) -> bool:
+        """Hand one read's responses to their sinks.  True when the link
+        should ring now; otherwise its flush is queued (or the stream was
+        garbage and the link is gone)."""
         try:
             frames = self._decoder.feed(data)
         except ValueError as exc:  # bad length prefix: stream is garbage
             self._fail(exc)
             self._transport.close()
-            return
+            return False
         pending = self._pending
         # Sinks resume their clients inline and those cork their next
         # verbs.  Ringing for the first of them would leave the rest — and
@@ -521,14 +561,13 @@ class Connection(asyncio.Protocol):
         self._flush_held = False
         if not woke:
             # Every client this batch resumed has corked its next verb
-            # and nothing else is about to: one loop turn per round trip.
-            self._flush()
-        elif not self._flush_queued:
-            # Queued behind the wake-ups just scheduled: the ops these
-            # responses finished start their next ones first, and all of
-            # it leaves in this one flush.
-            self._flush_queued = True
-            self._loop.call_soon(self._flush)
+            # and nothing else is about to: ring now.
+            return True
+        # Queued behind the wake-ups just scheduled: the ops these
+        # responses finished start their next ones first, and all of it
+        # leaves in this one flush.
+        self._queue_flush()
+        return False
 
     def connection_lost(self, exc: Optional[Exception]) -> None:
         self._fail(exc if exc is not None else
@@ -582,10 +621,12 @@ class Connection(asyncio.Protocol):
         self._cork_bytes += len(frame)
         self.frames += 1
         if self._cork_bytes >= CORK_BYTES:
-            self._flush()  # a flush still queued will find the cork empty
+            # Never a poll here: this may run mid-dispatch, and what a
+            # poll found would be answered ahead of the batch's rest.  A
+            # flush still queued will find the cork empty.
+            self._ring()
         elif not (self._flush_queued or self._flush_held):
-            self._flush_queued = True
-            self._loop.call_soon(self._flush)
+            self._queue_flush()
 
     def request(self, op: int, body: bytes,
                 timeout_s: float) -> asyncio.Future:
@@ -596,11 +637,43 @@ class Connection(asyncio.Protocol):
         self.submit(op, body, timeout_s, _Awaited(future))
         return future
 
+    def _queue_flush(self) -> None:
+        if not self._flush_queued:
+            self._flush_queued = True
+            self._loop.call_soon(self._flush)
+
     def _flush(self) -> None:
-        """Ring the doorbell: one ``write`` for everything corked."""
+        """Ring the doorbell, then poll the socket for its answer and
+        dispatch what the poll finds here, without a loop turn.
+
+        While no other link has a request in flight, the clients those
+        answers resume ring again and poll again, in this loop: a link
+        alone keeps nobody waiting.  Otherwise the next ring is queued,
+        so each link takes one round trip per loop callback."""
+        while self._ring():
+            try:
+                data = self._sock.recv(CORK_BYTES)
+            except BlockingIOError:
+                return  # not there yet: the loop's reader takes it
+            except OSError as exc:
+                self._lost(exc)
+                return
+            if not data:
+                self._lost(ConnectionResetError("connection closed"))
+                return
+            self.polled += 1
+            if not self._answer(data):
+                return
+            if self._cork and not self._alone():
+                self._queue_flush()
+                return
+
+    def _ring(self) -> bool:
+        """One ``write`` for everything corked.  True when it all went
+        into the socket and the link has that socket to poll."""
         self._flush_queued = False
         if not self._cork or not self.alive:
-            return  # a dead link's corked frames fail in _fail()
+            return False  # a dead link's corked frames fail in _fail()
         data = b"".join(self._cork)
         self._cork.clear()
         self._cork_bytes = 0
@@ -608,7 +681,24 @@ class Connection(asyncio.Protocol):
         # From here on bytes may have reached the peer: every later
         # failure of these requests is "response lost", never "not sent".
         self._sent_id = self._next_id
-        self._transport.write(data)
+        transport = self._transport
+        transport.write(data)
+        return self._sock is not None and not transport.get_write_buffer_size()
+
+    def _alone(self) -> bool:
+        """No other link of the runtime has a request in flight."""
+        for link in self._links.values():
+            if link._pending and link is not self:
+                return False
+        return True
+
+    def _lost(self, exc: OSError) -> None:
+        """The poll met the stream's end or an error: end the link as the
+        transport's own read would — its requests fail split by
+        ``_sent_id``, and the transport closes and reports
+        ``connection_lost``."""
+        self._fail(exc)
+        self._transport.abort()
 
     def _watch(self, deadline: float) -> None:
         if self._timer is not None:

@@ -14,6 +14,10 @@ What the thin path promises and the older suites do not pin down:
   is dispatched, so the clients it resumes leave together; a deadline, a
   cancellation, a raising generator or a refused post costs its own op,
   never the link;
+- **the doorbell polls for its answer** — an answer already in the socket
+  when a flush returns is dispatched from the flush, not by the
+  transport's reader; an end the poll meets ends the link as a read
+  would; a link chains round trips only while no other link waits;
 - **the server loop is total** — hostile bytes cost their sender a status
   reply or its connection, never the node, on either listener; every opcode's body shapes get
   the status and side effects of one table, byte for byte alike whether
@@ -140,6 +144,9 @@ class _Tap:
         self.written.append(data)
         if self.inner is not None:
             self.inner.write(data)
+
+    def get_write_buffer_size(self):
+        return 0 if self.inner is None else self.inner.get_write_buffer_size()
 
     def close(self):
         self.closed = True
@@ -1220,7 +1227,8 @@ def test_clients_answered_in_one_batch_leave_in_one_flush():
         await asyncio.gather(*ops)
         assert (conn.frames, conn.flushes) == (32, 4)
         assert runtime.link_stats() == {
-            "frames": 32, "flushes": 4, "recovered": 0, "chained": 0}
+            "frames": 32, "flushes": 4, "polled": 0, "recovered": 0,
+            "chained": 0}
         conn.connection_lost(None)
 
     asyncio.run(scenario())
@@ -1338,6 +1346,174 @@ def test_a_refused_post_or_a_raising_generator_costs_its_op_not_the_link():
         with pytest.raises(RuntimeError, match="cannot execute"):
             await drive(confused())
         conn.connection_lost(None)
+
+    asyncio.run(scenario())
+
+
+# -- the doorbell polls for its answer ----------------------------------------
+
+
+async def _socket_link(runtime: WallClockRuntime):
+    """A live link to ``_NOWHERE`` over a real socket pair, polled like
+    one the runtime dials; the test plays the node on the other end, a
+    non-blocking socket."""
+    loop = asyncio.get_running_loop()
+    ours, theirs = socket.socketpair(socket.AF_UNIX)
+    _transport, conn = await loop.create_unix_connection(
+        lambda: Connection(loop, ours, runtime.links), sock=ours)
+    runtime.links[_NOWHERE.key] = conn
+    theirs.setblocking(False)
+    return conn, theirs
+
+
+class _AnsweringSocket:
+    """A link's socket whose node answers inside every ``send``: each
+    poll finds the answers to the frames written since the last one."""
+
+    def __init__(self, tap: _Tap):
+        self.tap = tap
+        self.seen = 0
+
+    def recv(self, _size):
+        fresh = self.tap.written[self.seen:]
+        self.seen = len(self.tap.written)
+        if not fresh:
+            raise BlockingIOError
+        frames = wire.FrameDecoder(wire.REQ).feed(b"".join(fresh))
+        return _answers(req_id for _op, req_id, _body in frames)
+
+
+def test_an_answer_already_in_the_socket_is_taken_by_the_flushs_poll():
+    """The node nearly always answers inside the flush's ``send``: the
+    link polls once the doorbell returns and resumes the op from there,
+    and the transport's reader delivers nothing."""
+
+    async def scenario():
+        runtime = WallClockRuntime()
+        conn, node_side = await _socket_link(runtime)
+        delivered = []
+        conn.data_received = delivered.append  # what the reader would hand
+        endpoint = RealEndpoint(runtime, [_NOWHERE])
+        op = asyncio.ensure_future(drive(endpoint.read(0, 8)))
+        await asyncio.sleep(0)  # the READ is corked, its flush queued
+        assert (conn.frames, conn.flushes) == (1, 0)
+        node_side.send(wire.response_frame(1, wire.ST_OK, b"answered"))
+        assert await asyncio.wait_for(op, 5.0) == b"answered"
+        assert (conn.flushes, conn.polled) == (1, 1)
+        assert runtime.link_stats()["polled"] == 1
+        assert delivered == []
+        frames = wire.FrameDecoder(wire.REQ).feed(node_side.recv(4096))
+        assert [(op, req_id) for op, req_id, _body in frames] == [
+            (wire.OP_READ, 1)]
+        await conn.close()
+        node_side.close()
+
+    asyncio.run(scenario())
+
+
+@pytest.mark.parametrize("end", ["eof", "reset"])
+def test_an_end_met_by_the_poll_ends_the_link_as_a_read_would(end):
+    """The node's end of the stream reaches the poll ahead of the loop's
+    reader.  The link fails as the transport's read would fail it: every
+    flushed request with ``ConnectionResetError``, and a request it still
+    holds — the poll follows a ring that emptied the cork, so that is
+    one issued after it — as not sent.  The next verb reconnects, and
+    the new link carries the tallies on."""
+    node = NodeHandle(0, 0, 1 << 16, _unbound_address("polled"))
+    read = wire.READ_BODY.pack(0, 8)
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        with socket.socket(socket.AF_UNIX) as listener:
+            listener.bind(wire.sockaddr(node.key))
+            listener.listen()
+            listener.setblocking(False)
+            runtime = WallClockRuntime()
+            endpoint = RealEndpoint(runtime, [node], timeout_s=5.0)
+            conn = await runtime.connect(node)
+            peer, _ = await loop.sock_accept(listener)
+            eofs = []
+            conn.eof_received = lambda: eofs.append(1)
+            waiting = conn.request(wire.OP_READ, read, 5.0)
+            await asyncio.sleep(0)  # flushed; its poll found nothing
+            assert (conn.flushes, conn.polled) == (1, 0)
+            if end == "eof":
+                peer.shutdown(socket.SHUT_WR)
+            else:
+                peer.close()  # the READ unread: the link is reset
+            last = conn.request(wire.OP_READ, read, 5.0)
+            # One loop turn: the queued flush polls before the reader runs.
+            await asyncio.sleep(0)
+            assert waiting.done() and last.done() and not conn.alive
+            for lost in (waiting, last):
+                assert isinstance(lost.exception(), ConnectionResetError)
+                assert not isinstance(lost.exception(), RequestNotSent)
+            with pytest.raises(RequestNotSent):
+                conn.request(wire.OP_READ, read, 5.0)
+            await asyncio.wait_for(conn._closed, 5.0)
+            assert eofs == []
+
+            op = asyncio.ensure_future(drive(endpoint.read(0, 8)))
+            fresh, _ = await loop.sock_accept(listener)
+            frames = wire.FrameDecoder(wire.REQ).feed(
+                await loop.sock_recv(fresh, 4096))
+            [(_op, req_id, _body)] = frames
+            await loop.sock_sendall(
+                fresh, wire.response_frame(req_id, wire.ST_OK, b"answered"))
+            assert await asyncio.wait_for(op, 5.0) == b"answered"
+            link = runtime.live_link(node)
+            assert link is not conn and link.flushes == 3
+            assert runtime.recovered == 1
+            await runtime.aclose()
+            fresh.close()
+            peer.close()
+
+    asyncio.run(scenario())
+
+
+def test_a_link_chains_round_trips_only_while_no_other_link_waits():
+    """While another link has a request in flight, a link takes one round
+    trip per loop callback, however many its answers would allow; alone,
+    it rings and polls until an op finishes."""
+    other = NodeHandle(1, 1 << 16, 1 << 16, _unbound_address("other"))
+
+    def reads(endpoint, count):
+        for _ in range(count):
+            yield from endpoint.read(0, 8)
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        runtime = WallClockRuntime()
+        tap = _Tap()
+        conn = Connection(loop, _AnsweringSocket(tap), runtime.links)
+        conn.connection_made(tap)
+        runtime.links[_NOWHERE.key] = conn
+        busy = Connection(loop)
+        busy.connection_made(_Tap())
+        runtime.links[other.key] = busy
+        polls = []
+        flush = conn._flush
+
+        def counted():
+            before = conn.polled
+            flush()
+            polls.append(conn.polled - before)
+
+        conn._flush = counted
+        endpoint = RealEndpoint(runtime, [_NOWHERE])
+
+        waiting = busy.request(wire.OP_PING, b"", 5.0)
+        await asyncio.wait_for(drive(reads(endpoint, 4)), 5.0)
+        assert [count for count in polls if count] == [1, 1, 1, 1]
+
+        busy.data_received(_answers([1], b""))
+        assert await waiting == (wire.ST_OK, b"")
+        polls.clear()
+        await asyncio.wait_for(drive(reads(endpoint, 4)), 5.0)
+        assert [count for count in polls if count] == [4]
+        assert (conn.flushes, conn.polled) == (8, 8)
+        conn.connection_lost(None)
+        busy.connection_lost(None)
 
     asyncio.run(scenario())
 
