@@ -23,11 +23,7 @@ from typing import Dict, Generator, List
 
 from ..cachesim import ExactLFUCache, ExactLRUCache
 from ..core import layout as L
-from ..memory import Controller, MemoryNode, MemoryPool
-from ..obs.observer import current as obs_current
-from ..rdma.params import NetworkParams
-from ..rdma.verbs import RdmaEndpoint
-from ..sim import CounterSet, Engine
+from .deployment import DmDeployment
 
 _BUCKET_BYTES = 64
 #: Server CPU per Set RPC and per merged access entry.
@@ -69,80 +65,13 @@ class CliqueMapServer:
         return key in self.store
 
 
-class CliqueMapCluster:
-    """A CliqueMap deployment on the simulated fabric."""
-
-    def __init__(
-        self,
-        policy: str = "lru",
-        capacity_objects: int = 4096,
-        object_bytes: int = 256,
-        num_clients: int = 1,
-        server_cores: int = 1,
-        sync_every: int = 64,
-    ):
-        self.engine = Engine()
-        self.params = NetworkParams()
-        self.sync_every = sync_every
-        self.object_bytes = object_bytes
-        self.server = CliqueMapServer(policy, capacity_objects)
-        # One MN hosts the data; its controller cores are the server CPU.
-        size = 4 * capacity_objects * max(object_bytes, 64) + (1 << 20)
-        self.node = MemoryNode(self.engine, size=size, params=self.params)
-        self.pool = MemoryPool([self.node])
-        self.controller = Controller(self.node, cores=server_cores)
-        self.controller.register(
-            "cm_set", self.server.handle_set, cpu_us=_SET_CPU_US
-        )
-        self.controller.register(
-            "cm_merge",
-            self.server.handle_merge,
-            cpu_us=lambda keys: _MERGE_ENTRY_CPU_US * len(keys),
-        )
-        obs = obs_current()
-        self.obs = obs
-        self.tracer = (
-            obs.bind(self.engine, label="cliquemap") if obs is not None else None
-        )
-        if self.tracer is not None:
-            self.controller.tracer = self.tracer
-        self.counters = CounterSet()
-        if obs is not None:
-            obs.registry.bridge(
-                self.counters, component="cliquemap",
-                cluster=str(self.tracer.pid) if self.tracer is not None else "0",
-            )
-        self.clients: List[CliqueMapClient] = [
-            CliqueMapClient(self, i) for i in range(num_clients)
-        ]
-
-    def add_clients(self, n: int) -> None:
-        base = len(self.clients)
-        self.clients.extend(CliqueMapClient(self, base + i) for i in range(n))
-
-    @property
-    def hits(self) -> int:
-        return sum(c.hits for c in self.clients)
-
-    @property
-    def misses(self) -> int:
-        return sum(c.misses for c in self.clients)
-
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-
 class CliqueMapClient:
     """Client: RMA Gets, RPC Sets, periodic access-info shipping."""
 
     def __init__(self, cluster: CliqueMapCluster, client_id: int):
         self.cluster = cluster
         self.client_id = client_id
-        self.ep = RdmaEndpoint(
-            cluster.engine, cluster.pool, cluster.params,
-            counters=cluster.counters, tracer=cluster.tracer,
-        )
+        self.ep = cluster.make_endpoint()
         self._access_buffer: List[bytes] = []
         self.hits = 0
         self.misses = 0
@@ -178,3 +107,36 @@ class CliqueMapClient:
             size=L.object_span(len(key), len(value)),
         )
         return True
+
+
+class CliqueMapCluster(DmDeployment):
+    """A CliqueMap deployment on the simulated fabric."""
+
+    label = "cliquemap"
+    client_class = CliqueMapClient
+
+    def __init__(
+        self,
+        policy: str = "lru",
+        capacity_objects: int = 4096,
+        object_bytes: int = 256,
+        num_clients: int = 1,
+        server_cores: int = 1,
+        sync_every: int = 64,
+    ):
+        self.sync_every = sync_every
+        self.server = CliqueMapServer(policy, capacity_objects)
+        # One MN hosts the data; its controller cores are the server CPU.
+        super().__init__(
+            4 * capacity_objects * max(object_bytes, 64) + (1 << 20),
+            cores=server_cores,
+        )
+        self.controller.register(
+            "cm_set", self.server.handle_set, cpu_us=_SET_CPU_US
+        )
+        self.controller.register(
+            "cm_merge",
+            self.server.handle_merge,
+            cpu_us=lambda keys: _MERGE_ENTRY_CPU_US * len(keys),
+        )
+        self.add_clients(num_clients)

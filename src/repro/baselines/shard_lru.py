@@ -26,93 +26,12 @@ from collections import OrderedDict
 from typing import Generator, List
 
 from ..core import layout as L
-from ..memory import ClientAllocator, Controller, MemoryNode, MemoryPool
+from ..memory import ClientAllocator
 from ..memory.node import BLOCK_SIZE
-from ..obs.observer import current as obs_current
-from ..rdma.params import NetworkParams
-from ..rdma.verbs import RdmaEndpoint
-from ..sim import CounterSet, Engine
 from . import race_table as T
+from .deployment import DmDeployment
 
 _NODE_BYTES = 16  # prev + next pointers of a list node
-
-
-class ShardLruCluster:
-    """Deployment: hash table + per-shard lock words and LRU lists."""
-
-    def __init__(
-        self,
-        capacity_objects: int = 4096,
-        object_bytes: int = 256,
-        num_clients: int = 1,
-        shards: int = 32,
-        backoff_us: float = 5.0,
-    ):
-        if shards < 1:
-            raise ValueError("need at least one shard")
-        self.engine = Engine()
-        self.params = NetworkParams()
-        self.shards = shards
-        self.backoff_us = backoff_us
-        self.capacity_per_shard = max(capacity_objects // shards, 1)
-
-        # [lock words | list head/tail words | hash table | heap]
-        self.locks_addr = 0
-        heads_addr = shards * 8
-        table_start = heads_addr + shards * _NODE_BYTES
-        self.num_buckets = -(-2 * capacity_objects // T.SLOTS_PER_BUCKET)
-        self.table_addr = (table_start + 63) // 64 * 64
-        self.total_slots = self.num_buckets * T.SLOTS_PER_BUCKET
-        reserved = self.table_addr + self.total_slots * T.SLOT
-
-        span = L.object_span(8, object_bytes)
-        heap = 2 * capacity_objects * ClientAllocator.blocks_for(span) * BLOCK_SIZE
-        heap += 2 * num_clients * T.SEGMENT_BYTES + (1 << 20)
-        self.node = MemoryNode(self.engine, size=reserved + heap, params=self.params)
-        self.pool = MemoryPool([self.node])
-        self.controller = Controller(self.node, cores=1, reserve=reserved)
-        obs = obs_current()
-        self.obs = obs
-        self.tracer = (
-            obs.bind(self.engine, label="shard-lru") if obs is not None else None
-        )
-        if self.tracer is not None:
-            self.controller.tracer = self.tracer
-        self.counters = CounterSet()
-        if obs is not None:
-            obs.registry.bridge(
-                self.counters, component="shard-lru",
-                cluster=str(self.tracer.pid) if self.tracer is not None else "0",
-            )
-        # Local mirror of each shard's remote LRU list:
-        # key -> (slot_addr, pointer, object_bytes)
-        self.lists: List["OrderedDict[bytes, tuple]"] = [
-            OrderedDict() for _ in range(shards)
-        ]
-        self.clients: List[ShardLruClient] = [
-            ShardLruClient(self, i) for i in range(num_clients)
-        ]
-
-    def lock_addr(self, shard: int) -> int:
-        return self.locks_addr + shard * 8
-
-    def bucket_addr(self, bucket: int) -> int:
-        return self.table_addr + bucket * T.BUCKET_BYTES
-
-    def shard_of(self, key_hash: int) -> int:
-        return (key_hash >> 16) % self.shards
-
-    def add_clients(self, n: int) -> None:
-        base = len(self.clients)
-        self.clients.extend(ShardLruClient(self, base + i) for i in range(n))
-
-    @property
-    def hits(self) -> int:
-        return sum(c.hits for c in self.clients)
-
-    @property
-    def misses(self) -> int:
-        return sum(c.misses for c in self.clients)
 
 
 class ShardLruClient:
@@ -121,10 +40,7 @@ class ShardLruClient:
     def __init__(self, cluster: ShardLruCluster, client_id: int):
         self.cluster = cluster
         self.client_id = client_id
-        self.ep = RdmaEndpoint(
-            cluster.engine, cluster.pool, cluster.params,
-            counters=cluster.counters, tracer=cluster.tracer,
-        )
+        self.ep = cluster.make_endpoint()
         self.alloc = ClientAllocator(self.ep, cluster.node, T.SEGMENT_BYTES)
         self.hits = 0
         self.misses = 0
@@ -157,26 +73,13 @@ class ShardLruClient:
         if key in lru:
             lru.move_to_end(key)
 
-    # -- hash-table helpers --------------------------------------------------
-
-    def _find(self, key_hash: int, fp: int, key: bytes) -> Generator:
-        """Locate the key: (slot_addr, atomic, pointer, nbytes, value) or None."""
-        cl = self.cluster
-        for bucket in T.buckets_of(key_hash, cl.num_buckets):
-            bucket_addr = cl.bucket_addr(bucket)
-            raw = yield from self.ep.read(bucket_addr, T.BUCKET_BYTES)
-            match = yield from T.find_in_bucket(self.ep, raw, fp, key)
-            if match is not None:
-                return (bucket_addr + match[0] * T.SLOT,) + match[1:]
-        return None
-
     # -- operations ------------------------------------------------------------
 
     def get(self, key: bytes) -> Generator:
         cl = self.cluster
         key_hash = L.stable_hash64(key)
         fp = L.fingerprint(key_hash)
-        match = yield from self._find(key_hash, fp, key)
+        match = yield from cl.table.find(self.ep, key_hash, fp, key)
         if match is not None:
             shard = cl.shard_of(key_hash)
             yield from self._lock(shard)
@@ -194,9 +97,7 @@ class ShardLruClient:
         lookup's snapshot across the shard lock; these READs are part of
         its cost model.
         """
-        cl = self.cluster
-        for bucket in T.buckets_of(key_hash, cl.num_buckets):
-            bucket_addr = cl.bucket_addr(bucket)
+        for bucket_addr in self.cluster.table.buckets(key_hash):
             raw = yield from self.ep.read(bucket_addr, T.BUCKET_BYTES)
             i = T.first_empty(raw)
             if i is not None:
@@ -210,7 +111,7 @@ class ShardLruClient:
         shard = cl.shard_of(key_hash)
         span = L.object_span(len(key), len(value))
         for _attempt in range(16):
-            match = yield from self._find(key_hash, fp, key)
+            match = yield from cl.table.find(self.ep, key_hash, fp, key)
             old_pointer = old_bytes = 0
             if match is not None:
                 slot_addr, target_atomic, old_pointer, old_bytes, _old = match
@@ -255,3 +156,43 @@ class ShardLruClient:
         if old == atomic:
             self.alloc.free(pointer, nbytes)
         self.evictions += 1
+
+
+class ShardLruCluster(DmDeployment):
+    """Deployment: per-shard lock words and LRU list heads, the hash table,
+    then the heap."""
+
+    label = "shard-lru"
+    client_class = ShardLruClient
+
+    def __init__(
+        self,
+        capacity_objects: int = 4096,
+        object_bytes: int = 256,
+        num_clients: int = 1,
+        shards: int = 32,
+        backoff_us: float = 5.0,
+    ):
+        if shards < 1:
+            raise ValueError("need at least one shard")
+        self.shards = shards
+        self.backoff_us = backoff_us
+        self.capacity_per_shard = max(capacity_objects // shards, 1)
+        # [lock words | list head/tail words | hash table | heap]
+        self.table = T.RaceTable(shards * (8 + _NODE_BYTES), capacity_objects)
+        super().__init__(
+            self.table.end + T.heap_bytes(capacity_objects, object_bytes, num_clients),
+            reserve=self.table.end,
+        )
+        # Local mirror of each shard's remote LRU list:
+        # key -> (slot_addr, pointer, object_bytes)
+        self.lists: List["OrderedDict[bytes, tuple]"] = [
+            OrderedDict() for _ in range(shards)
+        ]
+        self.add_clients(num_clients)
+
+    def lock_addr(self, shard: int) -> int:
+        return shard * 8
+
+    def shard_of(self, key_hash: int) -> int:
+        return (key_hash >> 16) % self.shards

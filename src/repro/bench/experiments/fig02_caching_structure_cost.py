@@ -12,20 +12,9 @@ from __future__ import annotations
 
 from typing import Dict, Iterator
 
-from ...baselines import DmKvsCluster
 from ..format import Verdict, claim, print_table
 from ..scale import scaled
-from ..systems import build_shard_lru, run_ycsb_workload
-
-
-def _build(system: str, n_keys: int, num_clients: int):
-    if system == "kvs":
-        return DmKvsCluster(capacity_objects=2 * n_keys, num_clients=num_clients)
-    if system == "kvc":
-        return build_shard_lru(4 * n_keys, num_clients, shards=1, backoff_us=0.0)
-    if system == "kvc-s":
-        return build_shard_lru(4 * n_keys, num_clients, shards=32, backoff_us=5.0)
-    raise ValueError(system)
+from ..systems import build, run_ycsb_workload
 
 
 def run(
@@ -36,8 +25,9 @@ def run(
     single: Dict[str, Dict[str, float]] = {}
     multi: Dict[str, Dict[int, float]] = {"kvs": {}, "kvc": {}, "kvc-s": {}}
     for system in ("kvs", "kvc", "kvc-s"):
+        capacity = (2 if system == "kvs" else 4) * n_keys
         for count in client_counts:
-            cluster = _build(system, n_keys, count)
+            cluster = build(system, capacity, count)
             result = run_ycsb_workload(
                 cluster, cluster.clients, "C", n_keys, window_us=window_us
             )

@@ -12,26 +12,9 @@ from typing import Dict, Iterator, Sequence
 
 from ..format import Verdict, claim, print_table
 from ..scale import scaled
-from ..systems import (
-    build_cliquemap,
-    build_ditto,
-    build_shard_lru,
-    run_ycsb_workload,
-)
+from ..systems import build, run_ycsb_workload
 
 SYSTEMS = ("ditto", "shard-lru", "cm-lru", "cm-lfu")
-
-
-def _build(system: str, n_keys: int, count: int):
-    if system == "ditto":
-        return build_ditto(2 * n_keys, count)
-    if system == "shard-lru":
-        return build_shard_lru(4 * n_keys, count)
-    if system == "cm-lru":
-        return build_cliquemap("lru", 2 * n_keys, count)
-    if system == "cm-lfu":
-        return build_cliquemap("lfu", 2 * n_keys, count)
-    raise ValueError(system)
 
 
 def run(
@@ -46,8 +29,9 @@ def run(
         results[workload] = {}
         for system in systems:
             per_count = {}
+            capacity = (4 if system == "shard-lru" else 2) * n_keys
             for count in client_counts:
-                cluster = _build(system, n_keys, count)
+                cluster = build(system, capacity, count)
                 measured = run_ycsb_workload(
                     cluster, cluster.clients, workload, n_keys, window_us=window_us
                 )

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, Sequence
 
-from ...baselines import RedisCluster
+from ...baselines import CliqueMapCluster, RedisCluster
 from ..format import Verdict, claim, print_table
 from ..runner import Feed, Harness, make_value, pack_key
 from ..scale import scaled
-from ..systems import build_cliquemap, build_ditto, run_ycsb_workload
+from ..systems import build_ditto, run_ycsb_workload
 from ...workloads import make_ycsb
 
 
@@ -48,7 +48,8 @@ def run(
         ).throughput_mops
         for cores in core_counts:
             per_system["ditto"][cores] = ditto_mops  # one-sided: flat by design
-            cm = build_cliquemap("lru", 2 * n_keys, clients, server_cores=cores)
+            cm = CliqueMapCluster(policy="lru", capacity_objects=2 * n_keys,
+                                  num_clients=clients, server_cores=cores)
             per_system["cliquemap"][cores] = run_ycsb_workload(
                 cm, cm.clients, workload, n_keys, window_us=window_us
             ).throughput_mops

@@ -13,23 +13,9 @@ from typing import Dict, Iterator, Sequence
 from ...workloads import WORKLOAD_CATALOG, footprint
 from ..format import Verdict, claim, print_table
 from ..scale import scaled
-from ..systems import build_cliquemap, build_ditto, run_trace_workload
+from ..systems import build, run_trace_workload
 
 SYSTEMS = ("ditto", "ditto-lru", "ditto-lfu", "cm-lru", "cm-lfu")
-
-
-def build_system(system: str, capacity: int, clients: int):
-    if system == "ditto":
-        return build_ditto(capacity, clients)
-    if system == "ditto-lru":
-        return build_ditto(capacity, clients, policies=("lru",))
-    if system == "ditto-lfu":
-        return build_ditto(capacity, clients, policies=("lfu",))
-    if system == "cm-lru":
-        return build_cliquemap("lru", capacity, clients)
-    if system == "cm-lfu":
-        return build_cliquemap("lfu", capacity, clients)
-    raise ValueError(system)
 
 
 def run(
@@ -52,7 +38,7 @@ def run(
         capacity = max(int(footprint(trace) * capacity_frac), 16)
         results[name] = {}
         for system in systems:
-            cluster = build_system(system, capacity, clients)
+            cluster = build(system, capacity, clients)
             measured = run_trace_workload(
                 cluster,
                 cluster.clients,

@@ -14,8 +14,7 @@ from ...workloads import footprint, phase_switch_trace
 from ..format import Verdict, claim, print_table
 from ..hitrate import make_hit_cache, replay_windowed
 from ..scale import scaled
-from ..systems import run_trace_workload
-from .fig16_real_world_tput import build_system
+from ..systems import build, run_trace_workload
 
 
 def run(
@@ -41,7 +40,7 @@ def run(
 
     throughput = {}
     for system in ("ditto", "ditto-lru", "ditto-lfu"):
-        cluster = build_system(system, capacity, clients)
+        cluster = build(system, capacity, clients)
         measured = run_trace_workload(
             cluster,
             cluster.clients,

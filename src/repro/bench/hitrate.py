@@ -7,6 +7,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from ..cachesim import ExactLFUCache, ExactLRUCache, RandomCache, SampledAdaptiveCache
+from ..sim.stats import hit_rate
 
 
 def make_hit_cache(system: str, capacity: int, seed: int = 0):
@@ -54,8 +55,7 @@ def replay_windowed(cache, trace: Sequence[int], windows: int) -> List[float]:
     for span in spans:
         h0, m0 = cache.hits, cache.misses
         _replay_span(cache, span)
-        total = cache.hits + cache.misses - h0 - m0
-        rates.append((cache.hits - h0) / total if total else 0.0)
+        rates.append(hit_rate(cache.hits - h0, cache.misses - m0))
     return rates
 
 

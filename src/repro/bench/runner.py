@@ -33,6 +33,7 @@ import numpy as np
 from ..core.client import CacheOperationError
 from ..obs.observer import current as obs_current
 from ..sim import Engine, LatencyStats
+from ..sim.stats import hit_rate
 from ..workloads import ZipfianGenerator
 from ..workloads.ycsb import OP_NAMES, READ, UPDATE
 
@@ -156,8 +157,7 @@ class MeasureResult:
 
     @property
     def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+        return hit_rate(self.hits, self.misses)
 
 
 class Harness:

@@ -1,4 +1,5 @@
-"""Uniform builders, trace-run helpers and a metadata-node crash for experiments."""
+"""The DM-tier systems by name, trace-run helpers and a metadata-node crash
+for experiments."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..baselines import CliqueMapCluster, ShardLruCluster
+from ..baselines import CliqueMapCluster, DmKvsCluster, ShardLruCluster
 from ..core import DittoCluster, DittoConfig
 from ..rdma.verbs import RdmaEndpoint, RdmaFaultError
 from ..sim.faults import FaultPlan, RpcFailure
@@ -38,6 +39,31 @@ def build_ditto(
         num_memory_nodes=num_memory_nodes,
         faults=faults,
     )
+
+
+def build(system: str, capacity_objects: int, num_clients: int):
+    """The DM-tier deployment a figure names.
+
+    ``ditto`` (adaptive LRU+LFU) and ``ditto-<policy>``; ``cm-<policy>``
+    (CliqueMap, ``lru`` or ``lfu``); ``shard-lru`` and ``kvc-s`` (32
+    shards, 5 µs backoff), ``kvc`` (one shard, no backoff); ``kvs``.  The
+    names ``bench.hitrate.make_hit_cache`` also knows mean the same
+    policies there.
+    """
+    if system == "ditto":
+        return build_ditto(capacity_objects, num_clients)
+    if system.startswith("ditto-"):
+        return build_ditto(capacity_objects, num_clients, policies=(system[6:],))
+    if system.startswith("cm-"):
+        return CliqueMapCluster(policy=system[3:], capacity_objects=capacity_objects,
+                                num_clients=num_clients)
+    if system in ("shard-lru", "kvc-s", "kvc"):
+        one = system == "kvc"
+        return ShardLruCluster(capacity_objects=capacity_objects, num_clients=num_clients,
+                               shards=1 if one else 32, backoff_us=0.0 if one else 5.0)
+    if system == "kvs":
+        return DmKvsCluster(capacity_objects=capacity_objects, num_clients=num_clients)
+    raise ValueError(f"unknown DM system {system!r}")
 
 
 class MetadataNodeCrash:
@@ -81,38 +107,6 @@ class MetadataNodeCrash:
                 continue
             self.unavailability_us = cluster.engine.now - self.at_us
             return
-
-
-def build_cliquemap(
-    policy: str,
-    capacity_objects: int,
-    num_clients: int,
-    object_bytes: int = 256,
-    server_cores: int = 1,
-) -> CliqueMapCluster:
-    return CliqueMapCluster(
-        policy=policy,
-        capacity_objects=capacity_objects,
-        object_bytes=object_bytes,
-        num_clients=num_clients,
-        server_cores=server_cores,
-    )
-
-
-def build_shard_lru(
-    capacity_objects: int,
-    num_clients: int,
-    shards: int = 32,
-    backoff_us: float = 5.0,
-    object_bytes: int = 256,
-) -> ShardLruCluster:
-    return ShardLruCluster(
-        capacity_objects=capacity_objects,
-        object_bytes=object_bytes,
-        num_clients=num_clients,
-        shards=shards,
-        backoff_us=backoff_us,
-    )
 
 
 def trace_feeds(trace: np.ndarray, n_clients: int) -> list:

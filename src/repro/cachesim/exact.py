@@ -11,6 +11,7 @@ import random
 from collections import OrderedDict, defaultdict
 from typing import Dict, List
 
+from ..sim.stats import hit_rate
 from .decode import chunks
 
 
@@ -26,8 +27,7 @@ class ExactCacheBase:
         self.evictions = 0
 
     def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+        return hit_rate(self.hits, self.misses)
 
     def resize(self, capacity: int) -> None:
         if capacity < 1:

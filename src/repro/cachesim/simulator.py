@@ -22,6 +22,7 @@ import numpy as np
 
 from ..core.adaptive import ExpertWeights, bitmap_of
 from ..core.policies import CachePolicy, Metadata, live_hooks, make_policy
+from ..sim.stats import hit_rate
 from . import vectorized
 from .decode import chunks
 
@@ -101,8 +102,7 @@ class SampledAdaptiveCache:
         return key in self._store
 
     def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+        return hit_rate(self.hits, self.misses)
 
     def _add_key(self, key) -> None:
         self._key_pos[key] = len(self._keys)

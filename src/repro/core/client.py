@@ -47,6 +47,7 @@ from ..rdma.verbs import (
     StaleEpoch,
 )
 from ..sim import CounterSet
+from ..sim.stats import hit_rate
 from . import layout as L
 from .elasticity import ACTIVE, CONTROL_RETRY_LIMIT
 from .retry import backoff_us
@@ -963,8 +964,7 @@ class ClusterBase:
         return sum(c.misses for c in self.clients)
 
     def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+        return hit_rate(self.hits, self.misses)
 
     def _clock_stats(self) -> Dict[str, float]:
         """The substrate's clock row(s) of :meth:`stats`."""

@@ -23,7 +23,8 @@ def backoff_us(
     jitter: float = 0.0,
     rng: Optional[random.Random] = None,
 ) -> float:
-    """Delay in simulated microseconds before retry ``attempt`` (1-based).
+    """Delay in microseconds (simulated, or wall-clock on the real
+    substrate) before retry ``attempt`` (1-based).
 
     ``base <= 0`` disables backoff (returns 0.0 with no RNG draw).
     ``ceiling`` caps the exponential growth when positive.  ``jitter > 0``
@@ -42,24 +43,4 @@ def backoff_us(
     return delay
 
 
-def backoff_s(
-    attempt: int,
-    *,
-    base_s: float,
-    ceiling_s: float = 0.0,
-    jitter: float = 0.0,
-    rng: Optional[random.Random] = None,
-) -> float:
-    """Wall-clock twin of :func:`backoff_us` for the real substrate.
-
-    Same formula, same one-draw-per-jittered-delay discipline, expressed
-    in seconds so ``asyncio.sleep`` callers don't scatter unit
-    conversions (and unit slips) around the runtime package.
-    """
-    return backoff_us(
-        attempt, base=base_s * 1e6, ceiling=ceiling_s * 1e6,
-        jitter=jitter, rng=rng,
-    ) / 1e6
-
-
-__all__ = ["backoff_s", "backoff_us"]
+__all__ = ["backoff_us"]

@@ -70,7 +70,7 @@ import socket
 import time
 from typing import Callable, Dict, FrozenSet, Generator, List, Optional
 
-from ..core.retry import backoff_s
+from ..core.retry import backoff_us
 from ..memory.controller import OutOfMemoryError
 from ..memory.node import MemoryAccessError, MemoryPool
 from ..obs import observer
@@ -88,8 +88,8 @@ DEFAULT_TIMEOUT_S = 10.0
 #: mid-flight, before the failure surfaces as ``NodeUnavailable`` to the
 #: portable retry layer (which applies its own, coarser backoff).
 RESEND_ATTEMPTS = 4
-RESEND_BACKOFF_S = 0.005
-RESEND_BACKOFF_MAX_S = 0.04
+RESEND_BACKOFF_US = 5_000.0
+RESEND_BACKOFF_MAX_US = 40_000.0
 
 #: A link's cork buffer is flushed inline once it holds this much — what
 #: the memory node takes with one ``recv`` (``server.RECV_BYTES``).
@@ -978,11 +978,11 @@ class RealEndpoint(VerbTransport):
                 if attempts == RESEND_ATTEMPTS:
                     break
                 self.counters.add("conn_resend")
-                await asyncio.sleep(backoff_s(
-                    attempts, base_s=RESEND_BACKOFF_S,
-                    ceiling_s=RESEND_BACKOFF_MAX_S,
+                await asyncio.sleep(backoff_us(
+                    attempts, base=RESEND_BACKOFF_US,
+                    ceiling=RESEND_BACKOFF_MAX_US,
                     jitter=0.25, rng=self._rng,
-                ))
+                ) / 1e6)
             conn = self.engine.live_link(node)
             if conn is None:
                 conn = await self._open_link(node)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.bench import Feed, Harness, pack_key, preload
-from repro.bench.systems import build_cliquemap, build_ditto, build_shard_lru, run_ycsb_workload
+from repro.bench.systems import build, build_ditto, run_ycsb_workload
 from repro.cachesim import SampledAdaptiveCache
 from repro.core import DittoCluster, DittoConfig
 from repro.workloads import zipfian_trace
@@ -89,9 +89,9 @@ class TestSystemOrdering:
         n_keys, clients = 2_000, 32
         results = {}
         for name, cluster in (
-            ("ditto", build_ditto(2 * n_keys, clients)),
-            ("shard-lru", build_shard_lru(4 * n_keys, clients)),
-            ("cm-lru", build_cliquemap("lru", 2 * n_keys, clients)),
+            ("ditto", build("ditto", 2 * n_keys, clients)),
+            ("shard-lru", build("shard-lru", 4 * n_keys, clients)),
+            ("cm-lru", build("cm-lru", 2 * n_keys, clients)),
         ):
             measured = run_ycsb_workload(
                 cluster, cluster.clients, "C", n_keys, window_us=5_000.0

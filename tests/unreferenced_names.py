@@ -3,8 +3,9 @@ or ``examples/`` references: candidates for deletion (ROADMAP item 4).
 
 A definition is a module-level function, class or assignment, or a method
 or class attribute.  A reference is any identifier, attribute, import or
-short string that names it outside its own definition; ``__all__`` lists
-and the export tables of package ``__init__`` files do not count.  Names
+short string that names it outside its own definition; ``__all__`` lists,
+and the export tables and relative re-imports of package ``__init__``
+files, do not count.  Names
 something else calls are skipped: dunders, asyncio protocol callbacks and
 functions registered by a decorator.  Tests are not searched, so a name
 only tests use is listed.
@@ -69,6 +70,8 @@ def references(tree, is_init):
             or (is_init and isinstance(node.value, ast.Dict))
         ):
             skip.update(id(sub) for sub in ast.walk(node.value))
+        elif is_init and isinstance(node, ast.ImportFrom) and node.level:
+            skip.update(id(alias) for alias in node.names)
     used = Counter()
     for node in ast.walk(tree):
         if id(node) in skip:
