@@ -44,7 +44,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..memory.allocator import StripedAllocator
 from ..memory.controller import OutOfMemoryError, SegmentState
-from ..rdma.verbs import RdmaEndpoint, RdmaFaultError, StaleEpoch
+from ..rdma.verbs import RdmaFaultError, StaleEpoch
 from . import layout as L
 from .adaptive import GlobalWeights
 
@@ -298,14 +298,7 @@ class Migrator:
         self.on_phase = on_phase
         self.counters = cluster.counters
         self.tracer = cluster.tracer
-        self.ep = RdmaEndpoint(
-            cluster.engine,
-            cluster.pool,
-            cluster.params,
-            counters=cluster.counters,
-            faults=cluster.fault_injector,
-            tracer=cluster.tracer,
-        )
+        self.ep = cluster.make_endpoint(self)
         self.alloc = StripedAllocator(
             self.ep, cluster.nodes,
             min(cluster.segment_bytes, MIGRATION_SEGMENT_BYTES),

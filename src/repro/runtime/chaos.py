@@ -15,9 +15,14 @@ real substrate:
   connection before executing (``NodeUnavailable``), and a latency spike
   delays execution+response without blocking the multiplexed stream.
 
-- :func:`run_chaos` — the chaos harness: drives the standard load
-  generator under an armed plan (optionally SIGKILLing and
-  restart-adopting a memory node mid-load), then quiesces through the
+- :func:`run_chaos` — the chaos harness: arms every node's gate over
+  the out-of-band control socket (the call
+  :meth:`~repro.runtime.harness.RealClusterHarness.restart_node` makes to
+  re-arm a restarted node; no control RPC rides a client's link), drives
+  the standard load generator under it (optionally SIGKILLing and
+  restart-adopting a memory node mid-load), disarms, sums the gates'
+  verdict tallies from one :func:`~repro.runtime.loadgen.node_stats`
+  read, then quiesces through the
   cluster calls the sim's crash recovery runs too: every client's grants
   are reconciled (``ClusterBase.reconcile_grants``: an orphaned grant
   goes back to its controller), the leases repaired
@@ -39,11 +44,10 @@ from ..core import invariants
 from ..obs.observer import current as obs_current
 from ..obs.observer import maybe_span
 from ..obs.runtime import build_digest
-from ..rdma.verbs import NodeUnavailable
 from ..sim.faults import DropWindow, FaultPlan, NodeOutage, compile_wall
 from .client import drive
 from .cluster import RealCluster
-from .loadgen import run_load
+from .loadgen import node_stats, run_load
 
 #: Retry knobs the chaos loadgen overlays on the cluster config: wall-clock
 #: backoff (the sim defaults are microsecond-scale) with enough budget that
@@ -75,34 +79,6 @@ DEFAULT_TIME_SCALE = 50.0
 # -- the chaos harness ------------------------------------------------------
 
 
-async def _arm_gates(cluster: RealCluster, wall_plan: FaultPlan,
-                     t0: float) -> None:
-    ep = cluster.clients[0].ep
-    payload = (wall_plan.to_dict(), t0)
-    for node in cluster.nodes:
-        await drive(ep.rpc(node, "__chaos_load__", payload))
-
-
-async def _disarm_gates(cluster: RealCluster) -> None:
-    """Stop every node's gate; the sweep must not run against an armed one.
-
-    A node restarted moments ago may still be marked down, and the breaker
-    refuses all but one probe per interval — so a refused stop is retried
-    until the node answers, for at most :data:`CHAOS_TIMEOUT_S` per node.
-    """
-    ep = cluster.clients[0].ep
-    for node in cluster.nodes:
-        give_up = time.monotonic() + CHAOS_TIMEOUT_S
-        while True:
-            try:
-                await drive(ep.rpc(node, "__chaos_stop__", None))
-                break
-            except NodeUnavailable:
-                if time.monotonic() >= give_up:
-                    raise
-                await asyncio.sleep(0.01)
-
-
 async def run_chaos(
     harness,
     plan: FaultPlan = CANNED_PLAN,
@@ -125,9 +101,10 @@ async def run_chaos(
     The full chaos protocol: compile the sim-time plan to wall-clock, arm
     every node's gate at a common epoch origin right as the measured
     window opens, optionally SIGKILL ``kill_node_id`` mid-load and
-    restart it against the surviving heap, then quiesce, reconcile,
-    repair, and sweep.  Returns the loadgen report extended with a
-    ``chaos`` section; raises on an invariant violation.
+    restart it against the surviving heap, then disarm, quiesce,
+    reconcile, repair, and sweep.  Returns the loadgen report extended
+    with a ``chaos`` section, its ``nodes`` rows read after disarm;
+    raises on an invariant violation.
     """
     wall_plan, dropped = compile_wall(plan, time_scale)
     if dropped:
@@ -173,7 +150,8 @@ async def run_chaos(
     async def _on_start() -> None:
         t0 = time.time()
         killed["_t0_epoch"] = t0
-        await _arm_gates(cluster, wall_plan, t0)
+        for entry in descriptor["nodes"]:
+            harness.raw_rpc(entry, "__chaos_load__", (wall_plan.to_dict(), t0))
         if obs is not None:
             # Overlay the plan's fault windows on the launcher's trace
             # (each armed server shard overlays its own copy too) and
@@ -213,10 +191,16 @@ async def run_chaos(
         await asyncio.gather(*tasks, return_exceptions=True)
         tasks.clear()
 
-        # Collect per-node gate verdict tallies before disarm drops the
-        # gates (the servers also fold them for later __stats__ polls).
-        verdicts = await _collect_verdicts(cluster)
-        await _disarm_gates(cluster)
+        # The sweep must not run against an armed gate.  A disarmed gate's
+        # tally stays in its node's __stats__.
+        for entry in descriptor["nodes"]:
+            harness.raw_rpc(entry, "__chaos_stop__", None)
+        report["nodes"] = node_stats(descriptor)
+        verdicts: Dict[str, int] = {}
+        for row in report["nodes"]:
+            for kind, count in row["chaos_verdicts"].items():
+                if count:
+                    verdicts[kind] = verdicts.get(kind, 0) + count
         with maybe_span("chaos.quiesce", "chaos"):
             await cluster.engine.drain_background()
             with maybe_span("chaos.reconcile_grants", "chaos"):
@@ -249,21 +233,6 @@ async def run_chaos(
     }
     report["digest"] = build_digest(report)
     return report
-
-
-async def _collect_verdicts(cluster: RealCluster) -> Dict[str, int]:
-    """Sum every node's chaos-gate fate tally via the ``__stats__`` RPC."""
-    ep = cluster.clients[0].ep
-    totals: Dict[str, int] = {}
-    for node in cluster.nodes:
-        try:
-            stats = await drive(ep.rpc(node, "__stats__", None))
-        except Exception:  # noqa: BLE001 — verdicts are best-effort info
-            continue
-        for kind, count in (stats.get("chaos_verdicts") or {}).items():
-            if count:
-                totals[kind] = totals.get(kind, 0) + count
-    return totals
 
 
 __all__ = [

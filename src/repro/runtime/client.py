@@ -737,15 +737,16 @@ class NodeHealth:
     or the harness reaps a dead child — every client sharing this view
     fails fast with :class:`~repro.rdma.verbs.NodeUnavailable` instead
     of burning a full verb timeout per op.  While a node is marked down,
-    one probe request per :attr:`probe_interval_s` is let through
+    one probe request per :attr:`PROBE_INTERVAL_S` is let through
     (half-open breaker); the first success marks the node up again.
     Listeners (the cluster) are notified on every transition so they can
     steer allocators away from, and back to, the node.
     """
 
-    def __init__(self, probe_interval_s: float = 0.1,
-                 counters: Optional[CounterSet] = None):
-        self.probe_interval_s = probe_interval_s
+    #: Seconds between the probes let through to a node marked down.
+    PROBE_INTERVAL_S = 0.1
+
+    def __init__(self, counters: Optional[CounterSet] = None):
         #: node_id -> monotonic time of the last allowed probe.
         self._down: Dict[int, float] = {}
         self._listeners: List[Callable[[], None]] = []
@@ -785,7 +786,7 @@ class NodeHealth:
         if last is None:
             return True
         now = time.monotonic()
-        if now - last >= self.probe_interval_s:
+        if now - last >= self.PROBE_INTERVAL_S:
             self._down[node_id] = now
             return True
         return False
@@ -1128,14 +1129,12 @@ class RealEndpoint(VerbTransport):
         if self.fence is not None:
             self.fence.check_rpc(node.node_id, "rpc")
         self._counts["rdma_rpc"] += 1
-        # Dedup token (0 for chaos/debug control RPCs, which are
-        # idempotent by construction): a resent frame carries the same
-        # token, so the server replays the memoized first result instead
-        # of executing twice.
-        token = 0 if op.startswith("__") else self._next_token()
+        # Dedup token: a resent frame carries the same token, so the
+        # server replays the memoized first result instead of executing
+        # twice.
         raw = yield (
             self, node, f"rpc:{op}", wire.OP_RPC,
-            wire.pack_rpc(op, payload, token),
+            wire.pack_rpc(op, payload, self._next_token()),
         )
         return pickle.loads(raw)
 

@@ -23,8 +23,8 @@ task wake-up, whatever verbs it issues, and the next op's first verb
 corks inline as the last one's answer is dispatched.  The report ends
 with how well the frames batched on both ends: frames per flush on the
 client's links (with the verbs that left the inline path for the
-recovery coroutine), and frames, wake-ups and sends of each memory node
-(from ``__stats__``).
+recovery coroutine), and frames, wake-ups, sends and fault-gate verdicts
+of each memory node (:func:`node_stats`, one ``__stats__`` read).
 
 CLI::
 
@@ -54,10 +54,12 @@ def wire_key(key_id: int) -> bytes:
     return b"key-%d" % key_id
 
 
-def node_batching(descriptor: Dict) -> list:
-    """Frames, wake-ups and sends of every reachable memory node, read
-    over the out-of-band control channel (so no endpoint counter moves).
-    Frames per wake-up says how well the load's frames coalesced."""
+def node_stats(descriptor: Dict) -> list:
+    """Frames, wake-ups, sends and fault-gate verdicts of every reachable
+    memory node, read over the out-of-band control channel (so no
+    endpoint counter moves).  Frames per wake-up says how well the load's
+    frames coalesced; ``chaos_verdicts`` is the node's gate tally, armed
+    or already disarmed."""
     rows = []
     for entry in descriptor["nodes"]:
         try:
@@ -70,6 +72,7 @@ def node_batching(descriptor: Dict) -> list:
             "frames": stats["ops_served"],
             "wakeups": stats["wakeups"],
             "sends": stats["sends"],
+            "chaos_verdicts": stats["chaos_verdicts"],
         })
     return rows
 
@@ -130,7 +133,7 @@ async def run_load(
             "load", "phase", load_start_us,
             args={"clients": clients, "ops": ops},
         )
-    nodes = node_batching(descriptor)
+    nodes = node_stats(descriptor)
     links = cluster.engine.link_stats()
     if owns_cluster:
         await cluster.aclose()

@@ -25,9 +25,9 @@ writability.  A dark frame is that and nothing more.  When the fault
 gate or the instruments are armed (``self.gate``, ``self._obs``: checked
 per frame, since a ``__chaos_load__`` can arm the gate in the middle of
 a batch) they wrap the same handler call.  Everything that must happen
-*later* — a latency spike's delayed execution, the ``__sleep__`` debug
-handler, the shutdown grace — is an entry in one timer heap, and
-SIGTERM/SIGINT arrive as bytes on a wake-up socket.  A memory operation
+*later* — a latency spike's delayed execution and the shutdown grace —
+is an entry in one timer heap, and SIGTERM/SIGINT arrive as bytes on a
+wake-up socket.  A memory operation
 runs to completion inside one frame's turn, so CAS/FAA from any number
 of connections linearize by construction — the same serialization point
 the sim models with the NIC pipe.  Because that one loop serves every
@@ -43,10 +43,16 @@ Metadata RPCs are answered by the node's ``MetadataState``, the dispatch
 the sim uses too (node 0's also holds the weights and the membership).
 
 Fault injection: a :class:`~repro.sim.faults.FaultInjector` — the class the
-sim's endpoints consult — can be armed over RPC (``__chaos_load__``) on a
-clock counting from the cluster-wide arm instant; it is consulted once per
-verb, *before* the frame executes, so a dropped verb never ran — the
-wall-clock equivalent of the sim's drop-at-the-NIC semantics.  A WRITE→CAS
+sim's endpoints consult — is armed by a control RPC (``__chaos_load__``,
+sent over the out-of-band control socket,
+:func:`~repro.runtime.harness.control_rpc`) on a clock counting from the
+cluster-wide arm instant, and ``__chaos_stop__`` disarms it.  The control
+RPCs (every ``__``-prefixed one) pass the gate unjudged.  The gate is
+consulted once per verb, *before* the frame executes, so a dropped verb
+never ran — the wall-clock equivalent of the sim's drop-at-the-NIC
+semantics.  Its ``verdicts`` tally is the one count of what it decided:
+``__stats__`` reports it as ``chaos_verdicts``, with the tallies of gates
+already disarmed folded in.  A WRITE→CAS
 chain (``OP_WRITE_CAS``, named ``write_cas`` in the node's metrics) meets
 the gate as its verbs would, in order, and runs whole or not at all: the
 first verdict that is not OK is the chain's, and both ranges are validated
@@ -98,7 +104,7 @@ from .journal import (
     journal_bytes,
 )
 
-#: Seconds granted to delayed answers (spikes, ``__sleep__``) and unsent
+#: Seconds granted to delayed answers (latency spikes) and unsent
 #: responses on a graceful shutdown before connections are force-closed.
 DRAIN_GRACE_S = 0.5
 
@@ -141,8 +147,7 @@ class _ServerObs:
     """
 
     __slots__ = ("registry", "hub", "verb_count", "verb_us",
-                 "frame_bytes", "verdict_drop", "verdict_down",
-                 "verdict_spike", "journal_writes")
+                 "frame_bytes", "journal_writes")
 
     def __init__(self, registry: MetricsRegistry,
                  hub: Optional[observer.Observability] = None):
@@ -157,10 +162,6 @@ class _ServerObs:
             for op, verb in _VERB_BY_OP.items()
         }
         self.frame_bytes = registry.histogram("frame.bytes")
-        self.verdict_drop = registry.counter("gate.verdicts", verdict="drop")
-        self.verdict_down = registry.counter("gate.verdicts", verdict="down")
-        self.verdict_spike = registry.counter("gate.verdicts",
-                                              verdict="spike")
         self.journal_writes = registry.counter("journal.writes")
 
 
@@ -282,8 +283,8 @@ class NodeServer:
         self._listeners: Dict[int, socket.socket] = {}
         #: Socket fd -> its accepted connection.
         self._conns: Dict[int, _Conn] = {}
-        #: (due, seq, callback) heap: spike delays, ``__sleep__`` answers
-        #: and the shutdown grace all wait here, on the monotonic clock.
+        #: (due, seq, callback) heap: spike delays and the shutdown grace
+        #: wait here, on the monotonic clock.
         self._timers: List[tuple] = []
         self._timer_seq = 0
         #: Delayed answers not yet sent (a shutdown waits for them).
@@ -442,10 +443,6 @@ class NodeServer:
                 # Resent RPC (response lost): replay the first result.
                 self._rpc_memo.move_to_end(token)
                 return memo
-        if op_name == "__sleep__":
-            # Debug/test handler: a stalled controller (timeout surfacing).
-            # Status None asks the caller to answer after the delay.
-            return None, float(payload)
         try:
             result = self._rpc(op_name, payload, token)
         except OutOfMemoryError as err:
@@ -484,8 +481,8 @@ class NodeServer:
     def _gate_outcome(self, op: int, body: bytes):
         """Consult the fault gate for this frame; (kind, extra_us).
 
-        Shutdown frames and the chaos control RPCs themselves are exempt
-        — the harness must always be able to disarm or stop a node.
+        Shutdown frames and the control RPCs themselves are exempt — the
+        harness must always be able to disarm or stop a node.
         """
         gate = self.gate
         if gate is None or op == wire.OP_SHUTDOWN:
@@ -496,8 +493,8 @@ class NodeServer:
             except (IndexError, UnicodeDecodeError):
                 control = False  # garbled name: _serve_rpc answers ST_ERROR
             if control:
-                # Control RPCs (chaos arm/disarm, __stats__ polling, debug
-                # handlers) must keep working while faults are injected.
+                # Control RPCs (chaos arm/disarm, __stats__ polling) must
+                # keep working while faults are injected.
                 return None, 0.0
         if op == wire.OP_WRITE_CAS:
             # A chain meets the gate as its verbs would, in order; the
@@ -513,9 +510,9 @@ class NodeServer:
     def _answer_later(self, conn: "_Conn", req_id: int, delay_s: float,
                       execute) -> None:
         """Timer entry: run ``execute`` and send its response after
-        ``delay_s``, while the loop keeps serving every connection —
-        latency spikes (the sim's extra-lead-latency semantics: the verb
-        executes at its delayed completion time) and ``__sleep__``."""
+        ``delay_s``, while the loop keeps serving every connection: a
+        latency spike (the sim's extra-lead-latency semantics: the verb
+        executes at its delayed completion time)."""
         self._delayed += 1
 
         def fire():
@@ -551,11 +548,6 @@ class NodeServer:
         else:
             status, out = self._run_armed(conn, op, req_id, body)
         if status is None:
-            if out is not None:  # __sleep__: ``out`` is the delay in seconds
-                self._answer_later(
-                    conn, req_id, out,
-                    lambda: (wire.ST_OK, pickle.dumps(None)),
-                )
             return None
         return wire.response_frame(req_id, status, out)
 
@@ -567,25 +559,19 @@ class NodeServer:
             obs.frame_bytes.record(wire.REQ.size + len(body))
         kind, extra_us = self._gate_outcome(op, body)
         if kind == DROP:
-            if obs is not None:
-                obs.verdict_drop.add()
             return None, None  # swallowed before execution: client times out
         if kind == DOWN:
-            if obs is not None:
-                obs.verdict_down.add()
             raise _Down  # outage window: reset, client sees NodeUnavailable
         if extra_us > 0.0:
-            if obs is not None:
-                obs.verdict_spike.add()
-                if obs.hub is not None:
-                    # The delayed execution overlaps whatever runs next on
-                    # this connection: an instant, not a span, keeps the
-                    # lane properly nested.
-                    obs.hub.tracer.instant_at(
-                        f"{_VERB_BY_OP.get(op, 'rpc')}.delayed",
-                        "verb", obs.hub.now_us(), tid=self._lane(conn),
-                        args={"extra_us": extra_us},
-                    )
+            if obs is not None and obs.hub is not None:
+                # The delayed execution overlaps whatever runs next on
+                # this connection: an instant, not a span, keeps the lane
+                # properly nested.
+                obs.hub.tracer.instant_at(
+                    f"{_VERB_BY_OP.get(op, 'rpc')}.delayed",
+                    "verb", obs.hub.now_us(), tid=self._lane(conn),
+                    args={"extra_us": extra_us},
+                )
             self._answer_later(
                 conn, req_id, extra_us / 1e6, lambda: self._run(op, body),
             )
@@ -713,8 +699,8 @@ class NodeServer:
         """Begin a graceful shutdown (OP_SHUTDOWN, SIGTERM or SIGINT).
 
         Data verbs execute without yielding, so none is ever mid-flight;
-        what can be are delayed answers (spikes, ``__sleep__``) and
-        responses a socket has not taken yet.  The loop keeps turning
+        what can be are delayed answers (latency spikes) and responses a
+        socket has not taken yet.  The loop keeps turning
         until those finish or ``DRAIN_GRACE_S`` runs out.
         """
         if not self._stopping:

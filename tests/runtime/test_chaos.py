@@ -26,7 +26,7 @@ from repro.runtime.chaos import run_chaos
 from repro.runtime.client import NodeHealth, drive
 from repro.runtime.cluster import RealCluster
 from repro.runtime.harness import RealClusterHarness
-from repro.runtime.loadgen import run_load, wire_key
+from repro.runtime.loadgen import node_stats, run_load, wire_key
 from repro.runtime.journal import (
     DurableSegmentState,
     GrantJournal,
@@ -140,8 +140,9 @@ def test_journal_attach_rejects_foreign_bytes():
 # -- the health view (fail-fast circuit breaker) ----------------------------
 
 
-def test_node_health_breaker_probes_and_notifies():
-    health = NodeHealth(probe_interval_s=0.05)
+def test_node_health_breaker_probes_and_notifies(monkeypatch):
+    monkeypatch.setattr(NodeHealth, "PROBE_INTERVAL_S", 0.05)
+    health = NodeHealth()
     transitions = []
     health.add_listener(lambda: transitions.append(health.down_ids()))
 
@@ -276,6 +277,41 @@ def test_chaos_drill_end_to_end_sweeps_clean():
         sweep["live_bytes"] + sweep["free_bytes"]
         + sweep["bump_bytes"] + sweep["spare_bytes"]
     )
+    assert harness.leak_report()["clean"]
+
+
+def test_the_drill_verdicts_are_one_node_stats_read_summed():
+    # The gates count each verdict once, and a disarmed gate's tally stays
+    # in its node's __stats__: after the drill, one node_stats read gives
+    # each node's batching and verdicts, and their sum is the drill's.
+    plan = FaultPlan(drops=(DropWindow(0.0, 6_000.0, prob=0.05),), seed=5)
+    harness = _mini_harness(seed=13)
+    try:
+        descriptor = harness.launch()
+        report = asyncio.run(run_chaos(
+            harness, plan, time_scale=50.0, clients=4, ops=400,
+            n_keys=200, preload=50, seed=13,
+        ))
+        rows = node_stats(descriptor)
+    finally:
+        harness.shutdown()
+    assert [row["node_id"] for row in rows] == [0, 1]
+    for row in rows:
+        assert set(row) == {
+            "node_id", "frames", "wakeups", "sends", "chaos_verdicts",
+        }
+        assert 0 < row["wakeups"] <= row["frames"]
+        assert 0 < row["sends"] <= row["frames"]
+    assert [row["chaos_verdicts"] for row in report["nodes"]] == [
+        row["chaos_verdicts"] for row in rows
+    ]
+    summed = {}
+    for row in rows:
+        for kind, count in row["chaos_verdicts"].items():
+            if count:
+                summed[kind] = summed.get(kind, 0) + count
+    assert report["chaos"]["verdicts"] == summed
+    assert summed["ok"] > 0 and summed["drop"] > 0
     assert harness.leak_report()["clean"]
 
 

@@ -673,7 +673,13 @@ def test_spiked_verb_waits_in_the_timer_heap_not_the_loop(harness):
 
 def test_each_request_times_out_at_its_own_deadline(harness):
     node = _node(harness)
-    stall = wire.pack_rpc("__sleep__", 1.5)
+    # A stalled controller: the gate holds every RPC for 1.5 s.
+    spike = FaultPlan(spikes=(
+        LatencySpike(0.0, 1e12, extra_us=1.5e6, verbs=("rpc",)),
+    ))
+    harness.raw_rpc(harness.descriptor()["nodes"][0], "__chaos_load__",
+                    (spike.to_dict(), time.time()))
+    stall = wire.pack_rpc("granted_segments", None)
 
     async def scenario():
         endpoint = RealEndpoint(WallClockRuntime(), [node], timeout_s=0.2)
@@ -682,7 +688,7 @@ def test_each_request_times_out_at_its_own_deadline(harness):
             async def stalled_verb():
                 start = time.monotonic()
                 with pytest.raises(VerbTimeout):
-                    await drive(endpoint.rpc(node, "__sleep__", 1.5))
+                    await drive(endpoint.rpc(node, "granted_segments", None))
                 return time.monotonic() - start
 
             for elapsed in await asyncio.gather(

@@ -31,12 +31,13 @@ from repro.runtime.client import (
     WallClockRuntime,
     drive,
 )
-from repro.runtime.harness import RealClusterHarness
+from repro.runtime.harness import RealClusterHarness, control_rpc
 from repro.sim import Engine
 from repro.sim.faults import (
     DropWindow,
     FaultInjector,
     FaultPlan,
+    LatencySpike,
     NodeOutage,
 )
 
@@ -117,8 +118,11 @@ class RealSubstrate:
         self.loop.run_until_complete(self.runtime.drain_background())
 
     def arm_timeouts(self):
-        # A wedged controller: the debug RPC sleeps far past the verb
-        # timeout, so every subsequent op on this endpoint expires.
+        # A wedged controller: the gate holds every RPC far past the verb
+        # timeout, so every subsequent RPC on this endpoint expires.
+        self.arm_plan(FaultPlan(spikes=(
+            LatencySpike(0.0, 1e12, extra_us=5e6, verbs=("rpc",)),
+        )))
         self.ep.timeout_s = 0.2
 
     def make_unreachable(self):
@@ -130,25 +134,17 @@ class RealSubstrate:
 
     def arm_plan(self, plan):
         # Arm the server's in-process fault gate with the very plan the
-        # sim injector loads; parity plans are authored in wall-µs, so
-        # no compile_wall scaling here (test_chaos.py covers that).  The
-        # verb timeout shrinks so a gate drop expires quickly.
+        # sim injector loads, over the control socket; parity plans are
+        # authored in wall-µs, so no compile_wall scaling here
+        # (test_chaos.py covers that).  The verb timeout shrinks so a gate
+        # drop expires quickly.
         self._saved_timeout = self.ep.timeout_s
         self.ep.timeout_s = 0.3
-
-        def flow():
-            yield from self.ep.rpc(
-                self.rpc_node, "__chaos_load__",
-                (plan.to_dict(), time.time()),
-            )
-
-        self.run(flow())
+        control_rpc(self.rpc_node.key, "__chaos_load__",
+                    (plan.to_dict(), time.time()))
 
     def disarm_plan(self):
-        def flow():
-            yield from self.ep.rpc(self.rpc_node, "__chaos_stop__", None)
-
-        self.run(flow())
+        control_rpc(self.rpc_node.key, "__chaos_stop__")
         self.ep.timeout_s = self._saved_timeout
 
     def bounce(self):
@@ -444,12 +440,8 @@ def test_timeouts_surface_as_verb_timeout(substrate):
     substrate.arm_timeouts()
     ep, node = substrate.ep, substrate.rpc_node
 
-    if substrate.name == "real":
-        def flow():
-            yield from ep.rpc(node, "__sleep__", 5.0)
-    else:
-        def flow():
-            yield from ep.read(SCRATCH, 8)
+    def flow():
+        yield from ep.rpc(node, "granted_segments", None)
 
     with pytest.raises(VerbTimeout):
         substrate.run(flow())
